@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/network"
+	"repro/internal/vocab"
 )
 
 // deriveBounds resolves the grid extent for an index build: an explicit
@@ -46,21 +47,88 @@ func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.R
 // An exhausted list makes the bound zero: the index holds no
 // query-relevant mass (SL1 empty) or no segments at all (SL2/SL3
 // empty). The bound is deterministic — a pure function of ⟨index, Ψ, ε⟩.
+//
+// Only the heads of the three lists are needed, so no list is built: the
+// cost is O(query-relevant cells) with no sort. On a slab-backed index
+// the heads come from the slab, the memoized ε-plan and a pooled scratch
+// run — zero heap allocations once the pool has seen the world, and the
+// map-layout ε-memos stay untouched; both layouts accumulate each cell's
+// weight in the same order, so the value is bit-identical either way.
 func (ix *Index) UnseenBound(q Query) (float64, error) {
+	if six := ix.six; six != nil {
+		return six.unseenBound(q)
+	}
 	query, err := ix.resolveQuery(q)
 	if err != nil {
 		return 0, err
 	}
-	sl1 := ix.buildSL1(query)
-	if len(sl1) == 0 {
+	var top1 float64
+	if len(query) == 1 {
+		if es := ix.entriesFor(query[0]); len(es) > 0 {
+			top1 = es[0].Weight
+		}
+	} else {
+		for cell, w := range ix.accumulateSL1(query) {
+			if w = ix.capWeight(cell, w); w > top1 {
+				top1 = w
+			}
+		}
+	}
+	if top1 == 0 || len(ix.segsByLen) == 0 {
 		return 0, nil
 	}
 	sl2 := ix.SegmentsByCellCount(q.Epsilon)
-	sl3 := ix.segsByLen
-	if len(sl2) == 0 || len(sl3) == 0 {
+	top2 := float64(len(ix.SegmentCells(q.Epsilon)[sl2[0]]))
+	top3 := ix.net.Segment(ix.segsByLen[0]).Length()
+	return Interest(top1*top2, top3, q.Epsilon), nil
+}
+
+// unseenBound is Index.UnseenBound over the slab layout: top(SL1) from a
+// pooled run's accumulators (slabRun.topSL1), top(SL2) and top(SL3) from
+// the memoized ε-plan and the length order.
+func (six *SlabIndex) unseenBound(q Query) (float64, error) {
+	if err := q.Validate(); err != nil {
+		return 0, err
+	}
+	if len(six.segsByLen) == 0 {
 		return 0, nil
 	}
-	top2 := float64(len(ix.SegmentCells(q.Epsilon)[sl2[0]]))
-	top3 := ix.net.Segment(sl3[0]).Length()
-	return Interest(sl1[0].Weight*top2, top3, q.Epsilon), nil
+	r := six.pool.Get().(*slabRun)
+	r.queryBuf = six.resolveInto(r.queryBuf[:0], q.Keywords)
+	r.query = r.queryBuf
+	top1 := r.topSL1()
+	r.query = nil
+	six.pool.Put(r)
+	if top1 == 0 {
+		return 0, nil
+	}
+	plan := six.plan(q.Epsilon)
+	sid2 := plan.sl2[0]
+	top2 := float64(plan.segCellOff[sid2+1] - plan.segCellOff[sid2])
+	top3 := six.segLen[six.segsByLen[0]]
+	return Interest(top1*top2, top3, q.Epsilon), nil
+}
+
+// resolveInto is Resolve into a caller-owned buffer: the known keywords'
+// ids appended to buf as a sorted, duplicate-free set. The insertion sort
+// is quadratic in |Ψ|, which is a handful of keywords.
+func (six *SlabIndex) resolveInto(buf vocab.Set, keywords []string) vocab.Set {
+	dict := six.pois.Dict()
+	for _, kw := range keywords {
+		id, ok := dict.Lookup(kw)
+		if !ok {
+			continue
+		}
+		i := len(buf)
+		for i > 0 && buf[i-1] > id {
+			i--
+		}
+		if i > 0 && buf[i-1] == id {
+			continue
+		}
+		buf = append(buf, 0)
+		copy(buf[i+1:], buf[i:])
+		buf[i] = id
+	}
+	return buf
 }

@@ -1,0 +1,319 @@
+package core_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/network"
+	"repro/internal/oracle"
+	"repro/internal/poi"
+	"repro/internal/remote"
+	"repro/internal/shard"
+)
+
+// sweepEps are the three ε of the oracle query matrix (sub-segment to
+// multi-cell buffers on the Tiny extent).
+var sweepEps = []float64{0.0002, 0.0005, 0.0012}
+
+const boundCell = 0.0005
+
+// boundKeywordSets covers the shapes UnseenBound distinguishes: one
+// keyword (the pre-sorted inverted range), several (the accumulators),
+// duplicates and order (the resolved set is sorted and deduplicated), a
+// word no POI carries alone (no relevant cell) and mixed in (dropped).
+var boundKeywordSets = [][]string{
+	{"shop"},
+	{"museum"},
+	{"quixotic"},
+	{"shop", "food"},
+	{"food", "shop", "food"},
+	{"shop", "quixotic"},
+	{"park", "cafe", "hotel"},
+	{"shop", "food", "services", "education", "market"},
+}
+
+// layouts builds the same world as a map-only index and as the two
+// slab-backed forms (Compact build, and reconstruction from the slab
+// alone as the snapshot loader does).
+func layouts(t *testing.T, net *network.Network, pois *poi.Corpus) (mapIx *core.Index, slabIxs []*core.Index) {
+	t.Helper()
+	mapIx, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell, Compact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSlab, err := core.NewIndexFromSlab(net, pois, compact.SlabIndex().Slab())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mapIx, []*core.Index{compact, fromSlab}
+}
+
+func mustBound(t *testing.T, ix *core.Index, q core.Query) float64 {
+	t.Helper()
+	ub, err := ix.UnseenBound(q)
+	if err != nil {
+		t.Fatalf("UnseenBound(%v): %v", q, err)
+	}
+	return ub
+}
+
+// TestUnseenBoundLayoutsAgree is the equivalence property the sharded
+// tier's determinism rests on: over the oracle world matrix (three POI
+// densities, weighted and unweighted) and all three sweep ε, the
+// slab-backed bound is Float64bits-equal to the map-only one, so a
+// shard's (UB desc, id asc) position and every prune decision are the
+// same whichever layout computed them.
+func TestUnseenBoundLayoutsAgree(t *testing.T) {
+	var compared, positive int
+	for seed := int64(0); seed < 8; seed++ {
+		for _, cfg := range oracle.MatrixConfigs(seed, false) {
+			w, err := cfg.BuildWorld()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, pois, _, _, err := w.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapIx, slabIxs := layouts(t, net, pois)
+			for _, eps := range sweepEps {
+				for _, kws := range boundKeywordSets {
+					q := core.Query{Keywords: kws, K: 3, Epsilon: eps}
+					want := mustBound(t, mapIx, q)
+					for i, six := range slabIxs {
+						// Twice: the second call reuses the pooled scratch.
+						for rep := 0; rep < 2; rep++ {
+							got := mustBound(t, six, q)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s eps=%g %v: slab layout %d bound %v (%#x) != map %v (%#x)",
+									cfg.Label(), eps, kws, i, got, math.Float64bits(got), want, math.Float64bits(want))
+							}
+						}
+					}
+					compared++
+					if want > 0 {
+						positive++
+					}
+				}
+			}
+			if ub := mustBound(t, mapIx, core.Query{Keywords: []string{"quixotic"}, K: 1, Epsilon: 0.0005}); ub != 0 {
+				t.Fatalf("%s: bound %v for a keyword no POI carries, want 0", cfg.Label(), ub)
+			}
+		}
+	}
+	if positive*2 < compared {
+		t.Fatalf("only %d of %d compared bounds were positive; the matrix no longer exercises the bound", positive, compared)
+	}
+}
+
+// TestUnseenBoundEdgeCases pins the degenerate inputs on both layouts: a
+// keyword interned after the index was built (its id lies beyond the
+// slab's VocabN), alone and beside a known one; an invalid query; and an
+// index with POIs but no segments.
+func TestUnseenBoundEdgeCases(t *testing.T) {
+	w, err := oracle.SeedConfig{Seed: 3, Density: 1}.BuildWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, pois, _, _, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapIx, slabIxs := layouts(t, net, pois)
+	late := pois.Dict().Intern("interned-after-build")
+	if vn := slabIxs[0].SlabIndex().Slab().VocabN; int(late) < vn {
+		t.Fatalf("late keyword id %d is inside the slab vocabulary (%d)", late, vn)
+	}
+	for _, ix := range append([]*core.Index{mapIx}, slabIxs...) {
+		if ub := mustBound(t, ix, core.Query{Keywords: []string{"interned-after-build"}, K: 1, Epsilon: 0.0005}); ub != 0 {
+			t.Errorf("bound %v for a keyword beyond the slab vocabulary, want 0", ub)
+		}
+		alone := mustBound(t, ix, core.Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005})
+		mixed := mustBound(t, ix, core.Query{Keywords: []string{"shop", "interned-after-build"}, K: 1, Epsilon: 0.0005})
+		if alone == 0 || math.Float64bits(alone) != math.Float64bits(mixed) {
+			t.Errorf("bound with an out-of-vocabulary keyword mixed in = %v, want %v (> 0)", mixed, alone)
+		}
+		if _, err := ix.UnseenBound(core.Query{Keywords: []string{"shop"}, K: 1}); err == nil {
+			t.Error("zero epsilon accepted")
+		}
+		if _, err := ix.UnseenBound(core.Query{K: 1, Epsilon: 0.0005}); err == nil {
+			t.Error("empty keyword list accepted")
+		}
+	}
+
+	empty, err := network.NewBuilder().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, noSegs := layouts(t, empty, pois)
+	noSegMap, err := core.NewIndex(empty, pois, core.IndexConfig{CellSize: boundCell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range append([]*core.Index{noSegMap}, noSegs...) {
+		for _, kws := range [][]string{{"shop"}, {"shop", "food"}} {
+			if ub := mustBound(t, ix, core.Query{Keywords: kws, K: 1, Epsilon: 0.0005}); ub != 0 {
+				t.Errorf("bound %v on an index without segments, want 0", ub)
+			}
+		}
+	}
+}
+
+// TestUnseenBoundCapBinds: when POIs carry several query keywords the
+// keyword sum overshoots the cell's total weight and SL1 caps it
+// (Algorithm 1 line 2, generalized to weights). The bound must use the
+// capped head on both layouts.
+func TestUnseenBoundCapBinds(t *testing.T) {
+	nb := network.NewBuilder()
+	nb.AddStreet("main", []geo.Point{geo.Pt(0, 0), geo.Pt(0.004, 0)})
+	net, err := nb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := poi.NewBuilder(nil)
+	// One cell: total weight 4, but each keyword alone already sums to 4.
+	pb.AddWeighted(geo.Pt(0.0011, 0.0001), []string{"shop", "food"}, 2.5)
+	pb.AddWeighted(geo.Pt(0.0012, 0.0002), []string{"shop", "food"}, 1.5)
+	// A second cell whose uncapped sum (3) is below the first's (8) and
+	// below the first's cap (4).
+	pb.AddWeighted(geo.Pt(0.0031, 0.0001), []string{"shop"}, 3)
+	pois := pb.Build()
+	mapIx, slabIxs := layouts(t, net, pois)
+
+	const eps = 0.0005
+	top2 := float64(len(mapIx.SegmentCells(eps)[mapIx.SegmentsByCellCount(eps)[0]]))
+	top3 := net.Segment(0).Length()
+	capped := core.Interest(4*top2, top3, eps)
+	uncapped := core.Interest(8*top2, top3, eps)
+	q := core.Query{Keywords: []string{"shop", "food"}, K: 1, Epsilon: eps}
+	for i, ix := range append([]*core.Index{mapIx}, slabIxs...) {
+		got := mustBound(t, ix, q)
+		if math.Float64bits(got) != math.Float64bits(capped) {
+			t.Errorf("layout %d: bound %v, want the capped %v (uncapped would be %v)", i, got, capped, uncapped)
+		}
+	}
+}
+
+// TestUnseenBoundSoundnessOracle is the soundness the coordinator's
+// pruning needs, checked against the brute-force oracle rather than the
+// index's own structures: on the whole world and on every shard of a
+// 2/4/9-tile partition, the static bound is at least the exact interest
+// of every segment the index owns, on both layouts.
+func TestUnseenBoundSoundnessOracle(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		cfg := oracle.SeedConfig{Seed: seed, Density: 1, Weighted: seed%2 == 1}
+		w, err := cfg.BuildWorld()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, pois, _, _, err := w.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapIx, slabIxs := layouts(t, net, pois)
+		type owner struct {
+			name     string
+			ix       *core.Index
+			segments []network.SegmentID // global ids of the owned segments
+		}
+		all := make([]network.SegmentID, net.NumSegments())
+		for i := range all {
+			all[i] = network.SegmentID(i)
+		}
+		owners := []owner{{"map", mapIx, all}, {"slab", slabIxs[0], all}}
+		const halo = 0.0012
+		for _, tiles := range []int{2, 4, 9} {
+			for _, compact := range []bool{false, true} {
+				sw, err := shard.Partition(net, pois, shard.Config{Tiles: tiles, Halo: halo, CellSize: boundCell, Compact: compact})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range sw.Shards {
+					owners = append(owners, owner{fmt.Sprintf("shard %d/%d compact=%t", s.ID, tiles, compact), s.Index, s.Segments})
+				}
+			}
+		}
+		for _, eps := range sweepEps {
+			for _, kws := range [][]string{{"shop"}, {"shop", "food"}, {"park", "cafe", "hotel"}} {
+				q := core.Query{Keywords: kws, K: 3, Epsilon: eps}
+				query := oracle.ResolveKeywords(pois, kws)
+				exact := make([]float64, net.NumSegments())
+				for sid := range exact {
+					exact[sid] = oracle.SegmentInterest(net, pois, network.SegmentID(sid), query, eps)
+				}
+				for _, o := range owners {
+					ub := mustBound(t, o.ix, q)
+					for _, sid := range o.segments {
+						if exact[sid] > ub {
+							t.Fatalf("%s %s eps=%g %v: segment %d has exact interest %v above the bound %v",
+								cfg.Label(), o.name, eps, kws, sid, exact[sid], ub)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardServingLeavesMapMemosEmpty pins the second property the
+// sharded tier's gain rests on: serving a slab-backed shard — the
+// bound-only phase and a full /shard/query through remote.Server — never
+// builds the map-layout ε-memos. They duplicate the slab's ε-plan, and
+// computing the bound through them once cost every shard process a
+// quarter of its resident memory and most of its warm-up.
+func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
+	w, err := oracle.SeedConfig{Seed: 5, Density: 1}.BuildWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, pois, _, _, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := shard.Partition(net, pois, shard.Config{Tiles: 4, Halo: 0.0012, CellSize: boundCell, Compact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answered int
+	for _, s := range sw.Shards {
+		srv := remote.NewServer(remote.ShardData{
+			ShardID: s.ID, Shards: len(sw.Shards), Halo: sw.Halo, CellSize: sw.CellSize,
+			Index: s.Index, Streets: s.Streets, Segments: s.Segments,
+		}, remote.ServerConfig{})
+		for _, eps := range sweepEps {
+			for _, boundOnly := range []bool{true, false} {
+				body, err := json.Marshal(remote.QueryRequest{Keywords: []string{"shop", "food"}, K: 3, Epsilon: eps, BoundOnly: boundOnly})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("shard %d eps=%g bound_only=%t: status %d: %s", s.ID, eps, boundOnly, rec.Code, rec.Body)
+				}
+				var resp remote.QueryResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				answered += len(resp.Results)
+			}
+		}
+		if a, b, c := s.Index.MapMemoSizes(); a+b+c != 0 {
+			t.Errorf("shard %d: serving built map-layout ε-memos (segCells=%d cellSegs=%d sl2=%d)", s.ID, a, b, c)
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no shard returned a street; the queries did no work")
+	}
+}

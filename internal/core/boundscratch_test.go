@@ -1,0 +1,242 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/poi"
+)
+
+// listBound is the bound computed the way it was before it stopped
+// building lists: SL1 materialized and sorted in full through the map
+// layout, then the three heads. The reference the sort-free paths are
+// held to.
+func listBound(ix *Index, q Query) float64 {
+	query, _ := ix.pois.Dict().LookupAll(q.Keywords)
+	sl1 := ix.buildSL1(query)
+	sl2 := ix.SegmentsByCellCount(q.Epsilon)
+	if len(sl1) == 0 || len(sl2) == 0 {
+		return 0
+	}
+	top2 := float64(len(ix.SegmentCells(q.Epsilon)[sl2[0]]))
+	top3 := ix.net.Segment(ix.segsByLen[0]).Length()
+	return Interest(sl1[0].Weight*top2, top3, q.Epsilon)
+}
+
+// compactTwin rebuilds an index over the same data with the slab attached.
+func compactTwin(t *testing.T, ix *Index) *Index {
+	t.Helper()
+	twin, err := NewIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.Grid().CellSize(), Compact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// TestUnseenBoundMatchesSortedLists: on random scenarios — unit weights
+// and random weights, where POIs carrying several query keywords make
+// the cell-weight cap bind — both layouts' sort-free bound is
+// Float64bits-equal to the head of the fully sorted lists.
+func TestUnseenBoundMatchesSortedLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(1414))
+	keywordSets := [][]string{
+		{"shop"}, {"school"}, {"zeppelin"},
+		{"shop", "food"}, {"food", "shop", "shop"}, {"museum", "zeppelin"},
+		{"school", "shop", "museum"},
+		{"shop", "food", "museum", "park", "school"},
+	}
+	var capBound int
+	for trial := 0; trial < 20; trial++ {
+		base, mapIx := randomScenario(rng), weightedScenario(rng)
+		unitSlab, slabIx := compactTwin(t, base), compactTwin(t, mapIx)
+		for _, eps := range []float64{0.05, 0.3, 2} {
+			for _, kws := range keywordSets {
+				q := Query{Keywords: kws, K: 2, Epsilon: eps}
+				for _, pair := range []struct {
+					name     string
+					ref, got *Index
+				}{
+					{"unit/map", base, base}, {"unit/slab", base, unitSlab},
+					{"weighted/map", mapIx, mapIx}, {"weighted/slab", mapIx, slabIx},
+				} {
+					want := listBound(pair.ref, q)
+					got, err := pair.got.UnseenBound(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d %s eps=%g %v: bound %v != sorted-list head %v", trial, pair.name, eps, kws, got, want)
+					}
+				}
+			}
+		}
+		// The cap must actually bind somewhere for the test to cover it.
+		query, _ := mapIx.pois.Dict().LookupAll([]string{"shop", "food"})
+		for cell, w := range mapIx.accumulateSL1(query) {
+			if w > mapIx.cellWeight[cell] {
+				capBound++
+				break
+			}
+		}
+	}
+	if capBound == 0 {
+		t.Fatal("the cell-weight cap never bound; the scenarios no longer cover it")
+	}
+}
+
+// TestUnseenBoundZeroAllocs pins the first property the sharded tier's
+// gain rests on: on a warmed slab-backed index the bound performs no
+// heap allocation — not for the resolved query, not for a list, not for
+// scratch — for one keyword and for several.
+func TestUnseenBoundZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful under -race")
+	}
+	base, _, _ := allocWorld(t)
+	ix := compactTwin(t, base)
+	for _, kws := range [][]string{
+		{"shop"},
+		{"shop", "food", "museum", "park", "school"},
+	} {
+		q := Query{Keywords: kws, K: 5, Epsilon: 0.6}
+		ix.SlabIndex().Warm(q.Epsilon)
+		ub, err := ix.UnseenBound(q) // primes the pooled scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ub <= 0 {
+			t.Fatalf("%v: bound %v; world too sparse for the gate to mean anything", kws, ub)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := ix.UnseenBound(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d-keyword bound allocated %.1f objects/op, want 0", len(kws), allocs)
+		}
+	}
+}
+
+// runOn evaluates one query on a caller-held scratch run, the way
+// SOIResolved does on a pooled one.
+func runOn(t *testing.T, r *slabRun, q Query) []StreetResult {
+	t.Helper()
+	query, err := r.six.Resolve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ctx, r.query, r.k, r.eps = context.Background(), query, q.K, q.Epsilon
+	r.begin(r.six.plan(q.Epsilon))
+	if err := r.filter(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := r.refine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.release()
+	return out
+}
+
+// TestScratchEpochWrap drives one scratch run — shared by bound-only and
+// full evaluations — across the uint32 epoch wrap. Stamps written before
+// the wrap (including in storage a smaller-ε run does not cover) must
+// not be mistaken for current ones when the counter reuses their value.
+func TestScratchEpochWrap(t *testing.T) {
+	_, six, _ := allocWorld(t)
+	wide := Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.6}
+	narrow := Query{Keywords: []string{"museum", "park"}, K: 5, Epsilon: 0.05}
+	several := Query{Keywords: []string{"food", "museum", "shop"}, K: 1, Epsilon: 0.6}
+	wantWide, _, err := six.SOI(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNarrow, _, err := six.SOI(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantWide) == 0 || len(wantNarrow) == 0 {
+		t.Fatal("world too sparse for the wrap test to mean anything")
+	}
+	top := func(r *slabRun, q Query) float64 {
+		r.query = r.six.resolveInto(r.queryBuf[:0], q.Keywords)
+		return r.topSL1()
+	}
+	fresh := &slabRun{six: six}
+	wantTop := top(fresh, several)
+	if wantTop <= 0 {
+		t.Fatal("no relevant cell for the multi-keyword bound")
+	}
+
+	r := &slabRun{six: six}
+	// Epochs 1..3 leave stamps 1, 2 and 3 behind, over the wide plan's
+	// full pair range and the bound's accumulators.
+	runOn(t, r, wide)
+	runOn(t, r, wide)
+	if got := top(r, several); got != wantTop {
+		t.Fatalf("bound before the wrap = %v, want %v", got, wantTop)
+	}
+	r.epoch = math.MaxUint32 - 1
+	// The last epoch before the wrap, on the narrow plan: the per-pair
+	// arrays shrink, so the wide plan's tail holds the old stamps.
+	requireSameResults(t, "narrow query at the last epoch", runOn(t, r, narrow), wantNarrow)
+	// The bound wraps the counter to 1; the wide runs then reuse 2 and 3.
+	if got := top(r, several); got != wantTop {
+		t.Fatalf("bound across the wrap = %v, want %v", got, wantTop)
+	}
+	if r.epoch != 1 {
+		t.Fatalf("epoch after the wrap = %d, want 1", r.epoch)
+	}
+	for i := 0; i < 2; i++ {
+		requireSameResults(t, "wide query after the wrap", runOn(t, r, wide), wantWide)
+		if got := top(r, several); got != wantTop {
+			t.Fatalf("bound after the wrap = %v, want %v", got, wantTop)
+		}
+	}
+}
+
+// BenchmarkUnseenBound measures the static bound on a slab-backed index
+// at 1, 3 and 8 query keywords; -benchmem must show 0 allocs/op.
+func BenchmarkUnseenBound(b *testing.B) {
+	rng := rand.New(rand.NewSource(77))
+	base := randomScenario(rng)
+	words := []string{"shop", "food", "museum", "park", "school", "cafe", "hotel", "market"}
+	pb := poi.NewBuilder(nil)
+	for i := 0; i < 20000; i++ {
+		var tags []string
+		for _, kw := range words {
+			if rng.Float64() < 0.2 {
+				tags = append(tags, kw)
+			}
+		}
+		pb.Add(geo.Pt(rng.Float64()*10, rng.Float64()*10), tags)
+	}
+	ix, err := NewIndex(base.Network(), pb.Build(), IndexConfig{CellSize: 0.1, Compact: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 3, 8} {
+		q := Query{Keywords: words[:n], K: 10, Epsilon: 0.1}
+		b.Run(fmt.Sprintf("%dkw", n), func(b *testing.B) {
+			if _, err := ix.UnseenBound(q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ub, err := ix.UnseenBound(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				boundSink = ub
+			}
+		})
+	}
+}
+
+var boundSink float64

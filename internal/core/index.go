@@ -455,21 +455,34 @@ func (ix *Index) buildSL1(query vocab.Set) []weightedEntry {
 	if len(query) == 1 {
 		return ix.entriesFor(query[0])
 	}
+	acc := ix.accumulateSL1(query)
+	out := make([]weightedEntry, 0, len(acc))
+	for cell, w := range acc {
+		out = append(out, weightedEntry{Cell: cell, Weight: ix.capWeight(cell, w)})
+	}
+	sortEntries(out)
+	return out
+}
+
+// accumulateSL1 sums each query keyword's cell weights per cell, keyword
+// by keyword in query order.
+func (ix *Index) accumulateSL1(query vocab.Set) map[grid.CellID]float64 {
 	acc := make(map[grid.CellID]float64)
 	for _, kw := range query {
 		for _, e := range ix.entriesFor(kw) {
 			acc[e.Cell] += e.Weight
 		}
 	}
-	out := make([]weightedEntry, 0, len(acc))
-	for cell, w := range acc {
-		if tw := ix.cellWeight[cell]; w > tw {
-			w = tw
-		}
-		out = append(out, weightedEntry{Cell: cell, Weight: w})
+	return acc
+}
+
+// capWeight caps an accumulated keyword weight at the cell's total POI
+// weight: a POI carrying several query keywords counts once.
+func (ix *Index) capWeight(cell grid.CellID, w float64) float64 {
+	if tw := ix.cellWeight[cell]; w > tw {
+		return tw
 	}
-	sortEntries(out)
-	return out
+	return w
 }
 
 // cellMassContribution returns the total weight of POIs in cell c that

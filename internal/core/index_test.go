@@ -117,7 +117,9 @@ func TestCellMassScanAgreement(t *testing.T) {
 // The unseen upper bound must never underestimate the interest of an
 // actually-unseen segment: run the filter to completion on random data
 // and verify against the exhaustive oracle that no unseen segment beats
-// the reported k-th street.
+// the reported k-th street, and that the static bound before any pop
+// (UnseenBound) dominates every segment. The per-shard and brute-force
+// variant is TestUnseenBoundSoundnessOracle.
 func TestUnseenBoundSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for trial := 0; trial < 15; trial++ {
@@ -134,6 +136,18 @@ func TestUnseenBoundSoundness(t *testing.T) {
 		ints, err := ix.AllSegmentInterests(q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The static bound dominates every segment, on either layout.
+		for _, bix := range []*Index{ix, compactTwin(t, ix)} {
+			ub, err := bix.UnseenBound(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sid, in := range ints {
+				if in > ub {
+					t.Fatalf("trial %d: segment %d interest %v exceeds the static bound %v", trial, sid, in, ub)
+				}
+			}
 		}
 		// Count streets strictly above the k-th reported interest; there
 		// must be fewer than k (otherwise SOI missed one).

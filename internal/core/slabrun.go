@@ -45,6 +45,9 @@ type slabRun struct {
 	sl1CellBuf []int32
 	sl1WBuf    []float64
 	sl1Sorter  sl1Sorter
+	// queryBuf backs the query of a bound-only run: SlabIndex.unseenBound
+	// resolves the keywords into it instead of allocating a set.
+	queryBuf vocab.Set
 
 	p1, p2, p3 int
 
@@ -121,11 +124,7 @@ func (r *slabRun) begin(plan *slabPlan) {
 	numStreets := six.net.NumStreets()
 	numPairs := len(plan.segCell)
 
-	r.epoch++
-	wrapped := r.epoch == 0
-	if wrapped {
-		r.epoch = 1
-	}
+	r.nextEpoch()
 
 	r.segSeen = growU32(r.segSeen, numSegs)
 	r.segFinal = growU32(r.segFinal, numSegs)
@@ -146,25 +145,36 @@ func (r *slabRun) begin(plan *slabPlan) {
 	r.sbMass = growF64(r.sbMass, numStreets)
 	r.topk.init(r.k, numStreets)
 	r.exact.init(r.k, numStreets)
-	if wrapped {
-		for _, s := range [][]uint32{r.segSeen, r.segFinal, r.visited, r.relStamp,
-			r.accStamp, r.cwStamp, r.sbStamp, r.topk.bestStamp, r.topk.inTop,
-			r.exact.bestStamp, r.exact.inTop} {
-			for i := range s {
-				s[i] = 0
-			}
-		}
-	}
 
 	r.seen = r.seen[:0]
 	r.relX, r.relY, r.relW = r.relX[:0], r.relY[:0], r.relW[:0]
-	r.accTouched = r.accTouched[:0]
 	r.sbTouched = r.sbTouched[:0]
 	r.p1, r.p2, r.p3 = 0, 0, 0
 	r.tick = 0
 	r.stats = Stats{TotalSegments: numSegs, TotalCells: numCells}
 
 	r.buildSL1()
+}
+
+// nextEpoch starts a new run epoch, invalidating every stamped slot of
+// the previous run at once. When the counter wraps, every stamp array is
+// zeroed over its whole capacity — a later run may reslice into storage
+// the current one does not cover — so no stale stamp can match a reused
+// epoch value.
+func (r *slabRun) nextEpoch() {
+	r.epoch++
+	if r.epoch != 0 {
+		return
+	}
+	r.epoch = 1
+	for _, s := range [][]uint32{r.segSeen, r.segFinal, r.visited, r.relStamp,
+		r.accStamp, r.cwStamp, r.sbStamp, r.topk.bestStamp, r.topk.inTop,
+		r.exact.bestStamp, r.exact.inTop} {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = 0
+		}
+	}
 }
 
 // release drops the per-evaluation references so a pooled run does not
@@ -179,16 +189,14 @@ func (r *slabRun) release() {
 }
 
 // buildSL1 mirrors Index.buildSL1 over the slab's vocab-major inverted
-// index. A single-keyword list aliases the slab directly; multi-keyword
-// accumulation sums each keyword's cell weights in query order (the same
-// per-cell addition order as the map layout) and caps at the cell's total
-// weight before sorting decreasingly by weight, ties by cell.
+// index. A single-keyword list aliases the slab directly; a multi-keyword
+// list is the accumulated cells (accumulate) with their capped weights
+// (cappedAcc), sorted decreasingly by weight, ties by cell.
 func (r *slabRun) buildSL1() {
 	s := r.six.slab
-	inRange := func(kw vocab.ID) bool { return int(kw) < s.VocabN }
 	if len(r.query) == 1 {
 		kw := r.query[0]
-		if !inRange(kw) {
+		if int(kw) >= s.VocabN {
 			r.sl1Cell, r.sl1W = nil, nil
 			return
 		}
@@ -197,8 +205,31 @@ func (r *slabRun) buildSL1() {
 		r.sl1W = s.InvWeight[lo:hi]
 		return
 	}
+	r.accumulate()
+	r.sl1CellBuf = r.sl1CellBuf[:0]
+	r.sl1WBuf = r.sl1WBuf[:0]
+	for _, ord := range r.accTouched {
+		r.sl1CellBuf = append(r.sl1CellBuf, ord)
+		r.sl1WBuf = append(r.sl1WBuf, r.cappedAcc(ord))
+	}
+	r.sl1Sorter.cells = r.sl1CellBuf
+	r.sl1Sorter.weights = r.sl1WBuf
+	sort.Sort(&r.sl1Sorter)
+	r.sl1Cell = r.sl1CellBuf
+	r.sl1W = r.sl1WBuf
+}
+
+// accumulate sums each query keyword's cell weights into the stamped
+// per-ordinal accumulators, keyword by keyword in query order (the same
+// per-cell addition order as the map layout), and lists the touched
+// ordinals in accTouched. Keywords the slab's vocabulary does not cover
+// contribute nothing. accW and accStamp must be sized to the cell count
+// and the epoch must be fresh.
+func (r *slabRun) accumulate() {
+	s := r.six.slab
+	r.accTouched = r.accTouched[:0]
 	for _, kw := range r.query {
-		if !inRange(kw) {
+		if int(kw) >= s.VocabN {
 			continue
 		}
 		for j := s.InvOff[kw]; j < s.InvOff[kw+1]; j++ {
@@ -211,21 +242,50 @@ func (r *slabRun) buildSL1() {
 			r.accW[ord] += s.InvWeight[j]
 		}
 	}
-	r.sl1CellBuf = r.sl1CellBuf[:0]
-	r.sl1WBuf = r.sl1WBuf[:0]
-	for _, ord := range r.accTouched {
-		w := r.accW[ord]
-		if tw := s.CellWeight[ord]; w > tw {
-			w = tw
-		}
-		r.sl1CellBuf = append(r.sl1CellBuf, ord)
-		r.sl1WBuf = append(r.sl1WBuf, w)
+}
+
+// cappedAcc returns an accumulated cell's SL1 weight: the keyword sum
+// capped at the cell's total POI weight.
+func (r *slabRun) cappedAcc(ord int32) float64 {
+	w := r.accW[ord]
+	if tw := r.six.slab.CellWeight[ord]; w > tw {
+		w = tw
 	}
-	r.sl1Sorter.cells = r.sl1CellBuf
-	r.sl1Sorter.weights = r.sl1WBuf
-	sort.Sort(&r.sl1Sorter)
-	r.sl1Cell = r.sl1CellBuf
-	r.sl1W = r.sl1WBuf
+	return w
+}
+
+// topSL1 returns the head weight of the query's SL1 — the only part of
+// the list the static unseen bound needs — without building the list:
+// the head of the pre-sorted inverted range for one keyword, the maximum
+// capped accumulator for several. It is the value buildSL1 would place
+// first, and 0 when no cell is query-relevant. Only the accumulator
+// arrays are sized, so a bound-only run never pays for the per-segment
+// and per-pair arenas of a full evaluation.
+func (r *slabRun) topSL1() float64 {
+	s := r.six.slab
+	if len(r.query) == 1 {
+		kw := r.query[0]
+		if int(kw) >= s.VocabN || s.InvOff[kw] == s.InvOff[kw+1] {
+			return 0
+		}
+		return s.InvWeight[s.InvOff[kw]]
+	}
+	r.nextEpoch()
+	numCells := s.NumCells()
+	r.accW = growF64(r.accW, numCells)
+	r.accStamp = growU32(r.accStamp, numCells)
+	r.accumulate()
+	var top float64
+	for _, ord := range r.accTouched {
+		// The cap only lowers a weight, so a sum already at or below the
+		// running max needs no cap lookup.
+		if r.accW[ord] > top {
+			if w := r.cappedAcc(ord); w > top {
+				top = w
+			}
+		}
+	}
+	return top
 }
 
 // sl1Sorter orders parallel (cell ordinal, weight) slices decreasingly by

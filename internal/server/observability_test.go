@@ -121,6 +121,76 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRemoteGatherCountersExposed pins the prune-effectiveness counters
+// of the sharded serving path on both surfaces: every answered query
+// splits its shards into evaluated and pruned, a refused query adds
+// nothing, and a degraded answer's missing shards are in neither count.
+func TestRemoteGatherCountersExposed(t *testing.T) {
+	counters := func(s *RemoteServer) (evaluated, pruned float64) {
+		t.Helper()
+		rec, body := rget(t, s, "/api/stats")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/api/stats: status = %d", rec.Code)
+		}
+		remote := body["stats"].(map[string]interface{})["remote"].(map[string]interface{})
+		for _, key := range []string{"shards_evaluated", "shards_pruned"} {
+			if _, ok := remote[key]; !ok {
+				t.Fatalf("missing remote counter %q", key)
+			}
+		}
+		return remote["shards_evaluated"].(float64), remote["shards_pruned"].(float64)
+	}
+
+	s, _ := newTestRemoteServer(t, nil)
+	if e, p := counters(s); e != 0 || p != 0 {
+		t.Fatalf("before any query: evaluated=%v pruned=%v, want 0/0", e, p)
+	}
+	// The keyword no POI carries zeroes every shard's bound: all pruned.
+	for _, url := range []string{
+		"/api/streets?keywords=shop,food&k=5&eps=0.0005",
+		"/api/streets?keywords=shop&k=1&eps=0.0005",
+		"/api/streets?keywords=quixotic&k=3&eps=0.0005",
+	} {
+		if rec, body := rget(t, s, url); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %v", url, rec.Code, body)
+		}
+	}
+	e, p := counters(s)
+	if e+p != 3*4 {
+		t.Errorf("evaluated=%v + pruned=%v after 3 answers over 4 shards, want 12", e, p)
+	}
+	if e < 2 || p < 4 {
+		t.Errorf("evaluated=%v pruned=%v: want ≥ 2 evaluated and the all-pruned query's 4", e, p)
+	}
+	if rec, _ := rget(t, s, "/api/streets?keywords=shop&k=0"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("invalid query: status = %d", rec.Code)
+	}
+	if e2, p2 := counters(s); e2 != e || p2 != p {
+		t.Errorf("a refused query moved the counters: %v/%v → %v/%v", e, p, e2, p2)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	for _, want := range []string{
+		"# TYPE soi_remote_shards_evaluated_total counter",
+		fmt.Sprintf("soi_remote_shards_evaluated_total %d\n", int(e)),
+		"# TYPE soi_remote_shards_pruned_total counter",
+		fmt.Sprintf("soi_remote_shards_pruned_total %d\n", int(p)),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+
+	degraded, _ := newTestRemoteServer(t, map[int]bool{0: true})
+	if rec, body := rget(t, degraded, "/api/streets?keywords=shop,food&k=5&eps=0.0005&partial=1"); rec.Code != http.StatusOK {
+		t.Fatalf("partial answer: status = %d: %v", rec.Code, body)
+	}
+	if e, p := counters(degraded); e+p != 3 {
+		t.Errorf("degraded answer: evaluated=%v + pruned=%v, want the 3 live shards", e, p)
+	}
+}
+
 func TestPprofWired(t *testing.T) {
 	s := testServer(t)
 	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil)

@@ -17,8 +17,10 @@ type RemoteConfig struct {
 	// Coordinator is the remote scatter-gather coordinator (required).
 	Coordinator *shard.RemoteCoordinator
 	// Recorder, when non-nil, backs /metrics and the stats section of
-	// /api/stats, and receives the degradation counters
-	// (soi_remote_degraded, soi_remote_shards_missing).
+	// /api/stats, and receives the per-answer gather counters
+	// (soi_remote_shards_evaluated, soi_remote_shards_pruned) and the
+	// degradation counters (soi_remote_degraded,
+	// soi_remote_shards_missing).
 	Recorder *stats.Recorder
 	// Breakers, when non-nil, reports the per-replica breaker states
 	// surfaced in /api/stats (remote.Client.BreakerStates).
@@ -107,9 +109,13 @@ func (s *RemoteServer) handleStreets(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	if gather.Degraded && s.rec != nil {
-		s.rec.Remote.Degraded.Add(1)
-		s.rec.Remote.ShardsMissing.Add(int64(len(gather.MissingShards)))
+	if s.rec != nil {
+		s.rec.Remote.ShardsEvaluated.Add(int64(gather.ShardsEvaluated))
+		s.rec.Remote.ShardsPruned.Add(int64(gather.ShardsPruned))
+		if gather.Degraded {
+			s.rec.Remote.Degraded.Add(1)
+			s.rec.Remote.ShardsMissing.Add(int64(len(gather.MissingShards)))
+		}
 	}
 	resp := remoteStreetsResponse{
 		Streets:       make([]soi.Street, len(res)),

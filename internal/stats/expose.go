@@ -73,6 +73,8 @@ func (s Snapshot) counterRows() []counterRow {
 		{"remote_errors", s.Remote.Errors, false},
 		{"remote_degraded", s.Remote.Degraded, false},
 		{"remote_shards_missing", s.Remote.ShardsMissing, false},
+		{"remote_shards_evaluated", s.Remote.ShardsEvaluated, false},
+		{"remote_shards_pruned", s.Remote.ShardsPruned, false},
 		{"traj_route_queries", s.Traj.RouteQueries, false},
 		{"traj_traj_queries", s.Traj.TrajQueries, false},
 		{"traj_expansions", s.Traj.Expansions, false},

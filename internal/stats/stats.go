@@ -207,6 +207,12 @@ type RemoteStats struct {
 	// missing; ShardsMissing sums the shards those answers were missing.
 	Degraded      Counter
 	ShardsMissing Counter
+	// ShardsEvaluated and ShardsPruned split the shards of every
+	// answered query (shard.GatherStats): those whose results were
+	// merged, and those the static bound terminated early. Their ratio
+	// is the prune effectiveness of the bounds-first gather.
+	ShardsEvaluated Counter
+	ShardsPruned    Counter
 }
 
 // TrajStats aggregates the trajectory query family: route searches,
@@ -328,6 +334,8 @@ type RemoteSnapshot struct {
 	Errors               int64 `json:"errors"`
 	Degraded             int64 `json:"degraded"`
 	ShardsMissing        int64 `json:"shards_missing"`
+	ShardsEvaluated      int64 `json:"shards_evaluated"`
+	ShardsPruned         int64 `json:"shards_pruned"`
 }
 
 // TrajSnapshot is the JSON form of TrajStats.
@@ -423,6 +431,8 @@ func (r *Recorder) Snapshot() Snapshot {
 			Errors:               r.Remote.Errors.Load(),
 			Degraded:             r.Remote.Degraded.Load(),
 			ShardsMissing:        r.Remote.ShardsMissing.Load(),
+			ShardsEvaluated:      r.Remote.ShardsEvaluated.Load(),
+			ShardsPruned:         r.Remote.ShardsPruned.Load(),
 		},
 		Ingest: IngestSnapshot{
 			DeltasAppended: r.Ingest.DeltasAppended.Load(),
