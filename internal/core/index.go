@@ -579,8 +579,14 @@ func (ix *Index) cellMassScan(c *grid.Cell, query vocab.Set, sid network.Segment
 }
 
 // SegmentMass computes the exact relevant mass of a segment (Def. 1) by
-// visiting every ε-near cell.
+// visiting every ε-near cell. A slab-backed index folds it through the
+// memoized ε-plan and the slab's postings (SlabIndex.segmentMass), the
+// same POIs in the same order, so the map-layout ε-memos are never built
+// on the serving path and the value is bit-identical either way.
 func (ix *Index) SegmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
+	if six := ix.six; six != nil {
+		return six.segmentMass(sid, query, eps)
+	}
 	var mass float64
 	for _, cid := range ix.SegmentCells(eps)[sid] {
 		mass += ix.cellMassContribution(ix.grid.CellAt(cid), query, sid, eps)

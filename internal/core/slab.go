@@ -302,3 +302,68 @@ func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, e
 	}
 	return out, stats, nil
 }
+
+// segmentMass is Index.SegmentMass over the slab layout: the segment's
+// canonical Cε(ℓ) range of the memoized ε-plan, each cell's relevant
+// POIs streamed from the slab's postings in ascending POI id (one
+// keyword's list as it stands, several merged with duplicates counted
+// once), each cell's contribution summed on its own before it joins the
+// total — operand for operand the fold cellMassContribution performs
+// over the map layout. It allocates nothing for up to eight keywords.
+func (six *SlabIndex) segmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
+	if len(query) == 0 {
+		return 0
+	}
+	plan := six.plan(eps)
+	s := six.slab
+	seg := geo.Segment{
+		A: geo.Point{X: six.segAX[sid], Y: six.segAY[sid]},
+		B: geo.Point{X: six.segBX[sid], Y: six.segBY[sid]},
+	}
+	epsSq := eps * eps
+	var loBuf, hiBuf [8]uint32
+	var mass float64
+	for _, ord := range plan.segCell[plan.segCellOff[sid]:plan.segCellOff[sid+1]] {
+		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
+		lo, hi := loBuf[:0], hiBuf[:0]
+		for _, kw := range query {
+			if j := findKw(s.CellKw[kwLo:kwHi], kw); j >= 0 {
+				pj := kwLo + uint32(j)
+				if s.PostOff[pj] < s.PostOff[pj+1] {
+					lo, hi = append(lo, s.PostOff[pj]), append(hi, s.PostOff[pj+1])
+				}
+			}
+		}
+		var cell float64
+		within := func(m uint32) {
+			if seg.DistToPointSq(geo.Point{X: s.ObjX[m], Y: s.ObjY[m]}) <= epsSq {
+				cell += s.ObjW[m]
+			}
+		}
+		if len(lo) == 1 {
+			for _, m := range s.Postings[lo[0]:hi[0]] {
+				within(m)
+			}
+		}
+		const sentinel = ^uint32(0)
+		for len(lo) > 1 {
+			minID := sentinel
+			for i := range lo {
+				if lo[i] < hi[i] && s.Postings[lo[i]] < minID {
+					minID = s.Postings[lo[i]]
+				}
+			}
+			if minID == sentinel {
+				break
+			}
+			for i := range lo {
+				if lo[i] < hi[i] && s.Postings[lo[i]] == minID {
+					lo[i]++
+				}
+			}
+			within(minID)
+		}
+		mass += cell
+	}
+	return mass
+}

@@ -20,6 +20,7 @@ package faults
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,6 +197,26 @@ func InjectCtx(ctx context.Context, name string) error {
 		panicWith(f)
 	}
 	return f.Err
+}
+
+// KeyedSite names the per-member variant of a site that is visited once
+// per member of a group (one shard of a scatter): site "shard.scatter"
+// with key 2 is "shard.scatter/2".
+func KeyedSite(name string, key int) string { return name + "/" + strconv.Itoa(key) }
+
+// InjectCtxKeyed visits the named site and then its KeyedSite variant
+// for key, so a test can arm a fault on one member of a group whatever
+// order the members' goroutines arrive in — a visit count cannot address
+// one of several concurrent visitors. The fast path is the same single
+// atomic load; the keyed name is only built while something is armed.
+func InjectCtxKeyed(ctx context.Context, name string, key int) error {
+	if armed.Load() == 0 {
+		return nil
+	}
+	if err := InjectCtx(ctx, name); err != nil {
+		return err
+	}
+	return InjectCtx(ctx, KeyedSite(name, key))
 }
 
 func panicWith(f Fault) {

@@ -1,9 +1,15 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/httperr"
 )
 
 func TestRoutesTopK(t *testing.T) {
@@ -133,5 +139,105 @@ func TestTrajectorySOIBodyTooLarge(t *testing.T) {
 	rec, body := post(t, s, "/api/trajectories/soi", big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d (%v)", rec.Code, body)
+	}
+}
+
+// trajCounters reads the route-search work counters from /api/stats.
+func trajCounters(t *testing.T, s *Server) (settled, folded, expansions float64) {
+	t.Helper()
+	rec, body := get(t, s, "/api/stats")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/api/stats: status = %d", rec.Code)
+	}
+	section := body["stats"].(map[string]interface{})["traj"].(map[string]interface{})
+	for _, key := range []string{"vertices_settled", "segments_folded", "expansions"} {
+		if _, ok := section[key]; !ok {
+			t.Fatalf("missing traj counter %q", key)
+		}
+	}
+	return section["vertices_settled"].(float64), section["segments_folded"].(float64), section["expansions"].(float64)
+}
+
+// TestRouteSearchCountersExposed pins the route search's prologue
+// counters on both surfaces: an answered query adds the vertices its two
+// budget-bounded Dijkstra runs settled and the segments it folded, a
+// refused query adds nothing, and a budget shorter than the network
+// settles and folds less than the network holds.
+func TestRouteSearchCountersExposed(t *testing.T) {
+	s := testServer(t)
+	if v, f, e := trajCounters(t, s); v != 0 || f != 0 || e != 0 {
+		t.Fatalf("before any query: settled=%v folded=%v expansions=%v, want 0/0/0", v, f, e)
+	}
+	// The whole network (3 vertices) is within this budget from both ends.
+	if rec, body := post(t, s, "/api/routes/topk",
+		`{"src":[0,0],"dst":[0.002,0.002],"keywords":["shop"],"k":2,"budget":0.02}`); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %v", rec.Code, body)
+	}
+	v, f, e := trajCounters(t, s)
+	if v != 6 || f != 2 || e == 0 {
+		t.Fatalf("whole-network budget: settled=%v folded=%v expansions=%v, want 6/2/>0", v, f, e)
+	}
+	// One segment's worth of budget: the destination (the corner) reaches
+	// all three vertices, the source only itself and the corner, and only
+	// High St can be walked.
+	if rec, body := post(t, s, "/api/routes/topk",
+		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"k":2,"budget":0.0021}`); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %v", rec.Code, body)
+	}
+	v2, f2, _ := trajCounters(t, s)
+	if v2-v != 5 || f2-f != 1 {
+		t.Fatalf("one-segment budget: settled +%v folded +%v, want +5/+1", v2-v, f2-f)
+	}
+	if rec, _ := post(t, s, "/api/routes/topk", `{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":-1}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("invalid query: status = %d", rec.Code)
+	}
+	if v3, f3, _ := trajCounters(t, s); v3 != v2 || f3 != f2 {
+		t.Errorf("a refused query moved the counters: %v/%v → %v/%v", v2, f2, v3, f3)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	for _, want := range []string{
+		"# TYPE soi_traj_vertices_settled_total counter",
+		fmt.Sprintf("soi_traj_vertices_settled_total %d\n", int(v2)),
+		"# TYPE soi_traj_segments_folded_total counter",
+		fmt.Sprintf("soi_traj_segments_folded_total %d\n", int(f2)),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestRoutePrologueObservesRequestContext: a whole-network budget makes
+// the work before the first expansion the expensive part, and it must
+// answer to the request's context like the rest — a client that is gone
+// gets 499, a deadline that has passed 504, and neither settles a vertex
+// or folds a segment.
+func TestRoutePrologueObservesRequestContext(t *testing.T) {
+	s := testServer(t)
+	const body = `{"src":[0,0],"dst":[0.002,0.002],"keywords":["shop"],"k":2,"budget":1000}`
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, stop := context.WithTimeout(context.Background(), time.Millisecond)
+	defer stop()
+	<-expired.Done()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want int
+	}{
+		{"client gone", cancelled, httperr.StatusClientClosedRequest},
+		{"deadline passed", expired, http.StatusGatewayTimeout},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/api/routes/topk", strings.NewReader(body)).WithContext(c.ctx)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Fatalf("%s: status = %d, want %d\n%s", c.name, rec.Code, c.want, rec.Body.String())
+		}
+	}
+	if v, f, e := trajCounters(t, s); v != 0 || f != 0 || e != 0 {
+		t.Fatalf("work under dead contexts: settled=%v folded=%v expansions=%v", v, f, e)
 	}
 }

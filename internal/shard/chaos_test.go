@@ -177,12 +177,29 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	coord := NewCoordinator(w)
 	q := goldenQuery()
 
-	// Order of scatter launches == gather order (UB desc, id asc); the
-	// golden counters say shards at positions 2 and 3 are pruned. Wedge
-	// the last-launched shard: it must never be waited on.
+	// Gather order is (UB desc, id asc); the golden counters say the
+	// shards at positions 2 and 3 are pruned. Wedge the shard the gather
+	// reaches last — addressed by its id, since the scatter goroutines
+	// reach the site in whatever order the scheduler runs them: it must
+	// never be waited on.
+	last := w.Shards[0]
+	lastUB, err := last.Index.UnseenBound(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range w.Shards[1:] {
+		ub, err := s.Index.UnseenBound(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ub <= lastUB {
+			last, lastUB = s, ub
+		}
+	}
 	block := make(chan struct{})
 	defer close(block)
-	faults.Activate(SiteScatter, faults.Fault{Block: block, After: 3, Times: 1})
+	site := faults.KeyedSite(SiteScatter, last.ID)
+	faults.Activate(site, faults.Fault{Block: block})
 	before := runtime.NumGoroutine()
 	done := make(chan struct{})
 	var got []core.StreetResult
@@ -204,6 +221,9 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	}
 	if len(got) != q.K {
 		t.Errorf("got %d results, want %d", len(got), q.K)
+	}
+	if n := faults.Fired(site); n != 1 {
+		t.Errorf("wedge fired %d times, want exactly the one shard", n)
 	}
 	checkNoLeaks(t, before)
 }

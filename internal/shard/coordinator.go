@@ -14,7 +14,8 @@ import (
 // Fault-injection sites for the chaos suites (internal/faults).
 const (
 	// SiteScatter fires once per shard evaluation goroutine, before the
-	// shard's k-SOI run.
+	// shard's k-SOI run, followed by its per-shard variant
+	// faults.KeyedSite(SiteScatter, shard id).
 	SiteScatter = "shard.scatter"
 	// SiteGather fires once per shard in the gather loop, before the
 	// prune-or-wait decision.
@@ -139,7 +140,7 @@ func (c *Coordinator) TopK(ctx context.Context, q core.Query) ([]core.StreetResu
 					r.err = &engine.PanicError{Value: v}
 				}
 			}()
-			if err := faults.InjectCtx(sctx, SiteScatter); err != nil {
+			if err := faults.InjectCtxKeyed(sctx, SiteScatter, r.shard.ID); err != nil {
 				r.err = err
 				return
 			}

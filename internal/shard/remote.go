@@ -219,7 +219,7 @@ func (c *RemoteCoordinator) TopK(ctx context.Context, q core.Query, allowPartial
 					r.err = &engine.PanicError{Value: v}
 				}
 			}()
-			if err := faults.InjectCtx(sctx, SiteScatter); err != nil {
+			if err := faults.InjectCtxKeyed(sctx, SiteScatter, r.id); err != nil {
 				r.err = err
 				return
 			}

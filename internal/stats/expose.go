@@ -78,6 +78,8 @@ func (s Snapshot) counterRows() []counterRow {
 		{"traj_route_queries", s.Traj.RouteQueries, false},
 		{"traj_traj_queries", s.Traj.TrajQueries, false},
 		{"traj_expansions", s.Traj.Expansions, false},
+		{"traj_vertices_settled", s.Traj.VerticesSettled, false},
+		{"traj_segments_folded", s.Traj.SegmentsFolded, false},
 		{"traj_trace_points", s.Traj.TracePoints, false},
 		{"traj_matched_points", s.Traj.MatchedPoints, false},
 		{"traj_shed", s.Traj.Shed, false},

@@ -224,6 +224,13 @@ type TrajStats struct {
 	TrajQueries  Counter
 	// Expansions accumulates route-search frontier pops.
 	Expansions Counter
+	// VerticesSettled and SegmentsFolded accumulate the route searches'
+	// work before the first expansion: vertices settled by the two
+	// budget-bounded Dijkstra runs, and budget-feasible segments whose
+	// interest was evaluated. Per query they track the budget ball, not
+	// the network.
+	VerticesSettled Counter
+	SegmentsFolded  Counter
 	// TracePoints and MatchedPoints count trace points examined and
 	// those that snapped to a segment.
 	TracePoints   Counter
@@ -343,6 +350,8 @@ type TrajSnapshot struct {
 	RouteQueries     int64 `json:"route_queries"`
 	TrajQueries      int64 `json:"traj_queries"`
 	Expansions       int64 `json:"expansions"`
+	VerticesSettled  int64 `json:"vertices_settled"`
+	SegmentsFolded   int64 `json:"segments_folded"`
 	TracePoints      int64 `json:"trace_points"`
 	MatchedPoints    int64 `json:"matched_points"`
 	Shed             int64 `json:"shed"`
@@ -449,6 +458,8 @@ func (r *Recorder) Snapshot() Snapshot {
 			RouteQueries:     r.Traj.RouteQueries.Load(),
 			TrajQueries:      r.Traj.TrajQueries.Load(),
 			Expansions:       r.Traj.Expansions.Load(),
+			VerticesSettled:  r.Traj.VerticesSettled.Load(),
+			SegmentsFolded:   r.Traj.SegmentsFolded.Load(),
 			TracePoints:      r.Traj.TracePoints.Load(),
 			MatchedPoints:    r.Traj.MatchedPoints.Load(),
 			Shed:             r.Traj.Shed.Load(),

@@ -129,8 +129,6 @@ func NewMatcher(net *network.Network, radius float64) *Matcher {
 			}
 		}
 	}
-	// Buckets were filled in ascending segment order, so each list is
-	// already sorted; candidate merging below relies on that.
 	return m
 }
 
@@ -157,39 +155,29 @@ func cellIndex(v float64) int32 {
 func (m *Matcher) Radius() float64 { return m.radius }
 
 // Match snaps p to the nearest segment within the radius. The boolean is
-// false when no segment is close enough.
+// false when no segment is close enough. The nine buckets around the
+// point are walked in place — no candidate list, no sort, no allocation
+// — and the winner is chosen by the explicit (squared distance, segment
+// id) order, which a segment bucketed in several of the nine cells
+// cannot disturb: meeting it again neither improves the distance nor
+// lowers the id.
 func (m *Matcher) Match(p geo.Point) (network.SegmentID, bool) {
 	if !(m.radius > 0) {
 		return 0, false
 	}
 	cx := cellIndex(p.X / m.cell)
 	cy := cellIndex(p.Y / m.cell)
-	var cands []network.SegmentID
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			cands = append(cands, m.buckets[matchCell{cx + dx, cy + dy}]...)
-		}
-	}
-	if len(cands) == 0 {
-		return 0, false
-	}
-	// Scan candidates in ascending segment id with a strict < improvement
-	// test: exact distance ties resolve to the lowest id, matching the
-	// oracle's full scan. Duplicates (a segment bucketed in several of
-	// the nine cells) are skipped by the ascending-order walk.
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	var (
 		best   network.SegmentID
 		bestD2 = math.Inf(1)
-		prev   = network.SegmentID(math.MaxUint32)
 	)
-	for _, sid := range cands {
-		if sid == prev {
-			continue
-		}
-		prev = sid
-		if d2 := m.net.Segment(sid).Geom.DistToPointSq(p); d2 < bestD2 {
-			best, bestD2 = sid, d2
+	for dx := int32(-1); dx <= 1; dx++ {
+		for dy := int32(-1); dy <= 1; dy++ {
+			for _, sid := range m.buckets[matchCell{cx + dx, cy + dy}] {
+				if d2 := m.net.Segment(sid).Geom.DistToPointSq(p); d2 < bestD2 || (d2 == bestD2 && sid < best) {
+					best, bestD2 = sid, d2
+				}
+			}
 		}
 	}
 	if bestD2 <= m.r2 {

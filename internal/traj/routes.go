@@ -1,12 +1,12 @@
 package traj
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/network"
@@ -85,6 +85,13 @@ type SearchStats struct {
 	PrunedBound int
 	// Completed counts source→destination paths found within budget.
 	Completed int
+	// Settled counts the vertices the two budget-bounded Dijkstra runs
+	// settled (from the destination, then from the source): the size of
+	// the budget ball the query paid for.
+	Settled int
+	// SegmentsFolded counts the budget-feasible segments whose interest
+	// was evaluated.
+	SegmentsFolded int
 }
 
 // SearchOptions tunes the search's resource guards.
@@ -103,7 +110,8 @@ const DefaultMaxExpansions = 500_000
 // guard before the frontier drains.
 var ErrSearchBudget = errors.New("traj: route search exceeded its expansion budget")
 
-// ctxPollInterval is how many frontier pops pass between context polls.
+// ctxPollInterval is how many units of work — settled vertices, folded
+// segments, frontier pops, trace points — pass between context polls.
 const ctxPollInterval = 64
 
 // boundSlack is the relative slack the bound-pruning test concedes to
@@ -113,47 +121,6 @@ const ctxPollInterval = 64
 // path. Pruning therefore only removes strict losers, and the final
 // canonical sort makes the answer independent of pruning decisions.
 const boundSlack = 1e-9
-
-// partial is one frontier entry: a vertex-simple path from the source.
-type partial struct {
-	verts    []network.VertexID
-	segs     []network.SegmentID
-	length   float64
-	interest float64
-	// remPos is the positive interest not yet collected by this path,
-	// over the budget-feasible segment set.
-	remPos float64
-	// ub is the admissible score upper bound: collected interest, plus
-	// the uncollected positive interest still collectible within the
-	// remaining budget, minus α times the best-case completed length.
-	ub float64
-}
-
-// frontier orders partials best-first: upper bound descending, then
-// length ascending, then lexicographic vertex sequence — a total,
-// deterministic order.
-type frontier []*partial
-
-func (f frontier) Len() int { return len(f) }
-func (f frontier) Less(i, j int) bool {
-	a, b := f[i], f[j]
-	if a.ub != b.ub {
-		return a.ub > b.ub
-	}
-	if a.length != b.length {
-		return a.length < b.length
-	}
-	return lessVertSeq(a.verts, b.verts)
-}
-func (f frontier) Swap(i, j int)       { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x interface{}) { *f = append(*f, x.(*partial)) }
-func (f *frontier) Pop() interface{} {
-	old := *f
-	n := len(old)
-	p := old[n-1]
-	*f = old[:n-1]
-	return p
-}
 
 func lessVertSeq(a, b []network.VertexID) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
@@ -218,33 +185,63 @@ func sortRoutesBy(rs []Route, less func(a, b Route) bool) {
 // the brute-force oracle's for the same path, and the canonical final
 // sort makes the ranking independent of exploration order.
 //
-// An unreachable source/destination pair yields an empty answer, not an
-// error. The search observes ctx at a cooperative polling interval.
+// The search pays for the trip, not the city. Both Dijkstra runs stop at
+// the slack-extended budget (distancesWithin), the feasible-segment loop
+// walks only the vertices the source run settled, and all per-query
+// state lives in a pooled scratch (searchScratch). Bounding the runs
+// changes no decision: a distance within the bound is the float the
+// unbounded run computes, and a distance beyond it only ever appears in
+// a "> budgetCap" comparison, where +Inf decides the same way, or as the
+// losing arm of min(distToDst[u], distToDst[v]) next to a winner the
+// feasibility test has already shown to be within the bound.
+//
+// A source/destination pair that is unreachable, or farther apart than
+// the budget, yields an empty answer, not an error. The search observes
+// ctx at a cooperative polling interval, from the first settled vertex
+// on.
 func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQuery, opt SearchOptions) ([]Route, SearchStats, error) {
-	var st SearchStats
 	if err := q.Validate(g); err != nil {
-		return nil, st, err
+		return nil, SearchStats{}, err
 	}
+	sc := g.pool.Get().(*searchScratch)
+	defer g.pool.Put(sc)
+	return sc.topKRoutes(ctx, g, interest, q, opt)
+}
+
+// topKRoutes is TopKRoutes over a caller-held scratch and a validated
+// query.
+func (sc *searchScratch) topKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQuery, opt SearchOptions) ([]Route, SearchStats, error) {
+	var st SearchStats
 	maxExp := opt.MaxExpansions
 	if maxExp <= 0 {
 		maxExp = DefaultMaxExpansions
 	}
+	sc.begin(g)
+	budgetCap := q.Budget * (1 + boundSlack)
 
-	distToDst := g.Distances(q.Dst)
-	if math.IsInf(distToDst[q.Src], 1) {
+	distToDst, distFromSrc := &sc.toDst, &sc.fromSrc
+	err := g.distancesWithin(ctx, sc, distToDst, q.Dst, budgetCap)
+	st.Settled = len(distToDst.settled)
+	if err != nil {
+		return nil, st, err
+	}
+	if math.IsInf(distToDst.at(q.Src), 1) {
 		return []Route{}, st, nil
 	}
-	distFromSrc := g.Distances(q.Src)
-
-	budgetCap := q.Budget * (1 + boundSlack)
+	err = g.distancesWithin(ctx, sc, distFromSrc, q.Src, budgetCap)
+	st.Settled += len(distFromSrc.settled)
+	if err != nil {
+		return nil, st, err
+	}
 
 	// Exact per-segment interests, computed once — but only for segments
 	// some budget-feasible path can traverse (a directed edge u→v with
 	// distFromSrc[u] + len + distToDst[v] within the slack-extended
 	// budget). Every other segment is unreachable by the search, so its
 	// interest fold is never needed and contributes nothing to any bound.
-	interests := make([]float64, g.net.NumSegments())
-	evaluated := make([]bool, g.net.NumSegments())
+	// Walking the settled vertices in ascending id visits the feasible
+	// segments in the order a scan of the whole vertex table would.
+	//
 	// needs/prefixPos support the per-partial collectible bound: a
 	// completion suffix that traverses segment s and then reaches the
 	// destination is at least need(s) = len(s) + min(distToDst over s's
@@ -252,63 +249,63 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 	// still collect segments with need ≤ r. Sorting feasible positive
 	// interests by need with a prefix sum turns "positive interest still
 	// collectible within r" into one binary search.
-	type needEntry struct{ need, pos float64 }
-	var entries []needEntry
-	for u := range g.adj {
-		du := distFromSrc[u]
-		if math.IsInf(du, 1) {
-			continue
-		}
-		for _, e := range g.adj[u] {
+	slices.Sort(distFromSrc.settled)
+	for _, u := range distFromSrc.settled {
+		du := distFromSrc.dist[u]
+		for _, e := range g.Adjacent(u) {
 			if e.Seg == ConnectorSeg {
 				continue
 			}
-			if du+e.Len+distToDst[e.To] > budgetCap {
+			if du+e.Len+distToDst.at(e.To) > budgetCap {
 				continue
 			}
-			if evaluated[e.Seg] {
+			if sc.segStamp[e.Seg] == sc.epoch {
 				continue
 			}
-			evaluated[e.Seg] = true
+			if st.SegmentsFolded%ctxPollInterval == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, st, err
+				}
+			}
+			sc.segStamp[e.Seg] = sc.epoch
 			iv := interest(network.SegmentID(e.Seg))
-			interests[e.Seg] = iv
+			st.SegmentsFolded++
+			sc.interests[e.Seg] = iv
 			if iv > 0 {
-				entries = append(entries, needEntry{
-					need: e.Len + math.Min(distToDst[network.VertexID(u)], distToDst[e.To]),
+				sc.entries = append(sc.entries, needEntry{
+					need: e.Len + math.Min(distToDst.at(u), distToDst.at(e.To)),
 					pos:  iv,
 				})
 			}
 		}
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].need < entries[j].need })
-	needs := make([]float64, len(entries))
-	prefixPos := make([]float64, len(entries)+1)
-	for i, en := range entries {
+	slices.SortStableFunc(sc.entries, func(a, b needEntry) int { return cmp.Compare(a.need, b.need) })
+	needs := grow(sc.needs, len(sc.entries))
+	prefixPos := grow(sc.prefixPos, len(sc.entries)+1)
+	prefixPos[0] = 0
+	for i, en := range sc.entries {
 		needs[i] = en.need
 		prefixPos[i+1] = prefixPos[i] + en.pos
 	}
-	// reachPos bounds the positive interest collectible with remaining
-	// budget r. posTotal is reachPos over the whole budget: the sum of
-	// every feasible positive interest.
-	reachPos := func(r float64) float64 {
-		return prefixPos[sort.Search(len(needs), func(i int) bool { return needs[i] > r })]
-	}
-	posTotal := prefixPos[len(entries)]
+	sc.needs, sc.prefixPos = needs, prefixPos
+	// posTotal is the positive interest collectible over the whole
+	// budget: the sum of every feasible positive interest.
+	posTotal := prefixPos[len(needs)]
 
-	var completions []Route
-	// top holds the k best completion scores; threshold is its minimum
-	// once full.
-	var top scoreHeap
+	// threshold is the kth-best completion score once k routes completed.
 	threshold := math.Inf(-1)
 
-	f := frontier{&partial{
-		verts:  []network.VertexID{q.Src},
+	sc.arena = append(sc.arena, partial{
+		parent: -1,
+		vert:   q.Src,
+		seg:    ConnectorSeg,
+		depth:  1,
 		remPos: posTotal,
-		ub:     posTotal - q.Alpha*distToDst[q.Src],
-	}}
-	heap.Init(&f)
+		ub:     posTotal - q.Alpha*distToDst.dist[q.Src],
+	})
+	sc.pushFrontier(0)
 
-	for f.Len() > 0 {
+	for len(sc.frontier) > 0 {
 		if st.Expansions%ctxPollInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, st, err
@@ -320,38 +317,24 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 		if st.Expansions >= maxExp {
 			return nil, st, fmt.Errorf("%w (%d expansions)", ErrSearchBudget, st.Expansions)
 		}
-		p := heap.Pop(&f).(*partial)
+		pi := sc.popFrontier()
+		p := sc.arena[pi] // a copy: the arena may move as children are appended
 		st.Expansions++
 		if belowThreshold(p.ub, threshold) {
 			st.PrunedBound++
 			continue
 		}
-		last := p.verts[len(p.verts)-1]
-		if last == q.Dst {
+		if p.vert == q.Dst {
 			// A vertex-simple path cannot revisit the destination, so
 			// this partial is exactly one completed route.
 			score := p.interest - q.Alpha*p.length
-			completions = append(completions, Route{
-				Vertices: p.verts,
-				Segments: p.segs,
-				Length:   p.length,
-				Interest: p.interest,
-				Score:    score,
-			})
+			sc.complete(pi, score)
 			st.Completed++
-			if top.Len() < q.K {
-				heap.Push(&top, score)
-			} else if score > top[0] {
-				top[0] = score
-				heap.Fix(&top, 0)
-			}
-			if top.Len() == q.K {
-				threshold = top[0]
-			}
+			threshold = sc.offerScore(score, q.K)
 			continue
 		}
-		for _, e := range g.adj[last] {
-			if containsVert(p.verts, e.To) {
+		for _, e := range g.Adjacent(p.vert) {
+			if sc.visits(pi, e.To) {
 				continue // loopless: vertex-simple paths only
 			}
 			newLen := p.length + e.Len
@@ -359,17 +342,29 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 				st.PrunedBudget++
 				continue // the exact budget rule, identical to the oracle
 			}
-			if newLen+distToDst[e.To] > budgetCap {
+			toGo := distToDst.at(e.To)
+			if newLen+toGo > budgetCap {
 				st.PrunedBudget++
 				continue // cannot reach dst within budget (slack-guarded)
 			}
-			newInterest := p.interest
-			newRemPos := p.remPos
+			child := partial{
+				parent:   pi,
+				vert:     e.To,
+				seg:      e.Seg,
+				depth:    p.depth + 1,
+				nsegs:    p.nsegs,
+				length:   newLen,
+				interest: p.interest,
+				remPos:   p.remPos,
+			}
 			if e.Seg != ConnectorSeg {
-				iv := interests[e.Seg]
-				newInterest += iv
-				if iv > 0 {
-					newRemPos -= iv
+				child.nsegs++
+				if sc.segStamp[e.Seg] == sc.epoch {
+					iv := sc.interests[e.Seg]
+					child.interest += iv
+					if iv > 0 {
+						child.remPos -= iv
+					}
 				}
 			}
 			// Admissible bound: any completion collects at most the
@@ -379,36 +374,65 @@ func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQue
 			// provably uncollectible interest, and the slack-guarded
 			// threshold test below absorbs float rounding, so no true
 			// top-k path is ever pruned.
-			rem := newRemPos
-			if rp := reachPos(budgetCap - newLen); rp < rem {
+			rem := child.remPos
+			if rp := reachPos(needs, prefixPos, budgetCap-newLen); rp < rem {
 				rem = rp
 			}
-			ub := newInterest + rem - q.Alpha*(newLen+distToDst[e.To])
-			if belowThreshold(ub, threshold) {
+			child.ub = child.interest + rem - q.Alpha*(newLen+toGo)
+			if belowThreshold(child.ub, threshold) {
 				st.PrunedBound++
 				continue
 			}
-			child := &partial{
-				verts:    append(append(make([]network.VertexID, 0, len(p.verts)+1), p.verts...), e.To),
-				segs:     p.segs,
-				length:   newLen,
-				interest: newInterest,
-				remPos:   newRemPos,
-				ub:       ub,
-			}
-			if e.Seg != ConnectorSeg {
-				child.segs = append(append(make([]network.SegmentID, 0, len(p.segs)+1), p.segs...), network.SegmentID(e.Seg))
-			}
-			heap.Push(&f, child)
+			sc.arena = append(sc.arena, child)
+			sc.pushFrontier(int32(len(sc.arena) - 1))
 			st.Generated++
 		}
 	}
 
-	SortRoutes(completions)
-	if len(completions) > q.K {
-		completions = completions[:q.K]
+	SortRoutes(sc.completions)
+	return sc.answer(q.K), st, nil
+}
+
+// reachPos bounds the positive interest collectible with remaining
+// budget r: the prefix sum over the needs that fit.
+func reachPos(needs, prefixPos []float64, r float64) float64 {
+	lo, hi := 0, len(needs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if needs[mid] > r {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return completions, st, nil
+	return prefixPos[lo]
+}
+
+// answer copies the k best of the sorted completions out of the pooled
+// arenas: the routes the caller keeps share one vertex and one segment
+// backing array, each route's slice capped at its own end.
+func (sc *searchScratch) answer(k int) []Route {
+	best := sc.completions
+	if len(best) > k {
+		best = best[:k]
+	}
+	nv, ns := 0, 0
+	for _, r := range best {
+		nv += len(r.Vertices)
+		ns += len(r.Segments)
+	}
+	out := make([]Route, len(best))
+	verts := make([]network.VertexID, 0, nv)
+	segs := make([]network.SegmentID, 0, ns)
+	for i, r := range best {
+		v0, s0 := len(verts), len(segs)
+		verts = append(verts, r.Vertices...)
+		segs = append(segs, r.Segments...)
+		r.Vertices = verts[v0:len(verts):len(verts)]
+		r.Segments = segs[s0:len(segs):len(segs)]
+		out[i] = r
+	}
+	return out
 }
 
 // belowThreshold reports whether an admissible upper bound is so far
@@ -420,28 +444,4 @@ func belowThreshold(ub, threshold float64) bool {
 	}
 	slack := boundSlack * (math.Abs(ub) + math.Abs(threshold) + 1)
 	return ub+slack < threshold
-}
-
-func containsVert(vs []network.VertexID, v network.VertexID) bool {
-	for _, u := range vs {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
-
-// scoreHeap is a min-heap of the best completion scores seen so far.
-type scoreHeap []float64
-
-func (h scoreHeap) Len() int            { return len(h) }
-func (h scoreHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h scoreHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scoreHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *scoreHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }

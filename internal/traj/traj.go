@@ -23,8 +23,10 @@
 package traj
 
 import (
+	"context"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/network"
@@ -49,14 +51,26 @@ type Edge struct {
 	Len float64
 }
 
-// Graph is the adjacency-list view of the network the trajectory queries
+// Graph is the adjacency view of the network the trajectory queries
 // search over: every street segment as a bidirectional edge plus
 // pedestrian connectors joining vertices closer than the snap radius.
 // Adjacency lists are canonically sorted (ascending target vertex, then
-// ascending segment id), so exploration order is deterministic.
+// ascending segment id), so exploration order is deterministic. The
+// lists live in one CSR array, and the graph owns what a query needs
+// beside them — a grid of vertex buckets for snapping request
+// coordinates and a pool of search scratch — so a route query's cost
+// follows its budget ball, not the network (see searchScratch).
+//
+// A Graph is immutable after NewGraph and safe for concurrent use. It
+// must not be copied: it holds a sync.Pool.
 type Graph struct {
 	net *network.Network
-	adj [][]Edge
+	// Vertex v's canonical edge list is edges[off[v]:off[v+1]].
+	off   []uint32
+	edges []Edge
+
+	snap vertexGrid
+	pool sync.Pool // *searchScratch
 }
 
 // NewGraph builds the trajectory graph. A positive snap joins every
@@ -64,10 +78,10 @@ type Graph struct {
 // Euclidean distance (grid-bucketed, so construction is near-linear);
 // snap <= 0 keeps only street segments.
 func NewGraph(net *network.Network, snap float64) *Graph {
-	g := &Graph{net: net, adj: make([][]Edge, net.NumVertices())}
+	adj := make([][]Edge, net.NumVertices())
 	for _, seg := range net.Segments() {
-		g.adj[seg.From] = append(g.adj[seg.From], Edge{To: seg.To, Seg: int32(seg.ID), Len: seg.Length()})
-		g.adj[seg.To] = append(g.adj[seg.To], Edge{To: seg.From, Seg: int32(seg.ID), Len: seg.Length()})
+		adj[seg.From] = append(adj[seg.From], Edge{To: seg.To, Seg: int32(seg.ID), Len: seg.Length()})
+		adj[seg.To] = append(adj[seg.To], Edge{To: seg.From, Seg: int32(seg.ID), Len: seg.Length()})
 	}
 	if snap > 0 && net.NumVertices() > 0 {
 		type cellKey struct{ x, y int32 }
@@ -91,23 +105,31 @@ func NewGraph(net *network.Network, snap float64) *Graph {
 							continue // each pair once, no self loops
 						}
 						if d := pv.Dist(net.Vertex(u)); d <= snap {
-							g.adj[vid] = append(g.adj[vid], Edge{To: u, Seg: ConnectorSeg, Len: d})
-							g.adj[u] = append(g.adj[u], Edge{To: vid, Seg: ConnectorSeg, Len: d})
+							adj[vid] = append(adj[vid], Edge{To: u, Seg: ConnectorSeg, Len: d})
+							adj[u] = append(adj[u], Edge{To: vid, Seg: ConnectorSeg, Len: d})
 						}
 					}
 				}
 			}
 		}
 	}
-	for v := range g.adj {
-		es := g.adj[v]
+	g := &Graph{net: net, off: make([]uint32, len(adj)+1), snap: newVertexGrid(net)}
+	total := 0
+	for _, es := range adj {
+		total += len(es)
+	}
+	g.edges = make([]Edge, 0, total)
+	for v, es := range adj {
 		sort.Slice(es, func(i, j int) bool {
 			if es[i].To != es[j].To {
 				return es[i].To < es[j].To
 			}
 			return es[i].Seg < es[j].Seg
 		})
+		g.edges = append(g.edges, es...)
+		g.off[v+1] = uint32(len(g.edges))
 	}
+	g.pool.New = func() interface{} { return new(searchScratch) }
 	return g
 }
 
@@ -116,10 +138,10 @@ func (g *Graph) Network() *network.Network { return g.net }
 
 // Adjacent returns the canonical adjacency list of a vertex. The slice
 // is shared with the graph and must not be mutated.
-func (g *Graph) Adjacent(v network.VertexID) []Edge { return g.adj[v] }
+func (g *Graph) Adjacent(v network.VertexID) []Edge { return g.edges[g.off[v]:g.off[v+1]] }
 
 // NumVertices returns the graph's vertex count.
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return len(g.off) - 1 }
 
 // DefaultSnapFactor sizes the connector snap radius relative to the
 // network's mean segment length. It is deliberately tighter than the
@@ -139,7 +161,8 @@ func DefaultSnap(net *network.Network) float64 {
 
 // NearestVertex snaps a free point to the network vertex nearest to it,
 // breaking exact distance ties by the lowest vertex id. The boolean is
-// false only for an empty network.
+// false only for an empty network. It scans every vertex: the reference
+// Graph.SnapVertex — what the serving path calls — is held to.
 func NearestVertex(net *network.Network, p geo.Point) (network.VertexID, bool) {
 	if net.NumVertices() == 0 {
 		return 0, false
@@ -155,85 +178,35 @@ func NearestVertex(net *network.Network, p geo.Point) (network.VertexID, bool) {
 }
 
 // Distances runs Dijkstra from src over the graph, returning the
-// shortest walking distance to every vertex (+Inf when unreachable).
-// The route search uses it as the admissible remaining-distance bound
-// for budget-feasibility pruning.
+// shortest walking distance to every vertex (+Inf when unreachable). It
+// is the unbounded case of the search the route query runs inside its
+// budget (distancesWithin), kept for callers that want the whole field:
+// the oracle, the harness's case derivation and the benchmark's pool.
 func (g *Graph) Distances(src network.VertexID) []float64 {
-	dist := make([]float64, len(g.adj))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	if int(src) >= len(g.adj) {
-		return dist
-	}
-	dist[src] = 0
-	h := &distHeap{{v: src, d: 0}}
-	for h.Len() > 0 {
-		it := h.pop()
-		if it.d > dist[it.v] {
-			continue
-		}
-		for _, e := range g.adj[it.v] {
-			if nd := it.d + e.Len; nd < dist[e.To] {
-				dist[e.To] = nd
-				h.push(distItem{v: e.To, d: nd})
-			}
-		}
-	}
+	dist, _ := g.denseDistances(src, math.Inf(1))
 	return dist
 }
 
-type distItem struct {
-	v network.VertexID
-	d float64
-}
-
-// distHeap is a minimal binary min-heap over (distance, vertex).
-type distHeap []distItem
-
-func (h distHeap) Len() int { return len(h) }
-
-func (h *distHeap) push(it distItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h)[i].less((*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+// denseDistances runs distancesWithin on a pooled scratch and spreads
+// the result over a fresh per-vertex array, +Inf where the run did not
+// reach; it also reports how many vertices were settled.
+func (g *Graph) denseDistances(src network.VertexID, limit float64) ([]float64, int) {
+	dist := make([]float64, g.NumVertices())
+	for i := range dist {
+		dist[i] = math.Inf(1)
 	}
-}
-
-func (h *distHeap) pop() distItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h)[l].less((*h)[smallest]) {
-			smallest = l
-		}
-		if r < n && (*h)[r].less((*h)[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+	if int(src) >= g.NumVertices() {
+		return dist, 0
 	}
-	return top
-}
-
-func (a distItem) less(b distItem) bool {
-	if a.d != b.d {
-		return a.d < b.d
+	sc := g.pool.Get().(*searchScratch)
+	defer g.pool.Put(sc)
+	sc.begin(g)
+	f := &sc.fromSrc
+	// The exported signature carries no context; nothing here can be
+	// cancelled.
+	_ = g.distancesWithin(context.TODO(), sc, f, src, limit)
+	for _, v := range f.settled {
+		dist[v] = f.dist[v]
 	}
-	return a.v < b.v
+	return dist, len(f.settled)
 }

@@ -218,11 +218,11 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) (result []Route
 	defer func() { e.rec.Traj.SearchNanos.Add(time.Since(start).Nanoseconds()) }()
 
 	g := e.trajGraphLazy()
-	src, ok := traj.NearestVertex(e.net, geo.Pt(q.Src.X, q.Src.Y))
+	src, ok := g.SnapVertex(geo.Pt(q.Src.X, q.Src.Y))
 	if !ok {
 		return nil, errors.New("soi: empty network")
 	}
-	dst, _ := traj.NearestVertex(e.net, geo.Pt(q.Dst.X, q.Dst.Y))
+	dst, _ := g.SnapVertex(geo.Pt(q.Dst.X, q.Dst.Y))
 	ix := e.servingIndex()
 	set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
 	tq := traj.RouteQuery{Src: src, Dst: dst, K: q.K, Budget: q.Budget, Alpha: q.Alpha}
@@ -230,6 +230,8 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) (result []Route
 		return ix.SegmentInterest(sid, set, q.Epsilon)
 	}, tq, traj.SearchOptions{})
 	e.rec.Traj.Expansions.Add(int64(st.Expansions))
+	e.rec.Traj.VerticesSettled.Add(int64(st.Settled))
+	e.rec.Traj.SegmentsFolded.Add(int64(st.SegmentsFolded))
 	if err != nil {
 		e.trajOutcome(err)
 		return nil, err
