@@ -155,6 +155,7 @@ func main() {
 
 	var eng *soi.Engine
 	var err error
+	openStart := time.Now()
 	if *live {
 		// Live mode builds through the ingest path so POST /api/pois can
 		// append and publish; a mmap snapshot has no mutable corpus to
@@ -174,13 +175,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	opened := time.Since(openStart)
+	warmStart := time.Now()
 	eng.Warm(soi.DefaultCellSize)
+	warmed := time.Since(warmStart)
 	mode := "read-only"
 	if *live {
 		mode = fmt.Sprintf("live (epoch %d)", eng.Epoch())
 	}
-	log.Printf("serving %d streets, %d POIs, %d photos on %s, %s",
-		eng.NumStreets(), eng.NumPOIs(), eng.NumPhotos(), *addr, mode)
+	log.Printf("serving %d streets, %d POIs, %d photos on %s, %s (opened in %d ms, warmed in %d ms)",
+		eng.NumStreets(), eng.NumPOIs(), eng.NumPhotos(), *addr, mode, opened.Milliseconds(), warmed.Milliseconds())
 
 	if err := serve(ctx, *addr, newHandler(eng, *maxBatchBytes), *shutdownGrace); err != nil {
 		log.Fatal(err)
@@ -241,8 +245,9 @@ func serveListener(ctx context.Context, ln net.Listener, handler http.Handler, g
 func buildEngine(city string, scale float64, dataDir, indexPath string, cfg soi.Config) (*soi.Engine, error) {
 	switch {
 	case indexPath != "":
-		// A snapshot is served memory-mapped: no index build, near-instant
-		// startup, bit-identical answers to a fresh build of the same data.
+		// A snapshot is served memory-mapped, from the slab alone: start-up
+		// flattens the network and sorts SL3, nothing else is built, and
+		// answers are bit-identical to a fresh build of the same data.
 		return soi.NewEngineFromSnapshot(indexPath, cfg)
 	case dataDir != "":
 		return loadEngine(dataDir, cfg)

@@ -100,14 +100,17 @@ func serveShard(ctx context.Context, f *flagSet) int {
 		log.Print("-shard required")
 		return 2
 	}
+	openStart := time.Now()
 	sh, m, closer, err := shard.LoadShard(f.manifest, f.shardID)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
 	defer closer.Close()
+	opened := time.Since(openStart)
 
 	rec := stats.NewRecorder()
+	sh.Index.SetRecorder(rec)
 	srv := remote.NewServer(remote.ShardData{
 		ShardID:  sh.ID,
 		Shards:   len(m.Shards),
@@ -132,8 +135,9 @@ func serveShard(ctx context.Context, f *flagSet) int {
 		log.Print(err)
 		return 1
 	}
-	log.Printf("serving shard %d/%d (tile %d,%d: %d streets, %d segments) on %s",
-		sh.ID, len(m.Shards), sh.TileX, sh.TileY, len(sh.Streets), len(sh.Segments), ln.Addr())
+	// The address stays last: supervisors read it after the final " on ".
+	log.Printf("serving shard %d/%d (tile %d,%d: %d streets, %d segments; opened in %d ms) on %s",
+		sh.ID, len(m.Shards), sh.TileX, sh.TileY, len(sh.Streets), len(sh.Segments), opened.Milliseconds(), ln.Addr())
 	if err := serveListener(ctx, ln, srv, f.shutdownGrace); err != nil {
 		log.Print(err)
 		return 1

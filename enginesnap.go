@@ -9,10 +9,14 @@ import (
 
 // NewEngineFromSnapshot builds an engine from a prebuilt index snapshot
 // (a .soi file written by soibuild, soigen -snapshot or WriteSnapshot).
-// The file is memory-mapped where the platform allows: startup does no
-// index construction, the slab arrays are served straight from the page
-// cache, and unread sections never touch memory. Config.GridCellSize is
-// ignored — the snapshot's slab fixes the cell size.
+// The file is memory-mapped where the platform allows and the engine
+// serves from the slab alone: the slab arrays come straight from the page
+// cache, and startup decodes the network and the corpora, flattens the
+// network and sorts the segment-length list — no grid, inverted index or
+// cell↔segment map is built. The index's map layout is materialised only
+// if a map-path caller asks for it, which no serving path does
+// (core.map_layout_builds in /api/stats counts it). Config.GridCellSize
+// is ignored — the snapshot's slab fixes the cell size.
 //
 // The returned engine holds the mapping open; call Close when done with
 // it. Engines built by the other constructors need no Close.

@@ -53,7 +53,8 @@ func (ix *Index) BaselineAggregate(q Query, agg Aggregate) ([]StreetResult, Stat
 	}
 	var stats Stats
 	stats.TotalSegments = ix.net.NumSegments()
-	stats.TotalCells = ix.grid.NumCells()
+	g := ix.maps().grid
+	stats.TotalCells = g.NumCells()
 
 	start := time.Now()
 	segCells := ix.SegmentCells(q.Epsilon)
@@ -64,7 +65,7 @@ func (ix *Index) BaselineAggregate(q Query, agg Aggregate) ([]StreetResult, Stat
 	for sid := range masses {
 		var m float64
 		for _, cid := range segCells[sid] {
-			m += ix.cellMassScan(ix.grid.CellAt(cid), query, network.SegmentID(sid), q.Epsilon)
+			m += ix.cellMassScan(g.CellAt(cid), query, network.SegmentID(sid), q.Epsilon)
 			stats.CellVisits++
 		}
 		masses[sid] = m

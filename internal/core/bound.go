@@ -62,14 +62,15 @@ func (ix *Index) UnseenBound(q Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	m := ix.maps()
 	var top1 float64
 	if len(query) == 1 {
-		if es := ix.entriesFor(query[0]); len(es) > 0 {
+		if es := m.entriesFor(query[0]); len(es) > 0 {
 			top1 = es[0].Weight
 		}
 	} else {
-		for cell, w := range ix.accumulateSL1(query) {
-			if w = ix.capWeight(cell, w); w > top1 {
+		for cell, w := range m.accumulateSL1(query) {
+			if w = m.capWeight(cell, w); w > top1 {
 				top1 = w
 			}
 		}

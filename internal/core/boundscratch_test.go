@@ -17,7 +17,7 @@ import (
 // held to.
 func listBound(ix *Index, q Query) float64 {
 	query, _ := ix.pois.Dict().LookupAll(q.Keywords)
-	sl1 := ix.buildSL1(query)
+	sl1 := ix.maps().buildSL1(query)
 	sl2 := ix.SegmentsByCellCount(q.Epsilon)
 	if len(sl1) == 0 || len(sl2) == 0 {
 		return 0
@@ -76,8 +76,8 @@ func TestUnseenBoundMatchesSortedLists(t *testing.T) {
 		}
 		// The cap must actually bind somewhere for the test to cover it.
 		query, _ := mapIx.pois.Dict().LookupAll([]string{"shop", "food"})
-		for cell, w := range mapIx.accumulateSL1(query) {
-			if w > mapIx.cellWeight[cell] {
+		for cell, w := range mapIx.maps().accumulateSL1(query) {
+			if w > mapIx.maps().cellWeight[cell] {
 				capBound++
 				break
 			}

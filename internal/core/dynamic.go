@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/grid"
-	"repro/internal/network"
 	"repro/internal/poi"
 	"repro/internal/vocab"
 )
@@ -43,10 +42,13 @@ func (ix *Index) AddPOI(loc geo.Point, keywords []string, weight float64) (poi.I
 }
 
 func (ix *Index) addPOISet(loc geo.Point, set vocab.Set, weight float64) (poi.ID, error) {
-	if !ix.grid.Bounds().Contains(loc) {
+	// A slab-opened index that never needed its map layout builds it here,
+	// from the slab as it stands before the append.
+	m := ix.maps()
+	if !m.grid.Bounds().Contains(loc) {
 		// The grid clamps out-of-bounds objects into border cells, which
 		// would silently misplace the POI relative to ε-distance queries.
-		return 0, fmt.Errorf("core: POI at %v outside the indexed bounds %v", loc, ix.grid.Bounds())
+		return 0, fmt.Errorf("core: POI at %v outside the indexed bounds %v", loc, m.grid.Bounds())
 	}
 	// The flattened slab no longer reflects the corpus after an append;
 	// drop it so queries fall back to the (updated) map structures.
@@ -55,17 +57,17 @@ func (ix *Index) addPOISet(loc geo.Point, set vocab.Set, weight float64) (poi.ID
 	id := ix.pois.Append(loc, set, weight)
 	p := ix.pois.Get(id)
 
-	cid := ix.grid.CellIndex(loc)
-	wasEmpty := ix.grid.CellAt(cid) == nil
-	if err := ix.grid.Insert(uint32(id), loc, set); err != nil {
+	cid := m.grid.CellIndex(loc)
+	wasEmpty := m.grid.CellAt(cid) == nil
+	if err := m.grid.Insert(uint32(id), loc, set); err != nil {
 		return 0, err
 	}
-	ix.cellWeight[cid] += p.Weight
+	m.cellWeight[cid] += p.Weight
 	for _, kw := range set {
-		kp := ix.inv[kw]
+		kp := m.inv[kw]
 		if kp == nil {
 			kp = &kwPostings{weights: make(map[grid.CellID]float64)}
-			ix.inv[kw] = kp
+			m.inv[kw] = kp
 		}
 		kp.weights[cid] += p.Weight
 		kp.dirty = true
@@ -74,11 +76,9 @@ func (ix *Index) addPOISet(loc geo.Point, set vocab.Set, weight float64) (poi.ID
 		// A newly populated cell may now be within ε of segments whose
 		// memoized Cε(ℓ) lists were computed without it; drop every
 		// ε-dependent memo so the next query rebuilds them.
-		ix.mu.Lock()
-		ix.segCells = make(map[float64][][]grid.CellID)
-		ix.cellSegs = make(map[float64]map[grid.CellID][]network.SegmentID)
-		ix.sl2 = make(map[float64][]network.SegmentID)
-		ix.mu.Unlock()
+		m.mu.Lock()
+		m.dropMemos()
+		m.mu.Unlock()
 	}
 	return id, nil
 }

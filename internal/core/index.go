@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/poi"
+	"repro/internal/stats"
 	"repro/internal/vocab"
 )
 
@@ -89,31 +90,26 @@ func sortEntries(es []weightedEntry) {
 type Index struct {
 	net  *network.Network
 	pois *poi.Corpus
-	grid *grid.Grid
-
-	// inv is the weighted global inverted index: keyword → cells sorted
-	// decreasingly by relevant POI weight.
-	inv map[vocab.ID]*kwPostings
-	// cellWeight is the total POI weight per non-empty cell (|Pc| in the
-	// unweighted setting).
-	cellWeight map[grid.CellID]float64
 
 	// segsByLen lists segment ids sorted increasingly by length (the
 	// query-independent source list SL3).
 	segsByLen []network.SegmentID
 
-	// mu guards the ε-memo maps below and the lazily rebuilt postings
-	// entries; the read paths take the read lock only, so concurrent
-	// queries over distinct or warmed ε values do not serialize.
-	mu       sync.RWMutex
-	segCells map[float64][][]grid.CellID // ε → per-segment Cε(ℓ)
-	cellSegs map[float64]map[grid.CellID][]network.SegmentID
-	sl2      map[float64][]network.SegmentID // ε → segments desc by |Cε(ℓ)|
-
 	// six, when non-nil, is the compact slab evaluator cost-aware SOI
 	// queries route through (IndexConfig.Compact or NewIndexFromSlab).
 	// AddPOI sets it to nil, falling back to the map path.
 	six *SlabIndex
+
+	// layout is the map layout (maplayout.go), reached only through
+	// maps(). NewIndex stores it at construction; an index opened by
+	// NewIndexFromSlab leaves it nil and keeps slab, from which the first
+	// maps() call builds it under layoutOnce.
+	layout     atomic.Pointer[mapLayout]
+	layoutOnce sync.Once
+	slab       *grid.Slab
+
+	// rec, when set, counts lazy layout builds (SetRecorder).
+	rec *stats.Recorder
 }
 
 // NewIndex builds the offline index over a network and POI corpus.
@@ -136,17 +132,10 @@ func NewIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*Index, 
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		net:        net,
-		pois:       pois,
-		grid:       g,
-		inv:        make(map[vocab.ID]*kwPostings),
-		cellWeight: make(map[grid.CellID]float64),
-		segCells:   make(map[float64][][]grid.CellID),
-		cellSegs:   make(map[float64]map[grid.CellID][]network.SegmentID),
-		sl2:        make(map[float64][]network.SegmentID),
-	}
-	ix.buildInverted()
+	ix := &Index{net: net, pois: pois}
+	m := newMapLayout(g, 0, 0)
+	m.buildInverted(pois)
+	ix.layout.Store(m)
 	// SL3: segments by increasing length, ties by id.
 	segs := net.Segments()
 	ix.segsByLen = make([]network.SegmentID, len(segs))
@@ -177,180 +166,35 @@ func NewIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*Index, 
 	return ix, nil
 }
 
-// NewIndexFromSlab reconstructs a full index from a prebuilt slab (for
-// example, one loaded from a snapshot) without re-ingesting the POIs: the
-// map-layout grid aliases the slab's arrays, the weighted inverted index
-// and per-cell weights are read straight out of the slab's vocab-major
-// CSR (already in sortEntries order), and cost-aware SOI evaluations
-// route through the slab path. The resulting index answers every query
-// bit-identically to NewIndex over the same data with Compact set.
+// NewIndexFromSlab opens a full index over a prebuilt slab (for example,
+// one loaded from a snapshot) without re-ingesting the POIs. The work is
+// O(segments): the slab evaluator flattens the network and sorts SL3,
+// and that is all. Cost-aware SOI queries, the static bound and
+// SegmentMass are served from the slab alone; the map layout — the grid
+// aliasing the slab's arrays, the weighted inverted index and per-cell
+// weights read out of its vocab-major CSR — is materialised only when a
+// map-path caller (Baseline, the round-robin strategy, Grid, the
+// ε-augmented map accessors, AddPOI) first asks for it. Either way the
+// index answers every query bit-identically to NewIndex over the same
+// data with Compact set.
 func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (*Index, error) {
 	six, err := NewSlabIndexFromSlab(net, pois, slab)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		net:        net,
-		pois:       pois,
-		grid:       grid.FromSlab(slab),
-		inv:        make(map[vocab.ID]*kwPostings, slab.VocabN),
-		cellWeight: make(map[grid.CellID]float64, slab.NumCells()),
-		segCells:   make(map[float64][][]grid.CellID),
-		cellSegs:   make(map[float64]map[grid.CellID][]network.SegmentID),
-		sl2:        make(map[float64][]network.SegmentID),
-		six:        six,
-	}
-	for ord, cid := range slab.CellIDs {
-		ix.cellWeight[grid.CellID(cid)] = slab.CellWeight[ord]
-	}
-	for kw := 0; kw < slab.VocabN; kw++ {
-		lo, hi := slab.InvOff[kw], slab.InvOff[kw+1]
-		if lo == hi {
-			continue
-		}
-		kp := &kwPostings{
-			weights: make(map[grid.CellID]float64, hi-lo),
-			sorted:  make([]weightedEntry, 0, hi-lo),
-		}
-		// The slab's entries are sorted decreasingly by weight, ties by
-		// ascending ordinal — exactly the sortEntries order, since cell
-		// ordinals are cell-id order.
-		for j := lo; j < hi; j++ {
-			cid := grid.CellID(slab.CellIDs[slab.InvCell[j]])
-			kp.weights[cid] = slab.InvWeight[j]
-			kp.sorted = append(kp.sorted, weightedEntry{Cell: cid, Weight: slab.InvWeight[j]})
-		}
-		ix.inv[vocab.ID(kw)] = kp
-	}
-	segs := net.Segments()
-	ix.segsByLen = make([]network.SegmentID, len(segs))
-	for i := range segs {
-		ix.segsByLen[i] = segs[i].ID
-	}
-	sort.Slice(ix.segsByLen, func(i, j int) bool {
-		a, b := net.Segment(ix.segsByLen[i]), net.Segment(ix.segsByLen[j])
-		if a.Length() != b.Length() {
-			return a.Length() < b.Length()
-		}
-		return a.ID < b.ID
-	})
-	return ix, nil
+	// SL3 is the evaluator's: same comparator, same cached lengths.
+	return &Index{net: net, pois: pois, segsByLen: six.segsByLen, six: six, slab: slab}, nil
 }
+
+// SetRecorder makes the index count its lazy map-layout builds in
+// rec.Core.MapLayoutBuilds, so a serving process can show whether
+// anything pulled the second layout into memory. Call it before the
+// index is shared between goroutines.
+func (ix *Index) SetRecorder(rec *stats.Recorder) { ix.rec = rec }
 
 // SlabIndex returns the compact slab evaluator attached to this index, or
 // nil when the index was built without Compact (or invalidated by AddPOI).
 func (ix *Index) SlabIndex() *SlabIndex { return ix.six }
-
-// parallelInvThreshold is the non-empty-cell count below which the
-// sharded inverted-index build is not worth the goroutine overhead.
-const parallelInvThreshold = 512
-
-// buildInverted derives the weighted global inverted index and the
-// per-cell total weights from the grid, sharding the per-cell work across
-// GOMAXPROCS workers for large grids. Each worker owns a disjoint chunk
-// of cells and accumulates private maps; the merge assigns disjoint
-// (keyword, cell) entries, so the result is identical to a sequential
-// build. The sorted entry lists are materialized before returning so a
-// freshly built index is immediately safe for concurrent queries.
-func (ix *Index) buildInverted() {
-	cells := ix.grid.NonEmptyCells()
-	workers := runtime.GOMAXPROCS(0)
-	if len(cells) < parallelInvThreshold || workers < 2 {
-		for _, cid := range cells {
-			ix.accumulateCell(cid, ix.grid.CellAt(cid), ix.inv)
-		}
-		for _, kp := range ix.inv {
-			kp.entries()
-		}
-		return
-	}
-	partials := make([]map[vocab.ID]*kwPostings, workers)
-	weights := make([]map[grid.CellID]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(cells) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(cells) {
-			break
-		}
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sub := &Index{pois: ix.pois, cellWeight: make(map[grid.CellID]float64)}
-			inv := make(map[vocab.ID]*kwPostings)
-			for _, cid := range cells[lo:hi] {
-				sub.accumulateCell(cid, ix.grid.CellAt(cid), inv)
-			}
-			partials[w] = inv
-			weights[w] = sub.cellWeight
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range partials {
-		for cid, total := range weights[w] {
-			ix.cellWeight[cid] = total
-		}
-		for kw, part := range partials[w] {
-			kp := ix.inv[kw]
-			if kp == nil {
-				ix.inv[kw] = part
-				continue
-			}
-			for cid, wt := range part.weights {
-				kp.weights[cid] = wt
-			}
-		}
-	}
-	// Materialize the sorted entry lists in parallel: each keyword's
-	// postings struct is touched by exactly one worker.
-	kps := make([]*kwPostings, 0, len(ix.inv))
-	for _, kp := range ix.inv {
-		kp.dirty = true
-		kps = append(kps, kp)
-	}
-	chunk = (len(kps) + workers - 1) / workers
-	for lo := 0; lo < len(kps); lo += chunk {
-		hi := lo + chunk
-		if hi > len(kps) {
-			hi = len(kps)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, kp := range kps[lo:hi] {
-				kp.entries()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// accumulateCell folds one cell's members into the total-weight map and
-// its postings into the given inverted index.
-func (ix *Index) accumulateCell(id grid.CellID, c *grid.Cell, inv map[vocab.ID]*kwPostings) {
-	var total float64
-	for _, m := range c.Members {
-		total += ix.pois.Get(m).Weight
-	}
-	ix.cellWeight[id] = total
-	for kw, postings := range c.Inv {
-		var w float64
-		for _, m := range postings {
-			w += ix.pois.Get(m).Weight
-		}
-		kp := inv[kw]
-		if kp == nil {
-			kp = &kwPostings{weights: make(map[grid.CellID]float64)}
-			inv[kw] = kp
-		}
-		kp.weights[id] = w
-		kp.dirty = true
-	}
-}
 
 // Network returns the indexed road network.
 func (ix *Index) Network() *network.Network { return ix.net }
@@ -359,7 +203,7 @@ func (ix *Index) Network() *network.Network { return ix.net }
 func (ix *Index) POIs() *poi.Corpus { return ix.pois }
 
 // Grid returns the underlying POI grid.
-func (ix *Index) Grid() *grid.Grid { return ix.grid }
+func (ix *Index) Grid() *grid.Grid { return ix.maps().grid }
 
 // SegmentCells returns the ε-augmented segment-to-cell map: for every
 // segment, the non-empty grid cells within distance eps. The result is
@@ -367,20 +211,21 @@ func (ix *Index) Grid() *grid.Grid { return ix.grid }
 // race to build the map for a fresh eps; each computes an identical value
 // and the last store wins, so every returned map is valid.
 func (ix *Index) SegmentCells(eps float64) [][]grid.CellID {
-	ix.mu.RLock()
-	sc, ok := ix.segCells[eps]
-	ix.mu.RUnlock()
+	m := ix.maps()
+	m.mu.RLock()
+	sc, ok := m.segCells[eps]
+	m.mu.RUnlock()
 	if ok {
 		return sc
 	}
 	segs := ix.net.Segments()
 	sc = make([][]grid.CellID, len(segs))
 	for i := range segs {
-		sc[i] = ix.grid.CellsNearSegment(segs[i].Geom, eps)
+		sc[i] = m.grid.CellsNearSegment(segs[i].Geom, eps)
 	}
-	ix.mu.Lock()
-	ix.segCells[eps] = sc
-	ix.mu.Unlock()
+	m.mu.Lock()
+	m.segCells[eps] = sc
+	m.mu.Unlock()
 	return sc
 }
 
@@ -388,9 +233,10 @@ func (ix *Index) SegmentCells(eps float64) [][]grid.CellID {
 // non-empty cell, the segments within distance eps. Memoized per eps;
 // callers must not modify it.
 func (ix *Index) CellSegments(eps float64) map[grid.CellID][]network.SegmentID {
-	ix.mu.RLock()
-	cs, ok := ix.cellSegs[eps]
-	ix.mu.RUnlock()
+	m := ix.maps()
+	m.mu.RLock()
+	cs, ok := m.cellSegs[eps]
+	m.mu.RUnlock()
 	if ok {
 		return cs
 	}
@@ -401,9 +247,9 @@ func (ix *Index) CellSegments(eps float64) map[grid.CellID][]network.SegmentID {
 			cs[c] = append(cs[c], network.SegmentID(sid))
 		}
 	}
-	ix.mu.Lock()
-	ix.cellSegs[eps] = cs
-	ix.mu.Unlock()
+	m.mu.Lock()
+	m.cellSegs[eps] = cs
+	m.mu.Unlock()
 	return cs
 }
 
@@ -412,9 +258,10 @@ func (ix *Index) CellSegments(eps float64) map[grid.CellID][]network.SegmentID {
 // maps, it depends only on ε and is memoized; the paper treats these maps
 // as offline structures augmented once per ε.
 func (ix *Index) SegmentsByCellCount(eps float64) []network.SegmentID {
-	ix.mu.RLock()
-	sl, ok := ix.sl2[eps]
-	ix.mu.RUnlock()
+	m := ix.maps()
+	m.mu.RLock()
+	sl, ok := m.sl2[eps]
+	m.mu.RUnlock()
 	if ok {
 		return sl
 	}
@@ -430,59 +277,26 @@ func (ix *Index) SegmentsByCellCount(eps float64) []network.SegmentID {
 		}
 		return a < b
 	})
-	ix.mu.Lock()
-	ix.sl2[eps] = sl
-	ix.mu.Unlock()
+	m.mu.Lock()
+	m.sl2[eps] = sl
+	m.mu.Unlock()
 	return sl
 }
 
-// Warm precomputes every ε-dependent structure (the augmented cell↔segment
-// maps and SL2) so that subsequent query timings measure only query work.
+// Warm precomputes the ε-dependent structures the index's query path
+// reads, so that subsequent query timings measure only query work: the
+// slab ε-plan on a slab-backed index, the augmented cell↔segment maps
+// and SL2 of the map layout otherwise. A slab-backed index leaves the
+// map-layout memos to the callers that read them (Baseline and the
+// round-robin strategy build them on first use).
 func (ix *Index) Warm(eps float64) {
+	if ix.six != nil {
+		ix.six.Warm(eps)
+		return
+	}
 	ix.SegmentCells(eps)
 	ix.CellSegments(eps)
 	ix.SegmentsByCellCount(eps)
-	if ix.six != nil {
-		ix.six.Warm(eps)
-	}
-}
-
-// buildSL1 returns the query's source list SL1: cells sorted decreasingly
-// by min(|Pc|, Σψ I[ψ][c]) (Algorithm 1 line 2, generalized to POI
-// weights). For a single keyword the list is the keyword's inverted entry
-// itself, which is already capped and sorted.
-func (ix *Index) buildSL1(query vocab.Set) []weightedEntry {
-	if len(query) == 1 {
-		return ix.entriesFor(query[0])
-	}
-	acc := ix.accumulateSL1(query)
-	out := make([]weightedEntry, 0, len(acc))
-	for cell, w := range acc {
-		out = append(out, weightedEntry{Cell: cell, Weight: ix.capWeight(cell, w)})
-	}
-	sortEntries(out)
-	return out
-}
-
-// accumulateSL1 sums each query keyword's cell weights per cell, keyword
-// by keyword in query order.
-func (ix *Index) accumulateSL1(query vocab.Set) map[grid.CellID]float64 {
-	acc := make(map[grid.CellID]float64)
-	for _, kw := range query {
-		for _, e := range ix.entriesFor(kw) {
-			acc[e.Cell] += e.Weight
-		}
-	}
-	return acc
-}
-
-// capWeight caps an accumulated keyword weight at the cell's total POI
-// weight: a POI carrying several query keywords counts once.
-func (ix *Index) capWeight(cell grid.CellID, w float64) float64 {
-	if tw := ix.cellWeight[cell]; w > tw {
-		return tw
-	}
-	return w
 }
 
 // cellMassContribution returns the total weight of POIs in cell c that
@@ -538,27 +352,6 @@ func (ix *Index) cellMassContribution(c *grid.Cell, query vocab.Set, sid network
 	return mass
 }
 
-// entriesFor returns a keyword's sorted cell entries. The fast path is a
-// read-locked lookup of the materialized list; the write lock is taken
-// only to rebuild entries dirtied by dynamic insertions.
-func (ix *Index) entriesFor(kw vocab.ID) []weightedEntry {
-	ix.mu.RLock()
-	kp := ix.inv[kw]
-	if kp == nil {
-		ix.mu.RUnlock()
-		return nil
-	}
-	if !kp.dirty {
-		es := kp.sorted
-		ix.mu.RUnlock()
-		return es
-	}
-	ix.mu.RUnlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return kp.entries()
-}
-
 // cellMassScan computes the same quantity as cellMassContribution but the
 // way the paper's baseline BL does: it "uses only the spatial grid index",
 // scanning every POI of the cell and testing the keyword predicate
@@ -588,8 +381,9 @@ func (ix *Index) SegmentMass(sid network.SegmentID, query vocab.Set, eps float64
 		return six.segmentMass(sid, query, eps)
 	}
 	var mass float64
+	g := ix.maps().grid
 	for _, cid := range ix.SegmentCells(eps)[sid] {
-		mass += ix.cellMassContribution(ix.grid.CellAt(cid), query, sid, eps)
+		mass += ix.cellMassContribution(g.CellAt(cid), query, sid, eps)
 	}
 	return mass
 }

@@ -67,7 +67,7 @@ func TestBuildSL1Cap(t *testing.T) {
 		t.Fatal(err)
 	}
 	query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "food"})
-	sl1 := ix.buildSL1(query)
+	sl1 := ix.maps().buildSL1(query)
 	if len(sl1) != 1 {
 		t.Fatalf("SL1 = %v", sl1)
 	}
@@ -80,14 +80,14 @@ func TestBuildSL1SortedDesc(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ix := randomScenario(rng)
 	query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "food"})
-	sl1 := ix.buildSL1(query)
+	sl1 := ix.maps().buildSL1(query)
 	for i := 1; i < len(sl1); i++ {
 		if sl1[i].Weight > sl1[i-1].Weight {
 			t.Fatalf("SL1 not sorted desc at %d", i)
 		}
 	}
 	// Unknown keyword → empty SL1.
-	if got := ix.buildSL1(nil); len(got) != 0 {
+	if got := ix.maps().buildSL1(nil); len(got) != 0 {
 		t.Fatalf("empty query SL1 = %v", got)
 	}
 }
@@ -173,11 +173,12 @@ func TestUnseenBoundSoundness(t *testing.T) {
 func TestWarmCoversAllStructures(t *testing.T) {
 	ix := buildFixture(t)
 	ix.Warm(0.1)
-	ix.mu.Lock()
-	_, sc := ix.segCells[0.1]
-	_, cs := ix.cellSegs[0.1]
-	_, sl := ix.sl2[0.1]
-	ix.mu.Unlock()
+	m := ix.maps()
+	m.mu.Lock()
+	_, sc := m.segCells[0.1]
+	_, cs := m.cellSegs[0.1]
+	_, sl := m.sl2[0.1]
+	m.mu.Unlock()
 	if !sc || !cs || !sl {
 		t.Fatalf("Warm left structures cold: segCells=%v cellSegs=%v sl2=%v", sc, cs, sl)
 	}

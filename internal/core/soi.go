@@ -209,6 +209,7 @@ const cancelCheckEvery = 32
 // soiRun carries the mutable state of one SOI evaluation.
 type soiRun struct {
 	ix    *Index
+	m     *mapLayout // ix.maps(), fetched once per run
 	query vocab.Set
 	k     int
 	eps   float64
@@ -319,12 +320,12 @@ func (ix *Index) SOIContext(ctx context.Context, q Query, strat Strategy, mc *Ma
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	r := &soiRun{ix: ix, query: query, k: q.K, eps: q.Epsilon, strat: strat, mc: mc, ctx: ctx}
+	r := &soiRun{ix: ix, m: ix.maps(), query: query, k: q.K, eps: q.Epsilon, strat: strat, mc: mc, ctx: ctx}
 	if mc != nil {
 		r.psi = mc.psiID(query)
 	}
 	r.stats.TotalSegments = ix.net.NumSegments()
-	r.stats.TotalCells = ix.grid.NumCells()
+	r.stats.TotalCells = r.m.grid.NumCells()
 
 	start := time.Now()
 	r.buildLists()
@@ -368,7 +369,7 @@ func (r *soiRun) buildLists() {
 	ix := r.ix
 	r.segCells = ix.SegmentCells(r.eps)
 	r.cellSegs = ix.CellSegments(r.eps)
-	r.sl1 = ix.buildSL1(r.query)
+	r.sl1 = r.m.buildSL1(r.query)
 	r.sl2 = ix.SegmentsByCellCount(r.eps)
 	r.sl3 = ix.segsByLen
 	r.states = make([]segState, ix.net.NumSegments())
@@ -382,7 +383,7 @@ func (r *soiRun) relevantInCell(cid grid.CellID) []relPOI {
 	if rel, ok := r.relCache[cid]; ok {
 		return rel
 	}
-	cell := r.ix.grid.CellAt(cid)
+	cell := r.m.grid.CellAt(cid)
 	var rel []relPOI
 	collect := func(id uint32) {
 		p := r.ix.pois.Get(id)

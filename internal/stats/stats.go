@@ -84,6 +84,11 @@ type CoreStats struct {
 	BuildListsNanos Counter
 	FilterNanos     Counter
 	RefineNanos     Counter
+	// MapLayoutBuilds counts map layouts materialised lazily on
+	// snapshot-opened indexes (core.Index.SetRecorder). A serving
+	// process answers from the slab alone, so anything above zero means
+	// a map-path caller pulled the second layout into memory.
+	MapLayoutBuilds Counter
 }
 
 // EngineStats aggregates the batch executor's traffic and worker-pool
@@ -278,6 +283,7 @@ type CoreSnapshot struct {
 	BuildListsNanos   int64 `json:"build_lists_ns"`
 	FilterNanos       int64 `json:"filter_ns"`
 	RefineNanos       int64 `json:"refine_ns"`
+	MapLayoutBuilds   int64 `json:"map_layout_builds"`
 }
 
 // EngineSnapshot is the JSON form of EngineStats.
@@ -396,6 +402,7 @@ func (r *Recorder) Snapshot() Snapshot {
 			BuildListsNanos:   r.Core.BuildListsNanos.Load(),
 			FilterNanos:       r.Core.FilterNanos.Load(),
 			RefineNanos:       r.Core.RefineNanos.Load(),
+			MapLayoutBuilds:   r.Core.MapLayoutBuilds.Load(),
 		},
 		Engine: EngineSnapshot{
 			Queries:           r.Engine.Queries.Load(),

@@ -286,6 +286,7 @@ func newEngine(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dic
 // index (fresh build or snapshot load).
 func newEngineWithIndex(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dict *vocab.Dictionary, ix *core.Index, cfg Config) *Engine {
 	rec := stats.NewRecorder()
+	ix.SetRecorder(rec)
 	exec := engine.New(ix, engine.Config{
 		Workers:      cfg.Workers,
 		CacheSize:    cfg.CacheSize,
