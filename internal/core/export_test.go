@@ -14,8 +14,9 @@ func (ix *Index) MapMemoSizes() (segCells, cellSegs, sl2 int) {
 	return len(m.segCells), len(m.cellSegs), len(m.sl2)
 }
 
-// MapLayoutBuilt reports whether the index holds a map layout: always
-// for NewIndex, only after the first map-path call for NewIndexFromSlab.
+// MapLayoutBuilt reports whether the index holds a map layout: from
+// construction for NewIndex without Compact, otherwise only after the
+// first map-path call.
 func (ix *Index) MapLayoutBuilt() bool { return ix.layout.Load() != nil }
 
 // DetachSlab drops the slab evaluator, as AddPOI does, so tests can drive

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,11 +19,13 @@ type IndexConfig struct {
 	// leaves the cell size arbitrary; a size close to the query ε keeps
 	// the ε-augmented maps small.
 	CellSize float64
-	// Compact additionally flattens the grid into a struct-of-arrays slab
-	// (grid.Slab) and routes cost-aware SOI evaluations through the
-	// allocation-free slab path. Results are bit-identical either way;
-	// only the evaluation machinery differs. Dynamic insertions (AddPOI)
-	// drop the slab and fall back to the map path.
+	// Compact serves from the struct-of-arrays slab (grid.Slab) alone:
+	// cost-aware SOI evaluations take the allocation-free slab path and
+	// the map layout is built only if a map-path caller asks for it.
+	// Without it the index holds the map layout and evaluates on that.
+	// Results are bit-identical either way; only the evaluation machinery
+	// differs. Dynamic insertions (AddPOI) drop the slab and fall back to
+	// the map path.
 	Compact bool
 	// Bounds, when non-zero, fixes the grid extent instead of deriving it
 	// from the network and corpus. Spatial sharding (internal/shard) sets
@@ -101,9 +102,8 @@ type Index struct {
 	six *SlabIndex
 
 	// layout is the map layout (maplayout.go), reached only through
-	// maps(). NewIndex stores it at construction; an index opened by
-	// NewIndexFromSlab leaves it nil and keeps slab, from which the first
-	// maps() call builds it under layoutOnce.
+	// maps(): nil until the first call builds it from slab under
+	// layoutOnce (NewIndex without Compact makes that call itself).
 	layout     atomic.Pointer[mapLayout]
 	layoutOnce sync.Once
 	slab       *grid.Slab
@@ -112,56 +112,24 @@ type Index struct {
 	rec *stats.Recorder
 }
 
-// NewIndex builds the offline index over a network and POI corpus.
+// NewIndex builds the offline index over a network and POI corpus: one
+// slab build (BuildSlab), opened by NewIndexFromSlab. With Compact the
+// index serves from the slab and materialises its map layout only if a
+// map-path caller asks, exactly like a snapshot-opened index; without it
+// the map layout is the serving layout, so it is materialised here, before
+// the index is shared, and the slab evaluator is detached.
 func NewIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*Index, error) {
-	if cfg.CellSize <= 0 {
-		return nil, fmt.Errorf("core: non-positive cell size %v", cfg.CellSize)
-	}
-	all := pois.All()
-	pts := make([]geo.Point, len(all))
-	keys := make([]vocab.Set, len(all))
-	for i := range all {
-		pts[i] = all[i].Loc
-		keys[i] = all[i].Keywords
-	}
-	bounds, err := deriveBounds(net, pts, cfg)
+	slab, err := BuildSlab(net, pois, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g, err := grid.Build(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, pts, keys)
+	ix, err := NewIndexFromSlab(net, pois, slab)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{net: net, pois: pois}
-	m := newMapLayout(g, 0, 0)
-	m.buildInverted(pois)
-	ix.layout.Store(m)
-	// SL3: segments by increasing length, ties by id.
-	segs := net.Segments()
-	ix.segsByLen = make([]network.SegmentID, len(segs))
-	for i := range segs {
-		ix.segsByLen[i] = segs[i].ID
-	}
-	sort.Slice(ix.segsByLen, func(i, j int) bool {
-		a, b := net.Segment(ix.segsByLen[i]), net.Segment(ix.segsByLen[j])
-		if a.Length() != b.Length() {
-			return a.Length() < b.Length()
-		}
-		return a.ID < b.ID
-	})
-	if cfg.Compact {
-		weights := make([]float64, len(all))
-		for i := range all {
-			weights[i] = all[i].Weight
-		}
-		slab, err := grid.NewSlab(g, pts, weights)
-		if err != nil {
-			return nil, err
-		}
-		ix.six, err = NewSlabIndexFromSlab(net, pois, slab)
-		if err != nil {
-			return nil, err
-		}
+	if !cfg.Compact {
+		ix.maps()
+		ix.six = nil
 	}
 	return ix, nil
 }
@@ -174,9 +142,7 @@ func NewIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*Index, 
 // aliasing the slab's arrays, the weighted inverted index and per-cell
 // weights read out of its vocab-major CSR — is materialised only when a
 // map-path caller (Baseline, the round-robin strategy, Grid, the
-// ε-augmented map accessors, AddPOI) first asks for it. Either way the
-// index answers every query bit-identically to NewIndex over the same
-// data with Compact set.
+// ε-augmented map accessors, AddPOI) first asks for it.
 func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (*Index, error) {
 	six, err := NewSlabIndexFromSlab(net, pois, slab)
 	if err != nil {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/network"
-	"repro/internal/poi"
 	"repro/internal/vocab"
 )
 
@@ -16,10 +14,10 @@ import (
 // memos. The baseline, the round-robin ablation, the accessor methods
 // and dynamic insertion read it; the slab path never does.
 //
-// An index built by NewIndex owns its layout from construction. A
-// slab-backed index opened by NewIndexFromSlab has none until something
-// asks: Index.maps builds it from the slab on first touch, exactly once.
-// Reach the fields only through that accessor.
+// Every index is opened over a slab and has no map layout until
+// something asks: Index.maps builds it from the slab on first touch,
+// exactly once, and mapLayoutFromSlab is the only way one is made. Reach
+// the fields only through that accessor.
 type mapLayout struct {
 	grid *grid.Grid
 
@@ -39,17 +37,6 @@ type mapLayout struct {
 	sl2      map[float64][]network.SegmentID // ε → segments desc by |Cε(ℓ)|
 }
 
-// newMapLayout returns a layout over g with empty indexes and memos.
-func newMapLayout(g *grid.Grid, vocabHint, cellHint int) *mapLayout {
-	m := &mapLayout{
-		grid:       g,
-		inv:        make(map[vocab.ID]*kwPostings, vocabHint),
-		cellWeight: make(map[grid.CellID]float64, cellHint),
-	}
-	m.dropMemos()
-	return m
-}
-
 // dropMemos empties every ε-dependent memo; the caller holds mu or owns
 // the layout exclusively.
 func (m *mapLayout) dropMemos() {
@@ -61,10 +48,14 @@ func (m *mapLayout) dropMemos() {
 // mapLayoutFromSlab reconstructs the layout from a prebuilt slab without
 // re-ingesting the POIs: the grid aliases the slab's arrays, and the
 // weighted inverted index and per-cell weights are read straight out of
-// the slab's vocab-major CSR (already in sortEntries order). The result
-// is the layout NewIndex builds over the same data.
+// the slab's vocab-major CSR (already in sortEntries order).
 func mapLayoutFromSlab(slab *grid.Slab) *mapLayout {
-	m := newMapLayout(grid.FromSlab(slab), slab.VocabN, slab.NumCells())
+	m := &mapLayout{
+		grid:       grid.FromSlab(slab),
+		inv:        make(map[vocab.ID]*kwPostings, slab.VocabN),
+		cellWeight: make(map[grid.CellID]float64, slab.NumCells()),
+	}
+	m.dropMemos()
 	for ord, cid := range slab.CellIDs {
 		m.cellWeight[grid.CellID(cid)] = slab.CellWeight[ord]
 	}
@@ -104,117 +95,6 @@ func (ix *Index) maps() *mapLayout {
 		}
 	})
 	return ix.layout.Load()
-}
-
-// parallelInvThreshold is the non-empty-cell count below which the
-// sharded inverted-index build is not worth the goroutine overhead.
-const parallelInvThreshold = 512
-
-// buildInverted derives the weighted global inverted index and the
-// per-cell total weights from the grid, sharding the per-cell work across
-// GOMAXPROCS workers for large grids. Each worker owns a disjoint chunk
-// of cells and accumulates private maps; the merge assigns disjoint
-// (keyword, cell) entries, so the result is identical to a sequential
-// build. The sorted entry lists are materialized before returning so a
-// freshly built index is immediately safe for concurrent queries.
-func (m *mapLayout) buildInverted(pois *poi.Corpus) {
-	cells := m.grid.NonEmptyCells()
-	workers := runtime.GOMAXPROCS(0)
-	if len(cells) < parallelInvThreshold || workers < 2 {
-		for _, cid := range cells {
-			accumulateCell(pois, cid, m.grid.CellAt(cid), m.inv, m.cellWeight)
-		}
-		for _, kp := range m.inv {
-			kp.entries()
-		}
-		return
-	}
-	partials := make([]map[vocab.ID]*kwPostings, workers)
-	weights := make([]map[grid.CellID]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(cells) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(cells) {
-			break
-		}
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			inv := make(map[vocab.ID]*kwPostings)
-			cellWeight := make(map[grid.CellID]float64)
-			for _, cid := range cells[lo:hi] {
-				accumulateCell(pois, cid, m.grid.CellAt(cid), inv, cellWeight)
-			}
-			partials[w] = inv
-			weights[w] = cellWeight
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range partials {
-		for cid, total := range weights[w] {
-			m.cellWeight[cid] = total
-		}
-		for kw, part := range partials[w] {
-			kp := m.inv[kw]
-			if kp == nil {
-				m.inv[kw] = part
-				continue
-			}
-			for cid, wt := range part.weights {
-				kp.weights[cid] = wt
-			}
-		}
-	}
-	// Materialize the sorted entry lists in parallel: each keyword's
-	// postings struct is touched by exactly one worker.
-	kps := make([]*kwPostings, 0, len(m.inv))
-	for _, kp := range m.inv {
-		kp.dirty = true
-		kps = append(kps, kp)
-	}
-	chunk = (len(kps) + workers - 1) / workers
-	for lo := 0; lo < len(kps); lo += chunk {
-		hi := lo + chunk
-		if hi > len(kps) {
-			hi = len(kps)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, kp := range kps[lo:hi] {
-				kp.entries()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// accumulateCell folds one cell's members into the total-weight map and
-// its postings into the given inverted index.
-func accumulateCell(pois *poi.Corpus, id grid.CellID, c *grid.Cell, inv map[vocab.ID]*kwPostings, cellWeight map[grid.CellID]float64) {
-	var total float64
-	for _, m := range c.Members {
-		total += pois.Get(m).Weight
-	}
-	cellWeight[id] = total
-	for kw, postings := range c.Inv {
-		var w float64
-		for _, m := range postings {
-			w += pois.Get(m).Weight
-		}
-		kp := inv[kw]
-		if kp == nil {
-			kp = &kwPostings{weights: make(map[grid.CellID]float64)}
-			inv[kw] = kp
-		}
-		kp.weights[id] = w
-		kp.dirty = true
-	}
 }
 
 // entriesFor returns a keyword's sorted cell entries. The fast path is a

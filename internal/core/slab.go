@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -68,19 +70,19 @@ type slabPlan struct {
 	sl2 []network.SegmentID
 }
 
-// NewSlabIndex builds a slab index over a network and POI corpus. The
-// grid construction (bounds, cell assignment) is identical to NewIndex,
-// so the flattened structures mirror the map-based ones exactly.
+// NewSlabIndex builds a slab index over a network and POI corpus.
 func NewSlabIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*SlabIndex, error) {
-	slab, err := buildSlab(net, pois, cfg)
+	slab, err := BuildSlab(net, pois, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return NewSlabIndexFromSlab(net, pois, slab)
 }
 
-// buildSlab constructs the grid exactly as NewIndex does and flattens it.
-func buildSlab(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*grid.Slab, error) {
+// BuildSlab builds the slab every index over the corpus is opened from:
+// the POIs' locations, keyword sets and weights handed to grid.BuildSlab
+// over the bounds deriveBounds resolves.
+func BuildSlab(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*grid.Slab, error) {
 	if cfg.CellSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive cell size %v", cfg.CellSize)
 	}
@@ -97,11 +99,7 @@ func buildSlab(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*grid.S
 	if err != nil {
 		return nil, err
 	}
-	g, err := grid.Build(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, pts, keys)
-	if err != nil {
-		return nil, err
-	}
-	return grid.NewSlab(g, pts, weights)
+	return grid.BuildSlab(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, pts, keys, weights)
 }
 
 // NewSlabIndexFromSlab wraps a prebuilt (for example, snapshot-loaded)
@@ -134,12 +132,14 @@ func NewSlabIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Sla
 	for i := range segs {
 		six.segsByLen[i] = segs[i].ID
 	}
-	sort.Slice(six.segsByLen, func(i, j int) bool {
-		a, b := six.segsByLen[i], six.segsByLen[j]
+	slices.SortFunc(six.segsByLen, func(a, b network.SegmentID) int {
 		if six.segLen[a] != six.segLen[b] {
-			return six.segLen[a] < six.segLen[b]
+			if six.segLen[a] < six.segLen[b] {
+				return -1
+			}
+			return 1
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	six.pool.New = func() interface{} { return &slabRun{six: six} }
 	return six, nil

@@ -12,6 +12,7 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -69,28 +70,10 @@ func Build(cfg Config, locs []geo.Point, keys []vocab.Set) (*Grid, error) {
 // sharded ingestion path to arbitrary parallelism and verify the result
 // is independent of it.
 func build(cfg Config, locs []geo.Point, keys []vocab.Set, workers int) (*Grid, error) {
-	if cfg.CellSize <= 0 {
-		return nil, fmt.Errorf("grid: non-positive cell size %v", cfg.CellSize)
+	b, nx, ny, err := resolveLattice(cfg, locs, keys)
+	if err != nil {
+		return nil, err
 	}
-	if len(keys) != 0 && len(keys) != len(locs) {
-		return nil, fmt.Errorf("grid: %d locations but %d keyword sets", len(locs), len(keys))
-	}
-	b := cfg.Bounds
-	if b == (geo.Rect{}) {
-		for i, p := range locs {
-			r := geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
-			if i == 0 {
-				b = r
-			} else {
-				b = b.Union(r)
-			}
-		}
-	}
-	if !b.IsValid() {
-		return nil, fmt.Errorf("grid: invalid bounds %v", b)
-	}
-	nx := int(math.Ceil(b.Width()/cfg.CellSize)) + 1
-	ny := int(math.Ceil(b.Height()/cfg.CellSize)) + 1
 	g := &Grid{
 		bounds:   b,
 		cellSize: cfg.CellSize,
@@ -105,6 +88,53 @@ func build(cfg Config, locs []geo.Point, keys []vocab.Set, workers int) (*Grid, 
 		g.buildCellsParallel(locs, keys, workers)
 	}
 	return g, nil
+}
+
+// ErrLattice is wrapped by the error Build, BuildSlab and Dims return when
+// the cell lattice over the bounds cannot be addressed by a CellID: nx·ny
+// exceeds the int32 range, or a dimension is not finite. Without the check
+// the linearized ids wrap and distinct cells silently share one id.
+var ErrLattice = errors.New("grid: cell lattice does not fit int32 cell ids")
+
+// Dims returns the lattice dimensions (nx, ny) of a grid with the given
+// cell size over bounds, or an error wrapping ErrLattice when its cells
+// cannot be numbered by a CellID.
+func Dims(bounds geo.Rect, cellSize float64) (nx, ny int, err error) {
+	fx := math.Ceil(bounds.Width()/cellSize) + 1
+	fy := math.Ceil(bounds.Height()/cellSize) + 1
+	// The negated comparison also catches NaN and +Inf.
+	if !(fx*fy <= math.MaxInt32) {
+		return 0, 0, fmt.Errorf("%w: %g × %g cells of side %g over %v", ErrLattice, fx, fy, cellSize, bounds)
+	}
+	return int(fx), int(fy), nil
+}
+
+// resolveLattice validates a build's inputs and fixes its geometry: the
+// configured bounds (the objects' bounding rectangle when zero) and the
+// lattice dimensions over them.
+func resolveLattice(cfg Config, locs []geo.Point, keys []vocab.Set) (b geo.Rect, nx, ny int, err error) {
+	if cfg.CellSize <= 0 {
+		return b, 0, 0, fmt.Errorf("grid: non-positive cell size %v", cfg.CellSize)
+	}
+	if len(keys) != 0 && len(keys) != len(locs) {
+		return b, 0, 0, fmt.Errorf("grid: %d locations but %d keyword sets", len(locs), len(keys))
+	}
+	b = cfg.Bounds
+	if b == (geo.Rect{}) {
+		for i, p := range locs {
+			r := geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+			if i == 0 {
+				b = r
+			} else {
+				b = b.Union(r)
+			}
+		}
+	}
+	if !b.IsValid() {
+		return b, 0, 0, fmt.Errorf("grid: invalid bounds %v", b)
+	}
+	nx, ny, err = Dims(b, cfg.CellSize)
+	return b, nx, ny, err
 }
 
 // parallelBuildThreshold is the object count below which the sharded
@@ -262,11 +292,15 @@ func (g *Grid) Bounds() geo.Rect { return g.bounds }
 
 // CellIndex returns the cell id containing p, clamped into the grid.
 func (g *Grid) CellIndex(p geo.Point) CellID {
-	ix := int((p.X - g.bounds.MinX) / g.cellSize)
-	iy := int((p.Y - g.bounds.MinY) / g.cellSize)
-	ix = clamp(ix, 0, g.nx-1)
-	iy = clamp(iy, 0, g.ny-1)
-	return CellID(ix + iy*g.nx)
+	return cellIndex(g.bounds, g.cellSize, g.nx, g.ny, p)
+}
+
+// cellIndex is the one place a point is assigned its cell, shared by the
+// map-layout build and BuildSlab so both place every object identically.
+func cellIndex(b geo.Rect, cellSize float64, nx, ny int, p geo.Point) CellID {
+	ix := clamp(int((p.X-b.MinX)/cellSize), 0, nx-1)
+	iy := clamp(int((p.Y-b.MinY)/cellSize), 0, ny-1)
+	return CellID(ix + iy*nx)
 }
 
 func clamp(v, lo, hi int) int {

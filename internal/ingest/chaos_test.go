@@ -154,7 +154,10 @@ func TestBlockedPublishDoesNotBlockReadersOrWriters(t *testing.T) {
 	}
 	// Writers: appends return immediately.
 	done := make(chan int, 1)
-	go func() { done <- ing.AddBatch(randDeltas(r, 3)) }()
+	go func() {
+		n, _ := ing.AddBatch(randDeltas(r, 3))
+		done <- n
+	}()
 	select {
 	case n := <-done:
 		if n != 8 {

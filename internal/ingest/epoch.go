@@ -9,10 +9,11 @@ import (
 // Epoch is one immutable generation of the serving index: a fully built
 // core.Index over a fixed POI corpus, the epoch's private MassCache, and
 // a dense sequence number that keys every result-cache entry derived
-// from it. Epochs are reference-counted: installation holds one
-// reference, and every in-flight query pins one more for the duration of
-// its evaluation, so a retired epoch's memory (and its mass cache) is
-// released only after the last reader drains.
+// from it. A publish builds the epoch a new index; a compaction, which
+// changes no POI, wraps its predecessor's. Epochs are reference-counted:
+// installation holds one reference, and every in-flight query pins one
+// more for the duration of its evaluation, so a retired epoch's memory
+// (and its mass cache) is released only after the last reader drains.
 type Epoch struct {
 	seq  uint64
 	ix   *core.Index

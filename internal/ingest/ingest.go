@@ -5,34 +5,39 @@
 // Writers append deltas to a batched in-memory delta log (Add/AddBatch —
 // a mutex-guarded slice append, never blocked by index builds). A
 // publisher (Publish, or the background goroutine when Config.BatchSize
-// is set) folds the base corpus plus every logged delta into a fresh
-// immutable core.Index, wraps it in an Epoch with a private MassCache,
-// and installs it with one atomic pointer swap. Queries resolve the
-// current epoch per evaluation through AcquireEpoch (the
-// engine.EpochSource contract): one atomic load plus a refcount
+// is set) extends the serving epoch's corpus by the logged deltas, builds
+// a fresh immutable core.Index over it, wraps it in an Epoch with a
+// private MassCache, and installs it with one atomic pointer swap.
+// Queries resolve the current epoch per evaluation through AcquireEpoch
+// (the engine.EpochSource contract): one atomic load plus a refcount
 // increment, no locks, and results are keyed by the epoch's sequence
 // number so stale cache entries can never serve post-publish queries.
 //
 // Background compaction (Compact, or the background goroutine when
-// Config.CompactAfter is set) folds the published deltas into a new
-// base, rebuilds the index — reusing the compact grid-slab build — and
-// optionally persists the folded base as a .soi snapshot
-// (internal/snapshot). The previous epoch is retired by releasing its
-// install reference; its memory and mass cache are freed when the last
-// in-flight reader drains.
+// Config.CompactAfter is set) folds the published deltas into the base.
+// The serving index already covers exactly that corpus, so compaction
+// builds nothing: it installs a new epoch around the same index and
+// optionally persists it as a .soi snapshot (internal/snapshot). The
+// previous epoch is retired by releasing its install reference; its mass
+// cache — and, unless a successor shares it, its index — is freed when
+// the last in-flight reader drains.
 //
 // Determinism: every epoch's corpus is the base specs followed by the
-// published and pending deltas in append order, and each epoch interns a
-// fresh dictionary from those specs in that order. POI ids, grid builds
-// and mass folds are therefore pure functions of the logical corpus, so
-// an epoch's answers are bit-identical to a cold core.NewIndex build
-// over the same POIs — the property the interleaved differential harness
-// (internal/oracle) checks against the brute-force reference.
+// published deltas in append order. Epoch n+1 copies epoch n's POIs,
+// clones its dictionary and interns the new deltas into the clone; ids
+// follow first appearance, so the clone assigns exactly the ids a fresh
+// dictionary interning the whole corpus in order would. POI ids, slab
+// builds and mass folds are therefore pure functions of the logical
+// corpus, so an epoch's answers — and its slab bytes — are identical to a
+// cold core.NewIndex build over the same POIs — the property the
+// interleaved differential harness (internal/oracle) checks against the
+// brute-force reference.
 package ingest
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,12 +45,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/photo"
 	"repro/internal/poi"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/vocab"
 )
 
 // Fault-injection sites visited by the write path (see internal/faults).
@@ -67,8 +72,9 @@ const (
 
 // Delta is one streamed POI: a location, keyword strings and an optional
 // importance weight (0 means 1). Keywords are kept as strings — not
-// interned ids — because every epoch builds a fresh dictionary, keeping
-// dictionary mutation out of the concurrent write path.
+// interned ids — until a publish interns them into the new epoch's own
+// dictionary, keeping dictionary mutation out of the concurrent write
+// path.
 type Delta struct {
 	Loc      geo.Point
 	Keywords []string
@@ -121,14 +127,19 @@ type Ingestor struct {
 	// cur is the installed epoch; readers touch nothing else.
 	cur atomic.Pointer[Epoch]
 
-	// mu guards the delta log and lastErr. It is held only for slice
-	// appends and snapshots of the log — never across an index build —
-	// so writers are never blocked by a publish in progress.
-	mu        sync.Mutex
-	base      []Delta // compacted baseline, in original append order
-	published []Delta // folded into the current epoch, not yet compacted
-	pending   []Delta // appended, not yet folded into any epoch
-	lastErr   error   // last background publish/compact failure
+	// mu guards the delta log, its accounting and lastErr. It is held
+	// only for slice appends and snapshots of the log — never across an
+	// index build — so writers are never blocked by a publish in progress.
+	mu         sync.Mutex
+	nBase      int     // POIs of the compacted baseline
+	nPublished int     // folded into the current epoch, not yet compacted
+	pending    []Delta // appended, not yet folded into any epoch
+	lastErr    error   // last background publish/compact failure
+	// extent is the bounds an index over everything accepted so far
+	// derives (the network's grown over every POI, as core does per
+	// build), kept incrementally so AddBatch can refuse a delta the cell
+	// lattice cannot hold before it enters the log.
+	extent geo.Rect
 
 	// pubMu serializes publish and compaction; queries and writers never
 	// take it.
@@ -153,12 +164,20 @@ func New(net *network.Network, base []Delta, cfg Config) (*Ingestor, error) {
 	ing := &Ingestor{
 		net:       net,
 		cfg:       cfg,
-		base:      append([]Delta(nil), base...),
+		nBase:     len(base),
 		publishCh: make(chan struct{}, 1),
 		compactCh: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
-	ep, err := ing.buildEpoch(1, ing.base)
+	// The extent starts where core's bounds derivation starts: at the
+	// network's bounds, or — an empty network contributes nothing — at
+	// the rectangle any union replaces.
+	ing.extent = geo.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+	if net.NumVertices() > 0 {
+		ing.extent = net.Bounds()
+	}
+	ing.extent = grow(ing.extent, base)
+	ep, _, err := ing.buildEpoch(1, poi.NewBuilder(nil).Build(), base)
 	if err != nil {
 		return nil, err
 	}
@@ -171,24 +190,63 @@ func New(net *network.Network, base []Delta, cfg Config) (*Ingestor, error) {
 	return ing, nil
 }
 
-// buildEpoch builds a fresh immutable index epoch over the given corpus
-// specs, in order. Each epoch interns its own dictionary so no shared
-// dictionary is ever mutated under readers.
-func (ing *Ingestor) buildEpoch(seq uint64, corpus []Delta) (*Epoch, error) {
-	dict := vocab.NewDictionary()
-	pb := poi.NewBuilder(dict)
-	for _, d := range corpus {
-		pb.AddWeighted(d.Loc, d.Keywords, d.Weight)
+// grow returns extent grown over the deltas' locations.
+func grow(extent geo.Rect, ds []Delta) geo.Rect {
+	for _, d := range ds {
+		extent = extent.Union(geo.NewRect(d.Loc, d.Loc))
 	}
-	ix, err := core.NewIndex(ing.net, pb.Build(), core.IndexConfig{CellSize: ing.cfg.CellSize, Compact: true})
+	return extent
+}
+
+// buildTimes splits one epoch build into its steps.
+type buildTimes struct {
+	extend, slab, open time.Duration
+}
+
+// buildEpoch builds a fresh immutable index epoch over prev's corpus
+// followed by delta. Nothing of prev is mutated: the POIs are copied and
+// the dictionary cloned, so no dictionary is ever written under readers,
+// and because ids follow first appearance the clone interns delta to the
+// ids a fresh dictionary over the whole corpus would assign.
+func (ing *Ingestor) buildEpoch(seq uint64, prev *poi.Corpus, delta []Delta) (*Epoch, buildTimes, error) {
+	var bt buildTimes
+	start := time.Now()
+	dict := prev.Dict().Clone()
+	pois := make([]poi.POI, prev.Len(), prev.Len()+len(delta))
+	copy(pois, prev.All())
+	for _, d := range delta {
+		pois = append(pois, poi.POI{ID: poi.ID(len(pois)), Loc: d.Loc, Keywords: dict.InternAll(d.Keywords), Weight: d.Weight})
+	}
+	corpus, err := poi.NewCorpus(pois, dict)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: building epoch %d: %w", seq, err)
+		return nil, bt, fmt.Errorf("ingest: building epoch %d: %w", seq, err)
 	}
+	bt.extend = time.Since(start)
+
+	start = time.Now()
+	slab, err := core.BuildSlab(ing.net, corpus, core.IndexConfig{CellSize: ing.cfg.CellSize})
+	if err != nil {
+		return nil, bt, fmt.Errorf("ingest: building epoch %d: %w", seq, err)
+	}
+	bt.slab = time.Since(start)
+
+	start = time.Now()
+	ix, err := core.NewIndexFromSlab(ing.net, corpus, slab)
+	if err != nil {
+		return nil, bt, fmt.Errorf("ingest: building epoch %d: %w", seq, err)
+	}
+	ix.SetRecorder(ing.cfg.Recorder)
+	bt.open = time.Since(start)
+	return ing.newEpoch(seq, ix), bt, nil
+}
+
+// newEpoch wraps an index in an epoch with its own mass cache.
+func (ing *Ingestor) newEpoch(seq uint64, ix *core.Index) *Epoch {
 	var mass *core.MassCache
 	if ing.cfg.MassCacheEntries >= 0 {
 		mass = core.NewMassCache(ing.cfg.MassCacheEntries)
 	}
-	return newEpoch(seq, ix, mass, ing.epochReleased), nil
+	return newEpoch(seq, ix, mass, ing.epochReleased)
 }
 
 // install makes ep the serving epoch and retires the previous one by
@@ -238,14 +296,29 @@ func (ing *Ingestor) AcquireEpoch() (uint64, *core.Index, *core.MassCache, func(
 // inspection; the epoch may retire at any time).
 func (ing *Ingestor) Current() *Epoch { return ing.cur.Load() }
 
-// Add appends one delta to the log and returns the pending count.
-func (ing *Ingestor) Add(d Delta) int { return ing.AddBatch([]Delta{d}) }
+// Add appends one delta to the log; see AddBatch.
+func (ing *Ingestor) Add(d Delta) (int, error) { return ing.AddBatch([]Delta{d}) }
 
 // AddBatch appends deltas to the log and returns the pending count. The
 // call never blocks on index builds; when auto-publish is configured and
 // the batch threshold is reached, the background publisher is signalled.
-func (ing *Ingestor) AddBatch(ds []Delta) int {
+//
+// A batch holding a location the index could not cover — so far away
+// that the cell lattice over the grown extent no longer fits int32 cell
+// ids, or not finite — is refused whole with an error wrapping
+// grid.ErrLattice: nothing is appended, because a logged delta no epoch
+// can be built over would fail every later publish.
+func (ing *Ingestor) AddBatch(ds []Delta) (int, error) {
 	ing.mu.Lock()
+	extent := grow(ing.extent, ds)
+	if len(ds) > 0 {
+		if _, _, err := grid.Dims(extent, ing.cfg.CellSize); err != nil {
+			n := len(ing.pending)
+			ing.mu.Unlock()
+			return n, fmt.Errorf("ingest: batch of %d POIs refused: %w", len(ds), err)
+		}
+	}
+	ing.extent = extent
 	ing.pending = append(ing.pending, ds...)
 	n := len(ing.pending)
 	ing.mu.Unlock()
@@ -259,7 +332,7 @@ func (ing *Ingestor) AddBatch(ds []Delta) int {
 		default:
 		}
 	}
-	return n
+	return n, nil
 }
 
 // Counts returns the corpus accounting: base POIs, published deltas not
@@ -267,7 +340,7 @@ func (ing *Ingestor) AddBatch(ds []Delta) int {
 func (ing *Ingestor) Counts() (base, published, pending int) {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	return len(ing.base), len(ing.published), len(ing.pending)
+	return ing.nBase, ing.nPublished, len(ing.pending)
 }
 
 // Err returns the last background publish or compaction failure, if any.
@@ -297,18 +370,17 @@ func (ing *Ingestor) Publish() (seq uint64, folded int, err error) {
 
 	ing.mu.Lock()
 	delta := ing.pending[:len(ing.pending):len(ing.pending)]
-	corpus := make([]Delta, 0, len(ing.base)+len(ing.published)+len(delta))
-	corpus = append(corpus, ing.base...)
-	corpus = append(corpus, ing.published...)
-	corpus = append(corpus, delta...)
 	ing.mu.Unlock()
 	cur := ing.cur.Load()
 	if len(delta) == 0 {
 		return cur.seq, 0, nil
 	}
 
+	// The serving epoch indexes exactly base + published (publishes and
+	// compactions are serialized by pubMu), so extending its corpus by
+	// the pending deltas is the whole logical corpus.
 	start := time.Now()
-	ep, err := ing.buildEpoch(cur.seq+1, corpus)
+	ep, bt, err := ing.buildEpoch(cur.seq+1, cur.ix.POIs(), delta)
 	if err != nil {
 		return cur.seq, 0, err
 	}
@@ -318,7 +390,7 @@ func (ing *Ingestor) Publish() (seq uint64, folded int, err error) {
 	// prefix of the pending log to published (writers may have appended
 	// more in the meantime; those stay pending), then swap the epoch.
 	ing.mu.Lock()
-	ing.published = append(ing.published, delta...)
+	ing.nPublished += len(delta)
 	ing.pending = append([]Delta(nil), ing.pending[len(delta):]...)
 	pendingNow := len(ing.pending)
 	ing.mu.Unlock()
@@ -327,6 +399,9 @@ func (ing *Ingestor) Publish() (seq uint64, folded int, err error) {
 	if rec := ing.cfg.Recorder; rec != nil {
 		rec.Ingest.Publishes.Add(1)
 		rec.Ingest.PublishNanos.Add(time.Since(start).Nanoseconds())
+		rec.Ingest.PublishExtendNanos.Add(bt.extend.Nanoseconds())
+		rec.Ingest.PublishSlabNanos.Add(bt.slab.Nanoseconds())
+		rec.Ingest.PublishOpenNanos.Add(bt.open.Nanoseconds())
 		rec.Ingest.DeltasPending.Store(int64(pendingNow))
 	}
 	if ing.cfg.CompactAfter > 0 && ing.sinceCompact >= ing.cfg.CompactAfter {
@@ -338,12 +413,13 @@ func (ing *Ingestor) Publish() (seq uint64, folded int, err error) {
 	return ep.seq, len(delta), nil
 }
 
-// Compact folds the published deltas into the base, rebuilds the index
-// over the folded corpus — the exact POI sequence the current epoch
-// serves, so the new epoch answers bit-identically — installs it as a
-// new epoch, retires the old one, and (when configured) persists the
-// folded base as a snapshot. With nothing published it is a no-op.
-// Pending deltas are untouched: they belong to a future publish.
+// Compact folds the published deltas into the base. The serving index
+// already covers exactly the folded corpus, so nothing is rebuilt: a new
+// epoch (next sequence number, fresh MassCache) is installed around the
+// same index — answers are the same bits, the warmed ε-plans stay — the
+// old epoch is retired, and (when configured) the index is persisted as
+// a snapshot first. With nothing published it is a no-op. Pending deltas
+// are untouched: they belong to a future publish.
 func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 	ing.pubMu.Lock()
 	defer ing.pubMu.Unlock()
@@ -356,10 +432,7 @@ func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 	faults.Inject(SiteCompact)
 
 	ing.mu.Lock()
-	nPub := len(ing.published)
-	newBase := make([]Delta, 0, len(ing.base)+nPub)
-	newBase = append(newBase, ing.base...)
-	newBase = append(newBase, ing.published...)
+	nPub := ing.nPublished
 	ing.mu.Unlock()
 	cur := ing.cur.Load()
 	if nPub == 0 {
@@ -367,21 +440,20 @@ func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 	}
 
 	start := time.Now()
-	ep, err := ing.buildEpoch(cur.seq+1, newBase)
-	if err != nil {
-		return cur.seq, 0, err
-	}
 	if ing.cfg.SnapshotPath != "" {
-		if err := ing.writeSnapshot(ep); err != nil {
+		if err := ing.writeSnapshot(cur.ix); err != nil {
 			return cur.seq, 0, err
 		}
 	}
+	ep := ing.newEpoch(cur.seq+1, cur.ix)
 	faults.Inject(SiteSwap)
 
-	// Commit block: fold the log, swap, retire.
+	// Commit block: fold the log, swap, retire. The retiring epoch's
+	// release clears its own mass cache only; the index is the new
+	// epoch's too.
 	ing.mu.Lock()
-	ing.base = newBase
-	ing.published = nil
+	ing.nBase += nPub
+	ing.nPublished = 0
 	ing.mu.Unlock()
 	ing.install(ep)
 	ing.sinceCompact = 0
@@ -392,21 +464,27 @@ func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 	return ep.seq, nPub, nil
 }
 
-// writeSnapshot persists the epoch's corpus and slab as a .soi file,
-// re-interning the configured photos into the epoch's dictionary so the
-// snapshot is self-consistent.
-func (ing *Ingestor) writeSnapshot(ep *Epoch) error {
-	six := ep.ix.SlabIndex()
+// writeSnapshot persists the index's corpus and slab as a .soi file. The
+// configured photos are interned into a clone of the index's dictionary —
+// the index may be serving, and the next epoch clones its dictionary as it
+// stands — so the snapshot is self-consistent and the index untouched.
+func (ing *Ingestor) writeSnapshot(ix *core.Index) error {
+	six := ix.SlabIndex()
 	if six == nil {
 		return errors.New("ingest: epoch has no compact slab to snapshot")
 	}
-	rb := photo.NewBuilder(ep.ix.POIs().Dict())
+	dict := ix.POIs().Dict().Clone()
+	pois, err := poi.NewCorpus(ix.POIs().All(), dict)
+	if err != nil {
+		return err
+	}
+	rb := photo.NewBuilder(dict)
 	for _, p := range ing.cfg.Photos {
 		rb.Add(p.Loc, p.Tags)
 	}
 	return snapshot.WriteFile(ing.cfg.SnapshotPath, &snapshot.Snapshot{
 		Net:    ing.net,
-		POIs:   ep.ix.POIs(),
+		POIs:   pois,
 		Photos: rb.Build(),
 		Slab:   six.Slab(),
 	})

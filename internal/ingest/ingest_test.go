@@ -125,8 +125,8 @@ func TestPublishInstallsEquivalentEpoch(t *testing.T) {
 	}
 
 	delta := randDeltas(r, 25)
-	if n := ing.AddBatch(delta); n != 25 {
-		t.Fatalf("pending after AddBatch = %d, want 25", n)
+	if n, err := ing.AddBatch(delta); n != 25 || err != nil {
+		t.Fatalf("AddBatch = (%d, %v), want (25, nil)", n, err)
 	}
 	seq, folded, err := ing.Publish()
 	if err != nil {

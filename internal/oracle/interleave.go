@@ -206,7 +206,10 @@ func DiffInterleaved(c SeedConfig, opt InterleaveOptions) ([]Divergence, Interle
 
 	var runErr error
 	for _, ch := range chunks {
-		ing.AddBatch(specsToDeltas(ch))
+		if _, err := ing.AddBatch(specsToDeltas(ch)); err != nil {
+			runErr = err
+			break
+		}
 		if _, _, err := ing.Publish(); err != nil {
 			runErr = err
 			break

@@ -6,11 +6,16 @@ package server
 // answers 501.
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
 	soi "repro"
+	"repro/internal/datagen"
 )
 
 func testLiveServer(t *testing.T, cfg soi.LiveConfig) *Server {
@@ -82,7 +87,8 @@ func TestPOIsValidation(t *testing.T) {
 		{"empty batch", `{"pois":[]}`, http.StatusBadRequest},
 		{"bad json", `{"pois":`, http.StatusBadRequest},
 		{"missing keywords", `{"pois":[{"x":1,"y":1}]}`, http.StatusBadRequest},
-		{"out of bounds", `{"x":99,"y":99,"keywords":["shop"]}`, http.StatusOK},
+		{"beyond the cell lattice", `{"x":1e9,"y":1e9,"keywords":["shop"]}`, http.StatusBadRequest},
+		{"out of bounds", `{"x":9,"y":9,"keywords":["shop"]}`, http.StatusOK},
 	}
 	for _, c := range cases {
 		rec, body := post(t, s, "/api/pois", c.body)
@@ -108,5 +114,137 @@ func TestPOIsOnStaticEngineIs501(t *testing.T) {
 	rec, body := post(t, s, "/api/pois", `{"x":0,"y":0,"keywords":["shop"]}`)
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("static engine write: status %d body %v, want 501", rec.Code, body)
+	}
+}
+
+// TestFarPOIIsRefusedOverHTTP is the HTTP face of the far-coordinate
+// regression (internal/ingest TestFarPOIIsRefused has the mechanism):
+// POSTing a POI at (1e9, 1e9) used to answer 200 and drop Side St from the
+// k=2 answer of every later epoch, and one at (1e300, 1e300) emptied it.
+// The write is now a 400 that appends nothing, and the serving epoch keeps
+// answering.
+func TestFarPOIIsRefusedOverHTTP(t *testing.T) {
+	s := testLiveServer(t, soi.LiveConfig{})
+	if rec, body := post(t, s, "/api/pois", `{"x":0.0004,"y":0.0051,"keywords":["shop"],"publish":true}`); rec.Code != http.StatusOK {
+		t.Fatalf("seeding Side St: status %d: %v", rec.Code, body)
+	}
+	const query = "/api/streets?keywords=shop&k=2&eps=0.0005"
+	_, before := get(t, s, query)
+	if streets, _ := before["streets"].([]interface{}); len(streets) != 2 {
+		t.Fatalf("k=2 answer holds %d streets before the write, want both: %v", len(streets), before)
+	}
+	for _, body := range []string{
+		`{"x":1e9,"y":1e9,"keywords":["shop"],"publish":true}`,
+		`{"x":1e300,"y":1e300,"keywords":["shop"],"publish":true}`,
+		`{"pois":[{"x":0.001,"y":0.005,"keywords":["shop"]},{"x":-1e12,"y":0,"keywords":["shop"]}],"publish":true}`,
+	} {
+		rec, resp := post(t, s, "/api/pois", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(resp["error"].(string), "cell lattice") {
+			t.Fatalf("POST %s: status %d body %v, want 400 naming the cell lattice", body, rec.Code, resp)
+		}
+		_, after := get(t, s, query)
+		if !reflect.DeepEqual(after["streets"], before["streets"]) {
+			t.Fatalf("after the refused POST %s the answer changed:\n got %v\nwant %v", body, after["streets"], before["streets"])
+		}
+	}
+	_, stats := get(t, s, "/api/stats")
+	ing := stats["stats"].(map[string]interface{})["ingest"].(map[string]interface{})
+	if ing["deltas_appended"].(float64) != 1 || ing["deltas_pending"].(float64) != 0 || ing["epoch_seq"].(float64) != 2 {
+		t.Fatalf("ingest stats after the refusals = %v, want only the seeding write", ing)
+	}
+	// The log is clean: the next ordinary write publishes.
+	if rec, body := post(t, s, "/api/pois", `{"x":0.0008,"y":0.0049,"keywords":["shop"],"publish":true}`); rec.Code != http.StatusOK || body["epoch"].(float64) != 3 {
+		t.Fatalf("ordinary write after the refusals: status %d: %v", rec.Code, body)
+	}
+}
+
+// TestLiveServingKeepsMapLayoutUnbuilt is the residency contract of
+// TestSnapshotServingKeepsMapLayoutUnbuilt for soiserve -live, where the
+// counter used to be trivially 0 because no epoch's index reported to the
+// recorder: across four epochs (appends, three publishes, a compaction)
+// every query endpoint is driven and core.map_layout_builds stays 0, and
+// the publish time split is exported next to publish_ns.
+func TestLiveServingKeepsMapLayoutUnbuilt(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Small(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := soi.NewLiveEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, soi.LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := eng.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	s := New(eng)
+	_, body := get(t, s, "/api/streets?keywords=shop&k=1&eps=0.0005")
+	streets, _ := body["streets"].([]interface{})
+	if len(streets) == 0 {
+		t.Fatalf("no street for the probe query: %v", body)
+	}
+	top := streets[0].(map[string]interface{})["Name"].(string)
+	requests := []struct{ method, path, body string }{
+		{http.MethodGet, "/api/streets?keywords=shop,food&k=5&eps=0.0005&trace=1", ""},
+		{http.MethodGet, "/api/streets?keywords=zeppelin&k=3&eps=0.0012&trace=1", ""},
+		{http.MethodPost, "/api/streets/batch?trace=1", `{"queries":[{"keywords":["shop"],"k":2,"eps":0.0005},{"keywords":["shop"],"k":7,"eps":0.0005},{"keywords":["food","zeppelin"],"k":3,"eps":0.0002}]}`},
+		{http.MethodGet, "/api/describe?street=" + url.QueryEscape(top), ""},
+		{http.MethodGet, "/api/tour?keywords=shop&k=5&eps=0.0005&budget=0.05", ""},
+		{http.MethodPost, "/api/routes/topk", `{"src":[0.0,0.0036],"dst":[0.02,0.0036],"keywords":["shop"],"k":3,"budget":0.024,"alpha":0.1}`},
+		{http.MethodPost, "/api/trajectories/soi", `{"traces":[[[0.044,0.0372],[0.048,0.0372],[0.052,0.0372]]],"keywords":["shop"],"k":5,"radius":0.001}`},
+	}
+	serve := func(epoch float64) {
+		t.Helper()
+		for _, rq := range requests {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(rq.method, rq.path, strings.NewReader(rq.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("epoch %v: %s %s: status %d: %s", epoch, rq.method, rq.path, rec.Code, rec.Body)
+			}
+		}
+		_, stats := get(t, s, "/api/stats")
+		if n := mapLayoutBuilds(t, stats); n != 0 {
+			t.Fatalf("epoch %v: core.map_layout_builds = %v after serving every endpoint, want 0", epoch, n)
+		}
+		if got := stats["stats"].(map[string]interface{})["ingest"].(map[string]interface{})["epoch_seq"].(float64); got != epoch {
+			t.Fatalf("serving epoch %v, want %v", got, epoch)
+		}
+	}
+	serve(1)
+	if rec, body := post(t, s, "/api/pois", `{"x":0.02,"y":0.0037,"keywords":["zeppelin"]}`); rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %v", rec.Code, body)
+	}
+	for i := 0; i < 3; i++ {
+		body := fmt.Sprintf(`{"pois":[{"x":%g,"y":0.0036,"keywords":["zeppelin","shop"]}],"publish":true}`, 0.021+0.001*float64(i))
+		if rec, resp := post(t, s, "/api/pois", body); rec.Code != http.StatusOK || !resp["published"].(bool) {
+			t.Fatalf("publish %d: status %d: %v", i, rec.Code, resp)
+		}
+		serve(float64(2 + i))
+	}
+	if _, _, err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	serve(5)
+
+	_, stats := get(t, s, "/api/stats")
+	ing := stats["stats"].(map[string]interface{})["ingest"].(map[string]interface{})
+	var split float64
+	for _, key := range []string{"publish_extend_ns", "publish_slab_ns", "publish_open_ns"} {
+		v, ok := ing[key].(float64)
+		if !ok || v <= 0 {
+			t.Fatalf("/api/stats ingest.%s = %v after three publishes, want > 0", key, ing[key])
+		}
+		split += v
+	}
+	if total := ing["publish_ns"].(float64); split > total {
+		t.Fatalf("publish split sums to %v ns, more than publish_ns %v", split, total)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"soi_core_map_layout_builds_total 0\n", "soi_ingest_publish_extend_ns_total ", "soi_ingest_publish_slab_ns_total ", "soi_ingest_publish_open_ns_total "} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

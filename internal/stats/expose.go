@@ -61,6 +61,9 @@ func (s Snapshot) counterRows() []counterRow {
 		{"ingest_epochs_live", s.Ingest.EpochsLive, true},
 		{"ingest_epochs_retired", s.Ingest.EpochsRetired, false},
 		{"ingest_publish_ns", s.Ingest.PublishNanos, false},
+		{"ingest_publish_extend_ns", s.Ingest.PublishExtendNanos, false},
+		{"ingest_publish_slab_ns", s.Ingest.PublishSlabNanos, false},
+		{"ingest_publish_open_ns", s.Ingest.PublishOpenNanos, false},
 		{"ingest_compact_ns", s.Ingest.CompactNanos, false},
 		{"remote_calls", s.Remote.Calls, false},
 		{"remote_attempts", s.Remote.Attempts, false},

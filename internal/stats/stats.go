@@ -177,9 +177,16 @@ type IngestStats struct {
 	// queries). EpochsRetired counts epochs fully released.
 	EpochsLive    Counter
 	EpochsRetired Counter
-	// PublishNanos and CompactNanos accumulate rebuild wall time.
-	PublishNanos Counter
-	CompactNanos Counter
+	// PublishNanos and CompactNanos accumulate publish and compaction
+	// wall time. PublishExtendNanos, PublishSlabNanos and
+	// PublishOpenNanos split the publishes' epoch builds into extending
+	// the previous epoch's corpus, building the slab and opening the
+	// index over it.
+	PublishNanos       Counter
+	PublishExtendNanos Counter
+	PublishSlabNanos   Counter
+	PublishOpenNanos   Counter
+	CompactNanos       Counter
 }
 
 // RemoteStats aggregates the cross-process scatter-gather path: the
@@ -322,15 +329,18 @@ type DiversifySnapshot struct {
 
 // IngestSnapshot is the JSON form of IngestStats.
 type IngestSnapshot struct {
-	DeltasAppended int64 `json:"deltas_appended"`
-	DeltasPending  int64 `json:"deltas_pending"`
-	Publishes      int64 `json:"publishes"`
-	Compactions    int64 `json:"compactions"`
-	EpochSeq       int64 `json:"epoch_seq"`
-	EpochsLive     int64 `json:"epochs_live"`
-	EpochsRetired  int64 `json:"epochs_retired"`
-	PublishNanos   int64 `json:"publish_ns"`
-	CompactNanos   int64 `json:"compact_ns"`
+	DeltasAppended     int64 `json:"deltas_appended"`
+	DeltasPending      int64 `json:"deltas_pending"`
+	Publishes          int64 `json:"publishes"`
+	Compactions        int64 `json:"compactions"`
+	EpochSeq           int64 `json:"epoch_seq"`
+	EpochsLive         int64 `json:"epochs_live"`
+	EpochsRetired      int64 `json:"epochs_retired"`
+	PublishNanos       int64 `json:"publish_ns"`
+	PublishExtendNanos int64 `json:"publish_extend_ns"`
+	PublishSlabNanos   int64 `json:"publish_slab_ns"`
+	PublishOpenNanos   int64 `json:"publish_open_ns"`
+	CompactNanos       int64 `json:"compact_ns"`
 }
 
 // RemoteSnapshot is the JSON form of RemoteStats.
@@ -451,15 +461,18 @@ func (r *Recorder) Snapshot() Snapshot {
 			ShardsPruned:         r.Remote.ShardsPruned.Load(),
 		},
 		Ingest: IngestSnapshot{
-			DeltasAppended: r.Ingest.DeltasAppended.Load(),
-			DeltasPending:  r.Ingest.DeltasPending.Load(),
-			Publishes:      r.Ingest.Publishes.Load(),
-			Compactions:    r.Ingest.Compactions.Load(),
-			EpochSeq:       r.Ingest.EpochSeq.Load(),
-			EpochsLive:     r.Ingest.EpochsLive.Load(),
-			EpochsRetired:  r.Ingest.EpochsRetired.Load(),
-			PublishNanos:   r.Ingest.PublishNanos.Load(),
-			CompactNanos:   r.Ingest.CompactNanos.Load(),
+			DeltasAppended:     r.Ingest.DeltasAppended.Load(),
+			DeltasPending:      r.Ingest.DeltasPending.Load(),
+			Publishes:          r.Ingest.Publishes.Load(),
+			Compactions:        r.Ingest.Compactions.Load(),
+			EpochSeq:           r.Ingest.EpochSeq.Load(),
+			EpochsLive:         r.Ingest.EpochsLive.Load(),
+			EpochsRetired:      r.Ingest.EpochsRetired.Load(),
+			PublishNanos:       r.Ingest.PublishNanos.Load(),
+			PublishExtendNanos: r.Ingest.PublishExtendNanos.Load(),
+			PublishSlabNanos:   r.Ingest.PublishSlabNanos.Load(),
+			PublishOpenNanos:   r.Ingest.PublishOpenNanos.Load(),
+			CompactNanos:       r.Ingest.CompactNanos.Load(),
 		},
 		Traj: TrajSnapshot{
 			RouteQueries:     r.Traj.RouteQueries.Load(),

@@ -9,6 +9,8 @@ package vocab
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,6 +29,14 @@ type Dictionary struct {
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
 	return &Dictionary{byName: make(map[string]ID)}
+}
+
+// Clone returns an independent copy holding the same keywords under the
+// same ids. Ids follow first appearance, so interning further keywords
+// into the copy assigns exactly the ids a fresh dictionary would assign
+// after interning d's keywords in id order and then those.
+func (d *Dictionary) Clone() *Dictionary {
+	return &Dictionary{byName: maps.Clone(d.byName), names: slices.Clone(d.names)}
 }
 
 // Intern returns the id of the keyword, creating it when unseen. Keywords

@@ -302,3 +302,41 @@ func TestDiffIntersectPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneIsIndependentAndIDStable: a clone shares nothing with its
+// source, and interning into it assigns the ids a fresh dictionary would
+// after interning the source's keywords in id order and then the same new
+// ones — the property epoch-to-epoch dictionary reuse rests on.
+func TestCloneIsIndependentAndIDStable(t *testing.T) {
+	src := NewDictionary()
+	for _, k := range []string{"shop", "Cafe ", "park", "shop"} {
+		src.Intern(k)
+	}
+	clone := src.Clone()
+	more := []string{"museum", "park", "zeppelin", "cafe", "Museum"}
+	got := clone.InternAll(append([]string(nil), more...))
+
+	fresh := NewDictionary()
+	for id := 0; id < src.Len(); id++ {
+		fresh.Intern(src.Name(ID(id)))
+	}
+	want := fresh.InternAll(append([]string(nil), more...))
+	if !got.Equal(want) || clone.Len() != fresh.Len() {
+		t.Fatalf("clone interned %v (%d keywords), a fresh dictionary %v (%d)", got, clone.Len(), want, fresh.Len())
+	}
+	for id := 0; id < fresh.Len(); id++ {
+		if clone.Name(ID(id)) != fresh.Name(ID(id)) {
+			t.Fatalf("id %d: clone %q, fresh %q", id, clone.Name(ID(id)), fresh.Name(ID(id)))
+		}
+	}
+	if src.Len() != 3 {
+		t.Fatalf("interning into the clone grew the source to %d keywords", src.Len())
+	}
+	if _, ok := src.Lookup("zeppelin"); ok {
+		t.Fatal("a keyword interned into the clone is visible in the source")
+	}
+	var zero Dictionary
+	if c := zero.Clone(); c.Len() != 0 || c.Intern("a") != 0 {
+		t.Fatal("clone of the zero dictionary is not an empty, usable dictionary")
+	}
+}

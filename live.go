@@ -154,7 +154,9 @@ func (e *Engine) Live() bool { return e.ing != nil }
 
 // AddPOIs appends POIs to the live engine's delta log and returns the
 // pending (not yet published) count. The call is a slice append under a
-// mutex — it never builds an index and is never blocked by one.
+// mutex — it never builds an index and is never blocked by one. A batch
+// with a location too far away (or not finite) for the index's cell
+// lattice is refused whole: nothing is appended and the error says why.
 func (e *Engine) AddPOIs(pois []POIInput) (pending int, err error) {
 	if e.ing == nil {
 		return 0, ErrNotLive
@@ -163,7 +165,7 @@ func (e *Engine) AddPOIs(pois []POIInput) (pending int, err error) {
 	for i, p := range pois {
 		ds[i] = ingest.Delta{Loc: geo.Pt(p.X, p.Y), Keywords: p.Keywords, Weight: p.Weight}
 	}
-	return e.ing.AddBatch(ds), nil
+	return e.ing.AddBatch(ds)
 }
 
 // Publish folds the pending deltas into a fresh index epoch and installs

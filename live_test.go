@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 // liveFixture builds a small live engine through the public API.
@@ -190,4 +193,57 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	if len(res) != 1 || res[0].Name != "Quiet St" {
 		t.Fatalf("museum query after streaming: %+v, want Quiet St", res)
 	}
+}
+
+// TestLiveEngineHoldsOneLayout is the residency gate of live serving, in
+// the style of core's TestSnapshotServingNeverBuildsMapLayout: after a
+// publish the engine holds the new epoch's slab and nothing of the map
+// layout, so forcing the layout on that same index must grow the live
+// heap by at least 40 %. If an epoch build ever goes back to constructing
+// the map layout (or the map-of-cells grid) and keeping it, the slab-only
+// figure already contains it and this fails.
+func TestLiveEngineHoldsOneLayout(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := liveHeap()
+	eng, err := NewLiveEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.AddPOIs([]POIInput{{X: ds.POIs.Get(0).Loc.X, Y: ds.POIs.Get(0).Loc.Y, Keywords: []string{"zeppelin"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := eng.TopStreets(Query{Keywords: []string{"shop", "zeppelin"}, K: 5, Epsilon: DefaultCellSize}); err != nil || len(res) == 0 {
+		t.Fatalf("query on the published epoch: %d streets, err %v", len(res), err)
+	}
+	if n := eng.StatsSnapshot().Core.MapLayoutBuilds; n != 0 {
+		t.Fatalf("core.map_layout_builds = %d after publish and query, want 0", n)
+	}
+	slabOnly := liveHeap() - base
+	ix := eng.ing.Current().Index()
+	ix.Grid()
+	both := liveHeap() - base
+	if n := eng.StatsSnapshot().Core.MapLayoutBuilds; n != 1 {
+		t.Fatalf("core.map_layout_builds = %d after forcing the layout, want 1", n)
+	}
+	t.Logf("live heap of the live engine: slab only %d KB, with map layout %d KB (×%.2f)", slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
+	if float64(both) < 1.4*float64(slabOnly) {
+		t.Errorf("materialising the map layout grew the live heap %d → %d KB (×%.2f), want ≥ ×1.40: the live engine already holds a second layout's worth of memory",
+			slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
+	}
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(ds)
 }
