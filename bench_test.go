@@ -17,8 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diversify"
 	"repro/internal/experiments"
-	"repro/internal/geo"
-	"repro/internal/rtree"
 )
 
 func benchScale() float64 {
@@ -300,61 +298,4 @@ func BenchmarkDescribeVisual(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSpatialSubstrates compares the grid (the paper's index) with
-// the STR R-tree alternative on the ε-near-segment predicate of Def. 1,
-// over the Berlin POI layout.
-func BenchmarkSpatialSubstrates(b *testing.B) {
-	cities := benchCities(b)
-	berlin := cities[1]
-	all := berlin.Dataset.POIs.All()
-	pts := make([]geo.Point, len(all))
-	for i := range all {
-		pts[i] = all[i].Loc
-	}
-	segs := berlin.Dataset.Network.Segments()
-	probe := make([]geo.Segment, 0, 200)
-	for i := 0; i < len(segs) && len(probe) < 200; i += len(segs)/200 + 1 {
-		probe = append(probe, segs[i].Geom)
-	}
-
-	b.Run("grid", func(b *testing.B) {
-		g := berlin.Index.Grid()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var hits int
-			for _, seg := range probe {
-				epsSq := experiments.Epsilon * experiments.Epsilon
-				for _, cid := range g.CellsNearSegment(seg, experiments.Epsilon) {
-					for _, m := range g.CellAt(cid).Members {
-						if seg.DistToPointSq(pts[m]) <= epsSq {
-							hits++
-						}
-					}
-				}
-			}
-			if hits == 0 {
-				b.Fatal("no hits")
-			}
-		}
-	})
-	b.Run("rtree", func(b *testing.B) {
-		tr, err := rtree.Build(pts, rtree.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var dst []uint32
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var hits int
-			for _, seg := range probe {
-				dst = tr.WithinSegment(dst[:0], seg, experiments.Epsilon)
-				hits += len(dst)
-			}
-			if hits == 0 {
-				b.Fatal("no hits")
-			}
-		}
-	})
 }

@@ -82,7 +82,7 @@ func main() {
 		statsOut = flag.String("statsout", "", "write the -stats snapshot as JSON to this file (implies -stats)")
 		timeout  = flag.Duration("timeout", 0, "overall wall-clock budget for a -parallel/-stats run; a run cut short exits non-zero")
 		deadline = flag.Duration("deadline", 0, "per-query evaluation deadline for -parallel/-stats runs (0 = none)")
-		jsonOut  = flag.String("json", "", "run the slab-vs-map layout benchmark and write a schema-validated BENCH artifact to this file, then exit")
+		jsonOut  = flag.String("json", "", "with -shards, -ingest, -routes or -traj: write that benchmark's schema-validated BENCH artifact to this file, then exit")
 		shards   = flag.Int("shards", 0, "with -json: benchmark the sharded scatter-gather coordinator at this shard count (≥ 2) against the single slab index")
 		tenantsN = flag.Int("tenants", 1, "with -shards: interleave this many per-tenant seeded workloads round-robin (multi-tenant arrival order)")
 		remoteB  = flag.Bool("remote", false, "with -json and -shards: benchmark the cross-process scatter-gather path (shards behind loopback HTTP servers, gathered by the fault-tolerant remote client) against the single slab index")
@@ -184,10 +184,7 @@ func main() {
 			}
 			return
 		}
-		if err := runSlabBench(*cities, *scale, *queries, *seed, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+		log.Fatalf("-json needs one of -shards, -ingest, -routes or -traj to pick the benchmark it records")
 	}
 
 	if *parallel < 0 {

@@ -52,6 +52,7 @@ func TestShardFlagValidation(t *testing.T) {
 		{"zero tenants", []string{"-shards", "4", "-tenants", "0", "-json", "x.json"}, "at least one tenant"},
 		{"shards with parallel", []string{"-shards", "4", "-json", "x.json", "-parallel", "2"}, "mutually exclusive"},
 		{"shards with stats", []string{"-shards", "4", "-json", "x.json", "-stats"}, "mutually exclusive"},
+		{"json without a benchmark", []string{"-json", "x.json"}, "needs one of -shards"},
 		{"bad flag", []string{"-bogus"}, ""},
 	}
 	for _, c := range cases {
@@ -107,30 +108,5 @@ func TestShardBenchArtifact(t *testing.T) {
 	}
 	if w.ShardsTotal == 0 || w.ShardsEvaluated+w.ShardsPruned != w.ShardsTotal {
 		t.Errorf("counters don't partition the shards: %+v", w)
-	}
-}
-
-// TestSlabBenchStillValidates guards the layout benchmark through the
-// same CLI after the schema v2 migration.
-func TestSlabBenchStillValidates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a city and runs the full layout workload")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_test.json")
-	_, stderr, exit := runCLI(t,
-		"-json", out, "-queries", "6", "-scale", "0.02", "-cities", "vienna")
-	if exit != 0 {
-		t.Fatalf("exit %d, stderr: %s", exit, stderr)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := benchfmt.Decode(data)
-	if err != nil {
-		t.Fatalf("artifact fails its own schema: %v", err)
-	}
-	if r.Bench != "slab-vs-map" || len(r.Worlds) != 1 || r.Worlds[0].Map == nil || r.Worlds[0].Slab == nil {
-		t.Errorf("unexpected artifact: %+v", r)
 	}
 }

@@ -195,3 +195,31 @@ func diffShardResults(got, want []core.StreetResult) string {
 	}
 	return ""
 }
+
+// measure times one full pass of the workload loop after an untimed
+// warm-up pass, bracketing it with mem-stats reads so the artifact
+// carries exact allocation counts rather than testing-package estimates.
+func measure(queries int, loop func() error) (benchfmt.Metrics, error) {
+	if err := loop(); err != nil {
+		return benchfmt.Metrics{}, err
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	if err := loop(); err != nil {
+		return benchfmt.Metrics{}, err
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	n := float64(queries)
+	m := benchfmt.Metrics{
+		NsPerQuery:     float64(elapsed.Nanoseconds()) / n,
+		AllocsPerQuery: float64(after.Mallocs-before.Mallocs) / n,
+		BytesPerQuery:  float64(after.TotalAlloc-before.TotalAlloc) / n,
+	}
+	if elapsed > 0 {
+		m.QPS = n / elapsed.Seconds()
+	}
+	return m, nil
+}

@@ -72,7 +72,7 @@ func main() {
 	}
 	if *shards > 0 {
 		w, err := shard.Partition(net, pois, shard.Config{
-			Tiles: *shards, Halo: *halo, CellSize: *cell, Compact: true,
+			Tiles: *shards, Halo: *halo, CellSize: *cell,
 		})
 		if err != nil {
 			log.Fatal(err)

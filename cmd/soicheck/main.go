@@ -1,7 +1,7 @@
 // Command soicheck is the correctness gate of the repository: it sweeps a
 // range of seeded deterministic worlds and asserts that every production
 // evaluator — the exact baseline, Algorithm 1 under both access
-// strategies, the shared-cache path, a dynamically-grown index, the
+// strategies, the shared-cache path, a snapshot-reloaded index, the
 // spatially sharded scatter-gather coordinator (2/4/9 tiles) and the
 // parallel engine — agrees with the brute-force oracle across a grid of
 // (ε, k, |Ψ|, density) configurations, along with the metamorphic suite
@@ -241,11 +241,10 @@ func reproPredicate(cfg oracle.SeedConfig, div oracle.Divergence) oracle.Predica
 		}
 	default:
 		opt := oracle.Options{
-			SkipEngine:  !strings.HasPrefix(div.Impl, "engine/"),
-			SkipDynamic: !strings.HasPrefix(div.Impl, "dynamic/"),
-			SkipShards:  !strings.HasPrefix(div.Impl, "shard/"),
-			Remote:      strings.HasPrefix(div.Impl, "remote/"),
-			CellSizes:   cellFocus(div),
+			SkipEngine: !strings.HasPrefix(div.Impl, "engine/"),
+			SkipShards: !strings.HasPrefix(div.Impl, "shard/"),
+			Remote:     strings.HasPrefix(div.Impl, "remote/"),
+			CellSizes:  cellFocus(div),
 		}
 		if strings.HasPrefix(div.Impl, "shard/") {
 			var tiles int

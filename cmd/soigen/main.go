@@ -39,10 +39,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("soigen: ")
 	var (
-		city  = flag.String("city", "berlin", "city profile: london, berlin, vienna, or small")
-		scale = flag.Float64("scale", 1.0, "volume scale factor applied to the profile")
-		seed  = flag.Int64("seed", 0, "override the profile seed (0 keeps the default)")
-		out   = flag.String("out", ".", "output directory")
+		city   = flag.String("city", "berlin", "city profile: london, berlin, vienna, or small")
+		scale  = flag.Float64("scale", 1.0, "volume scale factor applied to the profile")
+		seed   = flag.Int64("seed", 0, "override the profile seed (0 keeps the default)")
+		out    = flag.String("out", ".", "output directory")
 		snap   = flag.String("snapshot", "", "also write a binary index snapshot (.soi) to this path (see soibuild, soiserve -index)")
 		cell   = flag.Float64("cell", soi.DefaultCellSize, "grid cell size for the -snapshot slab index")
 		traces = flag.Int("traces", 0, "also write this many synthetic movement traces as traces.geojson (random walks over the street network)")

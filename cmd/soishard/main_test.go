@@ -44,7 +44,7 @@ func writeManifest(t *testing.T) (string, *shard.World) {
 		t.Fatal(err)
 	}
 	w, err := shard.Partition(ds.Network, ds.POIs,
-		shard.Config{Tiles: 2, Halo: 0.0012, CellSize: 0.0005, Compact: true})
+		shard.Config{Tiles: 2, Halo: 0.0012, CellSize: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ import (
 // serves from the slab alone: the slab arrays come straight from the page
 // cache, and startup decodes the network and the corpora, flattens the
 // network and sorts the segment-length list — no grid, inverted index or
-// cell↔segment map is built. The index's map layout is materialised only
-// if a map-path caller asks for it, which no serving path does
-// (core.map_layout_builds in /api/stats counts it). Config.GridCellSize
-// is ignored — the snapshot's slab fixes the cell size.
+// cell↔segment map is built. The index's map layout — the grid the exact
+// baseline scans — is materialised only if something asks for it, which
+// no serving path does (core.map_layout_builds in /api/stats counts it).
+// Config.GridCellSize is ignored — the snapshot's slab fixes the cell size.
 //
 // The returned engine holds the mapping open; call Close when done with
 // it. Engines built by the other constructors need no Close.
@@ -42,15 +42,11 @@ func (e *Engine) WriteSnapshot(path string) error {
 	if e.ing != nil {
 		return fmt.Errorf("soi: live engines persist snapshots through compaction (LiveConfig.SnapshotPath)")
 	}
-	six := e.index.SlabIndex()
-	if six == nil {
-		return fmt.Errorf("soi: engine has no compact index to snapshot")
-	}
 	return snapshot.WriteFile(path, &snapshot.Snapshot{
 		Net:    e.net,
 		POIs:   e.pois,
 		Photos: e.photos,
-		Slab:   six.Slab(),
+		Slab:   e.index.SlabIndex().Slab(),
 	})
 }
 

@@ -18,7 +18,7 @@ func allocWorld(tb testing.TB) (*Index, *SlabIndex, Query) {
 			break
 		}
 	}
-	six, err := NewSlabIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.Grid().CellSize()})
+	six, err := NewSlabIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.six.slab.CellSize})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 	out := make([]StreetResult, 0, q.K)
 	// Prime the pool so arena growth happens outside the measured runs.
 	for i := 0; i < 3; i++ {
-		if out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, nil, out[:0]); err != nil {
+		if out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 		t.Fatal("query returned no results; world too sparse for the gate to mean anything")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, nil, out[:0])
+		out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,21 +63,8 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSOIMap and BenchmarkSOISlab measure the same query on the two
-// index layouts; -benchmem makes the allocation gap visible and
-// `benchstat` the throughput one. The slab path must stay at 0 allocs/op.
-func BenchmarkSOIMap(b *testing.B) {
-	ix, _, q := allocWorld(b)
-	ix.Warm(q.Epsilon)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SOIWithStrategy(q, CostAware); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkSOISlab measures the steady-state query; -benchmem must show
+// 0 allocs/op.
 func BenchmarkSOISlab(b *testing.B) {
 	_, six, q := allocWorld(b)
 	six.Warm(q.Epsilon)
@@ -90,7 +77,7 @@ func BenchmarkSOISlab(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, nil, out[:0]); err != nil {
+		if out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,43 +49,13 @@ func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.R
 // empty). The bound is deterministic — a pure function of ⟨index, Ψ, ε⟩.
 //
 // Only the heads of the three lists are needed, so no list is built: the
-// cost is O(query-relevant cells) with no sort. On a slab-backed index
-// the heads come from the slab, the memoized ε-plan and a pooled scratch
-// run — zero heap allocations once the pool has seen the world, and the
-// map-layout ε-memos stay untouched; both layouts accumulate each cell's
-// weight in the same order, so the value is bit-identical either way.
-func (ix *Index) UnseenBound(q Query) (float64, error) {
-	if six := ix.six; six != nil {
-		return six.unseenBound(q)
-	}
-	query, err := ix.resolveQuery(q)
-	if err != nil {
-		return 0, err
-	}
-	m := ix.maps()
-	var top1 float64
-	if len(query) == 1 {
-		if es := m.entriesFor(query[0]); len(es) > 0 {
-			top1 = es[0].Weight
-		}
-	} else {
-		for cell, w := range m.accumulateSL1(query) {
-			if w = m.capWeight(cell, w); w > top1 {
-				top1 = w
-			}
-		}
-	}
-	if top1 == 0 || len(ix.segsByLen) == 0 {
-		return 0, nil
-	}
-	sl2 := ix.SegmentsByCellCount(q.Epsilon)
-	top2 := float64(len(ix.SegmentCells(q.Epsilon)[sl2[0]]))
-	top3 := ix.net.Segment(ix.segsByLen[0]).Length()
-	return Interest(top1*top2, top3, q.Epsilon), nil
-}
+// cost is O(query-relevant cells) with no sort. The heads come from the
+// slab, the memoized ε-plan and a pooled scratch run — zero heap
+// allocations once the pool has seen the world.
+func (ix *Index) UnseenBound(q Query) (float64, error) { return ix.six.unseenBound(q) }
 
-// unseenBound is Index.UnseenBound over the slab layout: top(SL1) from a
-// pooled run's accumulators (slabRun.topSL1), top(SL2) and top(SL3) from
+// unseenBound is Index.UnseenBound: top(SL1) from a pooled run's
+// accumulators (slabRun.topSL1), top(SL2) and top(SL3) from
 // the memoized ε-plan and the length order.
 func (six *SlabIndex) unseenBound(q Query) (float64, error) {
 	if err := q.Validate(); err != nil {

@@ -39,24 +39,20 @@ var boundKeywordSets = [][]string{
 	{"shop", "food", "services", "education", "market"},
 }
 
-// layouts builds the same world as a map-only index and as the two
-// slab-backed forms (Compact build, and reconstruction from the slab
-// alone as the snapshot loader does).
-func layouts(t *testing.T, net *network.Network, pois *poi.Corpus) (mapIx *core.Index, slabIxs []*core.Index) {
+// layouts opens the same world the two ways an index comes to be: built
+// (NewIndex), and reconstructed from the slab alone as the snapshot
+// loader does.
+func layouts(t *testing.T, net *network.Network, pois *poi.Corpus) []*core.Index {
 	t.Helper()
-	mapIx, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell})
+	built, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell, Compact: true})
+	fromSlab, err := core.NewIndexFromSlab(net, pois, built.SlabIndex().Slab())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSlab, err := core.NewIndexFromSlab(net, pois, compact.SlabIndex().Slab())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mapIx, []*core.Index{compact, fromSlab}
+	return []*core.Index{built, fromSlab}
 }
 
 func mustBound(t *testing.T, ix *core.Index, q core.Query) float64 {
@@ -70,10 +66,11 @@ func mustBound(t *testing.T, ix *core.Index, q core.Query) float64 {
 
 // TestUnseenBoundLayoutsAgree is the equivalence property the sharded
 // tier's determinism rests on: over the oracle world matrix (three POI
-// densities, weighted and unweighted) and all three sweep ε, the
-// slab-backed bound is Float64bits-equal to the map-only one, so a
-// shard's (UB desc, id asc) position and every prune decision are the
-// same whichever layout computed them.
+// densities, weighted and unweighted) and all three sweep ε, the bound of
+// a built index and of a slab-opened one is Float64bits-equal to the
+// brute-force bound (corpus, reference grid and network; no evaluator), so
+// a shard's (UB desc, id asc) position and every prune decision are the
+// same however the shard came to be.
 func TestUnseenBoundLayoutsAgree(t *testing.T) {
 	var compared, positive int
 	for seed := int64(0); seed < 8; seed++ {
@@ -86,17 +83,17 @@ func TestUnseenBoundLayoutsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapIx, slabIxs := layouts(t, net, pois)
+			ixs := layouts(t, net, pois)
 			for _, eps := range sweepEps {
 				for _, kws := range boundKeywordSets {
 					q := core.Query{Keywords: kws, K: 3, Epsilon: eps}
-					want := mustBound(t, mapIx, q)
-					for i, six := range slabIxs {
+					want := core.BruteBound(ixs[0], q)
+					for i, ix := range ixs {
 						// Twice: the second call reuses the pooled scratch.
 						for rep := 0; rep < 2; rep++ {
-							got := mustBound(t, six, q)
+							got := mustBound(t, ix, q)
 							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%s eps=%g %v: slab layout %d bound %v (%#x) != map %v (%#x)",
+								t.Fatalf("%s eps=%g %v: layout %d bound %v (%#x) != brute force %v (%#x)",
 									cfg.Label(), eps, kws, i, got, math.Float64bits(got), want, math.Float64bits(want))
 							}
 						}
@@ -107,7 +104,7 @@ func TestUnseenBoundLayoutsAgree(t *testing.T) {
 					}
 				}
 			}
-			if ub := mustBound(t, mapIx, core.Query{Keywords: []string{"quixotic"}, K: 1, Epsilon: 0.0005}); ub != 0 {
+			if ub := mustBound(t, ixs[0], core.Query{Keywords: []string{"quixotic"}, K: 1, Epsilon: 0.0005}); ub != 0 {
 				t.Fatalf("%s: bound %v for a keyword no POI carries, want 0", cfg.Label(), ub)
 			}
 		}
@@ -117,7 +114,7 @@ func TestUnseenBoundLayoutsAgree(t *testing.T) {
 	}
 }
 
-// TestUnseenBoundEdgeCases pins the degenerate inputs on both layouts: a
+// TestUnseenBoundEdgeCases pins the degenerate inputs: a
 // keyword interned after the index was built (its id lies beyond the
 // slab's VocabN), alone and beside a known one; an invalid query; and an
 // index with POIs but no segments.
@@ -130,12 +127,12 @@ func TestUnseenBoundEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapIx, slabIxs := layouts(t, net, pois)
+	ixs := layouts(t, net, pois)
 	late := pois.Dict().Intern("interned-after-build")
-	if vn := slabIxs[0].SlabIndex().Slab().VocabN; int(late) < vn {
+	if vn := ixs[0].SlabIndex().Slab().VocabN; int(late) < vn {
 		t.Fatalf("late keyword id %d is inside the slab vocabulary (%d)", late, vn)
 	}
-	for _, ix := range append([]*core.Index{mapIx}, slabIxs...) {
+	for _, ix := range ixs {
 		if ub := mustBound(t, ix, core.Query{Keywords: []string{"interned-after-build"}, K: 1, Epsilon: 0.0005}); ub != 0 {
 			t.Errorf("bound %v for a keyword beyond the slab vocabulary, want 0", ub)
 		}
@@ -156,12 +153,7 @@ func TestUnseenBoundEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, noSegs := layouts(t, empty, pois)
-	noSegMap, err := core.NewIndex(empty, pois, core.IndexConfig{CellSize: boundCell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range append([]*core.Index{noSegMap}, noSegs...) {
+	for _, ix := range layouts(t, empty, pois) {
 		for _, kws := range [][]string{{"shop"}, {"shop", "food"}} {
 			if ub := mustBound(t, ix, core.Query{Keywords: kws, K: 1, Epsilon: 0.0005}); ub != 0 {
 				t.Errorf("bound %v on an index without segments, want 0", ub)
@@ -173,7 +165,7 @@ func TestUnseenBoundEdgeCases(t *testing.T) {
 // TestUnseenBoundCapBinds: when POIs carry several query keywords the
 // keyword sum overshoots the cell's total weight and SL1 caps it
 // (Algorithm 1 line 2, generalized to weights). The bound must use the
-// capped head on both layouts.
+// capped head.
 func TestUnseenBoundCapBinds(t *testing.T) {
 	nb := network.NewBuilder()
 	nb.AddStreet("main", []geo.Point{geo.Pt(0, 0), geo.Pt(0.004, 0)})
@@ -189,15 +181,16 @@ func TestUnseenBoundCapBinds(t *testing.T) {
 	// below the first's cap (4).
 	pb.AddWeighted(geo.Pt(0.0031, 0.0001), []string{"shop"}, 3)
 	pois := pb.Build()
-	mapIx, slabIxs := layouts(t, net, pois)
+	ixs := layouts(t, net, pois)
 
 	const eps = 0.0005
-	top2 := float64(len(mapIx.SegmentCells(eps)[mapIx.SegmentsByCellCount(eps)[0]]))
+	// The network is one segment, so its Cε(ℓ) is top(SL2).
+	top2 := float64(len(ixs[0].SegmentCells(eps)[0]))
 	top3 := net.Segment(0).Length()
 	capped := core.Interest(4*top2, top3, eps)
 	uncapped := core.Interest(8*top2, top3, eps)
 	q := core.Query{Keywords: []string{"shop", "food"}, K: 1, Epsilon: eps}
-	for i, ix := range append([]*core.Index{mapIx}, slabIxs...) {
+	for i, ix := range ixs {
 		got := mustBound(t, ix, q)
 		if math.Float64bits(got) != math.Float64bits(capped) {
 			t.Errorf("layout %d: bound %v, want the capped %v (uncapped would be %v)", i, got, capped, uncapped)
@@ -209,7 +202,7 @@ func TestUnseenBoundCapBinds(t *testing.T) {
 // pruning needs, checked against the brute-force oracle rather than the
 // index's own structures: on the whole world and on every shard of a
 // 2/4/9-tile partition, the static bound is at least the exact interest
-// of every segment the index owns, on both layouts.
+// of every segment the index owns.
 func TestUnseenBoundSoundnessOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		cfg := oracle.SeedConfig{Seed: seed, Density: 1, Weighted: seed%2 == 1}
@@ -221,7 +214,7 @@ func TestUnseenBoundSoundnessOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapIx, slabIxs := layouts(t, net, pois)
+		ixs := layouts(t, net, pois)
 		type owner struct {
 			name     string
 			ix       *core.Index
@@ -231,17 +224,15 @@ func TestUnseenBoundSoundnessOracle(t *testing.T) {
 		for i := range all {
 			all[i] = network.SegmentID(i)
 		}
-		owners := []owner{{"map", mapIx, all}, {"slab", slabIxs[0], all}}
+		owners := []owner{{"built", ixs[0], all}, {"slab-opened", ixs[1], all}}
 		const halo = 0.0012
 		for _, tiles := range []int{2, 4, 9} {
-			for _, compact := range []bool{false, true} {
-				sw, err := shard.Partition(net, pois, shard.Config{Tiles: tiles, Halo: halo, CellSize: boundCell, Compact: compact})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range sw.Shards {
-					owners = append(owners, owner{fmt.Sprintf("shard %d/%d compact=%t", s.ID, tiles, compact), s.Index, s.Segments})
-				}
+			sw, err := shard.Partition(net, pois, shard.Config{Tiles: tiles, Halo: halo, CellSize: boundCell})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range sw.Shards {
+				owners = append(owners, owner{fmt.Sprintf("shard %d/%d", s.ID, tiles), s.Index, s.Segments})
 			}
 		}
 		for _, eps := range sweepEps {
@@ -267,9 +258,9 @@ func TestUnseenBoundSoundnessOracle(t *testing.T) {
 }
 
 // TestShardServingLeavesMapMemosEmpty pins the second property the
-// sharded tier's gain rests on: serving a slab-backed shard — the
-// bound-only phase and a full /shard/query through remote.Server — never
-// builds the map-layout ε-memos. They duplicate the slab's ε-plan, and
+// sharded tier's gain rests on: serving a shard — the bound-only phase
+// and a full /shard/query through remote.Server — never builds the
+// map-layout ε-memos. They duplicate the slab's ε-plan, and
 // computing the bound through them once cost every shard process a
 // quarter of its resident memory and most of its warm-up.
 func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
@@ -281,7 +272,7 @@ func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := shard.Partition(net, pois, shard.Config{Tiles: 4, Halo: 0.0012, CellSize: boundCell, Compact: true})
+	sw, err := shard.Partition(net, pois, shard.Config{Tiles: 4, Halo: 0.0012, CellSize: boundCell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +300,8 @@ func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
 				answered += len(resp.Results)
 			}
 		}
-		if a, b, c := s.Index.MapMemoSizes(); a+b+c != 0 {
-			t.Errorf("shard %d: serving built map-layout ε-memos (segCells=%d cellSegs=%d sl2=%d)", s.ID, a, b, c)
+		if a, b := s.Index.MapMemoSizes(); a+b != 0 {
+			t.Errorf("shard %d: serving built map-layout ε-memos (segCells=%d cellSegs=%d)", s.ID, a, b)
 		}
 	}
 	if answered == 0 {

@@ -8,39 +8,47 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/network"
 	"repro/internal/poi"
 )
 
-// listBound is the bound computed the way it was before it stopped
-// building lists: SL1 materialized and sorted in full through the map
-// layout, then the three heads. The reference the sort-free paths are
-// held to.
-func listBound(ix *Index, q Query) float64 {
+// bruteBound is the static bound derived without the evaluator: the
+// largest SL1 weight the corpus gives any cell (bruteSL1), the largest
+// |Cε(ℓ)| on the reference grid, and the shortest segment.
+func bruteBound(ix *Index, q Query) (bound float64, capBinds bool) {
 	query, _ := ix.pois.Dict().LookupAll(q.Keywords)
-	sl1 := ix.maps().buildSL1(query)
-	sl2 := ix.SegmentsByCellCount(q.Epsilon)
-	if len(sl1) == 0 || len(sl2) == 0 {
-		return 0
+	weights, capBinds := bruteSL1(ix, query)
+	var top1 float64
+	for _, w := range weights {
+		top1 = math.Max(top1, w)
 	}
-	top2 := float64(len(ix.SegmentCells(q.Epsilon)[sl2[0]]))
-	top3 := ix.net.Segment(ix.segsByLen[0]).Length()
-	return Interest(sl1[0].Weight*top2, top3, q.Epsilon)
+	if top1 == 0 || ix.net.NumSegments() == 0 {
+		return 0, capBinds
+	}
+	top2, top3 := 0, math.Inf(1)
+	for sid, cells := range ix.SegmentCells(q.Epsilon) {
+		top2 = max(top2, len(cells))
+		top3 = math.Min(top3, ix.net.Segment(network.SegmentID(sid)).Length())
+	}
+	return Interest(top1*float64(top2), top3, q.Epsilon), capBinds
 }
 
-// compactTwin rebuilds an index over the same data with the slab attached.
-func compactTwin(t *testing.T, ix *Index) *Index {
+// twin builds a second index over the same data, for tests that read the
+// reference grid without materialising it on the index under test.
+func twin(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	twin, err := NewIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.Grid().CellSize(), Compact: true})
+	other, err := NewIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.six.slab.CellSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return twin
+	return other
 }
 
 // TestUnseenBoundMatchesSortedLists: on random scenarios — unit weights
 // and random weights, where POIs carrying several query keywords make
-// the cell-weight cap bind — both layouts' sort-free bound is
-// Float64bits-equal to the head of the fully sorted lists.
+// the cell-weight cap bind — the sort-free bound is Float64bits-equal to
+// the one the corpus, the reference grid and the network give by brute
+// force.
 func TestUnseenBoundMatchesSortedLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(1414))
 	keywordSets := [][]string{
@@ -51,38 +59,26 @@ func TestUnseenBoundMatchesSortedLists(t *testing.T) {
 	}
 	var capBound int
 	for trial := 0; trial < 20; trial++ {
-		base, mapIx := randomScenario(rng), weightedScenario(rng)
-		unitSlab, slabIx := compactTwin(t, base), compactTwin(t, mapIx)
-		for _, eps := range []float64{0.05, 0.3, 2} {
-			for _, kws := range keywordSets {
-				q := Query{Keywords: kws, K: 2, Epsilon: eps}
-				for _, pair := range []struct {
-					name     string
-					ref, got *Index
-				}{
-					{"unit/map", base, base}, {"unit/slab", base, unitSlab},
-					{"weighted/map", mapIx, mapIx}, {"weighted/slab", mapIx, slabIx},
-				} {
-					want := listBound(pair.ref, q)
-					got, err := pair.got.UnseenBound(q)
+		for name, ix := range map[string]*Index{"unit": randomScenario(rng), "weighted": weightedScenario(rng)} {
+			for _, eps := range []float64{0.05, 0.3, 2} {
+				for _, kws := range keywordSets {
+					q := Query{Keywords: kws, K: 2, Epsilon: eps}
+					want, capped := bruteBound(ix, q)
+					if capped {
+						capBound++
+					}
+					got, err := ix.UnseenBound(q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("trial %d %s eps=%g %v: bound %v != sorted-list head %v", trial, pair.name, eps, kws, got, want)
+						t.Fatalf("trial %d %s eps=%g %v: bound %v != brute-force bound %v", trial, name, eps, kws, got, want)
 					}
 				}
 			}
 		}
-		// The cap must actually bind somewhere for the test to cover it.
-		query, _ := mapIx.pois.Dict().LookupAll([]string{"shop", "food"})
-		for cell, w := range mapIx.maps().accumulateSL1(query) {
-			if w > mapIx.maps().cellWeight[cell] {
-				capBound++
-				break
-			}
-		}
 	}
+	// The cap must actually bind somewhere for the test to cover it.
 	if capBound == 0 {
 		t.Fatal("the cell-weight cap never bound; the scenarios no longer cover it")
 	}
@@ -96,8 +92,7 @@ func TestUnseenBoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful under -race")
 	}
-	base, _, _ := allocWorld(t)
-	ix := compactTwin(t, base)
+	ix, _, _ := allocWorld(t)
 	for _, kws := range [][]string{
 		{"shop"},
 		{"shop", "food", "museum", "park", "school"},
@@ -216,7 +211,7 @@ func BenchmarkUnseenBound(b *testing.B) {
 		}
 		pb.Add(geo.Pt(rng.Float64()*10, rng.Float64()*10), tags)
 	}
-	ix, err := NewIndex(base.Network(), pb.Build(), IndexConfig{CellSize: 0.1, Compact: true})
+	ix, err := NewIndex(base.Network(), pb.Build(), IndexConfig{CellSize: 0.1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/stats"
-	"repro/internal/vocab"
 )
 
 // Query is a k-SOI query q = ⟨Ψ, k, ε⟩.
@@ -39,11 +38,16 @@ func (q Query) Validate() error {
 	if q.K <= 0 {
 		return fmt.Errorf("core: non-positive k %d", q.K)
 	}
-	if q.Epsilon <= 0 {
-		return fmt.Errorf("core: non-positive epsilon %v", q.Epsilon)
+	if !validEpsilon(q.Epsilon) {
+		return fmt.Errorf("core: epsilon %v is not positive and finite", q.Epsilon)
 	}
 	return nil
 }
+
+// validEpsilon reports whether eps is a usable distance threshold. The
+// test is in the positive form because NaN fails every comparison; a
+// non-finite ε would also leave a plan memo entry no later query can hit.
+func validEpsilon(eps float64) bool { return eps > 0 && !math.IsInf(eps, 1) }
 
 // StreetResult is one entry of a k-SOI answer.
 type StreetResult struct {
@@ -125,14 +129,4 @@ func (s Stats) Total() time.Duration {
 // mass / (2ε·len + πε²).
 func Interest(mass, length, eps float64) float64 {
 	return mass / (2*eps*length + math.Pi*eps*eps)
-}
-
-// resolveQuery interns the query keywords against the corpus dictionary.
-// Unknown keywords contribute no POIs and are dropped.
-func (ix *Index) resolveQuery(q Query) (vocab.Set, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	set, _ := ix.pois.Dict().LookupAll(q.Keywords)
-	return set, nil
 }

@@ -54,6 +54,9 @@ func TestQueryValidate(t *testing.T) {
 		{"zero k", Query{Keywords: []string{"x"}, Epsilon: 0.1}, false},
 		{"negative eps", Query{Keywords: []string{"x"}, K: 1, Epsilon: -1}, false},
 		{"zero eps", Query{Keywords: []string{"x"}, K: 1}, false},
+		{"NaN eps", Query{Keywords: []string{"x"}, K: 1, Epsilon: math.NaN()}, false},
+		{"+Inf eps", Query{Keywords: []string{"x"}, K: 1, Epsilon: math.Inf(1)}, false},
+		{"-Inf eps", Query{Keywords: []string{"x"}, K: 1, Epsilon: math.Inf(-1)}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -463,9 +466,9 @@ func TestStatsPhasesPopulated(t *testing.T) {
 	}
 }
 
-// TestStrategyEquivalence: both access strategies must return identical
-// ranked interest sequences (the paper: "the correctness of our method is
-// not affected by the access strategy").
+// TestStrategyEquivalence: both access strategies must return the ranked
+// interest sequence of the exhaustive per-segment oracle (the paper: "the
+// correctness of our method is not affected by the access strategy").
 func TestStrategyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
@@ -484,6 +487,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareResults(t, "cost-aware vs round-robin", a, b)
+		compareResults(t, "round-robin vs oracle", b, exhaustiveTopK(t, ix, q))
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,13 +18,8 @@ type IndexConfig struct {
 	// leaves the cell size arbitrary; a size close to the query ε keeps
 	// the ε-augmented maps small.
 	CellSize float64
-	// Compact serves from the struct-of-arrays slab (grid.Slab) alone:
-	// cost-aware SOI evaluations take the allocation-free slab path and
-	// the map layout is built only if a map-path caller asks for it.
-	// Without it the index holds the map layout and evaluates on that.
-	// Results are bit-identical either way; only the evaluation machinery
-	// differs. Dynamic insertions (AddPOI) drop the slab and fall back to
-	// the map path.
+	// Compact is ignored: every index serves from the struct-of-arrays
+	// slab (grid.Slab). The field is kept only because bench/ sets it.
 	Compact bool
 	// Bounds, when non-zero, fixes the grid extent instead of deriving it
 	// from the network and corpus. Spatial sharding (internal/shard) sets
@@ -36,130 +30,66 @@ type IndexConfig struct {
 	Bounds geo.Rect
 }
 
-// weightedEntry is one entry of the weighted global inverted index: the
-// total weight of POIs in Cell carrying a keyword.
-type weightedEntry struct {
-	Cell   grid.CellID
-	Weight float64
-}
-
-// kwPostings holds one keyword's cell weights, with the sorted entry list
-// rebuilt lazily after dynamic POI insertions dirty it.
-type kwPostings struct {
-	weights map[grid.CellID]float64
-	sorted  []weightedEntry
-	dirty   bool
-}
-
-// entries returns the keyword's cells sorted decreasingly by relevant
-// weight, rebuilding after insertions.
-func (kp *kwPostings) entries() []weightedEntry {
-	if kp.dirty {
-		kp.sorted = kp.sorted[:0]
-		for cell, w := range kp.weights {
-			kp.sorted = append(kp.sorted, weightedEntry{Cell: cell, Weight: w})
-		}
-		sortEntries(kp.sorted)
-		kp.dirty = false
-	}
-	return kp.sorted
-}
-
-// sortEntries orders entries decreasingly by weight, ties by cell id.
-func sortEntries(es []weightedEntry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Weight != es[j].Weight {
-			return es[i].Weight > es[j].Weight
-		}
-		return es[i].Cell < es[j].Cell
-	})
-}
-
 // Index is the offline data structure set of Section 3.2.1: a spatial grid
 // over the POIs with per-cell inverted indexes, a global inverted index
-// from keywords to cells, and the cell↔segment maps. Segment lists
-// augmented by a query distance ε are computed on first use and memoized
-// per ε.
+// from keywords to cells, and the cell↔segment maps, all held by the slab
+// evaluator (SlabIndex). Segment lists augmented by a query distance ε
+// are computed on first use and memoized per ε.
 //
-// Read-only contract: once built, an Index is immutable from the point of
-// view of query evaluation and safe for any number of concurrent readers
-// (SOI, Baseline, the accessor methods, and the ε-memo getters, which
-// guard their caches internally). All per-run mutable state lives in
-// soiRun, allocated fresh per evaluation. The only mutating operation is
-// AddPOI, which must be externally serialized against all readers; see
-// dynamic.go.
+// Read-only contract: an Index is immutable and safe for any number of
+// concurrent readers (SOI, Baseline, the accessor methods, and the ε-memo
+// getters, which guard their caches internally). All per-run mutable
+// state lives in a pooled slabRun, checked out per evaluation. Writes go
+// through internal/ingest, which publishes fresh indexes.
 type Index struct {
 	net  *network.Network
 	pois *poi.Corpus
 
-	// segsByLen lists segment ids sorted increasingly by length (the
-	// query-independent source list SL3).
-	segsByLen []network.SegmentID
-
-	// six, when non-nil, is the compact slab evaluator cost-aware SOI
-	// queries route through (IndexConfig.Compact or NewIndexFromSlab).
-	// AddPOI sets it to nil, falling back to the map path.
+	// six evaluates every SOI query, the static bound and SegmentMass.
 	six *SlabIndex
 
-	// layout is the map layout (maplayout.go), reached only through
-	// maps(): nil until the first call builds it from slab under
-	// layoutOnce (NewIndex without Compact makes that call itself).
+	// layout is the reference grid of the baseline (maplayout.go),
+	// reached only through maps(): nil until the first call builds it
+	// from the slab under layoutOnce.
 	layout     atomic.Pointer[mapLayout]
 	layoutOnce sync.Once
-	slab       *grid.Slab
 
 	// rec, when set, counts lazy layout builds (SetRecorder).
 	rec *stats.Recorder
 }
 
 // NewIndex builds the offline index over a network and POI corpus: one
-// slab build (BuildSlab), opened by NewIndexFromSlab. With Compact the
-// index serves from the slab and materialises its map layout only if a
-// map-path caller asks, exactly like a snapshot-opened index; without it
-// the map layout is the serving layout, so it is materialised here, before
-// the index is shared, and the slab evaluator is detached.
+// slab build (BuildSlab), opened by NewIndexFromSlab.
 func NewIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*Index, error) {
 	slab, err := BuildSlab(net, pois, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := NewIndexFromSlab(net, pois, slab)
-	if err != nil {
-		return nil, err
-	}
-	if !cfg.Compact {
-		ix.maps()
-		ix.six = nil
-	}
-	return ix, nil
+	return NewIndexFromSlab(net, pois, slab)
 }
 
 // NewIndexFromSlab opens a full index over a prebuilt slab (for example,
 // one loaded from a snapshot) without re-ingesting the POIs. The work is
 // O(segments): the slab evaluator flattens the network and sorts SL3,
-// and that is all. Cost-aware SOI queries, the static bound and
-// SegmentMass are served from the slab alone; the map layout — the grid
-// aliasing the slab's arrays, the weighted inverted index and per-cell
-// weights read out of its vocab-major CSR — is materialised only when a
-// map-path caller (Baseline, the round-robin strategy, Grid, the
-// ε-augmented map accessors, AddPOI) first asks for it.
+// and that is all. SOI queries, the static bound and SegmentMass are
+// served from the slab alone; the baseline's reference grid, aliasing the
+// slab's arrays, is materialised only when Baseline, Grid or an
+// ε-augmented map accessor first asks for it.
 func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (*Index, error) {
 	six, err := NewSlabIndexFromSlab(net, pois, slab)
 	if err != nil {
 		return nil, err
 	}
-	// SL3 is the evaluator's: same comparator, same cached lengths.
-	return &Index{net: net, pois: pois, segsByLen: six.segsByLen, six: six, slab: slab}, nil
+	return &Index{net: net, pois: pois, six: six}, nil
 }
 
-// SetRecorder makes the index count its lazy map-layout builds in
+// SetRecorder makes the index count its lazy reference-grid builds in
 // rec.Core.MapLayoutBuilds, so a serving process can show whether
-// anything pulled the second layout into memory. Call it before the
+// anything pulled the baseline's grid into memory. Call it before the
 // index is shared between goroutines.
 func (ix *Index) SetRecorder(rec *stats.Recorder) { ix.rec = rec }
 
-// SlabIndex returns the compact slab evaluator attached to this index, or
-// nil when the index was built without Compact (or invalidated by AddPOI).
+// SlabIndex returns the index's evaluator.
 func (ix *Index) SlabIndex() *SlabIndex { return ix.six }
 
 // Network returns the indexed road network.
@@ -168,7 +98,8 @@ func (ix *Index) Network() *network.Network { return ix.net }
 // POIs returns the indexed POI corpus.
 func (ix *Index) POIs() *poi.Corpus { return ix.pois }
 
-// Grid returns the underlying POI grid.
+// Grid returns the POI grid the baseline scans, materialising it on the
+// first call.
 func (ix *Index) Grid() *grid.Grid { return ix.maps().grid }
 
 // SegmentCells returns the ε-augmented segment-to-cell map: for every
@@ -219,111 +150,17 @@ func (ix *Index) CellSegments(eps float64) map[grid.CellID][]network.SegmentID {
 	return cs
 }
 
-// SegmentsByCellCount returns the segments sorted decreasingly by the
-// number of ε-near cells (the SOI source list SL2). Like the cell↔segment
-// maps, it depends only on ε and is memoized; the paper treats these maps
-// as offline structures augmented once per ε.
-func (ix *Index) SegmentsByCellCount(eps float64) []network.SegmentID {
-	m := ix.maps()
-	m.mu.RLock()
-	sl, ok := m.sl2[eps]
-	m.mu.RUnlock()
-	if ok {
-		return sl
-	}
-	sc := ix.SegmentCells(eps)
-	sl = make([]network.SegmentID, len(sc))
-	for i := range sc {
-		sl[i] = network.SegmentID(i)
-	}
-	sort.Slice(sl, func(i, j int) bool {
-		a, b := sl[i], sl[j]
-		if len(sc[a]) != len(sc[b]) {
-			return len(sc[a]) > len(sc[b])
-		}
-		return a < b
-	})
-	m.mu.Lock()
-	m.sl2[eps] = sl
-	m.mu.Unlock()
-	return sl
-}
+// Warm precomputes the ε-plan the query path reads, so that subsequent
+// query timings measure only query work. The reference grid's memos are
+// left to the callers that read them (Baseline builds them on first use).
+func (ix *Index) Warm(eps float64) { ix.six.Warm(eps) }
 
-// Warm precomputes the ε-dependent structures the index's query path
-// reads, so that subsequent query timings measure only query work: the
-// slab ε-plan on a slab-backed index, the augmented cell↔segment maps
-// and SL2 of the map layout otherwise. A slab-backed index leaves the
-// map-layout memos to the callers that read them (Baseline and the
-// round-robin strategy build them on first use).
-func (ix *Index) Warm(eps float64) {
-	if ix.six != nil {
-		ix.six.Warm(eps)
-		return
-	}
-	ix.SegmentCells(eps)
-	ix.CellSegments(eps)
-	ix.SegmentsByCellCount(eps)
-}
-
-// cellMassContribution returns the total weight of POIs in cell c that
-// match the query and lie within eps of segment geometry seg. It realizes
-// the body of procedure UpdateInterest: the per-keyword postings lists of
-// the cell are traversed synchronously (they are sorted by POI id) so each
-// matching POI is counted once.
-func (ix *Index) cellMassContribution(c *grid.Cell, query vocab.Set, sid network.SegmentID, eps float64) float64 {
-	seg := ix.net.Segment(sid).Geom
-	epsSq := eps * eps
-	var mass float64
-	switch len(query) {
-	case 0:
-		return 0
-	case 1:
-		for _, m := range c.Inv[query[0]] {
-			p := ix.pois.Get(m)
-			if seg.DistToPointSq(p.Loc) <= epsSq {
-				mass += p.Weight
-			}
-		}
-		return mass
-	}
-	// Synchronous traversal of the sorted postings lists: repeatedly take
-	// the smallest id across list heads, skipping duplicates.
-	lists := make([][]uint32, 0, len(query))
-	for _, kw := range query {
-		if ps := c.Inv[kw]; len(ps) > 0 {
-			lists = append(lists, ps)
-		}
-	}
-	const sentinel = ^uint32(0)
-	for {
-		minID := sentinel
-		for _, l := range lists {
-			if len(l) > 0 && l[0] < minID {
-				minID = l[0]
-			}
-		}
-		if minID == sentinel {
-			break
-		}
-		for i := range lists {
-			if len(lists[i]) > 0 && lists[i][0] == minID {
-				lists[i] = lists[i][1:]
-			}
-		}
-		p := ix.pois.Get(minID)
-		if seg.DistToPointSq(p.Loc) <= epsSq {
-			mass += p.Weight
-		}
-	}
-	return mass
-}
-
-// cellMassScan computes the same quantity as cellMassContribution but the
-// way the paper's baseline BL does: it "uses only the spatial grid index",
-// scanning every POI of the cell and testing the keyword predicate
-// directly, without the per-cell inverted indexes. Its cost is therefore
-// independent of |Ψ| (the paper notes "the value of |Ψ| has no effect in
-// BL").
+// cellMassScan returns the total weight of POIs in cell c that match the
+// query and lie within eps of segment sid, the way the paper's baseline BL
+// does: it "uses only the spatial grid index", scanning every POI of the
+// cell and testing the keyword predicate directly, without the per-cell
+// inverted indexes. Its cost is therefore independent of |Ψ| (the paper
+// notes "the value of |Ψ| has no effect in BL").
 func (ix *Index) cellMassScan(c *grid.Cell, query vocab.Set, sid network.SegmentID, eps float64) float64 {
 	seg := ix.net.Segment(sid).Geom
 	epsSq := eps * eps
@@ -338,20 +175,9 @@ func (ix *Index) cellMassScan(c *grid.Cell, query vocab.Set, sid network.Segment
 }
 
 // SegmentMass computes the exact relevant mass of a segment (Def. 1) by
-// visiting every ε-near cell. A slab-backed index folds it through the
-// memoized ε-plan and the slab's postings (SlabIndex.segmentMass), the
-// same POIs in the same order, so the map-layout ε-memos are never built
-// on the serving path and the value is bit-identical either way.
+// visiting every ε-near cell of the memoized ε-plan.
 func (ix *Index) SegmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
-	if six := ix.six; six != nil {
-		return six.segmentMass(sid, query, eps)
-	}
-	var mass float64
-	g := ix.maps().grid
-	for _, cid := range ix.SegmentCells(eps)[sid] {
-		mass += ix.cellMassContribution(g.CellAt(cid), query, sid, eps)
-	}
-	return mass
+	return ix.six.segmentMass(sid, query, eps)
 }
 
 // SegmentInterest computes the exact interest of a segment (Def. 2).

@@ -9,18 +9,78 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/poi"
+	"repro/internal/vocab"
 )
 
+// sl1Of builds the query's SL1 on a scratch run, the way an evaluation
+// does, and returns copies of its cell ordinals and weights.
+func sl1Of(ix *Index, query vocab.Set, eps float64) ([]int32, []float64) {
+	r := &slabRun{six: ix.six, query: query, k: 1, eps: eps}
+	r.begin(ix.six.plan(eps))
+	return append([]int32(nil), r.sl1Cell...), append([]float64(nil), r.sl1W...)
+}
+
+// bruteSL1 derives SL1's weights from the corpus alone: per cell of the
+// reference grid, each query keyword's POI weights summed in POI id order,
+// the keyword sums added in keyword order, and the total capped at the
+// cell's POI weight. capBinds reports whether the cap lowered any cell.
+func bruteSL1(ix *Index, query vocab.Set) (weights map[grid.CellID]float64, capBinds bool) {
+	g := ix.Grid()
+	perKw := make([]map[grid.CellID]float64, len(query))
+	for i := range perKw {
+		perKw[i] = map[grid.CellID]float64{}
+	}
+	cellWeight := map[grid.CellID]float64{}
+	for _, p := range ix.pois.All() {
+		cid := g.CellIndex(p.Loc)
+		cellWeight[cid] += p.Weight
+		for i, kw := range query {
+			if p.Keywords.Contains(kw) {
+				perKw[i][cid] += p.Weight
+			}
+		}
+	}
+	weights = map[grid.CellID]float64{}
+	for cid, total := range cellWeight {
+		var w float64
+		var relevant bool
+		for i := range query {
+			if kw, ok := perKw[i][cid]; ok {
+				w += kw
+				relevant = true
+			}
+		}
+		if !relevant {
+			continue
+		}
+		if w > total {
+			w, capBinds = total, true
+		}
+		weights[cid] = w
+	}
+	return weights, capBinds
+}
+
+// The ε-plan's SL2 lists every segment decreasingly by |Cε(ℓ)| — the
+// counts the reference grid gives — ties by ascending id, and is built
+// once per ε.
 func TestSegmentsByCellCountSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ix := randomScenario(rng)
 	eps := 0.3
-	sl2 := ix.SegmentsByCellCount(eps)
+	plan := ix.six.plan(eps)
+	sl2 := plan.sl2
 	sc := ix.SegmentCells(eps)
 	if len(sl2) != ix.Network().NumSegments() {
 		t.Fatalf("SL2 len = %d", len(sl2))
+	}
+	for sid := range sc {
+		if got := int(plan.segCellOff[sid+1] - plan.segCellOff[sid]); got != len(sc[sid]) {
+			t.Fatalf("segment %d: plan holds %d ε-near cells, the reference grid %d", sid, got, len(sc[sid]))
+		}
 	}
 	for i := 1; i < len(sl2); i++ {
 		a, b := len(sc[sl2[i-1]]), len(sc[sl2[i]])
@@ -31,10 +91,8 @@ func TestSegmentsByCellCountSorted(t *testing.T) {
 			t.Fatalf("SL2 tie not broken by id at %d", i)
 		}
 	}
-	// Memoized: same slice on second call.
-	again := ix.SegmentsByCellCount(eps)
-	if &again[0] != &sl2[0] {
-		t.Fatal("SL2 not memoized")
+	if again := ix.six.plan(eps); again != plan {
+		t.Fatal("ε-plan not memoized")
 	}
 }
 
@@ -43,7 +101,7 @@ func TestSegsByLenSorted(t *testing.T) {
 	ix := randomScenario(rng)
 	net := ix.Network()
 	prev := -1.0
-	for _, sid := range ix.segsByLen {
+	for _, sid := range ix.six.segsByLen {
 		l := net.Segment(sid).Length()
 		if l < prev {
 			t.Fatalf("SL3 not sorted ascending: %v after %v", l, prev)
@@ -67,33 +125,55 @@ func TestBuildSL1Cap(t *testing.T) {
 		t.Fatal(err)
 	}
 	query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "food"})
-	sl1 := ix.maps().buildSL1(query)
-	if len(sl1) != 1 {
-		t.Fatalf("SL1 = %v", sl1)
+	cells, weights := sl1Of(ix, query, 0.1)
+	if len(cells) != 1 {
+		t.Fatalf("SL1 = %v %v", cells, weights)
 	}
-	if sl1[0].Weight != 1 {
-		t.Fatalf("SL1 weight = %v, want capped at 1", sl1[0].Weight)
+	if weights[0] != 1 {
+		t.Fatalf("SL1 weight = %v, want capped at 1", weights[0])
 	}
 }
 
+// buildSL1 lists exactly the query-relevant cells, each with the weight
+// the corpus gives it, decreasingly by weight and ties by cell — for one
+// keyword (the slab's inverted range as it stands) and for several (the
+// accumulated, capped and sorted list).
 func TestBuildSL1SortedDesc(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	ix := randomScenario(rng)
-	query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "food"})
-	sl1 := ix.maps().buildSL1(query)
-	for i := 1; i < len(sl1); i++ {
-		if sl1[i].Weight > sl1[i-1].Weight {
-			t.Fatalf("SL1 not sorted desc at %d", i)
+	var capBound bool
+	for trial := 0; trial < 10; trial++ {
+		ix := weightedScenario(rng)
+		for _, kws := range [][]string{{"shop"}, {"shop", "food"}, {"food", "museum", "park", "school"}} {
+			query, _ := ix.POIs().Dict().LookupAll(kws)
+			cells, weights := sl1Of(ix, query, 0.3)
+			want, capped := bruteSL1(ix, query)
+			capBound = capBound || capped
+			if len(cells) != len(want) {
+				t.Fatalf("trial %d %v: SL1 lists %d cells, the corpus has %d relevant ones", trial, kws, len(cells), len(want))
+			}
+			for i, ord := range cells {
+				cid := grid.CellID(ix.six.slab.CellIDs[ord])
+				if math.Float64bits(weights[i]) != math.Float64bits(want[cid]) {
+					t.Fatalf("trial %d %v: cell %d weight %v, corpus %v", trial, kws, cid, weights[i], want[cid])
+				}
+				if i > 0 && (weights[i] > weights[i-1] || (weights[i] == weights[i-1] && ord <= cells[i-1])) {
+					t.Fatalf("trial %d %v: SL1 out of order at %d", trial, kws, i)
+				}
+			}
+		}
+		// No known keyword → empty SL1.
+		if cells, _ := sl1Of(ix, nil, 0.3); len(cells) != 0 {
+			t.Fatalf("empty query SL1 = %v", cells)
 		}
 	}
-	// Unknown keyword → empty SL1.
-	if got := ix.maps().buildSL1(nil); len(got) != 0 {
-		t.Fatalf("empty query SL1 = %v", got)
+	if !capBound {
+		t.Fatal("the cell-weight cap never bound; the scenarios no longer cover it")
 	}
 }
 
-// cellMassScan (the baseline's grid-only evaluation) must agree with the
-// postings-based cellMassContribution on every (cell, segment) pair.
+// cellMassScan (the baseline's grid-only evaluation) must agree, on every
+// (cell, segment) pair, with a scan of the whole corpus restricted to the
+// POIs the grid places in that cell.
 func TestCellMassScanAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 10; trial++ {
@@ -101,13 +181,18 @@ func TestCellMassScanAgreement(t *testing.T) {
 		query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "museum"})
 		eps := 0.1 + rng.Float64()*0.4
 		sc := ix.SegmentCells(eps)
+		g := ix.Grid()
 		for sid := 0; sid < ix.Network().NumSegments(); sid++ {
+			seg := ix.Network().Segment(network.SegmentID(sid)).Geom
 			for _, cid := range sc[sid] {
-				cell := ix.Grid().CellAt(cid)
-				a := ix.cellMassContribution(cell, query, network.SegmentID(sid), eps)
-				b := ix.cellMassScan(cell, query, network.SegmentID(sid), eps)
-				if math.Abs(a-b) > 1e-12 {
-					t.Fatalf("trial %d seg %d cell %d: postings %v != scan %v", trial, sid, cid, a, b)
+				var want float64
+				for _, p := range ix.POIs().All() {
+					if g.CellIndex(p.Loc) == cid && p.Keywords.Intersects(query) && seg.DistToPointSq(p.Loc) <= eps*eps {
+						want += p.Weight
+					}
+				}
+				if got := ix.cellMassScan(g.CellAt(cid), query, network.SegmentID(sid), eps); got != want {
+					t.Fatalf("trial %d seg %d cell %d: scan %v != corpus %v", trial, sid, cid, got, want)
 				}
 			}
 		}
@@ -137,16 +222,14 @@ func TestUnseenBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The static bound dominates every segment, on either layout.
-		for _, bix := range []*Index{ix, compactTwin(t, ix)} {
-			ub, err := bix.UnseenBound(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for sid, in := range ints {
-				if in > ub {
-					t.Fatalf("trial %d: segment %d interest %v exceeds the static bound %v", trial, sid, in, ub)
-				}
+		// The static bound dominates every segment.
+		ub, err := ix.UnseenBound(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sid, in := range ints {
+			if in > ub {
+				t.Fatalf("trial %d: segment %d interest %v exceeds the static bound %v", trial, sid, in, ub)
 			}
 		}
 		// Count streets strictly above the k-th reported interest; there
@@ -170,17 +253,23 @@ func TestUnseenBoundSoundness(t *testing.T) {
 	}
 }
 
+// Warm must leave nothing for the first query to build: the ε-plan with
+// both cell↔segment maps and SL2 is memoized, and evaluating at that ε
+// adds no plan.
 func TestWarmCoversAllStructures(t *testing.T) {
 	ix := buildFixture(t)
 	ix.Warm(0.1)
-	m := ix.maps()
-	m.mu.Lock()
-	_, sc := m.segCells[0.1]
-	_, cs := m.cellSegs[0.1]
-	_, sl := m.sl2[0.1]
-	m.mu.Unlock()
-	if !sc || !cs || !sl {
-		t.Fatalf("Warm left structures cold: segCells=%v cellSegs=%v sl2=%v", sc, cs, sl)
+	ix.six.mu.RLock()
+	p := ix.six.plans[0.1]
+	ix.six.mu.RUnlock()
+	if p == nil || len(p.segCell) == 0 || len(p.cellSeg) != len(p.segCell) || len(p.sl2) != ix.Network().NumSegments() {
+		t.Fatalf("Warm left structures cold: %+v", p)
+	}
+	if _, _, err := ix.SOI(Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ix.six.plans); n != 1 {
+		t.Fatalf("%d ε-plans after one warmed query, want 1", n)
 	}
 }
 

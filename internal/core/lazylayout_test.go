@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
-	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/oracle"
 	"repro/internal/photo"
@@ -29,8 +28,8 @@ import (
 // residencyCell is the serving cell size (soi.DefaultCellSize).
 const residencyCell = 0.0005
 
-// writeBerlinSnapshot generates a small Berlin, indexes it compactly and
-// writes the snapshot soibuild would; it returns the snapshot path and,
+// writeBerlinSnapshot generates a small Berlin, indexes it and writes the
+// snapshot soibuild would; it returns the snapshot path and,
 // for the shard leg, a manifest path over a 4-tile partition of the same
 // world.
 func writeBerlinSnapshot(tb testing.TB, scale float64) (snapPath, manifestPath string) {
@@ -39,7 +38,7 @@ func writeBerlinSnapshot(tb testing.TB, scale float64) (snapPath, manifestPath s
 	if err != nil {
 		tb.Fatal(err)
 	}
-	built, err := core.NewIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: residencyCell, Compact: true})
+	built, err := core.NewIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: residencyCell})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func writeBerlinSnapshot(tb testing.TB, scale float64) (snapPath, manifestPath s
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	sw, err := shard.Partition(ds.Network, ds.POIs, shard.Config{Tiles: 4, Halo: 0.0012, CellSize: residencyCell, Compact: true})
+	sw, err := shard.Partition(ds.Network, ds.POIs, shard.Config{Tiles: 4, Halo: 0.0012, CellSize: residencyCell})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -200,8 +199,8 @@ func TestSnapshotServingNeverBuildsMapLayout(t *testing.T) {
 	runtime.KeepAlive(ix)
 }
 
-// reloaded round-trips a compact index through the snapshot encoding and
-// opens the decoded slab, sharing no memory with the source.
+// reloaded round-trips an index through the snapshot encoding and opens
+// the decoded slab, sharing no memory with the source.
 func reloaded(t *testing.T, compact *core.Index, photos *photo.Corpus) *core.Index {
 	t.Helper()
 	blob, err := snapshot.Encode(&snapshot.Snapshot{
@@ -223,11 +222,11 @@ func reloaded(t *testing.T, compact *core.Index, photos *photo.Corpus) *core.Ind
 
 // TestLazyLayoutConcurrentFirstTouch: over the oracle world matrix, a
 // slab-opened index whose map layout is first touched by eight goroutines
-// at once — Baseline, the round-robin strategy, Grid, SegmentCells and
-// the static bound, with the slab evaluator attached and detached (the
-// map legs of UnseenBound and cost-aware SOI) — builds the layout exactly
-// once and answers Float64bits-identically to an eager NewIndex of the
-// same corpus. Run under -race in CI.
+// at once — Baseline, Grid and SegmentCells, beside both access schedules
+// and the static bound, which must not touch it — builds the layout
+// exactly once, answers every query Float64bits-identically to the
+// brute-force oracle, and hands out the grid and Cε(ℓ) lists a built
+// index of the same corpus does. Run under -race in CI.
 func TestLazyLayoutConcurrentFirstTouch(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		for _, cfg := range oracle.MatrixConfigs(seed, false) {
@@ -239,163 +238,71 @@ func TestLazyLayoutConcurrentFirstTouch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell, Compact: true})
+			built, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, detach := range []bool{false, true} {
-				lazy := reloaded(t, eager, photos)
-				rec := stats.NewRecorder()
-				lazy.SetRecorder(rec)
-				if detach {
-					lazy.DetachSlab()
+			want := make([][]core.StreetResult, len(cfg.Queries))
+			wantBound := make([]float64, len(cfg.Queries))
+			for i, q := range cfg.Queries {
+				if want[i], err = oracle.TopK(net, pois, q); err != nil {
+					t.Fatal(err)
 				}
-				if lazy.MapLayoutBuilt() {
-					t.Fatalf("%s: layout built before first touch", cfg.Label())
-				}
-				start := make(chan struct{})
-				var wg sync.WaitGroup
-				for g := 0; g < 8; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						<-start
-						q := cfg.Queries[g%len(cfg.Queries)]
-						switch g % 5 {
-						case 0:
-							want, _, err1 := eager.Baseline(q)
-							got, _, err2 := lazy.Baseline(q)
-							if err1 != nil || err2 != nil || !core.BitEqualResults(got, want) {
-								t.Errorf("%s detach=%t Baseline %v: %v (%v) != %v (%v)", cfg.Label(), detach, q, got, err2, want, err1)
-							}
-						case 1:
-							want, _, err1 := eager.SOIWithStrategy(q, core.RoundRobin)
-							got, _, err2 := lazy.SOIWithStrategy(q, core.RoundRobin)
-							if err1 != nil || err2 != nil || !core.BitEqualResults(got, want) {
-								t.Errorf("%s detach=%t RoundRobin %v: %v (%v) != %v (%v)", cfg.Label(), detach, q, got, err2, want, err1)
-							}
-						case 2:
-							a, b := eager.Grid(), lazy.Grid()
-							if b.NumCells() != a.NumCells() || !reflect.DeepEqual(b.NonEmptyCells(), a.NonEmptyCells()) || b.Bounds() != a.Bounds() {
-								t.Errorf("%s detach=%t: lazily built grid differs from the eager one", cfg.Label(), detach)
-							}
-						case 3:
-							if !reflect.DeepEqual(lazy.SegmentCells(q.Epsilon), eager.SegmentCells(q.Epsilon)) {
-								t.Errorf("%s detach=%t eps=%g: SegmentCells differ", cfg.Label(), detach, q.Epsilon)
-							}
-						case 4:
-							want, err1 := eager.UnseenBound(q)
-							got, err2 := lazy.UnseenBound(q)
-							if err1 != nil || err2 != nil || math.Float64bits(got) != math.Float64bits(want) {
-								t.Errorf("%s detach=%t UnseenBound %v: %v (%v) != %v (%v)", cfg.Label(), detach, q, got, err2, want, err1)
-							}
-							res, _, err1 := eager.SOI(q)
-							lres, _, err2 := lazy.SOI(q)
-							if err1 != nil || err2 != nil || !core.BitEqualResults(lres, res) {
-								t.Errorf("%s detach=%t SOI %v: %v (%v) != %v (%v)", cfg.Label(), detach, q, lres, err2, res, err1)
-							}
+				wantBound[i] = core.BruteBound(built, q)
+			}
+			lazy := reloaded(t, built, photos)
+			rec := stats.NewRecorder()
+			lazy.SetRecorder(rec)
+			if lazy.MapLayoutBuilt() {
+				t.Fatalf("%s: layout built before first touch", cfg.Label())
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					<-start
+					qi := g % len(cfg.Queries)
+					q := cfg.Queries[qi]
+					switch g % 5 {
+					case 0:
+						got, _, err := lazy.Baseline(q)
+						if err != nil || !core.BitEqualResults(got, want[qi]) {
+							t.Errorf("%s Baseline %v: %v (%v) != oracle %v", cfg.Label(), q, got, err, want[qi])
 						}
-					}(g)
-				}
-				close(start)
-				wg.Wait()
-				if n := rec.Snapshot().Core.MapLayoutBuilds; n != 1 || !lazy.MapLayoutBuilt() {
-					t.Fatalf("%s detach=%t: layout built %d times (built=%t), want exactly once", cfg.Label(), detach, n, lazy.MapLayoutBuilt())
-				}
-			}
-		}
-	}
-}
-
-// TestAddPOIOnUnmaterialisedSlabIndex: AddPOI on a slab-opened index
-// that never needed its map layout builds it from the slab as it stood,
-// applies the insert, drops the slab evaluator, and from then on answers
-// exactly as an eagerly built index given the same inserts — on every
-// evaluator, at every sweep ε, including inserts into empty cells (which
-// drop the ε-memos) and keywords the slab has never seen.
-func TestAddPOIOnUnmaterialisedSlabIndex(t *testing.T) {
-	w, err := oracle.SeedConfig{Seed: 7, Density: 1, Weighted: true}.BuildWorld()
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() (*core.Index, *photo.Corpus) {
-		net, pois, photos, _, err := w.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: boundCell, Compact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix, photos
-	}
-	eager, _ := build()
-	twin, photos := build()
-	lazy := reloaded(t, twin, photos)
-	rec := stats.NewRecorder()
-	lazy.SetRecorder(rec)
-	// A served index: queries first, so the slab's plans and pools exist.
-	for _, eps := range sweepEps {
-		if _, _, err := lazy.SOI(core.Query{Keywords: []string{"shop"}, K: 3, Epsilon: eps}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if lazy.MapLayoutBuilt() {
-		t.Fatal("cost-aware queries materialised the map layout")
-	}
-
-	b := eager.Grid().Bounds()
-	at := func(fx, fy float64) geo.Point {
-		return geo.Pt(b.MinX+fx*(b.MaxX-b.MinX), b.MinY+fy*(b.MaxY-b.MinY))
-	}
-	inserts := []struct {
-		loc    geo.Point
-		kws    []string
-		weight float64
-	}{
-		{at(0.5, 0.5), []string{"shop"}, 1},
-		{at(0.501, 0.5), []string{"shop", "food"}, 2.5},
-		{at(0.03, 0.97), []string{"zeppelin"}, 1}, // a corner cell and a new keyword
-		{at(0.97, 0.02), []string{"shop", "zeppelin"}, 0.75},
-		{at(0.25, 0.75), []string{"museum"}, 4},
-	}
-	evaluators := map[string]func(*core.Index, core.Query) ([]core.StreetResult, core.Stats, error){
-		"SOI": (*core.Index).SOI,
-		"RoundRobin": func(ix *core.Index, q core.Query) ([]core.StreetResult, core.Stats, error) {
-			return ix.SOIWithStrategy(q, core.RoundRobin)
-		},
-		"Baseline": (*core.Index).Baseline,
-	}
-	for i, in := range inserts {
-		idE, errE := eager.AddPOI(in.loc, in.kws, in.weight)
-		idL, errL := lazy.AddPOI(in.loc, in.kws, in.weight)
-		if errE != nil || errL != nil || idE != idL {
-			t.Fatalf("insert %d: eager (%v, %v), lazy (%v, %v)", i, idE, errE, idL, errL)
-		}
-		if i == 0 {
-			if !lazy.MapLayoutBuilt() || lazy.SlabIndex() != nil || rec.Snapshot().Core.MapLayoutBuilds != 1 {
-				t.Fatalf("first AddPOI: built=%t slab attached=%t counter=%d; want the layout built once and the slab detached",
-					lazy.MapLayoutBuilt(), lazy.SlabIndex() != nil, rec.Snapshot().Core.MapLayoutBuilds)
-			}
-		}
-		for _, eps := range sweepEps {
-			for _, kws := range [][]string{{"shop"}, {"zeppelin"}, {"shop", "food", "zeppelin"}, {"museum", "park"}} {
-				q := core.Query{Keywords: kws, K: 5, Epsilon: eps}
-				for name, eval := range evaluators {
-					want, _, err1 := eval(eager, q)
-					got, _, err2 := eval(lazy, q)
-					if err1 != nil || err2 != nil || !core.BitEqualResults(got, want) {
-						t.Fatalf("after insert %d, %s %v: lazy %v (%v) != eager %v (%v)", i, name, q, got, err2, want, err1)
+					case 1:
+						got, _, err := lazy.SOIWithStrategy(q, core.RoundRobin)
+						if err != nil || !core.BitEqualResults(got, want[qi]) {
+							t.Errorf("%s RoundRobin %v: %v (%v) != oracle %v", cfg.Label(), q, got, err, want[qi])
+						}
+					case 2:
+						a, b := built.Grid(), lazy.Grid()
+						if b.NumCells() != a.NumCells() || !reflect.DeepEqual(b.NonEmptyCells(), a.NonEmptyCells()) || b.Bounds() != a.Bounds() {
+							t.Errorf("%s: lazily built grid differs from the built index's", cfg.Label())
+						}
+					case 3:
+						if !reflect.DeepEqual(lazy.SegmentCells(q.Epsilon), built.SegmentCells(q.Epsilon)) {
+							t.Errorf("%s eps=%g: SegmentCells differ", cfg.Label(), q.Epsilon)
+						}
+					case 4:
+						got, err := lazy.UnseenBound(q)
+						if err != nil || math.Float64bits(got) != math.Float64bits(wantBound[qi]) {
+							t.Errorf("%s UnseenBound %v: %v (%v) != brute force %v", cfg.Label(), q, got, err, wantBound[qi])
+						}
+						res, _, err := lazy.SOI(q)
+						if err != nil || !core.BitEqualResults(res, want[qi]) {
+							t.Errorf("%s SOI %v: %v (%v) != oracle %v", cfg.Label(), q, res, err, want[qi])
+						}
 					}
-				}
-				if got, want := mustBound(t, lazy, q), mustBound(t, eager, q); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("after insert %d, UnseenBound %v: lazy %v != eager %v", i, q, got, want)
-				}
+				}(g)
+			}
+			close(start)
+			wg.Wait()
+			if n := rec.Snapshot().Core.MapLayoutBuilds; n != 1 || !lazy.MapLayoutBuilt() {
+				t.Fatalf("%s: layout built %d times (built=%t), want exactly once", cfg.Label(), n, lazy.MapLayoutBuilt())
 			}
 		}
-	}
-	if n := rec.Snapshot().Core.MapLayoutBuilds; n != 1 {
-		t.Fatalf("layout built %d times across the inserts, want once", n)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/geo"
@@ -9,11 +11,11 @@ import (
 	"repro/internal/poi"
 )
 
-// slabOpened opens a second index over a compact twin's slab, the way a
+// slabOpened opens a second index over the index's slab, the way a
 // snapshot load does.
 func slabOpened(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	opened, err := NewIndexFromSlab(ix.Network(), ix.POIs(), compactTwin(t, ix).SlabIndex().Slab())
+	opened, err := NewIndexFromSlab(ix.Network(), ix.POIs(), ix.SlabIndex().Slab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,41 +52,43 @@ func latticeScenario(t *testing.T, n int) *Index {
 	return ix
 }
 
-// TestSlabOpenSharesSL3Order: NewIndexFromSlab takes SL3 from the slab
-// evaluator instead of sorting it a second time. The shared list must be
-// the order NewIndex sorts — on random networks and on a lattice where
-// every length ties — and must be the evaluator's own slice.
+// TestSlabOpenSharesSL3Order: an index opened over a prebuilt slab holds
+// the SL3 order a built one does — segments by (length, id), on random
+// networks and on a lattice where every length ties.
 func TestSlabOpenSharesSL3Order(t *testing.T) {
 	rng := rand.New(rand.NewSource(2929))
 	worlds := []*Index{latticeScenario(t, 5)}
 	for i := 0; i < 10; i++ {
 		worlds = append(worlds, randomScenario(rng))
 	}
-	for w, eager := range worlds {
-		opened := slabOpened(t, eager)
-		if len(opened.segsByLen) != len(eager.segsByLen) || len(eager.segsByLen) == 0 {
-			t.Fatalf("world %d: SL3 lengths %d vs %d", w, len(opened.segsByLen), len(eager.segsByLen))
+	for w, built := range worlds {
+		net := built.Network()
+		want := make([]network.SegmentID, net.NumSegments())
+		for i := range want {
+			want[i] = network.SegmentID(i)
 		}
-		for i := range eager.segsByLen {
-			if opened.segsByLen[i] != eager.segsByLen[i] {
-				t.Fatalf("world %d: SL3[%d] = %d on the slab-opened index, %d on NewIndex", w, i, opened.segsByLen[i], eager.segsByLen[i])
+		sort.SliceStable(want, func(i, j int) bool {
+			return net.Segment(want[i]).Length() < net.Segment(want[j]).Length()
+		})
+		if len(want) == 0 {
+			t.Fatalf("world %d has no segments", w)
+		}
+		for name, ix := range map[string]*Index{"built": built, "slab-opened": slabOpened(t, built)} {
+			if !slices.Equal(ix.six.segsByLen, want) {
+				t.Fatalf("world %d: SL3 of the %s index is not the (length, id) order", w, name)
 			}
-		}
-		if &opened.segsByLen[0] != &opened.six.segsByLen[0] {
-			t.Fatalf("world %d: the slab-opened index holds its own copy of SL3", w)
 		}
 	}
 }
 
-// TestWarmSlabBackedWarmsThePlanOnly: Warm on a slab-backed index builds
-// the slab ε-plan and nothing of the map layout — not the layout itself
-// on a slab-opened index, not its ε-memos on a compact build. (A map-only
-// index keeps warming all three memos: TestWarmCoversAllStructures.)
+// TestWarmSlabBackedWarmsThePlanOnly: Warm builds the ε-plan and nothing
+// of the map layout — neither the layout itself nor its ε-memos, on a
+// built index and on a slab-opened one.
 func TestWarmSlabBackedWarmsThePlanOnly(t *testing.T) {
 	base := randomScenario(rand.New(rand.NewSource(77)))
 	const eps = 0.3
 	opened := slabOpened(t, base)
-	for name, ix := range map[string]*Index{"compact": compactTwin(t, base), "slab-opened": opened} {
+	for name, ix := range map[string]*Index{"built": base, "slab-opened": opened} {
 		ix.Warm(eps)
 		ix.six.mu.RLock()
 		_, planned := ix.six.plans[eps]
@@ -92,11 +96,11 @@ func TestWarmSlabBackedWarmsThePlanOnly(t *testing.T) {
 		if !planned {
 			t.Errorf("%s: Warm left the slab ε-plan cold", name)
 		}
-		if a, b, c := ix.MapMemoSizes(); a+b+c != 0 {
-			t.Errorf("%s: Warm built map-layout ε-memos (segCells=%d cellSegs=%d sl2=%d)", name, a, b, c)
+		if a, b := ix.MapMemoSizes(); a+b != 0 {
+			t.Errorf("%s: Warm built map-layout ε-memos (segCells=%d cellSegs=%d)", name, a, b)
 		}
 	}
-	if opened.MapLayoutBuilt() {
-		t.Error("Warm materialised the map layout of a slab-opened index")
+	if base.MapLayoutBuilt() || opened.MapLayoutBuilt() {
+		t.Error("Warm materialised the map layout")
 	}
 }

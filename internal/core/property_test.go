@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -28,9 +29,9 @@ func propertyQueries(rng *rand.Rand, ix *Index) []Query {
 }
 
 // TestPropertyStrategiesMatchBaseline is the property-based equivalence
-// test: on random scenarios, both access schedules must agree with the
-// baseline ranking, bit-exactly with each other, and behave sensibly on
-// the edge-case queries.
+// test: on random scenarios, both access schedules, on one index, must
+// agree bit-exactly with each other and with the exact baseline, and
+// behave sensibly on the edge-case queries.
 func TestPropertyStrategiesMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
@@ -51,7 +52,9 @@ func TestPropertyStrategiesMatchBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareResults(t, "strategies vs baseline", ca, bl)
+			// The baseline folds each segment's cells in the same canonical
+			// order, so it is the same answer to the bit as well.
+			requireSameResults(t, "strategies vs baseline", ca, bl)
 			if len(ca) > q.K {
 				t.Fatalf("got %d results for k=%d", len(ca), q.K)
 			}
@@ -63,8 +66,10 @@ func TestPropertyStrategiesMatchBaseline(t *testing.T) {
 }
 
 // TestPropertyInvalidQueriesAgree: queries rejected by validation (empty
-// keyword set, k=0, non-positive ε) must fail identically across both
-// schedules and the baseline, never panic or return partial results.
+// keyword set, k=0, non-positive or non-finite ε) must fail identically
+// across both schedules and the baseline, never panic or return partial
+// results — and must not leave an ε-plan behind: a NaN key could never be
+// looked up or evicted again.
 func TestPropertyInvalidQueriesAgree(t *testing.T) {
 	ix := buildFixture(t)
 	invalid := []Query{
@@ -73,6 +78,9 @@ func TestPropertyInvalidQueriesAgree(t *testing.T) {
 		{Keywords: []string{"shop"}, K: 0, Epsilon: 1},  // k = 0
 		{Keywords: []string{"shop"}, K: -3, Epsilon: 1}, // negative k
 		{Keywords: []string{"shop"}, K: 1, Epsilon: 0},  // zero ε
+		{Keywords: []string{"shop"}, K: 1, Epsilon: math.NaN()},
+		{Keywords: []string{"shop"}, K: 1, Epsilon: math.Inf(1)},
+		{Keywords: []string{"shop"}, K: 1, Epsilon: math.Inf(-1)},
 	}
 	for _, q := range invalid {
 		res, _, errCA := ix.SOIWithStrategy(q, CostAware)
@@ -87,6 +95,19 @@ func TestPropertyInvalidQueriesAgree(t *testing.T) {
 		if errCA.Error() != errRR.Error() || errCA.Error() != errBL.Error() {
 			t.Fatalf("error text differs: %q / %q / %q", errCA, errRR, errBL)
 		}
+		if _, err := ix.UnseenBound(q); err == nil {
+			t.Fatalf("UnseenBound accepted %+v", q)
+		}
+		// SOIResolved is reachable without Validate; k and ε are its own
+		// to check.
+		if len(q.Keywords) > 0 {
+			if _, _, err := ix.six.SOIResolved(context.Background(), nil, q.K, q.Epsilon, CostAware, nil, nil); err == nil {
+				t.Fatalf("SOIResolved accepted %+v", q)
+			}
+		}
+	}
+	if n := len(ix.six.plans); n != 0 {
+		t.Fatalf("refused queries left %d ε-plans behind", n)
 	}
 }
 

@@ -6,13 +6,27 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/vocab"
 )
+
+// scanMass is the baseline's fold for one segment: every ε-near cell of
+// the reference grid scanned member by member, the cells' sums added in
+// Cε(ℓ) order.
+func scanMass(ix *Index, sid network.SegmentID, query vocab.Set, eps float64) float64 {
+	g := ix.Grid()
+	var mass float64
+	for _, cid := range ix.SegmentCells(eps)[sid] {
+		mass += ix.cellMassScan(g.CellAt(cid), query, sid, eps)
+	}
+	return mass
+}
 
 // TestSlabSegmentMassMatchesMapLayout: on random scenarios — unit and
 // random weights, one keyword to five, duplicates and unknown words, ε
-// from sub-cell to multi-cell — a slab-backed index's SegmentMass and
-// SegmentInterest are Float64bits-equal to the map layout's on every
-// segment, and computing them leaves the map-layout ε-memos unbuilt.
+// from sub-cell to multi-cell — SegmentMass and SegmentInterest are
+// Float64bits-equal, on every segment, to the baseline's scan of the
+// reference grid (taken on a twin index), and computing them leaves the
+// index's own map layout unbuilt.
 func TestSlabSegmentMassMatchesMapLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1616))
 	keywordSets := [][]string{
@@ -21,20 +35,20 @@ func TestSlabSegmentMassMatchesMapLayout(t *testing.T) {
 	}
 	var multi, nonzero int
 	for trial := 0; trial < 12; trial++ {
-		for _, mapIx := range []*Index{randomScenario(rng), weightedScenario(rng)} {
-			slabIx := compactTwin(t, mapIx)
+		for _, ix := range []*Index{randomScenario(rng), weightedScenario(rng)} {
+			ref := twin(t, ix)
 			for _, eps := range []float64{0.05, 0.3, 2} {
 				for _, kws := range keywordSets {
-					query, _ := mapIx.pois.Dict().LookupAll(kws)
-					for sid := 0; sid < mapIx.net.NumSegments(); sid++ {
+					query, _ := ix.pois.Dict().LookupAll(kws)
+					for sid := 0; sid < ix.net.NumSegments(); sid++ {
 						id := network.SegmentID(sid)
-						want, got := mapIx.SegmentMass(id, query, eps), slabIx.SegmentMass(id, query, eps)
+						want, got := scanMass(ref, id, query, eps), ix.SegmentMass(id, query, eps)
 						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("trial %d eps=%g %v segment %d: slab mass %v, map mass %v", trial, eps, kws, sid, got, want)
+							t.Fatalf("trial %d eps=%g %v segment %d: mass %v, baseline scan %v", trial, eps, kws, sid, got, want)
 						}
-						wantI, gotI := mapIx.SegmentInterest(id, query, eps), slabIx.SegmentInterest(id, query, eps)
+						wantI, gotI := Interest(want, ix.net.Segment(id).Length(), eps), ix.SegmentInterest(id, query, eps)
 						if math.Float64bits(gotI) != math.Float64bits(wantI) {
-							t.Fatalf("trial %d eps=%g %v segment %d: slab interest %v, map interest %v", trial, eps, kws, sid, gotI, wantI)
+							t.Fatalf("trial %d eps=%g %v segment %d: interest %v, baseline scan %v", trial, eps, kws, sid, gotI, wantI)
 						}
 						if want > 0 {
 							nonzero++
@@ -45,8 +59,8 @@ func TestSlabSegmentMassMatchesMapLayout(t *testing.T) {
 					}
 				}
 			}
-			if a, b, c := slabIx.MapMemoSizes(); a+b+c != 0 {
-				t.Fatalf("trial %d: slab-backed segment masses built map-layout ε-memos (segCells=%d cellSegs=%d sl2=%d)", trial, a, b, c)
+			if ix.MapLayoutBuilt() {
+				t.Fatalf("trial %d: segment masses materialised the map layout", trial)
 			}
 		}
 	}
@@ -62,8 +76,7 @@ func TestSlabSegmentMassZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful under -race")
 	}
-	base, _, _ := allocWorld(t)
-	ix := compactTwin(t, base)
+	ix, _, _ := allocWorld(t)
 	const eps = 0.6
 	ix.SlabIndex().Warm(eps)
 	for _, kws := range [][]string{{"shop"}, {"shop", "food", "museum", "park", "school"}} {

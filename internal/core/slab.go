@@ -16,16 +16,15 @@ import (
 	"repro/internal/vocab"
 )
 
-// SlabIndex evaluates k-SOI queries over the flattened struct-of-arrays
-// grid layout (grid.Slab) instead of the map-based Index structures. The
-// evaluation is Algorithm 1 with the cost-aware access schedule, step for
-// step the same as Index.SOIContext under CostAware: every float operation
-// happens in the same order on the same values, so results (and all
-// interest values in them) are bit-identical to the map layout. What
-// changes is the machinery: source lists, postings and ε-augmented maps
-// are offset ranges into contiguous arrays, the per-query state lives in a
-// pooled scratch arena addressed by dense ordinals instead of maps, and
-// the steady-state query path performs zero heap allocations.
+// SlabIndex is the evaluator of Algorithm 1: it answers k-SOI queries over
+// the flattened struct-of-arrays grid layout (grid.Slab). Source lists,
+// postings and the ε-augmented cell↔segment maps are offset ranges into
+// contiguous arrays, the per-query state lives in a pooled scratch arena
+// addressed by dense ordinals, and the steady-state query path performs
+// zero heap allocations. Every float is folded in a fixed order (POIs by
+// ascending id within a cell, cells in canonical Cε(ℓ) order), so an
+// answer is a pure function of the query, whichever access schedule or
+// MassCache state the run had.
 //
 // A SlabIndex is immutable and safe for concurrent use; each evaluation
 // checks out a private scratch run from an internal pool.
@@ -41,8 +40,8 @@ type SlabIndex struct {
 	segLen       []float64
 	segStreet    []uint32
 
-	// segsByLen is SL3: segment ids sorted increasingly by length, ties by
-	// id — the same order Index.segsByLen uses.
+	// segsByLen is SL3, the query-independent source list: segment ids
+	// sorted increasingly by length, ties by id.
 	segsByLen []network.SegmentID
 
 	// mu guards the per-ε plan memos.
@@ -62,8 +61,7 @@ type slabPlan struct {
 	segCellOff []uint32
 	segCell    []int32
 	// cellSegOff[ord] .. cellSegOff[ord+1] delimits cell ord's ε-near
-	// segments in cellSeg, ascending by segment id (the map layout builds
-	// its cell→segments lists by scanning segments in id order).
+	// segments in cellSeg, ascending by segment id.
 	cellSegOff []uint32
 	cellSeg    []uint32
 	// sl2 lists segment ids decreasingly by |Cε(ℓ)|, ties ascending by id.
@@ -220,8 +218,8 @@ func (six *SlabIndex) plan(eps float64) *slabPlan {
 	return p
 }
 
-// Resolve interns the query keywords against the corpus dictionary,
-// dropping unknown ones — the same resolution Index.SOIContext performs.
+// Resolve validates the query and interns its keywords against the
+// corpus dictionary; unknown keywords contribute no POIs and are dropped.
 // Use with SOIResolved to evaluate repeated queries allocation-free.
 func (six *SlabIndex) Resolve(q Query) (vocab.Set, error) {
 	if err := q.Validate(); err != nil {
@@ -231,14 +229,13 @@ func (six *SlabIndex) Resolve(q Query) (vocab.Set, error) {
 	return set, nil
 }
 
-// SOI evaluates a k-SOI query. Results are bit-identical to
-// Index.SOI on an index over the same data.
+// SOI evaluates a k-SOI query with the cost-aware schedule.
 func (six *SlabIndex) SOI(q Query) ([]StreetResult, Stats, error) {
 	return six.SOIContext(context.Background(), q, nil)
 }
 
 // SOIContext evaluates a k-SOI query under a context with an optional
-// shared MassCache, mirroring Index.SOIContext (CostAware strategy).
+// shared MassCache.
 func (six *SlabIndex) SOIContext(ctx context.Context, q Query, mc *MassCache) ([]StreetResult, Stats, error) {
 	return six.SOIInto(ctx, q, mc, nil)
 }
@@ -253,21 +250,21 @@ func (six *SlabIndex) SOIInto(ctx context.Context, q Query, mc *MassCache, out [
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return six.SOIResolved(ctx, query, q.K, q.Epsilon, mc, out)
+	return six.SOIResolved(ctx, query, q.K, q.Epsilon, CostAware, mc, out)
 }
 
 // SOIResolved is the steady-state entry point: it evaluates a
-// pre-resolved query, appending the k results into out's capacity. With a
-// nil MassCache and a warmed ε it performs zero heap allocations once the
-// internal scratch pool has seen the world size. k and eps must be
-// positive; query must come from Resolve (sorted, deduplicated, known
-// keywords only).
-func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, eps float64, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
+// pre-resolved query under the given access schedule, appending the k
+// results into out's capacity. With a nil MassCache and a warmed ε it
+// performs zero heap allocations once the internal scratch pool has seen
+// the world size. k must be positive and eps positive and finite; query
+// must come from Resolve (sorted, deduplicated, known keywords only).
+func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, eps float64, strat Strategy, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	if k <= 0 || eps <= 0 {
-		return nil, Stats{}, fmt.Errorf("core: non-positive k %d or epsilon %v", k, eps)
+	if k <= 0 || !validEpsilon(eps) {
+		return nil, Stats{}, fmt.Errorf("core: k %d or epsilon %v is not positive and finite", k, eps)
 	}
 	r := six.pool.Get().(*slabRun)
 	defer six.pool.Put(r)
@@ -275,6 +272,7 @@ func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, e
 	r.query = query
 	r.k = k
 	r.eps = eps
+	r.strat = strat
 	r.mc = mc
 	if mc != nil {
 		r.psi = mc.psiID(query)
@@ -303,13 +301,12 @@ func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, e
 	return out, stats, nil
 }
 
-// segmentMass is Index.SegmentMass over the slab layout: the segment's
-// canonical Cε(ℓ) range of the memoized ε-plan, each cell's relevant
-// POIs streamed from the slab's postings in ascending POI id (one
-// keyword's list as it stands, several merged with duplicates counted
-// once), each cell's contribution summed on its own before it joins the
-// total — operand for operand the fold cellMassContribution performs
-// over the map layout. It allocates nothing for up to eight keywords.
+// segmentMass is Index.SegmentMass: the segment's canonical Cε(ℓ) range
+// of the memoized ε-plan, each cell's relevant POIs streamed from the
+// slab's postings in ascending POI id (one keyword's list as it stands,
+// several merged with duplicates counted once), each cell's contribution
+// summed on its own before it joins the total. It allocates nothing for
+// up to eight keywords.
 func (six *SlabIndex) segmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
 	if len(query) == 0 {
 		return 0

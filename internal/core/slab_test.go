@@ -10,59 +10,41 @@ import (
 	"repro/internal/poi"
 )
 
-// slabFromIndex builds a SlabIndex over the same data and cell size as an
-// existing map index.
+// slabFromIndex builds a standalone SlabIndex over the same data and cell
+// size as an existing index.
 func slabFromIndex(t *testing.T, ix *Index) *SlabIndex {
 	t.Helper()
-	six, err := NewSlabIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.Grid().CellSize()})
+	six, err := NewSlabIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.six.slab.CellSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return six
 }
 
-// sameWork asserts that two evaluations did identical work, counter by
-// counter — much stronger than result equality: it means the two
-// implementations walked the same source-list schedule.
-func sameWork(t *testing.T, label string, a, b Stats) {
-	t.Helper()
-	type counters struct {
-		cellAccesses, segmentAccesses, sl2, sl3      int
-		filterIterations, cellVisits, cacheHits      int
-		segmentsSeen, segmentsFinal, refineDrained   int
-		totalSegments, totalCells                    int
-	}
-	ca := counters{a.CellAccesses, a.SegmentAccesses, a.SL2Accesses, a.SL3Accesses,
-		a.FilterIterations, a.CellVisits, a.SegmentCacheHits,
-		a.SegmentsSeen, a.SegmentsFinal, a.RefineDrained, a.TotalSegments, a.TotalCells}
-	cb := counters{b.CellAccesses, b.SegmentAccesses, b.SL2Accesses, b.SL3Accesses,
-		b.FilterIterations, b.CellVisits, b.SegmentCacheHits,
-		b.SegmentsSeen, b.SegmentsFinal, b.RefineDrained, b.TotalSegments, b.TotalCells}
-	if ca != cb {
-		t.Fatalf("%s: work differs\n map:  %+v\n slab: %+v", label, ca, cb)
-	}
-}
-
 // TestSlabMatchesMapPath is the core bit-identity property: on random
-// scenarios, the slab evaluator must return the same results as the map
-// layout's cost-aware path — same floats, same tie-breaks — and perform
-// the exact same work.
+// scenarios, the slab evaluator must return the same results as the
+// exact baseline BL — same floats, same tie-breaks — under both access
+// schedules.
 func TestSlabMatchesMapPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
 		ix := randomScenario(rng)
 		six := slabFromIndex(t, ix)
 		for _, q := range propertyQueries(rng, ix) {
-			want, ws, err := ix.SOIWithStrategy(q, CostAware)
+			want, _, err := ix.Baseline(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gs, err := six.SOI(q)
+			got, _, err := six.SOI(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResults(t, "slab vs map", got, want)
-			sameWork(t, "slab vs map", ws, gs)
+			requireSameResults(t, "slab vs baseline", got, want)
+			rr, _, err := ix.SOIWithStrategy(q, RoundRobin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, "round-robin vs baseline", rr, want)
 		}
 	}
 }
@@ -76,7 +58,7 @@ func TestSlabMatchesMapPathWeighted(t *testing.T) {
 		ix := weightedScenario(rng)
 		six := slabFromIndex(t, ix)
 		for _, q := range propertyQueries(rng, ix) {
-			want, _, err := ix.SOIWithStrategy(q, CostAware)
+			want, _, err := ix.Baseline(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +66,7 @@ func TestSlabMatchesMapPathWeighted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResults(t, "weighted slab vs map", got, want)
+			requireSameResults(t, "weighted slab vs baseline", got, want)
 		}
 	}
 }
@@ -96,7 +78,7 @@ func weightedScenario(rng *rand.Rand) *Index {
 		pb.AddWeighted(geo.Point{X: p.Loc.X, Y: p.Loc.Y},
 			ix.POIs().Dict().Names(p.Keywords), 0.25+rng.Float64()*3)
 	}
-	wix, err := NewIndex(ix.Network(), pb.Build(), IndexConfig{CellSize: ix.Grid().CellSize()})
+	wix, err := NewIndex(ix.Network(), pb.Build(), IndexConfig{CellSize: ix.six.slab.CellSize})
 	if err != nil {
 		panic(err)
 	}
@@ -105,7 +87,7 @@ func weightedScenario(rng *rand.Rand) *Index {
 
 // TestSlabWithMassCache verifies the slab evaluator with a shared
 // MassCache: the cache must warm across repeated queries, and results
-// must stay bit-identical to the uncached map path throughout.
+// must stay bit-identical to the exact baseline throughout.
 func TestSlabWithMassCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := randomScenario(rng)
@@ -114,7 +96,7 @@ func TestSlabWithMassCache(t *testing.T) {
 	queries := propertyQueries(rng, ix)
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			want, _, err := ix.SOIWithStrategy(q, CostAware)
+			want, _, err := ix.Baseline(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +104,7 @@ func TestSlabWithMassCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResults(t, "cached slab vs map", got, want)
+			requireSameResults(t, "cached slab vs baseline", got, want)
 			if round > 0 && gs.SegmentsFinal > 0 && gs.SegmentCacheHits == 0 && gs.CellVisits > 0 {
 				// Warmed rounds should serve at least some masses from the
 				// cache when any were stored.
@@ -137,65 +119,54 @@ func TestSlabWithMassCache(t *testing.T) {
 	}
 }
 
-// TestCompactIndexRouting checks the IndexConfig.Compact wiring: the
-// cost-aware strategy routes through the slab and matches the plain
-// index; round-robin still uses the map path; AddPOI invalidates the slab
-// and keeps answers correct.
+// TestCompactIndexRouting: every Index entry point routes to the index's
+// evaluator — same answer and, counter for counter, the same work as
+// SOIResolved on it, under either schedule.
 func TestCompactIndexRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ix := randomScenario(rng)
-	cix, err := NewIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.Grid().CellSize(), Compact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cix.SlabIndex() == nil {
-		t.Fatal("Compact index has no slab")
-	}
+	six := ix.SlabIndex()
+	ctx := context.Background()
 	q := Query{Keywords: []string{"shop", "food"}, K: 3, Epsilon: 0.4}
-	want, _, err := ix.SOIWithStrategy(q, CostAware)
+	query, err := six.Resolve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := cix.SOIWithStrategy(q, CostAware)
-	if err != nil {
-		t.Fatal(err)
+	for _, strat := range []Strategy{CostAware, RoundRobin} {
+		want, ws, err := six.SOIResolved(ctx, query, q.K, q.Epsilon, strat, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := map[string]func() ([]StreetResult, Stats, error){
+			"SOIWithStrategy": func() ([]StreetResult, Stats, error) { return ix.SOIWithStrategy(q, strat) },
+			"SOIWithCache":    func() ([]StreetResult, Stats, error) { return ix.SOIWithCache(q, strat, nil) },
+			"SOIContext":      func() ([]StreetResult, Stats, error) { return ix.SOIContext(ctx, q, strat, nil) },
+		}
+		if strat == CostAware {
+			entries["SOI"] = func() ([]StreetResult, Stats, error) { return ix.SOI(q) }
+		}
+		for name, eval := range entries {
+			got, gs, err := eval()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, name+" "+strat.String(), got, want)
+			ws.BuildListsTime, ws.FilterTime, ws.RefineTime = 0, 0, 0
+			gs.BuildListsTime, gs.FilterTime, gs.RefineTime = 0, 0, 0
+			if gs != ws {
+				t.Fatalf("%s %v: work differs\n entry:     %+v\n evaluator: %+v", name, strat, gs, ws)
+			}
+		}
 	}
-	requireSameResults(t, "compact routing", got, want)
-	rr, _, err := cix.SOIWithStrategy(q, RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "compact round-robin", rr, want)
-
-	// Dynamic insertion drops the slab; answers must reflect the new POI.
-	center := ix.Grid().Bounds().Center()
-	if _, err := cix.AddPOI(center, []string{"shop"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if cix.SlabIndex() != nil {
-		t.Fatal("slab survived AddPOI")
-	}
-	if _, err := ix.AddPOI(center, []string{"shop"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	want2, _, err := ix.SOIWithStrategy(q, CostAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, _, err := cix.SOIWithStrategy(q, CostAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "post-insert", got2, want2)
 }
 
 // TestIndexFromSlabRoundTrip rebuilds an index from an encoded+decoded
-// slab and verifies both evaluation paths against the original.
+// slab and verifies both access schedules against the original's
+// baseline.
 func TestIndexFromSlabRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	ix := randomScenario(rng)
-	six := slabFromIndex(t, ix)
-	dec, err := grid.DecodeSlab(six.Slab().AppendBinary(nil))
+	dec, err := grid.DecodeSlab(ix.SlabIndex().Slab().AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +175,7 @@ func TestIndexFromSlabRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range propertyQueries(rng, ix) {
-		want, _, err := ix.SOIWithStrategy(q, CostAware)
+		want, _, err := ix.Baseline(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +206,7 @@ func TestSlabContext(t *testing.T) {
 	if _, _, err := six.SOI(Query{Keywords: []string{"shop"}, K: 0, Epsilon: 0.2}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := six.SOIResolved(context.Background(), nil, 1, -1, nil, nil); err == nil {
+	if _, _, err := six.SOIResolved(context.Background(), nil, 1, -1, CostAware, nil, nil); err == nil {
 		t.Fatal("negative epsilon accepted")
 	}
 }
@@ -250,7 +221,7 @@ func TestSlabRunReuse(t *testing.T) {
 	queries := propertyQueries(rng, ix)
 	for round := 0; round < 40; round++ {
 		q := queries[round%len(queries)]
-		want, _, err := ix.SOIWithStrategy(q, CostAware)
+		want, _, err := ix.Baseline(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,11 @@ import (
 // single counter increment. Epoch zero is reserved for never-written
 // slots; when the counter wraps, every stamp array is zeroed once.
 //
-// The run replicates soiRun's control flow exactly (cost-aware schedule);
-// see the SlabIndex doc comment for the bit-identical contract.
+// A segment is unseen until its first updateInterest, partial while
+// unvisited cells remain, and final once every ε-near cell has been
+// visited. Each (segment, cell) pair keeps its own contribution, so the
+// final mass is folded in canonical Cε(ℓ) order whatever order the run
+// visited the cells in.
 type slabRun struct {
 	six  *SlabIndex
 	plan *slabPlan
@@ -29,9 +32,13 @@ type slabRun struct {
 	query vocab.Set
 	k     int
 	eps   float64
-	tick  int
-	mc    *MassCache
-	psi   uint32
+	strat Strategy
+	// tick strides the cooperative cancellation checkpoints.
+	tick int
+	// mc, when non-nil, shares exact segment masses with other runs over
+	// the same index; psi is the query's interned id in the cache.
+	mc  *MassCache
+	psi uint32
 
 	// SL1: parallel cell-ordinal and weight arrays. For single-keyword
 	// queries they alias the slab's inverted index directly.
@@ -188,10 +195,12 @@ func (r *slabRun) release() {
 	r.sl1W = nil
 }
 
-// buildSL1 mirrors Index.buildSL1 over the slab's vocab-major inverted
-// index. A single-keyword list aliases the slab directly; a multi-keyword
-// list is the accumulated cells (accumulate) with their capped weights
-// (cappedAcc), sorted decreasingly by weight, ties by cell.
+// buildSL1 builds the query's source list SL1 over the slab's vocab-major
+// inverted index: cells sorted decreasingly by min(|Pc|, Σψ I[ψ][c])
+// (Algorithm 1 line 2, generalized to POI weights), ties by cell. A
+// single-keyword list aliases the slab directly — it is already capped and
+// sorted; a multi-keyword list is the accumulated cells (accumulate) with
+// their capped weights (cappedAcc).
 func (r *slabRun) buildSL1() {
 	s := r.six.slab
 	if len(r.query) == 1 {
@@ -220,11 +229,10 @@ func (r *slabRun) buildSL1() {
 }
 
 // accumulate sums each query keyword's cell weights into the stamped
-// per-ordinal accumulators, keyword by keyword in query order (the same
-// per-cell addition order as the map layout), and lists the touched
-// ordinals in accTouched. Keywords the slab's vocabulary does not cover
-// contribute nothing. accW and accStamp must be sized to the cell count
-// and the epoch must be fresh.
+// per-ordinal accumulators, keyword by keyword in query order, and lists
+// the touched ordinals in accTouched. Keywords the slab's vocabulary does
+// not cover contribute nothing. accW and accStamp must be sized to the
+// cell count and the epoch must be fresh.
 func (r *slabRun) accumulate() {
 	s := r.six.slab
 	r.accTouched = r.accTouched[:0]
@@ -245,7 +253,8 @@ func (r *slabRun) accumulate() {
 }
 
 // cappedAcc returns an accumulated cell's SL1 weight: the keyword sum
-// capped at the cell's total POI weight.
+// capped at the cell's total POI weight, since a POI carrying several
+// query keywords counts once.
 func (r *slabRun) cappedAcc(ord int32) float64 {
 	w := r.accW[ord]
 	if tw := r.six.slab.CellWeight[ord]; w > tw {
@@ -289,8 +298,7 @@ func (r *slabRun) topSL1() float64 {
 }
 
 // sl1Sorter orders parallel (cell ordinal, weight) slices decreasingly by
-// weight, ties by ascending ordinal — the sortEntries order (ordinal
-// order is cell-id order).
+// weight, ties by ascending ordinal (ordinal order is cell-id order).
 type sl1Sorter struct {
 	cells   []int32
 	weights []float64
@@ -308,8 +316,10 @@ func (s *sl1Sorter) Swap(i, j int) {
 	s.weights[i], s.weights[j] = s.weights[j], s.weights[i]
 }
 
-// checkpoint mirrors soiRun.checkpoint: fault site visit plus periodic
-// context poll.
+// checkpoint is one cooperative cancellation poll: the armed-fault site
+// fires every visit (one atomic load when unarmed), the context is
+// polled every cancelCheckEvery visits. A non-nil return aborts the
+// evaluation with that error.
 func (r *slabRun) checkpoint(site string) error {
 	if err := faults.InjectCtx(r.ctx, site); err != nil {
 		return err
@@ -331,10 +341,11 @@ func (r *slabRun) segGeom(sid uint32) geo.Segment {
 }
 
 // relRange resolves the query-relevant POIs of a cell into the shared
-// arenas, once per run (soiRun.relevantInCell). The POIs appear in
-// ascending id order: single-keyword postings are already sorted, and the
-// multi-keyword path merges the sorted postings ranges synchronously,
-// deduplicating ids — the same order the map layout produces.
+// arenas, once per run: a cell is visited once per ε-near segment, so
+// resolving its postings once and replaying locations pays off quickly.
+// The POIs appear in ascending id order: single-keyword postings are
+// already sorted, and the multi-keyword path merges the sorted postings
+// ranges synchronously, deduplicating POIs that match several keywords.
 func (r *slabRun) relRange(ord int32) (uint32, uint32) {
 	if r.relStamp[ord] == r.epoch {
 		return r.relStart[ord], r.relEnd[ord]
@@ -416,8 +427,9 @@ func findKw(kws []uint32, kw vocab.ID) int {
 	return -1
 }
 
-// ensureSeen initializes a segment's state on first touch, including the
-// MassCache fast path (soiRun.state).
+// ensureSeen initializes a segment's state on first touch. When a shared
+// cache already holds the segment's exact mass for this ⟨Ψ, ε⟩, the
+// segment starts out final and its cell visits are skipped entirely.
 func (r *slabRun) ensureSeen(sid uint32) {
 	if r.segSeen[sid] == r.epoch {
 		return
@@ -449,9 +461,10 @@ func (r *slabRun) ensureSeen(sid uint32) {
 	r.segRemaining[sid] = int32(hi - lo)
 }
 
-// updateInterest visits cell ord for segment sid (soiRun.updateInterest):
-// locate the cell in the segment's canonical Cε(ℓ) range, mark it
-// visited, and apply the visit.
+// updateInterest visits cell ord for segment sid (procedure
+// UpdateInterest): locate the cell in the segment's canonical Cε(ℓ) range
+// — a few dozen cells at most, so a linear scan — mark it visited, and
+// apply the visit.
 func (r *slabRun) updateInterest(sid uint32, ord int32) {
 	r.ensureSeen(sid)
 	if r.segFinal[sid] == r.epoch {
@@ -471,11 +484,13 @@ func (r *slabRun) updateInterest(sid uint32, ord int32) {
 	}
 }
 
-// applyVisit computes one cell's mass contribution with the batched
-// distance kernel and folds it into the segment state
-// (soiRun.applyVisit). The kernel's per-point arithmetic is identical to
-// DistToPointSq, and the POIs stream in the same order, so the
-// contribution is the same float the map layout computes.
+// applyVisit performs the work of one cell visit: it sums the weights of
+// the cell's query-relevant POIs within ε of the segment with the batched
+// distance kernel (per-point arithmetic identical to DistToPointSq),
+// raises mass−(ℓ), and propagates the improved interest lower bound to
+// LBk. The contribution is folded into a local sum before it joins the
+// segment mass, so it is a pure function of ⟨segment, cell, Ψ, ε⟩ (POIs
+// stream in id order) regardless of the visit order the run uses.
 func (r *slabRun) applyVisit(sid uint32, pair uint32, ord int32) {
 	r.stats.CellVisits++
 	lo, hi := r.relRange(ord)
@@ -492,8 +507,11 @@ func (r *slabRun) applyVisit(sid uint32, pair uint32, ord int32) {
 	}
 }
 
-// finalizeMass refolds the exact mass in canonical Cε(ℓ) order
-// (soiRun.finalizeMass), making it a pure function of ⟨segment, Ψ, ε⟩.
+// finalizeMass recomputes the now-exact segment mass as the fold of its
+// per-cell contributions in canonical Cε(ℓ) order. That makes the final
+// mass independent of the visit order this run happened to use — a pure
+// function of ⟨segment, Ψ, ε⟩ — so it can be shared bit-exactly across
+// runs through the MassCache.
 func (r *slabRun) finalizeMass(sid uint32) {
 	var m float64
 	for _, c := range r.contrib[r.plan.segCellOff[sid]:r.plan.segCellOff[sid+1]] {
@@ -507,7 +525,8 @@ func (r *slabRun) finalizeMass(sid uint32) {
 	}
 }
 
-// skipFinal advances a segment-list pointer past final segments.
+// skipFinal advances a segment-list pointer past segments that are
+// already final; accessing them again cannot change any bound.
 func (r *slabRun) skipFinal(list []network.SegmentID, p int) int {
 	for p < len(list) && r.segFinal[list[p]] == r.epoch {
 		p++
@@ -515,8 +534,11 @@ func (r *slabRun) skipFinal(list []network.SegmentID, p int) int {
 	return p
 }
 
-// unseenUpperBound computes UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)
-// (soiRun.unseenUpperBound).
+// unseenUpperBound computes UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²),
+// the largest possible interest of any segment not yet encountered
+// (Algorithm 1 line 22). An exhausted list makes the bound zero: no
+// unseen segment can carry mass (SL1 empty) or exist at all (SL2/SL3
+// empty).
 func (r *slabRun) unseenUpperBound() float64 {
 	r.p2 = r.skipFinal(r.plan.sl2, r.p2)
 	r.p3 = r.skipFinal(r.six.segsByLen, r.p3)
@@ -530,7 +552,8 @@ func (r *slabRun) unseenUpperBound() float64 {
 	return Interest(top1*top2, top3, r.eps)
 }
 
-// remainingCells mirrors soiRun.remainingCells.
+// remainingCells returns how many cells a segment still needs to visit to
+// become final (all of Cε(ℓ) when unseen).
 func (r *slabRun) remainingCells(sid network.SegmentID) int {
 	if r.segSeen[sid] == r.epoch {
 		return int(r.segRemaining[sid])
@@ -538,8 +561,8 @@ func (r *slabRun) remainingCells(sid network.SegmentID) int {
 	return int(r.plan.segCellOff[sid+1] - r.plan.segCellOff[sid])
 }
 
-// finalizeSegment visits every remaining cell of a segment
-// (soiRun.finalizeSegment).
+// finalizeSegment visits every remaining ε-near cell of the segment,
+// bringing it to the final state with exact interest.
 func (r *slabRun) finalizeSegment(sid network.SegmentID) {
 	r.stats.SegmentAccesses++
 	r.ensureSeen(uint32(sid))
@@ -547,7 +570,7 @@ func (r *slabRun) finalizeSegment(sid network.SegmentID) {
 }
 
 // drainSegment visits the remaining cells of a seen segment in canonical
-// order (soiRun.drainSegment).
+// order.
 func (r *slabRun) drainSegment(sid uint32) {
 	lo, hi := r.plan.segCellOff[sid], r.plan.segCellOff[sid+1]
 	for j := lo; j < hi; j++ {
@@ -563,9 +586,19 @@ func (r *slabRun) drainSegment(sid uint32) {
 	}
 }
 
-// filter is the cost-aware main loop of Algorithm 1, identical in control
-// flow to soiRun.filter (CostAware branch).
+// filter is the main loop of Algorithm 1 (lines 8–24). The paper leaves
+// the source access strategy free ("the correctness of our method is not
+// affected by the access strategy") and notes that, in practice, it
+// alternates between SL1 and SL3 and dips into SL2 only when a few
+// segments with a large number of neighboring cells exist. We implement
+// that strategy cost-aware: SL1 drives the search; SL3 is consumed while
+// its next segment is cheap to finalize (few ε-near cells); SL2 is
+// consumed only while its next segment has an outlier cell count.
 func (r *slabRun) filter() error {
+	if r.strat == RoundRobin {
+		return r.filterRoundRobin()
+	}
+	// avgCells calibrates the SL2 outlier threshold.
 	totalPairs := len(r.plan.segCell)
 	numSegs := len(r.six.segLen)
 	avgCells := 1.0
@@ -578,6 +611,11 @@ func (r *slabRun) filter() error {
 		cheapCells = 4
 	}
 	for {
+		// Stop only when every unseen segment is STRICTLY below the seen
+		// lower bound (or provably massless). The strict comparison keeps
+		// exact ties at the k-th rank inside the seen set, so the result
+		// is a pure function of the query even when a shared MassCache
+		// changes how fast LBk rises.
 		r.stats.FilterIterations++
 		if err := r.checkpoint(SiteFilter); err != nil {
 			return err
@@ -586,14 +624,12 @@ func (r *slabRun) filter() error {
 			return nil
 		}
 		if r.p1 >= len(r.sl1Cell) {
+			// SL1 exhausted: no unseen segment can have positive mass.
 			return nil
 		}
-		ord := r.sl1Cell[r.p1]
-		r.p1++
-		r.stats.CellAccesses++
-		for _, sid := range r.plan.cellSeg[r.plan.cellSegOff[ord]:r.plan.cellSegOff[ord+1]] {
-			r.updateInterest(sid, ord)
-		}
+		r.popSL1()
+		// SL3 accesses: finalize short segments while cheap; each pop
+		// raises top(SL3) and with it the unseen bound's denominator.
 		r.p3 = r.skipFinal(r.six.segsByLen, r.p3)
 		for burst := 0; burst < 4 && r.p3 < len(r.six.segsByLen); burst++ {
 			sid := r.six.segsByLen[r.p3]
@@ -605,6 +641,8 @@ func (r *slabRun) filter() error {
 			r.p3++
 			r.p3 = r.skipFinal(r.six.segsByLen, r.p3)
 		}
+		// SL2 access: finalize a segment only while the head of SL2 is an
+		// outlier in neighboring-cell count, shrinking top(SL2).
 		r.p2 = r.skipFinal(r.plan.sl2, r.p2)
 		if r.p2 < len(r.plan.sl2) {
 			sid := r.plan.sl2[r.p2]
@@ -617,9 +655,64 @@ func (r *slabRun) filter() error {
 	}
 }
 
-// refine extracts the k most interesting streets from the seen segments,
-// identical in control flow to soiRun.refine; per-street and per-cell
-// maps become stamped arrays, and candidates sort in owned buffers.
+// popSL1 is one SL1 access: pop the cell with the largest relevant weight
+// and update every segment within ε of it.
+func (r *slabRun) popSL1() {
+	ord := r.sl1Cell[r.p1]
+	r.p1++
+	r.stats.CellAccesses++
+	for _, sid := range r.plan.cellSeg[r.plan.cellSegOff[ord]:r.plan.cellSegOff[ord+1]] {
+		r.updateInterest(sid, ord)
+	}
+}
+
+// filterRoundRobin is the literal Algorithm 1 schedule: SL1 → SL2 → SL3,
+// one access each, cyclically, until LBk ≥ UB. Kept as an ablation of the
+// access strategy; it yields the same result set but typically finalizes
+// far more segments than the cost-aware schedule.
+func (r *slabRun) filterRoundRobin() error {
+	sl2, sl3 := r.plan.sl2, r.six.segsByLen
+	for src := 0; ; src = (src + 1) % 3 {
+		// Strict stop, as in the cost-aware schedule: ties at the k-th
+		// rank must be seen before the filter may stop.
+		r.stats.FilterIterations++
+		if err := r.checkpoint(SiteFilter); err != nil {
+			return err
+		}
+		if ub := r.unseenUpperBound(); ub == 0 || ub < r.topk.bound(r.epoch) {
+			return nil
+		}
+		switch src {
+		case 0:
+			if r.p1 < len(r.sl1Cell) {
+				r.popSL1()
+			} else if r.p2 >= len(sl2) && r.p3 >= len(sl3) {
+				return nil // every list exhausted; UB is zero
+			}
+		case 1:
+			if r.p2 = r.skipFinal(sl2, r.p2); r.p2 < len(sl2) {
+				r.stats.SL2Accesses++
+				r.finalizeSegment(sl2[r.p2])
+				r.p2++
+			}
+		default:
+			if r.p3 = r.skipFinal(sl3, r.p3); r.p3 < len(sl3) {
+				r.stats.SL3Accesses++
+				r.finalizeSegment(sl3[r.p3])
+				r.p3++
+			}
+		}
+	}
+}
+
+// refine extracts the k most interesting streets from the seen segments
+// (Algorithm 1 lines 25–28), finalizing segments only "as necessary":
+// candidates are processed in decreasing order of an interest upper bound
+// (accounted mass plus the full relevant weight of every unvisited cell;
+// SL1 entries carry exactly min(|Pc|, Σψ I[ψ][c])), and processing stops
+// once the next candidate's upper bound cannot beat the k-th best exact
+// street interest. Streets with zero interest are not reported; ties are
+// broken by street id for determinism.
 func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 	for i, ord := range r.sl1Cell {
 		r.cwVal[ord] = r.sl1W[i]
@@ -652,6 +745,12 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 		if err := r.checkpoint(SiteRefine); err != nil {
 			return nil, err
 		}
+		// Strictly below the k-th exact interest: the candidate can
+		// neither enter nor tie into the top-k. The comparison must be
+		// strict so that exact ties at the boundary are always drained —
+		// that keeps the reported set a pure function of the query, no
+		// matter how much of the search earlier runs short-circuited
+		// through a shared MassCache.
 		if bound := r.exact.bound(r.epoch); bound > 0 && r.candUB[i] < bound {
 			break
 		}
@@ -731,12 +830,15 @@ func (s *resultSorter) Less(i, j int) bool {
 }
 func (s *resultSorter) Swap(i, j int) { s.rs[i], s.rs[j] = s.rs[j], s.rs[i] }
 
-// slabTopK is streetTopK rebuilt on stamped arrays and a manual binary
-// min-heap over parallel slices: per-street best values under
-// increase-only updates, with bound() returning the k-th largest. The
-// update/evict decisions compare the same floats as streetTopK, and
-// bound() returns the minimum valid heap value — the same k-th largest —
-// so the two implementations produce identical bound sequences.
+// slabTopK maintains the k-th largest per-street best segment interest
+// lower bound under increase-only updates. This realizes Algorithm 1's
+// LBk = int−(ℓµ), using the observation that the µ-th segment of the
+// ranked seen list (the first segment of the k-th distinct street) carries
+// exactly the k-th largest per-street maximum.
+//
+// Implementation: per-street best values in stamped arrays, plus a
+// lazy-deletion binary min-heap over the current top-k streets in
+// parallel slices; it may hold stale entries, which popStale drops.
 type slabTopK struct {
 	k    int
 	nTop int
@@ -813,7 +915,8 @@ func (t *slabTopK) popStale(epoch uint32) {
 	}
 }
 
-// update raises street's best value to v when it improves (streetTopK.Update).
+// update raises street's best value to v when it improves, and
+// rebalances the top-k set.
 func (t *slabTopK) update(street uint32, v float64, epoch uint32) {
 	if t.bestStamp[street] == epoch && v <= t.best[street] {
 		return
@@ -821,6 +924,7 @@ func (t *slabTopK) update(street uint32, v float64, epoch uint32) {
 	t.best[street] = v
 	t.bestStamp[street] = epoch
 	if t.inTop[street] == epoch {
+		// Value changed; the old heap entry is now stale. Push the fresh one.
 		t.push(street, v)
 		return
 	}
@@ -834,14 +938,15 @@ func (t *slabTopK) update(street uint32, v float64, epoch uint32) {
 	if len(t.hv) == 0 || v <= t.hv[0] {
 		return
 	}
+	// Evict the current minimum and admit street.
 	evicted, _ := t.pop()
 	t.inTop[evicted] = 0
 	t.inTop[street] = epoch
 	t.push(street, v)
 }
 
-// bound returns the current k-th largest best value, or 0 while fewer
-// than k streets have been seen (streetTopK.Bound).
+// bound returns the current LBk: the k-th largest per-street best value,
+// or 0 while fewer than k streets have been seen.
 func (t *slabTopK) bound(epoch uint32) float64 {
 	if t.nTop < t.k {
 		return 0

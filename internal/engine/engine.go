@@ -13,8 +13,6 @@
 // The executor relies on the Index read-only contract (see
 // internal/core): after construction the index is immutable under query
 // traffic, so any number of executor workers may read it concurrently.
-// If the underlying index is mutated (core.Index.AddPOI), call
-// Invalidate to drop the now-stale cached results.
 package engine
 
 import (
@@ -89,8 +87,6 @@ type Config struct {
 	// changes only the work performed, never the results: cached masses
 	// are bit-identical to standalone evaluation.
 	MassCacheEntries int
-	// Strategy is the source-list access strategy used for every query.
-	Strategy core.Strategy
 	// QueueDepth bounds how many queries may wait for a worker slot at
 	// once; excess load is shed immediately with ErrOverloaded instead of
 	// queueing unboundedly. 0 disables the bound (every query waits),
@@ -171,7 +167,6 @@ type Metrics struct {
 type Executor struct {
 	ix      *core.Index
 	workers int
-	strat   core.Strategy
 	sem     chan struct{}
 
 	queueDepth   int           // 0 = unbounded wait queue
@@ -212,7 +207,6 @@ func New(ix *core.Index, cfg Config) *Executor {
 	e := &Executor{
 		ix:           ix,
 		workers:      workers,
-		strat:        cfg.Strategy,
 		sem:          make(chan struct{}, workers),
 		queueDepth:   cfg.QueueDepth,
 		maxQueueWait: cfg.MaxQueueWait,
@@ -270,7 +264,6 @@ func (e *Executor) Metrics() Metrics {
 }
 
 // Invalidate drops every cached result and shared mass contribution.
-// Call after mutating the underlying index.
 func (e *Executor) Invalidate() {
 	if e.cache != nil {
 		e.cache.clear()
@@ -357,7 +350,7 @@ func isContextErr(err error) bool {
 func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 	seq, ix, mass, release := e.acquireEpoch()
 	defer release()
-	key := queryKey(q, e.strat, seq)
+	key := queryKey(q, seq)
 	for {
 		if e.cache != nil {
 			if res, ok := e.cache.get(key); ok {
@@ -516,13 +509,13 @@ func (e *Executor) run(ctx context.Context, q core.Query, ix *core.Index, mass *
 	if ferr := faults.InjectCtx(ctx, SiteEvaluate); ferr != nil {
 		return nil, core.Stats{}, ferr
 	}
-	return ix.SOIContext(ctx, q, e.strat, mass)
+	return ix.SOIContext(ctx, q, core.CostAware, mass)
 }
 
 // Batch evaluates the queries concurrently over the shared index with at
 // most Workers evaluations in flight, returning results in input order.
 //
-// Queries that share ⟨Ψ, ε, strategy⟩ and differ only in k are coalesced
+// Queries that share ⟨Ψ, ε⟩ and differ only in k are coalesced
 // into a single evaluation at the group's largest k: the evaluation is
 // exact and ranks canonically (interest descending, street id ascending),
 // so every smaller-k answer is the first k entries of the larger one,
@@ -556,7 +549,7 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 			out[i] = Result{Err: err}
 			continue
 		}
-		gk := groupKey(q, e.strat)
+		gk := groupKey(q)
 		g, ok := groups[gk]
 		if !ok {
 			g = &group{rep: q}
@@ -607,8 +600,8 @@ func (e *Executor) groupEval(ctx context.Context, q core.Query) Result {
 }
 
 // prefix derives a smaller-k result from a shared evaluation at a larger
-// k over the same ⟨Ψ, ε, strategy⟩. The slice header is re-cut rather
-// than copied; Result.Streets is read-only by contract.
+// k over the same ⟨Ψ, ε⟩. The slice header is re-cut rather than
+// copied; Result.Streets is read-only by contract.
 func prefix(res Result, k int) Result {
 	if res.Err == nil && len(res.Streets) > k {
 		res.Streets = res.Streets[:k]
@@ -618,8 +611,8 @@ func prefix(res Result, k int) Result {
 
 // writeKeyBase writes the query identity shared by every k: the keyword
 // set normalized the way the index resolves it (lower-cased, trimmed,
-// sorted, deduplicated), the exact bits of ε, and the access strategy.
-func writeKeyBase(b *strings.Builder, q core.Query, strat core.Strategy) {
+// sorted, deduplicated) and the exact bits of ε.
+func writeKeyBase(b *strings.Builder, q core.Query) {
 	kws := make([]string, 0, len(q.Keywords))
 	for _, k := range q.Keywords {
 		kws = append(kws, vocab.Normalize(k))
@@ -633,8 +626,6 @@ func writeKeyBase(b *strings.Builder, q core.Query, strat core.Strategy) {
 		b.WriteByte(0x1f)
 	}
 	b.WriteString(strconv.FormatFloat(q.Epsilon, 'b', -1, 64))
-	b.WriteByte(0x1f)
-	b.WriteString(strconv.Itoa(int(strat)))
 }
 
 // queryKey is the full cache identity of a query: the epoch sequence
@@ -642,20 +633,20 @@ func writeKeyBase(b *strings.Builder, q core.Query, strat core.Strategy) {
 // epoch prefix is what makes publishes invalidate by construction —
 // post-publish queries look up under the new sequence and can never see
 // an entry cached under an old epoch.
-func queryKey(q core.Query, strat core.Strategy, seq uint64) string {
+func queryKey(q core.Query, seq uint64) string {
 	var b strings.Builder
 	b.WriteString(strconv.FormatUint(seq, 10))
 	b.WriteByte(0x1f)
-	writeKeyBase(&b, q, strat)
+	writeKeyBase(&b, q)
 	b.WriteByte(0x1f)
 	b.WriteString(strconv.Itoa(q.K))
 	return b.String()
 }
 
 // groupKey is the k-independent identity used to coalesce batch queries.
-func groupKey(q core.Query, strat core.Strategy) string {
+func groupKey(q core.Query) string {
 	var b strings.Builder
-	writeKeyBase(&b, q, strat)
+	writeKeyBase(&b, q)
 	return b.String()
 }
 

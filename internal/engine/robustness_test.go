@@ -226,7 +226,7 @@ func TestDedupJoinedErrorNotCached(t *testing.T) {
 	f := &flight{done: make(chan struct{})}
 	f.res = Result{Err: boom, Cached: true} // worst case: stale Cached bit
 	close(f.done)
-	key := queryKey(q, e.strat, 0)
+	key := queryKey(q, 0)
 	e.flightMu.Lock()
 	e.flight[key] = f
 	e.flightMu.Unlock()

@@ -164,6 +164,7 @@ func AblationCellSize(c *City, sizes []float64, trials int) ([]CellSizeAblationR
 		ix.Warm(Epsilon)
 		row.WarmTime = time.Since(start)
 		row.Cells = ix.Grid().NumCells()
+		ix.SegmentCells(Epsilon) // the baseline's Cε(ℓ) memo, kept off BLTime
 		var lastErr error
 		row.SOITime = medianOf(trials, func() {
 			if _, _, err := ix.SOI(q); err != nil {

@@ -243,41 +243,6 @@ func (g *Grid) buildCellsParallel(locs []geo.Point, keys []vocab.Set, workers in
 // Len returns the number of indexed objects.
 func (g *Grid) Len() int { return g.n }
 
-// Insert adds an object to the grid after construction, maintaining the
-// per-cell invariants (sorted members and postings, keyword set,
-// cardinality bounds). Object ids must be inserted in increasing order so
-// that the sorted-postings invariant holds by appending; out-of-order ids
-// are rejected. Insert is not safe for concurrent use with readers.
-func (g *Grid) Insert(id uint32, loc geo.Point, keys vocab.Set) error {
-	cid := g.CellIndex(loc)
-	c := g.cells[cid]
-	if c == nil {
-		c = &Cell{Inv: make(map[vocab.ID][]uint32)}
-		g.cells[cid] = c
-	}
-	if n := len(c.Members); n > 0 && c.Members[n-1] >= id {
-		return fmt.Errorf("grid: insert id %d out of order (cell tail %d)", id, c.Members[n-1])
-	}
-	first := len(c.Members) == 0
-	c.Members = append(c.Members, id)
-	for _, kw := range keys {
-		c.Inv[kw] = append(c.Inv[kw], id)
-	}
-	c.Keywords = c.Keywords.Union(keys)
-	if n := keys.Len(); first {
-		c.PsiMin, c.PsiMax = n, n
-	} else {
-		if n < c.PsiMin {
-			c.PsiMin = n
-		}
-		if n > c.PsiMax {
-			c.PsiMax = n
-		}
-	}
-	g.n++
-	return nil
-}
-
 // NumCells returns the number of non-empty cells.
 func (g *Grid) NumCells() int { return len(g.cells) }
 
@@ -420,46 +385,3 @@ func (g *Grid) Neighborhood(id CellID, delta int) []CellID {
 	}
 	return out
 }
-
-// CellEntry pairs a cell with a per-keyword member count; the global
-// inverted index entry of Section 3.2.1.
-type CellEntry struct {
-	Cell  CellID
-	Count int
-}
-
-// Inverted is the global inverted index: for every keyword, the list of
-// cells containing it with their counts, sorted decreasingly by count
-// (ties broken by cell id for determinism).
-type Inverted struct {
-	entries map[vocab.ID][]CellEntry
-}
-
-// BuildInverted derives the global inverted index from the grid.
-func (g *Grid) BuildInverted() *Inverted {
-	inv := &Inverted{entries: make(map[vocab.ID][]CellEntry)}
-	for id, c := range g.cells {
-		for kw, postings := range c.Inv {
-			inv.entries[kw] = append(inv.entries[kw], CellEntry{Cell: id, Count: len(postings)})
-		}
-	}
-	for kw := range inv.entries {
-		es := inv.entries[kw]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Count != es[j].Count {
-				return es[i].Count > es[j].Count
-			}
-			return es[i].Cell < es[j].Cell
-		})
-	}
-	return inv
-}
-
-// Entries returns the cell list for a keyword, sorted decreasingly by
-// count. The returned slice must not be modified.
-func (inv *Inverted) Entries(kw vocab.ID) []CellEntry {
-	return inv.entries[kw]
-}
-
-// NumKeywords returns the number of keywords with at least one posting.
-func (inv *Inverted) NumKeywords() int { return len(inv.entries) }

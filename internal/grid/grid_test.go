@@ -247,32 +247,6 @@ func TestNeighborhoodAtBorder(t *testing.T) {
 	}
 }
 
-func TestBuildInverted(t *testing.T) {
-	g, d := buildSmall(t)
-	inv := g.BuildInverted()
-	shop, _ := d.Lookup("shop")
-	es := inv.Entries(shop)
-	// shop appears in cell (0,0) (objects 0,1) and cell (0,2) (objects 3,4).
-	if len(es) != 2 {
-		t.Fatalf("shop cells = %d, want 2", len(es))
-	}
-	// Sorted decreasingly by count.
-	for i := 1; i < len(es); i++ {
-		if es[i].Count > es[i-1].Count {
-			t.Fatalf("entries not sorted: %v", es)
-		}
-	}
-	if es[0].Count != 2 {
-		t.Fatalf("top shop cell count = %d, want 2", es[0].Count)
-	}
-	if inv.NumKeywords() != 3 {
-		t.Fatalf("NumKeywords = %d", inv.NumKeywords())
-	}
-	if inv.Entries(999) != nil {
-		t.Fatal("unknown keyword should have nil entries")
-	}
-}
-
 func TestNonEmptyCellsSorted(t *testing.T) {
 	g, _ := buildSmall(t)
 	ids := g.NonEmptyCells()
@@ -309,105 +283,6 @@ func TestCoordsRoundTrip(t *testing.T) {
 				t.Fatalf("Coords(%d) = %d,%d want %d,%d", id, gx, gy, ix, iy)
 			}
 		}
-	}
-}
-
-// TestInsertMatchesBulkBuild: a grid grown with Insert must be
-// structurally identical to one built with all objects upfront.
-func TestInsertMatchesBulkBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for trial := 0; trial < 20; trial++ {
-		d := vocab.NewDictionary()
-		n := rng.Intn(120) + 10
-		locs := make([]geo.Point, n)
-		keys := make([]vocab.Set, n)
-		words := []string{"a", "b", "c", "d"}
-		for i := range locs {
-			locs[i] = geo.Pt(rng.Float64()*5, rng.Float64()*5)
-			var tags []string
-			for _, w := range words {
-				if rng.Float64() < 0.4 {
-					tags = append(tags, w)
-				}
-			}
-			keys[i] = d.InternAll(tags)
-		}
-		bounds := geo.R(0, 0, 5, 5)
-		bulk, err := Build(Config{CellSize: 0.7, Bounds: bounds}, locs, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		half := n / 2
-		inc, err := Build(Config{CellSize: 0.7, Bounds: bounds}, locs[:half], keys[:half])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := half; i < n; i++ {
-			if err := inc.Insert(uint32(i), locs[i], keys[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if inc.Len() != bulk.Len() || inc.NumCells() != bulk.NumCells() {
-			t.Fatalf("trial %d: len %d/%d cells %d/%d", trial, inc.Len(), bulk.Len(), inc.NumCells(), bulk.NumCells())
-		}
-		bulk.ForEachCell(func(id CellID, want *Cell) {
-			got := inc.CellAt(id)
-			if got == nil {
-				t.Fatalf("cell %d missing after inserts", id)
-			}
-			if len(got.Members) != len(want.Members) {
-				t.Fatalf("cell %d members %d/%d", id, len(got.Members), len(want.Members))
-			}
-			for i := range want.Members {
-				if got.Members[i] != want.Members[i] {
-					t.Fatalf("cell %d member %d differs", id, i)
-				}
-			}
-			if got.PsiMin != want.PsiMin || got.PsiMax != want.PsiMax {
-				t.Fatalf("cell %d psi %d,%d want %d,%d", id, got.PsiMin, got.PsiMax, want.PsiMin, want.PsiMax)
-			}
-			if !got.Keywords.Equal(want.Keywords) {
-				t.Fatalf("cell %d keywords differ", id)
-			}
-			for kw, ps := range want.Inv {
-				gps := got.Inv[kw]
-				if len(gps) != len(ps) {
-					t.Fatalf("cell %d kw %d postings %d/%d", id, kw, len(gps), len(ps))
-				}
-			}
-		})
-	}
-}
-
-func TestInsertRejectsOutOfOrder(t *testing.T) {
-	d := vocab.NewDictionary()
-	g, err := Build(Config{CellSize: 1, Bounds: geo.R(0, 0, 2, 2)},
-		[]geo.Point{geo.Pt(0.5, 0.5)}, []vocab.Set{d.InternAll([]string{"x"})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same cell, smaller id.
-	if err := g.Insert(0, geo.Pt(0.6, 0.6), nil); err == nil {
-		t.Fatal("expected out-of-order error")
-	}
-	// New cell: any id is fine as long as the cell tail stays increasing.
-	if err := g.Insert(1, geo.Pt(1.5, 1.5), nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInsertIntoEmptyCellPsiBounds(t *testing.T) {
-	d := vocab.NewDictionary()
-	g, err := Build(Config{CellSize: 1, Bounds: geo.R(0, 0, 2, 2)}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Insert(0, geo.Pt(0.5, 0.5), d.InternAll([]string{"a", "b"})); err != nil {
-		t.Fatal(err)
-	}
-	c := g.CellAt(g.CellIndex(geo.Pt(0.5, 0.5)))
-	if c.PsiMin != 2 || c.PsiMax != 2 {
-		t.Fatalf("psi bounds = %d,%d, want 2,2", c.PsiMin, c.PsiMax)
 	}
 }
 

@@ -229,11 +229,11 @@ func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) [
 	return buf
 }
 
-// FromSlab reconstructs the map-layout grid from a slab. The returned
+// FromSlab reconstructs the map-of-cells grid from a slab. The returned
 // grid aliases the slab's arrays (members, postings and keyword sets are
 // subslices), so it inherits the slab's read-only contract; use it to
-// serve the map-based query paths from a loaded snapshot without
-// re-ingesting objects.
+// serve the Grid-based readers (core's baseline) from a built or loaded
+// slab without re-ingesting objects.
 func FromSlab(s *Slab) *Grid {
 	g := &Grid{
 		bounds:   s.Bounds,
@@ -246,8 +246,8 @@ func FromSlab(s *Slab) *Grid {
 	for ord := range s.CellIDs {
 		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
 		// Three-index subslices cap every aliased list at its own length,
-		// so an append (dynamic insertion) reallocates instead of writing
-		// into the next cell's range.
+		// so an append by a caller reallocates instead of writing into the
+		// next cell's range.
 		c := &Cell{
 			Members:  s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]:s.MemberOff[ord+1]],
 			Inv:      make(map[vocab.ID][]uint32, kwHi-kwLo),

@@ -35,7 +35,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -469,10 +468,6 @@ func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 // the index may be serving, and the next epoch clones its dictionary as it
 // stands — so the snapshot is self-consistent and the index untouched.
 func (ing *Ingestor) writeSnapshot(ix *core.Index) error {
-	six := ix.SlabIndex()
-	if six == nil {
-		return errors.New("ingest: epoch has no compact slab to snapshot")
-	}
 	dict := ix.POIs().Dict().Clone()
 	pois, err := poi.NewCorpus(ix.POIs().All(), dict)
 	if err != nil {
@@ -486,7 +481,7 @@ func (ing *Ingestor) writeSnapshot(ix *core.Index) error {
 		Net:    ing.net,
 		POIs:   pois,
 		Photos: rb.Build(),
-		Slab:   six.Slab(),
+		Slab:   ix.SlabIndex().Slab(),
 	})
 }
 

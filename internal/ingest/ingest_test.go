@@ -71,7 +71,7 @@ func coldIndex(t *testing.T, net *network.Network, corpus []ingest.Delta) *core.
 	for _, d := range corpus {
 		pb.AddWeighted(d.Loc, d.Keywords, d.Weight)
 	}
-	ix, err := core.NewIndex(net, pb.Build(), core.IndexConfig{CellSize: testCell, Compact: true})
+	ix, err := core.NewIndex(net, pb.Build(), core.IndexConfig{CellSize: testCell})
 	if err != nil {
 		t.Fatalf("cold index build: %v", err)
 	}

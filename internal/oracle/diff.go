@@ -9,7 +9,6 @@ import (
 	"repro/internal/diversify"
 	"repro/internal/engine"
 	"repro/internal/network"
-	"repro/internal/poi"
 	"repro/internal/snapshot"
 )
 
@@ -52,8 +51,6 @@ type Options struct {
 	// SkipEngine disables the parallel-engine comparison (the shrinker
 	// uses this to keep predicate evaluations cheap).
 	SkipEngine bool
-	// SkipDynamic disables the incrementally-built index comparison.
-	SkipDynamic bool
 	// SkipShards disables the sharded scatter-gather comparison.
 	SkipShards bool
 	// ShardCounts are the tile counts swept by the sharded comparison.
@@ -169,11 +166,10 @@ func EqualRanked(got, want []core.StreetResult, relTol float64) string {
 // the brute-force oracle answer is compared against the exact baseline
 // BL, Algorithm 1 under both access strategies, Algorithm 1 over a shared
 // MassCache (two passes, so both the miss and hit paths are exercised),
-// the compact slab layout (directly and after a snapshot
-// serialize/reload round trip), the spatially sharded scatter-gather
-// coordinator (2/4/9 tiles, halo sized to the largest query ε), an
-// index grown incrementally with AddPOI, and the parallel batch engine
-// — each under every swept index cell size. The world build error,
+// the index after a snapshot serialize/reload round trip, the spatially
+// sharded scatter-gather coordinator (2/4/9 tiles, halo sized to the
+// largest query ε), and the parallel batch engine — each under every
+// swept index cell size. The world build error,
 // if any, is returned as-is; implementations disagreeing with the oracle
 // are returned as divergences.
 func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error) {
@@ -232,22 +228,9 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 			}
 		}
 
-		// The compact slab layout must be indistinguishable from the map
-		// layout, both evaluated directly and after a serialize/reload
-		// round trip through the snapshot container (the metamorphic
-		// property: persistence is lossless down to the last float bit).
-		six, err := core.NewSlabIndex(net, pois, core.IndexConfig{CellSize: cell})
-		if err != nil {
-			return nil, fmt.Errorf("oracle: building slab index (cell %g): %w", cell, err)
-		}
-		for i, q := range queries {
-			if res, _, err := six.SOI(q); err != nil {
-				report("soi/slab", q, "error: "+err.Error())
-			} else if d := Equal(res, want[i]); d != "" {
-				report("soi/slab", q, d)
-			}
-		}
-		blob, err := snapshot.Encode(&snapshot.Snapshot{Net: net, POIs: pois, Photos: photos, Slab: six.Slab()})
+		// A serialize/reload round trip through the snapshot container
+		// must be lossless down to the last float bit.
+		blob, err := snapshot.Encode(&snapshot.Snapshot{Net: net, POIs: pois, Photos: photos, Slab: ix.SlabIndex().Slab()})
 		if err != nil {
 			return nil, fmt.Errorf("oracle: encoding snapshot (cell %g): %w", cell, err)
 		}
@@ -271,9 +254,8 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 			}
 		}
 
-		// The sharded scatter-gather coordinator must match the oracle —
-		// and therefore the slab path, already checked bit-exact above —
-		// at every tile count, with the halo sized to the largest ε.
+		// The sharded scatter-gather coordinator must match the oracle at
+		// every tile count, with the halo sized to the largest ε.
 		if !opt.SkipShards {
 			if err := diffShards(net, pois, queries, want, cell, opt, report); err != nil {
 				return nil, err
@@ -285,20 +267,6 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 		if opt.Remote {
 			if err := diffRemote(net, pois, queries, want, cell, opt, report); err != nil {
 				return nil, err
-			}
-		}
-
-		if !opt.SkipDynamic {
-			dyn, err := dynamicIndex(net, w, cell)
-			if err != nil {
-				return nil, err
-			}
-			for i, q := range queries {
-				if res, _, err := dyn.SOI(q); err != nil {
-					report("dynamic/soi", q, "error: "+err.Error())
-				} else if d := Equal(res, want[i]); d != "" {
-					report("dynamic/soi", q, d)
-				}
 			}
 		}
 
@@ -325,56 +293,6 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 		}
 	}
 	return divs, nil
-}
-
-// dynamicIndex builds an index over a subset of the world's POIs and
-// grows it to the full corpus with AddPOI. The initial subset always
-// contains the POIs attaining the coordinate extremes, so the grid bounds
-// match a fresh full build and no append is rejected.
-func dynamicIndex(net *network.Network, w World, cell float64) (*core.Index, error) {
-	initial := make(map[int]bool)
-	if n := len(w.POIs); n > 0 {
-		minX, maxX, minY, maxY := 0, 0, 0, 0
-		for i, p := range w.POIs {
-			if p.Loc.X < w.POIs[minX].Loc.X {
-				minX = i
-			}
-			if p.Loc.X > w.POIs[maxX].Loc.X {
-				maxX = i
-			}
-			if p.Loc.Y < w.POIs[minY].Loc.Y {
-				minY = i
-			}
-			if p.Loc.Y > w.POIs[maxY].Loc.Y {
-				maxY = i
-			}
-		}
-		for _, i := range []int{minX, maxX, minY, maxY} {
-			initial[i] = true
-		}
-		for i := 0; i < n/2; i++ {
-			initial[i] = true
-		}
-	}
-	pb := poi.NewBuilder(nil)
-	for i, p := range w.POIs {
-		if initial[i] {
-			pb.AddWeighted(p.Loc, p.Keywords, specWeight(p))
-		}
-	}
-	ix, err := core.NewIndex(net, pb.Build(), core.IndexConfig{CellSize: cell})
-	if err != nil {
-		return nil, fmt.Errorf("oracle: building dynamic index: %w", err)
-	}
-	for i, p := range w.POIs {
-		if initial[i] {
-			continue
-		}
-		if _, err := ix.AddPOI(p.Loc, p.Keywords, specWeight(p)); err != nil {
-			return nil, fmt.Errorf("oracle: dynamic AddPOI %d: %w", i, err)
-		}
-	}
-	return ix, nil
 }
 
 func specWeight(p POISpec) float64 {

@@ -19,7 +19,6 @@ func TestDifferentialMatrixRemote(t *testing.T) {
 		CellSizes:   []float64{0.0005},
 		ShardCounts: []int{2, 9},
 		SkipEngine:  true,
-		SkipDynamic: true,
 	}
 	for _, cfg := range MatrixConfigs(1, true) {
 		w, err := cfg.BuildWorld()

@@ -9,9 +9,8 @@ package oracle
 // evaluated at; the corpus of every epoch is a known prefix of the
 // world's POI list, so each answer is cross-checked bit-exactly
 // (Float64bits, via Equal) against the brute-force oracle rebuilt over
-// that prefix. After compaction the final epoch is additionally checked
-// against a cold core.NewIndex rebuild of the full corpus — the
-// delta-log path and an offline build must be indistinguishable.
+// that prefix. After compaction every query runs once more on the settled
+// final epoch, against the oracle over the full corpus.
 
 import (
 	"fmt"
@@ -234,14 +233,8 @@ func DiffInterleaved(c SeedConfig, opt InterleaveOptions) ([]Divergence, Interle
 	}
 
 	// Post-compaction pass: every query once more on the settled final
-	// epoch, plus the cold-rebuild comparison — the compacted delta-log
-	// index must answer bit-identically to an offline build of the same
-	// corpus.
+	// epoch, checked against the oracle over the full corpus.
 	finalSeq := uint64(rounds) + 2
-	coldIx, err := core.NewIndex(net, fullCorpus(w), core.IndexConfig{CellSize: opt.cellSize()})
-	if err != nil {
-		return divs, InterleaveReport{}, fmt.Errorf("cold rebuild: %w", err)
-	}
 	for qi, q := range c.Queries {
 		res := exec.Do(q)
 		if res.Err != nil {
@@ -259,18 +252,6 @@ func DiffInterleaved(c SeedConfig, opt InterleaveOptions) ([]Divergence, Interle
 		if err := check(qi, res); err != nil {
 			return divs, InterleaveReport{}, err
 		}
-		cold, _, err := coldIx.SOIWithStrategy(q, core.CostAware)
-		if err != nil {
-			return divs, InterleaveReport{}, fmt.Errorf("cold rebuild query %d: %w", qi, err)
-		}
-		if msg := Equal(res.Streets, cold); msg != "" {
-			divs = append(divs, Divergence{
-				Impl:     "ingest/compacted-vs-cold",
-				CellSize: opt.cellSize(),
-				Query:    q,
-				Detail:   msg,
-			})
-		}
 	}
 	return divs, InterleaveReport{
 		Rounds:     rounds,
@@ -286,12 +267,4 @@ func specsToDeltas(specs []POISpec) []ingest.Delta {
 		out[i] = ingest.Delta{Loc: p.Loc, Keywords: p.Keywords, Weight: specWeight(p)}
 	}
 	return out
-}
-
-func fullCorpus(w World) *poi.Corpus {
-	pb := poi.NewBuilder(vocab.NewDictionary())
-	for _, p := range w.POIs {
-		pb.AddWeighted(p.Loc, p.Keywords, specWeight(p))
-	}
-	return pb.Build()
 }

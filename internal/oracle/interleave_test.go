@@ -7,9 +7,9 @@ import (
 
 // TestDiffInterleaved runs the interleaved differential mode over a few
 // seeds: concurrent queries against a live-publishing ingestor must
-// answer bit-identically to the brute-force oracle at every epoch, and
-// the compacted index must match a cold rebuild. The full 50-seed
-// matrix runs through soicheck -interleaved in CI.
+// answer bit-identically to the brute-force oracle at every epoch,
+// the compacted one included. The full 50-seed matrix runs through
+// soicheck -interleaved in CI.
 func TestDiffInterleaved(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {

@@ -42,13 +42,6 @@ func Metamorphic(w World, queries []core.Query, opt Options) ([]Divergence, erro
 	if err != nil {
 		return nil, fmt.Errorf("oracle: building index: %w", err)
 	}
-	// The slab-backed twin folds segment masses through the ε-plan and
-	// the slab postings instead of the map layout; both must equal the
-	// exhaustive scan.
-	slabIx, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell, Compact: true})
-	if err != nil {
-		return nil, fmt.Errorf("oracle: building slab-backed index: %w", err)
-	}
 
 	var divs []Divergence
 	report := func(impl string, q core.Query, detail string) {
@@ -62,15 +55,10 @@ func Metamorphic(w World, queries []core.Query, opt Options) ([]Divergence, erro
 
 		// Per-segment differential: the grid-indexed mass must equal the
 		// exhaustive-scan mass on every segment, not just the reported ones.
-		for _, layout := range []struct {
-			impl string
-			ix   *core.Index
-		}{{"index/segment-mass", ix}, {"slab/segment-mass", slabIx}} {
-			for sid, want := range full {
-				if got := layout.ix.SegmentMass(network.SegmentID(sid), qset, q.Epsilon); got != want {
-					report(layout.impl, q, fmt.Sprintf("segment %d: mass %v, oracle %v", sid, got, want))
-					break
-				}
+		for sid, want := range full {
+			if got := ix.SegmentMass(network.SegmentID(sid), qset, q.Epsilon); got != want {
+				report("index/segment-mass", q, fmt.Sprintf("segment %d: mass %v, oracle %v", sid, got, want))
+				break
 			}
 		}
 

@@ -528,22 +528,9 @@ func DiffTraj(w World, seed int64, opt Options) ([]Divergence, error) {
 	}
 
 	for _, cell := range opt.cellSizes() {
-		// Both layouts of the production index feed the queries: the map
-		// layout and the slab-backed one, whose segment interests come from
-		// the ε-plan and the slab postings.
-		var layouts [2]struct {
-			tag string
-			ix  *core.Index
-		}
-		for i, compact := range [...]bool{false, true} {
-			ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell, Compact: compact})
-			if err != nil {
-				return nil, fmt.Errorf("oracle: building index (cell %g, compact %t): %w", cell, compact, err)
-			}
-			layouts[i].ix = ix
-			if compact {
-				layouts[i].tag = "slab:"
-			}
+		ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell})
+		if err != nil {
+			return nil, fmt.Errorf("oracle: building index (cell %g): %w", cell, err)
 		}
 		report := func(impl string, q core.Query, detail string) {
 			divs = append(divs, Divergence{Impl: impl, CellSize: cell, Query: q, Detail: detail})
@@ -562,30 +549,27 @@ func DiffTraj(w World, seed int64, opt Options) ([]Divergence, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, l := range layouts {
-					ix := l.ix
-					diverged := false
-					for sid := range interests {
-						got := ix.SegmentInterest(network.SegmentID(sid), set, c.Epsilon)
-						if math.Float64bits(got) != math.Float64bits(interests[sid]) {
-							report(l.tag+"routes/interest", rq, fmt.Sprintf("segment %d: index interest %v, exhaustive %v", sid, got, interests[sid]))
-							diverged = true
-							break
-						}
+				diverged := false
+				for sid := range interests {
+					got := ix.SegmentInterest(network.SegmentID(sid), set, c.Epsilon)
+					if math.Float64bits(got) != math.Float64bits(interests[sid]) {
+						report("routes/interest", rq, fmt.Sprintf("segment %d: index interest %v, exhaustive %v", sid, got, interests[sid]))
+						diverged = true
+						break
 					}
-					if diverged {
-						continue
-					}
-					got, _, err := traj.TopKRoutes(ctx, g, func(sid network.SegmentID) float64 {
-						return ix.SegmentInterest(sid, set, c.Epsilon)
-					}, tq, traj.SearchOptions{})
-					if err != nil {
-						report(l.tag+"routes/topk", rq, fmt.Sprintf("%s: error: %v", c.Label(), err))
-						continue
-					}
-					if d := EqualRoutes(got, want); d != "" {
-						report(l.tag+"routes/topk", rq, fmt.Sprintf("%s: %s", c.Label(), d))
-					}
+				}
+				if diverged {
+					continue
+				}
+				got, _, err := traj.TopKRoutes(ctx, g, func(sid network.SegmentID) float64 {
+					return ix.SegmentInterest(sid, set, c.Epsilon)
+				}, tq, traj.SearchOptions{})
+				if err != nil {
+					report("routes/topk", rq, fmt.Sprintf("%s: error: %v", c.Label(), err))
+					continue
+				}
+				if d := EqualRoutes(got, want); d != "" {
+					report("routes/topk", rq, fmt.Sprintf("%s: %s", c.Label(), d))
 				}
 			}
 		}
@@ -597,18 +581,15 @@ func DiffTraj(w World, seed int64, opt Options) ([]Divergence, error) {
 				tq := traj.TrajQuery{Traces: w.Traces, K: c.K, Radius: c.Radius}
 				m := traj.NewMatcher(net, c.Radius)
 				want := TrajTopK(net, pois, w.Traces, tq, set, c.Epsilon)
-				for _, l := range layouts {
-					ix := l.ix
-					got, _, err := traj.TrajectorySOI(ctx, m, func(sid network.SegmentID) float64 {
-						return ix.SegmentInterest(sid, set, c.Epsilon)
-					}, tq)
-					if err != nil {
-						report(l.tag+"traj/soi", rq, fmt.Sprintf("r=%g: error: %v", c.Radius, err))
-						continue
-					}
-					if d := EqualCorridors(got, want); d != "" {
-						report(l.tag+"traj/soi", rq, fmt.Sprintf("r=%g: %s", c.Radius, d))
-					}
+				got, _, err := traj.TrajectorySOI(ctx, m, func(sid network.SegmentID) float64 {
+					return ix.SegmentInterest(sid, set, c.Epsilon)
+				}, tq)
+				if err != nil {
+					report("traj/soi", rq, fmt.Sprintf("r=%g: error: %v", c.Radius, err))
+					continue
+				}
+				if d := EqualCorridors(got, want); d != "" {
+					report("traj/soi", rq, fmt.Sprintf("r=%g: %s", c.Radius, d))
 				}
 			}
 		}

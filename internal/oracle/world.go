@@ -4,7 +4,7 @@
 // k-SOI query, Eq. 2–5 for the MaxSum diversification objective), a
 // differential driver that cross-checks every production evaluator —
 // baseline BL, Algorithm 1 under both access strategies, the shared
-// MassCache path, a dynamically-grown index and the parallel engine —
+// MassCache path, a snapshot-reloaded index and the parallel engine —
 // against the oracle over seeded deterministic worlds, a metamorphic
 // suite encoding invariants the oracle cannot check alone, and a shrinker
 // that reduces a failing world to a minimal GeoJSON repro.

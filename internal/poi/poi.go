@@ -46,18 +46,6 @@ func NewCorpus(pois []POI, dict *vocab.Dictionary) (*Corpus, error) {
 // Len returns the number of POIs.
 func (c *Corpus) Len() int { return len(c.pois) }
 
-// Append adds a POI to the corpus, assigning the next dense id. A zero
-// weight means the default weight 1. Append is not safe for concurrent
-// use with readers.
-func (c *Corpus) Append(loc geo.Point, keywords vocab.Set, weight float64) ID {
-	if weight == 0 {
-		weight = 1
-	}
-	id := ID(len(c.pois))
-	c.pois = append(c.pois, POI{ID: id, Loc: loc, Keywords: keywords, Weight: weight})
-	return id
-}
-
 // Get returns the POI with the given id.
 func (c *Corpus) Get(id ID) *POI { return &c.pois[id] }
 

@@ -82,6 +82,10 @@ func TestStreetsValidation(t *testing.T) {
 		"/api/streets?keywords=shop&k=abc", // bad k
 		"/api/streets?keywords=shop&eps=x", // bad eps
 		"/api/streets?keywords=shop&k=0",   // invalid k
+		// strconv.ParseFloat accepts these; the query must not.
+		"/api/streets?keywords=shop&eps=NaN",
+		"/api/streets?keywords=shop&eps=Inf",
+		"/api/streets?keywords=shop&eps=-Inf",
 	}
 	for _, url := range cases {
 		rec, body := get(t, s, url)
@@ -166,6 +170,11 @@ func TestTourErrors(t *testing.T) {
 	}
 	if rec, _ := get(t, s, "/api/tour?keywords=unicorns&budget=1"); rec.Code != http.StatusBadRequest {
 		t.Errorf("no matches: status = %d", rec.Code)
+	}
+	for _, eps := range []string{"NaN", "Inf", "-Inf"} {
+		if rec, _ := get(t, s, "/api/tour?keywords=shop&budget=1&eps="+eps); rec.Code != http.StatusBadRequest {
+			t.Errorf("eps=%s: status = %d", eps, rec.Code)
+		}
 	}
 }
 

@@ -96,9 +96,9 @@ func TestTrajectorySOIValidation(t *testing.T) {
 		`{`,                     // malformed JSON
 		`{"keywords":["shop"]}`, // no traces
 		`{"traces":[[[0,0]]]}`,  // no keywords
-		`{"traces":[[[0,0]]],"keywords":["shop"],"radius":-1}`, // negative radius
-		`{"traces":[[[0,0]]],"keywords":["shop"],"k":-1}`,      // negative k
-		`{"traces":[[[0,0]]],"keywords":["shop"],"eps":-1}`,    // negative eps
+		`{"traces":[[[0,0]]],"keywords":["shop"],"radius":-1}`,    // negative radius
+		`{"traces":[[[0,0]]],"keywords":["shop"],"k":-1}`,         // negative k
+		`{"traces":[[[0,0]]],"keywords":["shop"],"eps":-1}`,       // negative eps
 		`{"traces":[[[0,0]]],"keywords":["shop"],"radius":1e999}`, // out-of-range radius
 	}
 	for _, c := range cases {

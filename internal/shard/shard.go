@@ -37,8 +37,8 @@ type Config struct {
 	Halo float64
 	// CellSize is the grid cell size for every per-shard index.
 	CellSize float64
-	// Compact builds slab-backed per-shard indexes (required for
-	// snapshot emission; the coordinator works either way).
+	// Compact is ignored: every per-shard index is slab-backed. The field
+	// is kept only because bench/ sets it.
 	Compact bool
 }
 
@@ -222,7 +222,6 @@ func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, bounds geo.R
 
 	ix, err := core.NewIndex(snet, spois, core.IndexConfig{
 		CellSize: cfg.CellSize,
-		Compact:  cfg.Compact,
 		Bounds:   bounds,
 	})
 	if err != nil {

@@ -110,7 +110,8 @@ func TestShardEquivalence(t *testing.T) {
 }
 
 // TestShardEquivalenceVsMapIndex cross-checks the coordinator against
-// the map-based index path too (both cell sizes of the oracle matrix).
+// core.Index.SOI on the unpartitioned world, at both cell sizes of the
+// oracle matrix.
 func TestShardEquivalenceVsMapIndex(t *testing.T) {
 	net, pois := tinyWorld(t, 3)
 	q := core.Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.0005}
@@ -132,7 +133,7 @@ func TestShardEquivalenceVsMapIndex(t *testing.T) {
 			t.Fatalf("TopK: %v", err)
 		}
 		if d := diffResults(got, want); d != "" {
-			t.Errorf("cell %v: sharded != map index: %s", cell, d)
+			t.Errorf("cell %v: sharded != single index: %s", cell, d)
 		}
 	}
 }

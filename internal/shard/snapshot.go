@@ -46,10 +46,8 @@ type Manifest struct {
 }
 
 // WriteSnapshots persists a partitioned world: one snapshot file per
-// shard next to the manifest at manifestPath. The world must have been
-// partitioned with Compact set (each shard needs a slab). Shard files
-// are named <base>.shard<N>.soi where <base> strips manifestPath's
-// extension.
+// shard next to the manifest at manifestPath. Shard files are named
+// <base>.shard<N>.soi where <base> strips manifestPath's extension.
 func WriteSnapshots(manifestPath string, w *World) error {
 	base := strings.TrimSuffix(filepath.Base(manifestPath), filepath.Ext(manifestPath))
 	dir := filepath.Dir(manifestPath)
@@ -62,10 +60,6 @@ func WriteSnapshots(manifestPath string, w *World) error {
 		Bounds:   [4]float64{w.Bounds.MinX, w.Bounds.MinY, w.Bounds.MaxX, w.Bounds.MaxY},
 	}
 	for _, s := range w.Shards {
-		six := s.Index.SlabIndex()
-		if six == nil {
-			return fmt.Errorf("shard: shard %d has no slab (partition with Compact to write snapshots)", s.ID)
-		}
 		file := fmt.Sprintf("%s.shard%d.soi", base, s.ID)
 		snap := &snapshot.Snapshot{
 			Net:  s.Net,
@@ -73,7 +67,7 @@ func WriteSnapshots(manifestPath string, w *World) error {
 			// Shards serve k-SOI only; an empty photo corpus sharing the
 			// dictionary satisfies the container's completeness contract.
 			Photos: photo.NewBuilder(s.POIs.Dict()).Build(),
-			Slab:   six.Slab(),
+			Slab:   s.Index.SlabIndex().Slab(),
 		}
 		if err := snapshot.WriteFile(filepath.Join(dir, file), snap); err != nil {
 			return fmt.Errorf("shard: writing shard %d: %w", s.ID, err)

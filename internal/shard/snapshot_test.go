@@ -14,7 +14,7 @@ import (
 // in-memory partition and to the single index, with the same counters.
 func TestSnapshotRoundTrip(t *testing.T) {
 	net, pois := tinyWorld(t, 42)
-	w, err := Partition(net, pois, Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005, Compact: true})
+	w, err := Partition(net, pois, Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,19 +62,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if d := diffResults(got, ref); d != "" {
 		t.Errorf("loaded shards != single index: %s", d)
-	}
-}
-
-// TestWriteSnapshotsRequiresCompact: a map-layout partition has no slab
-// to persist and must be rejected with a clear error.
-func TestWriteSnapshotsRequiresCompact(t *testing.T) {
-	net, pois := tinyWorld(t, 1)
-	w, err := Partition(net, pois, Config{Tiles: 2, Halo: 0.001, CellSize: 0.0005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshots(filepath.Join(t.TempDir(), "m.json"), w); err == nil {
-		t.Fatal("expected an error for a non-compact partition")
 	}
 }
 

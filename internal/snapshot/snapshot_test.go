@@ -98,7 +98,7 @@ func TestRebuiltIndexAnswersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := core.NewIndex(s.Net, s.POIs, core.IndexConfig{CellSize: s.Slab.CellSize, Compact: true})
+	orig, err := core.NewIndex(s.Net, s.POIs, core.IndexConfig{CellSize: s.Slab.CellSize})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,10 +84,11 @@ type CoreStats struct {
 	BuildListsNanos Counter
 	FilterNanos     Counter
 	RefineNanos     Counter
-	// MapLayoutBuilds counts map layouts materialised lazily on
-	// snapshot-opened indexes (core.Index.SetRecorder). A serving
+	// MapLayoutBuilds counts map layouts — the grid the exact baseline
+	// scans — materialised lazily (core.Index.SetRecorder). A serving
 	// process answers from the slab alone, so anything above zero means
-	// a map-path caller pulled the second layout into memory.
+	// a caller of Baseline, Grid or an ε-map accessor pulled it into
+	// memory.
 	MapLayoutBuilds Counter
 }
 

@@ -49,7 +49,7 @@ func berlinTenth(b *testing.B) benchWorld {
 			benchErr = err
 			return
 		}
-		ix, err := core.NewIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: 0.0005, Compact: true})
+		ix, err := core.NewIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: 0.0005})
 		if err != nil {
 			benchErr = err
 			return

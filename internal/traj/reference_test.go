@@ -390,7 +390,7 @@ func TestBoundedSearchMatchesUnboundedReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: 0.0005, Compact: seed%2 == 0})
+			ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: 0.0005})
 			if err != nil {
 				t.Fatal(err)
 			}

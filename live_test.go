@@ -135,14 +135,11 @@ func TestWritePathRequiresLiveEngine(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritesAndQueries is the regression test for the
-// core.Index.AddPOI read-only-contract hole: through the public API,
-// concurrent writes and queries can no longer race on a shared mutable
+// TestConcurrentWritesAndQueries pins the index read-only contract from
+// the public API: concurrent writes and queries cannot race on a shared
 // index, because writes go through the ingest delta log and queries pin
-// immutable epochs. The old failure mode — AddPOI mutating the grid and
-// inverted index under a running evaluation — is structurally
-// unreachable: no public method mutates a serving index in place. Run
-// under -race this test fails if any such path reappears.
+// immutable epochs; nothing mutates a serving index in place. Run under
+// -race this test fails if any such path appears.
 func TestConcurrentWritesAndQueries(t *testing.T) {
 	eng := liveFixture(t, LiveConfig{BatchSize: 4})
 	q := Query{Keywords: []string{"shop", "museum"}, K: 5, Epsilon: 0.0008}

@@ -272,10 +272,7 @@ func newEngine(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dic
 	if cell == 0 {
 		cell = DefaultCellSize
 	}
-	// Compact serves from the flattened slab layout alone: the default
-	// cost-aware strategy evaluates on it with zero steady-state
-	// allocations, and the map layout is built only if something asks.
-	ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell, Compact: true})
+	ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell})
 	if err != nil {
 		return nil, fmt.Errorf("soi: building index: %w", err)
 	}
