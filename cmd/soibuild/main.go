@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -62,8 +63,8 @@ func main() {
 	if *shards < 0 {
 		log.Fatalf("-shards must be non-negative, got %d", *shards)
 	}
-	if *shards > 0 && *halo <= 0 {
-		log.Fatalf("-halo must be positive with -shards, got %g", *halo)
+	if *shards > 0 && (!(*halo > 0) || math.IsInf(*halo, 0)) {
+		log.Fatalf("-halo must be positive and finite with -shards, got %g", *halo)
 	}
 
 	net, pois, photos, err := loadDataset(*city, *scale, *seed, *dataDir)
@@ -81,9 +82,13 @@ func main() {
 			log.Fatal(err)
 		}
 		ns := net.Stats()
-		fmt.Printf("%s: %d streets, %d segments, %d POIs across %d shards (%d×%d tiles, halo %g), cell %g -> %s\n",
+		var held int
+		for _, s := range w.Shards {
+			held += s.POIs.Len()
+		}
+		fmt.Printf("%s: %d streets, %d segments, %d POIs across %d shards (%d×%d tiles, halo %g, replication %.2f×), cell %g -> %s\n",
 			datasetName(*city, *dataDir), ns.NumStreets, ns.NumSegments, pois.Len(),
-			len(w.Shards), w.TilesX, w.TilesY, *halo, *cell, *out)
+			len(w.Shards), w.TilesX, w.TilesY, *halo, float64(held)/float64(max(pois.Len(), 1)), *cell, *out)
 		return
 	}
 	six, err := core.NewSlabIndex(net, pois, core.IndexConfig{CellSize: *cell})

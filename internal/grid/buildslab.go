@@ -33,7 +33,7 @@ func BuildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64
 // buildSlab is BuildSlab with an explicit worker count, which tests pin
 // to check that the result does not depend on it.
 func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64, workers int) (*Slab, error) {
-	b, nx, ny, err := resolveLattice(cfg, locs, keys)
+	lat, err := resolveLattice(cfg, locs, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64
 	workers = max(workers, 1)
 	n := len(locs)
 	s := &Slab{
-		Bounds: b, CellSize: cfg.CellSize, NX: nx, NY: ny, NumObjects: n,
+		Bounds: lat.Bounds, CellSize: lat.CellSize, NX: lat.NX, NY: lat.NY, NumObjects: n,
 		ObjX: make([]float64, n), ObjY: make([]float64, n), ObjW: make([]float64, n),
 	}
 	cids := make([]CellID, n)
@@ -52,7 +52,7 @@ func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64
 		if weights != nil {
 			s.ObjW[i] = weights[i]
 		}
-		cids[i] = cellIndex(b, cfg.CellSize, nx, ny, p)
+		cids[i] = lat.CellIndex(p)
 	}
 
 	// Members is the object ids ordered by (cell id, object id); each run

@@ -43,11 +43,9 @@ type Cell struct {
 
 // Grid is an immutable uniform grid over a set of objects.
 type Grid struct {
-	bounds   geo.Rect
-	cellSize float64
-	nx, ny   int
-	cells    map[CellID]*Cell
-	n        int
+	lat   Lattice
+	cells map[CellID]*Cell
+	n     int
 }
 
 // Config controls grid construction.
@@ -70,18 +68,11 @@ func Build(cfg Config, locs []geo.Point, keys []vocab.Set) (*Grid, error) {
 // sharded ingestion path to arbitrary parallelism and verify the result
 // is independent of it.
 func build(cfg Config, locs []geo.Point, keys []vocab.Set, workers int) (*Grid, error) {
-	b, nx, ny, err := resolveLattice(cfg, locs, keys)
+	lat, err := resolveLattice(cfg, locs, keys)
 	if err != nil {
 		return nil, err
 	}
-	g := &Grid{
-		bounds:   b,
-		cellSize: cfg.CellSize,
-		nx:       nx,
-		ny:       ny,
-		cells:    make(map[CellID]*Cell),
-		n:        len(locs),
-	}
+	g := &Grid{lat: lat, cells: make(map[CellID]*Cell), n: len(locs)}
 	if len(locs) < parallelBuildThreshold || workers < 2 {
 		g.buildCells(locs, keys, nil, 1, 0)
 	} else {
@@ -110,16 +101,13 @@ func Dims(bounds geo.Rect, cellSize float64) (nx, ny int, err error) {
 }
 
 // resolveLattice validates a build's inputs and fixes its geometry: the
-// configured bounds (the objects' bounding rectangle when zero) and the
-// lattice dimensions over them.
-func resolveLattice(cfg Config, locs []geo.Point, keys []vocab.Set) (b geo.Rect, nx, ny int, err error) {
-	if cfg.CellSize <= 0 {
-		return b, 0, 0, fmt.Errorf("grid: non-positive cell size %v", cfg.CellSize)
-	}
+// lattice over the configured bounds (the objects' bounding rectangle
+// when zero).
+func resolveLattice(cfg Config, locs []geo.Point, keys []vocab.Set) (Lattice, error) {
 	if len(keys) != 0 && len(keys) != len(locs) {
-		return b, 0, 0, fmt.Errorf("grid: %d locations but %d keyword sets", len(locs), len(keys))
+		return Lattice{}, fmt.Errorf("grid: %d locations but %d keyword sets", len(locs), len(keys))
 	}
-	b = cfg.Bounds
+	b := cfg.Bounds
 	if b == (geo.Rect{}) {
 		for i, p := range locs {
 			r := geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
@@ -131,10 +119,9 @@ func resolveLattice(cfg Config, locs []geo.Point, keys []vocab.Set) (b geo.Rect,
 		}
 	}
 	if !b.IsValid() {
-		return b, 0, 0, fmt.Errorf("grid: invalid bounds %v", b)
+		return Lattice{}, fmt.Errorf("grid: invalid bounds %v", b)
 	}
-	nx, ny, err = Dims(b, cfg.CellSize)
-	return b, nx, ny, err
+	return NewLattice(b, cfg.CellSize)
 }
 
 // parallelBuildThreshold is the object count below which the sharded
@@ -226,8 +213,7 @@ func (g *Grid) buildCellsParallel(locs []geo.Point, keys []vocab.Set, workers in
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sg := &Grid{bounds: g.bounds, cellSize: g.cellSize, nx: g.nx, ny: g.ny,
-				cells: make(map[CellID]*Cell)}
+			sg := &Grid{lat: g.lat, cells: make(map[CellID]*Cell)}
 			sg.buildCells(locs, keys, cids, workers, w)
 			shards[w] = sg.cells
 		}(w)
@@ -247,52 +233,27 @@ func (g *Grid) Len() int { return g.n }
 func (g *Grid) NumCells() int { return len(g.cells) }
 
 // Dims returns the grid dimensions (nx, ny).
-func (g *Grid) Dims() (int, int) { return g.nx, g.ny }
+func (g *Grid) Dims() (int, int) { return g.lat.NX, g.lat.NY }
 
 // CellSize returns the side length of each cell.
-func (g *Grid) CellSize() float64 { return g.cellSize }
+func (g *Grid) CellSize() float64 { return g.lat.CellSize }
 
 // Bounds returns the area the grid covers.
-func (g *Grid) Bounds() geo.Rect { return g.bounds }
+func (g *Grid) Bounds() geo.Rect { return g.lat.Bounds }
 
 // CellIndex returns the cell id containing p, clamped into the grid.
-func (g *Grid) CellIndex(p geo.Point) CellID {
-	return cellIndex(g.bounds, g.cellSize, g.nx, g.ny, p)
-}
-
-// cellIndex is the one place a point is assigned its cell, shared by the
-// map-layout build and BuildSlab so both place every object identically.
-func cellIndex(b geo.Rect, cellSize float64, nx, ny int, p geo.Point) CellID {
-	ix := clamp(int((p.X-b.MinX)/cellSize), 0, nx-1)
-	iy := clamp(int((p.Y-b.MinY)/cellSize), 0, ny-1)
-	return CellID(ix + iy*nx)
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
+func (g *Grid) CellIndex(p geo.Point) CellID { return g.lat.CellIndex(p) }
 
 // Coords returns the (ix, iy) coordinates of a cell id.
 func (g *Grid) Coords(id CellID) (int, int) {
-	return int(id) % g.nx, int(id) / g.nx
+	return int(id) % g.lat.NX, int(id) / g.lat.NX
 }
 
 // CellAt returns the cell with the given id, or nil when empty.
 func (g *Grid) CellAt(id CellID) *Cell { return g.cells[id] }
 
 // CellRect returns the rectangle covered by the cell.
-func (g *Grid) CellRect(id CellID) geo.Rect {
-	ix, iy := g.Coords(id)
-	minX := g.bounds.MinX + float64(ix)*g.cellSize
-	minY := g.bounds.MinY + float64(iy)*g.cellSize
-	return geo.Rect{MinX: minX, MinY: minY, MaxX: minX + g.cellSize, MaxY: minY + g.cellSize}
-}
+func (g *Grid) CellRect(id CellID) geo.Rect { return g.lat.CellRect(id) }
 
 // ForEachCell invokes fn for every non-empty cell. Iteration order is
 // unspecified.
@@ -318,15 +279,11 @@ func (g *Grid) NonEmptyCells() []CellID {
 // ε-augmented segment-to-cell map Cε(ℓ): any object within eps of the
 // segment is guaranteed to live in one of the returned cells.
 func (g *Grid) CellsNearSegment(seg geo.Segment, eps float64) []CellID {
-	b := seg.Bounds().Expand(eps)
-	ix0 := clamp(int((b.MinX-g.bounds.MinX)/g.cellSize), 0, g.nx-1)
-	ix1 := clamp(int((b.MaxX-g.bounds.MinX)/g.cellSize), 0, g.nx-1)
-	iy0 := clamp(int((b.MinY-g.bounds.MinY)/g.cellSize), 0, g.ny-1)
-	iy1 := clamp(int((b.MaxY-g.bounds.MinY)/g.cellSize), 0, g.ny-1)
+	ix0, ix1, iy0, iy1 := g.lat.span(seg.Bounds().Expand(eps))
 	var out []CellID
 	for iy := iy0; iy <= iy1; iy++ {
 		for ix := ix0; ix <= ix1; ix++ {
-			id := CellID(ix + iy*g.nx)
+			id := CellID(ix + iy*g.lat.NX)
 			if g.cells[id] == nil {
 				continue
 			}
@@ -341,14 +298,11 @@ func (g *Grid) CellsNearSegment(seg geo.Segment, eps float64) []CellID {
 // CellsNearPoint returns the ids of all non-empty cells whose rectangle
 // lies within distance eps of p, sorted ascending.
 func (g *Grid) CellsNearPoint(p geo.Point, eps float64) []CellID {
-	ix0 := clamp(int((p.X-eps-g.bounds.MinX)/g.cellSize), 0, g.nx-1)
-	ix1 := clamp(int((p.X+eps-g.bounds.MinX)/g.cellSize), 0, g.nx-1)
-	iy0 := clamp(int((p.Y-eps-g.bounds.MinY)/g.cellSize), 0, g.ny-1)
-	iy1 := clamp(int((p.Y+eps-g.bounds.MinY)/g.cellSize), 0, g.ny-1)
+	ix0, ix1, iy0, iy1 := g.lat.span(geo.Rect{MinX: p.X - eps, MinY: p.Y - eps, MaxX: p.X + eps, MaxY: p.Y + eps})
 	var out []CellID
 	for iy := iy0; iy <= iy1; iy++ {
 		for ix := ix0; ix <= ix1; ix++ {
-			id := CellID(ix + iy*g.nx)
+			id := CellID(ix + iy*g.lat.NX)
 			if g.cells[id] == nil {
 				continue
 			}
@@ -369,15 +323,15 @@ func (g *Grid) Neighborhood(id CellID, delta int) []CellID {
 	var out []CellID
 	for dy := -delta; dy <= delta; dy++ {
 		y := iy + dy
-		if y < 0 || y >= g.ny {
+		if y < 0 || y >= g.lat.NY {
 			continue
 		}
 		for dx := -delta; dx <= delta; dx++ {
 			x := ix + dx
-			if x < 0 || x >= g.nx {
+			if x < 0 || x >= g.lat.NX {
 				continue
 			}
-			nid := CellID(x + y*g.nx)
+			nid := CellID(x + y*g.lat.NX)
 			if g.cells[nid] != nil {
 				out = append(out, nid)
 			}

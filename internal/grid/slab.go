@@ -97,8 +97,8 @@ func NewSlab(g *Grid, locs []geo.Point, weights []float64) (*Slab, error) {
 	s := &Slab{
 		Bounds:     g.Bounds(),
 		CellSize:   g.CellSize(),
-		NX:         g.nx,
-		NY:         g.ny,
+		NX:         g.lat.NX,
+		NY:         g.lat.NY,
 		NumObjects: g.Len(),
 		CellIDs:    make([]int32, len(cells)),
 		PsiMin:     make([]int32, len(cells)),
@@ -194,34 +194,26 @@ func (s *Slab) OrdinalOf(id CellID) int {
 	return -1
 }
 
-// CellRect returns the rectangle covered by cell id, with the same
-// arithmetic as Grid.CellRect so geometric predicates agree bit-for-bit.
-func (s *Slab) CellRect(id CellID) geo.Rect {
-	ix, iy := int(id)%s.NX, int(id)/s.NX
-	minX := s.Bounds.MinX + float64(ix)*s.CellSize
-	minY := s.Bounds.MinY + float64(iy)*s.CellSize
-	return geo.Rect{MinX: minX, MinY: minY, MaxX: minX + s.CellSize, MaxY: minY + s.CellSize}
+// Lattice returns the slab's cell geometry.
+func (s *Slab) Lattice() Lattice {
+	return Lattice{Bounds: s.Bounds, CellSize: s.CellSize, NX: s.NX, NY: s.NY}
 }
+
+// CellRect returns the rectangle covered by cell id.
+func (s *Slab) CellRect(id CellID) geo.Rect { return s.Lattice().CellRect(id) }
 
 // CellsNearSegmentInto appends the ordinals of all non-empty cells within
 // distance eps of seg to buf (ascending), reusing its capacity. The
-// predicate is identical to Grid.CellsNearSegment, so the resulting cell
-// sets — and every mass computed from them — match the map layout exactly.
+// predicate is the one Grid.CellsNearSegment applies, so the resulting
+// cell sets — and every mass computed from them — match the map layout
+// exactly.
 func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) []int32 {
-	b := seg.Bounds().Expand(eps)
-	ix0 := clamp(int((b.MinX-s.Bounds.MinX)/s.CellSize), 0, s.NX-1)
-	ix1 := clamp(int((b.MaxX-s.Bounds.MinX)/s.CellSize), 0, s.NX-1)
-	iy0 := clamp(int((b.MinY-s.Bounds.MinY)/s.CellSize), 0, s.NY-1)
-	iy1 := clamp(int((b.MaxY-s.Bounds.MinY)/s.CellSize), 0, s.NY-1)
+	lat := s.Lattice()
+	ix0, ix1, iy0, iy1 := lat.span(seg.Bounds().Expand(eps))
 	for iy := iy0; iy <= iy1; iy++ {
-		// One binary search locates the row's first candidate ordinal;
-		// the sorted CellIDs array is then scanned forward.
-		rowLo := int32(iy*s.NX + ix0)
-		rowHi := int32(iy*s.NX + ix1)
-		ord := sort.Search(len(s.CellIDs), func(i int) bool { return s.CellIDs[i] >= rowLo })
-		for ; ord < len(s.CellIDs) && s.CellIDs[ord] <= rowHi; ord++ {
-			id := CellID(s.CellIDs[ord])
-			if s.CellRect(id).DistToSegment(seg) <= eps {
+		lo, hi := lat.rowRange(s.CellIDs, iy, ix0, ix1)
+		for ord := lo; ord < hi; ord++ {
+			if lat.CellRect(CellID(s.CellIDs[ord])).DistToSegment(seg) <= eps {
 				buf = append(buf, int32(ord))
 			}
 		}
@@ -236,12 +228,9 @@ func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) [
 // slab without re-ingesting objects.
 func FromSlab(s *Slab) *Grid {
 	g := &Grid{
-		bounds:   s.Bounds,
-		cellSize: s.CellSize,
-		nx:       s.NX,
-		ny:       s.NY,
-		n:        s.NumObjects,
-		cells:    make(map[CellID]*Cell, s.NumCells()),
+		lat:   s.Lattice(),
+		n:     s.NumObjects,
+		cells: make(map[CellID]*Cell, s.NumCells()),
 	}
 	for ord := range s.CellIDs {
 		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]

@@ -81,7 +81,8 @@ type QueryResponse struct {
 
 // Meta is the /shard/meta response body: enough for a coordinator to
 // sanity-check that an address really serves the shard it was
-// configured for, over the partition it expects.
+// configured for, over the partition it expects, and for an operator to
+// see what the shard holds (POIs counts the replicated halo cells too).
 type Meta struct {
 	Shard    int     `json:"shard"`
 	Shards   int     `json:"shards"`
@@ -91,6 +92,7 @@ type Meta struct {
 	CellSize float64 `json:"cell_size"`
 	Streets  int     `json:"streets"`
 	Segments int     `json:"segments"`
+	POIs     int     `json:"pois"`
 }
 
 // ShardData is everything a Server needs to answer queries for one

@@ -113,6 +113,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
+	var pois int
+	if s.d.Index != nil {
+		pois = s.d.Index.POIs().Len()
+	}
 	writeJSON(w, http.StatusOK, Meta{
 		Shard:    s.d.ShardID,
 		Shards:   s.d.Shards,
@@ -122,6 +126,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		CellSize: s.d.CellSize,
 		Streets:  len(s.d.Streets),
 		Segments: len(s.d.Segments),
+		POIs:     pois,
 	})
 }
 

@@ -262,7 +262,8 @@ func TestServerMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 		if m.Shard != i || m.Shards != len(w.Shards) || m.TileX != s.TileX || m.TileY != s.TileY ||
-			m.Halo != w.Halo || m.Streets != len(s.Streets) || m.Segments != len(s.Segments) {
+			m.Halo != w.Halo || m.Streets != len(s.Streets) || m.Segments != len(s.Segments) ||
+			m.POIs != s.POIs.Len() || m.POIs == 0 {
 			t.Errorf("shard %d meta %+v does not match world", i, m)
 		}
 	}

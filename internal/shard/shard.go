@@ -3,15 +3,15 @@
 // single-index path.
 //
 // Partitioning assigns every street to exactly one tile by the center of
-// its bounding box. POIs are replicated into every shard whose ε-halo —
-// the union of the shard's street bounding boxes expanded by the
-// configured halo radius — contains them, so a border street sees every
-// point within distance ≤ Halo of any of its segments and computes the
-// exact global mass. Each shard carries its own slab index built over
-// the unpartitioned world's bounds, which pins all shards to the global
-// cell lattice: identical cell ids, identical Cε(ℓ) traversal order, and
-// therefore bit-identical IEEE-754 mass folds (see DESIGN.md §12 for the
-// subsequence argument).
+// its bounding box. Each shard carries its own slab index built over the
+// unpartitioned world's bounds, which pins all shards to the global cell
+// lattice, and POIs are replicated by cell of that lattice: a shard holds,
+// in whole, every cell whose rectangle lies within the configured halo
+// radius of one of its segments, and nothing else. That is the predicate
+// by which Algorithm 1 builds a segment's ε-augmented cell map Cε(ℓ), so
+// for every ε ≤ Halo a shard's Cε(ℓ), per-cell weights and per-cell member
+// order equal the global ones and its IEEE-754 mass folds are bit-identical
+// (DESIGN.md §12).
 package shard
 
 import (
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/poi"
 )
@@ -48,9 +49,6 @@ type Shard struct {
 	ID    int
 	TileX int
 	TileY int
-	// Halo is the shard's POI admission rectangle: the union of its
-	// street bounding boxes expanded by Config.Halo.
-	Halo geo.Rect
 
 	Net   *network.Network
 	POIs  *poi.Corpus
@@ -111,7 +109,7 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 	if cfg.Tiles < 1 {
 		return nil, fmt.Errorf("shard: tile count %d < 1", cfg.Tiles)
 	}
-	if cfg.Halo < 0 || math.IsNaN(cfg.Halo) {
+	if cfg.Halo < 0 || math.IsNaN(cfg.Halo) || math.IsInf(cfg.Halo, 0) {
 		return nil, fmt.Errorf("shard: invalid halo %v", cfg.Halo)
 	}
 	if cfg.CellSize <= 0 {
@@ -126,6 +124,10 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 	}
 	if !bounds.IsValid() {
 		return nil, fmt.Errorf("shard: cannot derive bounds from network and corpus")
+	}
+	cells, err := newCellMap(bounds, cfg.CellSize, pois)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 
 	gx, gy := SplitTiles(cfg.Tiles)
@@ -172,7 +174,7 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 		if len(streets) == 0 {
 			continue // empty tiles produce no shard, deterministically
 		}
-		s, err := buildShard(net, pois, cfg, bounds, streets)
+		s, err := buildShard(net, pois, cfg, cells, streets)
 		if err != nil {
 			return nil, fmt.Errorf("shard: tile %d: %w", t, err)
 		}
@@ -184,15 +186,49 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 	return w, nil
 }
 
-// buildShard assembles one shard: its streets re-added in global id
-// order, its POI subset taken in global id order from the halo
-// rectangle, and its index pinned to the global bounds.
-func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, bounds geo.Rect, streets []network.StreetID) (*Shard, error) {
-	halo := net.StreetBounds(streets[0]).Expand(cfg.Halo)
-	for _, id := range streets[1:] {
-		halo = halo.Union(net.StreetBounds(id).Expand(cfg.Halo))
-	}
+// cellMap places the corpus on the global cell lattice once, for every
+// shard: the non-empty cells, and the cell of each POI.
+type cellMap struct {
+	lat grid.Lattice
+	// ids lists the non-empty cells, ascending.
+	ids []int32
+	// ofPOI[i] is the index in ids of POI i's cell.
+	ofPOI []int32
+}
 
+func newCellMap(bounds geo.Rect, cellSize float64, pois *poi.Corpus) (*cellMap, error) {
+	lat, err := grid.NewLattice(bounds, cellSize)
+	if err != nil {
+		return nil, err
+	}
+	locs := make([]geo.Point, pois.Len())
+	for i, p := range pois.All() {
+		locs[i] = p.Loc
+	}
+	ids, ofPOI := lat.Cells(locs)
+	return &cellMap{lat: lat, ids: ids, ofPOI: ofPOI}, nil
+}
+
+// near reports, per non-empty cell, whether its rectangle lies within halo
+// of any of the given segments — grid's Cε(ℓ) predicate at ε = halo, so
+// for every ε ≤ halo each cell of each segment's Cε(ℓ) is reported.
+func (m *cellMap) near(segs []network.Segment, halo float64) []bool {
+	near := make([]bool, len(m.ids))
+	left := len(near)
+	for _, seg := range segs {
+		if left == 0 {
+			break // a halo past the world's extent replicates everything
+		}
+		left -= m.lat.MarkNearSegment(m.ids, seg.Geom, halo, near)
+	}
+	return near
+}
+
+// buildShard assembles one shard: its streets re-added in global id
+// order, its POI subset — every POI of every cell near one of its
+// segments — taken in global id order, and its index pinned to the global
+// bounds.
+func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, cells *cellMap, streets []network.StreetID) (*Shard, error) {
 	nb := network.NewBuilder()
 	var segMap []network.SegmentID
 	for _, gid := range streets {
@@ -212,9 +248,10 @@ func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, bounds geo.R
 		return nil, err
 	}
 
+	near := cells.near(snet.Segments(), cfg.Halo)
 	pb := poi.NewBuilder(pois.Dict())
-	for _, p := range pois.All() {
-		if halo.Contains(p.Loc) {
+	for i, p := range pois.All() {
+		if near[cells.ofPOI[i]] {
 			pb.AddSet(p.Loc, p.Keywords, p.Weight)
 		}
 	}
@@ -222,13 +259,12 @@ func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, bounds geo.R
 
 	ix, err := core.NewIndex(snet, spois, core.IndexConfig{
 		CellSize: cfg.CellSize,
-		Bounds:   bounds,
+		Bounds:   cells.lat.Bounds,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Shard{
-		Halo:     halo,
 		Net:      snet,
 		POIs:     spois,
 		Index:    ix,

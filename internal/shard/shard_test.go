@@ -67,7 +67,9 @@ func TestSplitTiles(t *testing.T) {
 // TestShardEquivalence is the heart of the PR's acceptance gate: the
 // scatter-gather answer must be bit-identical to the single slab index
 // at every shard count, for every ε (small relative to tile size, and
-// equal to the halo so border replication is fully exercised).
+// equal to the halo so border replication is fully exercised). A halo
+// past the world's diagonal — any finite size — replicates the whole
+// corpus into every shard and answers the same.
 func TestShardEquivalence(t *testing.T) {
 	const halo = 0.0012
 	queries := []core.Query{
@@ -83,10 +85,20 @@ func TestShardEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: single index: %v", seed, err)
 		}
-		for _, tiles := range []int{2, 4, 9} {
-			w, err := Partition(net, pois, Config{Tiles: tiles, Halo: halo, CellSize: 0.0005})
+		for _, cfg := range []Config{
+			{Tiles: 2, Halo: halo}, {Tiles: 4, Halo: halo}, {Tiles: 9, Halo: halo},
+			{Tiles: 4, Halo: 1}, {Tiles: 4, Halo: 1e300},
+		} {
+			tiles := cfg.Tiles
+			cfg.CellSize = 0.0005
+			w, err := Partition(net, pois, cfg)
 			if err != nil {
 				t.Fatalf("seed %d tiles %d: partition: %v", seed, tiles, err)
+			}
+			for _, s := range w.Shards {
+				if cfg.Halo > halo && s.POIs.Len() != pois.Len() {
+					t.Errorf("seed %d halo %g: shard %d holds %d of %d POIs", seed, cfg.Halo, s.ID, s.POIs.Len(), pois.Len())
+				}
 			}
 			coord := NewCoordinator(w)
 			for qi, q := range queries {
@@ -253,6 +265,7 @@ func TestPartitionRejectsBadConfig(t *testing.T) {
 		{Tiles: 0, Halo: 0.001, CellSize: 0.0005},
 		{Tiles: 2, Halo: -1, CellSize: 0.0005},
 		{Tiles: 2, Halo: math.NaN(), CellSize: 0.0005},
+		{Tiles: 2, Halo: math.Inf(1), CellSize: 0.0005},
 		{Tiles: 2, Halo: 0.001, CellSize: 0},
 	} {
 		if _, err := Partition(net, pois, cfg); err == nil {
