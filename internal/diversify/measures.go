@@ -9,6 +9,7 @@ package diversify
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -32,19 +33,20 @@ type Params struct {
 	Rho float64
 }
 
-// Validate reports whether the parameters are well formed.
+// Validate reports whether the parameters are well formed. NaN fails
+// every comparison, so each test is true only for a good value.
 func (p Params) Validate() error {
 	if p.K <= 0 {
 		return fmt.Errorf("diversify: non-positive k %d", p.K)
 	}
-	if p.Lambda < 0 || p.Lambda > 1 {
+	if !(p.Lambda >= 0 && p.Lambda <= 1) {
 		return fmt.Errorf("diversify: lambda %v outside [0,1]", p.Lambda)
 	}
-	if p.W < 0 || p.W > 1 {
+	if !(p.W >= 0 && p.W <= 1) {
 		return fmt.Errorf("diversify: w %v outside [0,1]", p.W)
 	}
-	if p.Rho <= 0 {
-		return fmt.Errorf("diversify: non-positive rho %v", p.Rho)
+	if !(p.Rho > 0) || math.IsInf(p.Rho, 1) {
+		return fmt.Errorf("diversify: rho %v is not a positive finite number", p.Rho)
 	}
 	return nil
 }

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,14 +164,9 @@ type Metrics struct {
 // Executor evaluates k-SOI queries over one shared index. It is safe for
 // concurrent use.
 type Executor struct {
-	ix      *core.Index
-	workers int
-	sem     chan struct{}
-
-	queueDepth   int           // 0 = unbounded wait queue
-	maxQueueWait time.Duration // 0 = no wait bound
+	ix           *core.Index
+	gate         *Gate         // bounds concurrent evaluations engine-wide
 	queryTimeout time.Duration // 0 = no engine-level deadline
-	queued       atomic.Int64  // queries currently waiting for a slot
 
 	cache  *lruCache       // nil when result caching is disabled
 	mass   *core.MassCache // nil when mass sharing is disabled
@@ -200,16 +194,9 @@ type flight struct {
 
 // New builds an executor over the index.
 func New(ix *core.Index, cfg Config) *Executor {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Executor{
 		ix:           ix,
-		workers:      workers,
-		sem:          make(chan struct{}, workers),
-		queueDepth:   cfg.QueueDepth,
-		maxQueueWait: cfg.MaxQueueWait,
+		gate:         NewGate(cfg.Workers, cfg.QueueDepth, cfg.MaxQueueWait),
 		queryTimeout: cfg.QueryTimeout,
 		flight:       make(map[string]*flight),
 		rec:          cfg.Recorder,
@@ -243,7 +230,7 @@ func (e *Executor) acquireEpoch() (uint64, *core.Index, *core.MassCache, func())
 func (e *Executor) Index() *core.Index { return e.ix }
 
 // Workers returns the worker-pool bound.
-func (e *Executor) Workers() int { return e.workers }
+func (e *Executor) Workers() int { return e.gate.Slots() }
 
 // Recorder returns the executor's observability recorder (nil when
 // recording is disabled).
@@ -412,47 +399,10 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 	}
 }
 
-// acquire claims a worker slot under admission control. A free slot is
-// taken immediately; otherwise the query may wait only while the bounded
-// queue has room, its context is live and the configured maximum queue
-// wait has not elapsed — excess load is shed with ErrOverloaded rather
-// than queued unboundedly.
-func (e *Executor) acquire(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case e.sem <- struct{}{}:
-		return nil
-	default:
-	}
-	if e.queueDepth > 0 {
-		if n := e.queued.Add(1); n > int64(e.queueDepth) {
-			e.queued.Add(-1)
-			return fmt.Errorf("%w: wait queue full (depth %d)", ErrOverloaded, e.queueDepth)
-		}
-		defer e.queued.Add(-1)
-	}
-	var timeout <-chan time.Time
-	if e.maxQueueWait > 0 {
-		t := time.NewTimer(e.maxQueueWait)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case e.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timeout:
-		return fmt.Errorf("%w: queue wait exceeded %v", ErrOverloaded, e.maxQueueWait)
-	}
-}
-
-// evaluate runs one SOI evaluation under the worker-pool semaphore,
-// which bounds concurrent evaluations engine-wide, covering both Batch
-// workers and direct Do callers (e.g. HTTP handlers). Admission control
-// happens here: a query that cannot get a slot in time returns without
+// evaluate runs one SOI evaluation behind the executor's gate, which
+// bounds concurrent evaluations engine-wide, covering both Batch workers
+// and direct Do callers (e.g. HTTP handlers). Admission control happens
+// here: a query that cannot get a slot in time returns without
 // evaluating. With a recorder attached it additionally observes queue
 // depth, queue wait, in-flight count, evaluation wall time and the run's
 // pruning counters; the nil-recorder path performs no time syscalls
@@ -460,23 +410,23 @@ func (e *Executor) acquire(ctx context.Context) error {
 func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, mass *core.MassCache) ([]core.StreetResult, core.Stats, error) {
 	rec := e.rec
 	if rec == nil {
-		if err := e.acquire(ctx); err != nil {
+		if err := e.gate.Acquire(ctx); err != nil {
 			return nil, core.Stats{}, err
 		}
-		defer func() { <-e.sem }()
+		defer e.gate.Release()
 		e.evaluations.Add(1)
 		return e.run(ctx, q, ix, mass)
 	}
 	depth := rec.Engine.QueueDepth.Add(1)
 	rec.Engine.PeakQueueDepth.SetMax(depth)
 	waitStart := time.Now()
-	err := e.acquire(ctx)
+	err := e.gate.Acquire(ctx)
 	rec.Engine.QueueDepth.Add(-1)
 	rec.Engine.QueueWait.Observe(time.Since(waitStart))
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	defer func() { <-e.sem }()
+	defer e.gate.Release()
 	e.evaluations.Add(1)
 	inFlight := rec.Engine.InFlight.Add(1)
 	rec.Engine.PeakInFlight.SetMax(inFlight)
@@ -563,7 +513,7 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 	if e.rec != nil {
 		e.rec.Engine.BatchGroups.Add(int64(len(order)))
 	}
-	workers := e.workers
+	workers := e.Workers()
 	if workers > len(order) {
 		workers = len(order)
 	}

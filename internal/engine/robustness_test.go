@@ -127,7 +127,7 @@ func TestShedWhenQueueFull(t *testing.T) {
 	// q2 (a distinct query, so it cannot dedup-join q1) fills the queue.
 	r2 := make(chan Result, 1)
 	go func() { r2 <- e.Do(robustQuery(2)) }()
-	waitFor(t, "queue occupied", func() bool { return e.queued.Load() == 1 })
+	waitFor(t, "queue occupied", func() bool { return e.gate.queued.Load() == 1 })
 
 	// q3 finds the queue full and must be shed synchronously.
 	res := e.Do(robustQuery(3))

@@ -1,9 +1,10 @@
-// Package httperr is the single source of truth for mapping query-path
-// errors to HTTP statuses. Every serving surface — /api/streets, the
-// batch endpoint, the multi-tenant router (which forwards into the same
-// handlers), the per-shard soishard endpoint and the remote
-// scatter-gather path — routes its errors through Status, so the same
-// failure always wears the same status code:
+// Package httperr holds what every serving surface shares at the HTTP
+// boundary: the preamble of a POST endpoint (DecodePost) and the single
+// source of truth for mapping query-path errors to HTTP statuses. Every
+// serving surface — /api/streets, the batch endpoint, the multi-tenant
+// router (which forwards into the same handlers), the per-shard soishard
+// endpoint and the remote scatter-gather path — routes its errors
+// through Status, so the same failure always wears the same status code:
 //
 //	overload / shed / shards exhausted  → 503 (+ Retry-After)
 //	client went away                    → 499 (accounting only)
@@ -22,7 +23,9 @@ package httperr
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/engine"
@@ -69,4 +72,48 @@ func Status(err error, clientGone bool) (status int, retryAfter bool) {
 	default:
 		return http.StatusBadRequest, false
 	}
+}
+
+// DecodePost is the preamble of every POST endpoint, on soiserve and
+// soishard alike: refuse other methods with 405 and an Allow header, cap
+// the body at maxBytes (not positive: no cap), decode it as JSON into v,
+// and answer an over-long body with 413 and anything else undecodable
+// with 400. It reports whether v is ready; when it is not, the uniform
+// {"error": …} body has been written and the handler just returns.
+func DecodePost(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
+	}
+	if maxBytes > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+	}
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			WriteError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
+			return false
+		}
+		WriteError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// WriteJSON writes v as the JSON body of a response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// Encoding errors past the header cannot be reported to the client;
+	// the payloads are plain structs that always encode.
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the uniform JSON error payload, {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
 }

@@ -596,7 +596,9 @@ func readErrBody(r io.Reader) string {
 	if err != nil || len(raw) == 0 {
 		return "<no body>"
 	}
-	var eb errBody
+	var eb struct {
+		Error string `json:"error"`
+	}
 	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
 		return eb.Error
 	}

@@ -112,3 +112,13 @@ type ShardData struct {
 	Streets  []network.StreetID
 	Segments []network.SegmentID
 }
+
+// GlobalIDs rewrites the shard-local street and segment ids of res, in
+// place, to the global id space — the form results leave a shard in.
+// streets[local] and segments[local] are the shard's id tables.
+func GlobalIDs(res []core.StreetResult, streets []network.StreetID, segments []network.SegmentID) {
+	for i := range res {
+		res[i].Street = streets[res[i].Street]
+		res[i].BestSegment = segments[res[i].BestSegment]
+	}
+}

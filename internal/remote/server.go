@@ -1,8 +1,6 @@
 package remote
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -83,19 +81,9 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports the current drain flag.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-type errBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // handleHealthz is pure liveness: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: the shard index is loaded and the server
@@ -104,11 +92,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.d.Index == nil:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "index not loaded"})
+		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "index not loaded"})
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
@@ -117,7 +105,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	if s.d.Index != nil {
 		pois = s.d.Index.POIs().Len()
 	}
-	writeJSON(w, http.StatusOK, Meta{
+	httperr.WriteJSON(w, http.StatusOK, Meta{
 		Shard:    s.d.ShardID,
 		Shards:   s.d.Shards,
 		TileX:    s.d.TileX,
@@ -131,50 +119,35 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errBody{Error: "POST only"})
-		return
-	}
 	// The injected-5xx chaos mode: an Err fault at remote.serve makes
 	// this shard answer 500 without touching the index, a Delay/Block
 	// fault makes it slow or wedged (bounded by the client's context).
 	if err := faults.InjectCtx(r.Context(), SiteServe); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errBody{Error: err.Error()})
+		httperr.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if s.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "decoding request: " + err.Error()})
+	if !httperr.DecodePost(w, r, s.maxBody, &req) {
 		return
 	}
 	q := req.Query()
 	if err := q.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
+		httperr.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if s.d.Halo > 0 && q.Epsilon > s.d.Halo {
-		writeJSON(w, http.StatusBadRequest,
-			errBody{Error: fmt.Sprintf("remote: query epsilon %v exceeds partition halo %v", q.Epsilon, s.d.Halo)})
+		httperr.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("remote: query epsilon %v exceeds partition halo %v", q.Epsilon, s.d.Halo))
 		return
 	}
 	ub, err := s.d.Index.UnseenBound(q)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
+		httperr.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	resp := QueryResponse{Shard: s.d.ShardID, UB: ub}
 	if req.BoundOnly {
-		writeJSON(w, http.StatusOK, resp)
+		httperr.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	res := s.exec.DoCtx(r.Context(), q)
@@ -183,17 +156,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if retry {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, status, errBody{Error: res.Err.Error()})
+		httperr.WriteError(w, status, res.Err.Error())
 		return
 	}
-	// Map to global ids into a fresh slice: res.Streets may be shared
-	// with the executor's result cache and must stay untouched.
-	resp.Results = make([]core.StreetResult, len(res.Streets))
-	for i, sr := range res.Streets {
-		sr.Street = s.d.Streets[sr.Street]
-		sr.BestSegment = s.d.Segments[sr.BestSegment]
-		resp.Results[i] = sr
-	}
+	// Map to global ids in a copy: res.Streets may be shared with the
+	// executor's result cache and must stay untouched.
+	resp.Results = append([]core.StreetResult(nil), res.Streets...)
+	GlobalIDs(resp.Results, s.d.Streets, s.d.Segments)
 	resp.Stats = res.Stats
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }

@@ -91,40 +91,26 @@ func TestClientCancelMapsTo499(t *testing.T) {
 	}
 }
 
-// serverRemoteQuerier adapts an in-process partitioned world to
-// shard.RemoteQuerier with per-shard kill switches, so the remote
-// serving surface is testable without sockets.
+// serverRemoteQuerier is an in-process partitioned world's querier with
+// per-shard kill switches, so the remote serving surface is testable
+// without sockets.
 type serverRemoteQuerier struct {
-	w    *shard.World
+	shard.RemoteQuerier
 	dead map[int]bool
 }
-
-func (f *serverRemoteQuerier) Shards() int { return len(f.w.Shards) }
 
 func (f *serverRemoteQuerier) Bound(ctx context.Context, sh int, q core.Query) (float64, error) {
 	if f.dead[sh] {
 		return 0, context.DeadlineExceeded
 	}
-	return f.w.Shards[sh].Index.UnseenBound(q)
+	return f.RemoteQuerier.Bound(ctx, sh, q)
 }
 
 func (f *serverRemoteQuerier) Query(ctx context.Context, sh int, q core.Query) (*remote.QueryResponse, error) {
 	if f.dead[sh] {
 		return nil, context.DeadlineExceeded
 	}
-	s := f.w.Shards[sh]
-	res, st, err := s.Index.SOIContext(ctx, q, core.CostAware, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := &remote.QueryResponse{Shard: sh, Stats: st}
-	out.UB, _ = s.Index.UnseenBound(q)
-	for _, r := range res {
-		r.Street = s.Streets[r.Street]
-		r.BestSegment = s.Segments[r.BestSegment]
-		out.Results = append(out.Results, r)
-	}
-	return out, nil
+	return f.RemoteQuerier.Query(ctx, sh, q)
 }
 
 func newTestRemoteServer(t *testing.T, dead map[int]bool) (*RemoteServer, *stats.Recorder) {
@@ -138,7 +124,7 @@ func newTestRemoteServer(t *testing.T, dead map[int]bool) (*RemoteServer, *stats
 		t.Fatal(err)
 	}
 	rec := stats.NewRecorder()
-	coord := shard.NewRemoteCoordinator(&serverRemoteQuerier{w: w, dead: dead}, w.Halo)
+	coord := shard.NewRemoteCoordinator(&serverRemoteQuerier{RemoteQuerier: w.Querier(), dead: dead}, w.Halo)
 	return NewRemoteServer(RemoteConfig{Coordinator: coord, Recorder: rec}), rec
 }
 

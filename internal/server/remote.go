@@ -8,6 +8,7 @@ import (
 
 	soi "repro"
 	"repro/internal/core"
+	"repro/internal/httperr"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
@@ -65,7 +66,7 @@ func (s *RemoteServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *RemoteServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // remoteStreetsResponse extends the /api/streets payload with the
@@ -125,7 +126,7 @@ func (s *RemoteServer) handleStreets(w http.ResponseWriter, r *http.Request) {
 	for i, sr := range res {
 		resp.Streets[i] = soi.Street{Name: sr.Name, Interest: sr.Interest, Mass: sr.Mass}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
 // remoteStatsResponse is the coordinator's /api/stats payload: the
@@ -156,7 +157,7 @@ func (s *RemoteServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap := s.rec.Snapshot()
 		resp.Stats = &snap
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *RemoteServer) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -61,7 +61,7 @@ func TestBatchBodyLimit(t *testing.T) {
 		t.Fatalf("413 body is not JSON: %v\n%s", err, rec.Body.String())
 	}
 	msg, _ := body["error"].(string)
-	if !strings.Contains(msg, "128-byte batch limit") {
+	if !strings.Contains(msg, "128-byte limit") {
 		t.Fatalf("error = %q, want the byte limit named", msg)
 	}
 }

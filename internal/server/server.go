@@ -47,7 +47,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -138,7 +137,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // handleHealthz is pure liveness: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: the engine is loaded and the server is not
@@ -146,29 +145,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.engine == nil:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "engine not loaded"})
+		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "engine not loaded"})
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
-// errorBody is the uniform JSON error payload.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding errors past the header cannot be reported to the client;
-	// the payloads here are plain structs that always encode.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	httperr.WriteError(w, status, err.Error())
 }
 
 // writeQueryError maps a query-path error through the shared
@@ -266,7 +252,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	writeJSON(w, http.StatusOK, statsResponse{
+	httperr.WriteJSON(w, http.StatusOK, statsResponse{
 		Streets: s.engine.NumStreets(),
 		POIs:    s.engine.NumPOIs(),
 		Photos:  s.engine.NumPhotos(),
@@ -339,7 +325,7 @@ func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
 	if resp.Streets == nil {
 		resp.Streets = []soi.Street{}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
 // batchRequest is the /api/streets/batch request payload.
@@ -377,23 +363,8 @@ type batchEntry struct {
 const maxBatchQueries = 1024
 
 func (s *Server) handleStreetsBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.maxBatchBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
-	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte batch limit", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -406,14 +377,8 @@ func (s *Server) handleStreetsBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]soi.Query, len(req.Queries))
 	for i, q := range req.Queries {
-		k := q.K
-		if k == 0 {
-			k = 10
-		}
-		eps := q.Eps
-		if eps == 0 {
-			eps = soi.DefaultCellSize
-		}
+		// Defaults only: the engine refuses each bad member on its own.
+		k, eps := kEpsDefaults(q.K, 10, q.Eps)
 		qs[i] = soi.Query{Keywords: q.Keywords, K: k, Epsilon: eps}
 	}
 	withTrace := traceWanted(r)
@@ -442,10 +407,10 @@ func (s *Server) handleStreetsBatch(w http.ResponseWriter, r *http.Request) {
 		// Every query in the batch was shed: surface the overload as a
 		// retryable 503 (the per-entry errors still describe each query).
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		httperr.WriteJSON(w, http.StatusServiceUnavailable, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
 // poiBody is one POI of a write request.
@@ -482,29 +447,14 @@ type poisResponse struct {
 const maxPOIBatch = 1024
 
 func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if !s.engine.Live() {
+	if r.Method == http.MethodPost && !s.engine.Live() {
 		// Not a client error and not a fault: this deployment was built
 		// without a write path.
 		writeError(w, http.StatusNotImplemented, soi.ErrNotLive)
 		return
 	}
-	if s.maxBatchBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
-	}
 	var req poisRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
 		return
 	}
 	bodies := req.POIs
@@ -543,7 +493,7 @@ func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
 		_, _, resp.Pending = s.engine.IngestCounts()
 	}
 	resp.Epoch = s.engine.Epoch()
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) parseQuery(r *http.Request) (soi.Query, error) {
@@ -593,7 +543,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sum, err := s.engine.DescribeStreet(street, soi.SummaryParams{
+	sum, err := s.engine.DescribeStreetCtx(r.Context(), street, soi.SummaryParams{
 		K: k, Lambda: lambda, W: wWeight, Rho: rho, Epsilon: eps,
 	})
 	switch {
@@ -601,10 +551,10 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		writeQueryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sum)
+	httperr.WriteJSON(w, http.StatusOK, sum)
 }
 
 func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
@@ -627,5 +577,5 @@ func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, tour)
+	httperr.WriteJSON(w, http.StatusOK, tour)
 }

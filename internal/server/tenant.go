@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	soi "repro"
+	"repro/internal/httperr"
 )
 
 // DefaultMaxOpenTenants bounds how many snapshot engines stay resident
@@ -149,7 +150,7 @@ func (ts *TenantServer) handleTenants(w http.ResponseWriter, r *http.Request) {
 	}
 	ts.mu.Unlock()
 	sort.Strings(resident)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	httperr.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"tenants":  ts.Tenants(),
 		"resident": resident,
 		"max_open": ts.cfg.MaxOpen,

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 
 	"repro"
+	"repro/internal/httperr"
 )
 
 // This file serves the trajectory query family: POST /api/routes/topk
@@ -25,6 +25,29 @@ const maxTracePoints = 65536
 // slip through sign checks (NaN compares false against everything) into
 // the query layer.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// kEpsDefaults fills an omitted (zero) k with the endpoint's default and
+// an omitted ε with the /api/streets default.
+func kEpsDefaults(k, defK int, eps float64) (int, float64) {
+	if k == 0 {
+		k = defK
+	}
+	if eps == 0 {
+		eps = soi.DefaultCellSize
+	}
+	return k, eps
+}
+
+// checkKEps refuses a negative k and an ε that is negative or not finite.
+func checkKEps(k int, eps float64) error {
+	if k < 0 {
+		return fmt.Errorf("negative k %d", k)
+	}
+	if eps < 0 || !finite(eps) {
+		return fmt.Errorf("eps %v is not a non-negative finite number", eps)
+	}
+	return nil
+}
 
 type routesRequest struct {
 	Src      [2]float64 `json:"src"`
@@ -49,23 +72,8 @@ type routesResponse struct {
 }
 
 func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.maxBatchBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
-	}
 	var req routesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
 		return
 	}
 	if len(req.Keywords) == 0 {
@@ -86,20 +94,9 @@ func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("alpha %v is not a non-negative finite number", req.Alpha))
 		return
 	}
-	k := req.K
-	if k == 0 {
-		k = 3
-	}
-	if k < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative k %d", k))
-		return
-	}
-	eps := req.Eps
-	if eps == 0 {
-		eps = soi.DefaultCellSize
-	}
-	if eps < 0 || !finite(eps) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("eps %v is not a non-negative finite number", eps))
+	k, eps := kEpsDefaults(req.K, 3, req.Eps)
+	if err := checkKEps(k, eps); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	routes, err := s.engine.TopRoutesCtx(r.Context(), soi.RouteQuery{
@@ -129,7 +126,7 @@ func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Routes[i] = entry
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
 type trajRequest struct {
@@ -152,23 +149,8 @@ type trajResponse struct {
 }
 
 func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.maxBatchBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
-	}
 	var req trajRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
 		return
 	}
 	if len(req.Traces) == 0 {
@@ -191,20 +173,9 @@ func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("radius %v is not a non-negative finite number", req.Radius))
 		return
 	}
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
-	if k < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative k %d", k))
-		return
-	}
-	eps := req.Eps
-	if eps == 0 {
-		eps = soi.DefaultCellSize
-	}
-	if eps < 0 || !finite(eps) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("eps %v is not a non-negative finite number", eps))
+	k, eps := kEpsDefaults(req.K, 10, req.Eps)
+	if err := checkKEps(k, eps); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	traces := make([][]soi.Point, len(req.Traces))
@@ -230,5 +201,5 @@ func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
 	for i, c := range res {
 		resp.Streets[i] = corridorEntry{Name: c.Name, Coverage: c.Coverage, Interest: c.Interest, Score: c.Score}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, http.StatusOK, resp)
 }

@@ -227,3 +227,74 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	}
 	checkNoLeaks(t, before)
 }
+
+// TestZeroBoundShardsAreNotLaunched: a shard with no query-relevant mass
+// (static bound 0) is pruned at its gather position without ever being
+// evaluated — its scatter site is never visited — while the counters stay
+// what they were when such shards were launched and then discarded
+// (seed 42, Ψ={education}: 2 of 4 shards hold none, 3 of 6 at 9 tiles).
+func TestZeroBoundShardsAreNotLaunched(t *testing.T) {
+	defer faults.Reset()
+	net, pois := tinyWorld(t, 42)
+	q := core.Query{Keywords: []string{"education"}, K: 3, Epsilon: 0.0005}
+	for tiles, want := range map[int]GatherStats{
+		4: {ShardsTotal: 4, ShardsEvaluated: 2, ShardsPruned: 2},
+		9: {ShardsTotal: 6, ShardsEvaluated: 3, ShardsPruned: 3},
+	} {
+		w, err := Partition(net, pois, Config{Tiles: tiles, Halo: 0.0012, CellSize: 0.0005})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An armed site counts its visits; the empty fault does nothing.
+		for _, s := range w.Shards {
+			faults.Activate(faults.KeyedSite(SiteScatter, s.ID), faults.Fault{})
+		}
+		_, gs, err := NewCoordinator(w).TopK(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs.ShardsTotal != want.ShardsTotal || gs.ShardsEvaluated != want.ShardsEvaluated || gs.ShardsPruned != want.ShardsPruned {
+			t.Errorf("tiles=%d: counters %+v, want %+v", tiles, gs, want)
+		}
+		zero := 0
+		for _, s := range w.Shards {
+			ub, err := s.Index.UnseenBound(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantVisits := 1
+			if ub == 0 {
+				wantVisits = 0
+				zero++
+			}
+			if n := faults.Visits(faults.KeyedSite(SiteScatter, s.ID)); n != wantVisits {
+				t.Errorf("tiles=%d shard %d (ub=%v): scatter site visited %d times, want %d", tiles, s.ID, ub, n, wantVisits)
+			}
+		}
+		if zero == 0 {
+			t.Errorf("tiles=%d: fixture has no zero-bound shard", tiles)
+		}
+		faults.Reset()
+	}
+}
+
+// TestInProcessShardFailureIsNotUnavailable: an in-process shard that
+// fails is a broken program, not an unreachable peer — the error is a
+// *ShardError carrying the cause, never the retryable
+// ErrShardsUnavailable the remote tier degrades or refuses with.
+func TestInProcessShardFailureIsNotUnavailable(t *testing.T) {
+	defer faults.Reset()
+	coord := chaosWorld(t, 4)
+	boom := errors.New("shard evaluation failed")
+	faults.Activate(SiteScatter, faults.Fault{Err: boom})
+	before := runtime.NumGoroutine()
+	_, _, err := coord.TopK(context.Background(), chaosQuery())
+	var se *ShardError
+	if !errors.As(err, &se) || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want a *ShardError wrapping the shard's failure", err)
+	}
+	if errors.Is(err, ErrShardsUnavailable) {
+		t.Fatalf("in-process failure reported as ErrShardsUnavailable: %v", err)
+	}
+	checkNoLeaks(t, before)
+}

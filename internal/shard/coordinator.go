@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/faults"
+	"repro/internal/remote"
 )
 
 // Fault-injection sites for the chaos suites (internal/faults).
@@ -40,7 +38,7 @@ func (e *ShardError) Unwrap() error { return e.Err }
 
 // GatherStats reports how the scatter-gather run spent its shards. The
 // counters are deterministic: they depend only on the query and the
-// partition, never on goroutine scheduling (see Coordinator.TopK).
+// partition, never on goroutine scheduling (see gather).
 type GatherStats struct {
 	// ShardsTotal is the number of shards in the world.
 	ShardsTotal int
@@ -59,8 +57,6 @@ type GatherStats struct {
 // dataset.
 type Coordinator struct {
 	world *World
-	// order holds shard indices sorted by (initial UB desc, shard id
-	// asc) per query; recomputed each call since UB depends on Ψ and ε.
 }
 
 // NewCoordinator wraps a partitioned world.
@@ -69,156 +65,56 @@ func NewCoordinator(w *World) *Coordinator { return &Coordinator{world: w} }
 // World returns the underlying partitioned world.
 func (c *Coordinator) World() *World { return c.world }
 
-// shardRun is one shard's speculative evaluation.
-type shardRun struct {
-	shard   *Shard
-	ub      float64
-	cancel  context.CancelFunc
-	done    chan struct{}
-	results []core.StreetResult
-	stats   core.Stats
-	err     error
+// TopK runs the scatter-gather (see gather) over the world's own shards
+// and merges the per-shard rankings into the global top-k. Nothing an
+// in-process shard reports is degradable — a shard that fails here is a
+// broken program, not an unreachable peer — so the run is all-or-nothing
+// and a shard failure, a recovered panic included, is a *ShardError.
+func (c *Coordinator) TopK(ctx context.Context, q core.Query) ([]core.StreetResult, GatherStats, error) {
+	if err := checkQuery(q, c.world.Halo); err != nil {
+		return nil, GatherStats{ShardsTotal: len(c.world.Shards)}, err
+	}
+	res, g, err := gather(ctx, c.world.Querier(), q, false, func(error) bool { return false })
+	return res, g.GatherStats, err
 }
 
-// TopK runs Algorithm 1 on every shard that can still matter and merges
-// the per-shard rankings into the global top-k.
-//
-// Determinism: shards are ordered by (initial upper bound desc, shard
-// id asc) and the gather loop walks that order sequentially, deciding
-// prune-or-merge for shard i before looking at shard i+1. Evaluations
-// run speculatively in parallel, but because the decision sequence
-// ⟨LB_k after 0 merges, after 1 merge, …⟩ is a pure function of the
-// query and the partition, the pruned set — and with it GatherStats —
-// is identical regardless of which goroutine finishes first. Pruning
-// uses the strict test UB_i < LB_k of the paper (plus UB_i = 0 for
-// shards with no query-relevant mass): a shard tying the bound is still
-// evaluated, exactly as Algorithm 1 keeps draining ties at UB = LBk, so
-// equal-interest streets beyond position k are ranked by the same
-// (interest desc, id asc) order the single index uses.
-//
-// Every launched goroutine is joined before TopK returns, on success,
-// error and cancellation paths alike — no leaks, no writes after return.
-func (c *Coordinator) TopK(ctx context.Context, q core.Query) ([]core.StreetResult, GatherStats, error) {
-	gs := GatherStats{ShardsTotal: len(c.world.Shards)}
+// checkQuery refuses an invalid query, and one whose radius the
+// partition cannot answer exactly.
+func checkQuery(q core.Query, halo float64) error {
 	if err := q.Validate(); err != nil {
-		return nil, gs, err
+		return err
 	}
-	if q.Epsilon > c.world.Halo {
-		return nil, gs, fmt.Errorf("%w: ε=%v > halo=%v", ErrEpsilonExceedsHalo, q.Epsilon, c.world.Halo)
+	if q.Epsilon > halo {
+		return fmt.Errorf("%w: ε=%v > halo=%v", ErrEpsilonExceedsHalo, q.Epsilon, halo)
 	}
+	return nil
+}
 
-	// Static per-shard upper bounds from the untouched source lists.
-	runs := make([]*shardRun, 0, len(c.world.Shards))
-	for _, s := range c.world.Shards {
-		ub, err := s.Index.UnseenBound(q)
-		if err != nil {
-			return nil, gs, &ShardError{Shard: s.ID, Err: err}
-		}
-		runs = append(runs, &shardRun{shard: s, ub: ub})
-	}
-	// (UB desc, shard id asc): the gather order the decision proof
-	// assumes. Insertion sort keeps it allocation-free and stable-by-id
-	// because runs start in ascending shard id order.
-	for i := 1; i < len(runs); i++ {
-		for j := i; j > 0 && runs[j].ub > runs[j-1].ub; j-- {
-			runs[j], runs[j-1] = runs[j-1], runs[j]
-		}
-	}
+// worldQuerier is a partitioned world behind RemoteQuerier: each shard
+// evaluated in this process, results mapped to global ids.
+type worldQuerier struct{ w *World }
 
-	// Scatter: launch every shard speculatively with its own cancel.
-	var wg sync.WaitGroup
-	for _, r := range runs {
-		r.done = make(chan struct{})
-		sctx, cancel := context.WithCancel(ctx)
-		r.cancel = cancel
-		wg.Add(1)
-		go func(r *shardRun, sctx context.Context) {
-			defer wg.Done()
-			defer close(r.done)
-			defer func() {
-				if v := recover(); v != nil {
-					r.err = &engine.PanicError{Value: v}
-				}
-			}()
-			if err := faults.InjectCtxKeyed(sctx, SiteScatter, r.shard.ID); err != nil {
-				r.err = err
-				return
-			}
-			r.results, r.stats, r.err = r.shard.Index.SOIContext(sctx, q, core.CostAware, nil)
-		}(r, sctx)
-	}
-	// Join everything before returning, whatever path exits.
-	defer func() {
-		for _, r := range runs {
-			r.cancel()
-		}
-		wg.Wait()
-	}()
+// Querier exposes the world's shards through the interface the gather
+// fans out over — what NewCoordinator runs on, and an in-process stand-in
+// for a remote.Client under NewRemoteCoordinator.
+func (w *World) Querier() RemoteQuerier { return worldQuerier{w} }
 
-	// Gather: sequential decision loop over the fixed order.
-	merged := make([]core.StreetResult, 0, q.K*2)
-	kth := func() (float64, bool) {
-		if len(merged) < q.K {
-			return 0, false
-		}
-		return merged[q.K-1].Interest, true
+func (wq worldQuerier) Shards() int { return len(wq.w.Shards) }
+
+func (wq worldQuerier) Bound(_ context.Context, shard int, q core.Query) (float64, error) {
+	return wq.w.Shards[shard].Index.UnseenBound(q)
+}
+
+func (wq worldQuerier) Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error) {
+	s := wq.w.Shards[shard]
+	res, st, err := s.Index.SOIContext(ctx, q, core.CostAware, nil)
+	if err != nil {
+		return nil, err
 	}
-	var failure error
-	for _, r := range runs {
-		if err := faults.InjectCtx(ctx, SiteGather); err != nil {
-			failure = err
-			break
-		}
-		lbk, full := kth()
-		if r.ub == 0 || (full && r.ub < lbk) {
-			// No street of this shard can enter the top-k: its bound is
-			// strictly below the already-guaranteed kth interest (or it
-			// has no query-relevant mass at all). Cancel and move on
-			// without waiting.
-			r.cancel()
-			gs.ShardsPruned++
-			continue
-		}
-		select {
-		case <-r.done:
-		case <-ctx.Done():
-			failure = ctx.Err()
-		}
-		if failure != nil {
-			break
-		}
-		if r.err != nil {
-			failure = &ShardError{Shard: r.shard.ID, Err: r.err}
-			break
-		}
-		gs.ShardsEvaluated++
-		foldStats(&gs.Stats, r.stats)
-		for _, res := range r.results {
-			res.Street = r.shard.Streets[res.Street]
-			res.BestSegment = r.shard.Segments[res.BestSegment]
-			merged = append(merged, res)
-		}
-		core.SortResults(merged)
-		if len(merged) > q.K {
-			// Keep the top k plus the tie block at position k: a later
-			// shard result tying the kth interest must still be ranked
-			// against these by street id, exactly like the single
-			// index's strict tie drain.
-			cut := q.K
-			for cut < len(merged) && merged[cut].Interest == merged[q.K-1].Interest {
-				cut++
-			}
-			merged = merged[:cut]
-		}
-	}
-	if failure != nil {
-		return nil, gs, failure
-	}
-	core.SortResults(merged)
-	if len(merged) > q.K {
-		merged = merged[:q.K]
-	}
-	return merged, gs, nil
+	// res is this evaluation's own slice (no cache sits in between), so
+	// the ids are rewritten in place.
+	remote.GlobalIDs(res, s.Streets, s.Segments)
+	return &remote.QueryResponse{Shard: shard, Results: res, Stats: st}, nil
 }
 
 // foldStats accumulates one shard's Algorithm 1 counters.

@@ -12,44 +12,33 @@ import (
 	"repro/internal/remote"
 )
 
-// fakeQuerier implements RemoteQuerier over an in-process world with
-// per-shard failure switches — the coordinator's decision logic under a
-// perfectly controllable network.
+// fakeQuerier is the world's own querier behind per-shard failure
+// switches — the coordinator's decision logic under a perfectly
+// controllable network.
 type fakeQuerier struct {
-	w         *World
+	RemoteQuerier
 	failBound map[int]bool
 	failQuery map[int]bool
 }
 
-var errFakeDown = errors.New("fake shard down")
+func newFakeQuerier(w *World) *fakeQuerier {
+	return &fakeQuerier{RemoteQuerier: w.Querier(), failBound: map[int]bool{}, failQuery: map[int]bool{}}
+}
 
-func (f *fakeQuerier) Shards() int { return len(f.w.Shards) }
+var errFakeDown = errors.New("fake shard down")
 
 func (f *fakeQuerier) Bound(ctx context.Context, shard int, q core.Query) (float64, error) {
 	if f.failBound[shard] {
 		return 0, errFakeDown
 	}
-	return f.w.Shards[shard].Index.UnseenBound(q)
+	return f.RemoteQuerier.Bound(ctx, shard, q)
 }
 
 func (f *fakeQuerier) Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error) {
 	if f.failQuery[shard] {
 		return nil, errFakeDown
 	}
-	s := f.w.Shards[shard]
-	res, st, err := s.Index.SOIContext(ctx, q, core.CostAware, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := &remote.QueryResponse{Shard: shard, Stats: st}
-	out.UB, _ = s.Index.UnseenBound(q)
-	out.Results = make([]core.StreetResult, len(res))
-	for i, r := range res {
-		r.Street = s.Streets[r.Street]
-		r.BestSegment = s.Segments[r.BestSegment]
-		out.Results[i] = r
-	}
-	return out, nil
+	return f.RemoteQuerier.Query(ctx, shard, q)
 }
 
 // mergeLive computes the expected degraded answer: the exact merged
@@ -65,11 +54,8 @@ func mergeLive(t *testing.T, w *World, q core.Query, dead map[int]bool) []core.S
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range res {
-			r.Street = s.Streets[r.Street]
-			r.BestSegment = s.Segments[r.BestSegment]
-			merged = append(merged, r)
-		}
+		remote.GlobalIDs(res, s.Streets, s.Segments)
+		merged = append(merged, res...)
 	}
 	core.SortResults(merged)
 	if len(merged) > q.K {
@@ -94,7 +80,7 @@ func TestRemoteCoordinatorMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc := NewRemoteCoordinator(&fakeQuerier{w: w}, w.Halo)
+			rc := NewRemoteCoordinator(w.Querier(), w.Halo)
 			got, g, err := rc.TopK(context.Background(), q, false)
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +118,7 @@ func TestRemoteCoordinatorSingleShardLossInvariant(t *testing.T) {
 	sawPrunedLoss := false
 	for i := range w.Shards {
 		for _, phase := range []string{"bound", "query"} {
-			fq := &fakeQuerier{w: w, failBound: map[int]bool{}, failQuery: map[int]bool{}}
+			fq := newFakeQuerier(w)
 			if phase == "bound" {
 				fq.failBound[i] = true
 			} else {
@@ -201,7 +187,8 @@ func TestRemoteCoordinatorMultiShardLoss(t *testing.T) {
 	}
 	q := core.Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.0005}
 	dead := map[int]bool{0: true, 2: true}
-	fq := &fakeQuerier{w: w, failBound: map[int]bool{0: true}, failQuery: map[int]bool{2: true}}
+	fq := newFakeQuerier(w)
+	fq.failBound[0], fq.failQuery[2] = true, true
 	rc := NewRemoteCoordinator(fq, w.Halo)
 	got, g, err := rc.TopK(context.Background(), q, true)
 	if err != nil {
@@ -217,7 +204,7 @@ func TestRemoteCoordinatorMultiShardLoss(t *testing.T) {
 		}
 	}
 	// All shards lost: an empty but well-formed degraded answer.
-	all := &fakeQuerier{w: w, failBound: map[int]bool{}, failQuery: map[int]bool{}}
+	all := newFakeQuerier(w)
 	for i := range w.Shards {
 		all.failBound[i] = true
 	}
@@ -238,7 +225,7 @@ func TestRemoteCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewRemoteCoordinator(&fakeQuerier{w: w}, w.Halo)
+	rc := NewRemoteCoordinator(w.Querier(), w.Halo)
 	if _, _, err := rc.TopK(context.Background(), core.Query{Keywords: []string{"x"}, K: 0, Epsilon: 0.0005}, false); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -257,7 +244,7 @@ func TestRemoteCoordinatorPermanentErrorNotDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq := &permanentQuerier{fakeQuerier{w: w}}
+	pq := &permanentQuerier{w.Querier()}
 	rc := NewRemoteCoordinator(pq, w.Halo)
 	q := core.Query{Keywords: []string{"shop"}, K: 5, Epsilon: 0.0005}
 	_, _, err = rc.TopK(context.Background(), q, true)
@@ -272,7 +259,7 @@ func TestRemoteCoordinatorPermanentErrorNotDegraded(t *testing.T) {
 }
 
 // permanentQuerier fails every bound call with a permanent 400.
-type permanentQuerier struct{ fakeQuerier }
+type permanentQuerier struct{ RemoteQuerier }
 
 func (p *permanentQuerier) Bound(ctx context.Context, shard int, q core.Query) (float64, error) {
 	return 0, &remote.PermanentError{Status: http.StatusBadRequest, Msg: "broken request"}

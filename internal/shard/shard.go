@@ -12,6 +12,13 @@
 // for every ε ≤ Halo a shard's Cε(ℓ), per-cell weights and per-cell member
 // order equal the global ones and its IEEE-754 mass folds are bit-identical
 // (DESIGN.md §12).
+//
+// There is one scatter-gather run, gather (gather.go), written against
+// RemoteQuerier: static per-shard bounds, (bound desc, id asc) order,
+// speculative evaluation, sequential prune-or-merge. Coordinator runs it
+// over the world's own shards (World.Querier), RemoteCoordinator over
+// shard servers in other processes (a remote.Client); they differ only in
+// which shard failures may degrade an answer instead of failing it.
 package shard
 
 import (

@@ -249,7 +249,8 @@ type TrajStats struct {
 	TracePoints   Counter
 	MatchedPoints Counter
 	// Shed, Cancelled, DeadlineExceeded and PanicsRecovered mirror the
-	// engine group's admission outcomes for the trajectory gate.
+	// engine group's admission outcomes for the gate routes, trajectories
+	// and describes share.
 	Shed             Counter
 	Cancelled        Counter
 	DeadlineExceeded Counter

@@ -2,9 +2,7 @@ package soi
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/network"
@@ -44,33 +42,14 @@ var ErrNotLive = errors.New("soi: engine has no ingest path (built without NewLi
 //
 // Call Close when done: it stops the background publisher/compactor.
 func NewLiveEngine(streets []StreetInput, pois []POIInput, photos []PhotoInput, cfg LiveConfig) (*Engine, error) {
-	nb := network.NewBuilder()
-	for _, s := range streets {
-		pts := make([]geo.Point, len(s.Polyline))
-		for i, p := range s.Polyline {
-			pts[i] = geo.Pt(p.X, p.Y)
-		}
-		nb.AddStreet(s.Name, pts)
-	}
-	net, err := nb.Build()
+	net, err := networkFromInputs(streets)
 	if err != nil {
-		return nil, fmt.Errorf("soi: building network: %w", err)
+		return nil, err
 	}
 	// Photos keep their own dictionary: DescribeStreet resolves tags
 	// against it, while each POI epoch interns a fresh dictionary of its
 	// own (keyword ids never cross the epoch boundary).
-	dict := vocab.NewDictionary()
-	phc := photoBuilderFromInputs(photos, dict)
-
-	cell := cfg.GridCellSize
-	if cell == 0 {
-		cell = DefaultCellSize
-	}
-	rec := stats.NewRecorder()
-	base := make([]ingest.Delta, len(pois))
-	for i, p := range pois {
-		base[i] = ingest.Delta{Loc: geo.Pt(p.X, p.Y), Keywords: p.Keywords, Weight: p.Weight}
-	}
+	phc := photoBuilderFromInputs(photos, vocab.NewDictionary())
 	var phSpecs []ingest.PhotoSpec
 	if cfg.SnapshotPath != "" {
 		phSpecs = make([]ingest.PhotoSpec, len(photos))
@@ -78,27 +57,7 @@ func NewLiveEngine(streets []StreetInput, pois []POIInput, photos []PhotoInput, 
 			phSpecs[i] = ingest.PhotoSpec{Loc: geo.Pt(p.X, p.Y), Tags: p.Tags}
 		}
 	}
-	ing, err := ingest.New(net, base, ingest.Config{
-		CellSize:     cell,
-		BatchSize:    cfg.BatchSize,
-		CompactAfter: cfg.CompactAfter,
-		SnapshotPath: cfg.SnapshotPath,
-		Photos:       phSpecs,
-		Recorder:     rec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	exec := engine.New(nil, engine.Config{
-		Workers:      cfg.Workers,
-		CacheSize:    cfg.CacheSize,
-		QueueDepth:   cfg.QueueDepth,
-		MaxQueueWait: cfg.MaxQueueWait,
-		QueryTimeout: cfg.QueryTimeout,
-		Recorder:     rec,
-		Source:       ing,
-	})
-	return &Engine{net: net, photos: phc, dict: dict, exec: exec, rec: rec, ing: ing, trajCfg: cfg.Config}, nil
+	return newLiveEngine(net, deltasFromInputs(pois), phc, phSpecs, cfg)
 }
 
 // NewLiveEngineFromCorpora is NewLiveEngine over already-built internal
@@ -106,11 +65,6 @@ func NewLiveEngine(streets []StreetInput, pois []POIInput, photos []PhotoInput, 
 // base and its keywords are re-interned per epoch, so the input corpus
 // stays untouched.
 func NewLiveEngineFromCorpora(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, cfg LiveConfig) (*Engine, error) {
-	cell := cfg.GridCellSize
-	if cell == 0 {
-		cell = DefaultCellSize
-	}
-	rec := stats.NewRecorder()
 	dict := pois.Dict()
 	base := make([]ingest.Delta, pois.Len())
 	for i := range base {
@@ -126,6 +80,18 @@ func NewLiveEngineFromCorpora(net *network.Network, pois *poi.Corpus, photos *ph
 			phSpecs[i] = ingest.PhotoSpec{Loc: ph.Loc, Tags: phDict.Names(ph.Tags)}
 		}
 	}
+	return newLiveEngine(net, base, photos, phSpecs, cfg)
+}
+
+// newLiveEngine starts the ingest path over the base POIs and wires the
+// serving stack to it. phSpecs is the photo corpus in the form compaction
+// snapshots persist; it is only needed with cfg.SnapshotPath set.
+func newLiveEngine(net *network.Network, base []ingest.Delta, photos *photo.Corpus, phSpecs []ingest.PhotoSpec, cfg LiveConfig) (*Engine, error) {
+	cell := cfg.GridCellSize
+	if cell == 0 {
+		cell = DefaultCellSize
+	}
+	rec := stats.NewRecorder()
 	ing, err := ingest.New(net, base, ingest.Config{
 		CellSize:     cell,
 		BatchSize:    cfg.BatchSize,
@@ -137,16 +103,16 @@ func NewLiveEngineFromCorpora(net *network.Network, pois *poi.Corpus, photos *ph
 	if err != nil {
 		return nil, err
 	}
-	exec := engine.New(nil, engine.Config{
-		Workers:      cfg.Workers,
-		CacheSize:    cfg.CacheSize,
-		QueueDepth:   cfg.QueueDepth,
-		MaxQueueWait: cfg.MaxQueueWait,
-		QueryTimeout: cfg.QueryTimeout,
-		Recorder:     rec,
-		Source:       ing,
-	})
-	return &Engine{net: net, photos: photos, dict: photos.Dict(), exec: exec, rec: rec, ing: ing, trajCfg: cfg.Config}, nil
+	e := &Engine{net: net, photos: photos, dict: photos.Dict(), rec: rec, ing: ing}
+	return e.serving(nil, ing, cfg.Config), nil
+}
+
+func deltasFromInputs(pois []POIInput) []ingest.Delta {
+	ds := make([]ingest.Delta, len(pois))
+	for i, p := range pois {
+		ds[i] = ingest.Delta{Loc: geo.Pt(p.X, p.Y), Keywords: p.Keywords, Weight: p.Weight}
+	}
+	return ds
 }
 
 // Live reports whether the engine accepts POI writes.
@@ -161,11 +127,7 @@ func (e *Engine) AddPOIs(pois []POIInput) (pending int, err error) {
 	if e.ing == nil {
 		return 0, ErrNotLive
 	}
-	ds := make([]ingest.Delta, len(pois))
-	for i, p := range pois {
-		ds[i] = ingest.Delta{Loc: geo.Pt(p.X, p.Y), Keywords: p.Keywords, Weight: p.Weight}
-	}
-	return e.ing.AddBatch(ds)
+	return e.ing.AddBatch(deltasFromInputs(pois))
 }
 
 // Publish folds the pending deltas into a fresh index epoch and installs

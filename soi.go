@@ -25,8 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -146,6 +146,25 @@ func (p SummaryParams) withDefaults() SummaryParams {
 	return p
 }
 
+// diversify is the Algorithm 2 view of the parameters.
+func (p SummaryParams) diversify() diversify.Params {
+	return diversify.Params{K: p.K, Lambda: p.Lambda, W: p.W, Rho: p.Rho}
+}
+
+// validate refuses what Algorithm 2 cannot run on, defaults already
+// filled: k < 1, λ or w outside [0,1], ρ or ε not positive and finite.
+// NaN fails every comparison, so each test is written to be true only
+// for a good value.
+func (p SummaryParams) validate() error {
+	if err := p.diversify().Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSummaryParams, err)
+	}
+	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 1) {
+		return fmt.Errorf("%w: epsilon %v is not a positive finite number", ErrBadSummaryParams, p.Epsilon)
+	}
+	return nil
+}
+
 // SummaryPhoto is one selected photo of a street summary.
 type SummaryPhoto struct {
 	X, Y float64
@@ -193,14 +212,16 @@ type Engine struct {
 	photoIdx     *diversify.PhotoIndex
 	photoIdxErr  error
 
+	// gate admits the query families that do not run through exec —
+	// routes, trajectories (traj.go) and describes — under the same
+	// Config knobs; queryTimeout is their per-query deadline.
+	gate         *engine.Gate
+	queryTimeout time.Duration
+
 	// Trajectory query family (traj.go): lazily built search graph and
-	// a dedicated admission gate mirroring the executor's contract.
-	trajCfg      Config
+	// per-radius matchers.
 	trajOnce     sync.Once
 	trajG        *traj.Graph
-	trajGateOnce sync.Once
-	trajGate     chan struct{}
-	trajWaiters  atomic.Int64
 	trajMatchMu  sync.Mutex
 	trajMatchers map[float64]*traj.Matcher
 }
@@ -212,6 +233,10 @@ var ErrUnknownStreet = errors.New("soi: unknown street")
 // ErrNoPhotos is returned by DescribeStreet when the street has no
 // associated photos within ε.
 var ErrNoPhotos = diversify.ErrNoPhotos
+
+// ErrBadSummaryParams is returned by DescribeStreet for parameters that
+// are not finite or lie outside their range. Servers map it to 400.
+var ErrBadSummaryParams = errors.New("soi: invalid summary parameters")
 
 // ErrOverloaded is returned when the engine's admission control sheds a
 // query instead of queueing it (the bounded wait queue was full or the
@@ -226,6 +251,17 @@ type PanicError = engine.PanicError
 // NewEngine builds an engine from plain inputs. Streets must have at
 // least two polyline points each.
 func NewEngine(streets []StreetInput, pois []POIInput, photos []PhotoInput, cfg Config) (*Engine, error) {
+	net, err := networkFromInputs(streets)
+	if err != nil {
+		return nil, err
+	}
+	dict := vocab.NewDictionary()
+	pb := poiBuilderFromInputs(pois, dict)
+	rb := photoBuilderFromInputs(photos, dict)
+	return newEngine(net, pb, rb, dict, cfg)
+}
+
+func networkFromInputs(streets []StreetInput) (*network.Network, error) {
 	nb := network.NewBuilder()
 	for _, s := range streets {
 		pts := make([]geo.Point, len(s.Polyline))
@@ -238,10 +274,7 @@ func NewEngine(streets []StreetInput, pois []POIInput, photos []PhotoInput, cfg 
 	if err != nil {
 		return nil, fmt.Errorf("soi: building network: %w", err)
 	}
-	dict := vocab.NewDictionary()
-	pb := poiBuilderFromInputs(pois, dict)
-	rb := photoBuilderFromInputs(photos, dict)
-	return newEngine(net, pb, rb, dict, cfg)
+	return net, nil
 }
 
 func poiBuilderFromInputs(in []POIInput, dict *vocab.Dictionary) *poi.Corpus {
@@ -284,15 +317,28 @@ func newEngine(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dic
 func newEngineWithIndex(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dict *vocab.Dictionary, ix *core.Index, cfg Config) *Engine {
 	rec := stats.NewRecorder()
 	ix.SetRecorder(rec)
-	exec := engine.New(ix, engine.Config{
+	e := &Engine{net: net, pois: pois, photos: photos, dict: dict, index: ix, rec: rec}
+	return e.serving(ix, nil, cfg)
+}
+
+// serving gives the engine its admission and execution stack, the one
+// place Config's serving knobs are read: the k-SOI executor over the
+// fixed index ix — or, for a live engine, over the epoch source src —
+// and the gate and deadline of the families that bypass it. Zero Workers
+// means GOMAXPROCS for both.
+func (e *Engine) serving(ix *core.Index, src engine.EpochSource, cfg Config) *Engine {
+	e.exec = engine.New(ix, engine.Config{
 		Workers:      cfg.Workers,
 		CacheSize:    cfg.CacheSize,
 		QueueDepth:   cfg.QueueDepth,
 		MaxQueueWait: cfg.MaxQueueWait,
 		QueryTimeout: cfg.QueryTimeout,
-		Recorder:     rec,
+		Recorder:     e.rec,
+		Source:       src,
 	})
-	return &Engine{net: net, pois: pois, photos: photos, dict: dict, index: ix, exec: exec, rec: rec, trajCfg: cfg}
+	e.gate = engine.NewGate(cfg.Workers, cfg.QueueDepth, cfg.MaxQueueWait)
+	e.queryTimeout = cfg.QueryTimeout
+	return e
 }
 
 // Warm precomputes the ε-dependent index structures so that subsequent
@@ -564,11 +610,31 @@ func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) 
 // using the ST_Rel+Div algorithm with the paper's default parameters
 // where SummaryParams fields are zero.
 func (e *Engine) DescribeStreet(name string, p SummaryParams) (Summary, error) {
+	return e.DescribeStreetCtx(context.Background(), name, p)
+}
+
+// DescribeStreetCtx is DescribeStreet under a context, admitted through
+// the gate routes and trajectories queue behind: an overloaded engine
+// sheds the query with ErrOverloaded, a context that ends while it waits
+// (or ended before it arrived) refuses it, and a panic in the algorithm
+// is isolated into a *PanicError. Parameters that are not finite or out
+// of range are refused with ErrBadSummaryParams.
+func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryParams) (_ Summary, err error) {
 	p = p.withDefaults()
 	st := e.net.StreetByName(name)
 	if st == nil {
 		return Summary{}, fmt.Errorf("%w: %q", ErrUnknownStreet, name)
 	}
+	if err := p.validate(); err != nil {
+		return Summary{}, err
+	}
+	_, done, err := e.admit(ctx)
+	if err != nil {
+		return Summary{}, err
+	}
+	defer done()
+	defer e.recovered(&err)
+
 	e.photoIdxOnce.Do(func() {
 		e.photoIdx, e.photoIdxErr = diversify.NewPhotoIndex(e.photos, DefaultCellSize)
 	})
@@ -580,11 +646,11 @@ func (e *Engine) DescribeStreet(name string, p SummaryParams) (Summary, error) {
 		return Summary{}, fmt.Errorf("%w: street %q", ErrNoPhotos, name)
 	}
 	freq := diversify.FreqFromPhotos(e.dict, rs)
-	ctx, err := diversify.NewContext(rs, freq, maxD, p.Rho)
+	dctx, err := diversify.NewContext(rs, freq, maxD, p.Rho)
 	if err != nil {
 		return Summary{}, err
 	}
-	res, err := ctx.STRelDiv(diversify.Params{K: p.K, Lambda: p.Lambda, W: p.W, Rho: p.Rho})
+	res, err := dctx.STRelDiv(p.diversify())
 	if err != nil {
 		return Summary{}, err
 	}

@@ -2,6 +2,7 @@ package soi
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -124,6 +125,47 @@ func TestDescribeStreetErrors(t *testing.T) {
 	}
 	if _, err := eng.DescribeStreet("High St", SummaryParams{K: -1}); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestDescribeStreetRefusesBadParams: a parameter that is not finite or
+// lies outside its range is refused with ErrBadSummaryParams before
+// Algorithm 2 sees it. NaN used to pass every range check (it compares
+// false against everything) and come back as a NaN objective or a nil
+// selection; a negative or NaN ε came back as "no associated photos".
+func TestDescribeStreetRefusesBadParams(t *testing.T) {
+	eng := fixtureEngine(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, p := range map[string]SummaryParams{
+		"lambda NaN":   {K: 3, Lambda: nan},
+		"lambda +Inf":  {K: 3, Lambda: inf},
+		"lambda < 0":   {K: 3, Lambda: -0.1},
+		"lambda > 1":   {K: 3, Lambda: 1.5},
+		"w NaN":        {K: 3, W: nan},
+		"w -Inf":       {K: 3, W: math.Inf(-1)},
+		"w > 1":        {K: 3, W: 2},
+		"rho NaN":      {K: 3, Rho: nan},
+		"rho +Inf":     {K: 3, Rho: inf},
+		"rho < 0":      {K: 3, Rho: -0.0001},
+		"epsilon NaN":  {K: 3, Epsilon: nan},
+		"epsilon +Inf": {K: 3, Epsilon: inf},
+		"epsilon < 0":  {K: 3, Epsilon: -1},
+		"k < 1":        {K: -1},
+	} {
+		sum, err := eng.DescribeStreet("High St", p)
+		if !errors.Is(err, ErrBadSummaryParams) {
+			t.Errorf("%s: err = %v (summary %+v), want ErrBadSummaryParams", name, err, sum)
+		}
+	}
+	// The boundary values are fine.
+	for _, p := range []SummaryParams{{K: 3, Lambda: 1, W: 1}, {K: 3, Lambda: 1e-9, W: 1e-9}} {
+		if _, err := eng.DescribeStreet("High St", p); err != nil {
+			t.Errorf("%+v refused: %v", p, err)
+		}
+	}
+	// An unknown street is still reported as such, whatever the parameters.
+	if _, err := eng.DescribeStreet("Nope St", SummaryParams{K: 3, Lambda: nan}); !errors.Is(err, ErrUnknownStreet) {
+		t.Errorf("unknown street with bad params: err = %v, want ErrUnknownStreet", err)
 	}
 }
 

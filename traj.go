@@ -15,10 +15,12 @@ import (
 
 // This file wires the trajectory query family (internal/traj) into the
 // public engine: k most interesting routes between two points, and
-// trajectory-aware SOI over user movement traces. Both run behind their
-// own admission gate with the same shed/timeout/panic-isolation contract
-// as the k-SOI executor, and both resolve the serving index per query so
-// live engines answer against the currently published epoch.
+// trajectory-aware SOI over user movement traces. Both are admitted
+// through the engine's gate (engine.Gate — the type the k-SOI executor
+// queues behind, in an instance routes, trajectories and describes
+// share), so they shed, time out and isolate panics the way k-SOI queries
+// do, and both resolve the serving index per query so live engines answer
+// against the currently published epoch.
 
 // RouteQuery asks for the k most interesting walking routes between two
 // free points, which are snapped to their nearest network vertices.
@@ -130,65 +132,42 @@ func (e *Engine) servingIndex() *core.Index {
 	return e.index
 }
 
-// trajAcquire admits one trajectory query: it bounds concurrency to the
-// engine's worker count, sheds when the wait queue is over depth or the
-// max queue wait elapses (ErrOverloaded), and applies the per-query
-// timeout. The returned release func must be called exactly once; the
-// returned context must be used for the query body.
-func (e *Engine) trajAcquire(ctx context.Context) (context.Context, context.CancelFunc, func(), error) {
-	gate := e.trajGateLazy()
-	cfg := e.trajCfg
-	if cfg.QueueDepth > 0 && e.trajWaiters.Load() >= int64(cfg.QueueDepth) {
-		e.rec.Traj.Shed.Add(1)
-		return nil, nil, nil, ErrOverloaded
+// admit passes one routes, trajectory or describe query through the gate
+// those families share and layers the per-query timeout onto its context.
+// A refused query (shed, or its context already done) is counted and
+// never runs. On success the returned context is the one the query body
+// must use, and done must be called exactly once when it ends.
+func (e *Engine) admit(ctx context.Context) (qctx context.Context, done func(), err error) {
+	if err := e.gate.Acquire(ctx); err != nil {
+		e.outcome(err)
+		return nil, nil, err
 	}
-	e.trajWaiters.Add(1)
-	defer e.trajWaiters.Add(-1)
-
-	var waitC <-chan time.Time
-	if cfg.MaxQueueWait > 0 {
-		t := time.NewTimer(cfg.MaxQueueWait)
-		defer t.Stop()
-		waitC = t.C
+	if e.queryTimeout <= 0 {
+		return ctx, e.gate.Release, nil
 	}
-	select {
-	case gate <- struct{}{}:
-	case <-waitC:
-		e.rec.Traj.Shed.Add(1)
-		return nil, nil, nil, ErrOverloaded
-	case <-ctx.Done():
-		e.trajOutcome(ctx.Err())
-		return nil, nil, nil, ctx.Err()
-	}
-	qctx, cancel := ctx, context.CancelFunc(func() {})
-	if cfg.QueryTimeout > 0 {
-		qctx, cancel = context.WithTimeout(ctx, cfg.QueryTimeout)
-	}
-	release := func() { <-gate }
-	return qctx, cancel, release, nil
+	qctx, cancel := context.WithTimeout(ctx, e.queryTimeout)
+	return qctx, func() { cancel(); e.gate.Release() }, nil
 }
 
-func (e *Engine) trajGateLazy() chan struct{} {
-	e.trajGateOnce.Do(func() {
-		n := e.trajCfg.Workers
-		if n <= 0 {
-			n = defaultTrajWorkers
-		}
-		e.trajGate = make(chan struct{}, n)
-	})
-	return e.trajGate
-}
-
-const defaultTrajWorkers = 4
-
-// trajOutcome folds a query error into the admission-outcome counters.
-func (e *Engine) trajOutcome(err error) {
+// outcome folds a query error into the gate's admission-outcome counters.
+func (e *Engine) outcome(err error) {
 	switch {
 	case err == nil:
+	case errors.Is(err, ErrOverloaded):
+		e.rec.Traj.Shed.Add(1)
 	case errors.Is(err, context.Canceled):
 		e.rec.Traj.Cancelled.Add(1)
 	case errors.Is(err, context.DeadlineExceeded):
 		e.rec.Traj.DeadlineExceeded.Add(1)
+	}
+}
+
+// recovered, deferred by a query body, isolates a panic into a per-query
+// *PanicError; the engine keeps serving.
+func (e *Engine) recovered(err *error) {
+	if v := recover(); v != nil {
+		e.rec.Traj.PanicsRecovered.Add(1)
+		*err = &PanicError{Value: v}
 	}
 }
 
@@ -200,20 +179,14 @@ func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 // TopRoutesCtx is TopRoutes under a context: the search observes
 // cancellation at cooperative checkpoints, the engine's QueryTimeout
 // bounds it, and an overloaded engine sheds with ErrOverloaded.
-func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) (result []RouteResult, err error) {
+func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) (_ []RouteResult, err error) {
 	e.rec.Traj.RouteQueries.Add(1)
-	qctx, cancel, release, err := e.trajAcquire(ctx)
+	qctx, done, err := e.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer cancel()
-	defer release()
-	defer func() {
-		if v := recover(); v != nil {
-			e.rec.Traj.PanicsRecovered.Add(1)
-			result, err = nil, &PanicError{Value: v}
-		}
-	}()
+	defer done()
+	defer e.recovered(&err)
 	start := time.Now()
 	defer func() { e.rec.Traj.SearchNanos.Add(time.Since(start).Nanoseconds()) }()
 
@@ -233,7 +206,7 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) (result []Route
 	e.rec.Traj.VerticesSettled.Add(int64(st.Settled))
 	e.rec.Traj.SegmentsFolded.Add(int64(st.SegmentsFolded))
 	if err != nil {
-		e.trajOutcome(err)
+		e.outcome(err)
 		return nil, err
 	}
 	out := make([]RouteResult, len(routes))
@@ -265,23 +238,17 @@ func (e *Engine) TrajectorySOI(q TrajectoryQuery) ([]CorridorStreet, error) {
 
 // TrajectorySOICtx is TrajectorySOI under a context, with the same
 // admission, timeout and panic-isolation contract as TopRoutesCtx.
-func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) (result []CorridorStreet, err error) {
+func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) (_ []CorridorStreet, err error) {
 	e.rec.Traj.TrajQueries.Add(1)
 	if len(q.Traces) == 0 {
 		return nil, ErrNoTraces
 	}
-	qctx, cancel, release, err := e.trajAcquire(ctx)
+	qctx, done, err := e.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer cancel()
-	defer release()
-	defer func() {
-		if v := recover(); v != nil {
-			e.rec.Traj.PanicsRecovered.Add(1)
-			result, err = nil, &PanicError{Value: v}
-		}
-	}()
+	defer done()
+	defer e.recovered(&err)
 	start := time.Now()
 	defer func() { e.rec.Traj.MatchNanos.Add(time.Since(start).Nanoseconds()) }()
 
@@ -309,7 +276,7 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) (resul
 	e.rec.Traj.TracePoints.Add(int64(st.TracePoints))
 	e.rec.Traj.MatchedPoints.Add(int64(st.Matched))
 	if err != nil {
-		e.trajOutcome(err)
+		e.outcome(err)
 		return nil, err
 	}
 	out := make([]CorridorStreet, len(res))

@@ -216,6 +216,58 @@ func TestEngineTrajShedsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestEngineTrajCancelledNeverRuns: a query whose context is already
+// cancelled is refused at the gate every time, free slots or not.
+func TestEngineTrajCancelledNeverRuns(t *testing.T) {
+	e := trajEngine(t, soi.Config{Workers: 4, QueueDepth: 1})
+	q := soi.RouteQuery{
+		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
+		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		if _, err := e.TopRoutesCtx(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("try %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	snap := e.StatsSnapshot().Traj
+	if snap.Cancelled != 200 || snap.VerticesSettled != 0 || snap.Shed != 0 {
+		t.Fatalf("cancelled queries ran or were miscounted: %+v", snap)
+	}
+}
+
+// TestEngineTrajFreeSlotsNeverShed: simultaneous arrivals that all find a
+// free slot are all served, however shallow the wait queue.
+func TestEngineTrajFreeSlotsNeverShed(t *testing.T) {
+	const workers = 4
+	e := trajEngine(t, soi.Config{Workers: workers, QueueDepth: 1})
+	q := soi.RouteQuery{
+		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
+		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
+	}
+	if _, err := e.TopRoutes(q); err != nil { // build the search graph once
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		start := make(chan struct{})
+		errs := make(chan error, workers)
+		for i := 0; i < workers; i++ {
+			go func() {
+				<-start
+				_, err := e.TopRoutes(q)
+				errs <- err
+			}()
+		}
+		close(start)
+		for i := 0; i < workers; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+}
+
 func TestEngineTrajQueryTimeout(t *testing.T) {
 	defer faults.Reset()
 	e := trajEngine(t, soi.Config{QueryTimeout: 20 * time.Millisecond})
