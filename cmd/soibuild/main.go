@@ -91,12 +91,12 @@ func main() {
 			len(w.Shards), w.TilesX, w.TilesY, *halo, float64(held)/float64(max(pois.Len(), 1)), *cell, *out)
 		return
 	}
-	six, err := core.NewSlabIndex(net, pois, core.IndexConfig{CellSize: *cell})
+	slab, err := core.BuildSlab(net, pois, core.IndexConfig{CellSize: *cell})
 	if err != nil {
-		log.Fatalf("building slab index: %v", err)
+		log.Fatalf("building slab: %v", err)
 	}
 	if err := snapshot.WriteFile(*out, &snapshot.Snapshot{
-		Net: net, POIs: pois, Photos: photos, Slab: six.Slab(),
+		Net: net, POIs: pois, Photos: photos, Slab: slab,
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -14,8 +14,8 @@
 //
 // With -traces N the directory additionally receives traces.geojson: N
 // synthetic movement traces (jittered random walks over the street
-// network) for exercising the trajectory query family (soibench -traj,
-// POST /api/trajectories/soi).
+// network) for exercising the trajectory query family
+// (POST /api/trajectories/soi).
 package main
 
 import (
@@ -100,12 +100,12 @@ func main() {
 		}
 	}
 	if *snap != "" {
-		six, err := core.NewSlabIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: *cell})
+		slab, err := core.BuildSlab(ds.Network, ds.POIs, core.IndexConfig{CellSize: *cell})
 		if err != nil {
-			log.Fatalf("building slab index: %v", err)
+			log.Fatalf("building slab: %v", err)
 		}
 		if err := snapshot.WriteFile(*snap, &snapshot.Snapshot{
-			Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: six.Slab(),
+			Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: slab,
 		}); err != nil {
 			log.Fatal(err)
 		}

@@ -86,7 +86,7 @@ func TestShardEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: single index: %v", seed, err)
 		}
 		for _, cfg := range []Config{
-			{Tiles: 2, Halo: halo}, {Tiles: 4, Halo: halo}, {Tiles: 9, Halo: halo},
+			{Tiles: 2, Halo: halo}, {Tiles: 4, Halo: halo}, {Tiles: 9, Halo: halo}, {Tiles: 16, Halo: halo},
 			{Tiles: 4, Halo: 1}, {Tiles: 4, Halo: 1e300},
 		} {
 			tiles := cfg.Tiles

@@ -9,10 +9,10 @@ import (
 
 // This file renders a Snapshot in the two textual exposition formats the
 // system serves: Prometheus text exposition (for /metrics scrapers) and
-// a flat sorted key/value listing (for soibench -stats and golden-file
-// tests). Both renderings are deterministic: keys are emitted in sorted
-// order and every float uses a fixed formatting, so two snapshots with
-// equal counters produce byte-identical output.
+// a flat sorted key/value listing (for golden-file tests). Both
+// renderings are deterministic: keys are emitted in sorted order and
+// every float uses a fixed formatting, so two snapshots with equal
+// counters produce byte-identical output.
 
 // counterRows returns every counter of the snapshot as ⟨name, value,
 // isGauge⟩ rows, name in prometheus snake_case without the soi_ prefix.
