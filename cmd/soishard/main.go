@@ -110,7 +110,6 @@ func serveShard(ctx context.Context, f *flagSet) int {
 	opened := time.Since(openStart)
 
 	rec := stats.NewRecorder()
-	sh.Index.SetRecorder(rec)
 	srv := remote.NewServer(remote.ShardData{
 		ShardID:  sh.ID,
 		Shards:   len(m.Shards),

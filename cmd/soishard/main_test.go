@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -217,23 +216,6 @@ func TestE2ECrossProcessScatterGather(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("remote %v diverged:\n got %+v\nwant %+v", q, got, want)
-		}
-	}
-
-	// Every shard served bounds and queries from its slab alone: the
-	// process-level view of the residency contract.
-	for i, p := range procs {
-		resp, err := http.Get("http://" + p.addr + "/metrics")
-		if err != nil {
-			t.Fatalf("shard %d /metrics: %v", i, err)
-		}
-		metrics, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("shard %d /metrics: %v", i, err)
-		}
-		if want := "soi_core_map_layout_builds_total 0\n"; !strings.Contains(string(metrics), want) {
-			t.Errorf("shard %d: /metrics lacks %q after serving", i, want)
 		}
 	}
 

@@ -13,9 +13,8 @@ import (
 // serves from the slab alone: the slab arrays come straight from the page
 // cache, and startup decodes the network and the corpora, flattens the
 // network and sorts the segment-length list — no grid, inverted index or
-// cell↔segment map is built. The index's map layout — the grid the exact
-// baseline scans — is materialised only if something asks for it, which
-// no serving path does (core.map_layout_builds in /api/stats counts it).
+// cell↔segment map is built; the slab is the one grid layout every
+// reader, the exact baseline included, is served from.
 // Config.GridCellSize is ignored — the snapshot's slab fixes the cell size.
 //
 // The returned engine holds the mapping open; call Close when done with

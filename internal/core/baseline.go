@@ -38,9 +38,10 @@ func (a Aggregate) String() string {
 }
 
 // Baseline evaluates a k-SOI query exactly, the paper's BL: it uses only
-// the spatial grid to compute the interest of every segment, then ranks
-// streets. It returns the same result set as SOI (up to ties at the k-th
-// interest value).
+// the spatial grid — the slab's cell membership and the ε-plan's Cε(ℓ),
+// none of the inverted indexes or source lists — to compute the interest
+// of every segment, then ranks streets. It returns the same result set as
+// SOI (up to ties at the k-th interest value).
 func (ix *Index) Baseline(q Query) ([]StreetResult, Stats, error) {
 	return ix.BaselineAggregate(q, MaxSegment)
 }
@@ -53,19 +54,18 @@ func (ix *Index) BaselineAggregate(q Query, agg Aggregate) ([]StreetResult, Stat
 	}
 	var stats Stats
 	stats.TotalSegments = ix.net.NumSegments()
-	g := ix.maps().grid
-	stats.TotalCells = g.NumCells()
+	stats.TotalCells = ix.six.slab.NumCells()
 
 	start := time.Now()
-	segCells := ix.SegmentCells(q.Epsilon)
+	plan := ix.six.plan(q.Epsilon)
 	stats.BuildListsTime = time.Since(start)
 
 	start = time.Now()
 	masses := make([]float64, ix.net.NumSegments())
 	for sid := range masses {
 		var m float64
-		for _, cid := range segCells[sid] {
-			m += ix.cellMassScan(g.CellAt(cid), query, network.SegmentID(sid), q.Epsilon)
+		for _, ord := range plan.segCell[plan.segCellOff[sid]:plan.segCellOff[sid+1]] {
+			m += ix.cellMassScan(int(ord), query, network.SegmentID(sid), q.Epsilon)
 			stats.CellVisits++
 		}
 		masses[sid] = m

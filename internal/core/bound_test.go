@@ -259,10 +259,11 @@ func TestUnseenBoundSoundnessOracle(t *testing.T) {
 
 // TestShardServingLeavesMapMemosEmpty pins the second property the
 // sharded tier's gain rests on: serving a shard — the bound-only phase
-// and a full /shard/query through remote.Server — never builds the
-// map-layout ε-memos. They duplicate the slab's ε-plan, and
-// computing the bound through them once cost every shard process a
-// quarter of its resident memory and most of its warm-up.
+// and a full /shard/query through remote.Server — holds one ε-plan per ε
+// served and no other ε-dependent state. The map-layout ε-memos that
+// duplicated the plan (and once cost every shard process a quarter of its
+// resident memory and most of its warm-up) no longer exist; a second memo
+// beside the plan must not come back.
 func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
 	w, err := oracle.SeedConfig{Seed: 5, Density: 1}.BuildWorld()
 	if err != nil {
@@ -300,8 +301,8 @@ func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
 				answered += len(resp.Results)
 			}
 		}
-		if a, b := s.Index.MapMemoSizes(); a+b != 0 {
-			t.Errorf("shard %d: serving built map-layout ε-memos (segCells=%d cellSegs=%d)", s.ID, a, b)
+		if n := s.Index.PlanCount(); n != len(sweepEps) {
+			t.Errorf("shard %d: %d ε-plans after serving %d ε values", s.ID, n, len(sweepEps))
 		}
 	}
 	if answered == 0 {

@@ -14,7 +14,7 @@ import (
 
 // bruteBound is the static bound derived without the evaluator: the
 // largest SL1 weight the corpus gives any cell (bruteSL1), the largest
-// |Cε(ℓ)| on the reference grid, and the shortest segment.
+// |Cε(ℓ)| brute force finds (bruteSegmentCells), and the shortest segment.
 func bruteBound(ix *Index, q Query) (bound float64, capBinds bool) {
 	query, _ := ix.pois.Dict().LookupAll(q.Keywords)
 	weights, capBinds := bruteSL1(ix, query)
@@ -26,22 +26,11 @@ func bruteBound(ix *Index, q Query) (bound float64, capBinds bool) {
 		return 0, capBinds
 	}
 	top2, top3 := 0, math.Inf(1)
-	for sid, cells := range ix.SegmentCells(q.Epsilon) {
+	for sid, cells := range bruteSegmentCells(ix, q.Epsilon) {
 		top2 = max(top2, len(cells))
 		top3 = math.Min(top3, ix.net.Segment(network.SegmentID(sid)).Length())
 	}
 	return Interest(top1*float64(top2), top3, q.Epsilon), capBinds
-}
-
-// twin builds a second index over the same data, for tests that read the
-// reference grid without materialising it on the index under test.
-func twin(t *testing.T, ix *Index) *Index {
-	t.Helper()
-	other, err := NewIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.six.slab.CellSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return other
 }
 
 // TestUnseenBoundMatchesSortedLists: on random scenarios — unit weights

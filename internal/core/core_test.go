@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geo"
@@ -438,17 +439,21 @@ func TestAggregateModes(t *testing.T) {
 	}
 }
 
+// The ε-plan is the index's one ε-memo: SegmentCells, CellSegments and
+// Baseline all read the plan the first of them built.
 func TestIndexMemoization(t *testing.T) {
 	ix := buildFixture(t)
 	a := ix.SegmentCells(0.1)
-	b := ix.SegmentCells(0.1)
-	if &a[0] != &b[0] {
-		t.Fatal("SegmentCells not memoized")
+	plan := ix.six.plan(0.1)
+	if !reflect.DeepEqual(a, ix.SegmentCells(0.1)) {
+		t.Fatal("SegmentCells differs between calls")
 	}
-	ca := ix.CellSegments(0.1)
-	cb := ix.CellSegments(0.1)
-	if len(ca) != len(cb) {
-		t.Fatal("CellSegments mismatch")
+	ix.six.CellSegments(0.1, 0)
+	if _, _, err := ix.Baseline(Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if ix.six.plan(0.1) != plan || ix.PlanCount() != 1 {
+		t.Fatalf("ε-plan rebuilt: %d plans memoized, want the first one only", ix.PlanCount())
 	}
 }
 

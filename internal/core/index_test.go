@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -23,19 +24,55 @@ func sl1Of(ix *Index, query vocab.Set, eps float64) ([]int32, []float64) {
 	return append([]int32(nil), r.sl1Cell...), append([]float64(nil), r.sl1W...)
 }
 
+// bruteSegmentCells derives Cε(ℓ) from the definition alone: for every
+// segment, every non-empty cell whose rectangle lies within eps of it,
+// ascending — each (segment, cell) pair tested, no span or row walk.
+func bruteSegmentCells(ix *Index, eps float64) [][]grid.CellID {
+	slab := ix.six.slab
+	out := make([][]grid.CellID, ix.net.NumSegments())
+	for sid := range out {
+		seg := ix.net.Segment(network.SegmentID(sid)).Geom
+		for _, id := range slab.CellIDs {
+			if slab.CellRect(grid.CellID(id)).DistToSegment(seg) <= eps {
+				out[sid] = append(out[sid], grid.CellID(id))
+			}
+		}
+	}
+	return out
+}
+
+// TestSegmentCellsMatchBruteForce: the ε-plan's Cε(ℓ), as SegmentCells
+// spells it, is the brute-force one on random scenarios from sub-cell to
+// multi-cell ε, so every reader of the plan — SOI, SegmentMass, Baseline
+// — folds over exactly the cells the definition names.
+func TestSegmentCellsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 10; trial++ {
+		ix := randomScenario(rng)
+		for _, eps := range []float64{0.05, 0.3, 2} {
+			got, want := ix.SegmentCells(eps), bruteSegmentCells(ix, eps)
+			for sid := range want {
+				if !slices.Equal(got[sid], want[sid]) {
+					t.Fatalf("trial %d eps=%g segment %d: Cε(ℓ) %v, brute force %v", trial, eps, sid, got[sid], want[sid])
+				}
+			}
+		}
+	}
+}
+
 // bruteSL1 derives SL1's weights from the corpus alone: per cell of the
-// reference grid, each query keyword's POI weights summed in POI id order,
+// lattice, each query keyword's POI weights summed in POI id order,
 // the keyword sums added in keyword order, and the total capped at the
 // cell's POI weight. capBinds reports whether the cap lowered any cell.
 func bruteSL1(ix *Index, query vocab.Set) (weights map[grid.CellID]float64, capBinds bool) {
-	g := ix.Grid()
+	lat := ix.six.slab.Lattice()
 	perKw := make([]map[grid.CellID]float64, len(query))
 	for i := range perKw {
 		perKw[i] = map[grid.CellID]float64{}
 	}
 	cellWeight := map[grid.CellID]float64{}
 	for _, p := range ix.pois.All() {
-		cid := g.CellIndex(p.Loc)
+		cid := lat.CellIndex(p.Loc)
 		cellWeight[cid] += p.Weight
 		for i, kw := range query {
 			if p.Keywords.Contains(kw) {
@@ -65,21 +102,21 @@ func bruteSL1(ix *Index, query vocab.Set) (weights map[grid.CellID]float64, capB
 }
 
 // The ε-plan's SL2 lists every segment decreasingly by |Cε(ℓ)| — the
-// counts the reference grid gives — ties by ascending id, and is built
-// once per ε.
+// counts brute force gives — ties by ascending id, and is built once per
+// ε.
 func TestSegmentsByCellCountSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ix := randomScenario(rng)
 	eps := 0.3
 	plan := ix.six.plan(eps)
 	sl2 := plan.sl2
-	sc := ix.SegmentCells(eps)
+	sc := bruteSegmentCells(ix, eps)
 	if len(sl2) != ix.Network().NumSegments() {
 		t.Fatalf("SL2 len = %d", len(sl2))
 	}
 	for sid := range sc {
 		if got := int(plan.segCellOff[sid+1] - plan.segCellOff[sid]); got != len(sc[sid]) {
-			t.Fatalf("segment %d: plan holds %d ε-near cells, the reference grid %d", sid, got, len(sc[sid]))
+			t.Fatalf("segment %d: plan holds %d ε-near cells, brute force %d", sid, got, len(sc[sid]))
 		}
 	}
 	for i := 1; i < len(sl2); i++ {
@@ -181,17 +218,18 @@ func TestCellMassScanAgreement(t *testing.T) {
 		query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "museum"})
 		eps := 0.1 + rng.Float64()*0.4
 		sc := ix.SegmentCells(eps)
-		g := ix.Grid()
+		slab := ix.six.slab
+		lat := slab.Lattice()
 		for sid := 0; sid < ix.Network().NumSegments(); sid++ {
 			seg := ix.Network().Segment(network.SegmentID(sid)).Geom
 			for _, cid := range sc[sid] {
 				var want float64
 				for _, p := range ix.POIs().All() {
-					if g.CellIndex(p.Loc) == cid && p.Keywords.Intersects(query) && seg.DistToPointSq(p.Loc) <= eps*eps {
+					if lat.CellIndex(p.Loc) == cid && p.Keywords.Intersects(query) && seg.DistToPointSq(p.Loc) <= eps*eps {
 						want += p.Weight
 					}
 				}
-				if got := ix.cellMassScan(g.CellAt(cid), query, network.SegmentID(sid), eps); got != want {
+				if got := ix.cellMassScan(slab.OrdinalOf(cid), query, network.SegmentID(sid), eps); got != want {
 					t.Fatalf("trial %d seg %d cell %d: scan %v != corpus %v", trial, sid, cid, got, want)
 				}
 			}
@@ -279,7 +317,10 @@ func TestCellSegmentInversion(t *testing.T) {
 	ix := randomScenario(rng)
 	eps := 0.25
 	sc := ix.SegmentCells(eps)
-	cs := ix.CellSegments(eps)
+	cs := map[grid.CellID][]network.SegmentID{}
+	for ord, id := range ix.six.slab.CellIDs {
+		cs[grid.CellID(id)] = ix.six.CellSegments(eps, ord)
+	}
 	// Forward: every (segment, cell) pair appears in the inverse.
 	for sid, cells := range sc {
 		for _, cid := range cells {

@@ -56,8 +56,8 @@ type SlabIndex struct {
 // shared read-only by every run.
 type slabPlan struct {
 	// segCellOff[sid] .. segCellOff[sid+1] delimits segment sid's ε-near
-	// cell ordinals in segCell — the canonical Cε(ℓ), in the exact order
-	// grid.CellsNearSegment produces.
+	// cell ordinals in segCell — the canonical Cε(ℓ), ascending, as
+	// Slab.CellsNearSegmentInto produces it.
 	segCellOff []uint32
 	segCell    []int32
 	// cellSegOff[ord] .. cellSegOff[ord+1] delimits cell ord's ε-near
@@ -216,6 +216,14 @@ func (six *SlabIndex) plan(eps float64) *slabPlan {
 	six.plans[eps] = p
 	six.mu.Unlock()
 	return p
+}
+
+// CellSegments returns the segments within eps of cell ord (the
+// cell-to-segment map Lε of one cell), ascending by segment id, from the
+// memoized ε-plan. Callers must not modify the result.
+func (six *SlabIndex) CellSegments(eps float64, ord int) []network.SegmentID {
+	p := six.plan(eps)
+	return p.cellSeg[p.cellSegOff[ord]:p.cellSegOff[ord+1]]
 }
 
 // Resolve validates the query and interns its keywords against the

@@ -80,27 +80,3 @@ func TestSlabOpenSharesSL3Order(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmSlabBackedWarmsThePlanOnly: Warm builds the ε-plan and nothing
-// of the map layout — neither the layout itself nor its ε-memos, on a
-// built index and on a slab-opened one.
-func TestWarmSlabBackedWarmsThePlanOnly(t *testing.T) {
-	base := randomScenario(rand.New(rand.NewSource(77)))
-	const eps = 0.3
-	opened := slabOpened(t, base)
-	for name, ix := range map[string]*Index{"built": base, "slab-opened": opened} {
-		ix.Warm(eps)
-		ix.six.mu.RLock()
-		_, planned := ix.six.plans[eps]
-		ix.six.mu.RUnlock()
-		if !planned {
-			t.Errorf("%s: Warm left the slab ε-plan cold", name)
-		}
-		if a, b := ix.MapMemoSizes(); a+b != 0 {
-			t.Errorf("%s: Warm built map-layout ε-memos (segCells=%d cellSegs=%d)", name, a, b)
-		}
-	}
-	if base.MapLayoutBuilt() || opened.MapLayoutBuilt() {
-		t.Error("Warm materialised the map layout")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/grid"
 	"repro/internal/stats"
 )
 
@@ -60,46 +59,45 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 	start := time.Now()
 	var stats Stats
 
-	selected := make([]int, 0, p.K)
+	// The answer for k > |Rs| is all of Rs; clamp before sizing anything
+	// by a request-controlled k.
+	k := min(p.K, len(c.photos))
+	selected := make([]int, 0, k)
 	isSelected := make([]bool, len(c.photos))
+	numCells := c.slab.NumCells()
 	// Per-cell count of still-selectable photos.
-	remaining := make(map[grid.CellID]int, c.grid.NumCells())
+	remaining := make([]int, numCells)
+	for ord := range remaining {
+		remaining[ord] = len(c.members(ord))
+	}
 	// Per-cell accumulated diversity-bound sums over the selected set,
 	// maintained incrementally as photos are selected.
-	divLoSum := make(map[grid.CellID]float64, c.grid.NumCells())
-	divHiSum := make(map[grid.CellID]float64, c.grid.NumCells())
-	cells := c.grid.NonEmptyCells()
-	for _, cid := range cells {
-		remaining[cid] = len(c.grid.CellAt(cid).Members)
-	}
+	divLoSum := make([]float64, numCells)
+	divHiSum := make([]float64, numCells)
 
 	type cellBound struct {
-		cid    grid.CellID
+		ord    int
 		lo, hi float64
-	}
-	k := p.K
-	if k > len(c.photos) {
-		k = len(c.photos)
 	}
 	for len(selected) < k {
 		stats.Iterations++
 		// Filtering phase: bound the mmr of every cell with candidates.
-		bounds := make([]cellBound, 0, len(cells))
+		bounds := make([]cellBound, 0, numCells)
 		mmrMin := math.Inf(-1)
-		for _, cid := range cells {
-			if remaining[cid] == 0 {
+		for ord := 0; ord < numCells; ord++ {
+			if remaining[ord] == 0 {
 				continue
 			}
-			relLo, relHi := c.cellRelBounds(cid, p.W)
+			relLo, relHi := c.cellRelBounds(ord, p.W)
 			lo := (1 - p.Lambda) * relLo
 			hi := (1 - p.Lambda) * relHi
 			if p.K > 1 && len(selected) > 0 {
 				f := p.Lambda / float64(p.K-1)
-				lo += f * divLoSum[cid]
-				hi += f * divHiSum[cid]
+				lo += f * divLoSum[ord]
+				hi += f * divHiSum[ord]
 			}
 			stats.CellsExamined++
-			bounds = append(bounds, cellBound{cid, lo, hi})
+			bounds = append(bounds, cellBound{ord, lo, hi})
 			if lo > mmrMin {
 				mmrMin = lo
 			}
@@ -119,16 +117,16 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 			if cand[i].hi != cand[j].hi {
 				return cand[i].hi > cand[j].hi
 			}
-			return cand[i].cid < cand[j].cid
+			return cand[i].ord < cand[j].ord
 		})
-		best := -1
+		best, bestOrd := -1, -1
 		bestVal := math.Inf(-1)
 		for _, b := range cand {
 			if best >= 0 && b.hi < bestVal {
 				stats.CellsPruned++
 				continue
 			}
-			for _, m := range c.grid.CellAt(b.cid).Members {
+			for _, m := range c.members(b.ord) {
 				i := int(m)
 				if isSelected[i] {
 					continue
@@ -137,7 +135,7 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 				stats.PhotosEvaluated++
 				if v > bestVal || (v == bestVal && i < best) {
 					bestVal = v
-					best = i
+					best, bestOrd = i, b.ord
 				}
 			}
 		}
@@ -146,14 +144,13 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 		}
 		selected = append(selected, best)
 		isSelected[best] = true
-		bcid := c.grid.CellIndex(c.photos[best].Loc)
-		remaining[bcid]--
+		remaining[bestOrd]--
 		// Fold the newly selected photo into the per-cell diversity sums.
 		if p.K > 1 {
-			for _, cid := range cells {
-				dl, dh := c.cellDivBounds(cid, best, p.W)
-				divLoSum[cid] += dl
-				divHiSum[cid] += dh
+			for ord := 0; ord < numCells; ord++ {
+				dl, dh := c.cellDivBounds(ord, best, p.W)
+				divLoSum[ord] += dl
+				divHiSum[ord] += dh
 			}
 		}
 	}
@@ -205,12 +202,9 @@ func (c *Context) Baseline(p Params) (Result, error) {
 	}
 	start := time.Now()
 	var stats Stats
-	selected := make([]int, 0, p.K)
+	k := min(p.K, len(c.photos))
+	selected := make([]int, 0, k)
 	isSelected := make([]bool, len(c.photos))
-	k := p.K
-	if k > len(c.photos) {
-		k = len(c.photos)
-	}
 	for len(selected) < k {
 		stats.Iterations++
 		best := -1

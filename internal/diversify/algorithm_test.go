@@ -3,10 +3,10 @@ package diversify
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
-	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/photo"
 	"repro/internal/vocab"
@@ -73,9 +73,9 @@ func TestBoundSandwich(t *testing.T) {
 		for i := 0; i < k-1 && i < ctx.Len(); i++ {
 			selected = append(selected, rng.Intn(ctx.Len()))
 		}
-		ctx.grid.ForEachCell(func(cid grid.CellID, cell *grid.Cell) {
+		for cid := 0; cid < ctx.slab.NumCells(); cid++ {
 			relLo, relHi := ctx.cellRelBounds(cid, w)
-			for _, m := range cell.Members {
+			for _, m := range ctx.members(cid) {
 				i := int(m)
 				// Relevance sandwich.
 				if r := ctx.Rel(i, w); r < relLo-1e-9 || r > relHi+1e-9 {
@@ -94,7 +94,7 @@ func TestBoundSandwich(t *testing.T) {
 					t.Fatalf("trial %d: MMR(%d)=%v outside [%v,%v]", trial, i, v, mLo, mHi)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -105,20 +105,20 @@ func TestSpatialTextualDivBoundsBrute(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		ctx := randomContext(t, rng, rng.Intn(60)+5)
 		for probe := 0; probe < ctx.Len(); probe++ {
-			ctx.grid.ForEachCell(func(cid grid.CellID, cell *grid.Cell) {
+			for cid := 0; cid < ctx.slab.NumCells(); cid++ {
 				sLo, sHi := ctx.SpatialDivBounds(cid, probe)
 				tLo, tHi := ctx.TextualDivBounds(cid, probe)
-				for _, m := range cell.Members {
+				for _, m := range ctx.members(cid) {
 					i := int(m)
 					if d := ctx.SpatialDiv(probe, i); d < sLo-1e-9 || d > sHi+1e-9 {
 						t.Fatalf("spatial div %v outside [%v,%v]", d, sLo, sHi)
 					}
 					if d := ctx.TextualDiv(probe, i); d < tLo-1e-9 || d > tHi+1e-9 {
 						t.Fatalf("textual div %v outside [%v,%v] (probe tags %v, cell member tags %v, cΨ=%v min=%d max=%d)",
-							d, tLo, tHi, ctx.photos[probe].Tags, ctx.photos[i].Tags, cell.Keywords, cell.PsiMin, cell.PsiMax)
+							d, tLo, tHi, ctx.photos[probe].Tags, ctx.photos[i].Tags, ctx.cellKeywords(cid), ctx.slab.PsiMin[cid], ctx.slab.PsiMax[cid])
 					}
 				}
-			})
+			}
 		}
 	}
 }
@@ -355,6 +355,11 @@ func TestPlantedScenario(t *testing.T) {
 	}
 }
 
+// cellOrdinalAt returns the ordinal of the context's cell holding p.
+func cellOrdinalAt(ctx *Context, p geo.Point) int {
+	return ctx.slab.OrdinalOf(ctx.slab.Lattice().CellIndex(p))
+}
+
 // Explicit hand-computed cases for the textual diversity bounds
 // (Eq. 17–18), complementing the randomized sandwich test.
 func TestTextualDivBoundsFormulas(t *testing.T) {
@@ -363,10 +368,9 @@ func TestTextualDivBoundsFormulas(t *testing.T) {
 	locs := []geo.Point{geo.Pt(0, 0), geo.Pt(0.001, 0), geo.Pt(5, 5)}
 	tags := [][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "x"}}
 	ctx, _ := buildCtx(t, locs, tags, 0.1, 10)
-	cellID := ctx.grid.CellIndex(geo.Pt(0, 0))
-	cell := ctx.grid.CellAt(cellID)
-	if cell.PsiMin != 2 || cell.PsiMax != 3 {
-		t.Fatalf("cell psi = %d,%d", cell.PsiMin, cell.PsiMax)
+	cellID := cellOrdinalAt(ctx, geo.Pt(0, 0))
+	if ctx.slab.PsiMin[cellID] != 2 || ctx.slab.PsiMax[cellID] != 3 {
+		t.Fatalf("cell psi = %d,%d", ctx.slab.PsiMin[cellID], ctx.slab.PsiMax[cellID])
 	}
 	// Probe photo 2 has Ψr = {a, x}: |Ψr|=2, common=|{a}|=1 < ψmin=2.
 	lo, hi := ctx.TextualDivBounds(cellID, 2)
@@ -385,7 +389,7 @@ func TestTextualDivBoundsSecondCase(t *testing.T) {
 	locs := []geo.Point{geo.Pt(0, 0), geo.Pt(0.001, 0), geo.Pt(5, 5)}
 	tags := [][]string{{"a"}, {"a", "b"}, {"a", "b", "z"}}
 	ctx, _ := buildCtx(t, locs, tags, 0.1, 10)
-	cellID := ctx.grid.CellIndex(geo.Pt(0, 0))
+	cellID := cellOrdinalAt(ctx, geo.Pt(0, 0))
 	// Probe photo 2: Ψr={a,b,z}, |Ψr|=3, common=2 ≥ ψmin=1.
 	lo, hi := ctx.TextualDivBounds(cellID, 2)
 	// Eq. 17 second case: 1 − min(2, ψmax=2)/3 = 1/3.
@@ -405,7 +409,7 @@ func TestTextualRelBoundsFormulas(t *testing.T) {
 	locs := []geo.Point{geo.Pt(0, 0), geo.Pt(0.001, 0), geo.Pt(5, 5)}
 	tags := [][]string{{"a", "b"}, {"c"}, {"a"}}
 	ctx, _ := buildCtx(t, locs, tags, 0.1, 10)
-	cellID := ctx.grid.CellIndex(geo.Pt(0, 0))
+	cellID := cellOrdinalAt(ctx, geo.Pt(0, 0))
 	lo := ctx.cellTextualLo[cellID]
 	hi := ctx.cellTextualHi[cellID]
 	// ψmin=1, ψmax=2; c.Ψ={a,b,c} all in Ψs.
@@ -416,5 +420,32 @@ func TestTextualRelBoundsFormulas(t *testing.T) {
 	// Lower: no out-of-support keywords, need 1 → smallest freq 1/4.
 	if !almostEq(lo, 0.25) {
 		t.Errorf("lo = %v, want 0.25", lo)
+	}
+}
+
+// TestHugeKIsClampedToPool: k is request-controlled, and every greedy
+// construction used to size its selection by it before clamping to |Rs|,
+// so k = 2⁴⁰ was a 8 TiB allocation — an out-of-memory abort of the whole
+// process, not a recoverable panic. The answer for k > |Rs| stays "all of
+// Rs".
+func TestHugeKIsClampedToPool(t *testing.T) {
+	locs := []geo.Point{geo.Pt(0, 0), geo.Pt(0.02, 0), geo.Pt(0.3, 0.1), geo.Pt(1, 1), geo.Pt(0.5, 0.5)}
+	tags := [][]string{{"hmv", "storefront"}, {"hmv"}, {"storefront", "rain"}, {"demo"}, {"rain", "bus"}}
+	ctx, _ := buildCtx(t, locs, tags, 0.1, 2)
+	p := Params{K: 1 << 40, Lambda: 0.5, W: 0.5, Rho: 0.1}
+	for name, run := range map[string]func() (Result, error){
+		"STRelDiv":     func() (Result, error) { return ctx.STRelDiv(p) },
+		"Baseline":     func() (Result, error) { return ctx.Baseline(p) },
+		"GreedyVisual": func() (Result, error) { return ctx.GreedyVisual(VisualParams{Params: p}) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		picked := slices.Clone(res.Selected)
+		slices.Sort(picked)
+		if !slices.Equal(picked, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("%s selected %v, want all 5 photos", name, res.Selected)
+		}
 	}
 }

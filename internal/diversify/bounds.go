@@ -5,30 +5,31 @@ import (
 )
 
 // SpatialDivBounds computes Eq. 15–16: the range of the spatial diversity
-// between photo i and any photo located in cell cid.
-func (c *Context) SpatialDivBounds(cid grid.CellID, i int) (lo, hi float64) {
-	r := c.grid.CellRect(cid)
+// between photo i and any photo located in cell ord.
+func (c *Context) SpatialDivBounds(ord, i int) (lo, hi float64) {
+	r := c.slab.CellRect(grid.CellID(c.slab.CellIDs[ord]))
 	p := c.photos[i].Loc
 	return r.MinDistToPoint(p) / c.maxD, r.MaxDistToPoint(p) / c.maxD
 }
 
 // TextualDivBounds computes Eq. 17–18: the range of the Jaccard tag
-// distance between photo i and any photo of cell cid, derived from the
+// distance between photo i and any photo of cell ord, derived from the
 // cell's keyword set c.Ψ and cardinality bounds [ψmin, ψmax].
-func (c *Context) TextualDivBounds(cid grid.CellID, i int) (lo, hi float64) {
-	cell := c.grid.CellAt(cid)
+func (c *Context) TextualDivBounds(ord, i int) (lo, hi float64) {
+	keywords := c.cellKeywords(ord)
+	psiMin, psiMax := int(c.slab.PsiMin[ord]), int(c.slab.PsiMax[ord])
 	tags := c.photos[i].Tags
 	nr := tags.Len()
-	common := cell.Keywords.IntersectCount(tags)
-	notCommon := cell.Keywords.Len() - common
+	common := keywords.IntersectCount(tags)
+	notCommon := keywords.Len() - common
 
 	// Lower bound (Eq. 17): construct Ψ+(c|r) maximizing overlap with Ψr.
 	switch {
-	case common < cell.PsiMin:
+	case common < psiMin:
 		// All common keywords plus padding from c.Ψ \ Ψr up to ψmin.
-		lo = 1 - float64(common)/float64(nr+cell.PsiMin-common)
+		lo = 1 - float64(common)/float64(nr+psiMin-common)
 	default:
-		m := minInt(common, cell.PsiMax)
+		m := minInt(common, psiMax)
 		if nr == 0 {
 			// Both tag sets can be empty: Jaccard distance 0.
 			lo = 0
@@ -38,8 +39,8 @@ func (c *Context) TextualDivBounds(cid grid.CellID, i int) (lo, hi float64) {
 	}
 
 	// Upper bound (Eq. 18): construct Ψ−(c|r) minimizing overlap with Ψr.
-	if notCommon < cell.PsiMin {
-		hi = 1 - float64(cell.PsiMin-notCommon)/float64(nr+notCommon)
+	if notCommon < psiMin {
+		hi = 1 - float64(psiMin-notCommon)/float64(nr+notCommon)
 	} else {
 		hi = 1
 	}
@@ -48,31 +49,31 @@ func (c *Context) TextualDivBounds(cid grid.CellID, i int) (lo, hi float64) {
 
 // cellRelBounds returns the blended relevance bounds of a cell under
 // weight w, combining the cached Eq. 11–14 bounds.
-func (c *Context) cellRelBounds(cid grid.CellID, w float64) (lo, hi float64) {
-	lo = w*c.cellSpatialLo[cid] + (1-w)*c.cellTextualLo[cid]
-	hi = w*c.cellSpatialHi[cid] + (1-w)*c.cellTextualHi[cid]
+func (c *Context) cellRelBounds(ord int, w float64) (lo, hi float64) {
+	lo = w*c.cellSpatialLo[ord] + (1-w)*c.cellTextualLo[ord]
+	hi = w*c.cellSpatialHi[ord] + (1-w)*c.cellTextualHi[ord]
 	return lo, hi
 }
 
 // cellDivBounds returns the blended diversity bounds between any photo of
 // the cell and the single photo j.
-func (c *Context) cellDivBounds(cid grid.CellID, j int, w float64) (lo, hi float64) {
-	sLo, sHi := c.SpatialDivBounds(cid, j)
-	tLo, tHi := c.TextualDivBounds(cid, j)
+func (c *Context) cellDivBounds(ord, j int, w float64) (lo, hi float64) {
+	sLo, sHi := c.SpatialDivBounds(ord, j)
+	tLo, tHi := c.TextualDivBounds(ord, j)
 	return w*sLo + (1-w)*tLo, w*sHi + (1-w)*tHi
 }
 
 // MMRBounds computes the lower and upper bounds of the mmr objective
-// (Eq. 10) for any photo of cell cid given the selected set, by combining
+// (Eq. 10) for any photo of cell ord given the selected set, by combining
 // the relevance bounds with per-selected-photo diversity bounds.
-func (c *Context) MMRBounds(cid grid.CellID, selected []int, p Params) (lo, hi float64) {
-	relLo, relHi := c.cellRelBounds(cid, p.W)
+func (c *Context) MMRBounds(ord int, selected []int, p Params) (lo, hi float64) {
+	relLo, relHi := c.cellRelBounds(ord, p.W)
 	lo = (1 - p.Lambda) * relLo
 	hi = (1 - p.Lambda) * relHi
 	if p.K > 1 && len(selected) > 0 {
 		var divLo, divHi float64
 		for _, j := range selected {
-			dl, dh := c.cellDivBounds(cid, j, p.W)
+			dl, dh := c.cellDivBounds(ord, j, p.W)
 			divLo += dl
 			divHi += dh
 		}

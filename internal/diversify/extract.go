@@ -2,13 +2,12 @@ package diversify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/photo"
-	"repro/internal/vocab"
 )
 
 // PhotoIndex accelerates the per-street photo association Rs = {r :
@@ -18,53 +17,48 @@ import (
 // and reuse it across streets; it is safe for concurrent reads.
 type PhotoIndex struct {
 	corpus *photo.Corpus
-	grid   *grid.Grid
+	slab   *grid.Slab
 }
 
 // NewPhotoIndex builds a photo grid with the given cell size (a size
-// close to the query ε keeps the candidate sets small).
+// close to the query ε keeps the candidate sets small). The index reads
+// cell membership only, so the grid carries no tags.
 func NewPhotoIndex(corpus *photo.Corpus, cellSize float64) (*PhotoIndex, error) {
 	all := corpus.All()
 	locs := make([]geo.Point, len(all))
-	keys := make([]vocab.Set, len(all))
 	for i := range all {
 		locs[i] = all[i].Loc
-		keys[i] = all[i].Tags
 	}
-	g, err := grid.Build(grid.Config{CellSize: cellSize}, locs, keys)
+	slab, err := grid.BuildSlab(grid.Config{CellSize: cellSize}, locs, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("diversify: building photo index: %w", err)
 	}
-	return &PhotoIndex{corpus: corpus, grid: g}, nil
+	return &PhotoIndex{corpus: corpus, slab: slab}, nil
 }
 
 // StreetPhotos returns the photos within eps of the street and the
 // normalizer maxD(s), like ExtractStreetPhotos but touching only ε-near
 // grid cells. Results are sorted by photo id, matching the full scan.
 func (pi *PhotoIndex) StreetPhotos(net *network.Network, street network.StreetID, eps float64) ([]photo.Photo, float64) {
-	st := net.Street(street)
-	seen := make(map[uint32]bool)
+	s := pi.slab
 	var ids []uint32
-	for _, sid := range st.Segments {
-		seg := net.Segment(sid)
-		for _, cid := range pi.grid.CellsNearSegment(seg.Geom, eps) {
-			cell := pi.grid.CellAt(cid)
-			for _, m := range cell.Members {
-				if seen[m] {
-					continue
-				}
-				// A photo near this segment is near the street; only the
-				// distance to this one segment needs checking here, but a
-				// photo can be within ε of the street through any
-				// segment, so mark it seen only when accepted.
-				if seg.Geom.DistToPoint(pi.corpus.Get(m).Loc) <= eps {
-					seen[m] = true
+	var cells []int32
+	for _, sid := range net.Street(street).Segments {
+		seg := net.Segment(sid).Geom
+		cells = s.CellsNearSegmentInto(seg, eps, cells[:0])
+		for _, ord := range cells {
+			// A photo is near the street through any one segment, so it
+			// may be accepted once per segment; the compaction below
+			// keeps one.
+			for _, m := range s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]] {
+				if seg.DistToPoint(pi.corpus.Get(m).Loc) <= eps {
 					ids = append(ids, m)
 				}
 			}
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	rs := make([]photo.Photo, len(ids))
 	for i, id := range ids {
 		rs[i] = *pi.corpus.Get(id)

@@ -60,16 +60,16 @@ type Context struct {
 	freqL1 float64       // ‖Φs‖₁
 	maxD   float64       // maxD(s)
 	rho    float64
-	grid   *grid.Grid
+	// slab is the ρ/2 grid over Rs; photo i is its object i. Cells are
+	// addressed by ordinal, which ascends with the cell id.
+	slab *grid.Slab
 
 	// spatialRel caches Def. 4 for every photo.
 	spatialRel []float64
-	// cellSpatialLo/Hi cache Eq. 11–12 per cell (R-independent).
-	cellSpatialLo map[grid.CellID]float64
-	cellSpatialHi map[grid.CellID]float64
-	// cellTextualLo/Hi cache Eq. 13–14 per cell (R-independent).
-	cellTextualLo map[grid.CellID]float64
-	cellTextualHi map[grid.CellID]float64
+	// cellSpatialLo/Hi cache Eq. 11–12 per cell ordinal (R-independent).
+	cellSpatialLo, cellSpatialHi []float64
+	// cellTextualLo/Hi cache Eq. 13–14 per cell ordinal (R-independent).
+	cellTextualLo, cellTextualHi []float64
 
 	// features holds optional per-photo visual feature vectors (the
 	// future-work extension); nil unless SetFeatures was called.
@@ -160,7 +160,7 @@ func NewContext(rs []photo.Photo, freq vocab.Freq, maxD, rho float64) (*Context,
 		locs[i] = rs[i].Loc
 		keys[i] = rs[i].Tags
 	}
-	g, err := grid.Build(grid.Config{CellSize: rho / 2}, locs, keys)
+	slab, err := grid.BuildSlab(grid.Config{CellSize: rho / 2}, locs, keys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func NewContext(rs []photo.Photo, freq vocab.Freq, maxD, rho float64) (*Context,
 		freqL1: freq.L1(),
 		maxD:   maxD,
 		rho:    rho,
-		grid:   g,
+		slab:   slab,
 	}
 	ctx.precompute()
 	return ctx, nil
@@ -185,50 +185,64 @@ func (c *Context) Len() int { return len(c.photos) }
 // MaxD returns the spatial diversity normalizer maxD(s).
 func (c *Context) MaxD() float64 { return c.maxD }
 
-// precompute fills the R-independent caches: per-photo spatial relevance
-// and the per-cell relevance bounds.
-func (c *Context) precompute() {
-	n := len(c.photos)
-	c.spatialRel = make([]float64, n)
-	for i := range c.photos {
-		cnt := 0
-		cid := c.grid.CellIndex(c.photos[i].Loc)
-		for _, nid := range c.grid.Neighborhood(cid, 2) {
-			cell := c.grid.CellAt(nid)
-			for _, m := range cell.Members {
-				if c.photos[i].Loc.Dist(c.photos[m].Loc) <= c.rho {
-					cnt++
-				}
-			}
-		}
-		c.spatialRel[i] = float64(cnt) / float64(n)
-	}
-	c.cellSpatialLo = make(map[grid.CellID]float64, c.grid.NumCells())
-	c.cellSpatialHi = make(map[grid.CellID]float64, c.grid.NumCells())
-	c.cellTextualLo = make(map[grid.CellID]float64, c.grid.NumCells())
-	c.cellTextualHi = make(map[grid.CellID]float64, c.grid.NumCells())
-	support := c.freq.Support()
-	c.grid.ForEachCell(func(id grid.CellID, cell *grid.Cell) {
-		// Eq. 11: every photo covers at least its own cell.
-		c.cellSpatialLo[id] = float64(len(cell.Members)) / float64(n)
-		// Eq. 12: and at most the cells within two cells away.
-		total := 0
-		for _, nid := range c.grid.Neighborhood(id, 2) {
-			total += len(c.grid.CellAt(nid).Members)
-		}
-		c.cellSpatialHi[id] = float64(total) / float64(n)
-		c.cellTextualLo[id], c.cellTextualHi[id] = c.textualRelBounds(cell, support)
-	})
+// members returns the photos (local indices, ascending) of cell ord.
+func (c *Context) members(ord int) []uint32 {
+	return c.slab.Members[c.slab.MemberOff[ord]:c.slab.MemberOff[ord+1]]
 }
 
-// textualRelBounds computes Eq. 13–14 for one cell: the minimum and
+// cellKeywords returns c.Ψ of cell ord, the sorted set of tags its photos
+// carry.
+func (c *Context) cellKeywords(ord int) vocab.Set {
+	return vocab.Set(c.slab.CellKw[c.slab.KwOff[ord]:c.slab.KwOff[ord+1]])
+}
+
+// precompute fills the R-independent caches: per-photo spatial relevance
+// and the per-cell relevance bounds. Any photo within ρ of a photo lies at
+// most two ρ/2 cells away, so both read the δ=2 neighbourhood of a cell.
+func (c *Context) precompute() {
+	n := len(c.photos)
+	numCells := c.slab.NumCells()
+	c.spatialRel = make([]float64, n)
+	c.cellSpatialLo = make([]float64, numCells)
+	c.cellSpatialHi = make([]float64, numCells)
+	c.cellTextualLo = make([]float64, numCells)
+	c.cellTextualHi = make([]float64, numCells)
+	support := c.freq.Support()
+	var near []int32
+	for ord := 0; ord < numCells; ord++ {
+		near = c.slab.NeighborhoodInto(ord, 2, near[:0])
+		total := 0
+		for _, nb := range near {
+			total += len(c.members(int(nb)))
+		}
+		for _, i := range c.members(ord) {
+			cnt := 0
+			for _, nb := range near {
+				for _, m := range c.members(int(nb)) {
+					if c.photos[i].Loc.Dist(c.photos[m].Loc) <= c.rho {
+						cnt++
+					}
+				}
+			}
+			c.spatialRel[i] = float64(cnt) / float64(n)
+		}
+		// Eq. 11: every photo covers at least its own cell.
+		c.cellSpatialLo[ord] = float64(len(c.members(ord))) / float64(n)
+		// Eq. 12: and at most the cells within two cells away.
+		c.cellSpatialHi[ord] = float64(total) / float64(n)
+		c.cellTextualLo[ord], c.cellTextualHi[ord] = c.textualRelBounds(ord, support)
+	}
+}
+
+// textualRelBounds computes Eq. 13–14 for cell ord: the minimum and
 // maximum of Σ_{ψ∈Ψr} Φs(ψ)/‖Φs‖₁ over keyword sets Ψr ⊆ c.Ψ obeying the
 // cell's cardinality bounds [ψmin, ψmax].
-func (c *Context) textualRelBounds(cell *grid.Cell, support vocab.Set) (lo, hi float64) {
+func (c *Context) textualRelBounds(ord int, support vocab.Set) (lo, hi float64) {
 	if c.freqL1 == 0 {
 		return 0, 0
 	}
-	inSupport := cell.Keywords.Intersect(support)
+	keywords := c.cellKeywords(ord)
+	inSupport := keywords.Intersect(support)
 	freqs := make([]float64, 0, len(inSupport))
 	for _, kw := range inSupport {
 		freqs = append(freqs, c.freq[kw])
@@ -236,7 +250,7 @@ func (c *Context) textualRelBounds(cell *grid.Cell, support vocab.Set) (lo, hi f
 	sort.Float64s(freqs) // ascending
 	// Ψ+(c|s): up to ψmax keywords of c.Ψ that appear in Ψs, taking the
 	// largest frequencies; padding keywords contribute zero.
-	nHi := cell.PsiMax
+	nHi := int(c.slab.PsiMax[ord])
 	if nHi > len(freqs) {
 		nHi = len(freqs)
 	}
@@ -245,8 +259,8 @@ func (c *Context) textualRelBounds(cell *grid.Cell, support vocab.Set) (lo, hi f
 	}
 	// Ψ−(c|s): prefer the ψmin keywords outside Ψs (zero frequency); any
 	// shortfall is filled with the lowest in-support frequencies.
-	nOutside := cell.Keywords.Len() - len(inSupport)
-	need := cell.PsiMin - nOutside
+	nOutside := keywords.Len() - len(inSupport)
+	need := int(c.slab.PsiMin[ord]) - nOutside
 	for i := 0; i < need && i < len(freqs); i++ {
 		lo += freqs[i]
 	}

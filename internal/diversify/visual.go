@@ -142,12 +142,9 @@ func (c *Context) GreedyVisual(p VisualParams) (Result, error) {
 	if p.VisualWeight > 0 && c.features == nil {
 		return Result{}, fmt.Errorf("diversify: visual weight %v but no features attached", p.VisualWeight)
 	}
-	selected := make([]int, 0, p.K)
+	k := min(p.K, len(c.photos))
+	selected := make([]int, 0, k)
 	isSelected := make([]bool, len(c.photos))
-	k := p.K
-	if k > len(c.photos) {
-		k = len(c.photos)
-	}
 	var stats Stats
 	for len(selected) < k {
 		best := -1

@@ -163,8 +163,7 @@ func AblationCellSize(c *City, sizes []float64, trials int) ([]CellSizeAblationR
 		start = time.Now()
 		ix.Warm(Epsilon)
 		row.WarmTime = time.Since(start)
-		row.Cells = ix.Grid().NumCells()
-		ix.SegmentCells(Epsilon) // the baseline's Cε(ℓ) memo, kept off BLTime
+		row.Cells = ix.SlabIndex().Slab().NumCells()
 		var lastErr error
 		row.SOITime = medianOf(trials, func() {
 			if _, _, err := ix.SOI(q); err != nil {

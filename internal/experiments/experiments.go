@@ -37,9 +37,8 @@ type City struct {
 func (c *City) Name() string { return c.Dataset.Profile.Name }
 
 // LoadCity generates the profile at the given scale, builds the index and
-// warms the ε-dependent structures: the evaluator's ε-plan, and the
-// baseline's reference grid and Cε(ℓ) memo, so their lazy materialisation
-// is not billed to the first BL query an experiment times.
+// warms the ε-plan SOI and BL both read, so building it is not billed to
+// the first query an experiment times.
 func LoadCity(p datagen.Profile, scale float64) (*City, error) {
 	ds, err := datagen.Generate(datagen.Scale(p, scale))
 	if err != nil {
@@ -50,8 +49,6 @@ func LoadCity(p datagen.Profile, scale float64) (*City, error) {
 		return nil, err
 	}
 	ix.Warm(Epsilon)
-	ix.Grid()
-	ix.SegmentCells(Epsilon)
 	return &City{Dataset: ds, Index: ix}, nil
 }
 

@@ -51,10 +51,11 @@ func LCMSRCompare(c *City, k int) (LCMSRResult, error) {
 	// Vertex scores with the grid as the snap prefilter: candidate
 	// segments are those within ε of the POI's surroundings.
 	query, _ := c.Dataset.Dict.LookupAll(q.Keywords)
-	cellSegs := c.Index.CellSegments(Epsilon)
-	g := c.Index.Grid()
+	six := c.Index.SlabIndex()
+	slab := six.Slab()
 	scores := lcmsr.VertexScoresWith(net, c.Dataset.POIs, query, func(loc geo.Point) []network.SegmentID {
-		return cellSegs[g.CellIndex(loc)]
+		// An indexed POI's cell is never empty.
+		return six.CellSegments(Epsilon, slab.OrdinalOf(slab.Lattice().CellIndex(loc)))
 	})
 	st := net.Stats()
 	snap := 0.0

@@ -228,7 +228,7 @@ type cellKwPart struct {
 // sum) and the postings, written into the cell's range of s.Postings. A
 // cell's (keyword, member) pairs are sorted as packed integers, which
 // groups them by ascending keyword with ascending members inside — the
-// order the map layout reaches by appending members in id order.
+// order the reference builder reaches by appending members in id order.
 func (s *Slab) fillCells(lo, hi int, keys []vocab.Set, postBase []uint32) cellKwPart {
 	var part cellKwPart
 	var pairs []uint64

@@ -5,10 +5,14 @@
 // global inverted index mapping each keyword to the cells that contain it,
 // sorted decreasingly by count (the SOI algorithm's source list SL1).
 //
-// The grid also answers the geometric queries the algorithms need: which
-// non-empty cells lie within distance ε of a segment (the ε-augmented
-// cell↔segment maps), and which cells fall in a (2Δ+1)×(2Δ+1) neighborhood
-// of a given cell (the diversification spatial-relevance bounds).
+// Slab (slab.go) is the one layout anything outside this package reads:
+// BuildSlab builds it, and it answers the geometric queries the
+// algorithms need — which non-empty cells lie within distance ε of a
+// segment (the ε-augmented cell↔segment maps), and which cells fall in a
+// (2Δ+1)×(2Δ+1) neighborhood of a given cell (the diversification
+// spatial-relevance bounds). Grid, Cell, Build and NewSlab below are the
+// reference builder: the map-of-cells construction the tests hold
+// BuildSlab to, byte for byte.
 package grid
 
 import (
@@ -41,7 +45,8 @@ type Cell struct {
 	PsiMin, PsiMax int
 }
 
-// Grid is an immutable uniform grid over a set of objects.
+// Grid is an immutable uniform grid over a set of objects, as a map of
+// cells: the reference form NewSlab flattens. Nothing queries it.
 type Grid struct {
 	lat   Lattice
 	cells map[CellID]*Cell
@@ -57,9 +62,9 @@ type Config struct {
 	Bounds geo.Rect
 }
 
-// Build constructs a grid over objects given by parallel slices of
-// locations and keyword sets. Objects outside Bounds are clamped into the
-// border cells so that no object is lost.
+// Build constructs the reference grid over objects given by parallel
+// slices of locations and keyword sets. Objects outside Bounds are clamped
+// into the border cells so that no object is lost.
 func Build(cfg Config, locs []geo.Point, keys []vocab.Set) (*Grid, error) {
 	return build(cfg, locs, keys, runtime.GOMAXPROCS(0))
 }
@@ -229,9 +234,6 @@ func (g *Grid) buildCellsParallel(locs []geo.Point, keys []vocab.Set, workers in
 // Len returns the number of indexed objects.
 func (g *Grid) Len() int { return g.n }
 
-// NumCells returns the number of non-empty cells.
-func (g *Grid) NumCells() int { return len(g.cells) }
-
 // Dims returns the grid dimensions (nx, ny).
 func (g *Grid) Dims() (int, int) { return g.lat.NX, g.lat.NY }
 
@@ -244,24 +246,8 @@ func (g *Grid) Bounds() geo.Rect { return g.lat.Bounds }
 // CellIndex returns the cell id containing p, clamped into the grid.
 func (g *Grid) CellIndex(p geo.Point) CellID { return g.lat.CellIndex(p) }
 
-// Coords returns the (ix, iy) coordinates of a cell id.
-func (g *Grid) Coords(id CellID) (int, int) {
-	return int(id) % g.lat.NX, int(id) / g.lat.NX
-}
-
 // CellAt returns the cell with the given id, or nil when empty.
 func (g *Grid) CellAt(id CellID) *Cell { return g.cells[id] }
-
-// CellRect returns the rectangle covered by the cell.
-func (g *Grid) CellRect(id CellID) geo.Rect { return g.lat.CellRect(id) }
-
-// ForEachCell invokes fn for every non-empty cell. Iteration order is
-// unspecified.
-func (g *Grid) ForEachCell(fn func(id CellID, c *Cell)) {
-	for id, c := range g.cells {
-		fn(id, c)
-	}
-}
 
 // NonEmptyCells returns the ids of all non-empty cells, sorted ascending
 // for deterministic iteration.
@@ -271,71 +257,5 @@ func (g *Grid) NonEmptyCells() []CellID {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// CellsNearSegment returns the ids of all non-empty cells whose rectangle
-// lies within distance eps of seg, sorted ascending. This realizes the
-// ε-augmented segment-to-cell map Cε(ℓ): any object within eps of the
-// segment is guaranteed to live in one of the returned cells.
-func (g *Grid) CellsNearSegment(seg geo.Segment, eps float64) []CellID {
-	ix0, ix1, iy0, iy1 := g.lat.span(seg.Bounds().Expand(eps))
-	var out []CellID
-	for iy := iy0; iy <= iy1; iy++ {
-		for ix := ix0; ix <= ix1; ix++ {
-			id := CellID(ix + iy*g.lat.NX)
-			if g.cells[id] == nil {
-				continue
-			}
-			if g.CellRect(id).DistToSegment(seg) <= eps {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// CellsNearPoint returns the ids of all non-empty cells whose rectangle
-// lies within distance eps of p, sorted ascending.
-func (g *Grid) CellsNearPoint(p geo.Point, eps float64) []CellID {
-	ix0, ix1, iy0, iy1 := g.lat.span(geo.Rect{MinX: p.X - eps, MinY: p.Y - eps, MaxX: p.X + eps, MaxY: p.Y + eps})
-	var out []CellID
-	for iy := iy0; iy <= iy1; iy++ {
-		for ix := ix0; ix <= ix1; ix++ {
-			id := CellID(ix + iy*g.lat.NX)
-			if g.cells[id] == nil {
-				continue
-			}
-			if g.CellRect(id).MinDistToPoint(p) <= eps {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// Neighborhood returns the ids of all non-empty cells within Chebyshev
-// distance delta of the given cell (the (2δ+1)² block around it,
-// including the cell itself). Used by the diversification spatial
-// relevance bounds with delta = 2 (Eq. 12).
-func (g *Grid) Neighborhood(id CellID, delta int) []CellID {
-	ix, iy := g.Coords(id)
-	var out []CellID
-	for dy := -delta; dy <= delta; dy++ {
-		y := iy + dy
-		if y < 0 || y >= g.lat.NY {
-			continue
-		}
-		for dx := -delta; dx <= delta; dx++ {
-			x := ix + dx
-			if x < 0 || x >= g.lat.NX {
-				continue
-			}
-			nid := CellID(x + y*g.lat.NX)
-			if g.cells[nid] != nil {
-				out = append(out, nid)
-			}
-		}
-	}
 	return out
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,8 +37,8 @@ func TestBuildBasics(t *testing.T) {
 	if g.Len() != 5 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if g.NumCells() != 3 {
-		t.Fatalf("NumCells = %d", g.NumCells())
+	if n := len(g.NonEmptyCells()); n != 3 {
+		t.Fatalf("%d non-empty cells, want 3", n)
 	}
 	nx, ny := g.Dims()
 	if nx < 3 || ny < 3 {
@@ -94,15 +95,15 @@ func TestCellRectContainsMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	g.ForEachCell(func(id CellID, c *Cell) {
-		r := g.CellRect(id)
+	for _, id := range g.NonEmptyCells() {
+		c, r := g.CellAt(id), g.lat.CellRect(id)
 		for _, m := range c.Members {
 			if !r.Expand(1e-9).Contains(locs[m]) {
 				t.Errorf("object %d at %v outside its cell rect %v", m, locs[m], r)
 			}
 		}
 		total += len(c.Members)
-	})
+	}
 	if total != len(locs) {
 		t.Fatalf("cells hold %d objects, want %d", total, len(locs))
 	}
@@ -149,34 +150,42 @@ func TestPsiMinZeroForUntagged(t *testing.T) {
 	}
 }
 
+// TestCellsNearSegmentCoverage is the brute-force property Cε(ℓ) rests
+// on, independent of any grid code: every returned cell is within eps of
+// the segment, and every object within eps lives in a returned cell.
 func TestCellsNearSegmentCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	locs := make([]geo.Point, 800)
 	for i := range locs {
 		locs[i] = geo.Pt(rng.Float64()*10, rng.Float64()*10)
 	}
-	g, err := Build(Config{CellSize: 0.5, Bounds: geo.R(0, 0, 10, 10)}, locs, nil)
+	s, err := BuildSlab(Config{CellSize: 0.5, Bounds: geo.R(0, 0, 10, 10)}, locs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var near []int32
 	for trial := 0; trial < 100; trial++ {
 		seg := geo.Segment{
 			A: geo.Pt(rng.Float64()*10, rng.Float64()*10),
 			B: geo.Pt(rng.Float64()*10, rng.Float64()*10),
 		}
 		eps := rng.Float64() * 1.5
-		near := g.CellsNearSegment(seg, eps)
+		near = s.CellsNearSegmentInto(seg, eps, near[:0])
 		nearSet := make(map[CellID]bool, len(near))
-		for _, id := range near {
+		for i, ord := range near {
+			id := CellID(s.CellIDs[ord])
 			nearSet[id] = true
-			if g.CellRect(id).DistToSegment(seg) > eps+1e-9 {
+			if i > 0 && near[i-1] >= ord {
+				t.Fatalf("ordinals not ascending: %v", near)
+			}
+			if s.CellRect(id).DistToSegment(seg) > eps+1e-9 {
 				t.Fatalf("cell %d too far from segment", id)
 			}
 		}
 		// Coverage: every object within eps lives in a returned cell.
 		for i, p := range locs {
 			if seg.DistToPoint(p) <= eps {
-				if !nearSet[g.CellIndex(p)] {
+				if !nearSet[s.Lattice().CellIndex(p)] {
 					t.Fatalf("object %d within eps but its cell not returned", i)
 				}
 			}
@@ -184,73 +193,86 @@ func TestCellsNearSegmentCoverage(t *testing.T) {
 	}
 }
 
-func TestCellsNearPointCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	locs := make([]geo.Point, 500)
-	for i := range locs {
-		locs[i] = geo.Pt(rng.Float64()*10, rng.Float64()*10)
+// neighborhoodIDs returns the cell ids of the slab cells within
+// Chebyshev distance delta of the cell holding p.
+func neighborhoodIDs(s *Slab, p geo.Point, delta int) []CellID {
+	var out []CellID
+	for _, ord := range s.NeighborhoodInto(s.OrdinalOf(s.Lattice().CellIndex(p)), delta, nil) {
+		out = append(out, CellID(s.CellIDs[ord]))
 	}
-	g, err := Build(Config{CellSize: 0.4, Bounds: geo.R(0, 0, 10, 10)}, locs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 100; trial++ {
-		p := geo.Pt(rng.Float64()*10, rng.Float64()*10)
-		eps := rng.Float64()
-		near := g.CellsNearPoint(p, eps)
-		nearSet := make(map[CellID]bool, len(near))
-		for _, id := range near {
-			nearSet[id] = true
-		}
-		for i, q := range locs {
-			if p.Dist(q) <= eps && !nearSet[g.CellIndex(q)] {
-				t.Fatalf("object %d within eps of point but cell missing", i)
-			}
-		}
-	}
+	return out
 }
 
 func TestNeighborhood(t *testing.T) {
 	locs := []geo.Point{
 		geo.Pt(0.5, 0.5), geo.Pt(1.5, 0.5), geo.Pt(2.5, 0.5), geo.Pt(3.5, 0.5), geo.Pt(0.5, 1.5), geo.Pt(2.5, 2.5),
 	}
-	g, err := Build(Config{CellSize: 1, Bounds: geo.R(0, 0, 4, 4)}, locs, nil)
+	s, err := BuildSlab(Config{CellSize: 1, Bounds: geo.R(0, 0, 4, 4)}, locs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	center := g.CellIndex(geo.Pt(1.5, 0.5))
-	got := g.Neighborhood(center, 1)
+	center := geo.Pt(1.5, 0.5)
+	nx := CellID(s.NX)
 	// Within Chebyshev distance 1 of cell (1,0): cells (0,0),(1,0),(2,0),(0,1) are non-empty.
-	if len(got) != 4 {
-		t.Fatalf("Neighborhood(1) = %v, want 4 cells", got)
+	if got, want := neighborhoodIDs(s, center, 1), []CellID{0, 1, 2, nx}; !slices.Equal(got, want) {
+		t.Fatalf("Neighborhood(1) = %v, want %v", got, want)
 	}
-	got2 := g.Neighborhood(center, 2)
-	// delta=2 adds (3,0) and (2,2)... (2,2) is at Chebyshev distance max(1,2)=2: included.
-	if len(got2) != 6 {
-		t.Fatalf("Neighborhood(2) = %v, want 6 cells", got2)
+	// delta=2 adds (3,0) and (2,2), the latter at Chebyshev distance max(1,2)=2.
+	if got, want := neighborhoodIDs(s, center, 2), []CellID{0, 1, 2, 3, nx, 2 + 2*nx}; !slices.Equal(got, want) {
+		t.Fatalf("Neighborhood(2) = %v, want %v", got, want)
 	}
 	// delta=0 is just the cell itself.
-	if got0 := g.Neighborhood(center, 0); len(got0) != 1 || got0[0] != center {
-		t.Fatalf("Neighborhood(0) = %v", got0)
+	if got := neighborhoodIDs(s, center, 0); !slices.Equal(got, []CellID{1}) {
+		t.Fatalf("Neighborhood(0) = %v", got)
 	}
 }
 
 func TestNeighborhoodAtBorder(t *testing.T) {
 	locs := []geo.Point{geo.Pt(0.5, 0.5)}
-	g, err := Build(Config{CellSize: 1, Bounds: geo.R(0, 0, 2, 2)}, locs, nil)
+	s, err := BuildSlab(Config{CellSize: 1, Bounds: geo.R(0, 0, 2, 2)}, locs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := g.Neighborhood(g.CellIndex(geo.Pt(0.5, 0.5)), 2)
-	if len(got) != 1 {
+	if got := neighborhoodIDs(s, locs[0], 2); !slices.Equal(got, []CellID{0}) {
 		t.Fatalf("border Neighborhood = %v", got)
+	}
+}
+
+// TestNeighborhoodMatchesBruteForce holds the row-range walk to the
+// definition on random sparse worlds: exactly the non-empty cells whose
+// column and row both differ by at most delta, ascending.
+func TestNeighborhoodMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 20; trial++ {
+		locs := make([]geo.Point, 1+rng.Intn(120))
+		for i := range locs {
+			locs[i] = geo.Pt(rng.Float64()*6, rng.Float64()*6)
+		}
+		s, err := BuildSlab(Config{CellSize: 0.25 + rng.Float64()}, locs, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := rng.Intn(4)
+		for ord, id := range s.CellIDs {
+			var want []int32
+			for o, other := range s.CellIDs {
+				dx := int(other)%s.NX - int(id)%s.NX
+				dy := int(other)/s.NX - int(id)/s.NX
+				if max(dx, -dx) <= delta && max(dy, -dy) <= delta {
+					want = append(want, int32(o))
+				}
+			}
+			if got := s.NeighborhoodInto(ord, delta, nil); !slices.Equal(got, want) {
+				t.Fatalf("trial %d cell %d delta %d: %v, want %v", trial, id, delta, got, want)
+			}
+		}
 	}
 }
 
 func TestNonEmptyCellsSorted(t *testing.T) {
 	g, _ := buildSmall(t)
 	ids := g.NonEmptyCells()
-	if len(ids) != g.NumCells() {
+	if len(ids) != len(g.cells) {
 		t.Fatalf("NonEmptyCells len = %d", len(ids))
 	}
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
@@ -266,21 +288,29 @@ func TestClampedOutOfBoundsInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	g.ForEachCell(func(id CellID, c *Cell) { total += len(c.Members) })
+	for _, id := range g.NonEmptyCells() {
+		total += len(g.CellAt(id).Members)
+	}
 	if total != 2 {
 		t.Fatalf("clamped objects lost: %d indexed", total)
 	}
 }
 
+// TestCoordsRoundTrip: the id = ix + iy·nx linearization round-trips
+// through the lattice — a cell's rectangle sits at column ix, row iy, and
+// a point inside it is assigned that id again.
 func TestCoordsRoundTrip(t *testing.T) {
 	g, _ := buildSmall(t)
 	nx, ny := g.Dims()
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
 			id := CellID(ix + iy*nx)
-			gx, gy := g.Coords(id)
-			if gx != ix || gy != iy {
-				t.Fatalf("Coords(%d) = %d,%d want %d,%d", id, gx, gy, ix, iy)
+			r := g.lat.CellRect(id)
+			if r.MinX != float64(ix)*g.CellSize() || r.MinY != float64(iy)*g.CellSize() {
+				t.Fatalf("CellRect(%d) = %v, want column %d row %d", id, r, ix, iy)
+			}
+			if got := g.CellIndex(r.Center()); got != id {
+				t.Fatalf("CellIndex(center of cell %d) = %d", id, got)
 			}
 		}
 	}
@@ -321,11 +351,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		}
 		par.n = n
 		par.buildCellsParallel(locs, keys, workers)
-		if par.NumCells() != seq.NumCells() {
-			t.Fatalf("workers=%d: %d cells, want %d", workers, par.NumCells(), seq.NumCells())
+		if len(par.cells) != len(seq.cells) {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(par.cells), len(seq.cells))
 		}
-		seq.ForEachCell(func(id CellID, want *Cell) {
-			got := par.CellAt(id)
+		for _, id := range seq.NonEmptyCells() {
+			want, got := seq.CellAt(id), par.CellAt(id)
 			if got == nil {
 				t.Fatalf("workers=%d: cell %d missing", workers, id)
 			}
@@ -357,6 +387,6 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 					}
 				}
 			}
-		})
+		}
 	}
 }

@@ -34,7 +34,7 @@ func TestAxisIndexSaturates(t *testing.T) {
 }
 
 // TestCellsNearHugeEpsilon: at an ε past the int range every non-empty
-// cell is near every segment and point, through all three lookups.
+// cell is near every segment.
 func TestCellsNearHugeEpsilon(t *testing.T) {
 	g, _ := buildSmall(t)
 	locs := []geo.Point{geo.Pt(0.1, 0.1), geo.Pt(0.15, 0.12), geo.Pt(1.5, 0.1), geo.Pt(0.2, 2.7), geo.Pt(0.25, 2.75)}
@@ -44,12 +44,6 @@ func TestCellsNearHugeEpsilon(t *testing.T) {
 	}
 	seg := geo.Segment{A: geo.Pt(0.3, 0.3), B: geo.Pt(0.6, 0.4)}
 	for _, eps := range []float64{1e17, 1e20, 1e100, 1e300} {
-		if got := len(g.CellsNearSegment(seg, eps)); got != g.NumCells() {
-			t.Errorf("ε=%g: Grid.CellsNearSegment found %d of %d cells", eps, got, g.NumCells())
-		}
-		if got := len(g.CellsNearPoint(seg.A, eps)); got != g.NumCells() {
-			t.Errorf("ε=%g: Grid.CellsNearPoint found %d of %d cells", eps, got, g.NumCells())
-		}
 		if got := len(s.CellsNearSegmentInto(seg, eps, nil)); got != s.NumCells() {
 			t.Errorf("ε=%g: Slab.CellsNearSegmentInto found %d of %d cells", eps, got, s.NumCells())
 		}

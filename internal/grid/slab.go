@@ -1,4 +1,4 @@
-// Slab is the compact, struct-of-arrays form of a built Grid plus the
+// Slab is the compact, struct-of-arrays form of the grid plus the
 // weighted global inverted index of Section 3.2.1, flattened into a
 // handful of contiguous arrays: per-cell member and postings lists become
 // offset ranges into shared uint32 segments, and the keyword → cells map
@@ -73,7 +73,8 @@ type Slab struct {
 	ObjX, ObjY, ObjW []float64
 }
 
-// NewSlab flattens a built grid into slab form. locs must be the object
+// NewSlab flattens the reference grid into slab form — what BuildSlab
+// must produce byte for byte. locs must be the object
 // locations the grid was built over (indexed by object id); weights
 // optionally carries per-object weights (nil means weight 1 everywhere).
 // The construction is deterministic: it depends only on the grid contents,
@@ -202,11 +203,10 @@ func (s *Slab) Lattice() Lattice {
 // CellRect returns the rectangle covered by cell id.
 func (s *Slab) CellRect(id CellID) geo.Rect { return s.Lattice().CellRect(id) }
 
-// CellsNearSegmentInto appends the ordinals of all non-empty cells within
-// distance eps of seg to buf (ascending), reusing its capacity. The
-// predicate is the one Grid.CellsNearSegment applies, so the resulting
-// cell sets — and every mass computed from them — match the map layout
-// exactly.
+// CellsNearSegmentInto appends the ordinals of all non-empty cells whose
+// rectangle lies within distance eps of seg to buf (ascending), reusing
+// its capacity. This realizes the ε-augmented segment-to-cell map Cε(ℓ):
+// any object within eps of the segment lives in one of the returned cells.
 func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) []int32 {
 	lat := s.Lattice()
 	ix0, ix1, iy0, iy1 := lat.span(seg.Bounds().Expand(eps))
@@ -221,35 +221,21 @@ func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) [
 	return buf
 }
 
-// FromSlab reconstructs the map-of-cells grid from a slab. The returned
-// grid aliases the slab's arrays (members, postings and keyword sets are
-// subslices), so it inherits the slab's read-only contract; use it to
-// serve the Grid-based readers (core's baseline) from a built or loaded
-// slab without re-ingesting objects.
-func FromSlab(s *Slab) *Grid {
-	g := &Grid{
-		lat:   s.Lattice(),
-		n:     s.NumObjects,
-		cells: make(map[CellID]*Cell, s.NumCells()),
-	}
-	for ord := range s.CellIDs {
-		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
-		// Three-index subslices cap every aliased list at its own length,
-		// so an append by a caller reallocates instead of writing into the
-		// next cell's range.
-		c := &Cell{
-			Members:  s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]:s.MemberOff[ord+1]],
-			Inv:      make(map[vocab.ID][]uint32, kwHi-kwLo),
-			Keywords: vocab.Set(s.CellKw[kwLo:kwHi:kwHi]),
-			PsiMin:   int(s.PsiMin[ord]),
-			PsiMax:   int(s.PsiMax[ord]),
+// NeighborhoodInto appends the ordinals of all non-empty cells within
+// Chebyshev distance delta of cell ord — the (2δ+1)² block around it, the
+// cell itself included — to buf (ascending), reusing its capacity. Used by
+// the diversification spatial relevance bounds with delta = 2 (Eq. 12).
+func (s *Slab) NeighborhoodInto(ord, delta int, buf []int32) []int32 {
+	lat := s.Lattice()
+	ix, iy := int(s.CellIDs[ord])%s.NX, int(s.CellIDs[ord])/s.NX
+	ix0, ix1 := max(ix-delta, 0), min(ix+delta, s.NX-1)
+	for y := max(iy-delta, 0); y <= min(iy+delta, s.NY-1); y++ {
+		lo, hi := lat.rowRange(s.CellIDs, y, ix0, ix1)
+		for o := lo; o < hi; o++ {
+			buf = append(buf, int32(o))
 		}
-		for j := kwLo; j < kwHi; j++ {
-			c.Inv[vocab.ID(s.CellKw[j])] = s.Postings[s.PostOff[j]:s.PostOff[j+1]:s.PostOff[j+1]]
-		}
-		g.cells[CellID(s.CellIDs[ord])] = c
 	}
-	return g
+	return buf
 }
 
 // Validate checks the slab's structural invariants: monotone offset

@@ -60,12 +60,12 @@ func TestSlabMatchesGrid(t *testing.T) {
 	if s.NumCells() != len(cells) {
 		t.Fatalf("slab has %d cells, grid %d", s.NumCells(), len(cells))
 	}
+	if nx, ny := g.Dims(); s.Bounds != g.Bounds() || s.CellSize != g.CellSize() || s.NX != nx || s.NY != ny {
+		t.Fatalf("slab lattice %+v differs from the grid's", s.Lattice())
+	}
 	for ord, cid := range cells {
 		if got := s.OrdinalOf(cid); got != ord {
 			t.Fatalf("OrdinalOf(%d) = %d, want %d", cid, got, ord)
-		}
-		if s.CellRect(cid) != g.CellRect(cid) {
-			t.Fatalf("cell %d rect mismatch", cid)
 		}
 		c := g.CellAt(cid)
 		members := s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]]
@@ -140,8 +140,9 @@ func equalU32(a, b []uint32) bool {
 	return true
 }
 
-// TestSlabCellsNearSegment cross-checks the slab's geometric predicate
-// against the map grid's on random segments.
+// TestSlabCellsNearSegment cross-checks the slab's span and row-range walk
+// against the definition applied to every non-empty cell of the reference
+// grid, on random segments.
 func TestSlabCellsNearSegment(t *testing.T) {
 	g, s, _, _ := buildSlab(t, 2, 400, 8, false)
 	rng := rand.New(rand.NewSource(7))
@@ -152,7 +153,12 @@ func TestSlabCellsNearSegment(t *testing.T) {
 			B: geo.Point{X: rng.Float64() * 110, Y: rng.Float64() * 90},
 		}
 		eps := rng.Float64() * 10
-		want := g.CellsNearSegment(seg, eps)
+		var want []grid.CellID
+		for _, id := range g.NonEmptyCells() {
+			if s.CellRect(id).DistToSegment(seg) <= eps {
+				want = append(want, id)
+			}
+		}
 		buf = s.CellsNearSegmentInto(seg, eps, buf[:0])
 		if len(buf) != len(want) {
 			t.Fatalf("trial %d: %d cells, want %d", trial, len(buf), len(want))
@@ -160,35 +166,6 @@ func TestSlabCellsNearSegment(t *testing.T) {
 		for i, ord := range buf {
 			if grid.CellID(s.CellIDs[ord]) != want[i] {
 				t.Fatalf("trial %d: cell %d = %d, want %d", trial, i, s.CellIDs[ord], want[i])
-			}
-		}
-	}
-}
-
-// TestFromSlabRoundTrip rebuilds a map grid from the slab and compares it
-// with the original.
-func TestFromSlabRoundTrip(t *testing.T) {
-	g, s, _, _ := buildSlab(t, 3, 300, 10, false)
-	g2 := grid.FromSlab(s)
-	if g2.Len() != g.Len() || g2.NumCells() != g.NumCells() {
-		t.Fatalf("round-trip sizes (%d objects, %d cells), want (%d, %d)",
-			g2.Len(), g2.NumCells(), g.Len(), g.NumCells())
-	}
-	if g2.Bounds() != g.Bounds() || g2.CellSize() != g.CellSize() {
-		t.Fatalf("round-trip geometry mismatch")
-	}
-	for _, cid := range g.NonEmptyCells() {
-		c, c2 := g.CellAt(cid), g2.CellAt(cid)
-		if c2 == nil {
-			t.Fatalf("cell %d missing after round trip", cid)
-		}
-		if !equalU32(c.Members, c2.Members) || !c.Keywords.Equal(c2.Keywords) ||
-			c.PsiMin != c2.PsiMin || c.PsiMax != c2.PsiMax || len(c.Inv) != len(c2.Inv) {
-			t.Fatalf("cell %d differs after round trip", cid)
-		}
-		for kw, postings := range c.Inv {
-			if !equalU32(postings, c2.Inv[kw]) {
-				t.Fatalf("cell %d kw %d postings differ", cid, kw)
 			}
 		}
 	}

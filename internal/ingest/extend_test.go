@@ -214,14 +214,6 @@ func TestCompactReinstallsTheServingIndex(t *testing.T) {
 		}
 		mustEqualResults(t, fmt.Sprintf("after the old epoch drained, query %v", q.Keywords), res, pre[i])
 	}
-	if n := rec.Snapshot().Core.MapLayoutBuilds; n != 0 {
-		t.Fatalf("core.map_layout_builds = %d over publish, compaction and queries, want 0", n)
-	}
-	// The zero means something: an epoch's index reports to the recorder.
-	postIx.Grid()
-	if n := rec.Snapshot().Core.MapLayoutBuilds; n != 1 {
-		t.Fatalf("core.map_layout_builds = %d after forcing the layout, want 1", n)
-	}
 }
 
 // TestFarPOIIsRefused is the regression test for the silent corruption a

@@ -234,7 +234,6 @@ func (ing *Ingestor) buildEpoch(seq uint64, prev *poi.Corpus, delta []Delta) (*E
 	if err != nil {
 		return nil, bt, fmt.Errorf("ingest: building epoch %d: %w", seq, err)
 	}
-	ix.SetRecorder(ing.cfg.Recorder)
 	bt.open = time.Since(start)
 	return ing.newEpoch(seq, ix), bt, nil
 }

@@ -19,7 +19,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -133,39 +132,13 @@ func buildAdjacency(net *network.Network, snap float64) *adjacency {
 		a.edges[seg.From] = append(a.edges[seg.From], adjEdge{to: seg.To, seg: seg.ID, w: seg.Length()})
 		a.edges[seg.To] = append(a.edges[seg.To], adjEdge{to: seg.From, seg: seg.ID, w: seg.Length()})
 	}
-	if snap <= 0 || net.NumVertices() == 0 {
-		return a
-	}
 	// Join vertices closer than snap with connector edges, so streets
 	// that cross without sharing a vertex are mutually reachable (the
 	// connected-network assumption of [7]).
-	type cellKey struct{ x, y int32 }
-	buckets := make(map[cellKey][]network.VertexID)
-	keyOf := func(v network.VertexID) cellKey {
-		p := net.Vertex(v)
-		return cellKey{int32(math.Floor(p.X / snap)), int32(math.Floor(p.Y / snap))}
-	}
-	for v := 0; v < net.NumVertices(); v++ {
-		buckets[keyOf(network.VertexID(v))] = append(buckets[keyOf(network.VertexID(v))], network.VertexID(v))
-	}
-	for v := 0; v < net.NumVertices(); v++ {
-		vid := network.VertexID(v)
-		pv := net.Vertex(vid)
-		k := keyOf(vid)
-		for dx := int32(-1); dx <= 1; dx++ {
-			for dy := int32(-1); dy <= 1; dy++ {
-				for _, u := range buckets[cellKey{k.x + dx, k.y + dy}] {
-					if u <= vid {
-						continue
-					}
-					if d := pv.Dist(net.Vertex(u)); d <= snap {
-						a.edges[vid] = append(a.edges[vid], adjEdge{to: u, seg: connectorSeg, w: d})
-						a.edges[u] = append(a.edges[u], adjEdge{to: vid, seg: connectorSeg, w: d})
-					}
-				}
-			}
-		}
-	}
+	net.VertexPairsWithin(snap, func(u, v network.VertexID, d float64) {
+		a.edges[u] = append(a.edges[u], adjEdge{to: v, seg: connectorSeg, w: d})
+		a.edges[v] = append(a.edges[v], adjEdge{to: u, seg: connectorSeg, w: d})
+	})
 	return a
 }
 

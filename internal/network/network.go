@@ -157,6 +157,45 @@ func (n *Network) Stats() Stats {
 	return st
 }
 
+// VertexPairsWithin calls fn once for every pair of distinct vertices at
+// most snap apart, with u < v and their Euclidean distance d — the
+// pedestrian connectors that join streets whose geometries cross or
+// nearly touch without sharing a vertex. Vertices are bucketed on a grid
+// of cell size snap, so candidates live in the 3×3 block around each
+// vertex and the enumeration is near-linear. Pairs come in a fixed order
+// (ascending u, then the block column by column, then bucket order),
+// which callers that append edges per pair inherit as their adjacency
+// order. A non-positive snap yields no pairs.
+func (n *Network) VertexPairsWithin(snap float64, fn func(u, v VertexID, d float64)) {
+	if snap <= 0 {
+		return
+	}
+	type cellKey struct{ x, y int32 }
+	keyOf := func(p geo.Point) cellKey {
+		return cellKey{int32(math.Floor(p.X / snap)), int32(math.Floor(p.Y / snap))}
+	}
+	buckets := make(map[cellKey][]VertexID)
+	for v, p := range n.vertices {
+		k := keyOf(p)
+		buckets[k] = append(buckets[k], VertexID(v))
+	}
+	for i, pu := range n.vertices {
+		u, k := VertexID(i), keyOf(pu)
+		for dx := int32(-1); dx <= 1; dx++ {
+			for dy := int32(-1); dy <= 1; dy++ {
+				for _, v := range buckets[cellKey{k.x + dx, k.y + dy}] {
+					if v <= u {
+						continue // each pair once, no self pairs
+					}
+					if d := pu.Dist(n.vertices[v]); d <= snap {
+						fn(u, v, d)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Validate checks the structural invariants the algorithms rely on:
 // every segment belongs to exactly one street, street segment lists are
 // consecutive (each segment starts where the previous one ended), and all

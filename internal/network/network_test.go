@@ -230,3 +230,48 @@ func TestRandomNetworksValid(t *testing.T) {
 		}
 	}
 }
+
+// TestVertexPairsWithin holds the bucketed enumeration to the quadratic
+// scan on random vertex sets (negative coordinates included): the same
+// pairs with the same distances, each once with u < v, in ascending u.
+func TestVertexPairsWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		n := &Network{vertices: make([]geo.Point, rng.Intn(150))}
+		for i := range n.vertices {
+			n.vertices[i] = geo.Pt(rng.Float64()*4-2, rng.Float64()*4-2)
+		}
+		snap := 0.05 + rng.Float64()*0.5
+		type pair struct{ u, v VertexID }
+		want := map[pair]float64{}
+		for u := range n.vertices {
+			for v := u + 1; v < len(n.vertices); v++ {
+				if d := n.vertices[u].Dist(n.vertices[v]); d <= snap {
+					want[pair{VertexID(u), VertexID(v)}] = d
+				}
+			}
+		}
+		got := map[pair]float64{}
+		var lastU VertexID
+		n.VertexPairsWithin(snap, func(u, v VertexID, d float64) {
+			if u >= v || u < lastU {
+				t.Fatalf("trial %d: pair (%d, %d) after u=%d", trial, u, v, lastU)
+			}
+			if _, dup := got[pair{u, v}]; dup {
+				t.Fatalf("trial %d: pair (%d, %d) visited twice", trial, u, v)
+			}
+			got[pair{u, v}], lastU = d, u
+		})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d pairs within %g, want %d", trial, len(got), snap, len(want))
+		}
+		for p, d := range want {
+			if got[p] != d {
+				t.Fatalf("trial %d: pair %v distance %v, want %v", trial, p, got[p], d)
+			}
+		}
+	}
+	(&Network{vertices: []geo.Point{{}, {}}}).VertexPairsWithin(0, func(u, v VertexID, d float64) {
+		t.Fatalf("snap 0 yielded pair (%d, %d)", u, v)
+	})
+}

@@ -58,40 +58,10 @@ func NewGraph(net *network.Network) *Graph {
 // geometries cross or nearly touch without sharing a vertex.
 func NewGraphConnected(net *network.Network, snap float64) *Graph {
 	g := NewGraph(net)
-	if snap <= 0 || net.NumVertices() == 0 {
-		return g
-	}
-	// Bucket vertices on a grid of cell size snap; candidates live in
-	// the 3×3 cell block around each vertex.
-	type cellKey struct{ x, y int32 }
-	buckets := make(map[cellKey][]network.VertexID)
-	keyOf := func(v network.VertexID) cellKey {
-		p := net.Vertex(v)
-		return cellKey{int32(math.Floor(p.X / snap)), int32(math.Floor(p.Y / snap))}
-	}
-	for v := 0; v < net.NumVertices(); v++ {
-		k := keyOf(network.VertexID(v))
-		buckets[k] = append(buckets[k], network.VertexID(v))
-	}
-	for v := 0; v < net.NumVertices(); v++ {
-		vid := network.VertexID(v)
-		pv := net.Vertex(vid)
-		k := keyOf(vid)
-		for dx := int32(-1); dx <= 1; dx++ {
-			for dy := int32(-1); dy <= 1; dy++ {
-				for _, u := range buckets[cellKey{k.x + dx, k.y + dy}] {
-					if u <= vid {
-						continue // add each pair once, skip self
-					}
-					d := pv.Dist(net.Vertex(u))
-					if d <= snap {
-						g.adj[vid] = append(g.adj[vid], edge{to: u, seg: connectorSeg, w: d})
-						g.adj[u] = append(g.adj[u], edge{to: vid, seg: connectorSeg, w: d})
-					}
-				}
-			}
-		}
-	}
+	net.VertexPairsWithin(snap, func(u, v network.VertexID, d float64) {
+		g.adj[u] = append(g.adj[u], edge{to: v, seg: connectorSeg, w: d})
+		g.adj[v] = append(g.adj[v], edge{to: u, seg: connectorSeg, w: d})
+	})
 	return g
 }
 

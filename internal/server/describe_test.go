@@ -67,6 +67,22 @@ func TestDescribeRefusesBadParams(t *testing.T) {
 	}
 }
 
+// TestDescribeHugeK: a k far past the street's photo pool answers with
+// the whole pool. k=1099511627776 used to take the process down with
+// "fatal error: runtime: out of memory" — the summary sized its selection
+// by k before clamping it — which no recover() sees.
+func TestDescribeHugeK(t *testing.T) {
+	s := describeServer(t, soi.Config{})
+	rec, body := get(t, s, "/api/describe?street=High+St&k=1099511627776")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 (%v)", rec.Code, body)
+	}
+	photos, _ := body["Photos"].([]interface{})
+	if n, _ := body["CandidateCount"].(float64); n == 0 || len(photos) != int(n) {
+		t.Fatalf("%d photos for CandidateCount %v, want all of them", len(photos), body["CandidateCount"])
+	}
+}
+
 // TestDescribeShedUnderLoad: describes queue behind the gate routes and
 // trajectories use. With the one slot held by a wedged route query and
 // the one queue place taken by a second, a describe is shed with 503 +

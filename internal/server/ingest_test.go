@@ -158,12 +158,12 @@ func TestFarPOIIsRefusedOverHTTP(t *testing.T) {
 	}
 }
 
-// TestLiveServingKeepsMapLayoutUnbuilt is the residency contract of
-// TestSnapshotServingKeepsMapLayoutUnbuilt for soiserve -live, where the
-// counter used to be trivially 0 because no epoch's index reported to the
-// recorder: across four epochs (appends, three publishes, a compaction)
-// every query endpoint is driven and core.map_layout_builds stays 0, and
-// the publish time split is exported next to publish_ns.
+// TestLiveServingKeepsMapLayoutUnbuilt drives every query endpoint of
+// soiserve -live across four epochs (appends, three publishes, a
+// compaction): each answers 200 from the epoch /api/stats names, and the
+// publish time split is exported next to publish_ns. (The name dates from
+// the lazy-map-layout build counter the test also read; there is no map
+// layout left to build, so the counter and that assertion are gone.)
 func TestLiveServingKeepsMapLayoutUnbuilt(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Small(1))
 	if err != nil {
@@ -204,9 +204,6 @@ func TestLiveServingKeepsMapLayoutUnbuilt(t *testing.T) {
 			}
 		}
 		_, stats := get(t, s, "/api/stats")
-		if n := mapLayoutBuilds(t, stats); n != 0 {
-			t.Fatalf("epoch %v: core.map_layout_builds = %v after serving every endpoint, want 0", epoch, n)
-		}
 		if got := stats["stats"].(map[string]interface{})["ingest"].(map[string]interface{})["epoch_seq"].(float64); got != epoch {
 			t.Fatalf("serving epoch %v, want %v", got, epoch)
 		}
@@ -242,7 +239,7 @@ func TestLiveServingKeepsMapLayoutUnbuilt(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	for _, want := range []string{"soi_core_map_layout_builds_total 0\n", "soi_ingest_publish_extend_ns_total ", "soi_ingest_publish_slab_ns_total ", "soi_ingest_publish_open_ns_total "} {
+	for _, want := range []string{"soi_ingest_publish_extend_ns_total ", "soi_ingest_publish_slab_ns_total ", "soi_ingest_publish_open_ns_total "} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}

@@ -32,7 +32,6 @@ func (s Snapshot) counterRows() []counterRow {
 		{"core_build_lists_ns", s.Core.BuildListsNanos, false},
 		{"core_filter_ns", s.Core.FilterNanos, false},
 		{"core_refine_ns", s.Core.RefineNanos, false},
-		{"core_map_layout_builds", s.Core.MapLayoutBuilds, false},
 		{"engine_queries", s.Engine.Queries, false},
 		{"engine_result_cache_hits", s.Engine.ResultCacheHits, false},
 		{"engine_result_cache_misses", s.Engine.ResultCacheMisses, false},

@@ -84,12 +84,6 @@ type CoreStats struct {
 	BuildListsNanos Counter
 	FilterNanos     Counter
 	RefineNanos     Counter
-	// MapLayoutBuilds counts map layouts — the grid the exact baseline
-	// scans — materialised lazily (core.Index.SetRecorder). A serving
-	// process answers from the slab alone, so anything above zero means
-	// a caller of Baseline, Grid or an ε-map accessor pulled it into
-	// memory.
-	MapLayoutBuilds Counter
 }
 
 // EngineStats aggregates the batch executor's traffic and worker-pool
@@ -292,7 +286,6 @@ type CoreSnapshot struct {
 	BuildListsNanos   int64 `json:"build_lists_ns"`
 	FilterNanos       int64 `json:"filter_ns"`
 	RefineNanos       int64 `json:"refine_ns"`
-	MapLayoutBuilds   int64 `json:"map_layout_builds"`
 }
 
 // EngineSnapshot is the JSON form of EngineStats.
@@ -414,7 +407,6 @@ func (r *Recorder) Snapshot() Snapshot {
 			BuildListsNanos:   r.Core.BuildListsNanos.Load(),
 			FilterNanos:       r.Core.FilterNanos.Load(),
 			RefineNanos:       r.Core.RefineNanos.Load(),
-			MapLayoutBuilds:   r.Core.MapLayoutBuilds.Load(),
 		},
 		Engine: EngineSnapshot{
 			Queries:           r.Engine.Queries.Load(),

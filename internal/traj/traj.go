@@ -83,36 +83,10 @@ func NewGraph(net *network.Network, snap float64) *Graph {
 		adj[seg.From] = append(adj[seg.From], Edge{To: seg.To, Seg: int32(seg.ID), Len: seg.Length()})
 		adj[seg.To] = append(adj[seg.To], Edge{To: seg.From, Seg: int32(seg.ID), Len: seg.Length()})
 	}
-	if snap > 0 && net.NumVertices() > 0 {
-		type cellKey struct{ x, y int32 }
-		buckets := make(map[cellKey][]network.VertexID)
-		keyOf := func(v network.VertexID) cellKey {
-			p := net.Vertex(v)
-			return cellKey{int32(math.Floor(p.X / snap)), int32(math.Floor(p.Y / snap))}
-		}
-		for v := 0; v < net.NumVertices(); v++ {
-			k := keyOf(network.VertexID(v))
-			buckets[k] = append(buckets[k], network.VertexID(v))
-		}
-		for v := 0; v < net.NumVertices(); v++ {
-			vid := network.VertexID(v)
-			pv := net.Vertex(vid)
-			k := keyOf(vid)
-			for dx := int32(-1); dx <= 1; dx++ {
-				for dy := int32(-1); dy <= 1; dy++ {
-					for _, u := range buckets[cellKey{k.x + dx, k.y + dy}] {
-						if u <= vid {
-							continue // each pair once, no self loops
-						}
-						if d := pv.Dist(net.Vertex(u)); d <= snap {
-							adj[vid] = append(adj[vid], Edge{To: u, Seg: ConnectorSeg, Len: d})
-							adj[u] = append(adj[u], Edge{To: vid, Seg: ConnectorSeg, Len: d})
-						}
-					}
-				}
-			}
-		}
-	}
+	net.VertexPairsWithin(snap, func(u, v network.VertexID, d float64) {
+		adj[u] = append(adj[u], Edge{To: v, Seg: ConnectorSeg, Len: d})
+		adj[v] = append(adj[v], Edge{To: u, Seg: ConnectorSeg, Len: d})
+	})
 	g := &Graph{net: net, off: make([]uint32, len(adj)+1), snap: newVertexGrid(net)}
 	total := 0
 	for _, es := range adj {

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/geo"
+	"repro/internal/grid"
+	"repro/internal/vocab"
 )
 
 // liveFixture builds a small live engine through the public API.
@@ -192,12 +195,11 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	}
 }
 
-// TestLiveEngineHoldsOneLayout is the residency gate of live serving, in
-// the style of core's TestSnapshotServingNeverBuildsMapLayout: after a
-// publish the engine holds the new epoch's slab and nothing of the map
-// layout, so forcing the layout on that same index must grow the live
-// heap by at least 40 %. If an epoch build ever goes back to constructing
-// the map layout (or the map-of-cells grid) and keeping it, the slab-only
+// TestLiveEngineHoldsOneLayout is the residency gate of live serving:
+// after a publish the engine holds the new epoch's slab and no second
+// layout of it, so building the reference map-of-cells grid over the same
+// corpus must grow the live heap by at least 40 %. If an epoch build ever
+// goes back to constructing that grid and keeping it, the slab-only
 // figure already contains it and this fails.
 func TestLiveEngineHoldsOneLayout(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.02))
@@ -226,21 +228,24 @@ func TestLiveEngineHoldsOneLayout(t *testing.T) {
 	if res, err := eng.TopStreets(Query{Keywords: []string{"shop", "zeppelin"}, K: 5, Epsilon: DefaultCellSize}); err != nil || len(res) == 0 {
 		t.Fatalf("query on the published epoch: %d streets, err %v", len(res), err)
 	}
-	if n := eng.StatsSnapshot().Core.MapLayoutBuilds; n != 0 {
-		t.Fatalf("core.map_layout_builds = %d after publish and query, want 0", n)
-	}
 	slabOnly := liveHeap() - base
-	ix := eng.ing.Current().Index()
-	ix.Grid()
-	both := liveHeap() - base
-	if n := eng.StatsSnapshot().Core.MapLayoutBuilds; n != 1 {
-		t.Fatalf("core.map_layout_builds = %d after forcing the layout, want 1", n)
+	all := eng.ing.Current().Index().POIs().All()
+	locs := make([]geo.Point, len(all))
+	keys := make([]vocab.Set, len(all))
+	for i := range all {
+		locs[i], keys[i] = all[i].Loc, all[i].Keywords
 	}
-	t.Logf("live heap of the live engine: slab only %d KB, with map layout %d KB (×%.2f)", slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
+	ref, err := grid.Build(grid.Config{CellSize: DefaultCellSize}, locs, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, keys = nil, nil
+	both := liveHeap() - base
+	t.Logf("live heap of the live engine: slab only %d KB, with a map-of-cells grid %d KB (×%.2f)", slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
 	if float64(both) < 1.4*float64(slabOnly) {
-		t.Errorf("materialising the map layout grew the live heap %d → %d KB (×%.2f), want ≥ ×1.40: the live engine already holds a second layout's worth of memory",
+		t.Errorf("building the reference grid grew the live heap %d → %d KB (×%.2f), want ≥ ×1.40: the live engine already holds a second layout's worth of memory",
 			slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
 	}
-	runtime.KeepAlive(ix)
+	runtime.KeepAlive(ref)
 	runtime.KeepAlive(ds)
 }

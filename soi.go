@@ -316,7 +316,6 @@ func newEngine(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dic
 // index (fresh build or snapshot load).
 func newEngineWithIndex(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dict *vocab.Dictionary, ix *core.Index, cfg Config) *Engine {
 	rec := stats.NewRecorder()
-	ix.SetRecorder(rec)
 	e := &Engine{net: net, pois: pois, photos: photos, dict: dict, index: ix, rec: rec}
 	return e.serving(ix, nil, cfg)
 }
