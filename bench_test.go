@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/diversify"
 	"repro/internal/experiments"
 )
@@ -283,7 +284,8 @@ func BenchmarkDescribeVisual(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ctx.SetFeatures(diversify.HashFeatures(ctx.Photos(), 8)); err != nil {
+	ctx, err = ctx.WithFeatures(diversify.HashFeatures(ctx.Photos(), 8))
+	if err != nil {
 		b.Fatal(err)
 	}
 	p := diversify.VisualParams{
@@ -295,6 +297,42 @@ func BenchmarkDescribeVisual(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctx.GreedyVisual(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDescribeWarm times a describe the engine answers from its
+// context memo: the photo street of Berlin at scale 0.1 through
+// Engine.DescribeStreet with (k, λ, w) cycling over the benchmark's grid
+// at fixed ε and ρ, so every iteration after the first touch runs
+// Algorithm 2's greedy loop and nothing else. CI runs it for one
+// iteration to print allocations per describe.
+func BenchmarkDescribeWarm(b *testing.B) {
+	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var grid []SummaryParams
+	for _, k := range memoGridK {
+		for _, l := range memoGridLambda {
+			for _, w := range memoGridW {
+				grid = append(grid, SummaryParams{K: k, Lambda: l, W: w})
+			}
+		}
+	}
+	street := ds.Truth.PhotoStreet
+	if _, err := eng.DescribeStreet(street, grid[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.DescribeStreet(street, grid[i%len(grid)]); err != nil {
 			b.Fatal(err)
 		}
 	}

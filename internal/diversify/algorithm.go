@@ -1,8 +1,9 @@
 package diversify
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -79,10 +80,11 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 		ord    int
 		lo, hi float64
 	}
+	bounds := make([]cellBound, 0, numCells)
 	for len(selected) < k {
 		stats.Iterations++
 		// Filtering phase: bound the mmr of every cell with candidates.
-		bounds := make([]cellBound, 0, numCells)
+		bounds = bounds[:0]
 		mmrMin := math.Inf(-1)
 		for ord := 0; ord < numCells; ord++ {
 			if remaining[ord] == 0 {
@@ -113,11 +115,11 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 		}
 		// Refinement phase: visit candidate cells in decreasing upper
 		// bound; stop when the next cell cannot beat the best exact value.
-		sort.Slice(cand, func(i, j int) bool {
-			if cand[i].hi != cand[j].hi {
-				return cand[i].hi > cand[j].hi
+		slices.SortFunc(cand, func(a, b cellBound) int {
+			if a.hi != b.hi {
+				return cmp.Compare(b.hi, a.hi)
 			}
-			return cand[i].ord < cand[j].ord
+			return cmp.Compare(a.ord, b.ord)
 		})
 		best, bestOrd := -1, -1
 		bestVal := math.Inf(-1)

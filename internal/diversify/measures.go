@@ -54,6 +54,12 @@ func (p Params) Validate() error {
 // Context is the per-street evaluation context: the street's associated
 // photos Rs, its keyword frequency vector Φs, the normalizer maxD(s), and
 // the ρ/2 grid with per-cell inverted indexes of Section 4.2.1.
+//
+// A Context is read-only once NewContext returns: no method writes to it
+// (STRelDiv and the other constructions keep their working state in
+// locals), so one context may serve any number of concurrent queries over
+// its street — the soi.Engine memoises them per (street, ε, ρ). Nothing
+// in it depends on k, λ or w.
 type Context struct {
 	photos []photo.Photo // Rs; local indices 0..n-1
 	freq   vocab.Freq    // Φs
@@ -72,7 +78,8 @@ type Context struct {
 	cellTextualLo, cellTextualHi []float64
 
 	// features holds optional per-photo visual feature vectors (the
-	// future-work extension); nil unless SetFeatures was called.
+	// future-work extension); nil unless the context came from
+	// WithFeatures.
 	features [][]float64
 }
 

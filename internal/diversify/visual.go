@@ -40,22 +40,26 @@ func (p VisualParams) Validate() error {
 	return nil
 }
 
-// SetFeatures attaches one feature vector per photo (parallel to the
-// context's photo slice). All vectors must share one dimensionality.
-func (c *Context) SetFeatures(features [][]float64) error {
+// WithFeatures returns a context with one feature vector attached per
+// photo (parallel to the context's photo slice); all vectors must share
+// one dimensionality. The receiver is left as it was — it may be shared
+// with concurrent readers — and the returned context shares everything
+// NewContext built.
+func (c *Context) WithFeatures(features [][]float64) (*Context, error) {
 	if len(features) != len(c.photos) {
-		return fmt.Errorf("diversify: %d feature vectors for %d photos", len(features), len(c.photos))
+		return nil, fmt.Errorf("diversify: %d feature vectors for %d photos", len(features), len(c.photos))
 	}
 	if len(features) > 0 {
 		dim := len(features[0])
 		for i, f := range features {
 			if len(f) != dim {
-				return fmt.Errorf("diversify: feature %d has dim %d, want %d", i, len(f), dim)
+				return nil, fmt.Errorf("diversify: feature %d has dim %d, want %d", i, len(f), dim)
 			}
 		}
 	}
-	c.features = features
-	return nil
+	withFeatures := *c
+	withFeatures.features = features
+	return &withFeatures, nil
 }
 
 // HasFeatures reports whether feature vectors are attached.

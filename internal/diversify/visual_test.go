@@ -1,8 +1,10 @@
 package diversify
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -18,27 +20,60 @@ func visualCtx(t *testing.T) *Context {
 	return ctx
 }
 
-func TestSetFeaturesValidation(t *testing.T) {
+func TestWithFeaturesValidation(t *testing.T) {
 	ctx := visualCtx(t)
-	if err := ctx.SetFeatures([][]float64{{1}}); err == nil {
+	if _, err := ctx.WithFeatures([][]float64{{1}}); err == nil {
 		t.Fatal("expected error for wrong count")
 	}
-	if err := ctx.SetFeatures([][]float64{{1, 2}, {1}, {1, 2}, {1, 2}}); err == nil {
+	if _, err := ctx.WithFeatures([][]float64{{1, 2}, {1}, {1, 2}, {1, 2}}); err == nil {
 		t.Fatal("expected error for ragged dims")
 	}
 	ok := [][]float64{{1, 0}, {1, 0}, {0, 1}, {1, 1}}
-	if err := ctx.SetFeatures(ok); err != nil {
+	vis, err := ctx.WithFeatures(ok)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctx.HasFeatures() {
+	if !vis.HasFeatures() {
 		t.Fatal("HasFeatures = false")
+	}
+}
+
+// TestWithFeaturesLeavesReceiverAlone: a context may be shared (the engine
+// memoises them), so attaching features must not write to it. The copy
+// shares what NewContext built and answers the plain query identically.
+func TestWithFeaturesLeavesReceiverAlone(t *testing.T) {
+	ctx := visualCtx(t)
+	p := Params{K: 2, Lambda: 0.5, W: 0.5, Rho: 0.05}
+	before, err := ctx.STRelDiv(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vis, err := ctx.WithFeatures([][]float64{{1, 0}, {1, 0}, {0, 1}, {1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.HasFeatures() {
+		t.Fatal("WithFeatures attached the features to its receiver")
+	}
+	if &vis.spatialRel[0] != &ctx.spatialRel[0] || vis.slab != ctx.slab {
+		t.Fatal("the copy rebuilt what NewContext had built")
+	}
+	for name, c := range map[string]*Context{"receiver": ctx, "copy": vis} {
+		after, err := c.STRelDiv(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(after.Selected, before.Selected) || math.Float64bits(after.Objective) != math.Float64bits(before.Objective) {
+			t.Errorf("%s: STRelDiv = %v / %v, want %v / %v", name, after.Selected, after.Objective, before.Selected, before.Objective)
+		}
 	}
 }
 
 func TestVisualDiv(t *testing.T) {
 	ctx := visualCtx(t)
 	feats := [][]float64{{1, 0}, {1, 0}, {0, 1}, {0, 0}}
-	if err := ctx.SetFeatures(feats); err != nil {
+	ctx, err := ctx.WithFeatures(feats)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.VisualDiv(0, 1); got != 0 {
@@ -125,7 +160,8 @@ func TestGreedyVisualAvoidsDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	feats := [][]float64{{1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	if err := ctx.SetFeatures(feats); err != nil {
+	ctx, err = ctx.WithFeatures(feats)
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := VisualParams{

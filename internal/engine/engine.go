@@ -16,7 +16,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -135,6 +134,36 @@ type Result struct {
 	// which — because cache keys are epoch-prefixed — always equals the
 	// epoch current when the hit was served.
 	Epoch uint64
+
+	// entry is the result-cache entry a cache hit was read from; nil for
+	// a fresh evaluation, a dedup join and a batch member.
+	entry *cacheEntry
+}
+
+// cacheEntry is one result-cache value: the evaluation's result and, once
+// the entry has been hit, the serialised answer a caller built from it.
+// The bytes belong to the entry, so whatever drops the entry — LRU
+// eviction, Invalidate, an epoch change retiring its key — drops them.
+type cacheEntry struct {
+	res  Result
+	once sync.Once
+	body []byte
+}
+
+// EncodedBody returns the serialised answer kept with the cache entry the
+// result was read from, or nil when it was not read from one (a miss, a
+// dedup join, a batch member, caching disabled) — the caller then encodes
+// as if there were no cache. The first hit on an entry runs encode and
+// keeps what it returns; every later hit returns those bytes without
+// calling encode, so an entry is encoded at most once and an entry that
+// is never hit is never encoded. One executor's callers must agree on
+// the encoding. The bytes are shared: read-only.
+func (r Result) EncodedBody(encode func([]core.StreetResult) []byte) []byte {
+	if r.entry == nil {
+		return nil
+	}
+	r.entry.once.Do(func() { r.entry.body = encode(r.entry.res.Streets) })
+	return r.entry.body
 }
 
 // Metrics are the executor's cumulative counters; safe to read
@@ -168,10 +197,10 @@ type Executor struct {
 	gate         *Gate         // bounds concurrent evaluations engine-wide
 	queryTimeout time.Duration // 0 = no engine-level deadline
 
-	cache  *lruCache       // nil when result caching is disabled
-	mass   *core.MassCache // nil when mass sharing is disabled
-	rec    *stats.Recorder // nil when observability recording is disabled
-	source EpochSource     // nil for a fixed-index executor
+	cache  *LRU[string, *cacheEntry] // nil when result caching is disabled
+	mass   *core.MassCache           // nil when mass sharing is disabled
+	rec    *stats.Recorder           // nil when observability recording is disabled
+	source EpochSource               // nil for a fixed-index executor
 
 	flightMu sync.Mutex
 	flight   map[string]*flight
@@ -204,9 +233,9 @@ func New(ix *core.Index, cfg Config) *Executor {
 	}
 	switch {
 	case cfg.CacheSize == 0:
-		e.cache = newLRUCache(DefaultCacheSize)
+		e.cache = NewLRU[string, *cacheEntry](DefaultCacheSize)
 	case cfg.CacheSize > 0:
-		e.cache = newLRUCache(cfg.CacheSize)
+		e.cache = NewLRU[string, *cacheEntry](int64(cfg.CacheSize))
 	}
 	// An epoch source carries a per-epoch mass cache; the executor-owned
 	// cache exists only on the static path, where masses stay valid for
@@ -253,7 +282,7 @@ func (e *Executor) Metrics() Metrics {
 // Invalidate drops every cached result and shared mass contribution.
 func (e *Executor) Invalidate() {
 	if e.cache != nil {
-		e.cache.clear()
+		e.cache.Clear()
 	}
 	if e.mass != nil {
 		e.mass.Clear()
@@ -340,12 +369,13 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 	key := queryKey(q, seq)
 	for {
 		if e.cache != nil {
-			if res, ok := e.cache.get(key); ok {
+			if ce, ok := e.cache.Get(key); ok {
 				e.cacheHits.Add(1)
 				if e.rec != nil {
 					e.rec.Engine.ResultCacheHits.Add(1)
 				}
-				res.Cached = true
+				res := ce.res
+				res.Cached, res.entry = true, ce
 				return res
 			}
 			if e.rec != nil {
@@ -389,7 +419,7 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 		streets, st, err := e.evaluate(ctx, q, ix, mass)
 		f.res = Result{Streets: streets, Stats: st, Err: err, Epoch: seq}
 		if err == nil && e.cache != nil {
-			e.cache.put(key, f.res)
+			e.cache.Put(key, &cacheEntry{res: f.res}, 1)
 		}
 		e.flightMu.Lock()
 		delete(e.flight, key)
@@ -553,6 +583,7 @@ func (e *Executor) groupEval(ctx context.Context, q core.Query) Result {
 // k over the same ⟨Ψ, ε⟩. The slice header is re-cut rather than
 // copied; Result.Streets is read-only by contract.
 func prefix(res Result, k int) Result {
+	res.entry = nil // the entry's encoded body is the whole group's answer
 	if res.Err == nil && len(res.Streets) > k {
 		res.Streets = res.Streets[:k]
 	}
@@ -598,62 +629,4 @@ func groupKey(q core.Query) string {
 	var b strings.Builder
 	writeKeyBase(&b, q)
 	return b.String()
-}
-
-// lruCache is a mutex-guarded LRU map from query key to Result.
-type lruCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *lruEntry
-	items map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	res Result
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *lruCache) get(key string) (Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return Result{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
-}
-
-func (c *lruCache) put(key string, res Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
-	}
-}
-
-func (c *lruCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[string]*list.Element)
-}
-
-// len returns the number of cached results.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
 }

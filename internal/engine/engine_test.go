@@ -120,8 +120,8 @@ func TestLRUEviction(t *testing.T) {
 	e.Do(qs[0])
 	e.Do(qs[1])
 	e.Do(qs[2]) // evicts qs[0]
-	if e.cache.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", e.cache.len())
+	if e.cache.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", e.cache.Len())
 	}
 	if res := e.Do(qs[0]); res.Cached {
 		t.Fatal("evicted entry served from cache")

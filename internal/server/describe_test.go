@@ -43,8 +43,8 @@ func TestDescribeRefusesBadParams(t *testing.T) {
 	for _, param := range []string{
 		"lambda=NaN", "lambda=Inf", "lambda=-0.1", "lambda=1.5",
 		"w=NaN", "w=-Inf", "w=2",
-		"rho=NaN", "rho=Inf", "rho=-0.0001",
-		"eps=NaN", "eps=Inf", "eps=-1",
+		"rho=NaN", "rho=Inf", "rho=-Inf", "rho=-0.0001",
+		"eps=NaN", "eps=Inf", "eps=-Inf", "eps=-1",
 		"k=-1",
 	} {
 		rec, body := get(t, s, "/api/describe?street=High+St&"+param)
@@ -54,6 +54,11 @@ func TestDescribeRefusesBadParams(t *testing.T) {
 		if msg, _ := body["error"].(string); !strings.Contains(msg, "invalid summary parameters") {
 			t.Errorf("%s: error %q does not say what was wrong", param, msg)
 		}
+	}
+	// ε and ρ key the describe-context memo, and a NaN key is never found
+	// again: a refused request must not have looked anything up in it.
+	if d := s.engine.StatsSnapshot().Diversify; d.ContextMemoMisses != 0 || d.ContextMemoPhotos != 0 {
+		t.Errorf("refused describes reached the context memo: %d lookups, %d photos held", d.ContextMemoMisses, d.ContextMemoPhotos)
 	}
 	if rec, body := get(t, s, "/api/describe?street=High+St&k=2&lambda=1&w=1"); rec.Code != http.StatusOK {
 		t.Errorf("boundary values: status %d (%v)", rec.Code, body)

@@ -77,6 +77,37 @@ func TestPOIsAppendAndPublish(t *testing.T) {
 	}
 }
 
+// TestStreetsBodyFollowsTheEpoch: on a live server the stored body belongs
+// to its epoch's cache entry — after a publish the same URL is evaluated
+// against the new epoch and sends the new answer, then stores that.
+func TestStreetsBodyFollowsTheEpoch(t *testing.T) {
+	s := testLiveServer(t, soi.LiveConfig{})
+	const url = "/api/streets?keywords=museum&k=3&eps=0.0005"
+	for i := 0; i < 3; i++ {
+		if got := rawGet(t, s, url).Body.String(); got != "{\"streets\":[]}\n" {
+			t.Fatalf("epoch 1, request %d: %q, want no streets", i, got)
+		}
+	}
+	if rec, body := post(t, s, "/api/pois", `{"x":0.0012,"y":0.005,"keywords":["museum"],"publish":true}`); rec.Code != http.StatusOK {
+		t.Fatalf("publish: status %d: %v", rec.Code, body)
+	}
+	var first string
+	for i := 0; i < 3; i++ {
+		got := rawGet(t, s, url).Body.String()
+		if !strings.Contains(got, `"Name":"Side St"`) {
+			t.Fatalf("epoch 2, request %d: %q does not show the published POI's street", i, got)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("epoch 2, request %d: %q, the miss sent %q", i, got, first)
+		}
+	}
+	if e := s.engine.StatsSnapshot().Engine; e.ResultBodyReuse != 2 || e.ResultCacheMisses != 2 {
+		t.Errorf("two epochs × (miss, hit, hit): %d body reuses, %d misses, want 2 and 2", e.ResultBodyReuse, e.ResultCacheMisses)
+	}
+}
+
 func TestPOIsValidation(t *testing.T) {
 	s := testLiveServer(t, soi.LiveConfig{})
 	cases := []struct {

@@ -121,6 +121,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMemoAndBodyCountersExposed pins the describe-context memo's and the
+// stored-body counters on both surfaces, under the one vocabulary DESIGN
+// §8 gives them: three describes of one street are one miss and two hits
+// holding its three photos, three identical street queries one reuse.
+func TestMemoAndBodyCountersExposed(t *testing.T) {
+	s := testServer(t)
+	for _, url := range []string{
+		"/api/describe?street=High+St&k=1", "/api/describe?street=High+St&k=2&lambda=0.3", "/api/describe?street=High+St&k=3&w=0.7",
+		"/api/streets?keywords=shop&k=5", "/api/streets?keywords=shop&k=5", "/api/streets?keywords=shop&k=5",
+	} {
+		if rec, body := get(t, s, url); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", url, rec.Code, body)
+		}
+	}
+	_, body := get(t, s, "/api/stats")
+	st := body["stats"].(map[string]interface{})
+	for section, want := range map[string]map[string]float64{
+		"diversify": {"context_memo_hits": 2, "context_memo_misses": 1, "context_memo_evictions": 0, "context_memo_photos": 3},
+		"engine":    {"result_body_reuse": 1},
+	} {
+		for key, v := range want {
+			if got, ok := st[section].(map[string]interface{})[key].(float64); !ok || got != v {
+				t.Errorf("/api/stats stats.%s.%s = %v, want %v", section, key, st[section].(map[string]interface{})[key], v)
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		"# TYPE soi_diversify_context_memo_hits_total counter\nsoi_diversify_context_memo_hits_total 2\n",
+		"# TYPE soi_diversify_context_memo_misses_total counter\nsoi_diversify_context_memo_misses_total 1\n",
+		"# TYPE soi_diversify_context_memo_evictions_total counter\nsoi_diversify_context_memo_evictions_total 0\n",
+		"# TYPE soi_diversify_context_memo_photos gauge\nsoi_diversify_context_memo_photos 3\n",
+		"# TYPE soi_engine_result_body_reuse_total counter\nsoi_engine_result_body_reuse_total 1\n",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
 // TestRemoteGatherCountersExposed pins the prune-effectiveness counters
 // of the sharded serving path on both surfaces: every answered query
 // splits its shards into evaluated and pruned, a refused query adds

@@ -47,6 +47,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -296,6 +298,18 @@ func traceWanted(r *http.Request) bool {
 	return true
 }
 
+// encodeStreets renders the untraced /api/streets body of an answer: the
+// bytes httperr.WriteJSON would send for it, kept with the result-cache
+// entry so that a repeated query is answered without encoding.
+func encodeStreets(streets []soi.Street) []byte {
+	if streets == nil {
+		streets = []soi.Street{}
+	}
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(streetsResponse{Streets: streets}) // a plain struct always encodes
+	return buf.Bytes()
+}
+
 func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
@@ -315,9 +329,17 @@ func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Streets, resp.Trace = res, &trace
 	} else {
-		res, err := s.engine.TopStreetsCtx(r.Context(), q)
+		res, body, err := s.engine.TopStreetsEncodedCtx(r.Context(), q, encodeStreets)
 		if err != nil {
 			writeQueryError(w, r, err)
+			return
+		}
+		if body != nil {
+			// A result-cache hit: body is what WriteJSON sends below for
+			// the same answer, encoded once for the cache entry.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(body) // past the header nothing can be reported
 			return
 		}
 		resp.Streets = res

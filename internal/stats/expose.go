@@ -7,12 +7,10 @@ import (
 	"strconv"
 )
 
-// This file renders a Snapshot in the two textual exposition formats the
-// system serves: Prometheus text exposition (for /metrics scrapers) and
-// a flat sorted key/value listing (for golden-file tests). Both
-// renderings are deterministic: keys are emitted in sorted order and
-// every float uses a fixed formatting, so two snapshots with equal
-// counters produce byte-identical output.
+// This file renders a Snapshot as Prometheus text exposition for /metrics
+// scrapers. The rendering is deterministic: keys are emitted in sorted
+// order and every float uses a fixed formatting, so two snapshots with
+// equal counters produce byte-identical output.
 
 // counterRows returns every counter of the snapshot as ⟨name, value,
 // isGauge⟩ rows, name in prometheus snake_case without the soi_ prefix.
@@ -35,6 +33,7 @@ func (s Snapshot) counterRows() []counterRow {
 		{"engine_queries", s.Engine.Queries, false},
 		{"engine_result_cache_hits", s.Engine.ResultCacheHits, false},
 		{"engine_result_cache_misses", s.Engine.ResultCacheMisses, false},
+		{"engine_result_body_reuse", s.Engine.ResultBodyReuse, false},
 		{"engine_dedup_joins", s.Engine.DedupJoins, false},
 		{"engine_evaluations", s.Engine.Evaluations, false},
 		{"engine_batch_requests", s.Engine.BatchRequests, false},
@@ -98,6 +97,10 @@ func (s Snapshot) counterRows() []counterRow {
 		{"diversify_cells_examined", s.Diversify.CellsExamined, false},
 		{"diversify_cells_pruned", s.Diversify.CellsPruned, false},
 		{"diversify_summary_ns", s.Diversify.SummaryNanos, false},
+		{"diversify_context_memo_hits", s.Diversify.ContextMemoHits, false},
+		{"diversify_context_memo_misses", s.Diversify.ContextMemoMisses, false},
+		{"diversify_context_memo_evictions", s.Diversify.ContextMemoEvictions, false},
+		{"diversify_context_memo_photos", s.Diversify.ContextMemoPhotos, true},
 	}
 }
 
@@ -156,33 +159,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
 			name, strconv.FormatFloat(float64(hr.h.SumNano)/1e9, 'g', -1, 64), name, hr.h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteText renders the snapshot as sorted "key value" lines: integer
-// counters verbatim, histogram summaries as count plus fixed three-
-// decimal millisecond quantiles. The sorted keys and fixed float format
-// keep the output layout stable for golden-file testing.
-func (s Snapshot) WriteText(w io.Writer) error {
-	lines := make([]string, 0, 48)
-	for _, r := range s.counterRows() {
-		lines = append(lines, fmt.Sprintf("%s %d", r.name, r.value))
-	}
-	for _, hr := range s.histRows() {
-		lines = append(lines,
-			fmt.Sprintf("%s_count %d", hr.name, hr.h.Count),
-			fmt.Sprintf("%s_sum_ms %.3f", hr.name, float64(hr.h.SumNano)/1e6),
-			fmt.Sprintf("%s_p50_ms %.3f", hr.name, float64(hr.h.P50Nano)/1e6),
-			fmt.Sprintf("%s_p95_ms %.3f", hr.name, float64(hr.h.P95Nano)/1e6),
-			fmt.Sprintf("%s_p99_ms %.3f", hr.name, float64(hr.h.P99Nano)/1e6),
-		)
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
 			return err
 		}
 	}

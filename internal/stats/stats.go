@@ -94,6 +94,9 @@ type EngineStats struct {
 	// ResultCacheHits / ResultCacheMisses count LRU result-cache lookups.
 	ResultCacheHits   Counter
 	ResultCacheMisses Counter
+	// ResultBodyReuse counts result-cache hits answered with the encoded
+	// body the entry already held, with no serialisation at all.
+	ResultBodyReuse Counter
 	// DedupJoins counts queries that joined an identical in-flight
 	// evaluation instead of starting their own.
 	DedupJoins Counter
@@ -148,6 +151,15 @@ type DiversifyStats struct {
 	CellsPruned     Counter
 	// SummaryNanos accumulates summary construction wall time.
 	SummaryNanos Counter
+	// ContextMemoHits / ContextMemoMisses count describe requests that
+	// found their (street, ε, ρ) context in the engine's memo, and those
+	// that built it; ContextMemoEvictions counts contexts the memo's
+	// photo budget pushed out. ContextMemoPhotos is a gauge: Σ|Rs| over
+	// the contexts the memo holds.
+	ContextMemoHits      Counter
+	ContextMemoMisses    Counter
+	ContextMemoEvictions Counter
+	ContextMemoPhotos    Counter
 }
 
 // IngestStats aggregates the epoch-based write path: delta-log traffic,
@@ -293,6 +305,7 @@ type EngineSnapshot struct {
 	Queries           int64             `json:"queries"`
 	ResultCacheHits   int64             `json:"result_cache_hits"`
 	ResultCacheMisses int64             `json:"result_cache_misses"`
+	ResultBodyReuse   int64             `json:"result_body_reuse"`
 	DedupJoins        int64             `json:"dedup_joins"`
 	Evaluations       int64             `json:"evaluations"`
 	BatchRequests     int64             `json:"batch_requests"`
@@ -320,6 +333,11 @@ type DiversifySnapshot struct {
 	CellsExamined   int64 `json:"cells_examined"`
 	CellsPruned     int64 `json:"cells_pruned"`
 	SummaryNanos    int64 `json:"summary_ns"`
+
+	ContextMemoHits      int64 `json:"context_memo_hits"`
+	ContextMemoMisses    int64 `json:"context_memo_misses"`
+	ContextMemoEvictions int64 `json:"context_memo_evictions"`
+	ContextMemoPhotos    int64 `json:"context_memo_photos"`
 }
 
 // IngestSnapshot is the JSON form of IngestStats.
@@ -412,6 +430,7 @@ func (r *Recorder) Snapshot() Snapshot {
 			Queries:           r.Engine.Queries.Load(),
 			ResultCacheHits:   r.Engine.ResultCacheHits.Load(),
 			ResultCacheMisses: r.Engine.ResultCacheMisses.Load(),
+			ResultBodyReuse:   r.Engine.ResultBodyReuse.Load(),
 			DedupJoins:        r.Engine.DedupJoins.Load(),
 			Evaluations:       r.Engine.Evaluations.Load(),
 			BatchRequests:     r.Engine.BatchRequests.Load(),
@@ -437,6 +456,11 @@ func (r *Recorder) Snapshot() Snapshot {
 			CellsExamined:   r.Diversify.CellsExamined.Load(),
 			CellsPruned:     r.Diversify.CellsPruned.Load(),
 			SummaryNanos:    r.Diversify.SummaryNanos.Load(),
+
+			ContextMemoHits:      r.Diversify.ContextMemoHits.Load(),
+			ContextMemoMisses:    r.Diversify.ContextMemoMisses.Load(),
+			ContextMemoEvictions: r.Diversify.ContextMemoEvictions.Load(),
+			ContextMemoPhotos:    r.Diversify.ContextMemoPhotos.Load(),
 		},
 		Remote: RemoteSnapshot{
 			Calls:                r.Remote.Calls.Load(),

@@ -195,45 +195,6 @@ func TestNilRecorderSnapshot(t *testing.T) {
 	}
 }
 
-func TestWriteTextDeterministic(t *testing.T) {
-	r := NewRecorder()
-	r.Core.SL1CellsPopped.Add(42)
-	r.Engine.Queries.Add(7)
-	r.Engine.QueryLatency.Observe(3 * time.Millisecond)
-	var a, b bytes.Buffer
-	if err := r.Snapshot().WriteText(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Snapshot().WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two WriteText renderings of equal snapshots differ")
-	}
-	lines := strings.Split(strings.TrimRight(a.String(), "\n"), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] >= lines[i] {
-			t.Fatalf("lines not strictly sorted: %q before %q", lines[i-1], lines[i])
-		}
-	}
-	for _, want := range []string{
-		"core_sl1_cells_popped 42",
-		"engine_queries 7",
-		"engine_query_latency_seconds_count 1",
-		"engine_query_latency_seconds_p50_ms 5.000",
-	} {
-		found := false
-		for _, l := range lines {
-			if l == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("missing line %q in:\n%s", want, a.String())
-		}
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := NewRecorder()
 	r.Engine.Queries.Add(3)

@@ -212,14 +212,20 @@ type Engine struct {
 	photoIdx     *diversify.PhotoIndex
 	photoIdxErr  error
 
+	// contexts memoises what Algorithm 2 prepares before its greedy loop
+	// (describeContext), weighted by the photos each context holds.
+	contexts *engine.LRU[contextKey, *diversify.Context]
+
 	// gate admits the query families that do not run through exec —
 	// routes, trajectories (traj.go) and describes — under the same
 	// Config knobs; queryTimeout is their per-query deadline.
 	gate         *engine.Gate
 	queryTimeout time.Duration
 
-	// Trajectory query family (traj.go): lazily built search graph and
-	// per-radius matchers.
+	// Trajectory query family (traj.go): the default snap radius of the
+	// (immutable) network, the lazily built search graph and per-radius
+	// matchers.
+	defaultSnap  float64
 	trajOnce     sync.Once
 	trajG        *traj.Graph
 	trajMatchMu  sync.Mutex
@@ -337,6 +343,8 @@ func (e *Engine) serving(ix *core.Index, src engine.EpochSource, cfg Config) *En
 	})
 	e.gate = engine.NewGate(cfg.Workers, cfg.QueueDepth, cfg.MaxQueueWait)
 	e.queryTimeout = cfg.QueryTimeout
+	e.contexts = engine.NewLRU[contextKey, *diversify.Context](max(minContextMemoPhotos, int64(e.photos.Len())))
+	e.defaultSnap = traj.DefaultSnap(e.net)
 	return e
 }
 
@@ -467,6 +475,33 @@ func (e *Engine) TopStreetsTracedCtx(ctx context.Context, q Query) ([]Street, Qu
 		return nil, QueryTrace{}, res.Err
 	}
 	return toStreets(res.Streets), traceOf(res), nil
+}
+
+// TopStreetsEncodedCtx is TopStreetsCtx for a caller that serialises the
+// answer. When the answer comes from a result-cache entry it returns the
+// entry's encoded body and no streets: the first hit on an entry runs
+// encode and keeps the bytes with the entry, later hits return them as
+// they are. Otherwise — a fresh evaluation, a joined one, caching
+// disabled — body is nil and the caller encodes streets itself. All
+// callers of one engine must pass the same encoding; the returned bytes
+// are shared and read-only.
+func (e *Engine) TopStreetsEncodedCtx(ctx context.Context, q Query, encode func([]Street) []byte) (streets []Street, body []byte, err error) {
+	res := e.exec.DoCtx(ctx, core.Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
+	if res.Err != nil {
+		return nil, nil, res.Err
+	}
+	encoded := false
+	body = res.EncodedBody(func(rs []core.StreetResult) []byte {
+		encoded = true
+		return encode(toStreets(rs))
+	})
+	if body == nil {
+		return toStreets(res.Streets), nil, nil
+	}
+	if !encoded {
+		e.rec.Engine.ResultBodyReuse.Add(1)
+	}
+	return nil, body, nil
 }
 
 func toStreets(res []core.StreetResult) []Street {
@@ -634,18 +669,7 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 	defer done()
 	defer e.recovered(&err)
 
-	e.photoIdxOnce.Do(func() {
-		e.photoIdx, e.photoIdxErr = diversify.NewPhotoIndex(e.photos, DefaultCellSize)
-	})
-	if e.photoIdxErr != nil {
-		return Summary{}, e.photoIdxErr
-	}
-	rs, maxD := e.photoIdx.StreetPhotos(e.net, st.ID, p.Epsilon)
-	if len(rs) == 0 {
-		return Summary{}, fmt.Errorf("%w: street %q", ErrNoPhotos, name)
-	}
-	freq := diversify.FreqFromPhotos(e.dict, rs)
-	dctx, err := diversify.NewContext(rs, freq, maxD, p.Rho)
+	dctx, err := e.describeContext(st, p.Epsilon, p.Rho)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -653,6 +677,7 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 	if err != nil {
 		return Summary{}, err
 	}
+	rs := dctx.Photos()
 	res.Stats.Record(e.rec, len(rs))
 	sum := Summary{
 		Street:         name,
@@ -668,4 +693,54 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 		})
 	}
 	return sum, nil
+}
+
+// contextKey identifies everything Algorithm 2 prepares before its greedy
+// loop: Rs and maxD(s) follow from (street, ε); Φs from Rs; Def. 4 spatial
+// relevance, the ρ/2 grid and the Eq. 11–14 per-cell bounds from (Rs, ρ).
+// k, λ and w enter only the loop. Both floats have passed
+// SummaryParams.validate — a NaN key would never be found again.
+type contextKey struct {
+	street   network.StreetID
+	eps, rho float64
+}
+
+// minContextMemoPhotos is the floor of the describe-context memo's budget.
+// The budget is Σ|Rs| ≤ max(this, corpus size): sized in photos because a
+// context's memory follows its pool, and by the corpus because a full memo
+// then holds about as many photos as the engine already does.
+const minContextMemoPhotos = 4096
+
+// describeContext returns the street's evaluation context for (ε, ρ) from
+// the engine's memo, building and remembering it on first use. A context
+// is read-only once built, so one is shared by every concurrent describe
+// of the street. It is built outside the memo's lock: concurrent first
+// touches may both build, and the memo keeps one. A street without photos
+// is an error, not an entry.
+func (e *Engine) describeContext(st *network.Street, eps, rho float64) (*diversify.Context, error) {
+	key := contextKey{street: st.ID, eps: eps, rho: rho}
+	d := &e.rec.Diversify
+	if dctx, ok := e.contexts.Get(key); ok {
+		d.ContextMemoHits.Add(1)
+		return dctx, nil
+	}
+	d.ContextMemoMisses.Add(1)
+	e.photoIdxOnce.Do(func() {
+		e.photoIdx, e.photoIdxErr = diversify.NewPhotoIndex(e.photos, DefaultCellSize)
+	})
+	if e.photoIdxErr != nil {
+		return nil, e.photoIdxErr
+	}
+	rs, maxD := e.photoIdx.StreetPhotos(e.net, st.ID, eps)
+	if len(rs) == 0 {
+		return nil, fmt.Errorf("%w: street %q", ErrNoPhotos, st.Name)
+	}
+	dctx, err := diversify.NewContext(rs, diversify.FreqFromPhotos(e.dict, rs), maxD, rho)
+	if err != nil {
+		return nil, err
+	}
+	evicted, delta := e.contexts.Put(key, dctx, int64(len(rs)))
+	d.ContextMemoEvictions.Add(int64(evicted))
+	d.ContextMemoPhotos.Add(delta)
+	return dctx, nil
 }

@@ -146,9 +146,11 @@ func TestDescribeStreetRefusesBadParams(t *testing.T) {
 		"w > 1":        {K: 3, W: 2},
 		"rho NaN":      {K: 3, Rho: nan},
 		"rho +Inf":     {K: 3, Rho: inf},
+		"rho -Inf":     {K: 3, Rho: math.Inf(-1)},
 		"rho < 0":      {K: 3, Rho: -0.0001},
 		"epsilon NaN":  {K: 3, Epsilon: nan},
 		"epsilon +Inf": {K: 3, Epsilon: inf},
+		"epsilon -Inf": {K: 3, Epsilon: math.Inf(-1)},
 		"epsilon < 0":  {K: 3, Epsilon: -1},
 		"k < 1":        {K: -1},
 	} {
@@ -156,6 +158,12 @@ func TestDescribeStreetRefusesBadParams(t *testing.T) {
 		if !errors.Is(err, ErrBadSummaryParams) {
 			t.Errorf("%s: err = %v (summary %+v), want ErrBadSummaryParams", name, err, sum)
 		}
+	}
+	// None of them reached the context memo: a NaN key is never found
+	// again, so each such request would have left an entry behind.
+	if d := eng.StatsSnapshot().Diversify; eng.contexts.Len() != 0 || d.ContextMemoMisses != 0 || d.ContextMemoPhotos != 0 {
+		t.Errorf("refused describes left %d contexts in the memo (%d lookups, %d photos)",
+			eng.contexts.Len(), d.ContextMemoMisses, d.ContextMemoPhotos)
 	}
 	// The boundary values are fine.
 	for _, p := range []SummaryParams{{K: 3, Lambda: 1, W: 1}, {K: 3, Lambda: 1e-9, W: 1e-9}} {

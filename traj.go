@@ -85,7 +85,7 @@ var ErrNoTraces = errors.New("soi: trajectory query has no traces")
 // trajGraph lazily builds the shared trajectory search graph.
 func (e *Engine) trajGraphLazy() *traj.Graph {
 	e.trajOnce.Do(func() {
-		e.trajG = traj.NewGraph(e.net, traj.DefaultSnap(e.net))
+		e.trajG = traj.NewGraph(e.net, e.defaultSnap)
 	})
 	return e.trajG
 }
@@ -254,7 +254,7 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) (_ []C
 
 	radius := q.Radius
 	if radius == 0 {
-		radius = traj.DefaultSnap(e.net)
+		radius = e.defaultSnap
 	}
 	if !(radius > 0) || math.IsInf(radius, 1) {
 		return nil, fmt.Errorf("soi: match radius %v is not a positive finite number", radius)
