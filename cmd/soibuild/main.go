@@ -30,7 +30,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"strings"
 
 	soi "repro"
 	"repro/internal/core"
@@ -121,18 +120,9 @@ func loadDataset(city string, scale float64, seed int64, dataDir string) (*netwo
 		}
 		return net, pois, photos, nil
 	case city != "":
-		var p datagen.Profile
-		switch strings.ToLower(city) {
-		case "london":
-			p = datagen.London()
-		case "berlin":
-			p = datagen.Berlin()
-		case "vienna":
-			p = datagen.Vienna()
-		case "small":
-			p = datagen.Small(1)
-		default:
-			return nil, nil, nil, fmt.Errorf("unknown city %q (want london, berlin, vienna, or small)", city)
+		p, err := datagen.ProfileByName(city)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%v (want london, berlin, vienna, or small)", err)
 		}
 		if seed != 0 {
 			p.Seed = seed

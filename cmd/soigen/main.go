@@ -6,11 +6,9 @@
 //	soigen -city berlin -scale 0.1 -out ./data/berlin
 //
 // The output directory receives streets.csv, pois.csv, photos.csv and
-// groundtruth.txt. With -snapshot the same dataset is additionally
-// compiled into a binary index snapshot that soiserve -index can
-// memory-map directly:
-//
-//	soigen -city berlin -scale 0.1 -out ./data/berlin -snapshot berlin.soi
+// groundtruth.txt; soibuild -data compiles it into the binary index
+// snapshot soiserve -index memory-maps (soibuild -city does both steps in
+// one).
 //
 // With -traces N the directory additionally receives traces.geojson: N
 // synthetic movement traces (jittered random walks over the street
@@ -27,12 +25,9 @@ import (
 	"path/filepath"
 	"strings"
 
-	soi "repro"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataio"
 	"repro/internal/geojson"
-	"repro/internal/snapshot"
 )
 
 func main() {
@@ -43,15 +38,13 @@ func main() {
 		scale  = flag.Float64("scale", 1.0, "volume scale factor applied to the profile")
 		seed   = flag.Int64("seed", 0, "override the profile seed (0 keeps the default)")
 		out    = flag.String("out", ".", "output directory")
-		snap   = flag.String("snapshot", "", "also write a binary index snapshot (.soi) to this path (see soibuild, soiserve -index)")
-		cell   = flag.Float64("cell", soi.DefaultCellSize, "grid cell size for the -snapshot slab index")
 		traces = flag.Int("traces", 0, "also write this many synthetic movement traces as traces.geojson (random walks over the street network)")
 	)
 	flag.Parse()
 
-	profile, err := profileByName(*city)
+	profile, err := datagen.ProfileByName(*city)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("%v (want london, berlin, vienna, or small)", err)
 	}
 	if *seed != 0 {
 		profile.Seed = *seed
@@ -99,36 +92,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *snap != "" {
-		slab, err := core.BuildSlab(ds.Network, ds.POIs, core.IndexConfig{CellSize: *cell})
-		if err != nil {
-			log.Fatalf("building slab: %v", err)
-		}
-		if err := snapshot.WriteFile(*snap, &snapshot.Snapshot{
-			Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: slab,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: wrote index snapshot (cell %g) -> %s\n", profile.Name, *cell, *snap)
-	}
 	st := ds.Network.Stats()
 	fmt.Printf("%s: %d streets, %d segments, %d POIs, %d photos -> %s\n",
 		profile.Name, st.NumStreets, st.NumSegments, ds.POIs.Len(), ds.Photos.Len(), *out)
-}
-
-func profileByName(name string) (datagen.Profile, error) {
-	switch strings.ToLower(name) {
-	case "london":
-		return datagen.London(), nil
-	case "berlin":
-		return datagen.Berlin(), nil
-	case "vienna":
-		return datagen.Vienna(), nil
-	case "small":
-		return datagen.Small(1), nil
-	default:
-		return datagen.Profile{}, fmt.Errorf("unknown city %q (want london, berlin, vienna, or small)", name)
-	}
 }
 
 func writeFile(path string, fill func(*bufio.Writer) error) error {

@@ -94,6 +94,11 @@ func TestBadInput(t *testing.T) {
 	if _, _, exit := runCLI(t, "-bogus"); exit != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", exit)
 	}
+	// Snapshots are soibuild's job (soibuild -city, or -data over this
+	// tool's output); the flags that duplicated it are gone.
+	if _, _, exit := runCLI(t, "-city", "small", "-out", t.TempDir(), "-snapshot", "x.soi"); exit != 2 {
+		t.Fatalf("retired -snapshot: exit %d, want 2", exit)
+	}
 	// An unwritable output path must fail loudly, not silently succeed.
 	if _, _, exit := runCLI(t, "-city", "small", "-out", "/dev/null/nope"); exit == 0 {
 		t.Fatal("unwritable -out accepted")

@@ -31,7 +31,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -39,13 +38,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	soi "repro"
 	"repro/internal/datagen"
 	"repro/internal/dataio"
+	"repro/internal/network"
+	"repro/internal/photo"
+	"repro/internal/poi"
 	"repro/internal/remote"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -195,126 +196,64 @@ func main() {
 	log.Printf("shutdown complete")
 }
 
-// serve runs the HTTP server until ctx is cancelled (SIGINT/SIGTERM),
-// then drains in-flight requests via http.Server.Shutdown for up to
-// grace before closing the remainder. A clean drain returns nil, so the
-// process exits 0 under orchestrated restarts.
+// serve listens on addr and serves handler until ctx is cancelled
+// (SIGINT/SIGTERM), then drains in-flight requests for up to grace
+// (remote.Serve, the shutdown sequence soishard shares).
 func serve(ctx context.Context, addr string, handler http.Handler, grace time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return serveListener(ctx, ln, handler, grace)
-}
-
-// serveListener is serve over an established listener (separated so the
-// shutdown sequence is testable on an ephemeral port).
-func serveListener(ctx context.Context, ln net.Listener, handler http.Handler, grace time.Duration) error {
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("signal received, draining in-flight requests (grace %v)", grace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		// The grace period elapsed with requests still in flight; close
-		// them and report the forced stop.
-		srv.Close()
-		return fmt.Errorf("graceful shutdown incomplete: %w", err)
-	}
-	return <-errc
+	return remote.Serve(ctx, ln, handler, grace)
 }
 
 func buildEngine(city string, scale float64, dataDir, indexPath string, cfg soi.Config) (*soi.Engine, error) {
-	switch {
-	case indexPath != "":
+	if indexPath != "" {
 		// A snapshot is served memory-mapped, from the slab alone: start-up
 		// flattens the network and sorts SL3, nothing else is built, and
 		// answers are bit-identical to a fresh build of the same data.
 		return soi.NewEngineFromSnapshot(indexPath, cfg)
-	case dataDir != "":
-		return loadEngine(dataDir, cfg)
-	case city != "":
-		var p datagen.Profile
-		switch strings.ToLower(city) {
-		case "london":
-			p = datagen.London()
-		case "berlin":
-			p = datagen.Berlin()
-		case "vienna":
-			p = datagen.Vienna()
-		case "small":
-			p = datagen.Small(1)
-		default:
-			return nil, fmt.Errorf("unknown city %q", city)
-		}
-		ds, err := datagen.Generate(datagen.Scale(p, scale))
-		if err != nil {
-			return nil, err
-		}
-		return soi.NewEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, cfg)
-	default:
+	}
+	if city == "" && dataDir == "" {
 		return nil, fmt.Errorf("provide -city, -data or -index")
 	}
+	net, pois, photos, err := loadCorpora(city, scale, dataDir)
+	if err != nil {
+		return nil, err
+	}
+	return soi.NewEngineFromCorpora(net, pois, photos, cfg)
 }
 
 // buildLiveEngine is buildEngine for -live: same dataset sources minus
 // snapshots, built through the epoch-based ingest path.
 func buildLiveEngine(city string, scale float64, dataDir string, cfg soi.LiveConfig) (*soi.Engine, error) {
-	switch {
-	case dataDir != "":
-		net, pois, photos, _, err := dataio.LoadDir(dataDir)
-		if err != nil {
-			return nil, err
-		}
-		return soi.NewLiveEngineFromCorpora(net, pois, photos, cfg)
-	case city != "":
-		var p datagen.Profile
-		switch strings.ToLower(city) {
-		case "london":
-			p = datagen.London()
-		case "berlin":
-			p = datagen.Berlin()
-		case "vienna":
-			p = datagen.Vienna()
-		case "small":
-			p = datagen.Small(1)
-		default:
-			return nil, fmt.Errorf("unknown city %q", city)
-		}
-		ds, err := datagen.Generate(datagen.Scale(p, scale))
-		if err != nil {
-			return nil, err
-		}
-		return soi.NewLiveEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, cfg)
-	default:
+	if city == "" && dataDir == "" {
 		return nil, fmt.Errorf("provide -city or -data with -live")
 	}
-}
-
-func loadEngine(dir string, cfg soi.Config) (*soi.Engine, error) {
-	net, pois, photos, _, err := dataio.LoadDir(dir)
+	net, pois, photos, err := loadCorpora(city, scale, dataDir)
 	if err != nil {
 		return nil, err
 	}
-	return soi.NewEngineFromCorpora(net, pois, photos, cfg)
+	return soi.NewLiveEngineFromCorpora(net, pois, photos, cfg)
+}
+
+// loadCorpora resolves the dataset flags into the corpora an engine is
+// built over: the CSV directory -data names, else the synthetic -city at
+// -scale.
+func loadCorpora(city string, scale float64, dataDir string) (*network.Network, *poi.Corpus, *photo.Corpus, error) {
+	if dataDir != "" {
+		net, pois, photos, _, err := dataio.LoadDir(dataDir)
+		return net, pois, photos, err
+	}
+	p, err := datagen.ProfileByName(city)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ds, err := datagen.Generate(datagen.Scale(p, scale))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ds.Network, ds.POIs, ds.Photos, nil
 }
 
 // newHandler wires the HTTP routes (internal/server).

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	soi "repro"
+	"repro/internal/remote"
 	"repro/internal/server"
 )
 
@@ -48,7 +49,7 @@ func TestMultiTenantServe(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- serveListener(ctx, ln, ts, 5*time.Second) }()
+	go func() { serveErr <- remote.Serve(ctx, ln, ts, 5*time.Second) }()
 
 	base := "http://" + ln.Addr().String()
 	for _, city := range []string{"berlin", "vienna", "berlin"} { // third hit reloads the evicted tenant

@@ -28,12 +28,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -144,46 +141,10 @@ func serveShard(ctx context.Context, f *flagSet) int {
 	// The address stays last: supervisors read it after the final " on ".
 	log.Printf("serving shard %d/%d (tile %d,%d: %d streets, %d segments; opened in %d ms) on %s",
 		sh.ID, len(m.Shards), sh.TileX, sh.TileY, len(sh.Streets), len(sh.Segments), opened.Milliseconds(), ln.Addr())
-	if err := serveListener(ctx, ln, srv, f.shutdownGrace); err != nil {
+	if err := remote.Serve(ctx, ln, srv, f.shutdownGrace); err != nil {
 		log.Print(err)
 		return 1
 	}
 	log.Printf("shutdown complete")
 	return 0
-}
-
-// serveListener runs the HTTP server until ctx is cancelled, then flips
-// readiness off and drains in-flight requests for up to grace. The
-// drain order matters: /readyz must answer 503 while the drain runs so
-// balancers and half-open breaker probes stop re-admitting the process.
-func serveListener(ctx context.Context, ln net.Listener, srv *remote.Server, grace time.Duration) error {
-	hs := &http.Server{
-		Handler:           srv,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	srv.SetDraining(true)
-	log.Printf("signal received, draining in-flight requests (grace %v)", grace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		hs.Close()
-		return fmt.Errorf("graceful shutdown incomplete: %w", err)
-	}
-	return <-errc
 }

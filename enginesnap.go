@@ -8,7 +8,7 @@ import (
 )
 
 // NewEngineFromSnapshot builds an engine from a prebuilt index snapshot
-// (a .soi file written by soibuild, soigen -snapshot or WriteSnapshot).
+// (a .soi file written by soibuild or WriteSnapshot).
 // The file is memory-mapped where the platform allows and the engine
 // serves from the slab alone: the slab arrays come straight from the page
 // cache, and startup decodes the network and the corpora, flattens the
@@ -45,7 +45,7 @@ func (e *Engine) WriteSnapshot(path string) error {
 		Net:    e.net,
 		POIs:   e.pois,
 		Photos: e.photos,
-		Slab:   e.index.SlabIndex().Slab(),
+		Slab:   e.index.Slab(),
 	})
 }
 

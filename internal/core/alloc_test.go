@@ -8,7 +8,7 @@ import (
 
 // allocWorld builds a deterministic mid-size scenario plus a query whose
 // evaluation touches filter, refine and drain paths.
-func allocWorld(tb testing.TB) (*Index, *SlabIndex, Query) {
+func allocWorld(tb testing.TB) (*Index, Query) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(4242))
 	var ix *Index
@@ -18,12 +18,7 @@ func allocWorld(tb testing.TB) (*Index, *SlabIndex, Query) {
 			break
 		}
 	}
-	six, err := NewSlabIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.six.slab.CellSize})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	q := Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.6}
-	return ix, six, q
+	return ix, Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.6}
 }
 
 // TestSlabQueryZeroAllocs pins the steady-state allocation budget of the
@@ -35,9 +30,9 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful under -race")
 	}
-	_, six, q := allocWorld(t)
-	six.Warm(q.Epsilon)
-	resolved, err := six.Resolve(q)
+	ix, q := allocWorld(t)
+	ix.Warm(q.Epsilon)
+	resolved, err := ix.resolve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +40,7 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 	out := make([]StreetResult, 0, q.K)
 	// Prime the pool so arena growth happens outside the measured runs.
 	for i := 0; i < 3; i++ {
-		if out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
+		if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +48,7 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 		t.Fatal("query returned no results; world too sparse for the gate to mean anything")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0])
+		out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,9 +61,9 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 // BenchmarkSOISlab measures the steady-state query; -benchmem must show
 // 0 allocs/op.
 func BenchmarkSOISlab(b *testing.B) {
-	_, six, q := allocWorld(b)
-	six.Warm(q.Epsilon)
-	resolved, err := six.Resolve(q)
+	ix, q := allocWorld(b)
+	ix.Warm(q.Epsilon)
+	resolved, err := ix.resolve(q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +72,7 @@ func BenchmarkSOISlab(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, _, err = six.SOIResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
+		if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

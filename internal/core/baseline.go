@@ -48,16 +48,16 @@ func (ix *Index) Baseline(q Query) ([]StreetResult, Stats, error) {
 
 // BaselineAggregate is Baseline with a configurable street aggregation.
 func (ix *Index) BaselineAggregate(q Query, agg Aggregate) ([]StreetResult, Stats, error) {
-	query, err := ix.six.Resolve(q)
+	query, err := ix.resolve(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	var stats Stats
 	stats.TotalSegments = ix.net.NumSegments()
-	stats.TotalCells = ix.six.slab.NumCells()
+	stats.TotalCells = ix.slab.NumCells()
 
 	start := time.Now()
-	plan := ix.six.plan(q.Epsilon)
+	plan := ix.plan(q.Epsilon)
 	stats.BuildListsTime = time.Since(start)
 
 	start = time.Now()
@@ -130,7 +130,7 @@ func aggregateStreets(net *network.Network, masses []float64, eps float64, agg A
 // AllSegmentInterests computes the exact interest of every segment; the
 // exhaustive oracle used by tests and effectiveness studies.
 func (ix *Index) AllSegmentInterests(q Query) ([]float64, error) {
-	query, err := ix.six.Resolve(q)
+	query, err := ix.resolve(q)
 	if err != nil {
 		return nil, err
 	}

@@ -51,40 +51,37 @@ func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.R
 // Only the heads of the three lists are needed, so no list is built: the
 // cost is O(query-relevant cells) with no sort. The heads come from the
 // slab, the memoized ε-plan and a pooled scratch run — zero heap
-// allocations once the pool has seen the world.
-func (ix *Index) UnseenBound(q Query) (float64, error) { return ix.six.unseenBound(q) }
-
-// unseenBound is Index.UnseenBound: top(SL1) from a pooled run's
-// accumulators (slabRun.topSL1), top(SL2) and top(SL3) from
-// the memoized ε-plan and the length order.
-func (six *SlabIndex) unseenBound(q Query) (float64, error) {
+// allocations once the pool has seen the world: top(SL1) from a pooled
+// run's accumulators (slabRun.topSL1), top(SL2) and top(SL3) from the
+// memoized ε-plan and the length order.
+func (ix *Index) UnseenBound(q Query) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if len(six.segsByLen) == 0 {
+	if len(ix.segsByLen) == 0 {
 		return 0, nil
 	}
-	r := six.pool.Get().(*slabRun)
-	r.queryBuf = six.resolveInto(r.queryBuf[:0], q.Keywords)
+	r := ix.pool.Get().(*slabRun)
+	r.queryBuf = ix.resolveInto(r.queryBuf[:0], q.Keywords)
 	r.query = r.queryBuf
 	top1 := r.topSL1()
 	r.query = nil
-	six.pool.Put(r)
+	ix.pool.Put(r)
 	if top1 == 0 {
 		return 0, nil
 	}
-	plan := six.plan(q.Epsilon)
+	plan := ix.plan(q.Epsilon)
 	sid2 := plan.sl2[0]
 	top2 := float64(plan.segCellOff[sid2+1] - plan.segCellOff[sid2])
-	top3 := six.segLen[six.segsByLen[0]]
+	top3 := ix.segLen[ix.segsByLen[0]]
 	return Interest(top1*top2, top3, q.Epsilon), nil
 }
 
-// resolveInto is Resolve into a caller-owned buffer: the known keywords'
+// resolveInto is resolve into a caller-owned buffer: the known keywords'
 // ids appended to buf as a sorted, duplicate-free set. The insertion sort
 // is quadratic in |Ψ|, which is a handful of keywords.
-func (six *SlabIndex) resolveInto(buf vocab.Set, keywords []string) vocab.Set {
-	dict := six.pois.Dict()
+func (ix *Index) resolveInto(buf vocab.Set, keywords []string) vocab.Set {
+	dict := ix.pois.Dict()
 	for _, kw := range keywords {
 		id, ok := dict.Lookup(kw)
 		if !ok {

@@ -48,7 +48,7 @@ func layouts(t *testing.T, net *network.Network, pois *poi.Corpus) []*core.Index
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSlab, err := core.NewIndexFromSlab(net, pois, built.SlabIndex().Slab())
+	fromSlab, err := core.NewIndexFromSlab(net, pois, built.Slab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestUnseenBoundEdgeCases(t *testing.T) {
 	}
 	ixs := layouts(t, net, pois)
 	late := pois.Dict().Intern("interned-after-build")
-	if vn := ixs[0].SlabIndex().Slab().VocabN; int(late) < vn {
+	if vn := ixs[0].Slab().VocabN; int(late) < vn {
 		t.Fatalf("late keyword id %d is inside the slab vocabulary (%d)", late, vn)
 	}
 	for _, ix := range ixs {

@@ -81,13 +81,13 @@ func TestUnseenBoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful under -race")
 	}
-	ix, _, _ := allocWorld(t)
+	ix, _ := allocWorld(t)
 	for _, kws := range [][]string{
 		{"shop"},
 		{"shop", "food", "museum", "park", "school"},
 	} {
 		q := Query{Keywords: kws, K: 5, Epsilon: 0.6}
-		ix.SlabIndex().Warm(q.Epsilon)
+		ix.Warm(q.Epsilon)
 		ub, err := ix.UnseenBound(q) // primes the pooled scratch
 		if err != nil {
 			t.Fatal(err)
@@ -107,15 +107,15 @@ func TestUnseenBoundZeroAllocs(t *testing.T) {
 }
 
 // runOn evaluates one query on a caller-held scratch run, the way
-// SOIResolved does on a pooled one.
+// soiResolved does on a pooled one.
 func runOn(t *testing.T, r *slabRun, q Query) []StreetResult {
 	t.Helper()
-	query, err := r.six.Resolve(q)
+	query, err := r.ix.resolve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.ctx, r.query, r.k, r.eps = context.Background(), query, q.K, q.Epsilon
-	r.begin(r.six.plan(q.Epsilon))
+	r.begin(r.ix.plan(q.Epsilon))
 	if err := r.filter(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +132,15 @@ func runOn(t *testing.T, r *slabRun, q Query) []StreetResult {
 // the wrap (including in storage a smaller-ε run does not cover) must
 // not be mistaken for current ones when the counter reuses their value.
 func TestScratchEpochWrap(t *testing.T) {
-	_, six, _ := allocWorld(t)
+	ix, _ := allocWorld(t)
 	wide := Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.6}
 	narrow := Query{Keywords: []string{"museum", "park"}, K: 5, Epsilon: 0.05}
 	several := Query{Keywords: []string{"food", "museum", "shop"}, K: 1, Epsilon: 0.6}
-	wantWide, _, err := six.SOI(wide)
+	wantWide, _, err := ix.SOI(wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNarrow, _, err := six.SOI(narrow)
+	wantNarrow, _, err := ix.SOI(narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +148,16 @@ func TestScratchEpochWrap(t *testing.T) {
 		t.Fatal("world too sparse for the wrap test to mean anything")
 	}
 	top := func(r *slabRun, q Query) float64 {
-		r.query = r.six.resolveInto(r.queryBuf[:0], q.Keywords)
+		r.query = r.ix.resolveInto(r.queryBuf[:0], q.Keywords)
 		return r.topSL1()
 	}
-	fresh := &slabRun{six: six}
+	fresh := &slabRun{ix: ix}
 	wantTop := top(fresh, several)
 	if wantTop <= 0 {
 		t.Fatal("no relevant cell for the multi-keyword bound")
 	}
 
-	r := &slabRun{six: six}
+	r := &slabRun{ix: ix}
 	// Epochs 1..3 leave stamps 1, 2 and 3 behind, over the wide plan's
 	// full pair range and the bound's accumulators.
 	runOn(t, r, wide)

@@ -444,15 +444,15 @@ func TestAggregateModes(t *testing.T) {
 func TestIndexMemoization(t *testing.T) {
 	ix := buildFixture(t)
 	a := ix.SegmentCells(0.1)
-	plan := ix.six.plan(0.1)
+	plan := ix.plan(0.1)
 	if !reflect.DeepEqual(a, ix.SegmentCells(0.1)) {
 		t.Fatal("SegmentCells differs between calls")
 	}
-	ix.six.CellSegments(0.1, 0)
+	ix.CellSegments(0.1, 0)
 	if _, _, err := ix.Baseline(Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if ix.six.plan(0.1) != plan || ix.PlanCount() != 1 {
+	if ix.plan(0.1) != plan || ix.PlanCount() != 1 {
 		t.Fatalf("ε-plan rebuilt: %d plans memoized, want the first one only", ix.PlanCount())
 	}
 }

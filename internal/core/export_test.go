@@ -3,9 +3,9 @@ package core
 // PlanCount reports how many ε-plans the index has memoized — the only
 // ε-dependent state it holds — for tests outside the package.
 func (ix *Index) PlanCount() int {
-	ix.six.mu.RLock()
-	defer ix.six.mu.RUnlock()
-	return len(ix.six.plans)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.plans)
 }
 
 // BitEqualResults is bitEqualResults for tests outside the package.

@@ -31,7 +31,7 @@ func writeBerlinSnapshot(tb testing.TB, scale float64) string {
 	}
 	snapPath := filepath.Join(tb.TempDir(), "berlin.soi")
 	if err := snapshot.WriteFile(snapPath, &snapshot.Snapshot{
-		Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: built.SlabIndex().Slab(),
+		Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: built.Slab(),
 	}); err != nil {
 		tb.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func writeBerlinSnapshot(tb testing.TB, scale float64) string {
 func reloaded(t *testing.T, compact *core.Index, photos *photo.Corpus) *core.Index {
 	t.Helper()
 	blob, err := snapshot.Encode(&snapshot.Snapshot{
-		Net: compact.Network(), POIs: compact.POIs(), Photos: photos, Slab: compact.SlabIndex().Slab(),
+		Net: compact.Network(), POIs: compact.POIs(), Photos: photos, Slab: compact.Slab(),
 	})
 	if err != nil {
 		t.Fatal(err)

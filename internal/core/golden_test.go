@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
@@ -34,7 +35,7 @@ func TestGoldenPruningCounts(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for n := 1; n <= len(progression); n++ {
 			q := Query{Keywords: progression[:n], K: 10, Epsilon: epsilon}
-			_, st, err := ix.SOIWithCache(q, CostAware, mc)
+			_, st, err := ix.SOIContext(context.Background(), q, CostAware, mc)
 			if err != nil {
 				t.Fatalf("pass %d, query ψ=%d: %v", pass, n, err)
 			}
@@ -45,7 +46,7 @@ func TestGoldenPruningCounts(t *testing.T) {
 	// counter (zero under the cost-aware schedule on this workload) is
 	// exercised too.
 	q := Query{Keywords: progression, K: 10, Epsilon: epsilon}
-	_, st, err := ix.SOIWithCache(q, RoundRobin, NewMassCache(0))
+	_, st, err := ix.SOIContext(context.Background(), q, RoundRobin, NewMassCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}

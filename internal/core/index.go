@@ -1,6 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sync"
+
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/network"
@@ -26,11 +31,18 @@ type IndexConfig struct {
 	Bounds geo.Rect
 }
 
-// Index is the offline data structure set of Section 3.2.1: a spatial grid
-// over the POIs with per-cell inverted indexes, a global inverted index
-// from keywords to cells, and the cell↔segment maps, all held by the slab
-// evaluator (SlabIndex). Segment lists augmented by a query distance ε
-// are computed on first use and memoized per ε.
+// Index is the offline data structure set of Section 3.2.1 and the
+// evaluator of Algorithm 1 over it: a spatial grid over the POIs with
+// per-cell inverted indexes, a global inverted index from keywords to
+// cells, and the cell↔segment maps, all in the flattened struct-of-arrays
+// layout (grid.Slab). Source lists, postings and the ε-augmented
+// cell↔segment maps are offset ranges into contiguous arrays, computed on
+// first use and memoized per ε; the per-query state lives in a pooled
+// scratch arena addressed by dense ordinals, and the steady-state query
+// path performs zero heap allocations. Every float is folded in a fixed
+// order (POIs by ascending id within a cell, cells in canonical Cε(ℓ)
+// order), so an answer is a pure function of the query, whichever access
+// schedule or MassCache state the run had.
 //
 // Read-only contract: an Index is immutable and safe for any number of
 // concurrent readers (SOI, Baseline and the accessor methods; the ε-plan
@@ -40,10 +52,24 @@ type IndexConfig struct {
 type Index struct {
 	net  *network.Network
 	pois *poi.Corpus
+	slab *grid.Slab
 
-	// six holds the slab and the ε-plans: it evaluates every SOI query,
-	// the static bound and SegmentMass, and Baseline scans its cells.
-	six *SlabIndex
+	// Flattened network: segment endpoint coordinates, cached lengths and
+	// street ids, indexed by segment id.
+	segAX, segAY []float64
+	segBX, segBY []float64
+	segLen       []float64
+	segStreet    []uint32
+
+	// segsByLen is SL3, the query-independent source list: segment ids
+	// sorted increasingly by length, ties by id.
+	segsByLen []network.SegmentID
+
+	// mu guards the per-ε plan memos.
+	mu    sync.RWMutex
+	plans map[float64]*slabPlan
+
+	pool sync.Pool // *slabRun
 }
 
 // NewIndex builds the offline index over a network and POI corpus: one
@@ -56,21 +82,49 @@ func NewIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*Index, 
 	return NewIndexFromSlab(net, pois, slab)
 }
 
-// NewIndexFromSlab opens a full index over a prebuilt slab (for example,
-// one loaded from a snapshot) without re-ingesting the POIs. The work is
-// O(segments): the slab evaluator flattens the network and sorts SL3.
-// Every reader, the baseline included, is served from the slab and its
-// ε-plans.
+// NewIndexFromSlab opens an index over a prebuilt slab (for example, one
+// loaded from a snapshot) without re-ingesting the POIs; the slab must
+// index exactly the corpus's POIs. The work is O(segments): it flattens
+// the network and sorts SL3. Every reader, the baseline included, is
+// served from the slab and its ε-plans.
 func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (*Index, error) {
-	six, err := NewSlabIndexFromSlab(net, pois, slab)
-	if err != nil {
-		return nil, err
+	if slab.NumObjects != pois.Len() {
+		return nil, fmt.Errorf("core: slab indexes %d objects but corpus has %d POIs", slab.NumObjects, pois.Len())
 	}
-	return &Index{net: net, pois: pois, six: six}, nil
+	segs := net.Segments()
+	ix := &Index{
+		net:       net,
+		pois:      pois,
+		slab:      slab,
+		segAX:     make([]float64, len(segs)),
+		segAY:     make([]float64, len(segs)),
+		segBX:     make([]float64, len(segs)),
+		segBY:     make([]float64, len(segs)),
+		segLen:    make([]float64, len(segs)),
+		segStreet: make([]uint32, len(segs)),
+		segsByLen: make([]network.SegmentID, len(segs)),
+		plans:     make(map[float64]*slabPlan),
+	}
+	for i := range segs {
+		s := &segs[i]
+		ix.segAX[i], ix.segAY[i] = s.Geom.A.X, s.Geom.A.Y
+		ix.segBX[i], ix.segBY[i] = s.Geom.B.X, s.Geom.B.Y
+		ix.segLen[i] = s.Length()
+		ix.segStreet[i] = uint32(s.Street)
+		ix.segsByLen[i] = s.ID
+	}
+	slices.SortFunc(ix.segsByLen, func(a, b network.SegmentID) int {
+		if ix.segLen[a] != ix.segLen[b] {
+			if ix.segLen[a] < ix.segLen[b] {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	ix.pool.New = func() interface{} { return &slabRun{ix: ix} }
+	return ix, nil
 }
-
-// SlabIndex returns the index's evaluator.
-func (ix *Index) SlabIndex() *SlabIndex { return ix.six }
 
 // Network returns the indexed road network.
 func (ix *Index) Network() *network.Network { return ix.net }
@@ -78,27 +132,12 @@ func (ix *Index) Network() *network.Network { return ix.net }
 // POIs returns the indexed POI corpus.
 func (ix *Index) POIs() *poi.Corpus { return ix.pois }
 
-// SegmentCells returns the ε-augmented segment-to-cell map: for every
-// segment, the ids of the non-empty grid cells within distance eps,
-// ascending — the ε-plan's Cε(ℓ) with ordinals spelled as cell ids. Each
-// call builds a fresh copy.
-func (ix *Index) SegmentCells(eps float64) [][]grid.CellID {
-	p := ix.six.plan(eps)
-	ids := make([]grid.CellID, len(p.segCell))
-	for i, ord := range p.segCell {
-		ids[i] = grid.CellID(ix.six.slab.CellIDs[ord])
-	}
-	sc := make([][]grid.CellID, len(p.segCellOff)-1)
-	for sid := range sc {
-		lo, hi := p.segCellOff[sid], p.segCellOff[sid+1]
-		sc[sid] = ids[lo:hi:hi]
-	}
-	return sc
-}
+// Slab returns the underlying flattened grid.
+func (ix *Index) Slab() *grid.Slab { return ix.slab }
 
 // Warm precomputes the ε-plan every reader shares — the query path and
 // Baseline alike — so that subsequent timings measure only query work.
-func (ix *Index) Warm(eps float64) { ix.six.Warm(eps) }
+func (ix *Index) Warm(eps float64) { ix.plan(eps) }
 
 // cellMassScan returns the total weight of POIs in cell ord that match the
 // query and lie within eps of segment sid, the way the paper's baseline BL
@@ -109,7 +148,7 @@ func (ix *Index) Warm(eps float64) { ix.six.Warm(eps) }
 func (ix *Index) cellMassScan(ord int, query vocab.Set, sid network.SegmentID, eps float64) float64 {
 	seg := ix.net.Segment(sid).Geom
 	epsSq := eps * eps
-	slab := ix.six.slab
+	slab := ix.slab
 	var mass float64
 	for _, m := range slab.Members[slab.MemberOff[ord]:slab.MemberOff[ord+1]] {
 		p := ix.pois.Get(m)
@@ -118,12 +157,6 @@ func (ix *Index) cellMassScan(ord int, query vocab.Set, sid network.SegmentID, e
 		}
 	}
 	return mass
-}
-
-// SegmentMass computes the exact relevant mass of a segment (Def. 1) by
-// visiting every ε-near cell of the memoized ε-plan.
-func (ix *Index) SegmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
-	return ix.six.segmentMass(sid, query, eps)
 }
 
 // SegmentInterest computes the exact interest of a segment (Def. 2).

@@ -19,8 +19,8 @@ import (
 // sl1Of builds the query's SL1 on a scratch run, the way an evaluation
 // does, and returns copies of its cell ordinals and weights.
 func sl1Of(ix *Index, query vocab.Set, eps float64) ([]int32, []float64) {
-	r := &slabRun{six: ix.six, query: query, k: 1, eps: eps}
-	r.begin(ix.six.plan(eps))
+	r := &slabRun{ix: ix, query: query, k: 1, eps: eps}
+	r.begin(ix.plan(eps))
 	return append([]int32(nil), r.sl1Cell...), append([]float64(nil), r.sl1W...)
 }
 
@@ -28,7 +28,7 @@ func sl1Of(ix *Index, query vocab.Set, eps float64) ([]int32, []float64) {
 // segment, every non-empty cell whose rectangle lies within eps of it,
 // ascending — each (segment, cell) pair tested, no span or row walk.
 func bruteSegmentCells(ix *Index, eps float64) [][]grid.CellID {
-	slab := ix.six.slab
+	slab := ix.slab
 	out := make([][]grid.CellID, ix.net.NumSegments())
 	for sid := range out {
 		seg := ix.net.Segment(network.SegmentID(sid)).Geom
@@ -65,7 +65,7 @@ func TestSegmentCellsMatchBruteForce(t *testing.T) {
 // the keyword sums added in keyword order, and the total capped at the
 // cell's POI weight. capBinds reports whether the cap lowered any cell.
 func bruteSL1(ix *Index, query vocab.Set) (weights map[grid.CellID]float64, capBinds bool) {
-	lat := ix.six.slab.Lattice()
+	lat := ix.slab.Lattice()
 	perKw := make([]map[grid.CellID]float64, len(query))
 	for i := range perKw {
 		perKw[i] = map[grid.CellID]float64{}
@@ -108,7 +108,7 @@ func TestSegmentsByCellCountSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ix := randomScenario(rng)
 	eps := 0.3
-	plan := ix.six.plan(eps)
+	plan := ix.plan(eps)
 	sl2 := plan.sl2
 	sc := bruteSegmentCells(ix, eps)
 	if len(sl2) != ix.Network().NumSegments() {
@@ -128,7 +128,7 @@ func TestSegmentsByCellCountSorted(t *testing.T) {
 			t.Fatalf("SL2 tie not broken by id at %d", i)
 		}
 	}
-	if again := ix.six.plan(eps); again != plan {
+	if again := ix.plan(eps); again != plan {
 		t.Fatal("ε-plan not memoized")
 	}
 }
@@ -138,7 +138,7 @@ func TestSegsByLenSorted(t *testing.T) {
 	ix := randomScenario(rng)
 	net := ix.Network()
 	prev := -1.0
-	for _, sid := range ix.six.segsByLen {
+	for _, sid := range ix.segsByLen {
 		l := net.Segment(sid).Length()
 		if l < prev {
 			t.Fatalf("SL3 not sorted ascending: %v after %v", l, prev)
@@ -189,7 +189,7 @@ func TestBuildSL1SortedDesc(t *testing.T) {
 				t.Fatalf("trial %d %v: SL1 lists %d cells, the corpus has %d relevant ones", trial, kws, len(cells), len(want))
 			}
 			for i, ord := range cells {
-				cid := grid.CellID(ix.six.slab.CellIDs[ord])
+				cid := grid.CellID(ix.slab.CellIDs[ord])
 				if math.Float64bits(weights[i]) != math.Float64bits(want[cid]) {
 					t.Fatalf("trial %d %v: cell %d weight %v, corpus %v", trial, kws, cid, weights[i], want[cid])
 				}
@@ -218,7 +218,7 @@ func TestCellMassScanAgreement(t *testing.T) {
 		query, _ := ix.POIs().Dict().LookupAll([]string{"shop", "museum"})
 		eps := 0.1 + rng.Float64()*0.4
 		sc := ix.SegmentCells(eps)
-		slab := ix.six.slab
+		slab := ix.slab
 		lat := slab.Lattice()
 		for sid := 0; sid < ix.Network().NumSegments(); sid++ {
 			seg := ix.Network().Segment(network.SegmentID(sid)).Geom
@@ -297,16 +297,16 @@ func TestUnseenBoundSoundness(t *testing.T) {
 func TestWarmCoversAllStructures(t *testing.T) {
 	ix := buildFixture(t)
 	ix.Warm(0.1)
-	ix.six.mu.RLock()
-	p := ix.six.plans[0.1]
-	ix.six.mu.RUnlock()
+	ix.mu.RLock()
+	p := ix.plans[0.1]
+	ix.mu.RUnlock()
 	if p == nil || len(p.segCell) == 0 || len(p.cellSeg) != len(p.segCell) || len(p.sl2) != ix.Network().NumSegments() {
 		t.Fatalf("Warm left structures cold: %+v", p)
 	}
 	if _, _, err := ix.SOI(Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ix.six.plans); n != 1 {
+	if n := len(ix.plans); n != 1 {
 		t.Fatalf("%d ε-plans after one warmed query, want 1", n)
 	}
 }
@@ -318,8 +318,8 @@ func TestCellSegmentInversion(t *testing.T) {
 	eps := 0.25
 	sc := ix.SegmentCells(eps)
 	cs := map[grid.CellID][]network.SegmentID{}
-	for ord, id := range ix.six.slab.CellIDs {
-		cs[grid.CellID(id)] = ix.six.CellSegments(eps, ord)
+	for ord, id := range ix.slab.CellIDs {
+		cs[grid.CellID(id)] = ix.CellSegments(eps, ord)
 	}
 	// Forward: every (segment, cell) pair appears in the inverse.
 	for sid, cells := range sc {

@@ -98,15 +98,15 @@ func TestPropertyInvalidQueriesAgree(t *testing.T) {
 		if _, err := ix.UnseenBound(q); err == nil {
 			t.Fatalf("UnseenBound accepted %+v", q)
 		}
-		// SOIResolved is reachable without Validate; k and ε are its own
+		// soiResolved is reachable without Validate; k and ε are its own
 		// to check.
 		if len(q.Keywords) > 0 {
-			if _, _, err := ix.six.SOIResolved(context.Background(), nil, q.K, q.Epsilon, CostAware, nil, nil); err == nil {
-				t.Fatalf("SOIResolved accepted %+v", q)
+			if _, _, err := ix.soiResolved(context.Background(), nil, q.K, q.Epsilon, CostAware, nil, nil); err == nil {
+				t.Fatalf("soiResolved accepted %+v", q)
 			}
 		}
 	}
-	if n := len(ix.six.plans); n != 0 {
+	if n := len(ix.plans); n != 0 {
 		t.Fatalf("refused queries left %d ε-plans behind", n)
 	}
 }
@@ -183,7 +183,7 @@ func TestConcurrentSharedIndex(t *testing.T) {
 						if g%2 == 0 {
 							cache = nil
 						}
-						res, _, err := ix.SOIWithCache(q, strat, cache)
+						res, _, err := ix.SOIContext(context.Background(), q, strat, cache)
 						if err != nil {
 							errs <- err
 							return

@@ -12,7 +12,7 @@ import (
 // scanMass is the baseline's fold for one segment: every ε-near cell
 // scanned member by member, the cells' sums added in Cε(ℓ) order.
 func scanMass(ix *Index, sid network.SegmentID, query vocab.Set, eps float64) float64 {
-	slab := ix.six.slab
+	slab := ix.slab
 	var mass float64
 	for _, cid := range ix.SegmentCells(eps)[sid] {
 		mass += ix.cellMassScan(slab.OrdinalOf(cid), query, sid, eps)
@@ -71,9 +71,9 @@ func TestSlabSegmentMassZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful under -race")
 	}
-	ix, _, _ := allocWorld(t)
+	ix, _ := allocWorld(t)
 	const eps = 0.6
-	ix.SlabIndex().Warm(eps)
+	ix.Warm(eps)
 	for _, kws := range [][]string{{"shop"}, {"shop", "food", "museum", "park", "school"}} {
 		query, _ := ix.pois.Dict().LookupAll(kws)
 		var sum float64

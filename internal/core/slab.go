@@ -1,12 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -15,41 +12,6 @@ import (
 	"repro/internal/poi"
 	"repro/internal/vocab"
 )
-
-// SlabIndex is the evaluator of Algorithm 1: it answers k-SOI queries over
-// the flattened struct-of-arrays grid layout (grid.Slab). Source lists,
-// postings and the ε-augmented cell↔segment maps are offset ranges into
-// contiguous arrays, the per-query state lives in a pooled scratch arena
-// addressed by dense ordinals, and the steady-state query path performs
-// zero heap allocations. Every float is folded in a fixed order (POIs by
-// ascending id within a cell, cells in canonical Cε(ℓ) order), so an
-// answer is a pure function of the query, whichever access schedule or
-// MassCache state the run had.
-//
-// A SlabIndex is immutable and safe for concurrent use; each evaluation
-// checks out a private scratch run from an internal pool.
-type SlabIndex struct {
-	net  *network.Network
-	pois *poi.Corpus
-	slab *grid.Slab
-
-	// Flattened network: segment endpoint coordinates, cached lengths and
-	// street ids, indexed by segment id.
-	segAX, segAY []float64
-	segBX, segBY []float64
-	segLen       []float64
-	segStreet    []uint32
-
-	// segsByLen is SL3, the query-independent source list: segment ids
-	// sorted increasingly by length, ties by id.
-	segsByLen []network.SegmentID
-
-	// mu guards the per-ε plan memos.
-	mu    sync.RWMutex
-	plans map[float64]*slabPlan
-
-	pool sync.Pool // *slabRun
-}
 
 // slabPlan is the ε-dependent part of the index: the cell↔segment maps
 // and SL2, in CSR form over cell ordinals. Plans are built once per ε and
@@ -66,15 +28,6 @@ type slabPlan struct {
 	cellSeg    []uint32
 	// sl2 lists segment ids decreasingly by |Cε(ℓ)|, ties ascending by id.
 	sl2 []network.SegmentID
-}
-
-// NewSlabIndex builds a slab index over a network and POI corpus.
-func NewSlabIndex(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*SlabIndex, error) {
-	slab, err := BuildSlab(net, pois, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewSlabIndexFromSlab(net, pois, slab)
 }
 
 // BuildSlab builds the slab every index over the corpus is opened from:
@@ -100,82 +53,26 @@ func BuildSlab(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*grid.S
 	return grid.BuildSlab(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, pts, keys, weights)
 }
 
-// NewSlabIndexFromSlab wraps a prebuilt (for example, snapshot-loaded)
-// slab. The slab must index exactly the corpus's POIs.
-func NewSlabIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (*SlabIndex, error) {
-	if slab.NumObjects != pois.Len() {
-		return nil, fmt.Errorf("core: slab indexes %d objects but corpus has %d POIs", slab.NumObjects, pois.Len())
-	}
-	segs := net.Segments()
-	six := &SlabIndex{
-		net:       net,
-		pois:      pois,
-		slab:      slab,
-		segAX:     make([]float64, len(segs)),
-		segAY:     make([]float64, len(segs)),
-		segBX:     make([]float64, len(segs)),
-		segBY:     make([]float64, len(segs)),
-		segLen:    make([]float64, len(segs)),
-		segStreet: make([]uint32, len(segs)),
-		plans:     make(map[float64]*slabPlan),
-	}
-	for i := range segs {
-		s := &segs[i]
-		six.segAX[i], six.segAY[i] = s.Geom.A.X, s.Geom.A.Y
-		six.segBX[i], six.segBY[i] = s.Geom.B.X, s.Geom.B.Y
-		six.segLen[i] = s.Length()
-		six.segStreet[i] = uint32(s.Street)
-	}
-	six.segsByLen = make([]network.SegmentID, len(segs))
-	for i := range segs {
-		six.segsByLen[i] = segs[i].ID
-	}
-	slices.SortFunc(six.segsByLen, func(a, b network.SegmentID) int {
-		if six.segLen[a] != six.segLen[b] {
-			if six.segLen[a] < six.segLen[b] {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
-	six.pool.New = func() interface{} { return &slabRun{six: six} }
-	return six, nil
-}
-
-// Network returns the indexed road network.
-func (six *SlabIndex) Network() *network.Network { return six.net }
-
-// POIs returns the indexed POI corpus.
-func (six *SlabIndex) POIs() *poi.Corpus { return six.pois }
-
-// Slab returns the underlying flattened grid.
-func (six *SlabIndex) Slab() *grid.Slab { return six.slab }
-
-// Warm precomputes the ε-dependent plan so that subsequent query timings
-// measure only query work.
-func (six *SlabIndex) Warm(eps float64) { six.plan(eps) }
-
 // plan returns the ε plan, building and memoizing it on first use.
 // Concurrent callers may race to build a fresh ε; each computes an
 // identical value and the last store wins.
-func (six *SlabIndex) plan(eps float64) *slabPlan {
-	six.mu.RLock()
-	p, ok := six.plans[eps]
-	six.mu.RUnlock()
+func (ix *Index) plan(eps float64) *slabPlan {
+	ix.mu.RLock()
+	p, ok := ix.plans[eps]
+	ix.mu.RUnlock()
 	if ok {
 		return p
 	}
-	numSegs := len(six.segLen)
-	numCells := six.slab.NumCells()
+	numSegs := len(ix.segLen)
+	numCells := ix.slab.NumCells()
 	p = &slabPlan{segCellOff: make([]uint32, numSegs+1)}
 	var buf []int32
 	for sid := 0; sid < numSegs; sid++ {
 		seg := geo.Segment{
-			A: geo.Point{X: six.segAX[sid], Y: six.segAY[sid]},
-			B: geo.Point{X: six.segBX[sid], Y: six.segBY[sid]},
+			A: geo.Point{X: ix.segAX[sid], Y: ix.segAY[sid]},
+			B: geo.Point{X: ix.segBX[sid], Y: ix.segBY[sid]},
 		}
-		buf = six.slab.CellsNearSegmentInto(seg, eps, buf[:0])
+		buf = ix.slab.CellsNearSegmentInto(seg, eps, buf[:0])
 		p.segCell = append(p.segCell, buf...)
 		p.segCellOff[sid+1] = uint32(len(p.segCell))
 	}
@@ -212,82 +109,59 @@ func (six *SlabIndex) plan(eps float64) *slabPlan {
 		}
 		return a < b
 	})
-	six.mu.Lock()
-	six.plans[eps] = p
-	six.mu.Unlock()
+	ix.mu.Lock()
+	ix.plans[eps] = p
+	ix.mu.Unlock()
 	return p
 }
 
 // CellSegments returns the segments within eps of cell ord (the
 // cell-to-segment map Lε of one cell), ascending by segment id, from the
 // memoized ε-plan. Callers must not modify the result.
-func (six *SlabIndex) CellSegments(eps float64, ord int) []network.SegmentID {
-	p := six.plan(eps)
+func (ix *Index) CellSegments(eps float64, ord int) []network.SegmentID {
+	p := ix.plan(eps)
 	return p.cellSeg[p.cellSegOff[ord]:p.cellSegOff[ord+1]]
 }
 
-// Resolve validates the query and interns its keywords against the
+// resolve validates the query and interns its keywords against the
 // corpus dictionary; unknown keywords contribute no POIs and are dropped.
-// Use with SOIResolved to evaluate repeated queries allocation-free.
-func (six *SlabIndex) Resolve(q Query) (vocab.Set, error) {
+func (ix *Index) resolve(q Query) (vocab.Set, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	set, _ := six.pois.Dict().LookupAll(q.Keywords)
+	set, _ := ix.pois.Dict().LookupAll(q.Keywords)
 	return set, nil
 }
 
-// SOI evaluates a k-SOI query with the cost-aware schedule.
-func (six *SlabIndex) SOI(q Query) ([]StreetResult, Stats, error) {
-	return six.SOIContext(context.Background(), q, nil)
-}
-
-// SOIContext evaluates a k-SOI query under a context with an optional
-// shared MassCache.
-func (six *SlabIndex) SOIContext(ctx context.Context, q Query, mc *MassCache) ([]StreetResult, Stats, error) {
-	return six.SOIInto(ctx, q, mc, nil)
-}
-
-// SOIInto is SOIContext appending results into out's capacity, for
-// callers that reuse a result buffer across queries.
-func (six *SlabIndex) SOIInto(ctx context.Context, q Query, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-	query, err := six.Resolve(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return six.SOIResolved(ctx, query, q.K, q.Epsilon, CostAware, mc, out)
-}
-
-// SOIResolved is the steady-state entry point: it evaluates a
+// soiResolved is the steady-state entry point: it evaluates a
 // pre-resolved query under the given access schedule, appending the k
 // results into out's capacity. With a nil MassCache and a warmed ε it
 // performs zero heap allocations once the internal scratch pool has seen
 // the world size. k must be positive and eps positive and finite; query
-// must come from Resolve (sorted, deduplicated, known keywords only).
-func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, eps float64, strat Strategy, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
+// must come from resolve (sorted, deduplicated, known keywords only).
+func (ix *Index) soiResolved(ctx context.Context, query vocab.Set, k int, eps float64, strat Strategy, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
 	if k <= 0 || !validEpsilon(eps) {
 		return nil, Stats{}, fmt.Errorf("core: k %d or epsilon %v is not positive and finite", k, eps)
 	}
-	r := six.pool.Get().(*slabRun)
-	defer six.pool.Put(r)
+	r := ix.pool.Get().(*slabRun)
+	defer ix.pool.Put(r)
 	r.ctx = ctx
 	r.query = query
 	r.k = k
 	r.eps = eps
 	r.strat = strat
-	r.mc = mc
+	r.mc = nil
 	if mc != nil {
-		r.psi = mc.psiID(query)
+		if psi, ok := mc.psiID(query); ok {
+			r.mc, r.psi = mc, psi
+		}
 	}
 
 	start := time.Now()
-	r.begin(six.plan(eps))
+	r.begin(ix.plan(eps))
 	r.stats.BuildListsTime = time.Since(start)
 
 	start = time.Now()
@@ -309,21 +183,22 @@ func (six *SlabIndex) SOIResolved(ctx context.Context, query vocab.Set, k int, e
 	return out, stats, nil
 }
 
-// segmentMass is Index.SegmentMass: the segment's canonical Cε(ℓ) range
-// of the memoized ε-plan, each cell's relevant POIs streamed from the
+// SegmentMass computes the exact relevant mass of a segment (Def. 1) by
+// visiting every ε-near cell: the segment's canonical Cε(ℓ) range of the
+// memoized ε-plan, each cell's relevant POIs streamed from the
 // slab's postings in ascending POI id (one keyword's list as it stands,
 // several merged with duplicates counted once), each cell's contribution
 // summed on its own before it joins the total. It allocates nothing for
 // up to eight keywords.
-func (six *SlabIndex) segmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
+func (ix *Index) SegmentMass(sid network.SegmentID, query vocab.Set, eps float64) float64 {
 	if len(query) == 0 {
 		return 0
 	}
-	plan := six.plan(eps)
-	s := six.slab
+	plan := ix.plan(eps)
+	s := ix.slab
 	seg := geo.Segment{
-		A: geo.Point{X: six.segAX[sid], Y: six.segAY[sid]},
-		B: geo.Point{X: six.segBX[sid], Y: six.segBY[sid]},
+		A: geo.Point{X: ix.segAX[sid], Y: ix.segAY[sid]},
+		B: geo.Point{X: ix.segBX[sid], Y: ix.segBY[sid]},
 	}
 	epsSq := eps * eps
 	var loBuf, hiBuf [8]uint32

@@ -10,17 +10,6 @@ import (
 	"repro/internal/poi"
 )
 
-// slabFromIndex builds a standalone SlabIndex over the same data and cell
-// size as an existing index.
-func slabFromIndex(t *testing.T, ix *Index) *SlabIndex {
-	t.Helper()
-	six, err := NewSlabIndex(ix.Network(), ix.POIs(), IndexConfig{CellSize: ix.six.slab.CellSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return six
-}
-
 // TestSlabMatchesMapPath is the core bit-identity property: on random
 // scenarios, the slab evaluator must return the same results as the
 // exact baseline BL — same floats, same tie-breaks — under both access
@@ -29,13 +18,12 @@ func TestSlabMatchesMapPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
 		ix := randomScenario(rng)
-		six := slabFromIndex(t, ix)
 		for _, q := range propertyQueries(rng, ix) {
 			want, _, err := ix.Baseline(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := six.SOI(q)
+			got, _, err := ix.SOI(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,13 +44,12 @@ func TestSlabMatchesMapPathWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 10; trial++ {
 		ix := weightedScenario(rng)
-		six := slabFromIndex(t, ix)
 		for _, q := range propertyQueries(rng, ix) {
 			want, _, err := ix.Baseline(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := six.SOI(q)
+			got, _, err := ix.SOI(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +65,7 @@ func weightedScenario(rng *rand.Rand) *Index {
 		pb.AddWeighted(geo.Point{X: p.Loc.X, Y: p.Loc.Y},
 			ix.POIs().Dict().Names(p.Keywords), 0.25+rng.Float64()*3)
 	}
-	wix, err := NewIndex(ix.Network(), pb.Build(), IndexConfig{CellSize: ix.six.slab.CellSize})
+	wix, err := NewIndex(ix.Network(), pb.Build(), IndexConfig{CellSize: ix.slab.CellSize})
 	if err != nil {
 		panic(err)
 	}
@@ -91,7 +78,6 @@ func weightedScenario(rng *rand.Rand) *Index {
 func TestSlabWithMassCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := randomScenario(rng)
-	six := slabFromIndex(t, ix)
 	mc := NewMassCache(0)
 	queries := propertyQueries(rng, ix)
 	for round := 0; round < 3; round++ {
@@ -100,7 +86,7 @@ func TestSlabWithMassCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gs, err := six.SOIContext(context.Background(), q, mc)
+			got, gs, err := ix.SOIContext(context.Background(), q, CostAware, mc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,25 +107,23 @@ func TestSlabWithMassCache(t *testing.T) {
 
 // TestCompactIndexRouting: every Index entry point routes to the index's
 // evaluator — same answer and, counter for counter, the same work as
-// SOIResolved on it, under either schedule.
+// soiResolved on it, under either schedule.
 func TestCompactIndexRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ix := randomScenario(rng)
-	six := ix.SlabIndex()
 	ctx := context.Background()
 	q := Query{Keywords: []string{"shop", "food"}, K: 3, Epsilon: 0.4}
-	query, err := six.Resolve(q)
+	query, err := ix.resolve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, strat := range []Strategy{CostAware, RoundRobin} {
-		want, ws, err := six.SOIResolved(ctx, query, q.K, q.Epsilon, strat, nil, nil)
+		want, ws, err := ix.soiResolved(ctx, query, q.K, q.Epsilon, strat, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		entries := map[string]func() ([]StreetResult, Stats, error){
 			"SOIWithStrategy": func() ([]StreetResult, Stats, error) { return ix.SOIWithStrategy(q, strat) },
-			"SOIWithCache":    func() ([]StreetResult, Stats, error) { return ix.SOIWithCache(q, strat, nil) },
 			"SOIContext":      func() ([]StreetResult, Stats, error) { return ix.SOIContext(ctx, q, strat, nil) },
 		}
 		if strat == CostAware {
@@ -166,7 +150,7 @@ func TestCompactIndexRouting(t *testing.T) {
 func TestIndexFromSlabRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	ix := randomScenario(rng)
-	dec, err := grid.DecodeSlab(ix.SlabIndex().Slab().AppendBinary(nil))
+	dec, err := grid.DecodeSlab(ix.Slab().AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,27 +181,25 @@ func TestIndexFromSlabRoundTrip(t *testing.T) {
 func TestSlabContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ix := randomScenario(rng)
-	six := slabFromIndex(t, ix)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := six.SOIContext(ctx, Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.2}, nil); err == nil {
+	if _, _, err := ix.SOIContext(ctx, Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.2}, CostAware, nil); err == nil {
 		t.Fatal("expired context accepted")
 	}
-	if _, _, err := six.SOI(Query{Keywords: []string{"shop"}, K: 0, Epsilon: 0.2}); err == nil {
+	if _, _, err := ix.SOI(Query{Keywords: []string{"shop"}, K: 0, Epsilon: 0.2}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := six.SOIResolved(context.Background(), nil, 1, -1, CostAware, nil, nil); err == nil {
+	if _, _, err := ix.soiResolved(context.Background(), nil, 1, -1, CostAware, nil, nil); err == nil {
 		t.Fatal("negative epsilon accepted")
 	}
 }
 
-// TestSlabRunReuse hammers one SlabIndex with many queries from the same
+// TestSlabRunReuse hammers one Index with many queries from the same
 // goroutine so pooled runs are reused across epochs, and cross-checks
 // every answer — stale scratch state would surface as a mismatch.
 func TestSlabRunReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ix := randomScenario(rng)
-	six := slabFromIndex(t, ix)
 	queries := propertyQueries(rng, ix)
 	for round := 0; round < 40; round++ {
 		q := queries[round%len(queries)]
@@ -225,10 +207,48 @@ func TestSlabRunReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := six.SOI(q)
+		got, _, err := ix.SOI(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResults(t, "reuse", got, want)
+	}
+}
+
+// TestMassCacheInternsWithinBudget: a static index's cache lives as long
+// as the process, so the keyword sets it interns are charged against the
+// entry budget like the masses they key. A sweep over more distinct sets
+// than the budget must leave the intern table bounded, and the sets it
+// refused evaluate uncached — same answers, bit for bit, both times round.
+func TestMassCacheInternsWithinBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ix := randomScenario(rng)
+	words := []string{"shop", "food", "museum", "park", "school"}
+	const budget = 8
+	mc := NewMassCache(budget)
+	for round := 0; round < 2; round++ {
+		for set := 1; set < 1<<len(words); set++ {
+			q := Query{K: 3, Epsilon: 0.4}
+			for i, w := range words {
+				if set&(1<<i) != 0 {
+					q.Keywords = append(q.Keywords, w)
+				}
+			}
+			want, _, err := ix.SOIContext(context.Background(), q, CostAware, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := ix.SOIContext(context.Background(), q, CostAware, mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, "cached vs uncached", got, want)
+		}
+	}
+	if n := len(mc.psis); n == 0 || n > budget {
+		t.Fatalf("%d keyword sets interned under a budget of %d entries", n, budget)
+	}
+	if n := len(mc.psis) + mc.Len(); n > budget {
+		t.Fatalf("%d sets and masses held under a budget of %d entries", n, budget)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // snapshot load does.
 func slabOpened(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	opened, err := NewIndexFromSlab(ix.Network(), ix.POIs(), ix.SlabIndex().Slab())
+	opened, err := NewIndexFromSlab(ix.Network(), ix.POIs(), ix.Slab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSlabOpenSharesSL3Order(t *testing.T) {
 			t.Fatalf("world %d has no segments", w)
 		}
 		for name, ix := range map[string]*Index{"built": built, "slab-opened": slabOpened(t, built)} {
-			if !slices.Equal(ix.six.segsByLen, want) {
+			if !slices.Equal(ix.segsByLen, want) {
 				t.Fatalf("world %d: SL3 of the %s index is not the (length, id) order", w, name)
 			}
 		}

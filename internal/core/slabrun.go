@@ -10,7 +10,7 @@ import (
 	"repro/internal/vocab"
 )
 
-// slabRun is the pooled per-query scratch of a SlabIndex evaluation. All
+// slabRun is the pooled per-query scratch of an Index evaluation. All
 // per-segment, per-cell and per-street state lives in dense arrays
 // stamped with a run epoch: a slot belongs to the current run only when
 // its stamp equals the epoch, so "clearing" the state between runs is a
@@ -23,7 +23,7 @@ import (
 // final mass is folded in canonical Cε(ℓ) order whatever order the run
 // visited the cells in.
 type slabRun struct {
-	six  *SlabIndex
+	ix   *Index
 	plan *slabPlan
 
 	epoch uint32
@@ -52,7 +52,7 @@ type slabRun struct {
 	sl1CellBuf []int32
 	sl1WBuf    []float64
 	sl1Sorter  sl1Sorter
-	// queryBuf backs the query of a bound-only run: SlabIndex.unseenBound
+	// queryBuf backs the query of a bound-only run: Index.UnseenBound
 	// resolves the keywords into it instead of allocating a set.
 	queryBuf vocab.Set
 
@@ -125,10 +125,10 @@ func growF64(s []float64, n int) []float64 {
 // the epoch, sizes every arena, resets the append buffers and builds SL1.
 func (r *slabRun) begin(plan *slabPlan) {
 	r.plan = plan
-	six := r.six
-	numSegs := len(six.segLen)
-	numCells := six.slab.NumCells()
-	numStreets := six.net.NumStreets()
+	ix := r.ix
+	numSegs := len(ix.segLen)
+	numCells := ix.slab.NumCells()
+	numStreets := ix.net.NumStreets()
 	numPairs := len(plan.segCell)
 
 	r.nextEpoch()
@@ -202,7 +202,7 @@ func (r *slabRun) release() {
 // sorted; a multi-keyword list is the accumulated cells (accumulate) with
 // their capped weights (cappedAcc).
 func (r *slabRun) buildSL1() {
-	s := r.six.slab
+	s := r.ix.slab
 	if len(r.query) == 1 {
 		kw := r.query[0]
 		if int(kw) >= s.VocabN {
@@ -234,7 +234,7 @@ func (r *slabRun) buildSL1() {
 // not cover contribute nothing. accW and accStamp must be sized to the
 // cell count and the epoch must be fresh.
 func (r *slabRun) accumulate() {
-	s := r.six.slab
+	s := r.ix.slab
 	r.accTouched = r.accTouched[:0]
 	for _, kw := range r.query {
 		if int(kw) >= s.VocabN {
@@ -257,7 +257,7 @@ func (r *slabRun) accumulate() {
 // query keywords counts once.
 func (r *slabRun) cappedAcc(ord int32) float64 {
 	w := r.accW[ord]
-	if tw := r.six.slab.CellWeight[ord]; w > tw {
+	if tw := r.ix.slab.CellWeight[ord]; w > tw {
 		w = tw
 	}
 	return w
@@ -271,7 +271,7 @@ func (r *slabRun) cappedAcc(ord int32) float64 {
 // arrays are sized, so a bound-only run never pays for the per-segment
 // and per-pair arenas of a full evaluation.
 func (r *slabRun) topSL1() float64 {
-	s := r.six.slab
+	s := r.ix.slab
 	if len(r.query) == 1 {
 		kw := r.query[0]
 		if int(kw) >= s.VocabN || s.InvOff[kw] == s.InvOff[kw+1] {
@@ -333,10 +333,10 @@ func (r *slabRun) checkpoint(site string) error {
 
 // segGeom reconstructs a segment's geometry from the flattened arrays.
 func (r *slabRun) segGeom(sid uint32) geo.Segment {
-	six := r.six
+	ix := r.ix
 	return geo.Segment{
-		A: geo.Point{X: six.segAX[sid], Y: six.segAY[sid]},
-		B: geo.Point{X: six.segBX[sid], Y: six.segBY[sid]},
+		A: geo.Point{X: ix.segAX[sid], Y: ix.segAY[sid]},
+		B: geo.Point{X: ix.segBX[sid], Y: ix.segBY[sid]},
 	}
 }
 
@@ -352,7 +352,7 @@ func (r *slabRun) relRange(ord int32) (uint32, uint32) {
 	}
 	r.relStamp[ord] = r.epoch
 	lo := uint32(len(r.relX))
-	s := r.six.slab
+	s := r.ix.slab
 	kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
 	if len(r.query) == 1 {
 		if j := findKw(s.CellKw[kwLo:kwHi], r.query[0]); j >= 0 {
@@ -401,7 +401,7 @@ func (r *slabRun) relRange(ord int32) (uint32, uint32) {
 
 // appendRel copies the POIs of one postings range into the arenas.
 func (r *slabRun) appendRel(postings []uint32) {
-	s := r.six.slab
+	s := r.ix.slab
 	for _, m := range postings {
 		r.relX = append(r.relX, s.ObjX[m])
 		r.relY = append(r.relY, s.ObjY[m])
@@ -451,7 +451,7 @@ func (r *slabRun) ensureSeen(sid uint32) {
 			r.stats.SegmentsFinal++
 			r.stats.SegmentCacheHits++
 			if m > 0 {
-				r.topk.update(r.six.segStreet[sid], Interest(m, r.six.segLen[sid], r.eps), r.epoch)
+				r.topk.update(r.ix.segStreet[sid], Interest(m, r.ix.segLen[sid], r.eps), r.epoch)
 			}
 			return
 		}
@@ -503,7 +503,7 @@ func (r *slabRun) applyVisit(sid uint32, pair uint32, ord int32) {
 		r.finalizeMass(sid)
 	}
 	if r.segMass[sid] > 0 {
-		r.topk.update(r.six.segStreet[sid], Interest(r.segMass[sid], r.six.segLen[sid], r.eps), r.epoch)
+		r.topk.update(r.ix.segStreet[sid], Interest(r.segMass[sid], r.ix.segLen[sid], r.eps), r.epoch)
 	}
 }
 
@@ -541,14 +541,14 @@ func (r *slabRun) skipFinal(list []network.SegmentID, p int) int {
 // empty).
 func (r *slabRun) unseenUpperBound() float64 {
 	r.p2 = r.skipFinal(r.plan.sl2, r.p2)
-	r.p3 = r.skipFinal(r.six.segsByLen, r.p3)
-	if r.p1 >= len(r.sl1Cell) || r.p2 >= len(r.plan.sl2) || r.p3 >= len(r.six.segsByLen) {
+	r.p3 = r.skipFinal(r.ix.segsByLen, r.p3)
+	if r.p1 >= len(r.sl1Cell) || r.p2 >= len(r.plan.sl2) || r.p3 >= len(r.ix.segsByLen) {
 		return 0
 	}
 	top1 := r.sl1W[r.p1]
 	sid2 := r.plan.sl2[r.p2]
 	top2 := float64(r.plan.segCellOff[sid2+1] - r.plan.segCellOff[sid2])
-	top3 := r.six.segLen[r.six.segsByLen[r.p3]]
+	top3 := r.ix.segLen[r.ix.segsByLen[r.p3]]
 	return Interest(top1*top2, top3, r.eps)
 }
 
@@ -600,7 +600,7 @@ func (r *slabRun) filter() error {
 	}
 	// avgCells calibrates the SL2 outlier threshold.
 	totalPairs := len(r.plan.segCell)
-	numSegs := len(r.six.segLen)
+	numSegs := len(r.ix.segLen)
 	avgCells := 1.0
 	if numSegs > 0 {
 		avgCells = float64(totalPairs) / float64(numSegs)
@@ -630,16 +630,16 @@ func (r *slabRun) filter() error {
 		r.popSL1()
 		// SL3 accesses: finalize short segments while cheap; each pop
 		// raises top(SL3) and with it the unseen bound's denominator.
-		r.p3 = r.skipFinal(r.six.segsByLen, r.p3)
-		for burst := 0; burst < 4 && r.p3 < len(r.six.segsByLen); burst++ {
-			sid := r.six.segsByLen[r.p3]
+		r.p3 = r.skipFinal(r.ix.segsByLen, r.p3)
+		for burst := 0; burst < 4 && r.p3 < len(r.ix.segsByLen); burst++ {
+			sid := r.ix.segsByLen[r.p3]
 			if r.remainingCells(sid) > cheapCells {
 				break
 			}
 			r.stats.SL3Accesses++
 			r.finalizeSegment(sid)
 			r.p3++
-			r.p3 = r.skipFinal(r.six.segsByLen, r.p3)
+			r.p3 = r.skipFinal(r.ix.segsByLen, r.p3)
 		}
 		// SL2 access: finalize a segment only while the head of SL2 is an
 		// outlier in neighboring-cell count, shrinking top(SL2).
@@ -671,7 +671,7 @@ func (r *slabRun) popSL1() {
 // access strategy; it yields the same result set but typically finalizes
 // far more segments than the cost-aware schedule.
 func (r *slabRun) filterRoundRobin() error {
-	sl2, sl3 := r.plan.sl2, r.six.segsByLen
+	sl2, sl3 := r.plan.sl2, r.ix.segsByLen
 	for src := 0; ; src = (src + 1) % 3 {
 		// Strict stop, as in the cost-aware schedule: ties at the k-th
 		// rank must be seen before the filter may stop.
@@ -735,7 +735,7 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 			continue
 		}
 		r.candSid = append(r.candSid, sid)
-		r.candUB = append(r.candUB, Interest(pot, r.six.segLen[sid], r.eps))
+		r.candUB = append(r.candUB, Interest(pot, r.ix.segLen[sid], r.eps))
 	}
 	r.candSorter.sids = r.candSid
 	r.candSorter.ubs = r.candUB
@@ -762,8 +762,8 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 		if mass <= 0 {
 			continue
 		}
-		in := Interest(mass, r.six.segLen[sid], r.eps)
-		street := r.six.segStreet[sid]
+		in := Interest(mass, r.ix.segLen[sid], r.eps)
+		street := r.ix.segStreet[sid]
 		r.exact.update(street, in, r.epoch)
 		if r.sbStamp[street] != r.epoch {
 			r.sbStamp[street] = r.epoch
@@ -781,7 +781,7 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 	for _, street := range r.sbTouched {
 		out = append(out, StreetResult{
 			Street:      network.StreetID(street),
-			Name:        r.six.net.Street(network.StreetID(street)).Name,
+			Name:        r.ix.net.Street(network.StreetID(street)).Name,
 			Interest:    r.sbInterest[street],
 			BestSegment: network.SegmentID(r.sbSeg[street]),
 			Mass:        r.sbMass[street],

@@ -21,15 +21,17 @@ import (
 // the cache. MassCache is safe for concurrent use; it is sharded to keep
 // lock contention off the hot path.
 //
-// The cache grows up to a configured entry budget and then stops
-// admitting new entries (existing ones keep serving hits). It belongs to
-// one index: an ingest epoch gets a fresh one.
+// The cache grows up to a configured entry budget — cached masses and
+// interned keyword sets alike — and then stops admitting new entries
+// (existing ones keep serving hits; a query over a keyword set it could
+// not intern evaluates uncached). It belongs to one index: an ingest
+// epoch gets a fresh one.
 type MassCache struct {
 	psiMu sync.Mutex
 	psis  map[string]uint32 // canonical resolved keyword set → dense id
 
 	limit  int64
-	size   int64 // guarded by psiMu
+	size   int64 // masses plus interned sets; guarded by psiMu
 	finals [massCacheShards]finalShard
 }
 
@@ -91,8 +93,10 @@ func (mc *MassCache) Len() int {
 }
 
 // psiID interns a resolved keyword set into a dense id, so that mass keys
-// stay small and hash quickly.
-func (mc *MassCache) psiID(query vocab.Set) uint32 {
+// stay small and hash quickly. A new set is charged one entry against the
+// budget; once that is spent it is refused, and the caller evaluates
+// without the cache.
+func (mc *MassCache) psiID(query vocab.Set) (uint32, bool) {
 	var b strings.Builder
 	for _, id := range query {
 		b.WriteByte(byte(id))
@@ -104,11 +108,15 @@ func (mc *MassCache) psiID(query vocab.Set) uint32 {
 	mc.psiMu.Lock()
 	defer mc.psiMu.Unlock()
 	if id, ok := mc.psis[key]; ok {
-		return id
+		return id, true
 	}
+	if mc.size >= mc.limit {
+		return 0, false
+	}
+	mc.size++
 	id := uint32(len(mc.psis))
 	mc.psis[key] = id
-	return id
+	return id, true
 }
 
 func (mc *MassCache) finalShardFor(k finalKey) *finalShard {
@@ -203,34 +211,29 @@ func (ix *Index) SOI(q Query) ([]StreetResult, Stats, error) {
 
 // SOIWithStrategy is SOI with an explicit source-list access strategy.
 func (ix *Index) SOIWithStrategy(q Query, strat Strategy) ([]StreetResult, Stats, error) {
-	return ix.SOIWithCache(q, strat, nil)
+	return ix.SOIContext(context.Background(), q, strat, nil)
 }
 
-// SOIWithCache is SOIWithStrategy with an optional shared MassCache. A
-// nil cache evaluates the query standalone. Because cached contributions
-// are the bit-exact values the standalone path computes, the results are
-// identical either way; only the work to obtain them is shared.
-func (ix *Index) SOIWithCache(q Query, strat Strategy, mc *MassCache) ([]StreetResult, Stats, error) {
-	return ix.SOIContext(context.Background(), q, strat, mc)
-}
-
-// SOIContext is the full evaluation entry point: SOIWithCache under a
-// context. An already-expired context returns its error without touching
-// the index; a context cancelled mid-evaluation is observed at a
-// cooperative checkpoint inside the filter and refine loops (every
-// cancelCheckEvery iterations) and surfaces as the context's error with
-// the partial Stats accumulated so far. On the non-cancelled path the
-// checkpoints read state only, so results remain bit-identical to an
-// uncancellable evaluation.
+// SOIContext is the full evaluation entry point: SOIWithStrategy under a
+// context, with an optional shared MassCache. A nil cache evaluates the
+// query standalone; because cached contributions are the bit-exact values
+// the standalone path computes, the results are identical either way and
+// only the work to obtain them is shared. An already-expired context
+// returns its error without touching the index; a context cancelled
+// mid-evaluation is observed at a cooperative checkpoint inside the
+// filter and refine loops (every cancelCheckEvery iterations) and
+// surfaces as the context's error with the partial Stats accumulated so
+// far. On the non-cancelled path the checkpoints read state only, so
+// results remain bit-identical to an uncancellable evaluation.
 func (ix *Index) SOIContext(ctx context.Context, q Query, strat Strategy, mc *MassCache) ([]StreetResult, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	query, err := ix.six.Resolve(q)
+	query, err := ix.resolve(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ix.six.SOIResolved(ctx, query, q.K, q.Epsilon, strat, mc, nil)
+	return ix.soiResolved(ctx, query, q.K, q.Epsilon, strat, mc, nil)
 }
 
 // SortResults orders street results canonically: by decreasing interest,

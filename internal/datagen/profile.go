@@ -21,7 +21,9 @@
 package datagen
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/geo"
 )
@@ -299,6 +301,23 @@ func Vienna() Profile {
 // Profiles returns the three city profiles in the paper's order.
 func Profiles() []Profile {
 	return []Profile{London(), Berlin(), Vienna()}
+}
+
+// ProfileByName returns the profile a tool's -city flag names, case
+// insensitive: london, berlin, vienna, or small (Small with seed 1).
+func ProfileByName(name string) (Profile, error) {
+	switch strings.ToLower(name) {
+	case "london":
+		return London(), nil
+	case "berlin":
+		return Berlin(), nil
+	case "vienna":
+		return Vienna(), nil
+	case "small":
+		return Small(1), nil
+	default:
+		return Profile{}, fmt.Errorf("unknown city %q", name)
+	}
 }
 
 // Small returns a scaled-down city for tests and examples: the Berlin

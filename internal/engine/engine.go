@@ -97,11 +97,11 @@ type Config struct {
 	// query on top of the caller's context. 0 means no engine-level
 	// deadline; a caller deadline that is earlier always wins.
 	QueryTimeout time.Duration
-	// Recorder, when non-nil, receives cumulative observability counters
-	// and latency histograms: cache traffic, worker-pool pressure,
+	// Recorder receives the cumulative observability counters and latency
+	// histograms: cache traffic, worker-pool pressure, admission outcomes,
 	// per-query wall time, and the folded Algorithm 1 pruning counters of
-	// every evaluation. A nil recorder disables recording at the cost of
-	// one branch per query.
+	// every evaluation. Nil means a private recorder, read through
+	// Executor.Recorder.
 	Recorder *stats.Recorder
 	// Source, when non-nil, makes the executor resolve the serving index
 	// per query through the epoch source instead of the fixed index
@@ -166,30 +166,6 @@ func (r Result) EncodedBody(encode func([]core.StreetResult) []byte) []byte {
 	return r.entry.body
 }
 
-// Metrics are the executor's cumulative counters; safe to read
-// concurrently with query traffic.
-type Metrics struct {
-	// Queries counts every Do/Batch query received.
-	Queries uint64
-	// CacheHits counts queries answered from the LRU cache.
-	CacheHits uint64
-	// DedupHits counts queries that joined an identical in-flight
-	// evaluation instead of starting their own.
-	DedupHits uint64
-	// Evaluations counts queries that ran the SOI algorithm.
-	Evaluations uint64
-	// Shed counts queries rejected by admission control (ErrOverloaded).
-	Shed uint64
-	// Cancelled counts queries that ended with context.Canceled.
-	Cancelled uint64
-	// DeadlineExceeded counts queries that ended with
-	// context.DeadlineExceeded.
-	DeadlineExceeded uint64
-	// PanicsRecovered counts evaluations whose panic was isolated into a
-	// per-query PanicError.
-	PanicsRecovered uint64
-}
-
 // Executor evaluates k-SOI queries over one shared index. It is safe for
 // concurrent use.
 type Executor struct {
@@ -199,20 +175,11 @@ type Executor struct {
 
 	cache  *LRU[string, *cacheEntry] // nil when result caching is disabled
 	mass   *core.MassCache           // nil when mass sharing is disabled
-	rec    *stats.Recorder           // nil when observability recording is disabled
+	rec    *stats.Recorder           // never nil
 	source EpochSource               // nil for a fixed-index executor
 
 	flightMu sync.Mutex
 	flight   map[string]*flight
-
-	queries          atomic.Uint64
-	cacheHits        atomic.Uint64
-	dedupHits        atomic.Uint64
-	evaluations      atomic.Uint64
-	shed             atomic.Uint64
-	cancelled        atomic.Uint64
-	deadlineExceeded atomic.Uint64
-	panicsRecovered  atomic.Uint64
 }
 
 // flight is one in-progress evaluation that late arrivals can join.
@@ -230,6 +197,9 @@ func New(ix *core.Index, cfg Config) *Executor {
 		flight:       make(map[string]*flight),
 		rec:          cfg.Recorder,
 		source:       cfg.Source,
+	}
+	if e.rec == nil {
+		e.rec = stats.NewRecorder()
 	}
 	switch {
 	case cfg.CacheSize == 0:
@@ -261,23 +231,9 @@ func (e *Executor) Index() *core.Index { return e.ix }
 // Workers returns the worker-pool bound.
 func (e *Executor) Workers() int { return e.gate.Slots() }
 
-// Recorder returns the executor's observability recorder (nil when
-// recording is disabled).
+// Recorder returns the executor's observability recorder: the one
+// Config named, or the private one New installed in its place.
 func (e *Executor) Recorder() *stats.Recorder { return e.rec }
-
-// Metrics returns a snapshot of the cumulative counters.
-func (e *Executor) Metrics() Metrics {
-	return Metrics{
-		Queries:          e.queries.Load(),
-		CacheHits:        e.cacheHits.Load(),
-		DedupHits:        e.dedupHits.Load(),
-		Evaluations:      e.evaluations.Load(),
-		Shed:             e.shed.Load(),
-		Cancelled:        e.cancelled.Load(),
-		DeadlineExceeded: e.deadlineExceeded.Load(),
-		PanicsRecovered:  e.panicsRecovered.Load(),
-	}
-}
 
 // Invalidate drops every cached result and shared mass contribution.
 func (e *Executor) Invalidate() {
@@ -302,10 +258,7 @@ func (e *Executor) Do(q core.Query) Result {
 // top of the caller's deadline. The outcome is classified into the
 // shed/cancelled/deadline-exceeded counters.
 func (e *Executor) DoCtx(ctx context.Context, q core.Query) Result {
-	e.queries.Add(1)
-	if e.rec != nil {
-		e.rec.Engine.Queries.Add(1)
-	}
+	e.rec.Engine.Queries.Add(1)
 	if err := q.Validate(); err != nil {
 		// Invalid queries are not cached: the error is cheaper to
 		// recompute than a cache slot.
@@ -335,20 +288,11 @@ func (e *Executor) classify(err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrOverloaded):
-		e.shed.Add(1)
-		if e.rec != nil {
-			e.rec.Engine.Shed.Add(1)
-		}
+		e.rec.Engine.Shed.Add(1)
 	case errors.Is(err, context.Canceled):
-		e.cancelled.Add(1)
-		if e.rec != nil {
-			e.rec.Engine.Cancelled.Add(1)
-		}
+		e.rec.Engine.Cancelled.Add(1)
 	case errors.Is(err, context.DeadlineExceeded):
-		e.deadlineExceeded.Add(1)
-		if e.rec != nil {
-			e.rec.Engine.DeadlineExceeded.Add(1)
-		}
+		e.rec.Engine.DeadlineExceeded.Add(1)
 	}
 }
 
@@ -370,17 +314,12 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 	for {
 		if e.cache != nil {
 			if ce, ok := e.cache.Get(key); ok {
-				e.cacheHits.Add(1)
-				if e.rec != nil {
-					e.rec.Engine.ResultCacheHits.Add(1)
-				}
+				e.rec.Engine.ResultCacheHits.Add(1)
 				res := ce.res
 				res.Cached, res.entry = true, ce
 				return res
 			}
-			if e.rec != nil {
-				e.rec.Engine.ResultCacheMisses.Add(1)
-			}
+			e.rec.Engine.ResultCacheMisses.Add(1)
 		}
 		e.flightMu.Lock()
 		if f, ok := e.flight[key]; ok {
@@ -392,10 +331,7 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 			}
 			res := f.res
 			if res.Err == nil {
-				e.dedupHits.Add(1)
-				if e.rec != nil {
-					e.rec.Engine.DedupJoins.Add(1)
-				}
+				e.rec.Engine.DedupJoins.Add(1)
 				res.Cached = true
 				return res
 			}
@@ -404,10 +340,7 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 				// is gone, so loop and evaluate the query ourselves.
 				continue
 			}
-			e.dedupHits.Add(1)
-			if e.rec != nil {
-				e.rec.Engine.DedupJoins.Add(1)
-			}
+			e.rec.Engine.DedupJoins.Add(1)
 			// Errors are never cached, so a joined error is Cached: false.
 			res.Cached = false
 			return res
@@ -433,20 +366,10 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 // bounds concurrent evaluations engine-wide, covering both Batch workers
 // and direct Do callers (e.g. HTTP handlers). Admission control happens
 // here: a query that cannot get a slot in time returns without
-// evaluating. With a recorder attached it additionally observes queue
-// depth, queue wait, in-flight count, evaluation wall time and the run's
-// pruning counters; the nil-recorder path performs no time syscalls
-// beyond the evaluation itself.
+// evaluating. The recorder observes queue depth, queue wait, in-flight
+// count, evaluation wall time and the run's pruning counters.
 func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, mass *core.MassCache) ([]core.StreetResult, core.Stats, error) {
 	rec := e.rec
-	if rec == nil {
-		if err := e.gate.Acquire(ctx); err != nil {
-			return nil, core.Stats{}, err
-		}
-		defer e.gate.Release()
-		e.evaluations.Add(1)
-		return e.run(ctx, q, ix, mass)
-	}
 	depth := rec.Engine.QueueDepth.Add(1)
 	rec.Engine.PeakQueueDepth.SetMax(depth)
 	waitStart := time.Now()
@@ -457,7 +380,6 @@ func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, m
 		return nil, core.Stats{}, err
 	}
 	defer e.gate.Release()
-	e.evaluations.Add(1)
 	inFlight := rec.Engine.InFlight.Add(1)
 	rec.Engine.PeakInFlight.SetMax(inFlight)
 	defer rec.Engine.InFlight.Add(-1)
@@ -480,10 +402,7 @@ func (e *Executor) run(ctx context.Context, q core.Query, ix *core.Index, mass *
 		if v := recover(); v != nil {
 			streets, st = nil, core.Stats{}
 			err = &PanicError{Value: v}
-			e.panicsRecovered.Add(1)
-			if e.rec != nil {
-				e.rec.Engine.PanicsRecovered.Add(1)
-			}
+			e.rec.Engine.PanicsRecovered.Add(1)
 		}
 	}()
 	if ferr := faults.InjectCtx(ctx, SiteEvaluate); ferr != nil {
@@ -518,13 +437,10 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 	}
 	groups := make(map[string]*group, len(qs))
 	var order []string
-	if e.rec != nil {
-		e.rec.Engine.BatchRequests.Add(1)
-		e.rec.Engine.BatchQueries.Add(int64(len(qs)))
-		e.rec.Engine.Queries.Add(int64(len(qs)))
-	}
+	e.rec.Engine.BatchRequests.Add(1)
+	e.rec.Engine.BatchQueries.Add(int64(len(qs)))
+	e.rec.Engine.Queries.Add(int64(len(qs)))
 	for i, q := range qs {
-		e.queries.Add(1)
 		if err := q.Validate(); err != nil {
 			out[i] = Result{Err: err}
 			continue
@@ -540,9 +456,7 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 		}
 		g.members = append(g.members, i)
 	}
-	if e.rec != nil {
-		e.rec.Engine.BatchGroups.Add(int64(len(order)))
-	}
+	e.rec.Engine.BatchGroups.Add(int64(len(order)))
 	workers := e.Workers()
 	if workers > len(order) {
 		workers = len(order)

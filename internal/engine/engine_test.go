@@ -97,8 +97,8 @@ func TestCacheHitAndMetrics(t *testing.T) {
 		t.Fatal("second evaluation not served from cache")
 	}
 	sameResults(t, second.Streets, first.Streets)
-	m := e.Metrics()
-	if m.Queries != 2 || m.CacheHits != 1 || m.Evaluations != 1 {
+	m := e.Recorder().Snapshot().Engine
+	if m.Queries != 2 || m.ResultCacheHits != 1 || m.Evaluations != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -141,7 +141,7 @@ func TestCacheDisabled(t *testing.T) {
 	if res := e.Do(q); res.Cached {
 		t.Fatal("cache disabled but result served from cache")
 	}
-	if m := e.Metrics(); m.Evaluations != 2 {
+	if m := e.Recorder().Snapshot().Engine; m.Evaluations != 2 {
 		t.Fatalf("evaluations = %d, want 2", m.Evaluations)
 	}
 }
@@ -253,11 +253,11 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	m := e.Metrics()
+	m := e.Recorder().Snapshot().Engine
 	if m.Queries != goroutines*perG {
 		t.Fatalf("queries = %d, want %d", m.Queries, goroutines*perG)
 	}
-	if m.Evaluations+m.CacheHits+m.DedupHits != m.Queries {
+	if m.Evaluations+m.ResultCacheHits+m.DedupJoins != m.Queries {
 		t.Fatalf("counters do not add up: %+v", m)
 	}
 }
@@ -290,8 +290,8 @@ func TestConcurrentIdenticalQueries(t *testing.T) {
 		}
 		sameResults(t, res.Streets, want)
 	}
-	m := e.Metrics()
-	if m.Evaluations+m.DedupHits != goroutines {
+	m := e.Recorder().Snapshot().Engine
+	if m.Evaluations+m.DedupJoins != goroutines {
 		t.Fatalf("counters do not add up: %+v", m)
 	}
 }

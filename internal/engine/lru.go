@@ -8,9 +8,9 @@ import (
 // LRU is a mutex-guarded least-recently-used map bounded by the summed
 // weight of its values rather than their number — the one cache
 // structure of the tree: the executor's result cache holds every result
-// at weight 1, the soi.Engine's describe-context memo weighs a context by
-// the photos it holds. Stored values are shared with every reader and
-// must be treated as immutable.
+// at weight 1, as the soi.Engine's matcher memo does every radius, and its
+// describe-context memo weighs a context by the photos it holds. Stored
+// values are shared with every reader and must be treated as immutable.
 type LRU[K comparable, V any] struct {
 	mu     sync.Mutex
 	budget int64

@@ -42,7 +42,7 @@ func TestExpiredContextSkipsEvaluation(t *testing.T) {
 	if !errors.Is(res.Err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", res.Err)
 	}
-	m := e.Metrics()
+	m := e.Recorder().Snapshot().Engine
 	if m.Evaluations != 0 {
 		t.Fatalf("evaluations = %d, want 0 (expired query must not evaluate)", m.Evaluations)
 	}
@@ -74,7 +74,7 @@ func TestQueryTimeoutCutsLongEvaluation(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("QueryTimeout did not cut the wedged evaluation")
 	}
-	if m := e.Metrics(); m.DeadlineExceeded != 1 {
+	if m := e.Recorder().Snapshot().Engine; m.DeadlineExceeded != 1 {
 		t.Fatalf("deadline counter = %d, want 1", m.DeadlineExceeded)
 	}
 }
@@ -102,7 +102,7 @@ func TestCancellationObservedAtCheckpoint(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancellation was not observed at a checkpoint")
 	}
-	if m := e.Metrics(); m.Cancelled != 1 {
+	if m := e.Recorder().Snapshot().Engine; m.Cancelled != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", m.Cancelled)
 	}
 }
@@ -146,7 +146,7 @@ func TestShedWhenQueueFull(t *testing.T) {
 			t.Fatalf("admitted query %d never completed", i+1)
 		}
 	}
-	if m := e.Metrics(); m.Shed != 1 {
+	if m := e.Recorder().Snapshot().Engine; m.Shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", m.Shed)
 	}
 	if got := rec.Snapshot().Engine.Shed; got != 1 {
@@ -174,7 +174,7 @@ func TestShedOnMaxQueueWait(t *testing.T) {
 	if r := <-r1; r.Err != nil {
 		t.Fatalf("wedged query failed after unwedge: %v", r.Err)
 	}
-	if m := e.Metrics(); m.Shed != 1 {
+	if m := e.Recorder().Snapshot().Engine; m.Shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", m.Shed)
 	}
 }
@@ -197,7 +197,7 @@ func TestPanicRecoveredIsolatedPerQuery(t *testing.T) {
 	if pe.Value != "chaos" {
 		t.Fatalf("panic value = %v, want %q", pe.Value, "chaos")
 	}
-	if m := e.Metrics(); m.PanicsRecovered != 1 {
+	if m := e.Recorder().Snapshot().Engine; m.PanicsRecovered != 1 {
 		t.Fatalf("panics counter = %d, want 1", m.PanicsRecovered)
 	}
 	if got := rec.Snapshot().Engine.PanicsRecovered; got != 1 {
@@ -243,8 +243,8 @@ func TestDedupJoinedErrorNotCached(t *testing.T) {
 	if res.Cached {
 		t.Fatal("joined errored result reported Cached: true; errors are never cached")
 	}
-	if m := e.Metrics(); m.DedupHits != 1 {
-		t.Fatalf("dedup hits = %d, want 1", m.DedupHits)
+	if m := e.Recorder().Snapshot().Engine; m.DedupJoins != 1 {
+		t.Fatalf("dedup hits = %d, want 1", m.DedupJoins)
 	}
 }
 
@@ -293,7 +293,7 @@ func TestLeaderCancelledJoinerRetries(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("joiner never completed after the leader was cancelled")
 	}
-	if m := e.Metrics(); m.Cancelled != 1 {
+	if m := e.Recorder().Snapshot().Engine; m.Cancelled != 1 {
 		t.Fatalf("cancelled counter = %d, want 1 (leader only)", m.Cancelled)
 	}
 }
@@ -312,10 +312,10 @@ func TestBatchCtxClassifiesPerMember(t *testing.T) {
 			t.Fatalf("batch[%d] err = %v, want context.DeadlineExceeded", i, r.Err)
 		}
 	}
-	m := e.Metrics()
+	m := e.Recorder().Snapshot().Engine
 	// robustQuery(1) and robustQuery(2) coalesce into one group, the park
 	// query is its own group; classification is per member, not per group.
-	if m.DeadlineExceeded != uint64(len(qs)) {
+	if m.DeadlineExceeded != int64(len(qs)) {
 		t.Fatalf("deadline counter = %d, want %d (one per batch member)", m.DeadlineExceeded, len(qs))
 	}
 	if m.Evaluations != 0 {

@@ -163,7 +163,7 @@ func AblationCellSize(c *City, sizes []float64, trials int) ([]CellSizeAblationR
 		start = time.Now()
 		ix.Warm(Epsilon)
 		row.WarmTime = time.Since(start)
-		row.Cells = ix.SlabIndex().Slab().NumCells()
+		row.Cells = ix.Slab().NumCells()
 		var lastErr error
 		row.SOITime = medianOf(trials, func() {
 			if _, _, err := ix.SOI(q); err != nil {

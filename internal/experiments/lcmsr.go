@@ -51,11 +51,10 @@ func LCMSRCompare(c *City, k int) (LCMSRResult, error) {
 	// Vertex scores with the grid as the snap prefilter: candidate
 	// segments are those within ε of the POI's surroundings.
 	query, _ := c.Dataset.Dict.LookupAll(q.Keywords)
-	six := c.Index.SlabIndex()
-	slab := six.Slab()
+	slab := c.Index.Slab()
 	scores := lcmsr.VertexScoresWith(net, c.Dataset.POIs, query, func(loc geo.Point) []network.SegmentID {
 		// An indexed POI's cell is never empty.
-		return six.CellSegments(Epsilon, slab.OrdinalOf(slab.Lattice().CellIndex(loc)))
+		return c.Index.CellSegments(Epsilon, slab.OrdinalOf(slab.Lattice().CellIndex(loc)))
 	})
 	st := net.Stats()
 	snap := 0.0

@@ -17,7 +17,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/photo"
 	"repro/internal/poi"
-	"repro/internal/route"
+	"repro/internal/traj"
 	"repro/internal/vocab"
 )
 
@@ -194,7 +194,7 @@ func (fc *FeatureCollection) AddSummary(street string, rs []photo.Photo, dict *v
 
 // AddTour appends a recommended tour: a MultiLineString of the approach
 // walks plus one Point marker per stop.
-func (fc *FeatureCollection) AddTour(net *network.Network, tour route.Tour) {
+func (fc *FeatureCollection) AddTour(net *network.Network, tour traj.Tour) {
 	var walks [][][]float64
 	for _, stop := range tour.Stops {
 		if len(stop.Approach.Vertices) < 2 {

@@ -2,6 +2,7 @@ package geojson
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/photo"
-	"repro/internal/route"
+	"repro/internal/traj"
 	"repro/internal/vocab"
 )
 
@@ -104,8 +105,8 @@ func TestAddSummary(t *testing.T) {
 
 func TestAddTour(t *testing.T) {
 	net := testNetwork(t)
-	g := route.NewGraph(net)
-	tour, err := route.Recommend(g, []route.Candidate{
+	g := traj.NewGraph(net, 0)
+	tour, err := traj.Recommend(context.Background(), g, []traj.Candidate{
 		{Street: 0, Interest: 5},
 		{Street: 1, Interest: 3},
 	}, 100)

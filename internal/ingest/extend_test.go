@@ -56,7 +56,7 @@ func mustMatchFromScratch(t *testing.T, label string, net *network.Network, ing 
 	if g, w := got.POIs().All(), want.POIs().All(); len(g) != len(w) || len(w) > 0 && !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: POIs differ from a from-scratch corpus", label)
 	}
-	if !bytes.Equal(got.SlabIndex().Slab().AppendBinary(nil), want.SlabIndex().Slab().AppendBinary(nil)) {
+	if !bytes.Equal(got.Slab().AppendBinary(nil), want.Slab().AppendBinary(nil)) {
 		t.Fatalf("%s: slab bytes differ from a from-scratch build", label)
 	}
 	for _, q := range append([]core.Query{{Keywords: []string{"zeppelin", "cafe"}, K: 4, Epsilon: 0.0007}}, testQueries...) {

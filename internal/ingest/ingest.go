@@ -480,7 +480,7 @@ func (ing *Ingestor) writeSnapshot(ix *core.Index) error {
 		Net:    ing.net,
 		POIs:   pois,
 		Photos: rb.Build(),
-		Slab:   ix.SlabIndex().Slab(),
+		Slab:   ix.Slab(),
 	})
 }
 

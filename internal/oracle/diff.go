@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -199,7 +200,7 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 		mc := core.NewMassCache(0)
 		for pass, label := range []string{"soi/cached-cold", "soi/cached-warm"} {
 			for i, q := range queries {
-				res, _, err := ix.SOIWithCache(q, core.CostAware, mc)
+				res, _, err := ix.SOIContext(context.Background(), q, core.CostAware, mc)
 				if err != nil {
 					report(label, q, "error: "+err.Error())
 					continue
@@ -230,7 +231,7 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 
 		// A serialize/reload round trip through the snapshot container
 		// must be lossless down to the last float bit.
-		blob, err := snapshot.Encode(&snapshot.Snapshot{Net: net, POIs: pois, Photos: photos, Slab: ix.SlabIndex().Slab()})
+		blob, err := snapshot.Encode(&snapshot.Snapshot{Net: net, POIs: pois, Photos: photos, Slab: ix.Slab()})
 		if err != nil {
 			return nil, fmt.Errorf("oracle: encoding snapshot (cell %g): %w", cell, err)
 		}

@@ -58,12 +58,10 @@ func NewServer(d ShardData, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/shard/meta", s.handleMeta)
 	s.mux.HandleFunc("/shard/query", s.handleQuery)
-	if rec := cfg.Engine.Recorder; rec != nil {
-		s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = rec.Snapshot().WritePrometheus(w)
-		})
-	}
+	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = s.exec.Recorder().Snapshot().WritePrometheus(w)
+	})
 	return s
 }
 
@@ -77,9 +75,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // reports 503 on /readyz so load balancers and half-open breaker probes
 // steer new traffic away.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the current drain flag.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // handleHealthz is pure liveness: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -134,9 +134,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // but reports 503 on /readyz so load balancers steer new traffic away.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports the current drain flag.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // handleHealthz is pure liveness: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -77,7 +77,7 @@ func TestPartitionReplicatesWholeNearCells(t *testing.T) {
 
 func checkShardCells(t *testing.T, label string, global *grid.Slab, net *network.Network, s *shard.Shard, halo float64) {
 	t.Helper()
-	local := s.Index.SlabIndex().Slab()
+	local := s.Index.Slab()
 	if local.Lattice() != global.Lattice() {
 		t.Fatalf("%s shard %d: lattice %+v, global %+v", label, s.ID, local.Lattice(), global.Lattice())
 	}

@@ -81,7 +81,7 @@ func TestShardEquivalence(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 7, 42} {
 		net, pois := tinyWorld(t, seed)
-		single, err := core.NewSlabIndex(net, pois, core.IndexConfig{CellSize: 0.0005})
+		single, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: 0.0005})
 		if err != nil {
 			t.Fatalf("seed %d: single index: %v", seed, err)
 		}

@@ -67,7 +67,7 @@ func WriteSnapshots(manifestPath string, w *World) error {
 			// Shards serve k-SOI only; an empty photo corpus sharing the
 			// dictionary satisfies the container's completeness contract.
 			Photos: photo.NewBuilder(s.POIs.Dict()).Build(),
-			Slab:   s.Index.SlabIndex().Slab(),
+			Slab:   s.Index.Slab(),
 		}
 		if err := snapshot.WriteFile(filepath.Join(dir, file), snap); err != nil {
 			return fmt.Errorf("shard: writing shard %d: %w", s.ID, err)

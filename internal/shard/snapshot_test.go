@@ -54,7 +54,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("snapshot round trip changed counters: %+v vs %+v", gs, wantGS)
 	}
 
-	single, err := core.NewSlabIndex(net, pois, core.IndexConfig{CellSize: 0.0005})
+	single, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLoadWorldFromParentLayout(t *testing.T) {
 	}
 	defer loaded.Close()
 
-	single, err := core.NewSlabIndex(net, pois, core.IndexConfig{CellSize: cell})
+	single, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func FuzzSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	six, err := core.NewSlabIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: 0.004})
+	six, err := core.NewIndex(ds.Network, ds.POIs, core.IndexConfig{CellSize: 0.004})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func testSnapshot(tb testing.TB) *snapshot.Snapshot {
 		tb.Fatal(err)
 	}
 	pois := ds.WeightedPOIs()
-	six, err := core.NewSlabIndex(ds.Network, pois, core.IndexConfig{CellSize: 0.01})
+	six, err := core.NewIndex(ds.Network, pois, core.IndexConfig{CellSize: 0.01})
 	if err != nil {
 		tb.Fatal(err)
 	}

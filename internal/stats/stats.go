@@ -14,11 +14,10 @@
 // iterations and pruning).
 //
 // All fields are safe for concurrent update and may be read at any time
-// with Snapshot. Producers hold a *Recorder that may be nil: every fold
-// helper (core.Stats.Record, diversify.Stats.Record, the engine's
-// internal observation points) starts with a nil check, so a disabled
-// recorder costs one predictable branch per query — nothing on the
-// per-cell and per-segment hot paths, which accumulate into their
+// with Snapshot. The fold helpers (core.Stats.Record,
+// diversify.Stats.Record) accept a nil *Recorder as "do not record"; the
+// engine's executor always has one. Either way nothing touches a recorder
+// on the per-cell and per-segment hot paths, which accumulate into their
 // existing per-run structs and fold once at the end of the run.
 package stats
 

@@ -2,7 +2,9 @@
 // the k most interesting routes between two points (a best-first path
 // search whose edge weight blends travel cost with per-segment interest
 // mass) and trajectory-aware SOI (streets ranked by interest restricted
-// to corridors actually traveled by user movement traces).
+// to corridors actually traveled by user movement traces). The tour
+// planner over a k-SOI answer (tour.go) walks the same graph type with the
+// same bounded search.
 //
 // Both queries are deliberately split from their inputs' provenance: the
 // search and the matcher consume a per-segment interest function, so the

@@ -37,7 +37,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/photo"
 	"repro/internal/poi"
-	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/traj"
 	"repro/internal/vocab"
@@ -205,8 +204,10 @@ type Engine struct {
 	// the mapped file); nil for engines built from in-memory data.
 	mapping io.Closer
 
-	graphOnce sync.Once
-	graph     *route.Graph
+	// tourG is the tour planner's walking graph (RecommendTourCtx), built
+	// on first use.
+	tourOnce sync.Once
+	tourG    *traj.Graph
 
 	photoIdxOnce sync.Once
 	photoIdx     *diversify.PhotoIndex
@@ -216,20 +217,19 @@ type Engine struct {
 	// (describeContext), weighted by the photos each context holds.
 	contexts *engine.LRU[contextKey, *diversify.Context]
 
-	// gate admits the query families that do not run through exec —
-	// routes, trajectories (traj.go) and describes — under the same
-	// Config knobs; queryTimeout is their per-query deadline.
+	// gate admits the work that does not run through exec — routes,
+	// trajectories (traj.go), describes and tour planning — under the
+	// same Config knobs; queryTimeout is their per-query deadline.
 	gate         *engine.Gate
 	queryTimeout time.Duration
 
 	// Trajectory query family (traj.go): the default snap radius of the
-	// (immutable) network, the lazily built search graph and per-radius
-	// matchers.
-	defaultSnap  float64
-	trajOnce     sync.Once
-	trajG        *traj.Graph
-	trajMatchMu  sync.Mutex
-	trajMatchers map[float64]*traj.Matcher
+	// (immutable) network, the lazily built search graph and the matchers
+	// of the most recently used radii.
+	defaultSnap float64
+	trajOnce    sync.Once
+	trajG       *traj.Graph
+	matchers    *engine.LRU[float64, *traj.Matcher]
 }
 
 // ErrUnknownStreet is returned by DescribeStreet for a street name that
@@ -345,6 +345,7 @@ func (e *Engine) serving(ix *core.Index, src engine.EpochSource, cfg Config) *En
 	e.queryTimeout = cfg.QueryTimeout
 	e.contexts = engine.NewLRU[contextKey, *diversify.Context](max(minContextMemoPhotos, int64(e.photos.Len())))
 	e.defaultSnap = traj.DefaultSnap(e.net)
+	e.matchers = engine.NewLRU[float64, *traj.Matcher](trajMatcherCacheSize)
 	return e
 }
 
@@ -548,9 +549,6 @@ func (e *Engine) TopStreetsBatchCtx(ctx context.Context, qs []Query) []BatchResu
 	return out
 }
 
-// QueryMetrics reports the engine's cumulative k-SOI executor counters.
-func (e *Engine) QueryMetrics() engine.Metrics { return e.exec.Metrics() }
-
 // StatsRecorder returns the engine's observability recorder; all k-SOI
 // and description traffic folds into it.
 func (e *Engine) StatsRecorder() *stats.Recorder { return e.rec }
@@ -596,9 +594,13 @@ func (e *Engine) RecommendTour(q Query, budget float64) (Tour, error) {
 	return e.RecommendTourCtx(context.Background(), q, budget)
 }
 
-// RecommendTourCtx is RecommendTour under a context; the k-SOI
-// evaluation it builds on observes cancellation and deadlines.
-func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) (Tour, error) {
+// RecommendTourCtx is RecommendTour under a context. The k-SOI evaluation
+// runs through the executor; the planner is then admitted through the
+// gate routes, trajectories and describes queue behind, runs under the
+// engine's QueryTimeout and observes cancellation in every search, so an
+// overloaded engine sheds it with ErrOverloaded and a panic in it is
+// isolated into a *PanicError.
+func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) (_ Tour, err error) {
 	er := e.exec.DoCtx(ctx, core.Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
 	if er.Err != nil {
 		return Tour{}, er.Err
@@ -607,23 +609,19 @@ func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) 
 	if len(res) == 0 {
 		return Tour{}, errors.New("soi: no street matches the query")
 	}
-	cands := make([]route.Candidate, len(res))
+	cands := make([]traj.Candidate, len(res))
 	for i, r := range res {
-		cands[i] = route.Candidate{Street: r.Street, Interest: r.Interest}
+		cands[i] = traj.Candidate{Street: r.Street, Interest: r.Interest}
 	}
-	e.graphOnce.Do(func() {
-		// Join streets that cross without sharing a vertex (the normal
-		// case for digitized data) with pedestrian connectors sized to
-		// the network's typical segment length.
-		st := e.net.Stats()
-		snap := 0.0
-		if st.NumSegments > 0 {
-			snap = 1.5 * st.TotalLen / float64(st.NumSegments)
-		}
-		e.graph = route.NewGraphConnected(e.net, snap)
-	})
-	tour, err := route.Recommend(e.graph, cands, budget)
+	qctx, done, err := e.admit(ctx)
 	if err != nil {
+		return Tour{}, err
+	}
+	defer done()
+	defer e.recovered(&err)
+	tour, err := traj.Recommend(qctx, e.tourGraph(), cands, budget)
+	if err != nil {
+		e.outcome(err)
 		return Tour{}, err
 	}
 	out := Tour{Length: tour.Length, Interest: tour.Interest}
@@ -638,6 +636,16 @@ func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) 
 		out.Unreached = append(out.Unreached, UnreachedStreet{Street: u.Name, Interest: u.Interest})
 	}
 	return out, nil
+}
+
+// tourGraph lazily builds the tour planner's walking graph. Its
+// connectors reach 1.5× the network's mean segment length — twice the
+// route search's DefaultSnap, which keeps its branching factor small —
+// wide enough to join streets that cross without sharing a vertex (the
+// normal case for digitized data).
+func (e *Engine) tourGraph() *traj.Graph {
+	e.tourOnce.Do(func() { e.tourG = traj.NewGraph(e.net, 2*e.defaultSnap) })
+	return e.tourG
 }
 
 // DescribeStreet selects a diversified photo summary for the named street

@@ -14,7 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/network"
 	"repro/internal/oracle"
-	"repro/internal/route"
+	"repro/internal/traj"
 )
 
 // The tour golden pins the paper's Section 6 extension end to end — the
@@ -44,14 +44,14 @@ var (
 )
 
 // goldenPlan runs the planner the way RecommendTourCtx does — over the
-// engine's tour graph, which the facade call before it has built — and
-// returns the planner's own answer, approach paths included.
-func goldenPlan(e *Engine, res []core.StreetResult, budget float64) (route.Tour, error) {
-	cands := make([]route.Candidate, len(res))
+// engine's tour graph — and returns the planner's own answer, approach
+// paths included.
+func goldenPlan(e *Engine, res []core.StreetResult, budget float64) (traj.Tour, error) {
+	cands := make([]traj.Candidate, len(res))
 	for i, r := range res {
-		cands[i] = route.Candidate{Street: r.Street, Interest: r.Interest}
+		cands[i] = traj.Candidate{Street: r.Street, Interest: r.Interest}
 	}
-	return route.Recommend(e.graph, cands, budget)
+	return traj.Recommend(context.Background(), e.tourGraph(), cands, budget)
 }
 
 // goldenTours appends one line per (keywords, k, budget) point of the

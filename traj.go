@@ -17,10 +17,10 @@ import (
 // public engine: k most interesting routes between two points, and
 // trajectory-aware SOI over user movement traces. Both are admitted
 // through the engine's gate (engine.Gate — the type the k-SOI executor
-// queues behind, in an instance routes, trajectories and describes
-// share), so they shed, time out and isolate panics the way k-SOI queries
-// do, and both resolve the serving index per query so live engines answer
-// against the currently published epoch.
+// queues behind, in an instance routes, trajectories, describes and tour
+// planning share), so they shed, time out and isolate panics the way
+// k-SOI queries do, and both resolve the serving index per query so live
+// engines answer against the currently published epoch.
 
 // RouteQuery asks for the k most interesting walking routes between two
 // free points, which are snapped to their nearest network vertices.
@@ -90,36 +90,24 @@ func (e *Engine) trajGraphLazy() *traj.Graph {
 	return e.trajG
 }
 
-// trajMatcherCacheSize bounds the per-radius matcher cache. The network
-// is immutable, so a matcher never goes stale; the bound only stops
-// requests sweeping distinct radii from growing the map without limit —
-// past it, matchers are built per query and not retained.
+// trajMatcherCacheSize bounds the per-radius matcher memo. The network is
+// immutable, so a matcher never goes stale; the bound only stops requests
+// sweeping distinct radii from growing it without limit — the least
+// recently used radius makes room for a new one.
 const trajMatcherCacheSize = 8
 
 // trajMatcherLazy returns the map-matching grid for one snap radius,
-// cached across queries (the default radius is the common case, paid
+// memoised across queries (the default radius is the common case, paid
 // once — mirroring trajGraphLazy). Construction happens outside the
-// lock so concurrent first requests for different radii don't serialize;
-// a racing duplicate build is benign (identical, immutable matchers).
+// memo's lock so concurrent first requests for different radii don't
+// serialize; a racing duplicate build is benign (identical, immutable
+// matchers).
 func (e *Engine) trajMatcherLazy(radius float64) *traj.Matcher {
-	e.trajMatchMu.Lock()
-	if m, ok := e.trajMatchers[radius]; ok {
-		e.trajMatchMu.Unlock()
+	if m, ok := e.matchers.Get(radius); ok {
 		return m
 	}
-	e.trajMatchMu.Unlock()
 	m := traj.NewMatcher(e.net, radius)
-	e.trajMatchMu.Lock()
-	defer e.trajMatchMu.Unlock()
-	if cached, ok := e.trajMatchers[radius]; ok {
-		return cached
-	}
-	if e.trajMatchers == nil {
-		e.trajMatchers = make(map[float64]*traj.Matcher)
-	}
-	if len(e.trajMatchers) < trajMatcherCacheSize {
-		e.trajMatchers[radius] = m
-	}
+	e.matchers.Put(radius, m, 1)
 	return m
 }
 
@@ -132,11 +120,12 @@ func (e *Engine) servingIndex() *core.Index {
 	return e.index
 }
 
-// admit passes one routes, trajectory or describe query through the gate
-// those families share and layers the per-query timeout onto its context.
-// A refused query (shed, or its context already done) is counted and
-// never runs. On success the returned context is the one the query body
-// must use, and done must be called exactly once when it ends.
+// admit passes one routes, trajectory, describe or tour-planning query
+// through the gate those families share and layers the per-query timeout
+// onto its context. A refused query (shed, or its context already done)
+// is counted and never runs. On success the returned context is the one
+// the query body must use, and done must be called exactly once when it
+// ends.
 func (e *Engine) admit(ctx context.Context) (qctx context.Context, done func(), err error) {
 	if err := e.gate.Acquire(ctx); err != nil {
 		e.outcome(err)

@@ -309,6 +309,75 @@ func TestEngineTrajPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestEngineTourCancelledMidPlan: the tour planner runs under the caller's
+// context. Cancelled after the k-SOI half has answered and the planner's
+// first search has started, the tour comes back as context.Canceled and is
+// counted, not planned to the end.
+func TestEngineTourCancelledMidPlan(t *testing.T) {
+	defer faults.Reset()
+	e := trajEngine(t, soi.Config{})
+	block := make(chan struct{})
+	defer close(block)
+	faults.Activate("traj.tour", faults.Fault{Block: block})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.RecommendTourCtx(ctx, soi.Query{Keywords: []string{"shop"}, K: 3, Epsilon: 0.0005}, 1)
+		done <- err
+	}()
+	waitFor(t, func() bool { return faults.Visits("traj.tour") >= 1 })
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("planner did not observe the cancel")
+	}
+	if n := e.StatsSnapshot().Traj.Cancelled; n != 1 {
+		t.Fatalf("cancelled = %d, want 1", n)
+	}
+}
+
+// TestEngineTourShedsUnderLoad: the planner queues behind the gate routes,
+// trajectories and describes share — one planning, one waiting, the third
+// shed — and answers once the slot frees.
+func TestEngineTourShedsUnderLoad(t *testing.T) {
+	defer faults.Reset()
+	e := trajEngine(t, soi.Config{Workers: 1, QueueDepth: 1})
+	q := soi.Query{Keywords: []string{"shop"}, K: 3, Epsilon: 0.0005}
+	want, err := e.RecommendTour(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	block := make(chan struct{})
+	faults.Activate("traj.tour", faults.Fault{Block: block, Times: 1})
+	done1 := make(chan error, 1)
+	go func() { _, err := e.RecommendTour(q, 1); done1 <- err }()
+	waitFor(t, func() bool { return faults.Visits("traj.tour") >= 1 })
+	done2 := make(chan error, 1)
+	go func() { _, err := e.RecommendTour(q, 1); done2 <- err }()
+	time.Sleep(50 * time.Millisecond)
+	if _, err := e.RecommendTour(q, 1); !errors.Is(err, soi.ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	close(block)
+	for _, done := range []chan error{done1, done2} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shed := e.StatsSnapshot().Traj.Shed; shed != 1 {
+		t.Fatalf("shed = %d, want 1", shed)
+	}
+	got, err := e.RecommendTour(q, 1)
+	if err != nil || len(got.Stops) != len(want.Stops) || got.Length != want.Length {
+		t.Fatalf("tour after load = %+v, %v; want %+v", got, err, want)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
