@@ -237,7 +237,7 @@ func benchDescribe(b *testing.B, eval func(*diversify.Context, diversify.Params)
 	}
 }
 
-// BenchmarkAblationStrategy times the two SOI access strategies (the
+// BenchmarkAblationStrategy times the three SOI access strategies (the
 // design-choice ablation of DESIGN.md) on the Berlin-like city.
 func BenchmarkAblationStrategy(b *testing.B) {
 	cities := benchCities(b)
@@ -247,7 +247,7 @@ func BenchmarkAblationStrategy(b *testing.B) {
 		K:        50,
 		Epsilon:  experiments.Epsilon,
 	}
-	for _, strat := range []core.Strategy{core.CostAware, core.RoundRobin} {
+	for _, strat := range []core.Strategy{core.CostAware, core.RoundRobin, core.Drain} {
 		strat := strat
 		b.Run(strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

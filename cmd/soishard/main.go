@@ -124,13 +124,6 @@ func serveShard(ctx context.Context, f *flagSet) int {
 		MaxQueueWait: f.maxQueueWait,
 		QueryTimeout: f.queryTimeout,
 		Recorder:     rec,
-		// No segment-mass cache. It only remembers segments Algorithm 1
-		// finalised, about 1 in 100 of those a cold query sees (hit ratio
-		// 0.007), while every seen segment pays its lock and map probe:
-		// ~8 % of this process's CPU per query. The single-index servers
-		// keep theirs until the benchmark's cold stream has the headroom
-		// to show its removal (ROADMAP item 1a, DESIGN §12).
-		MassCacheEntries: -1,
 	}})
 
 	ln, err := net.Listen("tcp", f.addr)

@@ -38,23 +38,25 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	out := make([]StreetResult, 0, q.K)
-	// Prime the pool so arena growth happens outside the measured runs.
-	for i := 0; i < 3; i++ {
-		if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
-			t.Fatal(err)
+	for _, strat := range []Strategy{CostAware, Drain} {
+		// Prime the pool so arena growth happens outside the measured runs.
+		for i := 0; i < 3; i++ {
+			if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, strat, nil, out[:0]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if len(out) == 0 {
-		t.Fatal("query returned no results; world too sparse for the gate to mean anything")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0])
-		if err != nil {
-			t.Fatal(err)
+		if len(out) == 0 {
+			t.Fatal("query returned no results; world too sparse for the gate to mean anything")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("slab query allocated %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, strat, nil, out[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: slab query allocated %.1f objects/op, want 0", strat, allocs)
+		}
 	}
 }
 

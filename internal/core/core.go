@@ -66,7 +66,8 @@ type Stats struct {
 	FilterTime     time.Duration
 	RefineTime     time.Duration
 
-	// CellAccesses counts pops from source list SL1.
+	// CellAccesses counts pops from source list SL1; under Drain, which
+	// pops nothing, the relevant cells whose segment list was walked.
 	CellAccesses int
 	// SegmentAccesses counts pops from source lists SL2 and SL3.
 	SegmentAccesses int

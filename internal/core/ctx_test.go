@@ -28,47 +28,62 @@ func TestSOIContextExpiredBeforeStart(t *testing.T) {
 }
 
 // TestSOIContextCancelMidFilter: a cancellation that lands while the
-// filter loop is parked (a wedged source, modelled by a Block fault at the
+// filter phase is parked (a wedged source, modelled by a Block fault at the
 // filter checkpoint) must surface context.Canceled promptly instead of
-// hanging.
+// hanging. Drain parks on its third relevant cell: its marking pass has no
+// bound loop, and must still poll the checkpoint per cell, not per query.
 func TestSOIContextCancelMidFilter(t *testing.T) {
-	ix := buildFixture(t)
-	block := make(chan struct{})
-	defer close(block)
-	faults.Activate(SiteFilter, faults.Fault{Block: block})
-	defer faults.Deactivate(SiteFilter)
+	for _, tc := range []struct {
+		strat Strategy
+		after int
+	}{{CostAware, 0}, {Drain, 2}} {
+		t.Run(tc.strat.String(), func(t *testing.T) {
+			ix := buildFixture(t)
+			block := make(chan struct{})
+			defer close(block)
+			faults.Activate(SiteFilter, faults.Fault{Block: block, After: tc.after})
+			defer faults.Deactivate(SiteFilter)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		res []StreetResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, _, err := ix.SOIContext(ctx, Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.1}, CostAware, nil)
-		done <- outcome{res, err}
-	}()
+			ctx, cancel := context.WithCancel(context.Background())
+			type outcome struct {
+				res []StreetResult
+				st  Stats
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, st, err := ix.SOIContext(ctx, Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.1}, tc.strat, nil)
+				done <- outcome{res, st, err}
+			}()
 
-	deadline := time.After(2 * time.Second)
-	for faults.Visits(SiteFilter) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("filter checkpoint never visited")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cancel()
-	select {
-	case o := <-done:
-		if !errors.Is(o.err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", o.err)
-		}
-		if o.res != nil {
-			t.Fatalf("results = %v, want nil on cancellation", o.res)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("SOIContext did not observe cancellation at the filter checkpoint")
+			deadline := time.After(2 * time.Second)
+			for faults.Visits(SiteFilter) <= tc.after {
+				select {
+				case o := <-done:
+					t.Fatalf("evaluation ended after %d checkpoint visits (err %v), want it parked on visit %d",
+						faults.Visits(SiteFilter), o.err, tc.after+1)
+				case <-deadline:
+					t.Fatal("filter checkpoint never reached the armed visit")
+				default:
+					time.Sleep(time.Millisecond)
+				}
+			}
+			cancel()
+			select {
+			case o := <-done:
+				if !errors.Is(o.err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", o.err)
+				}
+				if o.res != nil {
+					t.Fatalf("results = %v, want nil on cancellation", o.res)
+				}
+				if tc.strat == Drain && (o.st.CellAccesses != tc.after || o.st.SegmentsSeen == 0 || o.st.CellVisits != 0) {
+					t.Fatalf("stats = %+v, want %d cells walked, some segments marked, none visited", o.st, tc.after)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("SOIContext did not observe cancellation at the filter checkpoint")
+			}
+		})
 	}
 }
 

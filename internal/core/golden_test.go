@@ -71,4 +71,35 @@ func TestGoldenPruningCounts(t *testing.T) {
 	if got != want {
 		t.Fatalf("pruning counters drifted:\n got %+v\nwant %+v", got, want)
 	}
+
+	// The same two passes under Drain, on a recorder and a mass cache of
+	// their own. SL1CellsPopped is the relevant cells it walked; it pops
+	// no list and compares no bound, so the other filter counters are 0.
+	recDrain := stats.NewRecorder()
+	mcDrain := NewMassCache(0)
+	for pass := 0; pass < 2; pass++ {
+		for n := 1; n <= len(progression); n++ {
+			q := Query{Keywords: progression[:n], K: 10, Epsilon: epsilon}
+			_, st, err := ix.SOIContext(context.Background(), q, Drain, mcDrain)
+			if err != nil {
+				t.Fatalf("drain pass %d, query ψ=%d: %v", pass, n, err)
+			}
+			st.Record(recDrain)
+		}
+	}
+	gotDrain := recDrain.Snapshot().Core
+	wantDrain := stats.CoreSnapshot{
+		Evaluations:     8,
+		SL1CellsPopped:  2900,
+		CellVisits:      1731,
+		SegmentsSeen:    4508,
+		SegmentsFinal:   284,
+		MassCacheHits:   142,
+		MassCacheMisses: 142,
+		RefineDrained:   142,
+	}
+	gotDrain.BuildListsNanos, gotDrain.FilterNanos, gotDrain.RefineNanos = 0, 0, 0
+	if gotDrain != wantDrain {
+		t.Fatalf("drain pruning counters drifted:\n got %+v\nwant %+v", gotDrain, wantDrain)
+	}
 }

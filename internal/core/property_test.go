@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,13 +30,17 @@ func propertyQueries(rng *rand.Rand, ix *Index) []Query {
 }
 
 // TestPropertyStrategiesMatchBaseline is the property-based equivalence
-// test: on random scenarios, both access schedules, on one index, must
-// agree bit-exactly with each other and with the exact baseline, and
-// behave sensibly on the edge-case queries.
+// test: on random scenarios, every access schedule, on one index, must
+// agree bit-exactly with the others and with the exact baseline, and
+// behave sensibly on the edge-case queries. A single-keyword SL1 aliases
+// the slab's inverted index, which no schedule may write to — Drain least
+// of all, since it is the one that leaves SL1 unsorted.
 func TestPropertyStrategiesMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
 		ix := randomScenario(rng)
+		invCell := slices.Clone(ix.slab.InvCell)
+		invWeight := slices.Clone(ix.slab.InvWeight)
 		for _, q := range propertyQueries(rng, ix) {
 			ca, _, err := ix.SOIWithStrategy(q, CostAware)
 			if err != nil {
@@ -48,6 +53,14 @@ func TestPropertyStrategiesMatchBaseline(t *testing.T) {
 			// The two schedules traverse differently but fold masses
 			// canonically, so their answers are identical to the bit.
 			requireSameResults(t, "cost-aware vs round-robin", ca, rr)
+			dr, _, err := ix.SOIWithStrategy(q, Drain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, "cost-aware vs drain", ca, dr)
+			if !slices.Equal(ix.slab.InvCell, invCell) || !slices.Equal(ix.slab.InvWeight, invWeight) {
+				t.Fatalf("query %+v wrote to the slab's inverted index", q)
+			}
 			bl, _, err := ix.Baseline(q)
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +152,7 @@ func TestPropertyRankPrefix(t *testing.T) {
 }
 
 // TestConcurrentSharedIndex is the core-level concurrency test: many
-// goroutines evaluate a mixed workload (both schedules, shared ε-memos,
+// goroutines evaluate a mixed workload (every schedule, shared ε-memos,
 // a shared MassCache) against one Index, and every answer must equal the
 // sequential one bit-for-bit. Run under -race this also proves the index
 // read paths are race-free.
@@ -154,7 +167,7 @@ func TestConcurrentSharedIndex(t *testing.T) {
 			Epsilon:  []float64{0.1, 0.25, 0.4}[i%3],
 		})
 	}
-	strategies := []Strategy{CostAware, RoundRobin}
+	strategies := []Strategy{CostAware, RoundRobin, Drain}
 	want := make([][]StreetResult, len(queries)*len(strategies))
 	for qi, q := range queries {
 		for si, strat := range strategies {
@@ -261,7 +274,7 @@ func TestGoldenTieBreak(t *testing.T) {
 	q := Query{Keywords: []string{"shop"}, K: 3, Epsilon: 0.2}
 	golden := []network.StreetID{0, 1, 2}
 	for rep := 0; rep < 25; rep++ {
-		for _, strat := range []Strategy{CostAware, RoundRobin} {
+		for _, strat := range []Strategy{CostAware, RoundRobin, Drain} {
 			res, _, err := ix.SOIWithStrategy(q, strat)
 			if err != nil {
 				t.Fatal(err)

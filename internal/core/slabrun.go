@@ -199,8 +199,10 @@ func (r *slabRun) release() {
 // inverted index: cells sorted decreasingly by min(|Pc|, Σψ I[ψ][c])
 // (Algorithm 1 line 2, generalized to POI weights), ties by cell. A
 // single-keyword list aliases the slab directly — it is already capped and
-// sorted; a multi-keyword list is the accumulated cells (accumulate) with
-// their capped weights (cappedAcc).
+// sorted, and no schedule writes to it; a multi-keyword list is the
+// accumulated cells (accumulate) with their capped weights (cappedAcc).
+// Drain never pops SL1 by rank, so its multi-keyword list stays in
+// accumulation order.
 func (r *slabRun) buildSL1() {
 	s := r.ix.slab
 	if len(r.query) == 1 {
@@ -221,9 +223,11 @@ func (r *slabRun) buildSL1() {
 		r.sl1CellBuf = append(r.sl1CellBuf, ord)
 		r.sl1WBuf = append(r.sl1WBuf, r.cappedAcc(ord))
 	}
-	r.sl1Sorter.cells = r.sl1CellBuf
-	r.sl1Sorter.weights = r.sl1WBuf
-	sort.Sort(&r.sl1Sorter)
+	if r.strat != Drain {
+		r.sl1Sorter.cells = r.sl1CellBuf
+		r.sl1Sorter.weights = r.sl1WBuf
+		sort.Sort(&r.sl1Sorter)
+	}
 	r.sl1Cell = r.sl1CellBuf
 	r.sl1W = r.sl1WBuf
 }
@@ -595,7 +599,10 @@ func (r *slabRun) drainSegment(sid uint32) {
 // its next segment is cheap to finalize (few ε-near cells); SL2 is
 // consumed only while its next segment has an outlier cell count.
 func (r *slabRun) filter() error {
-	if r.strat == RoundRobin {
+	if r.strat != CostAware {
+		if r.strat == Drain {
+			return r.filterDrain()
+		}
 		return r.filterRoundRobin()
 	}
 	// avgCells calibrates the SL2 outlier threshold.
@@ -703,6 +710,25 @@ func (r *slabRun) filterRoundRobin() error {
 			}
 		}
 	}
+}
+
+// filterDrain is the whole filter phase of the Drain schedule: one pass
+// over the query's relevant cells, in whatever order buildSL1 left them,
+// that marks every segment within ε of one as seen and visits nothing.
+// A segment it does not reach has no relevant cell and so no mass; all
+// the pruning is refine's, which bounds each marked segment by the SL1
+// weights of its own cells and drains in that order.
+func (r *slabRun) filterDrain() error {
+	for _, ord := range r.sl1Cell {
+		if err := r.checkpoint(SiteFilter); err != nil {
+			return err
+		}
+		r.stats.CellAccesses++
+		for _, sid := range r.plan.cellSeg[r.plan.cellSegOff[ord]:r.plan.cellSegOff[ord+1]] {
+			r.ensureSeen(sid)
+		}
+	}
+	return nil
 }
 
 // refine extracts the k most interesting streets from the seen segments

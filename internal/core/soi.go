@@ -158,7 +158,7 @@ func (mc *MassCache) admit() bool {
 // Unarmed sites cost one atomic load; the chaos test suite arms them to
 // wedge, delay or crash an evaluation at a precise point.
 const (
-	// SiteFilter is visited once per filter-loop iteration.
+	// SiteFilter is visited once per filter-loop iteration (Drain: per cell).
 	SiteFilter = "core.filter"
 	// SiteRefine is visited once per refine candidate.
 	SiteRefine = "core.refine"
@@ -173,8 +173,8 @@ const cancelCheckEvery = 32
 // Strategy selects the source-list access schedule of the filtering
 // phase. The paper states that "the correctness of our method is not
 // affected by the access strategy" and describes alternating between SL1
-// and SL3 with occasional SL2 accesses; both schedules below terminate
-// with the same result set.
+// and SL3 with occasional SL2 accesses; every schedule below terminates
+// with the same result set, to the bit.
 type Strategy int
 
 const (
@@ -185,6 +185,12 @@ const (
 	// RoundRobin is the literal Algorithm 1 schedule: one access from
 	// SL1, then SL2, then SL3, cyclically.
 	RoundRobin
+	// Drain has no filter loop: it marks every segment within ε of a
+	// query-relevant cell as seen — SL1 unsorted, no SL2/SL3 accesses, no
+	// LBk — and leaves all pruning to refine's bound-ordered drain. It
+	// wins wherever the unseen bound would not have closed the filter
+	// early, i.e. under a shard's local LBk; DESIGN §11 has the rest.
+	Drain
 )
 
 // String implements fmt.Stringer.
@@ -194,6 +200,8 @@ func (s Strategy) String() string {
 		return "cost-aware"
 	case RoundRobin:
 		return "round-robin"
+	case Drain:
+		return "drain"
 	default:
 		return "strategy(?)"
 	}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,6 +104,10 @@ type Config struct {
 	// every evaluation. Nil means a private recorder, read through
 	// Executor.Recorder.
 	Recorder *stats.Recorder
+	// Strategy is the access schedule evaluations run under (zero value:
+	// core.CostAware); answers do not depend on it. Only remote.NewServer
+	// sets it: a shard evaluator is one by construction, not by a flag.
+	Strategy core.Strategy
 	// Source, when non-nil, makes the executor resolve the serving index
 	// per query through the epoch source instead of the fixed index
 	// passed to New (which may then be nil): each evaluation pins the
@@ -172,6 +177,7 @@ type Executor struct {
 	ix           *core.Index
 	gate         *Gate         // bounds concurrent evaluations engine-wide
 	queryTimeout time.Duration // 0 = no engine-level deadline
+	strat        core.Strategy
 
 	cache  *LRU[string, *cacheEntry] // nil when result caching is disabled
 	mass   *core.MassCache           // nil when mass sharing is disabled
@@ -194,6 +200,7 @@ func New(ix *core.Index, cfg Config) *Executor {
 		ix:           ix,
 		gate:         NewGate(cfg.Workers, cfg.QueueDepth, cfg.MaxQueueWait),
 		queryTimeout: cfg.QueryTimeout,
+		strat:        cfg.Strategy,
 		flight:       make(map[string]*flight),
 		rec:          cfg.Recorder,
 		source:       cfg.Source,
@@ -201,6 +208,7 @@ func New(ix *core.Index, cfg Config) *Executor {
 	if e.rec == nil {
 		e.rec = stats.NewRecorder()
 	}
+	e.rec.Engine.Schedule.Store(cfg.Strategy.String())
 	switch {
 	case cfg.CacheSize == 0:
 		e.cache = NewLRU[string, *cacheEntry](DefaultCacheSize)
@@ -352,6 +360,9 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 		streets, st, err := e.evaluate(ctx, q, ix, mass)
 		f.res = Result{Streets: streets, Stats: st, Err: err, Epoch: seq}
 		if err == nil && e.cache != nil {
+			// refine ranks every street it touched in one array and returns
+			// its first k rows; the entry keeps the rows, not the array.
+			f.res.Streets = slices.Clone(streets)
 			e.cache.Put(key, &cacheEntry{res: f.res}, 1)
 		}
 		e.flightMu.Lock()
@@ -408,7 +419,7 @@ func (e *Executor) run(ctx context.Context, q core.Query, ix *core.Index, mass *
 	if ferr := faults.InjectCtx(ctx, SiteEvaluate); ferr != nil {
 		return nil, core.Stats{}, ferr
 	}
-	return ix.SOIContext(ctx, q, core.CostAware, mass)
+	return ix.SOIContext(ctx, q, e.strat, mass)
 }
 
 // Batch evaluates the queries concurrently over the shared index with at

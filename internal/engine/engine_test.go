@@ -84,6 +84,51 @@ func TestDoMatchesSOI(t *testing.T) {
 	}
 }
 
+// TestConfigStrategy: Config.Strategy is the schedule evaluations run
+// under and the one the recorder names; it changes the work, never the
+// answer.
+func TestConfigStrategy(t *testing.T) {
+	ix := buildIndex(t)
+	def, drain := New(ix, Config{}), New(ix, Config{Strategy: core.Drain})
+	for _, q := range testQueries() {
+		want, got := def.Do(q), drain.Do(q)
+		if want.Err != nil || got.Err != nil {
+			t.Fatal(want.Err, got.Err)
+		}
+		sameResults(t, got.Streets, want.Streets)
+		if want.Stats.FilterIterations == 0 || got.Stats.FilterIterations != 0 {
+			t.Fatalf("filter iterations: default %d, drain %d; want the bound loop only under the default",
+				want.Stats.FilterIterations, got.Stats.FilterIterations)
+		}
+	}
+	if a, b := def.Recorder().Snapshot().Engine.Schedule, drain.Recorder().Snapshot().Engine.Schedule; a != "cost-aware" || b != "drain" {
+		t.Fatalf("recorded schedules %q and %q, want cost-aware and drain", a, b)
+	}
+}
+
+// TestCachedResultKeepsRowsNotArray: refine ranks every street it touched
+// in one array and returns its first k rows; what the result cache keeps
+// for up to CacheSize queries is those rows, not that array.
+func TestCachedResultKeepsRowsNotArray(t *testing.T) {
+	ix := buildIndex(t)
+	q := core.Query{Keywords: []string{"shop", "food", "park"}, K: 3, Epsilon: 0.25}
+	raw, _, err := ix.SOI(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(raw) <= len(raw) {
+		t.Fatalf("evaluation returned all %d streets it ranked; the test needs a ranking past k", len(raw))
+	}
+	first := New(ix, Config{}).Do(q)
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	if cap(first.Streets) >= cap(raw) {
+		t.Fatalf("cached result has capacity %d, the evaluation's whole ranking (%d)", cap(first.Streets), cap(raw))
+	}
+	sameResults(t, first.Streets, raw)
+}
+
 func TestCacheHitAndMetrics(t *testing.T) {
 	ix := buildIndex(t)
 	e := New(ix, Config{})

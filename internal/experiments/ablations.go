@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -13,48 +14,83 @@ import (
 // appear in the paper's evaluation; they quantify the knobs the paper
 // leaves open.
 
-// StrategyAblationRow compares the two source-list access strategies on
-// one query setting.
+// StrategyAblationRow compares the source-list access strategies on one
+// query setting, then Drain against the cost-aware schedule over the
+// sweep strategySweepQueries(Psi).
 type StrategyAblationRow struct {
-	City       string
-	Psi        int
-	CostAware  time.Duration
-	RoundRobin time.Duration
-	// SeenCostAware/SeenRoundRobin are the fractions of segments each
-	// strategy left the unseen state.
-	SeenCostAware  float64
-	SeenRoundRobin float64
+	City                         string
+	Psi                          int
+	CostAware, RoundRobin, Drain time.Duration
+	// Seen* are the fractions of segments each strategy took out of the
+	// unseen state.
+	SeenCostAware, SeenRoundRobin, SeenDrain float64
+
+	// Sweep* sum the sweep's per-query medians; a loss is a query slower
+	// under Drain than cost-aware, Worst* the loss with the largest ratio.
+	SweepQueries, Losses       int
+	SweepCostAware, SweepDrain time.Duration
+	WorstCostAware, WorstDrain time.Duration
+	WorstQuery                 core.Query
+}
+
+// strategySweepQueries lists the Drain sweep at |Ψ| = n: the keyword
+// progression's prefix, and that prefix with its last keyword replaced
+// by the planted "shop" (the streets on which a global LBk closes the
+// paper's filter), each at the k and ε of the serving benchmark's sweep.
+func strategySweepQueries(n int) []core.Query {
+	planted := append([]string{"shop"}, KeywordProgression[:n-1]...)
+	var qs []core.Query
+	for _, kws := range [][]string{KeywordProgression[:n], planted} {
+		for _, k := range []int{1, 3, 5, 10, 20, 30, 50, 100} {
+			for _, eps := range []float64{Epsilon / 2, Epsilon, 2 * Epsilon} {
+				qs = append(qs, core.Query{Keywords: kws, K: k, Epsilon: eps})
+			}
+		}
+	}
+	return qs
 }
 
 // AblationStrategy times the cost-aware schedule against the literal
-// round-robin of Algorithm 1 across the keyword progression.
+// round-robin of Algorithm 1 and against Drain across the keyword
+// progression, and sizes where Drain loses to the cost-aware schedule.
 func AblationStrategy(c *City, trials int) ([]StrategyAblationRow, error) {
+	var lastErr error
+	// timed returns the median time and the fraction of segments seen.
+	timed := func(q core.Query, strat core.Strategy) (time.Duration, float64) {
+		c.Index.Warm(q.Epsilon)
+		var st core.Stats
+		d := medianOf(trials, func() {
+			_, s, err := c.Index.SOIWithStrategy(q, strat)
+			if err != nil {
+				lastErr = err
+			}
+			st = s
+		})
+		return d, float64(st.SegmentsSeen) / float64(max(st.TotalSegments, 1))
+	}
 	var rows []StrategyAblationRow
 	for n := 1; n <= len(KeywordProgression); n++ {
 		q := core.Query{Keywords: KeywordProgression[:n], K: Figure4DefaultK, Epsilon: Epsilon}
 		row := StrategyAblationRow{City: c.Name(), Psi: n}
-		var caStats, rrStats core.Stats
-		var lastErr error
-		row.CostAware = medianOf(trials, func() {
-			_, s, err := c.Index.SOIWithStrategy(q, core.CostAware)
-			if err != nil {
-				lastErr = err
+		row.CostAware, row.SeenCostAware = timed(q, core.CostAware)
+		row.RoundRobin, row.SeenRoundRobin = timed(q, core.RoundRobin)
+		row.Drain, row.SeenDrain = timed(q, core.Drain)
+		for _, sq := range strategySweepQueries(n) {
+			ca, _ := timed(sq, core.CostAware)
+			dr, _ := timed(sq, core.Drain)
+			row.SweepQueries++
+			row.SweepCostAware += ca
+			row.SweepDrain += dr
+			if dr <= ca {
+				continue
 			}
-			caStats = s
-		})
-		row.RoundRobin = medianOf(trials, func() {
-			_, s, err := c.Index.SOIWithStrategy(q, core.RoundRobin)
-			if err != nil {
-				lastErr = err
+			row.Losses++
+			if row.WorstCostAware == 0 || float64(dr)/float64(ca) > float64(row.WorstDrain)/float64(row.WorstCostAware) {
+				row.WorstCostAware, row.WorstDrain, row.WorstQuery = ca, dr, sq
 			}
-			rrStats = s
-		})
+		}
 		if lastErr != nil {
 			return nil, lastErr
-		}
-		if caStats.TotalSegments > 0 {
-			row.SeenCostAware = float64(caStats.SegmentsSeen) / float64(caStats.TotalSegments)
-			row.SeenRoundRobin = float64(rrStats.SegmentsSeen) / float64(rrStats.TotalSegments)
 		}
 		rows = append(rows, row)
 	}
@@ -66,11 +102,24 @@ func PrintAblationStrategy(w io.Writer, rows []StrategyAblationRow) {
 	if len(rows) == 0 {
 		return
 	}
-	line(w, "Ablation: SOI access strategy — %s (times in ms; both return identical results)", rows[0].City)
-	line(w, "%6s %12s %12s %10s %10s", "|Psi|", "cost-aware", "round-robin", "seen(ca)", "seen(rr)")
+	line(w, "Ablation: SOI access strategy — %s (times in ms; every schedule returns identical results)", rows[0].City)
+	line(w, "%6s %12s %12s %12s %10s %10s %10s", "|Psi|", "cost-aware", "round-robin", "drain", "seen(ca)", "seen(rr)", "seen(dr)")
 	for _, r := range rows {
-		line(w, "%6d %12s %12s %9.0f%% %9.0f%%",
-			r.Psi, ms(r.CostAware), ms(r.RoundRobin), r.SeenCostAware*100, r.SeenRoundRobin*100)
+		line(w, "%6d %12s %12s %12s %9.0f%% %9.0f%% %9.0f%%",
+			r.Psi, ms(r.CostAware), ms(r.RoundRobin), ms(r.Drain),
+			r.SeenCostAware*100, r.SeenRoundRobin*100, r.SeenDrain*100)
+	}
+	line(w, "Drain against cost-aware over the sweep — %s (per |Psi|: the progression and its \"shop\" variant × 8 k × 3 eps; a loss is a query slower under drain)", rows[0].City)
+	line(w, "%6s %8s %12s %12s %7s %8s %10s %10s  %s", "|Psi|", "queries", "sum(ca)", "sum(drain)", "losses", "worst", "ca", "drain", "worst query")
+	for _, r := range rows {
+		worst, ratio := "-", 0.0
+		if r.Losses > 0 {
+			worst = fmt.Sprintf("%v k=%d eps=%g", r.WorstQuery.Keywords, r.WorstQuery.K, r.WorstQuery.Epsilon)
+			ratio = float64(r.WorstDrain) / float64(r.WorstCostAware)
+		}
+		line(w, "%6d %8d %12s %12s %7d %7.2fx %10s %10s  %s",
+			r.Psi, r.SweepQueries, ms(r.SweepCostAware), ms(r.SweepDrain),
+			r.Losses, ratio, ms(r.WorstCostAware), ms(r.WorstDrain), worst)
 	}
 }
 

@@ -272,17 +272,31 @@ func TestAblationStrategy(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.CostAware <= 0 || r.RoundRobin <= 0 {
+		if r.CostAware <= 0 || r.RoundRobin <= 0 || r.Drain <= 0 {
 			t.Errorf("|Psi|=%d: zero times", r.Psi)
 		}
 		if r.SeenCostAware <= 0 || r.SeenCostAware > 1 || r.SeenRoundRobin <= 0 || r.SeenRoundRobin > 1 {
 			t.Errorf("|Psi|=%d: seen fractions %v %v", r.Psi, r.SeenCostAware, r.SeenRoundRobin)
 		}
+		if r.SeenDrain <= 0 || r.SeenDrain > 1 {
+			t.Errorf("|Psi|=%d: drain saw %v of the segments", r.Psi, r.SeenDrain)
+		}
+		if r.SweepQueries != 48 {
+			t.Errorf("|Psi|=%d: swept %d queries, want 2 keyword sets × 8 k × 3 eps", r.Psi, r.SweepQueries)
+		}
+		if r.SweepCostAware <= 0 || r.SweepDrain <= 0 || r.Losses < 0 || r.Losses > r.SweepQueries {
+			t.Errorf("|Psi|=%d: sweep totals %v %v, %d losses", r.Psi, r.SweepCostAware, r.SweepDrain, r.Losses)
+		}
+		if (r.Losses > 0) != (r.WorstDrain > r.WorstCostAware) {
+			t.Errorf("|Psi|=%d: %d losses, worst %v → %v", r.Psi, r.Losses, r.WorstCostAware, r.WorstDrain)
+		}
 	}
 	var buf bytes.Buffer
 	PrintAblationStrategy(&buf, rows)
-	if !strings.Contains(buf.String(), "round-robin") {
-		t.Error("printout incomplete")
+	for _, want := range []string{"round-robin", "drain", "losses"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("printout lacks %q", want)
+		}
 	}
 	PrintAblationStrategy(&buf, nil) // no-op on empty input
 }

@@ -165,8 +165,9 @@ func EqualRanked(got, want []core.StreetResult, relTol float64) string {
 
 // DiffWorld runs the differential matrix over one world: for every query,
 // the brute-force oracle answer is compared against the exact baseline
-// BL, Algorithm 1 under both access strategies, Algorithm 1 over a shared
-// MassCache (two passes, so both the miss and hit paths are exercised),
+// BL, Algorithm 1 under every access strategy (Drain included), the
+// cost-aware and drain schedules over a shared MassCache (two passes, so
+// both the miss and hit paths are exercised),
 // the index after a snapshot serialize/reload round trip, the spatially
 // sharded scatter-gather coordinator (2/4/9 tiles, halo sized to the
 // largest query ε), and the parallel batch engine — each under every
@@ -197,18 +198,22 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 			divs = append(divs, Divergence{Impl: impl, CellSize: cell, Query: q, Detail: detail})
 		}
 
-		mc := core.NewMassCache(0)
-		for pass, label := range []string{"soi/cached-cold", "soi/cached-warm"} {
-			for i, q := range queries {
-				res, _, err := ix.SOIContext(context.Background(), q, core.CostAware, mc)
-				if err != nil {
-					report(label, q, "error: "+err.Error())
-					continue
+		// Drain is in the matrix although only the shard tier serves with
+		// it: making it the default must be a performance question only.
+		for _, c := range []struct {
+			label string
+			strat core.Strategy
+		}{{"soi/cached", core.CostAware}, {"soi/drain-cached", core.Drain}} {
+			mc := core.NewMassCache(0)
+			for _, pass := range []string{"-cold", "-warm"} {
+				for i, q := range queries {
+					res, _, err := ix.SOIContext(context.Background(), q, c.strat, mc)
+					if err != nil {
+						report(c.label+pass, q, "error: "+err.Error())
+					} else if d := Equal(res, want[i]); d != "" {
+						report(c.label+pass, q, d)
+					}
 				}
-				if d := Equal(res, want[i]); d != "" {
-					report(label, q, d)
-				}
-				_ = pass
 			}
 		}
 		for i, q := range queries {
@@ -217,15 +222,13 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 			} else if d := Equal(res, want[i]); d != "" {
 				report("baseline", q, d)
 			}
-			if res, _, err := ix.SOI(q); err != nil {
-				report("soi/cost-aware", q, "error: "+err.Error())
-			} else if d := Equal(res, want[i]); d != "" {
-				report("soi/cost-aware", q, d)
-			}
-			if res, _, err := ix.SOIWithStrategy(q, core.RoundRobin); err != nil {
-				report("soi/round-robin", q, "error: "+err.Error())
-			} else if d := Equal(res, want[i]); d != "" {
-				report("soi/round-robin", q, d)
+			for _, strat := range []core.Strategy{core.CostAware, core.RoundRobin, core.Drain} {
+				impl := "soi/" + strat.String()
+				if res, _, err := ix.SOIWithStrategy(q, strat); err != nil {
+					report(impl, q, "error: "+err.Error())
+				} else if d := Equal(res, want[i]); d != "" {
+					report(impl, q, d)
+				}
 			}
 		}
 

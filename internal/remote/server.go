@@ -21,6 +21,7 @@ type ServerConfig struct {
 	// evaluation runs through: worker pool, bounded wait queue with load
 	// shedding, per-query deadline, result cache, recorder. The zero
 	// value serves with defaults (GOMAXPROCS workers, unbounded queue).
+	// NewServer overrides Strategy and MassCacheEntries.
 	Engine engine.Config
 	// MaxBodyBytes caps the request body; 0 means DefaultMaxBodyBytes,
 	// negative disables the cap.
@@ -42,12 +43,25 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// NewServer wires the handler set for one shard.
+// NewServer wires the handler set for one shard, and decides what every
+// shard server evaluates with, whatever cfg.Engine says.
+//
+// The schedule is core.Drain: a shard only ever sees its local LBk, and a
+// tile holds few or none of the world's best streets, so the paper's
+// filter runs SL1 dry waiting for a bound that never closes it (DESIGN §11).
+//
+// There is no segment-mass cache: it remembers only segments an
+// evaluation finalised, while every seen segment pays its lock and map
+// probe (~8 % of a shard's CPU per cold query, hit ratio 0.007). The
+// single-index servers keep theirs until the benchmark's cold stream has
+// the headroom to show its removal (ROADMAP 1(a), DESIGN §12).
 func NewServer(d ShardData, cfg ServerConfig) *Server {
 	maxBody := cfg.MaxBodyBytes
 	if maxBody == 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
+	cfg.Engine.Strategy = core.Drain
+	cfg.Engine.MassCacheEntries = -1
 	s := &Server{
 		d:       d,
 		exec:    engine.New(d.Index, cfg.Engine),

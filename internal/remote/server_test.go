@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/remote"
 	"repro/internal/shard"
@@ -130,6 +131,46 @@ func TestServerQueryMatchesLocal(t *testing.T) {
 				t.Errorf("shard %d result %d: interest/mass drifted across the wire", i, j)
 			}
 		}
+	}
+}
+
+// TestServerDecidesItsEvaluator: whatever the caller's engine config
+// asks for, a shard server evaluates with Drain and without a segment-mass
+// cache, and its /metrics says so.
+func TestServerDecidesItsEvaluator(t *testing.T) {
+	w := testWorld(t, 2, 1)
+	servers, _ := startShards(t, w, remote.ServerConfig{Engine: engine.Config{
+		Strategy:         core.RoundRobin,
+		MassCacheEntries: 1 << 10,
+	}})
+	q := testQuery()
+	// The same ⟨Ψ, ε⟩ at two k: the second evaluation would find the
+	// first one's finalised segments in a mass cache.
+	for _, k := range []int{q.K, q.K + 3} {
+		resp, body := postQuery(t, servers[0].URL, remote.QueryRequest{Keywords: q.Keywords, K: k, Epsilon: q.Epsilon})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var out remote.QueryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		st := out.Stats
+		if st.SegmentsSeen == 0 || st.FilterIterations != 0 || st.SegmentAccesses != 0 || st.SegmentCacheHits != 0 {
+			t.Fatalf("k=%d: stats %+v, want a Drain evaluation with no mass cache", k, st)
+		}
+	}
+	resp, err := http.Get(servers[0].URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if want := `soi_engine_schedule_info{schedule="drain"} 1`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }
 

@@ -72,6 +72,11 @@ func TestStatsSchema(t *testing.T) {
 			t.Errorf("missing engine counter %q", key)
 		}
 	}
+	// A single-index server evaluates with the paper's filter; only a
+	// shard server reports "drain" here.
+	if eng["schedule"] != "cost-aware" {
+		t.Errorf("engine schedule = %v, want cost-aware", eng["schedule"])
+	}
 	if lat := eng["query_latency"].(map[string]interface{}); lat["count"].(float64) < 1 {
 		t.Errorf("query_latency count = %v after a served query, want ≥ 1", lat["count"])
 	}
@@ -107,6 +112,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"soi_core_sl1_cells_popped_total",
 		"soi_engine_query_latency_seconds_bucket{le=\"+Inf\"} 1",
 		"soi_runtime_goroutines",
+		`soi_engine_schedule_info{schedule="cost-aware"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -107,7 +107,8 @@ func (wq worldQuerier) Bound(_ context.Context, shard int, q core.Query) (float6
 
 func (wq worldQuerier) Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error) {
 	s := wq.w.Shards[shard]
-	res, st, err := s.Index.SOIContext(ctx, q, core.CostAware, nil)
+	// Drain, as in remote.NewServer: bounded by one tile's LBk.
+	res, st, err := s.Index.SOIContext(ctx, q, core.Drain, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,9 @@ func (s Snapshot) histRows() []histRow {
 
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format under the soi_ namespace. Counters get a _total suffix, gauges
-// none; histograms render cumulative le buckets plus _sum and _count.
+// none; histograms render cumulative le buckets plus _sum and _count. A
+// snapshot fed by an executor ends with one info gauge naming its
+// access schedule.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	rows := s.counterRows()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
@@ -162,5 +164,9 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	if s.Engine.Schedule == "" {
+		return nil
+	}
+	_, err := fmt.Fprintf(w, "# TYPE soi_engine_schedule_info gauge\nsoi_engine_schedule_info{schedule=%q} 1\n", s.Engine.Schedule)
+	return err
 }

@@ -88,6 +88,11 @@ type CoreStats struct {
 // EngineStats aggregates the batch executor's traffic and worker-pool
 // pressure.
 type EngineStats struct {
+	// Schedule names the access schedule (core.Strategy's String) of the
+	// executor feeding this recorder, stored by engine.New: the Core
+	// counters of a "drain" process and a "cost-aware" one count different
+	// work for the same queries. Unset on a remote coordinator's recorder.
+	Schedule atomic.Value // string
 	// Queries counts every query received (Do and Batch).
 	Queries Counter
 	// ResultCacheHits / ResultCacheMisses count LRU result-cache lookups.
@@ -301,6 +306,7 @@ type CoreSnapshot struct {
 
 // EngineSnapshot is the JSON form of EngineStats.
 type EngineSnapshot struct {
+	Schedule          string            `json:"schedule,omitempty"`
 	Queries           int64             `json:"queries"`
 	ResultCacheHits   int64             `json:"result_cache_hits"`
 	ResultCacheMisses int64             `json:"result_cache_misses"`
@@ -408,6 +414,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	schedule, _ := r.Engine.Schedule.Load().(string)
 	return Snapshot{
 		Core: CoreSnapshot{
 			Evaluations:       r.Core.Evaluations.Load(),
@@ -426,6 +433,7 @@ func (r *Recorder) Snapshot() Snapshot {
 			RefineNanos:       r.Core.RefineNanos.Load(),
 		},
 		Engine: EngineSnapshot{
+			Schedule:          schedule,
 			Queries:           r.Engine.Queries.Load(),
 			ResultCacheHits:   r.Engine.ResultCacheHits.Load(),
 			ResultCacheMisses: r.Engine.ResultCacheMisses.Load(),

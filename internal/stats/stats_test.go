@@ -205,6 +205,14 @@ func TestWritePrometheus(t *testing.T) {
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if strings.Contains(buf.String(), "schedule") {
+		t.Fatalf("a recorder no executor feeds names a schedule:\n%s", buf.String())
+	}
+	r.Engine.Schedule.Store("drain")
+	buf.Reset()
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE soi_engine_queries_total counter\nsoi_engine_queries_total 3\n",
@@ -214,6 +222,7 @@ func TestWritePrometheus(t *testing.T) {
 		`soi_engine_query_latency_seconds_bucket{le="1"} 2`,
 		`soi_engine_query_latency_seconds_bucket{le="+Inf"} 2`,
 		"soi_engine_query_latency_seconds_count 2\n",
+		"# TYPE soi_engine_schedule_info gauge\nsoi_engine_schedule_info{schedule=\"drain\"} 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
