@@ -11,11 +11,12 @@
 //
 // Endpoints:
 //
-//	GET  /healthz      liveness: the process is up
-//	GET  /readyz       readiness: shard index loaded and not draining
-//	GET  /shard/meta   shard id, tile, halo, sizes (coordinator sanity check)
-//	POST /shard/query  one shard-local k-SOI evaluation (or its bound)
-//	GET  /metrics      Prometheus text exposition (soi_* namespace)
+//	GET  /healthz       liveness: the process is up
+//	GET  /readyz        readiness: shard index loaded and not draining
+//	GET  /shard/meta    shard id, tile, halo, sizes (coordinator sanity check)
+//	POST /shard/query   one shard-local k-SOI evaluation, with its bound
+//	GET  /metrics       Prometheus text exposition (soi_* namespace)
+//	GET  /debug/pprof/  net/http/pprof profiles
 //
 // Every evaluation runs through the same admission/timeout stack as the
 // single-process server: bounded queueing with load shedding

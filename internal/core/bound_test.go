@@ -258,9 +258,9 @@ func TestUnseenBoundSoundnessOracle(t *testing.T) {
 }
 
 // TestShardServingLeavesMapMemosEmpty pins the second property the
-// sharded tier's gain rests on: serving a shard — the bound-only phase
-// and a full /shard/query through remote.Server — holds one ε-plan per ε
-// served and no other ε-dependent state. The map-layout ε-memos that
+// sharded tier's gain rests on: serving a shard — a /shard/query through
+// remote.Server, which computes the static bound and then evaluates —
+// holds one ε-plan per ε served and no other ε-dependent state. The map-layout ε-memos that
 // duplicated the plan (and once cost every shard process a quarter of its
 // resident memory and most of its warm-up) no longer exist; a second memo
 // beside the plan must not come back.
@@ -284,22 +284,26 @@ func TestShardServingLeavesMapMemosEmpty(t *testing.T) {
 			Index: s.Index, Streets: s.Streets, Segments: s.Segments,
 		}, remote.ServerConfig{})
 		for _, eps := range sweepEps {
-			for _, boundOnly := range []bool{true, false} {
-				body, err := json.Marshal(remote.QueryRequest{Keywords: []string{"shop", "food"}, K: 3, Epsilon: eps, BoundOnly: boundOnly})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/query", bytes.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					t.Fatalf("shard %d eps=%g bound_only=%t: status %d: %s", s.ID, eps, boundOnly, rec.Code, rec.Body)
-				}
-				var resp remote.QueryResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-					t.Fatal(err)
-				}
-				answered += len(resp.Results)
+			q := core.Query{Keywords: []string{"shop", "food"}, K: 3, Epsilon: eps}
+			body, err := json.Marshal(remote.QueryRequest{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
+			if err != nil {
+				t.Fatal(err)
 			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/query", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("shard %d eps=%g: status %d: %s", s.ID, eps, rec.Code, rec.Body)
+			}
+			var resp remote.QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			// The bound rides on every answer: the same bits the index
+			// computes, whether or not the shard went on to evaluate.
+			if ub := mustBound(t, s.Index, q); math.Float64bits(resp.UB) != math.Float64bits(ub) {
+				t.Errorf("shard %d eps=%g: answer carries ub %v, index says %v", s.ID, eps, resp.UB, ub)
+			}
+			answered += len(resp.Results)
 		}
 		if n := s.Index.PlanCount(); n != len(sweepEps) {
 			t.Errorf("shard %d: %d ε-plans after serving %d ε values", s.ID, n, len(sweepEps))

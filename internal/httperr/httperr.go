@@ -1,6 +1,7 @@
 // Package httperr holds what every serving surface shares at the HTTP
-// boundary: the preamble of a POST endpoint (DecodePost) and the single
-// source of truth for mapping query-path errors to HTTP statuses. Every
+// boundary: the preamble of a POST endpoint (DecodePost), the profiler
+// routes (MountPprof) and the single source of truth for mapping
+// query-path errors to HTTP statuses. Every
 // serving surface — /api/streets, the batch endpoint, the multi-tenant
 // router (which forwards into the same handlers), the per-shard soishard
 // endpoint and the remote scatter-gather path — routes its errors
@@ -16,9 +17,8 @@
 // subtle one this mapper exists to pin down: cancellation is only the
 // client's fault when the *request's* context is the one that died.
 // An evaluation cancelled for any other reason (an internal component
-// gave up, a coordinator pruned a speculative call it then needed
-// after all) is a server fault and must read as one in the access
-// logs, not as a 400 "bad request".
+// gave up) is a server fault and must read as one in the access logs,
+// not as a 400 "bad request".
 package httperr
 
 import (
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 
 	"repro/internal/engine"
 )
@@ -116,4 +117,15 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{msg})
+}
+
+// MountPprof serves the net/http/pprof profiles under /debug/pprof/ on
+// mux. net/http/pprof registers on the default mux only; every server of
+// this repo — single index, shard, coordinator — routes through its own.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

@@ -9,7 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,17 +179,16 @@ func (ss *shardState) observe(d time.Duration) {
 }
 
 // p95 returns the 95th-percentile success latency over the window, and
-// whether enough samples exist to trust it.
+// whether enough samples exist to trust it. It runs once per retry round
+// of every shard call, so the window is sorted in a copy on the stack.
 func (ss *shardState) p95() (time.Duration, bool) {
 	ss.mu.Lock()
-	n := ss.nLat
-	buf := make([]time.Duration, n)
-	copy(buf, ss.lats[:n])
+	n, buf := ss.nLat, ss.lats
 	ss.mu.Unlock()
 	if n < minHedgeSamples {
 		return 0, false
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf[:n])
 	return buf[(n*95+99)/100-1], true
 }
 
@@ -255,18 +254,9 @@ func (c *Client) count(sel func(*stats.RemoteStats) *stats.Counter) {
 	}
 }
 
-// Bound fetches the shard's static unseen upper bound for q — the cheap
-// first phase of a remote scatter round.
-func (c *Client) Bound(ctx context.Context, shard int, q core.Query) (float64, error) {
-	resp, err := c.call(ctx, shard, QueryRequest{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon, BoundOnly: true})
-	if err != nil {
-		return 0, err
-	}
-	return resp.UB, nil
-}
-
 // Query evaluates q on the shard and returns its local top-k (global
-// ids) plus the bound and work counters.
+// ids) plus its static unseen bound (UB) and work counters — the one
+// call a scatter-gather round makes per shard.
 func (c *Client) Query(ctx context.Context, shard int, q core.Query) (*QueryResponse, error) {
 	return c.call(ctx, shard, QueryRequest{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
 }
@@ -481,8 +471,8 @@ func (c *Client) round(ctx context.Context, ss *shardState, primary *replicaStat
 				return out.resp, nil, true
 			}
 			if ctx.Err() != nil {
-				// The caller gave up (deadline, or a coordinator pruning a
-				// speculative scatter): not a replica failure.
+				// The caller gave up (deadline, or a client that went away):
+				// not a replica failure.
 				return nil, ctx.Err(), true
 			}
 			var pe *PermanentError

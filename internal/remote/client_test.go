@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -318,28 +319,33 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
-// TestClientBoundRoundTrip: Bound against a real shard server must
-// return the index's exact unseen bound.
+// TestClientBoundRoundTrip: the bound a gather orders and prunes by
+// rides on Query's answer, and must cross the wire as the index's exact
+// unseen bound — Float64bits-equal, for every shard.
 func TestClientBoundRoundTrip(t *testing.T) {
-	w := testWorld(t, 2, 1)
+	w := testWorld(t, 4, 42)
 	_, addrs := startShards(t, w, remote.ServerConfig{})
 	c, err := remote.NewClient(fastConfig(addrs, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	q := testQuery()
-	for i, s := range w.Shards {
-		got, err := c.Bound(context.Background(), i, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Index.UnseenBound(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("shard %d: bound %v != %v", i, got, want)
+	for _, q := range []core.Query{testQuery(), {Keywords: []string{"education"}, K: 3, Epsilon: 0.0005}} {
+		for i, s := range w.Shards {
+			got, err := c.Query(context.Background(), i, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.Index.UnseenBound(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.UB) != math.Float64bits(want) {
+				t.Errorf("%v shard %d: bound %v != %v", q.Keywords, i, got.UB, want)
+			}
+			if (want == 0) != (len(got.Results) == 0) {
+				t.Errorf("%v shard %d: bound %v with %d results", q.Keywords, i, want, len(got.Results))
+			}
 		}
 	}
 }

@@ -4,13 +4,24 @@
 // (Client) that the shard.RemoteCoordinator fans out through.
 //
 // The wire protocol is deliberately small — one POST endpoint answering
-// a shard-local k-SOI evaluation (or just its unseen upper bound), one
-// metadata endpoint, and the liveness/readiness pair:
+// a shard-local k-SOI evaluation together with the shard's static unseen
+// upper bound, one metadata endpoint, the liveness/readiness pair, and
+// the observability routes every server of this repo mounts:
 //
-//	GET  /healthz      liveness: the process is up
-//	GET  /readyz       readiness: index loaded and not draining
-//	GET  /shard/meta   shard id, tile grid, halo, cell size, sizes
-//	POST /shard/query  {"keywords":[...],"k":..,"eps":..[,"bound_only":true]}
+//	GET  /healthz       liveness: the process is up
+//	GET  /readyz        readiness: index loaded and not draining
+//	GET  /shard/meta    shard id, tile grid, halo, cell size, sizes
+//	POST /shard/query   {"keywords":[...],"k":..,"eps":..}
+//	GET  /metrics       Prometheus text exposition of the shard's executor
+//	GET  /debug/pprof/  net/http/pprof profiles
+//
+// A scatter-gather round is one /shard/query per shard: the coordinator
+// orders and prunes the shards by the "ub" each answer carries. A shard
+// whose bound is 0 (no query-relevant mass) answers {"shard":i,"ub":0}
+// without entering its executor. Request fields this version does not
+// know are ignored, not refused: a coordinator from before the bound rode
+// on the answer still asks for it alone, in a round of its own (DESIGN
+// §14 names the field), and gets the full answer with the same "ub".
 //
 // Responses carry street and segment ids already mapped to the global
 // id space, so the coordinator needs no per-shard id tables. All floats
@@ -53,15 +64,11 @@ const (
 )
 
 // QueryRequest is the /shard/query request body: the paper's q = ⟨Ψ, k,
-// ε⟩ plus the bound-only flag the coordinator's first phase uses.
+// ε⟩.
 type QueryRequest struct {
 	Keywords []string `json:"keywords"`
 	K        int      `json:"k"`
 	Epsilon  float64  `json:"eps"`
-	// BoundOnly asks for the shard's static unseen upper bound without
-	// running Algorithm 1 — the cheap first phase of a remote
-	// scatter-gather round.
-	BoundOnly bool `json:"bound_only,omitempty"`
 }
 
 // Query converts the wire form back to a core query.
@@ -69,9 +76,11 @@ func (r QueryRequest) Query() core.Query {
 	return core.Query{Keywords: r.Keywords, K: r.K, Epsilon: r.Epsilon}
 }
 
-// QueryResponse is the /shard/query response body. Results carry global
-// street/segment ids; Stats are the shard evaluation's Algorithm 1 work
-// counters (zero for bound-only calls).
+// QueryResponse is the /shard/query response body. UB is the shard's
+// static unseen upper bound for the query (core.Index.UnseenBound), what
+// the gather orders and prunes by. Results carry global street/segment
+// ids; Stats are the shard evaluation's Algorithm 1 work counters. A
+// shard with UB 0 did not evaluate: no results, zero Stats.
 type QueryResponse struct {
 	Shard   int                 `json:"shard"`
 	UB      float64             `json:"ub"`

@@ -76,6 +76,7 @@ func NewServer(d ShardData, cfg ServerConfig) *Server {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.exec.Recorder().Snapshot().WritePrometheus(w)
 	})
+	httperr.MountPprof(s.mux)
 	return s
 }
 
@@ -155,7 +156,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryResponse{Shard: s.d.ShardID, UB: ub}
-	if req.BoundOnly {
+	if ub == 0 {
+		// No query-relevant mass: the gather prunes this shard whatever it
+		// answers, so it answers before queueing for a worker.
 		httperr.WriteJSON(w, http.StatusOK, resp)
 		return
 	}

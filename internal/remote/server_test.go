@@ -9,8 +9,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -174,30 +176,105 @@ func TestServerDecidesItsEvaluator(t *testing.T) {
 	}
 }
 
-// TestServerBoundOnly: bound_only must skip evaluation and return just
-// the shard's unseen upper bound.
-func TestServerBoundOnly(t *testing.T) {
+// TestServerAnswerCarriesBound pins what a one-round gather reads off an
+// answer: its "ub" is Float64bits-equal to Index.UnseenBound — also when
+// the request still carries the retired bound_only flag, an unknown field
+// a shard now ignores — and a shard whose bound is 0 answers {shard, ub:0}
+// with no results and zero Stats without taking an executor slot: its
+// only worker is wedged on another request throughout.
+func TestServerAnswerCarriesBound(t *testing.T) {
+	defer faults.Reset()
+	w := testWorld(t, 4, 42)
+	servers, _ := startShards(t, w, remote.ServerConfig{Engine: engine.Config{Workers: 1, CacheSize: -1}})
+	full, bare := testQuery(), core.Query{Keywords: []string{"education"}, K: 3, Epsilon: 0.0005}
+
+	post := func(ctx context.Context, i int, body string) remote.QueryResponse {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, servers[i].URL+"/shard/query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("shard %d %s: %v", i, body, err)
+		}
+		defer resp.Body.Close()
+		var out remote.QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard %d %s: status %d, decode %v", i, body, resp.StatusCode, err)
+		}
+		return out
+	}
+
+	zero := 0
+	for i, s := range w.Shards {
+		wantUB, err := s.Index.UnseenBound(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := post(context.Background(), i, `{"keywords":["shop","food"],"k":5,"eps":0.0005}`)
+		legacy := post(context.Background(), i, `{"keywords":["shop","food"],"k":5,"eps":0.0005,"bound_only":true}`)
+		for _, out := range []remote.QueryResponse{plain, legacy} {
+			if out.Shard != i || math.Float64bits(out.UB) != math.Float64bits(wantUB) {
+				t.Errorf("shard %d: answer {shard %d, ub %v}, want ub %v", i, out.Shard, out.UB, wantUB)
+			}
+		}
+		if wantUB == 0 || len(plain.Results) == 0 || !reflect.DeepEqual(plain.Results, legacy.Results) {
+			t.Fatalf("shard %d (ub=%v): %d results plain, %d with the retired flag; want the same full evaluation",
+				i, wantUB, len(plain.Results), len(legacy.Results))
+		}
+
+		if ub, err := s.Index.UnseenBound(bare); err != nil {
+			t.Fatal(err)
+		} else if ub != 0 {
+			continue
+		}
+		zero++
+		// Wedge the shard's one worker, then ask the zero-bound question.
+		block := make(chan struct{})
+		faults.Activate(engine.SiteEvaluate, faults.Fault{Block: block})
+		wedged := make(chan struct{})
+		go func() {
+			defer close(wedged)
+			post(context.Background(), i, `{"keywords":["shop","food"],"k":5,"eps":0.0005}`)
+		}()
+		for deadline := time.Now().Add(2 * time.Second); faults.Visits(engine.SiteEvaluate) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the wedging request never reached the executor")
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		out := post(ctx, i, `{"keywords":["education"],"k":3,"eps":0.0005}`)
+		cancel()
+		if out.Shard != i || out.UB != 0 || out.Results != nil || out.Stats != (core.Stats{}) {
+			t.Errorf("shard %d zero-bound answer %+v, want {shard %d, ub 0} and nothing else", i, out, i)
+		}
+		if n := faults.Visits(engine.SiteEvaluate); n != 1 {
+			t.Errorf("shard %d: %d evaluations entered the executor, want the wedged one only", i, n)
+		}
+		close(block)
+		<-wedged
+		faults.Reset()
+	}
+	if zero == 0 {
+		t.Error("fixture has no zero-bound shard")
+	}
+}
+
+// TestServerMountsPprof: a shard serves the profiler routes its CPU is
+// attributed through.
+func TestServerMountsPprof(t *testing.T) {
 	w := testWorld(t, 2, 1)
 	servers, _ := startShards(t, w, remote.ServerConfig{})
-	q := testQuery()
-	resp, body := postQuery(t, servers[0].URL,
-		remote.QueryRequest{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon, BoundOnly: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out remote.QueryResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Results != nil {
-		t.Errorf("bound-only answered %d results", len(out.Results))
-	}
-	want, err := w.Shards[0].Index.UnseenBound(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(out.UB) != math.Float64bits(want) {
-		t.Errorf("UB %v != %v", out.UB, want)
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
+		resp, err := http.Get(servers[0].URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", path, resp.StatusCode)
+		}
 	}
 }
 

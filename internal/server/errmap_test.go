@@ -99,13 +99,6 @@ type serverRemoteQuerier struct {
 	dead map[int]bool
 }
 
-func (f *serverRemoteQuerier) Bound(ctx context.Context, sh int, q core.Query) (float64, error) {
-	if f.dead[sh] {
-		return 0, context.DeadlineExceeded
-	}
-	return f.RemoteQuerier.Bound(ctx, sh, q)
-}
-
 func (f *serverRemoteQuerier) Query(ctx context.Context, sh int, q core.Query) (*remote.QueryResponse, error) {
 	if f.dead[sh] {
 		return nil, context.DeadlineExceeded

@@ -238,13 +238,18 @@ func TestRemoteGatherCountersExposed(t *testing.T) {
 	}
 }
 
+// TestPprofWired: the single-index server and the remote coordinator
+// mount the same profiler routes (httperr.MountPprof).
 func TestPprofWired(t *testing.T) {
-	s := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /debug/pprof/cmdline: status = %d", rec.Code)
+	coord, _ := newTestRemoteServer(t, nil)
+	for name, s := range map[string]http.Handler{"server": testServer(t), "coordinator": coord} {
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s: GET %s: status = %d", name, path, rec.Code)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	soi "repro"
@@ -31,8 +32,8 @@ type RemoteConfig struct {
 // RemoteServer serves k-SOI queries over shards running in other
 // processes — the HTTP face of shard.RemoteCoordinator. The endpoint
 // contract mirrors the single-process /api/streets, with one addition:
-// availability is explicit. A query that cannot reach every shard it
-// needs answers 503 (Retry-After: 1) by default; with ?partial=1 the
+// availability is explicit. A query that cannot reach every shard
+// answers 503 (Retry-After: 1) by default; with ?partial=1 the
 // client opts into graceful degradation and receives the merged top-k
 // of the shards that answered, tagged "degraded": true with the
 // "missing_shards" list. A non-degraded answer carries neither field
@@ -57,6 +58,7 @@ func NewRemoteServer(cfg RemoteConfig) *RemoteServer {
 	s.mux.HandleFunc("/api/streets", s.handleStreets)
 	s.mux.HandleFunc("/api/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	httperr.MountPprof(s.mux)
 	return s
 }
 
@@ -81,8 +83,8 @@ type remoteStreetsResponse struct {
 
 // partialWanted reports whether the request opted into degraded
 // answers.
-func partialWanted(r *http.Request) bool {
-	switch r.URL.Query().Get("partial") {
+func partialWanted(vals url.Values) bool {
+	switch vals.Get("partial") {
 	case "", "0", "false":
 		return false
 	}
@@ -94,18 +96,19 @@ func (s *RemoteServer) handleStreets(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	k, err := queryInt(r, "k", 10)
+	vals := r.URL.Query()
+	k, err := queryInt(vals, "k", 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	eps, err := queryFloat(r, "eps", soi.DefaultCellSize)
+	eps, err := queryFloat(vals, "eps", soi.DefaultCellSize)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	q := core.Query{Keywords: queryKeywords(r), K: k, Epsilon: eps}
-	res, gather, err := s.coord.TopK(r.Context(), q, partialWanted(r))
+	q := core.Query{Keywords: queryKeywords(vals), K: k, Epsilon: eps}
+	res, gather, err := s.coord.TopK(r.Context(), q, partialWanted(vals))
 	if err != nil {
 		writeQueryError(w, r, err)
 		return

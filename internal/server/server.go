@@ -52,7 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -114,13 +114,7 @@ func NewWithConfig(engine *soi.Engine, cfg Config) *Server {
 	s.mux.HandleFunc("/api/routes/topk", s.handleRoutesTopK)
 	s.mux.HandleFunc("/api/trajectories/soi", s.handleTrajectorySOI)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	// net/http/pprof registers on the default mux; mirror its handlers
-	// here so profiles are reachable through this server's mux too.
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	httperr.MountPprof(s.mux)
 	return s
 }
 
@@ -171,9 +165,13 @@ func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, status, err)
 }
 
+// The query* helpers read one parameter of a request's parsed query
+// string. A handler calls r.URL.Query() — a full parse of the raw query —
+// once and hands the values down.
+
 // queryFloat parses an optional float parameter with a default.
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+func queryFloat(vals url.Values, name string, def float64) (float64, error) {
+	raw := vals.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -185,8 +183,8 @@ func queryFloat(r *http.Request, name string, def float64) (float64, error) {
 }
 
 // queryInt parses an optional integer parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt(vals url.Values, name string, def int) (int, error) {
+	raw := vals.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -197,8 +195,8 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-func queryKeywords(r *http.Request) []string {
-	raw := r.URL.Query().Get("keywords")
+func queryKeywords(vals url.Values) []string {
+	raw := vals.Get("keywords")
 	if raw == "" {
 		return nil
 	}
@@ -287,8 +285,8 @@ type streetsResponse struct {
 }
 
 // traceWanted reports whether the request opted into per-query traces.
-func traceWanted(r *http.Request) bool {
-	switch r.URL.Query().Get("trace") {
+func traceWanted(vals url.Values) bool {
+	switch vals.Get("trace") {
 	case "", "0", "false":
 		return false
 	}
@@ -312,13 +310,14 @@ func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	q, err := s.parseQuery(r)
+	vals := r.URL.Query()
+	q, err := s.parseQuery(vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := streetsResponse{}
-	if traceWanted(r) {
+	if traceWanted(vals) {
 		res, trace, err := s.engine.TopStreetsTracedCtx(r.Context(), q)
 		if err != nil {
 			writeQueryError(w, r, err)
@@ -400,7 +399,7 @@ func (s *Server) handleStreetsBatch(w http.ResponseWriter, r *http.Request) {
 		k, eps := kEpsDefaults(q.K, 10, q.Eps)
 		qs[i] = soi.Query{Keywords: q.Keywords, K: k, Epsilon: eps}
 	}
-	withTrace := traceWanted(r)
+	withTrace := traceWanted(r.URL.Query())
 	results := s.engine.TopStreetsBatchCtx(r.Context(), qs)
 	resp := batchResponse{Results: make([]batchEntry, len(results))}
 	allShed := len(results) > 0
@@ -515,16 +514,16 @@ func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
 	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) parseQuery(r *http.Request) (soi.Query, error) {
-	k, err := queryInt(r, "k", 10)
+func (s *Server) parseQuery(vals url.Values) (soi.Query, error) {
+	k, err := queryInt(vals, "k", 10)
 	if err != nil {
 		return soi.Query{}, err
 	}
-	eps, err := queryFloat(r, "eps", soi.DefaultCellSize)
+	eps, err := queryFloat(vals, "eps", soi.DefaultCellSize)
 	if err != nil {
 		return soi.Query{}, err
 	}
-	return soi.Query{Keywords: queryKeywords(r), K: k, Epsilon: eps}, nil
+	return soi.Query{Keywords: queryKeywords(vals), K: k, Epsilon: eps}, nil
 }
 
 func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
@@ -532,32 +531,33 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	street := r.URL.Query().Get("street")
+	vals := r.URL.Query()
+	street := vals.Get("street")
 	if street == "" {
 		writeError(w, http.StatusBadRequest, errors.New("parameter \"street\" required"))
 		return
 	}
-	k, err := queryInt(r, "k", 4)
+	k, err := queryInt(vals, "k", 4)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	lambda, err := queryFloat(r, "lambda", 0.5)
+	lambda, err := queryFloat(vals, "lambda", 0.5)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	wWeight, err := queryFloat(r, "w", 0.5)
+	wWeight, err := queryFloat(vals, "w", 0.5)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rho, err := queryFloat(r, "rho", 0.0001)
+	rho, err := queryFloat(vals, "rho", 0.0001)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	eps, err := queryFloat(r, "eps", soi.DefaultCellSize)
+	eps, err := queryFloat(vals, "eps", soi.DefaultCellSize)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -581,12 +581,13 @@ func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	q, err := s.parseQuery(r)
+	vals := r.URL.Query()
+	q, err := s.parseQuery(vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	budget, err := queryFloat(r, "budget", 0)
+	budget, err := queryFloat(vals, "budget", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

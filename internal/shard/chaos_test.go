@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -161,13 +162,13 @@ func TestChaosGatherSiteCancelled(t *testing.T) {
 	checkNoLeaks(t, before)
 }
 
-// TestChaosSlowShardGetsPruned: the benchmark-style property that makes
-// early termination worth having — a pruned shard never blocks the
-// gather. The world is partitioned so at least one shard is pruned for
-// the golden query (seed 42, 4 tiles → 2 pruned); that shard's
-// evaluation is wedged forever, yet TopK completes because the gather
-// loop cancels it without waiting.
-func TestChaosSlowShardGetsPruned(t *testing.T) {
+// TestChaosWedgedShardBoundedByDeadline: one round waits for every
+// shard, so a shard wedged forever — here the one the golden counters say
+// is pruned last (seed 42, 4 tiles → 2 pruned), which a two-round gather
+// never waited for — holds the run until the caller's deadline, and no
+// longer. The run then ends in the context's error with no answer, never
+// a ranking that silently lacks the shard, and every goroutine is joined.
+func TestChaosWedgedShardBoundedByDeadline(t *testing.T) {
 	defer faults.Reset()
 	net, pois := tinyWorld(t, 42)
 	w, err := Partition(net, pois, Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005})
@@ -176,12 +177,15 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 	}
 	coord := NewCoordinator(w)
 	q := goldenQuery()
+	want, wantGS, err := coord.TopK(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantGS.ShardsPruned != 2 {
+		t.Fatalf("pruned = %d, want the golden 2", wantGS.ShardsPruned)
+	}
 
-	// Gather order is (UB desc, id asc); the golden counters say the
-	// shards at positions 2 and 3 are pruned. Wedge the shard the gather
-	// reaches last — addressed by its id, since the scatter goroutines
-	// reach the site in whatever order the scheduler runs them: it must
-	// never be waited on.
+	// Gather order is (UB desc, id asc): the shard reached last.
 	last := w.Shards[0]
 	lastUB, err := last.Index.UnseenBound(q)
 	if err != nil {
@@ -197,43 +201,47 @@ func TestChaosSlowShardGetsPruned(t *testing.T) {
 		}
 	}
 	block := make(chan struct{})
-	defer close(block)
 	site := faults.KeyedSite(SiteScatter, last.ID)
 	faults.Activate(site, faults.Fault{Block: block})
 	before := runtime.NumGoroutine()
-	done := make(chan struct{})
-	var got []core.StreetResult
-	var gs GatherStats
-	go func() {
-		defer close(done)
-		got, gs, err = coord.TopK(context.Background(), q)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("TopK blocked on a pruned shard")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	got, _, err := coord.TopK(ctx, q)
+	if !errors.Is(err, context.DeadlineExceeded) || got != nil {
+		t.Fatalf("wedged shard: %d results, err = %v; want none and context.DeadlineExceeded", len(got), err)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.ShardsPruned != 2 {
-		t.Errorf("pruned = %d, want 2", gs.ShardsPruned)
-	}
-	if len(got) != q.K {
-		t.Errorf("got %d results, want %d", len(got), q.K)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("wedged shard held the run %v past a 100ms deadline", d)
 	}
 	if n := faults.Fired(site); n != 1 {
 		t.Errorf("wedge fired %d times, want exactly the one shard", n)
 	}
 	checkNoLeaks(t, before)
+
+	// Unwedged, the same coordinator answers as before.
+	close(block)
+	got, gs, err := coord.TopK(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffResults(got, want); d != "" {
+		t.Errorf("after the wedge: %s", d)
+	}
+	if gs.ShardsEvaluated != wantGS.ShardsEvaluated || gs.ShardsPruned != wantGS.ShardsPruned {
+		t.Errorf("after the wedge: counters %+v, want %+v", gs, wantGS)
+	}
 }
 
-// TestZeroBoundShardsAreNotLaunched: a shard with no query-relevant mass
-// (static bound 0) is pruned at its gather position without ever being
-// evaluated — its scatter site is never visited — while the counters stay
-// what they were when such shards were launched and then discarded
-// (seed 42, Ψ={education}: 2 of 4 shards hold none, 3 of 6 at 9 tiles).
-func TestZeroBoundShardsAreNotLaunched(t *testing.T) {
+// TestZeroBoundShardsAreNotEvaluated: a shard with no query-relevant mass
+// (static bound 0) is called like every other shard but answers without
+// evaluating — no results, zero Stats (an evaluation would at least size
+// its search space), neither of Algorithm 1's checkpoints visited — and
+// is pruned at its gather position, so the counters stay what they were
+// when such shards were never called (seed 42, Ψ={education}: 2 of 4
+// shards hold none, 3 of 6 at 9 tiles).
+func TestZeroBoundShardsAreNotEvaluated(t *testing.T) {
 	defer faults.Reset()
 	net, pois := tinyWorld(t, 42)
 	q := core.Query{Keywords: []string{"education"}, K: 3, Epsilon: 0.0005}
@@ -245,9 +253,36 @@ func TestZeroBoundShardsAreNotLaunched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// An armed site counts its visits; the empty fault does nothing.
+		zero := 0
 		for _, s := range w.Shards {
-			faults.Activate(faults.KeyedSite(SiteScatter, s.ID), faults.Fault{})
+			ub, err := s.Index.UnseenBound(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An armed site counts its visits; the empty fault does nothing.
+			faults.Activate(core.SiteFilter, faults.Fault{})
+			faults.Activate(core.SiteRefine, faults.Fault{})
+			resp, err := w.Querier().Query(context.Background(), s.ID, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visits := faults.Visits(core.SiteFilter) + faults.Visits(core.SiteRefine)
+			faults.Reset()
+			if resp.Shard != s.ID || math.Float64bits(resp.UB) != math.Float64bits(ub) {
+				t.Errorf("tiles=%d shard %d: answer {shard %d, ub %v}, want ub %v", tiles, s.ID, resp.Shard, resp.UB, ub)
+			}
+			if ub == 0 {
+				zero++
+				if resp.Results != nil || resp.Stats != (core.Stats{}) || visits != 0 {
+					t.Errorf("tiles=%d shard %d (ub=0): %d results, stats %+v, %d checkpoint visits; want no evaluation",
+						tiles, s.ID, len(resp.Results), resp.Stats, visits)
+				}
+			} else if resp.Stats.TotalSegments == 0 || visits == 0 {
+				t.Errorf("tiles=%d shard %d (ub=%v): stats %+v, %d checkpoint visits; want an evaluation", tiles, s.ID, ub, resp.Stats, visits)
+			}
+		}
+		if zero == 0 {
+			t.Errorf("tiles=%d: fixture has no zero-bound shard", tiles)
 		}
 		_, gs, err := NewCoordinator(w).TopK(context.Background(), q)
 		if err != nil {
@@ -256,25 +291,6 @@ func TestZeroBoundShardsAreNotLaunched(t *testing.T) {
 		if gs.ShardsTotal != want.ShardsTotal || gs.ShardsEvaluated != want.ShardsEvaluated || gs.ShardsPruned != want.ShardsPruned {
 			t.Errorf("tiles=%d: counters %+v, want %+v", tiles, gs, want)
 		}
-		zero := 0
-		for _, s := range w.Shards {
-			ub, err := s.Index.UnseenBound(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantVisits := 1
-			if ub == 0 {
-				wantVisits = 0
-				zero++
-			}
-			if n := faults.Visits(faults.KeyedSite(SiteScatter, s.ID)); n != wantVisits {
-				t.Errorf("tiles=%d shard %d (ub=%v): scatter site visited %d times, want %d", tiles, s.ID, ub, n, wantVisits)
-			}
-		}
-		if zero == 0 {
-			t.Errorf("tiles=%d: fixture has no zero-bound shard", tiles)
-		}
-		faults.Reset()
 	}
 }
 

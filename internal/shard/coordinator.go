@@ -11,12 +11,12 @@ import (
 
 // Fault-injection sites for the chaos suites (internal/faults).
 const (
-	// SiteScatter fires once per shard evaluation goroutine, before the
-	// shard's k-SOI run, followed by its per-shard variant
+	// SiteScatter fires once per shard in that shard's goroutine, before
+	// its Query call, followed by its per-shard variant
 	// faults.KeyedSite(SiteScatter, shard id).
 	SiteScatter = "shard.scatter"
-	// SiteGather fires once per shard in the gather loop, before the
-	// prune-or-wait decision.
+	// SiteGather fires once per shard that answered, in the gather loop,
+	// before its prune-or-merge decision.
 	SiteGather = "shard.gather"
 )
 
@@ -44,9 +44,9 @@ type GatherStats struct {
 	ShardsTotal int
 	// ShardsEvaluated counts shards whose k-SOI results were merged.
 	ShardsEvaluated int
-	// ShardsPruned counts shards terminated early because the merged
-	// global LBk strictly dominated their upper bound (or their bound
-	// was zero), without waiting for — or using — their evaluation.
+	// ShardsPruned counts shards that answered but were not merged: the
+	// merged global LBk strictly dominated their upper bound, or their
+	// bound was zero (those answer without evaluating).
 	ShardsPruned int
 	// Stats folds the Algorithm 1 work counters of every merged shard.
 	Stats core.Stats
@@ -101,12 +101,17 @@ func (w *World) Querier() RemoteQuerier { return worldQuerier{w} }
 
 func (wq worldQuerier) Shards() int { return len(wq.w.Shards) }
 
-func (wq worldQuerier) Bound(_ context.Context, shard int, q core.Query) (float64, error) {
-	return wq.w.Shards[shard].Index.UnseenBound(q)
-}
-
 func (wq worldQuerier) Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error) {
 	s := wq.w.Shards[shard]
+	ub, err := s.Index.UnseenBound(q)
+	if err != nil {
+		return nil, err
+	}
+	if ub == 0 {
+		// No query-relevant mass: nothing to evaluate, as in
+		// remote.Server.handleQuery.
+		return &remote.QueryResponse{Shard: shard}, nil
+	}
 	// Drain, as in remote.NewServer: bounded by one tile's LBk.
 	res, st, err := s.Index.SOIContext(ctx, q, core.Drain, nil)
 	if err != nil {
@@ -115,7 +120,7 @@ func (wq worldQuerier) Query(ctx context.Context, shard int, q core.Query) (*rem
 	// res is this evaluation's own slice (no cache sits in between), so
 	// the ids are rewritten in place.
 	remote.GlobalIDs(res, s.Streets, s.Segments)
-	return &remote.QueryResponse{Shard: shard, Results: res, Stats: st}, nil
+	return &remote.QueryResponse{Shard: shard, UB: ub, Results: res, Stats: st}, nil
 }
 
 // foldStats accumulates one shard's Algorithm 1 counters.

@@ -47,10 +47,10 @@ func (e *UnavailableError) HTTPStatus() int { return http.StatusServiceUnavailab
 // shards that answered, with MissingShards naming the gaps.
 type RemoteGather struct {
 	GatherStats
-	// Degraded reports that at least one shard that could have
-	// contributed to the top-k was unreachable, so the answer may be
-	// missing streets. Shards that failed but were provably prunable at
-	// their gather position do not degrade the answer.
+	// Degraded reports that at least one shard did not answer, so the
+	// answer may be missing streets. Nothing proves an unanswered shard
+	// prunable — its bound rides on its answer — so every lost shard
+	// degrades the run.
 	Degraded bool
 	// MissingShards lists the unreachable shards behind Degraded,
 	// ascending.
@@ -63,9 +63,9 @@ type RemoteGather struct {
 type RemoteQuerier interface {
 	// Shards returns the number of shards addressed.
 	Shards() int
-	// Bound fetches shard's static unseen upper bound for q.
-	Bound(ctx context.Context, shard int, q core.Query) (float64, error)
-	// Query evaluates q on shard, returning global-id results.
+	// Query evaluates q on shard, returning global-id results and the
+	// shard's static unseen upper bound for q (QueryResponse.UB). A shard
+	// whose bound is 0 answers with no results and does no work.
 	Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error)
 }
 
@@ -97,8 +97,8 @@ func (c *RemoteCoordinator) Halo() float64 { return c.halo }
 func (c *RemoteCoordinator) ShardCount() int { return c.client.Shards() }
 
 // TopK runs the remote scatter-gather (see gather). With
-// allowPartial=false the answer is all-or-nothing: every shard that
-// cannot be pruned must answer, else ErrShardsUnavailable. With
+// allowPartial=false the answer is all-or-nothing: every shard must
+// answer, else ErrShardsUnavailable. With
 // allowPartial=true unreachable shards degrade the answer instead: the
 // merged top-k of the shards that answered, with gather.Degraded set and
 // gather.MissingShards naming the gaps. Every shard error is degradable

@@ -5,40 +5,58 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/remote"
 )
 
 // fakeQuerier is the world's own querier behind per-shard failure
-// switches — the coordinator's decision logic under a perfectly
-// controllable network.
+// switches and a per-shard call counter — the coordinator's decision
+// logic under a perfectly controllable network. There is one way to lose
+// a shard: its one call fails.
 type fakeQuerier struct {
 	RemoteQuerier
-	failBound map[int]bool
-	failQuery map[int]bool
+	dead  map[int]bool
+	calls []atomic.Int32 // Query calls, by shard
+	// wedge, when non-nil, parks every call until its context is done.
+	wedge chan struct{}
 }
 
 func newFakeQuerier(w *World) *fakeQuerier {
-	return &fakeQuerier{RemoteQuerier: w.Querier(), failBound: map[int]bool{}, failQuery: map[int]bool{}}
+	return &fakeQuerier{RemoteQuerier: w.Querier(), dead: map[int]bool{}, calls: make([]atomic.Int32, len(w.Shards))}
 }
 
 var errFakeDown = errors.New("fake shard down")
 
-func (f *fakeQuerier) Bound(ctx context.Context, shard int, q core.Query) (float64, error) {
-	if f.failBound[shard] {
-		return 0, errFakeDown
-	}
-	return f.RemoteQuerier.Bound(ctx, shard, q)
-}
-
 func (f *fakeQuerier) Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error) {
-	if f.failQuery[shard] {
+	f.calls[shard].Add(1)
+	if f.wedge != nil {
+		select {
+		case <-f.wedge:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if f.dead[shard] {
 		return nil, errFakeDown
 	}
 	return f.RemoteQuerier.Query(ctx, shard, q)
+}
+
+// wantCalls fails unless every shard was called exactly per times since
+// the last check, and resets the counters.
+func (f *fakeQuerier) wantCalls(t *testing.T, what string, per int32) {
+	t.Helper()
+	for i := range f.calls {
+		if n := f.calls[i].Swap(0); n != per {
+			t.Errorf("%s: shard %d got %d Query calls, want %d", what, i, n, per)
+		}
+	}
 }
 
 // mergeLive computes the expected degraded answer: the exact merged
@@ -100,10 +118,10 @@ func TestRemoteCoordinatorMatchesInProcess(t *testing.T) {
 }
 
 // TestRemoteCoordinatorSingleShardLossInvariant is the degradation
-// contract, exhaustively: for every shard i and every failure phase
-// (bound lost, query lost), the answer is either bit-identical to the
-// oracle and untagged, or tagged degraded and exactly the merged top-k
-// of the shards that answered. Never wrong, never hanging.
+// contract, exhaustively: for every shard i, losing it tags the answer —
+// a shard's bound rides on its answer, so nothing proves a lost shard
+// prunable — and the tagged answer is exactly the merged top-k of the
+// shards that answered. Never wrong, never hanging, never silent.
 func TestRemoteCoordinatorSingleShardLossInvariant(t *testing.T) {
 	net, pois := tinyWorld(t, 7)
 	w, err := Partition(net, pois, Config{Tiles: 9, Halo: 0.0012, CellSize: 0.0005})
@@ -111,66 +129,54 @@ func TestRemoteCoordinatorSingleShardLossInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.0005}
-	oracle, _, err := NewCoordinator(w).TopK(context.Background(), q)
+	oracle, oracleGS, err := NewCoordinator(w).TopK(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawPrunedLoss := false
-	for i := range w.Shards {
-		for _, phase := range []string{"bound", "query"} {
-			fq := newFakeQuerier(w)
-			if phase == "bound" {
-				fq.failBound[i] = true
-			} else {
-				fq.failQuery[i] = true
-			}
-			rc := NewRemoteCoordinator(fq, w.Halo)
-			got, g, err := rc.TopK(context.Background(), q, true)
-			if err != nil {
-				t.Fatalf("shard %d %s loss: %v", i, phase, err)
-			}
-			if got2 := g.ShardsEvaluated + g.ShardsPruned + len(g.MissingShards); got2 != g.ShardsTotal {
-				t.Errorf("shard %d %s loss: counters do not partition: eval %d + pruned %d + missing %d != %d",
-					i, phase, g.ShardsEvaluated, g.ShardsPruned, len(g.MissingShards), g.ShardsTotal)
-			}
-			if !g.Degraded {
-				// The lost shard was provably prunable: the answer must be
-				// the untouched oracle.
-				sawPrunedLoss = true
-				if len(g.MissingShards) != 0 {
-					t.Errorf("shard %d %s loss: untagged but missing %v", i, phase, g.MissingShards)
-				}
-				if d := diffResults(got, oracle); d != "" {
-					t.Errorf("shard %d %s loss: untagged answer diverged from oracle: %s", i, phase, d)
-				}
-				continue
-			}
-			if len(g.MissingShards) != 1 || g.MissingShards[0] != i {
-				t.Errorf("shard %d %s loss: missing = %v, want [%d]", i, phase, g.MissingShards, i)
-			}
-			want := mergeLive(t, w, q, map[int]bool{i: true})
-			if d := diffResults(got, want); d != "" {
-				t.Errorf("shard %d %s loss: degraded answer is not the exact live merge: %s", i, phase, d)
-			}
-
-			// The same loss without the partial opt-in must refuse with the
-			// typed 503, not serve the degraded answer silently.
-			_, _, err = rc.TopK(context.Background(), q, false)
-			if !errors.Is(err, ErrShardsUnavailable) {
-				t.Errorf("shard %d %s loss without partial: err = %v, want ErrShardsUnavailable", i, phase, err)
-			}
-			var ue *UnavailableError
-			if !errors.As(err, &ue) {
-				t.Errorf("shard %d %s loss: error is not *UnavailableError", i, phase)
-			} else if ue.HTTPStatus() != http.StatusServiceUnavailable {
-				t.Errorf("shard %d %s loss: HTTPStatus = %d, want 503", i, phase, ue.HTTPStatus())
-			}
-		}
+	// All shards answer ⇒ bit-identical and untagged.
+	got, g, err := NewRemoteCoordinator(newFakeQuerier(w), w.Halo).TopK(context.Background(), q, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Sanity: query-phase losses of prunable shards must actually occur
-	// in this fixture, or the untagged branch is untested.
-	if !sawPrunedLoss {
-		t.Log("fixture note: no shard loss was prunable; untagged branch not exercised at tiles=9")
+	if g.Degraded || len(g.MissingShards) != 0 ||
+		g.ShardsEvaluated != oracleGS.ShardsEvaluated || g.ShardsPruned != oracleGS.ShardsPruned {
+		t.Errorf("no loss: gather %+v, want untagged with %+v", g, oracleGS)
+	}
+	if d := diffResults(got, oracle); d != "" {
+		t.Errorf("no loss: %s", d)
+	}
+	for i := range w.Shards {
+		fq := newFakeQuerier(w)
+		fq.dead[i] = true
+		rc := NewRemoteCoordinator(fq, w.Halo)
+		got, g, err := rc.TopK(context.Background(), q, true)
+		if err != nil {
+			t.Fatalf("shard %d lost: %v", i, err)
+		}
+		if n := g.ShardsEvaluated + g.ShardsPruned + len(g.MissingShards); n != g.ShardsTotal {
+			t.Errorf("shard %d lost: counters do not partition: eval %d + pruned %d + missing %d != %d",
+				i, g.ShardsEvaluated, g.ShardsPruned, len(g.MissingShards), g.ShardsTotal)
+		}
+		if !g.Degraded || len(g.MissingShards) != 1 || g.MissingShards[0] != i {
+			t.Errorf("shard %d lost: degraded=%v missing=%v, want tagged with [%d]", i, g.Degraded, g.MissingShards, i)
+		}
+		want := mergeLive(t, w, q, map[int]bool{i: true})
+		if d := diffResults(got, want); d != "" {
+			t.Errorf("shard %d lost: degraded answer is not the exact live merge: %s", i, d)
+		}
+
+		// The same loss without the partial opt-in must refuse with the
+		// typed 503, not serve the degraded answer silently.
+		_, _, err = rc.TopK(context.Background(), q, false)
+		if !errors.Is(err, ErrShardsUnavailable) {
+			t.Errorf("shard %d lost without partial: err = %v, want ErrShardsUnavailable", i, err)
+		}
+		var ue *UnavailableError
+		if !errors.As(err, &ue) {
+			t.Errorf("shard %d lost: error is not *UnavailableError", i)
+		} else if ue.HTTPStatus() != http.StatusServiceUnavailable || len(ue.Missing) != 1 || ue.Missing[0] != i {
+			t.Errorf("shard %d lost: HTTPStatus = %d missing = %v, want 503 naming [%d]", i, ue.HTTPStatus(), ue.Missing, i)
+		}
 	}
 }
 
@@ -186,27 +192,22 @@ func TestRemoteCoordinatorMultiShardLoss(t *testing.T) {
 		t.Skip("fixture produced fewer than 3 shards")
 	}
 	q := core.Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.0005}
-	dead := map[int]bool{0: true, 2: true}
 	fq := newFakeQuerier(w)
-	fq.failBound[0], fq.failQuery[2] = true, true
-	rc := NewRemoteCoordinator(fq, w.Halo)
-	got, g, err := rc.TopK(context.Background(), q, true)
+	fq.dead[0], fq.dead[2] = true, true
+	got, g, err := NewRemoteCoordinator(fq, w.Halo).TopK(context.Background(), q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sort.IntsAreSorted(g.MissingShards) {
-		t.Errorf("missing shards not sorted: %v", g.MissingShards)
+	if !g.Degraded || !reflect.DeepEqual(g.MissingShards, []int{0, 2}) {
+		t.Errorf("degraded=%v missing=%v, want tagged with [0 2]", g.Degraded, g.MissingShards)
 	}
-	if g.Degraded {
-		want := mergeLive(t, w, q, dead)
-		if d := diffResults(got, want); d != "" {
-			t.Errorf("multi-loss degraded answer wrong: %s", d)
-		}
+	if d := diffResults(got, mergeLive(t, w, q, fq.dead)); d != "" {
+		t.Errorf("multi-loss degraded answer wrong: %s", d)
 	}
 	// All shards lost: an empty but well-formed degraded answer.
 	all := newFakeQuerier(w)
 	for i := range w.Shards {
-		all.failBound[i] = true
+		all.dead[i] = true
 	}
 	got, g, err = NewRemoteCoordinator(all, w.Halo).TopK(context.Background(), q, true)
 	if err != nil {
@@ -214,6 +215,71 @@ func TestRemoteCoordinatorMultiShardLoss(t *testing.T) {
 	}
 	if !g.Degraded || len(g.MissingShards) != len(w.Shards) || len(got) != 0 {
 		t.Errorf("all-lost: got %d results, degraded=%v missing=%v", len(got), g.Degraded, g.MissingShards)
+	}
+}
+
+// TestGatherOneQueryPerShard pins the round count: whatever way a run
+// ends, gather made exactly one Query call per shard — the interface
+// offers nothing else to call — and joined every goroutine it started.
+func TestGatherOneQueryPerShard(t *testing.T) {
+	net, pois := tinyWorld(t, 42)
+	w, err := Partition(net, pois, Config{Tiles: 9, Halo: 0.0012, CellSize: 0.0005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ψ={education} leaves zero-bound shards in this world, and the golden
+	// query pruned ones: neither kind is asked twice, or skipped.
+	for _, q := range []core.Query{goldenQuery(), {Keywords: []string{"education"}, K: 3, Epsilon: 0.0005}} {
+		fq := newFakeQuerier(w)
+		rc := NewRemoteCoordinator(fq, w.Halo)
+		before := runtime.NumGoroutine()
+
+		_, g, err := rc.TopK(context.Background(), q, false)
+		if err != nil || g.Degraded {
+			t.Fatalf("%v clean: err=%v gather=%+v", q.Keywords, err, g)
+		}
+		if g.ShardsPruned == 0 {
+			t.Errorf("%v: fixture prunes no shard", q.Keywords)
+		}
+		fq.wantCalls(t, "clean", 1)
+
+		fq.dead[1] = true
+		if _, g, err = rc.TopK(context.Background(), q, true); err != nil || !g.Degraded {
+			t.Fatalf("%v degraded: err=%v gather=%+v", q.Keywords, err, g)
+		}
+		fq.wantCalls(t, "degraded", 1)
+		if _, _, err = rc.TopK(context.Background(), q, false); !errors.Is(err, ErrShardsUnavailable) {
+			t.Fatalf("%v refused: err=%v", q.Keywords, err)
+		}
+		fq.wantCalls(t, "refused", 1)
+
+		// Cancelled with every call in flight: the context error, still
+		// one call each, nobody left behind.
+		fq.wedge = make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := rc.TopK(ctx, q, true)
+			errc <- err
+		}()
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			entered := 0
+			for i := range fq.calls {
+				entered += int(fq.calls[i].Load())
+			}
+			if entered == len(w.Shards) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d shards were called", entered, len(w.Shards))
+			}
+		}
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v cancelled: err=%v, want context.Canceled", q.Keywords, err)
+		}
+		fq.wantCalls(t, "cancelled", 1)
+		checkNoLeaks(t, before)
 	}
 }
 
@@ -258,9 +324,9 @@ func TestRemoteCoordinatorPermanentErrorNotDegraded(t *testing.T) {
 	}
 }
 
-// permanentQuerier fails every bound call with a permanent 400.
+// permanentQuerier fails every call with a permanent 400.
 type permanentQuerier struct{ RemoteQuerier }
 
-func (p *permanentQuerier) Bound(ctx context.Context, shard int, q core.Query) (float64, error) {
-	return 0, &remote.PermanentError{Status: http.StatusBadRequest, Msg: "broken request"}
+func (p *permanentQuerier) Query(ctx context.Context, shard int, q core.Query) (*remote.QueryResponse, error) {
+	return nil, &remote.PermanentError{Status: http.StatusBadRequest, Msg: "broken request"}
 }

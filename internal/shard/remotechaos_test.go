@@ -169,7 +169,7 @@ func TestRemoteChaosKillEachShard(t *testing.T) {
 			t.Fatalf("shard %d killed: partial call failed: %v", i, err)
 		}
 		if !g.Degraded {
-			t.Fatalf("shard %d killed at bound phase but answer untagged", i)
+			t.Fatalf("shard %d killed but answer untagged", i)
 		}
 		assertExactOrDegraded(t, h, q, oracle, got, g, map[int]bool{i: true})
 

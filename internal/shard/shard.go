@@ -14,8 +14,9 @@
 // (DESIGN.md §12).
 //
 // There is one scatter-gather run, gather (gather.go), written against
-// RemoteQuerier: static per-shard bounds, (bound desc, id asc) order,
-// speculative evaluation, sequential prune-or-merge. Coordinator runs it
+// RemoteQuerier, and it is one round: every shard evaluated at once, each
+// answer carrying its shard's static bound, then (bound desc, id asc)
+// order and a sequential prune-or-merge. Coordinator runs it
 // over the world's own shards (World.Querier), RemoteCoordinator over
 // shard servers in other processes (a remote.Client); they differ only in
 // which shard failures may degrade an answer instead of failing it.

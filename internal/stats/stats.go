@@ -204,9 +204,9 @@ type IngestStats struct {
 // fault-tolerant shard client's attempt/retry/hedge traffic, circuit
 // breaker lifecycle, and the coordinator's degradation outcomes.
 type RemoteStats struct {
-	// Calls counts logical shard calls (bound or query, one per shard
-	// per coordinator phase); Attempts counts the HTTP attempts they
-	// expanded into (first tries, retries and hedges alike).
+	// Calls counts logical shard calls (one per shard per gather);
+	// Attempts counts the HTTP attempts they expanded into (first tries,
+	// retries and hedges alike).
 	Calls    Counter
 	Attempts Counter
 	// Retries counts attempts beyond a call's first (hedges excluded).
@@ -230,10 +230,12 @@ type RemoteStats struct {
 	// missing; ShardsMissing sums the shards those answers were missing.
 	Degraded      Counter
 	ShardsMissing Counter
-	// ShardsEvaluated and ShardsPruned split the shards of every
-	// answered query (shard.GatherStats): those whose results were
-	// merged, and those the static bound terminated early. Their ratio
-	// is the prune effectiveness of the bounds-first gather.
+	// ShardsEvaluated and ShardsPruned split the shards that answered
+	// an answered query (shard.GatherStats): those whose results were
+	// merged, and those that answered but were not merged — their static
+	// bound was 0 or strictly below the merged LBk. Their ratio is how
+	// often the bound closes; a pruned shard's evaluation was still paid
+	// for unless its bound was 0.
 	ShardsEvaluated Counter
 	ShardsPruned    Counter
 }
