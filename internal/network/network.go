@@ -37,7 +37,9 @@ type Segment struct {
 // time (len(ℓ) in the paper).
 func (s *Segment) Length() float64 { return s.length }
 
-// Street is a named simple path of consecutive segments.
+// Street is a named simple path of consecutive segments. Builder numbers
+// segments as it adds streets, so a street's Segments are consecutive
+// ids, ascending, and a later street's ids are all larger.
 type Street struct {
 	ID       StreetID
 	Name     string

@@ -198,7 +198,9 @@ func TestValidateOrphanSegment(t *testing.T) {
 }
 
 // Property: random polylines always build into valid networks whose
-// street lengths are the sums of their segment lengths.
+// street lengths are the sums of their segment lengths, and whose
+// segments are numbered street by street (what traj.CorridorRanking's
+// per-street runs rely on).
 func TestRandomNetworksValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -219,9 +221,14 @@ func TestRandomNetworksValid(t *testing.T) {
 		if err := n.Validate(); err != nil {
 			t.Fatalf("Validate: %v", err)
 		}
+		next := SegmentID(0)
 		for _, st := range n.Streets() {
 			var sum float64
 			for _, sid := range st.Segments {
+				if sid != next {
+					t.Fatalf("street %d holds segment %d, want %d", st.ID, sid, next)
+				}
+				next++
 				sum += n.Segment(sid).Length()
 			}
 			if math.Abs(sum-st.Length()) > 1e-9 {

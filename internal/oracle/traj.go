@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -388,15 +389,16 @@ func MatchPoint(net *network.Network, p geo.Point, radius float64) (network.Segm
 // trace point, then the canonical corridor aggregation over exhaustively
 // computed segment interests.
 func TrajTopK(net *network.Network, pois *poi.Corpus, traces [][]geo.Point, q traj.TrajQuery, query vocab.Set, eps float64) []traj.CorridorResult {
-	covered := make([]bool, net.NumSegments())
+	var covered []network.SegmentID
 	for _, trace := range traces {
 		for _, p := range trace {
 			if sid, ok := MatchPoint(net, p, q.Radius); ok {
-				covered[sid] = true
+				covered = append(covered, sid)
 			}
 		}
 	}
-	return traj.CorridorRanking(net, covered, func(sid network.SegmentID) float64 {
+	slices.Sort(covered)
+	return traj.CorridorRanking(net, slices.Compact(covered), func(sid network.SegmentID) float64 {
 		return SegmentInterest(net, pois, sid, query, eps)
 	}, q.K, nil)
 }

@@ -15,7 +15,7 @@ import (
 
 // testServerConfigured is testServer with explicit engine and server
 // configuration, for exercising admission control and body limits.
-func testServerConfigured(t *testing.T, ecfg soi.Config, scfg Config) *Server {
+func testServerConfigured(t testing.TB, ecfg soi.Config, scfg Config) *Server {
 	t.Helper()
 	streets := []soi.StreetInput{
 		{Name: "High St", Polyline: []soi.Point{{X: 0, Y: 0}, {X: 0.002, Y: 0}}},

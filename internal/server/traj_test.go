@@ -37,20 +37,23 @@ func TestRoutesTopK(t *testing.T) {
 	}
 }
 
+// badRoutesBodies are /api/routes/topk requests that must be refused
+// with 400; FuzzRoutesTopK starts from them.
+var badRoutesBodies = []string{
+	`{`, // malformed JSON
+	`{"src":[0,0],"dst":[0.002,0],"budget":0.02}`,                             // no keywords
+	`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"]}`,                       // no budget
+	`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":-1}`,           // negative budget
+	`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1,"alpha":-1}`, // negative alpha
+	`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1,"k":-2}`,     // negative k
+	`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1,"eps":-1}`,   // negative eps
+	`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1e999}`,        // out-of-range budget
+	`{"src":[1e999,0],"dst":[0.002,0],"keywords":["shop"],"budget":1}`,        // out-of-range coordinate
+}
+
 func TestRoutesTopKValidation(t *testing.T) {
 	s := testServer(t)
-	cases := []string{
-		`{`, // malformed JSON
-		`{"src":[0,0],"dst":[0.002,0],"budget":0.02}`,                             // no keywords
-		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"]}`,                       // no budget
-		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":-1}`,           // negative budget
-		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1,"alpha":-1}`, // negative alpha
-		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1,"k":-2}`,     // negative k
-		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1,"eps":-1}`,   // negative eps
-		`{"src":[0,0],"dst":[0.002,0],"keywords":["shop"],"budget":1e999}`,        // out-of-range budget
-		`{"src":[1e999,0],"dst":[0.002,0],"keywords":["shop"],"budget":1}`,        // out-of-range coordinate
-	}
-	for _, c := range cases {
+	for _, c := range badRoutesBodies {
 		rec, body := post(t, s, "/api/routes/topk", c)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d (%v)", c, rec.Code, body)
@@ -90,18 +93,21 @@ func TestTrajectorySOIEndpoint(t *testing.T) {
 	}
 }
 
+// badTrajBodies are /api/trajectories/soi requests that must be refused
+// with 400; FuzzTrajectorySOI starts from them.
+var badTrajBodies = []string{
+	`{`,                     // malformed JSON
+	`{"keywords":["shop"]}`, // no traces
+	`{"traces":[[[0,0]]]}`,  // no keywords
+	`{"traces":[[[0,0]]],"keywords":["shop"],"radius":-1}`,    // negative radius
+	`{"traces":[[[0,0]]],"keywords":["shop"],"k":-1}`,         // negative k
+	`{"traces":[[[0,0]]],"keywords":["shop"],"eps":-1}`,       // negative eps
+	`{"traces":[[[0,0]]],"keywords":["shop"],"radius":1e999}`, // out-of-range radius
+}
+
 func TestTrajectorySOIValidation(t *testing.T) {
 	s := testServer(t)
-	cases := []string{
-		`{`,                     // malformed JSON
-		`{"keywords":["shop"]}`, // no traces
-		`{"traces":[[[0,0]]]}`,  // no keywords
-		`{"traces":[[[0,0]]],"keywords":["shop"],"radius":-1}`,    // negative radius
-		`{"traces":[[[0,0]]],"keywords":["shop"],"k":-1}`,         // negative k
-		`{"traces":[[[0,0]]],"keywords":["shop"],"eps":-1}`,       // negative eps
-		`{"traces":[[[0,0]]],"keywords":["shop"],"radius":1e999}`, // out-of-range radius
-	}
-	for _, c := range cases {
+	for _, c := range badTrajBodies {
 		rec, body := post(t, s, "/api/trajectories/soi", c)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%.60s: status = %d (%v)", c, rec.Code, body)
@@ -202,6 +208,39 @@ func TestRouteSearchCountersExposed(t *testing.T) {
 		fmt.Sprintf("soi_traj_vertices_settled_total %d\n", int(v2)),
 		"# TYPE soi_traj_segments_folded_total counter",
 		fmt.Sprintf("soi_traj_segments_folded_total %d\n", int(f2)),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestCorridorSegmentsExposed: a trajectory query adds its corridor —
+// the distinct segments its traces matched, one interest fold each — to
+// traj.corridor_segments in /api/stats and to
+// soi_traj_corridor_segments_total in /metrics; a refused query adds
+// nothing.
+func TestCorridorSegmentsExposed(t *testing.T) {
+	s := testServer(t)
+	// Three points along High St and one beside Side St: two segments.
+	if rec, body := post(t, s, "/api/trajectories/soi",
+		`{"traces":[[[0.0002,0.00005],[0.001,-0.00005],[0.0018,0.00005]],[[0.0021,0.001]]],"keywords":["shop"],"k":5,"radius":0.0003}`); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %v", rec.Code, body)
+	}
+	if rec, _ := post(t, s, "/api/trajectories/soi", badTrajBodies[3]); rec.Code != http.StatusBadRequest {
+		t.Fatalf("invalid query: status = %d", rec.Code)
+	}
+	_, body := get(t, s, "/api/stats")
+	section := body["stats"].(map[string]interface{})["traj"].(map[string]interface{})
+	if c, p, m := section["corridor_segments"], section["trace_points"], section["matched_points"]; c != 2.0 || p != 4.0 || m != 4.0 {
+		t.Fatalf("corridor_segments=%v trace_points=%v matched_points=%v, want 2/4/4", c, p, m)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	for _, want := range []string{
+		"# TYPE soi_traj_corridor_segments_total counter",
+		"soi_traj_corridor_segments_total 2\n",
 	} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("exposition missing %q", want)

@@ -82,6 +82,7 @@ func (s Snapshot) counterRows() []counterRow {
 		{"traj_expansions", s.Traj.Expansions, false},
 		{"traj_vertices_settled", s.Traj.VerticesSettled, false},
 		{"traj_segments_folded", s.Traj.SegmentsFolded, false},
+		{"traj_corridor_segments", s.Traj.CorridorSegments, false},
 		{"traj_trace_points", s.Traj.TracePoints, false},
 		{"traj_matched_points", s.Traj.MatchedPoints, false},
 		{"traj_shed", s.Traj.Shed, false},

@@ -256,6 +256,10 @@ type TrajStats struct {
 	// the network.
 	VerticesSettled Counter
 	SegmentsFolded  Counter
+	// CorridorSegments accumulates the trajectory-SOI corridors: the
+	// distinct segments each query's traces matched, one interest fold
+	// each. Per query it tracks the trace, not the network.
+	CorridorSegments Counter
 	// TracePoints and MatchedPoints count trace points examined and
 	// those that snapped to a segment.
 	TracePoints   Counter
@@ -267,8 +271,9 @@ type TrajStats struct {
 	Cancelled        Counter
 	DeadlineExceeded Counter
 	PanicsRecovered  Counter
-	// SearchNanos and MatchNanos accumulate wall time inside route
-	// searches and trajectory-SOI evaluations.
+	// SearchNanos accumulates wall time inside route searches, and
+	// MatchNanos inside whole trajectory-SOI evaluations — matching, the
+	// corridor fold and the ranking, not matching alone.
 	SearchNanos Counter
 	MatchNanos  Counter
 }
@@ -388,6 +393,7 @@ type TrajSnapshot struct {
 	Expansions       int64 `json:"expansions"`
 	VerticesSettled  int64 `json:"vertices_settled"`
 	SegmentsFolded   int64 `json:"segments_folded"`
+	CorridorSegments int64 `json:"corridor_segments"`
 	TracePoints      int64 `json:"trace_points"`
 	MatchedPoints    int64 `json:"matched_points"`
 	Shed             int64 `json:"shed"`
@@ -507,6 +513,7 @@ func (r *Recorder) Snapshot() Snapshot {
 			Expansions:       r.Traj.Expansions.Load(),
 			VerticesSettled:  r.Traj.VerticesSettled.Load(),
 			SegmentsFolded:   r.Traj.SegmentsFolded.Load(),
+			CorridorSegments: r.Traj.CorridorSegments.Load(),
 			TracePoints:      r.Traj.TracePoints.Load(),
 			MatchedPoints:    r.Traj.MatchedPoints.Load(),
 			Shed:             r.Traj.Shed.Load(),

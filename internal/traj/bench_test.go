@@ -153,6 +153,36 @@ func BenchmarkMatch(b *testing.B) {
 	b.ReportMetric(float64(matched)/float64(b.N), "matched/op")
 }
 
+// BenchmarkTrajectorySOI is the whole trajectory query the serving path
+// runs: the eight traces matched at the default radius, the corridor
+// folded through the production interests and ranked. covered/op is the
+// corridor's size and folds/op the interest evaluations it cost.
+func BenchmarkTrajectorySOI(b *testing.B) {
+	w := berlinTenth(b)
+	radius := DefaultSnap(w.net)
+	m := NewMatcher(w.net, radius)
+	folds := 0
+	interest := func(sid network.SegmentID) float64 {
+		folds++
+		return w.interest(sid)
+	}
+	q := TrajQuery{Traces: w.traces, K: 10, Radius: radius}
+	ctx := context.Background()
+	covered := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, st, err := TrajectorySOI(ctx, m, interest, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(rs)
+		covered += st.CoveredSegments
+	}
+	b.ReportMetric(float64(covered)/float64(b.N), "covered/op")
+	b.ReportMetric(float64(folds)/float64(b.N), "folds/op")
+}
+
 func BenchmarkSnapVertex(b *testing.B) {
 	w := berlinTenth(b)
 	nb := w.net.Bounds()

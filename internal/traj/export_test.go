@@ -17,6 +17,14 @@ func (g *Graph) DistancesWithin(src network.VertexID, limit float64) ([]float64,
 // BoundSlack exposes the search's float-safety margin to the reference.
 const BoundSlack = boundSlack
 
+// RaceEnabled reports whether the race detector is active.
+const RaceEnabled = raceEnabled
+
+// Cell and GridCells expose the matcher grid's cell side and the number
+// of cells its bucket array spans.
+func (m *Matcher) Cell() float64  { return m.cell }
+func (m *Matcher) GridCells() int { return m.nx * m.ny }
+
 // ShortestPath exposes what the tour planner asks of the graph — one
 // unbounded distancesWithin run from src and the path pathTo rebuilds
 // from its field — to the external test package; ok is false when dst is

@@ -470,10 +470,8 @@ func TestTrajectorySOISmall(t *testing.T) {
 
 func TestCorridorRankingDropsZeroScores(t *testing.T) {
 	net := lattice(t, 3)
-	covered := make([]bool, net.NumSegments())
-	covered[0] = true
 	zero := func(network.SegmentID) float64 { return 0 }
-	if out := CorridorRanking(net, covered, zero, 5, nil); len(out) != 0 {
+	if out := CorridorRanking(net, []network.SegmentID{0}, zero, 5, nil); len(out) != 0 {
 		t.Fatalf("zero-interest corridor ranked: %+v", out)
 	}
 }

@@ -98,10 +98,13 @@ const trajMatcherCacheSize = 8
 
 // trajMatcherLazy returns the map-matching grid for one snap radius,
 // memoised across queries (the default radius is the common case, paid
-// once — mirroring trajGraphLazy). Construction happens outside the
-// memo's lock so concurrent first requests for different radii don't
-// serialize; a racing duplicate build is benign (identical, immutable
-// matchers).
+// once — mirroring trajGraphLazy). A matcher is two flat arrays, 4 B per
+// grid cell and per bucket entry: on Berlin 0.25 about 0.2 MB at the
+// default radius and 4.3 MB at most, where a tiny radius meets the
+// extent/1024 cell floor, so a memo full of floored radii holds ~35 MB.
+// Construction happens outside the memo's lock so concurrent first
+// requests for different radii don't serialize; a racing duplicate build
+// is benign (identical, immutable matchers).
 func (e *Engine) trajMatcherLazy(radius float64) *traj.Matcher {
 	if m, ok := e.matchers.Get(radius); ok {
 		return m
@@ -264,6 +267,7 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) (_ []C
 	}, traj.TrajQuery{Traces: traces, K: q.K, Radius: radius})
 	e.rec.Traj.TracePoints.Add(int64(st.TracePoints))
 	e.rec.Traj.MatchedPoints.Add(int64(st.Matched))
+	e.rec.Traj.CorridorSegments.Add(int64(st.CoveredSegments))
 	if err != nil {
 		e.outcome(err)
 		return nil, err
