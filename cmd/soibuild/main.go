@@ -33,11 +33,7 @@ import (
 
 	soi "repro"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/dataio"
-	"repro/internal/network"
-	"repro/internal/photo"
-	"repro/internal/poi"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
@@ -66,7 +62,7 @@ func main() {
 		log.Fatalf("-halo must be positive and finite with -shards, got %g", *halo)
 	}
 
-	net, pois, photos, err := loadDataset(*city, *scale, *seed, *dataDir)
+	net, pois, photos, err := dataio.Load(*city, *scale, *seed, *dataDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,34 +103,6 @@ func main() {
 	fmt.Printf("%s: %d streets, %d segments, %d POIs, %d photos, cell %g -> %s (%d bytes)\n",
 		datasetName(*city, *dataDir), ns.NumStreets, ns.NumSegments,
 		pois.Len(), photos.Len(), *cell, *out, st.Size())
-}
-
-func loadDataset(city string, scale float64, seed int64, dataDir string) (*network.Network, *poi.Corpus, *photo.Corpus, error) {
-	switch {
-	case dataDir != "" && city != "":
-		return nil, nil, nil, fmt.Errorf("-city and -data are mutually exclusive")
-	case dataDir != "":
-		net, pois, photos, _, err := dataio.LoadDir(dataDir)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return net, pois, photos, nil
-	case city != "":
-		p, err := datagen.ProfileByName(city)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%v (want london, berlin, vienna, or small)", err)
-		}
-		if seed != 0 {
-			p.Seed = seed
-		}
-		ds, err := datagen.Generate(datagen.Scale(p, scale))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return ds.Network, ds.POIs, ds.Photos, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("provide -city or -data")
-	}
 }
 
 func datasetName(city, dataDir string) string {

@@ -19,8 +19,16 @@
 //	GET /api/streets?keywords=shop&k=10&eps=0.0005&trace=1
 //	GET /api/describe?street=Friedrichstraße&k=4
 //	GET /api/tour?keywords=shop&k=10&budget=0.05
-//	GET /metrics                   Prometheus text exposition
+//
+// and in every mode (-city/-data/-index, -live, -tenants, -shard-addrs):
+//
+//	GET /healthz                   liveness: the process is up
+//	GET /readyz                    readiness: 503 "draining" from SIGINT/SIGTERM on
+//	GET /metrics                   Prometheus text exposition (runtime gauges included)
 //	GET /debug/pprof/              net/http/pprof profiles
+//
+// Under -tenants the router's /metrics carries the runtime gauges and each
+// city's counters are under /api/{city}/metrics.
 //
 // The server is production-hardened: per-query deadlines
 // (-query-timeout), bounded admission with load shedding (-queue-depth,
@@ -42,11 +50,7 @@ import (
 	"time"
 
 	soi "repro"
-	"repro/internal/datagen"
 	"repro/internal/dataio"
-	"repro/internal/network"
-	"repro/internal/photo"
-	"repro/internal/poi"
 	"repro/internal/remote"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -62,7 +66,7 @@ func main() {
 		scale         = flag.Float64("scale", 0.25, "volume scale for -city")
 		dataDir       = flag.String("data", "", "load a CSV dataset directory instead of generating")
 		indexPath     = flag.String("index", "", "memory-map a prebuilt index snapshot (.soi, see soibuild) instead of building one")
-		workers       = flag.Int("workers", 0, "max concurrent k-SOI evaluations (0 = GOMAXPROCS)")
+		workers       = flag.Int("workers", 0, "max concurrent query evaluations of every kind: k-SOI, describe, tour, routes, trajectories (0 = GOMAXPROCS)")
 		cache         = flag.Int("cache", 0, "query result cache capacity (0 = default, negative disables)")
 		queueDepth    = flag.Int("queue-depth", 256, "max queries waiting for a worker slot before shedding with 503 (0 = unbounded)")
 		maxQueueWait  = flag.Duration("max-queue-wait", 2*time.Second, "max time a query may wait for a worker slot before shedding (0 = unbounded)")
@@ -217,7 +221,7 @@ func buildEngine(city string, scale float64, dataDir, indexPath string, cfg soi.
 	if city == "" && dataDir == "" {
 		return nil, fmt.Errorf("provide -city, -data or -index")
 	}
-	net, pois, photos, err := loadCorpora(city, scale, dataDir)
+	net, pois, photos, err := dataio.Load(city, scale, 0, dataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -227,33 +231,11 @@ func buildEngine(city string, scale float64, dataDir, indexPath string, cfg soi.
 // buildLiveEngine is buildEngine for -live: same dataset sources minus
 // snapshots, built through the epoch-based ingest path.
 func buildLiveEngine(city string, scale float64, dataDir string, cfg soi.LiveConfig) (*soi.Engine, error) {
-	if city == "" && dataDir == "" {
-		return nil, fmt.Errorf("provide -city or -data with -live")
-	}
-	net, pois, photos, err := loadCorpora(city, scale, dataDir)
+	net, pois, photos, err := dataio.Load(city, scale, 0, dataDir)
 	if err != nil {
 		return nil, err
 	}
 	return soi.NewLiveEngineFromCorpora(net, pois, photos, cfg)
-}
-
-// loadCorpora resolves the dataset flags into the corpora an engine is
-// built over: the CSV directory -data names, else the synthetic -city at
-// -scale.
-func loadCorpora(city string, scale float64, dataDir string) (*network.Network, *poi.Corpus, *photo.Corpus, error) {
-	if dataDir != "" {
-		net, pois, photos, _, err := dataio.LoadDir(dataDir)
-		return net, pois, photos, err
-	}
-	p, err := datagen.ProfileByName(city)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ds, err := datagen.Generate(datagen.Scale(p, scale))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ds.Network, ds.POIs, ds.Photos, nil
 }
 
 // newHandler wires the HTTP routes (internal/server).

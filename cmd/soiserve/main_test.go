@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -118,10 +119,17 @@ func TestShutdownGraceExpiry(t *testing.T) {
 	}
 }
 
-// holdingServer is soiserve's handler with one extra path: /hold parks
+// drainable is every soiserve handler: remote.Serve flips its readiness
+// off when the drain begins.
+type drainable interface {
+	http.Handler
+	SetDraining(bool)
+}
+
+// holdingServer is a soiserve handler with one extra path: /hold parks
 // until released and then answers as /readyz would at that moment.
 type holdingServer struct {
-	*server.Server
+	drainable
 	started, release chan struct{}
 }
 
@@ -132,27 +140,54 @@ func (h holdingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r = r.Clone(r.Context())
 		r.URL.Path = "/readyz"
 	}
-	h.Server.ServeHTTP(w, r)
+	h.drainable.ServeHTTP(w, r)
 }
 
 // TestShutdownReportsDraining: from the moment the drain begins — before
 // the listener closes, and for the whole grace period — soiserve's
-// /readyz must answer 503 "draining", so balancers and the coordinator's
-// half-open breaker probes steer away the way they do from a soishard.
+// /readyz must answer 503 "draining" in every serving mode, so balancers
+// and the coordinator's half-open breaker probes steer away the way they
+// do from a soishard.
 func TestShutdownReportsDraining(t *testing.T) {
 	eng, err := buildEngine("small", 1, "", "", soi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	dir := t.TempDir()
+	if err := eng.WriteSnapshot(filepath.Join(dir, "small.soi")); err != nil {
+		t.Fatal(err)
+	}
+	tenants, err := server.NewTenantServer(server.TenantConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tenants.Close()
+	// A coordinator whose one shard is down still serves (and drains).
+	coord, closeClient, err := buildRemoteHandler(context.Background(), remoteOptions{addrs: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeClient()
+
+	for name, h := range map[string]http.Handler{
+		"index":       newHandler(eng, server.DefaultMaxBatchBytes),
+		"tenants":     tenants,
+		"shard-addrs": coord,
+	} {
+		t.Run(name, func(t *testing.T) { testShutdownReportsDraining(t, h.(drainable)) })
+	}
+}
+
+func testShutdownReportsDraining(t *testing.T, d drainable) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := holdingServer{
-		Server:  newHandler(eng, server.DefaultMaxBatchBytes).(*server.Server),
-		started: make(chan struct{}),
-		release: make(chan struct{}),
+		drainable: d,
+		started:   make(chan struct{}),
+		release:   make(chan struct{}),
 	}
 	get := func(path string) (int, string, error) {
 		resp, err := http.Get("http://" + ln.Addr().String() + path)

@@ -15,8 +15,12 @@
 //	GET  /readyz        readiness: shard index loaded and not draining
 //	GET  /shard/meta    shard id, tile, halo, sizes (coordinator sanity check)
 //	POST /shard/query   one shard-local k-SOI evaluation, with its bound
-//	GET  /metrics       Prometheus text exposition (soi_* namespace)
+//	GET  /metrics       Prometheus text exposition (soi_* namespace + runtime gauges)
 //	GET  /debug/pprof/  net/http/pprof profiles
+//
+// /healthz, /readyz, /metrics and /debug/pprof/ are the skeleton every
+// server of this repo shares (httperr.Base), soiserve in each of its
+// modes included.
 //
 // Every evaluation runs through the same admission/timeout stack as the
 // single-process server: bounded queueing with load shedding

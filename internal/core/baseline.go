@@ -123,7 +123,7 @@ func aggregateStreets(net *network.Network, masses []float64, eps float64, agg A
 		res.Name = st.Name
 		out = append(out, res)
 	}
-	sortResults(out)
+	SortResults(out)
 	return out
 }
 

@@ -841,7 +841,7 @@ func (s *candSorter) Swap(i, j int) {
 	s.ubs[i], s.ubs[j] = s.ubs[j], s.ubs[i]
 }
 
-// resultSorter orders street results canonically (sortResults) without
+// resultSorter orders street results canonically (SortResults) without
 // the sort.Slice closure allocation.
 type resultSorter struct {
 	rs []StreetResult

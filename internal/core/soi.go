@@ -249,11 +249,7 @@ func (ix *Index) SOIContext(ctx context.Context, q Query, strat Strategy, mc *Ma
 // reports results in this order; external reference implementations (the
 // brute-force oracle in internal/oracle) use it so that result lists are
 // comparable element-wise.
-func SortResults(rs []StreetResult) { sortResults(rs) }
-
-// sortResults orders street results by decreasing interest, breaking ties
-// by street id.
-func sortResults(rs []StreetResult) {
+func SortResults(rs []StreetResult) {
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].Interest != rs[j].Interest {
 			return rs[i].Interest > rs[j].Interest

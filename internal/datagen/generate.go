@@ -211,11 +211,6 @@ func buildNetwork(p Profile, rng *rand.Rand) (*network.Network, error) {
 		geo.Pt(p.Extent.MinX+w*0.05+long, p.Extent.MinY+h*0.9),
 	})
 
-	net, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-
 	// Rename planted site streets onto the local streets nearest each
 	// site center (each local street is used at most once).
 	used := make(map[network.StreetID]bool)
@@ -237,12 +232,12 @@ func buildNetwork(p Profile, rng *rand.Rand) (*network.Network, error) {
 			if i >= len(order) {
 				return nil, fmt.Errorf("datagen: not enough local streets to plant %q", name)
 			}
-			net.Street(order[i].id).Name = name
+			b.RenameStreet(order[i].id, name)
 			used[order[i].id] = true
 			i++
 		}
 	}
-	return net, nil
+	return b.Build()
 }
 
 // segmentPicker selects segments with probability proportional to length.

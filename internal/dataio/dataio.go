@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/datagen"
 	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/photo"
@@ -224,6 +225,34 @@ func LoadDir(dir string) (*network.Network, *poi.Corpus, *photo.Corpus, *vocab.D
 		return nil, nil, nil, nil, err
 	}
 	return net, pois, photos, dict, nil
+}
+
+// Load resolves a dataset the way the command-line tools name one: the
+// CSV directory dir (see LoadDir), or else the synthetic datagen city at
+// scale, generated from the profile's own seed unless seed is not 0.
+// Naming both, or neither, is an error.
+func Load(city string, scale float64, seed int64, dir string) (*network.Network, *poi.Corpus, *photo.Corpus, error) {
+	switch {
+	case dir != "" && city != "":
+		return nil, nil, nil, fmt.Errorf("-city and -data are mutually exclusive")
+	case dir != "":
+		net, pois, photos, _, err := LoadDir(dir)
+		return net, pois, photos, err
+	case city == "":
+		return nil, nil, nil, fmt.Errorf("provide -city or -data")
+	}
+	p, err := datagen.ProfileByName(city)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%v (want london, berlin, vienna, or small)", err)
+	}
+	if seed != 0 {
+		p.Seed = seed
+	}
+	ds, err := datagen.Generate(datagen.Scale(p, scale))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ds.Network, ds.POIs, ds.Photos, nil
 }
 
 func loadWith[T any](path string, read func(io.Reader) (T, error)) (T, error) {

@@ -74,8 +74,9 @@ type EpochSource interface {
 
 // Config controls executor construction.
 type Config struct {
-	// Workers bounds the number of queries evaluated concurrently by
-	// Batch; 0 or negative means GOMAXPROCS.
+	// Workers bounds the number of queries evaluated concurrently — k-SOI
+	// evaluations from Do and Batch and the queries admitted through Run
+	// together; 0 or negative means GOMAXPROCS.
 	Workers int
 	// CacheSize is the maximum number of query results kept in the LRU
 	// cache. 0 means DefaultCacheSize; negative disables caching.
@@ -94,8 +95,8 @@ type Config struct {
 	// MaxQueueWait bounds how long an admitted query may wait for a
 	// worker slot before being shed with ErrOverloaded. 0 means no bound.
 	MaxQueueWait time.Duration
-	// QueryTimeout is the per-query deadline applied to every Do/Batch
-	// query on top of the caller's context. 0 means no engine-level
+	// QueryTimeout is the per-query deadline applied to every Do, Batch
+	// and Run query on top of the caller's context. 0 means no engine-level
 	// deadline; a caller deadline that is earlier always wins.
 	QueryTimeout time.Duration
 	// Recorder receives the cumulative observability counters and latency
@@ -233,9 +234,6 @@ func (e *Executor) acquireEpoch() (uint64, *core.Index, *core.MassCache, func())
 	return e.source.AcquireEpoch()
 }
 
-// Index returns the shared index the executor evaluates against.
-func (e *Executor) Index() *core.Index { return e.ix }
-
 // Workers returns the worker-pool bound.
 func (e *Executor) Workers() int { return e.gate.Slots() }
 
@@ -275,8 +273,27 @@ func (e *Executor) DoCtx(ctx context.Context, q core.Query) Result {
 	ctx, cancel := e.withTimeout(ctx)
 	defer cancel()
 	res := e.eval(ctx, q)
-	e.classify(res.Err)
+	countOutcome(&e.rec.Engine.Outcomes, res.Err)
 	return res
+}
+
+// Run admits one query of a family that does not go through Do — a
+// route, trajectory, describe or tour plan — through the gate k-SOI
+// evaluations queue behind, under the same per-query deadline, and runs
+// fn with the query's context once a slot is held. A refused query never
+// runs fn. A panic in fn is isolated into a *PanicError, and the query's
+// terminal error is folded into o, exactly as Do folds a k-SOI query's
+// into the engine group.
+func (e *Executor) Run(ctx context.Context, o *stats.Outcomes, fn func(context.Context) error) (err error) {
+	defer func() { countOutcome(o, err) }()
+	ctx, cancel := e.withTimeout(ctx)
+	defer cancel()
+	if err := e.gate.Acquire(ctx); err != nil {
+		return err
+	}
+	defer e.gate.Release()
+	defer recovered(o, &err)
+	return fn(ctx)
 }
 
 // withTimeout layers the engine's per-query deadline onto the caller's
@@ -288,19 +305,30 @@ func (e *Executor) withTimeout(ctx context.Context) (context.Context, context.Ca
 	return context.WithTimeout(ctx, e.queryTimeout)
 }
 
-// classify folds one query's terminal error into the robustness
-// counters: shed (ErrOverloaded), cancelled (context.Canceled) and
-// deadline-exceeded (context.DeadlineExceeded). Called exactly once per
-// Do/Batch query, so the counters account queries, not evaluations.
-func (e *Executor) classify(err error) {
+// countOutcome folds one query's terminal error into its family's
+// robustness counters: shed (ErrOverloaded), cancelled (context.Canceled)
+// and deadline-exceeded (context.DeadlineExceeded). Called exactly once
+// per query, so the counters account queries, not evaluations.
+func countOutcome(o *stats.Outcomes, err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrOverloaded):
-		e.rec.Engine.Shed.Add(1)
+		o.Shed.Add(1)
 	case errors.Is(err, context.Canceled):
-		e.rec.Engine.Cancelled.Add(1)
+		o.Cancelled.Add(1)
 	case errors.Is(err, context.DeadlineExceeded):
-		e.rec.Engine.DeadlineExceeded.Add(1)
+		o.DeadlineExceeded.Add(1)
+	}
+}
+
+// recovered, deferred by a query body, isolates a panic into a per-query
+// *PanicError counted in o: a crashed query releases its slot (the
+// caller's defer), wakes its dedup joiners with the error, and leaves the
+// process serving.
+func recovered(o *stats.Outcomes, err *error) {
+	if v := recover(); v != nil {
+		o.PanicsRecovered.Add(1)
+		*err = &PanicError{Value: v}
 	}
 }
 
@@ -374,8 +402,9 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 }
 
 // evaluate runs one SOI evaluation behind the executor's gate, which
-// bounds concurrent evaluations engine-wide, covering both Batch workers
-// and direct Do callers (e.g. HTTP handlers). Admission control happens
+// bounds concurrent evaluations engine-wide, covering Batch workers,
+// direct Do callers (e.g. HTTP handlers) and every query admitted through
+// Run. Admission control happens
 // here: a query that cannot get a slot in time returns without
 // evaluating. The recorder observes queue depth, queue wait, in-flight
 // count, evaluation wall time and the run's pruning counters.
@@ -404,18 +433,10 @@ func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, m
 	return streets, st, err
 }
 
-// run executes one evaluation with panic isolation: a panic anywhere in
-// the algorithm is recovered into a per-query *PanicError, so a crashed
-// evaluation releases its worker slot (the caller's defer), wakes its
-// dedup joiners with the error, and leaves the process serving.
+// run executes one evaluation with panic isolation (recovered): a
+// panic anywhere in the algorithm leaves no results, only the error.
 func (e *Executor) run(ctx context.Context, q core.Query, ix *core.Index, mass *core.MassCache) (streets []core.StreetResult, st core.Stats, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			streets, st = nil, core.Stats{}
-			err = &PanicError{Value: v}
-			e.rec.Engine.PanicsRecovered.Add(1)
-		}
-	}()
+	defer recovered(&e.rec.Engine.Outcomes, &err)
 	if ferr := faults.InjectCtx(ctx, SiteEvaluate); ferr != nil {
 		return nil, core.Stats{}, ferr
 	}
@@ -487,7 +508,7 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 				res := e.groupEval(ctx, g.rep)
 				for _, i := range g.members {
 					out[i] = prefix(res, qs[i].K)
-					e.classify(out[i].Err)
+					countOutcome(&e.rec.Engine.Outcomes, out[i].Err)
 				}
 			}
 		}()

@@ -9,9 +9,10 @@ import (
 )
 
 // Gate is the admission gate every query family runs behind: a fixed
-// number of slots, a bounded wait queue and a bounded wait. The k-SOI
-// executor owns one; the public engine owns a second that routes,
-// trajectories and describes share.
+// number of slots, a bounded wait queue and a bounded wait. Each
+// Executor owns one, which its k-SOI evaluations and every query admitted
+// through Executor.Run share; the multi-tenant router keeps one per
+// tenant as its quota.
 //
 // The contract, in the order Acquire applies it: a caller whose context
 // is already done is refused with the context's error and never runs; a
@@ -47,10 +48,8 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	select {
-	case g.slots <- struct{}{}:
+	if g.TryAcquire() {
 		return nil
-	default:
 	}
 	if g.depth > 0 {
 		if n := g.queued.Add(1); n > int64(g.depth) {
@@ -75,5 +74,17 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release frees the slot a successful Acquire claimed.
+// TryAcquire claims a slot only if one is free at once: it never waits,
+// never counts as queued and never arms a timer. Every true return must be
+// paired with one Release.
+func (g *Gate) TryAcquire() bool {
+	select {
+	case g.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// Release frees the slot a successful Acquire or TryAcquire claimed.
 func (g *Gate) Release() { <-g.slots }

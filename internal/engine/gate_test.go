@@ -134,3 +134,23 @@ func TestGateZeroSlotsMeansGOMAXPROCS(t *testing.T) {
 		t.Fatalf("executor default workers = %d, want GOMAXPROCS = %d", got, want)
 	}
 }
+
+// TestGateTryAcquireNeverWaits: TryAcquire takes a free slot and refuses
+// at once when none is free — it neither waits nor counts as queued,
+// whatever the gate's queue allows — and a released slot is free again.
+func TestGateTryAcquireNeverWaits(t *testing.T) {
+	g := NewGate(2, 0, 0) // unbounded queue: Acquire would wait here
+	if !g.TryAcquire() || !g.TryAcquire() {
+		t.Fatal("free slots refused")
+	}
+	if g.TryAcquire() {
+		t.Fatal("third caller admitted past two slots")
+	}
+	if n := g.queued.Load(); n != 0 {
+		t.Fatalf("%d callers counted as queued", n)
+	}
+	g.Release()
+	if !g.TryAcquire() {
+		t.Fatal("released slot refused")
+	}
+}

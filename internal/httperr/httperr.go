@@ -1,6 +1,7 @@
 // Package httperr holds what every serving surface shares at the HTTP
-// boundary: the preamble of a POST endpoint (DecodePost), the profiler
-// routes (MountPprof) and the single source of truth for mapping
+// boundary: the handler skeleton every server is built on (Base: health,
+// readiness, draining, metrics and profiles), the preamble of a POST
+// endpoint (DecodePost) and the single source of truth for mapping
 // query-path errors to HTTP statuses. Every
 // serving surface — /api/streets, the batch endpoint, the multi-tenant
 // router (which forwards into the same handlers), the per-shard soishard
@@ -27,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 
 	"repro/internal/engine"
 )
@@ -75,6 +75,19 @@ func Status(err error, clientGone bool) (status int, retryAfter bool) {
 	}
 }
 
+// WriteQueryError writes a query-path error with the status Status maps
+// it to, and a Retry-After hint on overload-class statuses: shed load →
+// 503, an expired per-query deadline → 504, a client that went away →
+// 499 (accounting only; the connection is gone), a recovered panic or an
+// internal cancellation → 500, anything else → 400.
+func WriteQueryError(w http.ResponseWriter, r *http.Request, err error) {
+	status, retry := Status(err, r.Context().Err() != nil)
+	if retry {
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteError(w, status, err.Error())
+}
+
 // DecodePost is the preamble of every POST endpoint, on soiserve and
 // soishard alike: refuse other methods with 405 and an Allow header, cap
 // the body at maxBytes (not positive: no cap), decode it as JSON into v,
@@ -117,15 +130,4 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{msg})
-}
-
-// MountPprof serves the net/http/pprof profiles under /debug/pprof/ on
-// mux. net/http/pprof registers on the default mux only; every server of
-// this repo — single index, shard, coordinator — routes through its own.
-func MountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

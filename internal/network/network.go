@@ -56,6 +56,8 @@ type Network struct {
 	segments []Segment
 	streets  []Street
 	bounds   geo.Rect
+	// byName maps each street name to the first street that carries it.
+	byName map[string]StreetID
 }
 
 // NumVertices returns |V|.
@@ -88,12 +90,11 @@ func (n *Network) Bounds() geo.Rect { return n.bounds }
 
 // StreetByName returns the first street with the given name, or nil.
 func (n *Network) StreetByName(name string) *Street {
-	for i := range n.streets {
-		if n.streets[i].Name == name {
-			return &n.streets[i]
-		}
+	id, ok := n.byName[name]
+	if !ok {
+		return nil
 	}
-	return nil
+	return &n.streets[id]
 }
 
 // StreetBounds returns the minimum bounding rectangle of street s.
@@ -269,6 +270,10 @@ func (b *Builder) AddVertex(p geo.Point) VertexID {
 	return id
 }
 
+// RenameStreet changes the name of a street already added. Names are
+// fixed once Build has indexed them for StreetByName.
+func (b *Builder) RenameStreet(id StreetID, name string) { b.streets[id].Name = name }
+
 // AddStreet appends a street given its polyline of vertex points. Each
 // consecutive point pair becomes one segment. At least two points are
 // required; zero-length segments are allowed (the paper's datasets contain
@@ -310,7 +315,11 @@ func (b *Builder) Build() (*Network, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	n := &Network{vertices: b.vertices, segments: b.segments, streets: b.streets}
+	n := &Network{vertices: b.vertices, segments: b.segments, streets: b.streets,
+		byName: make(map[string]StreetID, len(b.streets))}
+	for i := len(b.streets) - 1; i >= 0; i-- {
+		n.byName[b.streets[i].Name] = StreetID(i) // the first street with a name is written last
+	}
 	for i, v := range b.vertices {
 		r := geo.Rect{MinX: v.X, MinY: v.Y, MaxX: v.X, MaxY: v.Y}
 		if i == 0 {

@@ -282,3 +282,29 @@ func TestVertexPairsWithin(t *testing.T) {
 		t.Fatalf("snap 0 yielded pair (%d, %d)", u, v)
 	})
 }
+
+// TestStreetByNameFirstWins: with several streets sharing a name the
+// lookup answers the first one added, every time, and a name missing
+// from the network answers nil.
+func TestStreetByNameFirstWins(t *testing.T) {
+	b := NewBuilder()
+	b.AddStreet("Main St", []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0)})
+	b.AddStreet("Side St", []geo.Point{geo.Pt(0, 1), geo.Pt(1, 1)})
+	b.AddStreet("Main St", []geo.Point{geo.Pt(0, 2), geo.Pt(1, 2)})
+	b.AddStreet("Main St", []geo.Point{geo.Pt(0, 3), geo.Pt(1, 3)})
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if st := n.StreetByName("Main St"); st == nil || st.ID != 0 {
+			t.Fatalf("Main St = %+v, want street 0", st)
+		}
+	}
+	if st := n.StreetByName("Side St"); st == nil || st.ID != 1 {
+		t.Fatalf("Side St = %+v, want street 1", st)
+	}
+	if st := n.StreetByName("main st"); st != nil {
+		t.Fatalf("lookup is not exact: %+v", st)
+	}
+}

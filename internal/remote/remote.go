@@ -12,7 +12,7 @@
 //	GET  /readyz        readiness: index loaded and not draining
 //	GET  /shard/meta    shard id, tile grid, halo, cell size, sizes
 //	POST /shard/query   {"keywords":[...],"k":..,"eps":..}
-//	GET  /metrics       Prometheus text exposition of the shard's executor
+//	GET  /metrics       Prometheus text exposition of the shard's executor + runtime gauges
 //	GET  /debug/pprof/  net/http/pprof profiles
 //
 // A scatter-gather round is one /shard/query per shard: the coordinator

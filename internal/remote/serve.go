@@ -12,8 +12,8 @@ import (
 
 // Serve runs an HTTP server over ln until ctx is cancelled (SIGINT or
 // SIGTERM in the binaries), then drains it. The order matters: a handler
-// with a SetDraining method — this package's Server, internal/server's —
-// has readiness flipped off first, so /readyz answers 503 while the drain
+// with a SetDraining method — every server built on httperr.Base — has
+// readiness flipped off first, so /readyz answers 503 while the drain
 // runs and balancers and half-open breaker probes stop re-admitting the
 // process; then in-flight requests get up to grace to finish
 // (http.Server.Shutdown); what is still open after that is closed and

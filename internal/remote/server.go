@@ -3,7 +3,6 @@ package remote
 import (
 	"fmt"
 	"net/http"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -34,13 +33,15 @@ type ServerConfig struct {
 // single-process robustness stack: bounded admission (503 +
 // Retry-After), per-query deadlines (504), cooperative cancellation
 // (499 accounting) and panic isolation (500). Results are mapped to
-// global street/segment ids before they leave the process.
+// global street/segment ids before they leave the process. /healthz,
+// /readyz (503 until the shard index is loaded and while draining —
+// half-open breakers probe it before re-admitting traffic), /metrics and
+// /debug/pprof/ come from the shared httperr.Base.
 type Server struct {
-	d        ShardData
-	exec     *engine.Executor
-	mux      *http.ServeMux
-	maxBody  int64
-	draining atomic.Bool
+	*httperr.Base
+	d       ShardData
+	exec    *engine.Executor
+	maxBody int64
 }
 
 // NewServer wires the handler set for one shard, and decides what every
@@ -62,52 +63,20 @@ func NewServer(d ShardData, cfg ServerConfig) *Server {
 	}
 	cfg.Engine.Strategy = core.Drain
 	cfg.Engine.MassCacheEntries = -1
+	exec := engine.New(d.Index, cfg.Engine)
+	notLoaded := ""
+	if d.Index == nil {
+		notLoaded = "index not loaded"
+	}
 	s := &Server{
+		Base:    httperr.NewBase(notLoaded, exec.Recorder(), nil),
 		d:       d,
-		exec:    engine.New(d.Index, cfg.Engine),
-		mux:     http.NewServeMux(),
+		exec:    exec,
 		maxBody: maxBody,
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/shard/meta", s.handleMeta)
-	s.mux.HandleFunc("/shard/query", s.handleQuery)
-	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.exec.Recorder().Snapshot().WritePrometheus(w)
-	})
-	httperr.MountPprof(s.mux)
+	s.HandleFunc("/shard/meta", s.handleMeta)
+	s.HandleFunc("/shard/query", s.handleQuery)
 	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// SetDraining flips the readiness signal: a draining server keeps
-// answering in-flight and new queries (graceful shutdown semantics) but
-// reports 503 on /readyz so load balancers and half-open breaker probes
-// steer new traffic away.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// handleHealthz is pure liveness: the process is up and serving.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is readiness: the shard index is loaded and the server
-// is not draining. Half-open circuit breakers probe this endpoint
-// before re-admitting traffic.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case s.d.Index == nil:
-		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "index not loaded"})
-	case s.draining.Load():
-		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	default:
-		httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	}
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
@@ -164,11 +133,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res := s.exec.DoCtx(r.Context(), q)
 	if res.Err != nil {
-		status, retry := httperr.Status(res.Err, r.Context().Err() != nil)
-		if retry {
-			w.Header().Set("Retry-After", "1")
-		}
-		httperr.WriteError(w, status, res.Err.Error())
+		httperr.WriteQueryError(w, r, res.Err)
 		return
 	}
 	// Map to global ids in a copy: res.Streets may be shared with the

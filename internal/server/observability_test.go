@@ -239,7 +239,7 @@ func TestRemoteGatherCountersExposed(t *testing.T) {
 }
 
 // TestPprofWired: the single-index server and the remote coordinator
-// mount the same profiler routes (httperr.MountPprof).
+// mount the same profiler routes (httperr.Base).
 func TestPprofWired(t *testing.T) {
 	coord, _ := newTestRemoteServer(t, nil)
 	for name, s := range map[string]http.Handler{"server": testServer(t), "coordinator": coord} {

@@ -3,9 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 
 	soi "repro"
 	"repro/internal/core"
@@ -39,36 +39,27 @@ type RemoteConfig struct {
 // "missing_shards" list. A non-degraded answer carries neither field
 // and is bit-identical to the single-process oracle.
 type RemoteServer struct {
+	*httperr.Base
 	coord    *shard.RemoteCoordinator
 	rec      *stats.Recorder
 	breakers func() [][]string
-	mux      *http.ServeMux
 }
 
-// NewRemoteServer wires the handler set around a remote coordinator.
+// NewRemoteServer wires the handler set around a remote coordinator. A
+// coordinator holds no index, so it is ready until it drains; its
+// /metrics adds the soi_remote_shards gauge.
 func NewRemoteServer(cfg RemoteConfig) *RemoteServer {
 	s := &RemoteServer{
 		coord:    cfg.Coordinator,
 		rec:      cfg.Recorder,
 		breakers: cfg.Breakers,
-		mux:      http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleHealthz) // a coordinator holds no index: up == ready
-	s.mux.HandleFunc("/api/streets", s.handleStreets)
-	s.mux.HandleFunc("/api/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	httperr.MountPprof(s.mux)
+	s.Base = httperr.NewBase("", cfg.Recorder, func(w io.Writer) {
+		fmt.Fprintf(w, "# TYPE soi_remote_shards gauge\nsoi_remote_shards %d\n", s.coord.ShardCount())
+	})
+	s.HandleFunc("/api/streets", s.handleStreets)
+	s.HandleFunc("/api/stats", s.handleStats)
 	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *RemoteServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-func (s *RemoteServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // remoteStreetsResponse extends the /api/streets payload with the
@@ -97,20 +88,14 @@ func (s *RemoteServer) handleStreets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vals := r.URL.Query()
-	k, err := queryInt(vals, "k", 10)
+	q, err := parseQuery(vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	eps, err := queryFloat(vals, "eps", soi.DefaultCellSize)
+	res, gather, err := s.coord.TopK(r.Context(), core.Query(q), partialWanted(vals))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	q := core.Query{Keywords: queryKeywords(vals), K: k, Epsilon: eps}
-	res, gather, err := s.coord.TopK(r.Context(), q, partialWanted(vals))
-	if err != nil {
-		writeQueryError(w, r, err)
+		httperr.WriteQueryError(w, r, err)
 		return
 	}
 	if s.rec != nil {
@@ -140,7 +125,7 @@ type remoteStatsResponse struct {
 	Halo     float64         `json:"halo"`
 	Breakers [][]string      `json:"breakers,omitempty"`
 	Stats    *stats.Snapshot `json:"stats,omitempty"`
-	Runtime  runtimeSnapshot `json:"runtime"`
+	Runtime  httperr.Runtime `json:"runtime"`
 }
 
 func (s *RemoteServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -151,7 +136,7 @@ func (s *RemoteServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := remoteStatsResponse{
 		Shards:  s.coord.ShardCount(),
 		Halo:    s.coord.Halo(),
-		Runtime: readRuntime(),
+		Runtime: httperr.ReadRuntime(),
 	}
 	if s.breakers != nil {
 		resp.Breakers = s.breakers()
@@ -161,18 +146,4 @@ func (s *RemoteServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Stats = &snap
 	}
 	httperr.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *RemoteServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s.rec != nil {
-		_ = s.rec.Snapshot().WritePrometheus(w)
-	}
-	rt := readRuntime()
-	fmt.Fprintf(w, "# TYPE soi_runtime_goroutines gauge\nsoi_runtime_goroutines %d\n", rt.Goroutines)
-	fmt.Fprintf(w, "# TYPE soi_remote_shards gauge\nsoi_remote_shards %s\n", strconv.Itoa(s.coord.ShardCount()))
 }

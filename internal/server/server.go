@@ -25,15 +25,24 @@
 // timings of the paper's Figure 4 and the accessed-cell/segment counts
 // of its Section 6 measurements.
 //
-// Observability is additionally exposed in scraper- and profiler-native
-// forms:
+// Every server of this package — Server, TenantServer (the -tenants
+// router) and RemoteServer (the -shard-addrs coordinator) — is built on
+// httperr.Base, as is the shard server of internal/remote, and so answers
+// the same operational endpoints:
 //
-//	/metrics                           Prometheus text exposition (soi_* namespace)
+//	/healthz                           liveness: 200 while the process serves
+//	/readyz                            readiness: 503 "draining" once SetDraining(true), else 200
+//	/metrics                           Prometheus text exposition (soi_* namespace + runtime gauges)
 //	/debug/pprof/                      net/http/pprof profiles
 //
+// The tenant router's /metrics carries the runtime gauges only; each
+// tenant's counters are under /api/{city}/metrics. The coordinator's adds
+// soi_remote_shards.
+//
 // Handlers run concurrently (one goroutine per request, per net/http)
-// against one shared engine; the engine's executor bounds how many k-SOI
-// evaluations are in flight and caches repeated queries.
+// against one shared engine; the engine's one admission gate bounds how
+// many queries of every family are evaluated at once, and its executor
+// caches repeated k-SOI queries.
 //
 // The query path is robust under load and failure: every k-SOI handler
 // threads the request context into the engine, so a client that goes
@@ -53,10 +62,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	soi "repro"
 	"repro/internal/httperr"
@@ -83,12 +90,12 @@ type Config struct {
 	MaxBatchBytes int64
 }
 
-// Server routes HTTP requests to an Engine.
+// Server routes HTTP requests to an Engine. Its operational endpoints
+// and draining come from the shared httperr.Base.
 type Server struct {
+	*httperr.Base
 	engine        *soi.Engine
-	mux           *http.ServeMux
 	maxBatchBytes int64
-	draining      atomic.Bool
 }
 
 // New wires the handler set around an engine with default Config.
@@ -102,67 +109,24 @@ func NewWithConfig(engine *soi.Engine, cfg Config) *Server {
 	if maxBatch == 0 {
 		maxBatch = DefaultMaxBatchBytes
 	}
-	s := &Server{engine: engine, mux: http.NewServeMux(), maxBatchBytes: maxBatch}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/api/stats", s.handleStats)
-	s.mux.HandleFunc("/api/streets", s.handleStreets)
-	s.mux.HandleFunc("/api/streets/batch", s.handleStreetsBatch)
-	s.mux.HandleFunc("/api/pois", s.handlePOIs)
-	s.mux.HandleFunc("/api/describe", s.handleDescribe)
-	s.mux.HandleFunc("/api/tour", s.handleTour)
-	s.mux.HandleFunc("/api/routes/topk", s.handleRoutesTopK)
-	s.mux.HandleFunc("/api/trajectories/soi", s.handleTrajectorySOI)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	httperr.MountPprof(s.mux)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// SetDraining flips the readiness signal: a draining server keeps
-// answering in-flight and new requests (graceful shutdown semantics)
-// but reports 503 on /readyz so load balancers steer new traffic away.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// handleHealthz is pure liveness: the process is up and serving.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is readiness: the engine is loaded and the server is not
-// draining.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case s.engine == nil:
-		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "engine not loaded"})
-	case s.draining.Load():
-		httperr.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	default:
-		httperr.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	notLoaded, rec := "engine not loaded", (*stats.Recorder)(nil)
+	if engine != nil {
+		notLoaded, rec = "", engine.StatsRecorder()
 	}
+	s := &Server{Base: httperr.NewBase(notLoaded, rec, nil), engine: engine, maxBatchBytes: maxBatch}
+	s.HandleFunc("/api/stats", s.handleStats)
+	s.HandleFunc("/api/streets", s.handleStreets)
+	s.HandleFunc("/api/streets/batch", s.handleStreetsBatch)
+	s.HandleFunc("/api/pois", s.handlePOIs)
+	s.HandleFunc("/api/describe", s.handleDescribe)
+	s.HandleFunc("/api/tour", s.handleTour)
+	s.HandleFunc("/api/routes/topk", s.handleRoutesTopK)
+	s.HandleFunc("/api/trajectories/soi", s.handleTrajectorySOI)
+	return s
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	httperr.WriteError(w, status, err.Error())
-}
-
-// writeQueryError maps a query-path error through the shared
-// internal/httperr mapper, so every serving surface — single-query,
-// batch, tenant-routed and remote alike — wears the same status for the
-// same failure: shed load → 503 with a Retry-After hint, an expired
-// per-query deadline → 504, a client that went away → 499 (accounting
-// only; the connection is gone), a recovered evaluation panic or an
-// internal cancellation → 500, anything else → 400.
-func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
-	status, retry := httperr.Status(err, r.Context().Err() != nil)
-	if retry {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeError(w, status, err)
 }
 
 // The query* helpers read one parameter of a request's parsed query
@@ -218,30 +182,7 @@ type statsResponse struct {
 	POIs    int             `json:"pois"`
 	Photos  int             `json:"photos"`
 	Stats   stats.Snapshot  `json:"stats"`
-	Runtime runtimeSnapshot `json:"runtime"`
-}
-
-// runtimeSnapshot is the Go runtime section of /api/stats.
-type runtimeSnapshot struct {
-	Goroutines     int    `json:"goroutines"`
-	GOMAXPROCS     int    `json:"gomaxprocs"`
-	NumCPU         int    `json:"num_cpu"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	NumGC          uint32 `json:"num_gc"`
-}
-
-func readRuntime() runtimeSnapshot {
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	return runtimeSnapshot{
-		Goroutines:     runtime.NumGoroutine(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		HeapAllocBytes: mem.HeapAlloc,
-		HeapSysBytes:   mem.HeapSys,
-		NumGC:          mem.NumGC,
-	}
+	Runtime httperr.Runtime `json:"runtime"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -254,27 +195,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		POIs:    s.engine.NumPOIs(),
 		Photos:  s.engine.NumPhotos(),
 		Stats:   s.engine.StatsSnapshot(),
-		Runtime: readRuntime(),
+		Runtime: httperr.ReadRuntime(),
 	})
-}
-
-// handleMetrics serves the Prometheus text exposition: every recorder
-// counter and histogram under the soi_ namespace plus a few Go runtime
-// gauges.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Exposition errors past the first byte cannot be reported; scrapers
-	// detect truncation themselves.
-	_ = s.engine.StatsSnapshot().WritePrometheus(w)
-	rt := readRuntime()
-	fmt.Fprintf(w, "# TYPE soi_runtime_goroutines gauge\nsoi_runtime_goroutines %d\n", rt.Goroutines)
-	fmt.Fprintf(w, "# TYPE soi_runtime_gomaxprocs gauge\nsoi_runtime_gomaxprocs %d\n", rt.GOMAXPROCS)
-	fmt.Fprintf(w, "# TYPE soi_runtime_heap_alloc_bytes gauge\nsoi_runtime_heap_alloc_bytes %d\n", rt.HeapAllocBytes)
-	fmt.Fprintf(w, "# TYPE soi_runtime_num_gc_total counter\nsoi_runtime_num_gc_total %d\n", rt.NumGC)
 }
 
 // streetsResponse is the /api/streets payload; Trace is present only
@@ -311,7 +233,7 @@ func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vals := r.URL.Query()
-	q, err := s.parseQuery(vals)
+	q, err := parseQuery(vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -320,14 +242,14 @@ func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
 	if traceWanted(vals) {
 		res, trace, err := s.engine.TopStreetsTracedCtx(r.Context(), q)
 		if err != nil {
-			writeQueryError(w, r, err)
+			httperr.WriteQueryError(w, r, err)
 			return
 		}
 		resp.Streets, resp.Trace = res, &trace
 	} else {
 		res, body, err := s.engine.TopStreetsEncodedCtx(r.Context(), q, encodeStreets)
 		if err != nil {
-			writeQueryError(w, r, err)
+			httperr.WriteQueryError(w, r, err)
 			return
 		}
 		if body != nil {
@@ -514,7 +436,9 @@ func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
 	httperr.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) parseQuery(vals url.Values) (soi.Query, error) {
+// parseQuery reads the k-SOI parameters every GET query endpoint shares:
+// keywords, k (default 10) and eps (default the cell size).
+func parseQuery(vals url.Values) (soi.Query, error) {
 	k, err := queryInt(vals, "k", 10)
 	if err != nil {
 		return soi.Query{}, err
@@ -570,7 +494,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	case err != nil:
-		writeQueryError(w, r, err)
+		httperr.WriteQueryError(w, r, err)
 		return
 	}
 	httperr.WriteJSON(w, http.StatusOK, sum)
@@ -582,7 +506,7 @@ func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vals := r.URL.Query()
-	q, err := s.parseQuery(vals)
+	q, err := parseQuery(vals)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -594,7 +518,7 @@ func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
 	}
 	tour, err := s.engine.RecommendTourCtx(r.Context(), q, budget)
 	if err != nil {
-		writeQueryError(w, r, err)
+		httperr.WriteQueryError(w, r, err)
 		return
 	}
 	httperr.WriteJSON(w, http.StatusOK, tour)

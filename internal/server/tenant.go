@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	soi "repro"
+	"repro/internal/engine"
 	"repro/internal/httperr"
 )
 
@@ -53,16 +54,21 @@ type tenant struct {
 	// evicted marks a tenant dropped from the resident set while
 	// requests were still in flight; the last release closes it. Close
 	// unmaps the snapshot, so it must never run with refs > 0.
-	evicted  bool
-	inflight chan struct{}
+	evicted bool
+	// quota is the per-tenant admission gate; the router only ever takes
+	// a free slot (TryAcquire), so an over-quota request is shed at once.
+	quota *engine.Gate
 }
 
 // TenantServer routes /api/{city}/... over an LRU of mmap-loaded
-// snapshot engines with per-tenant admission quotas.
+// snapshot engines with per-tenant admission quotas. Its own /healthz,
+// /readyz, /metrics (runtime gauges; each tenant's counters are under
+// /api/{city}/metrics) and /debug/pprof/ come from the shared
+// httperr.Base.
 type TenantServer struct {
+	*httperr.Base
 	cfg   TenantConfig
 	known map[string]string // tenant name → snapshot path
-	mux   *http.ServeMux
 
 	mu    sync.Mutex
 	open  map[string]*tenant
@@ -101,19 +107,14 @@ func NewTenantServer(cfg TenantConfig) (*TenantServer, error) {
 		return nil, fmt.Errorf("server: no *.soi snapshots in %s", cfg.Dir)
 	}
 	ts := &TenantServer{
+		Base:  httperr.NewBase("", nil, nil),
 		cfg:   cfg,
 		known: known,
-		mux:   http.NewServeMux(),
 		open:  make(map[string]*tenant),
 	}
-	ts.mux.HandleFunc("/api/tenants", ts.handleTenants)
-	ts.mux.HandleFunc("/api/{city}/{rest...}", ts.handleTenant)
+	ts.HandleFunc("/api/tenants", ts.handleTenants)
+	ts.HandleFunc("/api/{city}/{rest...}", ts.handleTenant)
 	return ts, nil
-}
-
-// ServeHTTP implements http.Handler.
-func (ts *TenantServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	ts.mux.ServeHTTP(w, r)
 }
 
 // Tenants returns the sorted tenant names the server routes.
@@ -175,15 +176,13 @@ func (ts *TenantServer) handleTenant(w http.ResponseWriter, r *http.Request) {
 
 	// Per-tenant admission quota, layered in front of the engine's own
 	// shedder: over-quota requests never enter the tenant's queue.
-	select {
-	case t.inflight <- struct{}{}:
-		defer func() { <-t.inflight }()
-	default:
+	if !t.quota.TryAcquire() {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("server: tenant %q over admission quota", city))
 		return
 	}
+	defer t.quota.Release()
 
 	rest := r.PathValue("rest")
 	r2 := r.Clone(r.Context())
@@ -230,12 +229,12 @@ func (ts *TenantServer) acquire(city string) (*tenant, error) {
 		return nil, fmt.Errorf("server: loading tenant %q: %w", city, err)
 	}
 	t := &tenant{
-		name:     city,
-		eng:      eng,
-		srv:      NewWithConfig(eng, ts.cfg.HTTP),
-		refs:     1,
-		lastUse:  ts.clock,
-		inflight: make(chan struct{}, ts.cfg.MaxInflight),
+		name:    city,
+		eng:     eng,
+		srv:     NewWithConfig(eng, ts.cfg.HTTP),
+		refs:    1,
+		lastUse: ts.clock,
+		quota:   engine.NewGate(ts.cfg.MaxInflight, 0, 0),
 	}
 	ts.open[city] = t
 	return t, nil

@@ -109,7 +109,7 @@ func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
 		Alpha:    req.Alpha,
 	})
 	if err != nil {
-		writeQueryError(w, r, err)
+		httperr.WriteQueryError(w, r, err)
 		return
 	}
 	resp := routesResponse{Routes: make([]routeEntry, len(routes))}
@@ -194,7 +194,7 @@ func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
 		Radius:   req.Radius,
 	})
 	if err != nil {
-		writeQueryError(w, r, err)
+		httperr.WriteQueryError(w, r, err)
 		return
 	}
 	resp := trajResponse{Streets: make([]corridorEntry, len(res))}

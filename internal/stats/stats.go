@@ -122,18 +122,8 @@ type EngineStats struct {
 	// BusyNanos accumulates wall time spent inside evaluations;
 	// utilization over an interval is BusyNanos / (workers × interval).
 	BusyNanos Counter
-	// Shed counts queries rejected by admission control (ErrOverloaded):
-	// the wait queue was at depth or the max queue wait elapsed.
-	Shed Counter
-	// Cancelled counts queries that ended with context.Canceled — the
-	// 499-style "client went away" outcome.
-	Cancelled Counter
-	// DeadlineExceeded counts queries that ended with
-	// context.DeadlineExceeded (per-query deadline or caller timeout).
-	DeadlineExceeded Counter
-	// PanicsRecovered counts evaluations that panicked and were isolated
-	// into a per-query error instead of crashing the process.
-	PanicsRecovered Counter
+	// Outcomes counts the k-SOI queries that did not answer.
+	Outcomes
 	// QueueWait is the distribution of time spent waiting for a worker
 	// slot; QueryLatency the distribution of evaluation wall time.
 	QueueWait    Histogram
@@ -264,18 +254,33 @@ type TrajStats struct {
 	// those that snapped to a segment.
 	TracePoints   Counter
 	MatchedPoints Counter
-	// Shed, Cancelled, DeadlineExceeded and PanicsRecovered mirror the
-	// engine group's admission outcomes for the gate routes, trajectories
-	// and describes share.
-	Shed             Counter
-	Cancelled        Counter
-	DeadlineExceeded Counter
-	PanicsRecovered  Counter
+	// Outcomes counts the routes, trajectory, describe and tour-planning
+	// queries that did not answer.
+	Outcomes
 	// SearchNanos accumulates wall time inside route searches, and
 	// MatchNanos inside whole trajectory-SOI evaluations — matching, the
 	// corridor fold and the ranking, not matching alone.
 	SearchNanos Counter
 	MatchNanos  Counter
+}
+
+// Outcomes counts how the queries of one family that did not answer
+// ended. Every family is admitted through the same gate
+// (internal/engine), which folds each query's terminal error into the
+// family's Outcomes once.
+type Outcomes struct {
+	// Shed counts queries rejected by admission control (ErrOverloaded):
+	// the wait queue was at depth or the max queue wait elapsed.
+	Shed Counter
+	// Cancelled counts queries that ended with context.Canceled — the
+	// 499-style "client went away" outcome.
+	Cancelled Counter
+	// DeadlineExceeded counts queries that ended with
+	// context.DeadlineExceeded (per-query deadline or caller timeout).
+	DeadlineExceeded Counter
+	// PanicsRecovered counts evaluations that panicked and were isolated
+	// into a per-query error instead of crashing the process.
+	PanicsRecovered Counter
 }
 
 // Recorder is the process-wide sink for observability counters. One

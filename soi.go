@@ -73,21 +73,22 @@ type Config struct {
 	// GridCellSize is the spatial index cell side; defaults to 0.0005
 	// (≈55 m at European latitudes), the paper's ε.
 	GridCellSize float64
-	// Workers bounds the number of k-SOI queries evaluated concurrently
-	// over the shared index; 0 means GOMAXPROCS.
+	// Workers bounds the number of queries evaluated concurrently — k-SOI,
+	// routes, trajectories, describes and tour planning share one
+	// admission gate; 0 means GOMAXPROCS.
 	Workers int
 	// CacheSize is the query result cache capacity; 0 means the engine
 	// default, negative disables caching.
 	CacheSize int
-	// QueueDepth bounds how many k-SOI queries may wait for a worker
-	// slot at once; excess load is shed with ErrOverloaded instead of
+	// QueueDepth bounds how many queries may wait for a worker slot at
+	// once; excess load is shed with ErrOverloaded instead of
 	// queueing unboundedly. 0 disables the bound.
 	QueueDepth int
 	// MaxQueueWait bounds how long an admitted query may wait for a
 	// worker slot before being shed with ErrOverloaded. 0 means no bound.
 	MaxQueueWait time.Duration
-	// QueryTimeout is the per-query deadline applied to every k-SOI
-	// query on top of the caller's context; 0 means none.
+	// QueryTimeout is the per-query deadline applied to every query on
+	// top of the caller's context; 0 means none.
 	QueryTimeout time.Duration
 }
 
@@ -182,9 +183,9 @@ type Summary struct {
 }
 
 // Engine evaluates k-SOI and description queries over one dataset. It is
-// safe for concurrent use after construction: all k-SOI traffic runs
-// through a shared parallel executor with a bounded worker pool and an
-// LRU result cache.
+// safe for concurrent use after construction: every query runs behind
+// the admission gate of one shared parallel executor (a bounded worker
+// pool), and k-SOI answers are kept in its LRU result cache.
 type Engine struct {
 	net    *network.Network
 	pois   *poi.Corpus
@@ -216,12 +217,6 @@ type Engine struct {
 	// contexts memoises what Algorithm 2 prepares before its greedy loop
 	// (describeContext), weighted by the photos each context holds.
 	contexts *engine.LRU[contextKey, *diversify.Context]
-
-	// gate admits the work that does not run through exec — routes,
-	// trajectories (traj.go), describes and tour planning — under the
-	// same Config knobs; queryTimeout is their per-query deadline.
-	gate         *engine.Gate
-	queryTimeout time.Duration
 
 	// Trajectory query family (traj.go): the default snap radius of the
 	// (immutable) network, the lazily built search graph and the matchers
@@ -327,10 +322,10 @@ func newEngineWithIndex(net *network.Network, pois *poi.Corpus, photos *photo.Co
 }
 
 // serving gives the engine its admission and execution stack, the one
-// place Config's serving knobs are read: the k-SOI executor over the
-// fixed index ix — or, for a live engine, over the epoch source src —
-// and the gate and deadline of the families that bypass it. Zero Workers
-// means GOMAXPROCS for both.
+// place Config's serving knobs are read: the executor over the fixed
+// index ix — or, for a live engine, over the epoch source src — whose
+// gate and deadline every query family runs behind. Zero Workers means
+// GOMAXPROCS.
 func (e *Engine) serving(ix *core.Index, src engine.EpochSource, cfg Config) *Engine {
 	e.exec = engine.New(ix, engine.Config{
 		Workers:      cfg.Workers,
@@ -341,8 +336,6 @@ func (e *Engine) serving(ix *core.Index, src engine.EpochSource, cfg Config) *En
 		Recorder:     e.rec,
 		Source:       src,
 	})
-	e.gate = engine.NewGate(cfg.Workers, cfg.QueueDepth, cfg.MaxQueueWait)
-	e.queryTimeout = cfg.QueryTimeout
 	e.contexts = engine.NewLRU[contextKey, *diversify.Context](max(minContextMemoPhotos, int64(e.photos.Len())))
 	e.defaultSnap = traj.DefaultSnap(e.net)
 	e.matchers = engine.NewLRU[float64, *traj.Matcher](trajMatcherCacheSize)
@@ -595,12 +588,13 @@ func (e *Engine) RecommendTour(q Query, budget float64) (Tour, error) {
 }
 
 // RecommendTourCtx is RecommendTour under a context. The k-SOI evaluation
-// runs through the executor; the planner is then admitted through the
-// gate routes, trajectories and describes queue behind, runs under the
-// engine's QueryTimeout and observes cancellation in every search, so an
+// runs through the executor; once it has answered and released its slot,
+// the planner is admitted through the same gate, runs under the engine's
+// QueryTimeout and observes cancellation in every search, so an
 // overloaded engine sheds it with ErrOverloaded and a panic in it is
-// isolated into a *PanicError.
-func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) (_ Tour, err error) {
+// isolated into a *PanicError. The two halves run one after the other,
+// never nested, so one gate cannot deadlock a tour.
+func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) (Tour, error) {
 	er := e.exec.DoCtx(ctx, core.Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
 	if er.Err != nil {
 		return Tour{}, er.Err
@@ -613,15 +607,12 @@ func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) 
 	for i, r := range res {
 		cands[i] = traj.Candidate{Street: r.Street, Interest: r.Interest}
 	}
-	qctx, done, err := e.admit(ctx)
+	var tour traj.Tour
+	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context) (err error) {
+		tour, err = traj.Recommend(ctx, e.tourGraph(), cands, budget)
+		return err
+	})
 	if err != nil {
-		return Tour{}, err
-	}
-	defer done()
-	defer e.recovered(&err)
-	tour, err := traj.Recommend(qctx, e.tourGraph(), cands, budget)
-	if err != nil {
-		e.outcome(err)
 		return Tour{}, err
 	}
 	out := Tour{Length: tour.Length, Interest: tour.Interest}
@@ -656,12 +647,12 @@ func (e *Engine) DescribeStreet(name string, p SummaryParams) (Summary, error) {
 }
 
 // DescribeStreetCtx is DescribeStreet under a context, admitted through
-// the gate routes and trajectories queue behind: an overloaded engine
+// the gate every query family queues behind: an overloaded engine
 // sheds the query with ErrOverloaded, a context that ends while it waits
 // (or ended before it arrived) refuses it, and a panic in the algorithm
 // is isolated into a *PanicError. Parameters that are not finite or out
 // of range are refused with ErrBadSummaryParams.
-func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryParams) (_ Summary, err error) {
+func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryParams) (Summary, error) {
 	p = p.withDefaults()
 	st := e.net.StreetByName(name)
 	if st == nil {
@@ -670,18 +661,17 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 	if err := p.validate(); err != nil {
 		return Summary{}, err
 	}
-	_, done, err := e.admit(ctx)
-	if err != nil {
-		return Summary{}, err
-	}
-	defer done()
-	defer e.recovered(&err)
-
-	dctx, err := e.describeContext(st, p.Epsilon, p.Rho)
-	if err != nil {
-		return Summary{}, err
-	}
-	res, err := dctx.STRelDiv(p.diversify())
+	var (
+		dctx *diversify.Context
+		res  diversify.Result
+	)
+	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(context.Context) (err error) {
+		if dctx, err = e.describeContext(st, p.Epsilon, p.Rho); err != nil {
+			return err
+		}
+		res, err = dctx.STRelDiv(p.diversify())
+		return err
+	})
 	if err != nil {
 		return Summary{}, err
 	}

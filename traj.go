@@ -16,11 +16,10 @@ import (
 // This file wires the trajectory query family (internal/traj) into the
 // public engine: k most interesting routes between two points, and
 // trajectory-aware SOI over user movement traces. Both are admitted
-// through the engine's gate (engine.Gate — the type the k-SOI executor
-// queues behind, in an instance routes, trajectories, describes and tour
-// planning share), so they shed, time out and isolate panics the way
-// k-SOI queries do, and both resolve the serving index per query so live
-// engines answer against the currently published epoch.
+// through the gate k-SOI queries queue behind (engine.Executor.Run), so
+// they shed, time out and isolate panics the way k-SOI queries do, and
+// both resolve the serving index per query so live engines answer
+// against the currently published epoch.
 
 // RouteQuery asks for the k most interesting walking routes between two
 // free points, which are snapped to their nearest network vertices.
@@ -123,46 +122,6 @@ func (e *Engine) servingIndex() *core.Index {
 	return e.index
 }
 
-// admit passes one routes, trajectory, describe or tour-planning query
-// through the gate those families share and layers the per-query timeout
-// onto its context. A refused query (shed, or its context already done)
-// is counted and never runs. On success the returned context is the one
-// the query body must use, and done must be called exactly once when it
-// ends.
-func (e *Engine) admit(ctx context.Context) (qctx context.Context, done func(), err error) {
-	if err := e.gate.Acquire(ctx); err != nil {
-		e.outcome(err)
-		return nil, nil, err
-	}
-	if e.queryTimeout <= 0 {
-		return ctx, e.gate.Release, nil
-	}
-	qctx, cancel := context.WithTimeout(ctx, e.queryTimeout)
-	return qctx, func() { cancel(); e.gate.Release() }, nil
-}
-
-// outcome folds a query error into the gate's admission-outcome counters.
-func (e *Engine) outcome(err error) {
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrOverloaded):
-		e.rec.Traj.Shed.Add(1)
-	case errors.Is(err, context.Canceled):
-		e.rec.Traj.Cancelled.Add(1)
-	case errors.Is(err, context.DeadlineExceeded):
-		e.rec.Traj.DeadlineExceeded.Add(1)
-	}
-}
-
-// recovered, deferred by a query body, isolates a panic into a per-query
-// *PanicError; the engine keeps serving.
-func (e *Engine) recovered(err *error) {
-	if v := recover(); v != nil {
-		e.rec.Traj.PanicsRecovered.Add(1)
-		*err = &PanicError{Value: v}
-	}
-}
-
 // TopRoutes evaluates the k most interesting routes query.
 func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 	return e.TopRoutesCtx(context.Background(), q)
@@ -171,34 +130,31 @@ func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 // TopRoutesCtx is TopRoutes under a context: the search observes
 // cancellation at cooperative checkpoints, the engine's QueryTimeout
 // bounds it, and an overloaded engine sheds with ErrOverloaded.
-func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) (_ []RouteResult, err error) {
+func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult, error) {
 	e.rec.Traj.RouteQueries.Add(1)
-	qctx, done, err := e.admit(ctx)
+	var routes []traj.Route
+	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context) (err error) {
+		start := time.Now()
+		defer func() { e.rec.Traj.SearchNanos.Add(time.Since(start).Nanoseconds()) }()
+		g := e.trajGraphLazy()
+		src, ok := g.SnapVertex(geo.Pt(q.Src.X, q.Src.Y))
+		if !ok {
+			return errors.New("soi: empty network")
+		}
+		dst, _ := g.SnapVertex(geo.Pt(q.Dst.X, q.Dst.Y))
+		ix := e.servingIndex()
+		set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
+		tq := traj.RouteQuery{Src: src, Dst: dst, K: q.K, Budget: q.Budget, Alpha: q.Alpha}
+		var st traj.SearchStats
+		routes, st, err = traj.TopKRoutes(ctx, g, func(sid network.SegmentID) float64 {
+			return ix.SegmentInterest(sid, set, q.Epsilon)
+		}, tq, traj.SearchOptions{})
+		e.rec.Traj.Expansions.Add(int64(st.Expansions))
+		e.rec.Traj.VerticesSettled.Add(int64(st.Settled))
+		e.rec.Traj.SegmentsFolded.Add(int64(st.SegmentsFolded))
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	defer done()
-	defer e.recovered(&err)
-	start := time.Now()
-	defer func() { e.rec.Traj.SearchNanos.Add(time.Since(start).Nanoseconds()) }()
-
-	g := e.trajGraphLazy()
-	src, ok := g.SnapVertex(geo.Pt(q.Src.X, q.Src.Y))
-	if !ok {
-		return nil, errors.New("soi: empty network")
-	}
-	dst, _ := g.SnapVertex(geo.Pt(q.Dst.X, q.Dst.Y))
-	ix := e.servingIndex()
-	set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
-	tq := traj.RouteQuery{Src: src, Dst: dst, K: q.K, Budget: q.Budget, Alpha: q.Alpha}
-	routes, st, err := traj.TopKRoutes(qctx, g, func(sid network.SegmentID) float64 {
-		return ix.SegmentInterest(sid, set, q.Epsilon)
-	}, tq, traj.SearchOptions{})
-	e.rec.Traj.Expansions.Add(int64(st.Expansions))
-	e.rec.Traj.VerticesSettled.Add(int64(st.Settled))
-	e.rec.Traj.SegmentsFolded.Add(int64(st.SegmentsFolded))
-	if err != nil {
-		e.outcome(err)
 		return nil, err
 	}
 	out := make([]RouteResult, len(routes))
@@ -230,46 +186,42 @@ func (e *Engine) TrajectorySOI(q TrajectoryQuery) ([]CorridorStreet, error) {
 
 // TrajectorySOICtx is TrajectorySOI under a context, with the same
 // admission, timeout and panic-isolation contract as TopRoutesCtx.
-func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) (_ []CorridorStreet, err error) {
+func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]CorridorStreet, error) {
 	e.rec.Traj.TrajQueries.Add(1)
 	if len(q.Traces) == 0 {
 		return nil, ErrNoTraces
 	}
-	qctx, done, err := e.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	defer e.recovered(&err)
-	start := time.Now()
-	defer func() { e.rec.Traj.MatchNanos.Add(time.Since(start).Nanoseconds()) }()
-
-	radius := q.Radius
-	if radius == 0 {
-		radius = e.defaultSnap
-	}
-	if !(radius > 0) || math.IsInf(radius, 1) {
-		return nil, fmt.Errorf("soi: match radius %v is not a positive finite number", radius)
-	}
-	traces := make([][]geo.Point, len(q.Traces))
-	for i, tr := range q.Traces {
-		pts := make([]geo.Point, len(tr))
-		for j, p := range tr {
-			pts[j] = geo.Pt(p.X, p.Y)
+	var res []traj.CorridorResult
+	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context) (err error) {
+		start := time.Now()
+		defer func() { e.rec.Traj.MatchNanos.Add(time.Since(start).Nanoseconds()) }()
+		radius := q.Radius
+		if radius == 0 {
+			radius = e.defaultSnap
 		}
-		traces[i] = pts
-	}
-	ix := e.servingIndex()
-	set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
-	m := e.trajMatcherLazy(radius)
-	res, st, err := traj.TrajectorySOI(qctx, m, func(sid network.SegmentID) float64 {
-		return ix.SegmentInterest(sid, set, q.Epsilon)
-	}, traj.TrajQuery{Traces: traces, K: q.K, Radius: radius})
-	e.rec.Traj.TracePoints.Add(int64(st.TracePoints))
-	e.rec.Traj.MatchedPoints.Add(int64(st.Matched))
-	e.rec.Traj.CorridorSegments.Add(int64(st.CoveredSegments))
+		if !(radius > 0) || math.IsInf(radius, 1) {
+			return fmt.Errorf("soi: match radius %v is not a positive finite number", radius)
+		}
+		traces := make([][]geo.Point, len(q.Traces))
+		for i, tr := range q.Traces {
+			pts := make([]geo.Point, len(tr))
+			for j, p := range tr {
+				pts[j] = geo.Pt(p.X, p.Y)
+			}
+			traces[i] = pts
+		}
+		ix := e.servingIndex()
+		set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
+		var st traj.MatchStats
+		res, st, err = traj.TrajectorySOI(ctx, e.trajMatcherLazy(radius), func(sid network.SegmentID) float64 {
+			return ix.SegmentInterest(sid, set, q.Epsilon)
+		}, traj.TrajQuery{Traces: traces, K: q.K, Radius: radius})
+		e.rec.Traj.TracePoints.Add(int64(st.TracePoints))
+		e.rec.Traj.MatchedPoints.Add(int64(st.Matched))
+		e.rec.Traj.CorridorSegments.Add(int64(st.CoveredSegments))
+		return err
+	})
 	if err != nil {
-		e.outcome(err)
 		return nil, err
 	}
 	out := make([]CorridorStreet, len(res))

@@ -378,6 +378,53 @@ func TestEngineTourShedsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestEngineOneGateForEveryFamily: routes and k-SOI queries share one
+// admission gate. With one worker and one queue slot, a route parked on
+// its search makes an uncached k-SOI query wait for the slot, a third
+// query is shed, and both waiting queries answer once the route ends.
+func TestEngineOneGateForEveryFamily(t *testing.T) {
+	defer faults.Reset()
+	e := trajEngine(t, soi.Config{Workers: 1, QueueDepth: 1, CacheSize: -1})
+	route := soi.RouteQuery{
+		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
+		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
+	}
+	block := make(chan struct{})
+	faults.Activate("traj.search", faults.Fault{Block: block})
+
+	routeDone := make(chan error, 1)
+	go func() { _, err := e.TopRoutes(route); routeDone <- err }()
+	waitFor(t, func() bool { return faults.Visits("traj.search") >= 1 })
+
+	ksoiDone := make(chan error, 1)
+	go func() {
+		_, err := e.TopStreets(soi.Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.0005})
+		ksoiDone <- err
+	}()
+	waitFor(t, func() bool { return e.StatsSnapshot().Engine.QueueDepth == 1 })
+	select {
+	case err := <-ksoiDone:
+		t.Fatalf("k-SOI query answered (%v) while a route held the only slot", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// A different query, so it cannot join the waiting one's evaluation.
+	if _, err := e.TopStreets(soi.Query{Keywords: []string{"cafe"}, K: 2, Epsilon: 0.0005}); !errors.Is(err, soi.ErrOverloaded) {
+		t.Fatalf("third query: err = %v, want ErrOverloaded", err)
+	}
+
+	close(block)
+	if err := <-routeDone; err != nil {
+		t.Fatalf("route: %v", err)
+	}
+	if err := <-ksoiDone; err != nil {
+		t.Fatalf("k-SOI query: %v", err)
+	}
+	if shed := e.StatsSnapshot().Engine.Shed; shed != 1 {
+		t.Fatalf("engine shed = %d, want 1", shed)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
