@@ -178,18 +178,18 @@ const cancelCheckEvery = 32
 type Strategy int
 
 const (
-	// CostAware is the default: SL1 drives the search, SL3 is consumed
-	// while its head is cheap to finalize, SL2 only while its head is an
-	// outlier in neighboring-cell count.
+	// CostAware is Index.SOI's schedule and a live executor's: SL1 drives
+	// the search, SL3 is consumed while its head is cheap to finalize, SL2
+	// only while its head is an outlier in neighboring-cell count.
 	CostAware Strategy = iota
 	// RoundRobin is the literal Algorithm 1 schedule: one access from
 	// SL1, then SL2, then SL3, cyclically.
 	RoundRobin
 	// Drain has no filter loop: it marks every segment within ε of a
 	// query-relevant cell as seen — SL1 unsorted, no SL2/SL3 accesses, no
-	// LBk — and leaves all pruning to refine's bound-ordered drain. It
-	// wins wherever the unseen bound would not have closed the filter
-	// early, i.e. under a shard's local LBk; DESIGN §11 has the rest.
+	// LBk — and leaves all pruning to refine's bound-ordered drain. Every
+	// executor over a fixed index serves with it. It loses only where a
+	// global LBk closes the filter early (`shop` at k ≤ 5); DESIGN §11.
 	Drain
 )
 

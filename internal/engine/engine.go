@@ -5,10 +5,12 @@
 // cache keyed by the normalized query. Batches also share work below the
 // result level: queries that differ only in k are coalesced into one
 // evaluation at the largest k (every smaller answer is a rank prefix of
-// the larger one), and exact segment masses are pooled in a
-// core.MassCache keyed by ⟨segment, Ψ, ε⟩. A batch over one index
-// therefore performs strictly less work than evaluating its queries in
-// isolation, with bit-identical results.
+// the larger one). A batch over one index therefore performs strictly
+// less work than evaluating its queries in isolation, with bit-identical
+// results.
+//
+// The access schedule follows from what the executor serves, never from
+// a knob (see New); answers do not depend on it.
 //
 // The executor relies on the Index read-only contract (see
 // internal/core): after construction the index is immutable under query
@@ -81,11 +83,10 @@ type Config struct {
 	// CacheSize is the maximum number of query results kept in the LRU
 	// cache. 0 means DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// MassCacheEntries bounds the shared segment-mass cache through which
-	// evaluations reuse each other's exact per-segment work. 0 means
-	// core.DefaultMassCacheEntries; negative disables the cache. Sharing
-	// changes only the work performed, never the results: cached masses
-	// are bit-identical to standalone evaluation.
+	// MassCacheEntries is ignored. A fixed-index executor runs core.Drain
+	// with no segment-mass cache, and a live executor uses each epoch's
+	// cache (ingest.Config.MassCacheEntries). The field stays only because
+	// bench/ still sets it; it goes with core.MassCache.
 	MassCacheEntries int
 	// QueueDepth bounds how many queries may wait for a worker slot at
 	// once; excess load is shed immediately with ErrOverloaded instead of
@@ -105,16 +106,13 @@ type Config struct {
 	// every evaluation. Nil means a private recorder, read through
 	// Executor.Recorder.
 	Recorder *stats.Recorder
-	// Strategy is the access schedule evaluations run under (zero value:
-	// core.CostAware); answers do not depend on it. Only remote.NewServer
-	// sets it: a shard evaluator is one by construction, not by a flag.
-	Strategy core.Strategy
 	// Source, when non-nil, makes the executor resolve the serving index
 	// per query through the epoch source instead of the fixed index
 	// passed to New (which may then be nil): each evaluation pins the
-	// current epoch for its duration and its results are cached under
-	// the epoch's sequence number. When nil, the executor serves the
-	// fixed index as implicit epoch 0, preserving the static behavior.
+	// current epoch for its duration, runs core.CostAware over the epoch's
+	// mass cache, and its results are cached under the epoch's sequence
+	// number. When nil, the executor serves the fixed index as implicit
+	// epoch 0 and evaluates with core.Drain.
 	Source EpochSource
 }
 
@@ -181,7 +179,6 @@ type Executor struct {
 	strat        core.Strategy
 
 	cache  *LRU[string, *cacheEntry] // nil when result caching is disabled
-	mass   *core.MassCache           // nil when mass sharing is disabled
 	rec    *stats.Recorder           // never nil
 	source EpochSource               // nil for a fixed-index executor
 
@@ -195,41 +192,43 @@ type flight struct {
 	res  Result
 }
 
-// New builds an executor over the index.
+// New builds an executor over the index. Its schedule follows from what
+// it serves (DESIGN §11). A fixed index runs core.Drain with no mass
+// cache, whose 0.7 % hit ratio on distinct queries does not pay for the
+// locking of the segments Drain finalises. An epoch source runs
+// core.CostAware over each epoch's mass cache.
 func New(ix *core.Index, cfg Config) *Executor {
 	e := &Executor{
 		ix:           ix,
 		gate:         NewGate(cfg.Workers, cfg.QueueDepth, cfg.MaxQueueWait),
 		queryTimeout: cfg.QueryTimeout,
-		strat:        cfg.Strategy,
+		strat:        core.Drain,
 		flight:       make(map[string]*flight),
 		rec:          cfg.Recorder,
 		source:       cfg.Source,
 	}
+	if e.source != nil {
+		e.strat = core.CostAware
+	}
 	if e.rec == nil {
 		e.rec = stats.NewRecorder()
 	}
-	e.rec.Engine.Schedule.Store(cfg.Strategy.String())
+	e.rec.Engine.Schedule.Store(e.strat.String())
 	switch {
 	case cfg.CacheSize == 0:
 		e.cache = NewLRU[string, *cacheEntry](DefaultCacheSize)
 	case cfg.CacheSize > 0:
 		e.cache = NewLRU[string, *cacheEntry](int64(cfg.CacheSize))
 	}
-	// An epoch source carries a per-epoch mass cache; the executor-owned
-	// cache exists only on the static path, where masses stay valid for
-	// the executor's lifetime.
-	if cfg.MassCacheEntries >= 0 && cfg.Source == nil {
-		e.mass = core.NewMassCache(cfg.MassCacheEntries)
-	}
 	return e
 }
 
 // acquireEpoch resolves the epoch one evaluation runs against: the
-// pinned current epoch of the source, or the fixed index as epoch 0.
+// pinned current epoch of the source, or the fixed index as epoch 0 with
+// no mass cache.
 func (e *Executor) acquireEpoch() (uint64, *core.Index, *core.MassCache, func()) {
 	if e.source == nil {
-		return 0, e.ix, e.mass, func() {}
+		return 0, e.ix, nil, func() {}
 	}
 	return e.source.AcquireEpoch()
 }
@@ -241,13 +240,10 @@ func (e *Executor) Workers() int { return e.gate.Slots() }
 // Config named, or the private one New installed in its place.
 func (e *Executor) Recorder() *stats.Recorder { return e.rec }
 
-// Invalidate drops every cached result and shared mass contribution.
+// Invalidate drops every cached result.
 func (e *Executor) Invalidate() {
 	if e.cache != nil {
 		e.cache.Clear()
-	}
-	if e.mass != nil {
-		e.mass.Clear()
 	}
 }
 

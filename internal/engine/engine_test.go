@@ -84,25 +84,73 @@ func TestDoMatchesSOI(t *testing.T) {
 	}
 }
 
-// TestConfigStrategy: Config.Strategy is the schedule evaluations run
-// under and the one the recorder names; it changes the work, never the
-// answer.
-func TestConfigStrategy(t *testing.T) {
+// TestExecutorSchedule: the schedule follows from what an executor
+// serves, and the recorder names it. Over a fixed index it is Drain with
+// no mass cache: no filter iteration, and no segment answered from a
+// cache although every (Ψ, ε) repeats at a second k. Over an epoch source
+// it is the paper's filter over the epoch's mass cache, which the repeat
+// hits. Either way the answer is Float64bits-identical to
+// Index.SOIWithStrategy under CostAware.
+func TestExecutorSchedule(t *testing.T) {
 	ix := buildIndex(t)
-	def, drain := New(ix, Config{}), New(ix, Config{Strategy: core.Drain})
-	for _, q := range testQueries() {
-		want, got := def.Do(q), drain.Do(q)
-		if want.Err != nil || got.Err != nil {
-			t.Fatal(want.Err, got.Err)
-		}
-		sameResults(t, got.Streets, want.Streets)
-		if want.Stats.FilterIterations == 0 || got.Stats.FilterIterations != 0 {
-			t.Fatalf("filter iterations: default %d, drain %d; want the bound loop only under the default",
-				want.Stats.FilterIterations, got.Stats.FilterIterations)
-		}
+	src := &fakeSource{}
+	src.swap(1, ix)
+	for _, c := range []struct {
+		schedule string
+		exec     *Executor
+	}{
+		{"drain", New(ix, Config{})},
+		{"cost-aware", New(nil, Config{Source: src})},
+	} {
+		t.Run(c.schedule, func(t *testing.T) {
+			if got := c.exec.Recorder().Snapshot().Engine.Schedule; got != c.schedule {
+				t.Fatalf("recorded schedule %q, want %q", got, c.schedule)
+			}
+			live := c.exec.source != nil
+			var cacheHits int
+			for _, q := range testQueries() {
+				for _, k := range []int{q.K, q.K + 3} {
+					q := q
+					q.K = k
+					want, _, err := ix.SOIWithStrategy(q, core.CostAware)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res := c.exec.Do(q)
+					if res.Err != nil {
+						t.Fatal(res.Err)
+					}
+					bitSameResults(t, res.Streets, want)
+					st := res.Stats
+					if live && st.FilterIterations == 0 {
+						t.Fatalf("%v: no filter iteration on the live path", q)
+					}
+					if !live && (st.FilterIterations != 0 || st.SegmentCacheHits != 0) {
+						t.Fatalf("%v: %d filter iterations, %d segments from a mass cache; want a Drain evaluation with no cache",
+							q, st.FilterIterations, st.SegmentCacheHits)
+					}
+					cacheHits += st.SegmentCacheHits
+				}
+			}
+			if live && cacheHits == 0 {
+				t.Fatal("the epoch's mass cache never answered a repeated (Ψ, ε)")
+			}
+		})
 	}
-	if a, b := def.Recorder().Snapshot().Engine.Schedule, drain.Recorder().Snapshot().Engine.Schedule; a != "cost-aware" || b != "drain" {
-		t.Fatalf("recorded schedules %q and %q, want cost-aware and drain", a, b)
+}
+
+// bitSameResults requires identical rows, floats compared by their bits.
+func bitSameResults(t *testing.T, got, want []core.StreetResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Street != w.Street || g.BestSegment != w.BestSegment ||
+			math.Float64bits(g.Interest) != math.Float64bits(w.Interest) || math.Float64bits(g.Mass) != math.Float64bits(w.Mass) {
+			t.Fatalf("rank %d: got %+v, want %+v", i, g, w)
+		}
 	}
 }
 

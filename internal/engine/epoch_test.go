@@ -128,9 +128,6 @@ func TestEpochPinnedAndReleasedPerEvaluation(t *testing.T) {
 	src := &fakeSource{}
 	src.swap(1, buildIndexWith(t, 200))
 	e := New(nil, Config{Source: src})
-	if e.mass != nil {
-		t.Fatal("executor built a static mass cache despite an epoch source; masses must be epoch-owned")
-	}
 	qs := []core.Query{
 		{Keywords: []string{"shop"}, K: 3, Epsilon: 0.4},
 		{Keywords: []string{"food"}, K: 5, Epsilon: 0.4},

@@ -198,8 +198,8 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 			divs = append(divs, Divergence{Impl: impl, CellSize: cell, Query: q, Detail: detail})
 		}
 
-		// Drain is in the matrix although only the shard tier serves with
-		// it: making it the default must be a performance question only.
+		// Every static executor serves with Drain and the live path with
+		// CostAware over a mass cache: the choice must be performance only.
 		for _, c := range []struct {
 			label string
 			strat core.Strategy

@@ -136,15 +136,12 @@ func TestServerQueryMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestServerDecidesItsEvaluator: whatever the caller's engine config
-// asks for, a shard server evaluates with Drain and without a segment-mass
-// cache, and its /metrics says so.
+// TestServerDecidesItsEvaluator: a shard server's index is fixed, so it
+// evaluates with Drain and without a segment-mass cache — even when the
+// engine config asks for one — and its /metrics says so.
 func TestServerDecidesItsEvaluator(t *testing.T) {
 	w := testWorld(t, 2, 1)
-	servers, _ := startShards(t, w, remote.ServerConfig{Engine: engine.Config{
-		Strategy:         core.RoundRobin,
-		MassCacheEntries: 1 << 10,
-	}})
+	servers, _ := startShards(t, w, remote.ServerConfig{Engine: engine.Config{MassCacheEntries: 1 << 10}})
 	q := testQuery()
 	// The same ⟨Ψ, ε⟩ at two k: the second evaluation would find the
 	// first one's finalised segments in a mass cache.

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	soi "repro"
 )
 
 // post issues a POST with a JSON body and decodes the JSON response.
@@ -72,10 +74,10 @@ func TestStatsSchema(t *testing.T) {
 			t.Errorf("missing engine counter %q", key)
 		}
 	}
-	// A single-index server evaluates with the paper's filter; only a
-	// shard server reports "drain" here.
-	if eng["schedule"] != "cost-aware" {
-		t.Errorf("engine schedule = %v, want cost-aware", eng["schedule"])
+	// A server over a fixed index evaluates with the bound-ordered drain;
+	// TestScheduleFollowsServing has the live one.
+	if eng["schedule"] != "drain" {
+		t.Errorf("engine schedule = %v, want drain", eng["schedule"])
 	}
 	if lat := eng["query_latency"].(map[string]interface{}); lat["count"].(float64) < 1 {
 		t.Errorf("query_latency count = %v after a served query, want ≥ 1", lat["count"])
@@ -112,7 +114,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"soi_core_sl1_cells_popped_total",
 		"soi_engine_query_latency_seconds_bucket{le=\"+Inf\"} 1",
 		"soi_runtime_goroutines",
-		`soi_engine_schedule_info{schedule="cost-aware"} 1`,
+		`soi_engine_schedule_info{schedule="drain"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -124,6 +126,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /metrics: status = %d", rec.Code)
+	}
+}
+
+// TestScheduleFollowsServing: a -live server keeps the paper's filter
+// over each epoch's mass cache, and says so on both surfaces.
+func TestScheduleFollowsServing(t *testing.T) {
+	s := testLiveServer(t, soi.LiveConfig{})
+	if rec, _ := get(t, s, "/api/streets?keywords=shop&k=5"); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up query: status = %d", rec.Code)
+	}
+	_, body := get(t, s, "/api/stats")
+	if got := body["stats"].(map[string]interface{})["engine"].(map[string]interface{})["schedule"]; got != "cost-aware" {
+		t.Errorf("live engine schedule = %v, want cost-aware", got)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := `soi_engine_schedule_info{schedule="cost-aware"} 1`; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("live exposition missing %q", want)
 	}
 }
 
