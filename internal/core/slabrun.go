@@ -81,7 +81,7 @@ type slabRun struct {
 	mergeLo, mergeHi []uint32 // postings-merge list heads (≤ |query|)
 
 	// Refine scratch: per-ordinal relevant weights, the candidate arrays
-	// and the per-street best-segment table.
+	// and their heap, and the per-street best-segment table.
 	cwVal      []float64
 	cwStamp    []uint32
 	candSid    []uint32
@@ -92,7 +92,6 @@ type slabRun struct {
 	sbSeg      []uint32
 	sbMass     []float64
 	sbTouched  []uint32
-	resSorter  resultSorter
 
 	stats Stats
 }
@@ -739,6 +738,13 @@ func (r *slabRun) filterDrain() error {
 // once the next candidate's upper bound cannot beat the k-th best exact
 // street interest. Streets with zero interest are not reported; ties are
 // broken by street id for determinism.
+//
+// The candidates are ranked lazily: a heap built in linear time yields
+// them one at a time in candSorter's order, so a query pays for the few
+// hundred segments it drains, not for sorting the thousands it saw. The
+// same heap then picks the k best of the streets the drain touched, and
+// only those become rows: out grows by at most k, into fresh storage of
+// exactly that size when its own capacity is short.
 func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 	for i, ord := range r.sl1Cell {
 		r.cwVal[ord] = r.sl1W[i]
@@ -763,11 +769,11 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 		r.candSid = append(r.candSid, sid)
 		r.candUB = append(r.candUB, Interest(pot, r.ix.segLen[sid], r.eps))
 	}
-	r.candSorter.sids = r.candSid
-	r.candSorter.ubs = r.candUB
-	sort.Sort(&r.candSorter)
+	h := &r.candSorter
+	h.sids, h.ubs = r.candSid, r.candUB
+	h.heapify()
 
-	for i, sid := range r.candSid {
+	for len(h.sids) > 0 {
 		if err := r.checkpoint(SiteRefine); err != nil {
 			return nil, err
 		}
@@ -777,9 +783,10 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 		// that keeps the reported set a pure function of the query, no
 		// matter how much of the search earlier runs short-circuited
 		// through a shared MassCache.
-		if bound := r.exact.bound(r.epoch); bound > 0 && r.candUB[i] < bound {
+		if bound := r.exact.bound(r.epoch); bound > 0 && h.ubs[0] < bound {
 			break
 		}
+		sid := h.pop()
 		if r.segFinal[sid] != r.epoch {
 			r.stats.RefineDrained++
 			r.drainSegment(sid)
@@ -803,8 +810,21 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 			r.sbMass[street] = mass
 		}
 	}
-	base := len(out)
+	// (interest, street) is ordered the way (bound, segment) is, so the
+	// candidate heap, whose arrays are free now and at least as long as
+	// the touched streets, yields the streets canonically (SortResults).
+	h.sids, h.ubs = r.candSid[:0], r.candUB[:0]
 	for _, street := range r.sbTouched {
+		h.sids = append(h.sids, street)
+		h.ubs = append(h.ubs, r.sbInterest[street])
+	}
+	h.heapify()
+	n := min(r.k, len(h.sids))
+	if cap(out)-len(out) < n {
+		out = append(make([]StreetResult, 0, len(out)+n), out...)
+	}
+	for ; n > 0; n-- {
+		street := h.pop()
 		out = append(out, StreetResult{
 			Street:      network.StreetID(street),
 			Name:        r.ix.net.Street(network.StreetID(street)).Name,
@@ -813,17 +833,15 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 			Mass:        r.sbMass[street],
 		})
 	}
-	r.resSorter.rs = out[base:]
-	sort.Sort(&r.resSorter)
-	r.resSorter.rs = nil
-	if len(out)-base > r.k {
-		out = out[:base+r.k]
-	}
 	return out, nil
 }
 
-// candSorter orders parallel (segment id, upper bound) slices decreasingly
-// by bound, ties by ascending segment id.
+// candSorter orders parallel (id, value) slices decreasingly by value,
+// ties by ascending id — refine's candidates as (segment, upper bound)
+// and its streets as (street, interest). Ids are distinct, so the order
+// is total, and popping its heap yields exactly the sequence sort.Sort
+// would leave, one element at a time: heapify costs O(n), each pop
+// O(log n).
 type candSorter struct {
 	sids []uint32
 	ubs  []float64
@@ -841,20 +859,43 @@ func (s *candSorter) Swap(i, j int) {
 	s.ubs[i], s.ubs[j] = s.ubs[j], s.ubs[i]
 }
 
-// resultSorter orders street results canonically (SortResults) without
-// the sort.Slice closure allocation.
-type resultSorter struct {
-	rs []StreetResult
+// heapify arranges the slices as a binary heap whose root comes first in
+// the order (Floyd's bottom-up construction).
+func (s *candSorter) heapify() {
+	for i := len(s.sids)/2 - 1; i >= 0; i-- {
+		s.down(i)
+	}
 }
 
-func (s *resultSorter) Len() int { return len(s.rs) }
-func (s *resultSorter) Less(i, j int) bool {
-	if s.rs[i].Interest != s.rs[j].Interest {
-		return s.rs[i].Interest > s.rs[j].Interest
-	}
-	return s.rs[i].Street < s.rs[j].Street
+// pop removes the root — the first element in the order — and returns its
+// id. The slices must not be empty.
+func (s *candSorter) pop() uint32 {
+	id := s.sids[0]
+	n := len(s.sids) - 1
+	s.Swap(0, n)
+	s.sids, s.ubs = s.sids[:n], s.ubs[:n]
+	s.down(0)
+	return id
 }
-func (s *resultSorter) Swap(i, j int) { s.rs[i], s.rs[j] = s.rs[j], s.rs[i] }
+
+// down sifts element i toward the leaves until neither child precedes it.
+func (s *candSorter) down(i int) {
+	n := len(s.sids)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && s.Less(c+1, c) {
+			c++
+		}
+		if !s.Less(c, i) {
+			return
+		}
+		s.Swap(i, c)
+		i = c
+	}
+}
 
 // slabTopK maintains the k-th largest per-street best segment interest
 // lower bound under increase-only updates. This realizes Algorithm 1's

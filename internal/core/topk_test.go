@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -72,6 +73,56 @@ func TestStreetTopKK1(t *testing.T) {
 	tk.update(8, 9, 1)
 	if got := tk.bound(1); got != 9 {
 		t.Fatalf("Bound = %v", got)
+	}
+}
+
+// TestRefineHeapOrder: refine's candidate heap must pop exactly the
+// sequence sort.Sort leaves — bounds descending, ties by ascending id —
+// however heavily the bounds tie, and a drain that stops at the first
+// bound strictly below a threshold must have popped exactly the sorted
+// prefix at or above it.
+func TestRefineHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	values := []float64{0.5, 1, 2.25, 7}
+	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			sids := make([]uint32, n)
+			ubs := make([]float64, n)
+			distinct := 1 + rng.Intn(len(values))
+			for i, id := range rng.Perm(n) {
+				sids[i] = uint32(id) * 3
+				ubs[i] = values[rng.Intn(distinct)]
+			}
+			want := candSorter{sids: slices.Clone(sids), ubs: slices.Clone(ubs)}
+			sort.Sort(&want)
+
+			h := candSorter{sids: slices.Clone(sids), ubs: slices.Clone(ubs)}
+			h.heapify()
+			for i := 0; i < n; i++ {
+				if ub := h.ubs[0]; ub != want.ubs[i] {
+					t.Fatalf("n=%d trial %d: pop %d has bound %v, want %v", n, trial, i, ub, want.ubs[i])
+				}
+				if id := h.pop(); id != want.sids[i] {
+					t.Fatalf("n=%d trial %d: pop %d = id %d, want %d", n, trial, i, id, want.sids[i])
+				}
+			}
+			if len(h.sids) != 0 || len(h.ubs) != 0 {
+				t.Fatalf("n=%d trial %d: %d left after %d pops", n, trial, len(h.sids), n)
+			}
+
+			// Stop at a threshold, as refine does at the k-th exact interest.
+			bound := values[rng.Intn(len(values))]
+			h = candSorter{sids: slices.Clone(sids), ubs: slices.Clone(ubs)}
+			h.heapify()
+			var popped []uint32
+			for len(h.sids) > 0 && h.ubs[0] >= bound {
+				popped = append(popped, h.pop())
+			}
+			end := sort.Search(n, func(i int) bool { return want.ubs[i] < bound })
+			if !slices.Equal(popped, want.sids[:end]) {
+				t.Fatalf("n=%d trial %d, bound %v: popped %v, want the sorted prefix %v", n, trial, bound, popped, want.sids[:end])
+			}
+		}
 	}
 }
 

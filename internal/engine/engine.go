@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -384,9 +383,6 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 		streets, st, err := e.evaluate(ctx, q, ix, mass)
 		f.res = Result{Streets: streets, Stats: st, Err: err, Epoch: seq}
 		if err == nil && e.cache != nil {
-			// refine ranks every street it touched in one array and returns
-			// its first k rows; the entry keeps the rows, not the array.
-			f.res.Streets = slices.Clone(streets)
 			e.cache.Put(key, &cacheEntry{res: f.res}, 1)
 		}
 		e.flightMu.Lock()

@@ -154,27 +154,40 @@ func bitSameResults(t *testing.T, got, want []core.StreetResult) {
 	}
 }
 
-// TestCachedResultKeepsRowsNotArray: refine ranks every street it touched
-// in one array and returns its first k rows; what the result cache keeps
-// for up to CacheSize queries is those rows, not that array.
+// TestCachedResultKeepsRowsNotArray: refine selects the k best of the
+// streets it touched before it builds any row, so an evaluation's answer
+// — and what the result cache keeps for up to CacheSize queries — holds
+// at most k rows' worth of storage, not a ranking of every street.
 func TestCachedResultKeepsRowsNotArray(t *testing.T) {
 	ix := buildIndex(t)
 	q := core.Query{Keywords: []string{"shop", "food", "park"}, K: 3, Epsilon: 0.25}
+	wide := q
+	wide.K = 50
+	all, _, err := ix.SOI(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) <= q.K {
+		t.Fatalf("only %d streets are interesting; the test needs more than k=%d", len(all), q.K)
+	}
 	raw, _, err := ix.SOI(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(raw) <= len(raw) {
-		t.Fatalf("evaluation returned all %d streets it ranked; the test needs a ranking past k", len(raw))
+	if cap(raw) > q.K {
+		t.Fatalf("evaluation returned %d rows in capacity %d, more than k=%d", len(raw), cap(raw), q.K)
 	}
-	first := New(ix, Config{}).Do(q)
-	if first.Err != nil {
-		t.Fatal(first.Err)
+	e := New(ix, Config{})
+	for i, want := range []bool{false, true} {
+		res := e.Do(q)
+		if res.Err != nil || res.Cached != want {
+			t.Fatalf("Do %d: cached %v, err %v; want cached %v", i, res.Cached, res.Err, want)
+		}
+		if cap(res.Streets) > q.K {
+			t.Fatalf("Do %d: result has capacity %d, more than k=%d", i, cap(res.Streets), q.K)
+		}
+		sameResults(t, res.Streets, raw)
 	}
-	if cap(first.Streets) >= cap(raw) {
-		t.Fatalf("cached result has capacity %d, the evaluation's whole ranking (%d)", cap(first.Streets), cap(raw))
-	}
-	sameResults(t, first.Streets, raw)
 }
 
 func TestCacheHitAndMetrics(t *testing.T) {

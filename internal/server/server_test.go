@@ -176,6 +176,12 @@ func TestTourErrors(t *testing.T) {
 			t.Errorf("eps=%s: status = %d", eps, rec.Code)
 		}
 	}
+	for _, budget := range []string{"NaN", "Inf", "-Inf", "0"} {
+		rec, body := get(t, s, "/api/tour?keywords=shop&budget="+budget)
+		if msg, _ := body["error"].(string); rec.Code != http.StatusBadRequest || !strings.Contains(msg, "budget") {
+			t.Errorf("budget=%s: status = %d, body %v", budget, rec.Code, body)
+		}
+	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {

@@ -62,6 +62,21 @@ type Candidate struct {
 	Interest float64
 }
 
+// ErrBadBudget is returned, wrapped with the value, for a tour length
+// budget that is not positive and finite: NaN passes every "≤ 0" test and
+// +Inf bounds nothing, so either would plan with no budget at all.
+var ErrBadBudget = errors.New("traj: tour budget is not positive and finite")
+
+// CheckBudget returns ErrBadBudget unless budget is a length Recommend
+// accepts, so a caller can refuse a tour before it pays for the k-SOI
+// answer the tour would plan over.
+func CheckBudget(budget float64) error {
+	if budget > 0 && !math.IsInf(budget, 1) {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrBadBudget, budget)
+}
+
 // Recommend implements the paper's stated future work, "to provide route
 // recommendations based on the discovered streets of interest" (Section
 // 6): given the ranked streets of a k-SOI answer it plans a walking tour
@@ -77,8 +92,8 @@ func Recommend(ctx context.Context, g *Graph, candidates []Candidate, budget flo
 	if len(candidates) == 0 {
 		return Tour{}, errors.New("traj: no candidate streets")
 	}
-	if budget <= 0 {
-		return Tour{}, fmt.Errorf("traj: non-positive budget %v", budget)
+	if err := CheckBudget(budget); err != nil {
+		return Tour{}, err
 	}
 	net := g.net
 	// Pick the start: the highest-interest candidate.

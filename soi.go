@@ -239,6 +239,11 @@ var ErrNoPhotos = diversify.ErrNoPhotos
 // are not finite or lie outside their range. Servers map it to 400.
 var ErrBadSummaryParams = errors.New("soi: invalid summary parameters")
 
+// ErrBadTourBudget is returned by RecommendTour for a budget that is not
+// positive and finite, before the k-SOI query is evaluated. Servers map
+// it to 400.
+var ErrBadTourBudget = traj.ErrBadBudget
+
 // ErrOverloaded is returned when the engine's admission control sheds a
 // query instead of queueing it (the bounded wait queue was full or the
 // maximum queue wait elapsed). It signals retryable backpressure.
@@ -593,8 +598,13 @@ func (e *Engine) RecommendTour(q Query, budget float64) (Tour, error) {
 // QueryTimeout and observes cancellation in every search, so an
 // overloaded engine sheds it with ErrOverloaded and a panic in it is
 // isolated into a *PanicError. The two halves run one after the other,
-// never nested, so one gate cannot deadlock a tour.
+// never nested, so one gate cannot deadlock a tour. A budget the planner
+// would refuse is refused first, with ErrBadTourBudget, so it costs no
+// evaluation.
 func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) (Tour, error) {
+	if err := traj.CheckBudget(budget); err != nil {
+		return Tour{}, err
+	}
 	er := e.exec.DoCtx(ctx, core.Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
 	if er.Err != nil {
 		return Tour{}, er.Err

@@ -378,6 +378,33 @@ func TestEngineTourShedsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestEngineTourRefusesBadBudget: a budget that is not positive and
+// finite is refused with ErrBadTourBudget before the k-SOI half runs, so
+// neither the executor's query counters nor the traj counters move; a
+// good budget after them is evaluated as usual.
+func TestEngineTourRefusesBadBudget(t *testing.T) {
+	e := trajEngine(t, soi.Config{})
+	q := soi.Query{Keywords: []string{"shop"}, K: 3, Epsilon: 0.0005}
+	before := e.StatsSnapshot()
+	for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if _, err := e.RecommendTour(q, budget); !errors.Is(err, soi.ErrBadTourBudget) {
+			t.Errorf("budget %v: err = %v, want ErrBadTourBudget", budget, err)
+		}
+	}
+	after := e.StatsSnapshot()
+	if after.Engine.Queries != before.Engine.Queries || after.Engine.Evaluations != before.Engine.Evaluations ||
+		after.Core.Evaluations != before.Core.Evaluations || after.Traj != before.Traj {
+		t.Fatalf("refused budgets moved counters:\nbefore engine %+v traj %+v\n after engine %+v traj %+v",
+			before.Engine, before.Traj, after.Engine, after.Traj)
+	}
+	if _, err := e.RecommendTour(q, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.StatsSnapshot().Engine.Queries; got == after.Engine.Queries {
+		t.Fatalf("a planned tour left engine queries at %d", got)
+	}
+}
+
 // TestEngineOneGateForEveryFamily: routes and k-SOI queries share one
 // admission gate. With one worker and one queue slot, a route parked on
 // its search makes an uncached k-SOI query wait for the slot, a third
