@@ -102,4 +102,54 @@ func TestGoldenPruningCounts(t *testing.T) {
 	if gotDrain != wantDrain {
 		t.Fatalf("drain pruning counters drifted:\n got %+v\nwant %+v", gotDrain, wantDrain)
 	}
+
+	// Without a mass cache, as every executor evaluates: the progression
+	// once under each serving schedule. The cost-aware run adds "shop" at
+	// ε/2, where a segment with an outlier cell count heads SL2, so the
+	// SL2 access path is pinned too.
+	uncached := func(strat Strategy, qs []Query) stats.CoreSnapshot {
+		rec := stats.NewRecorder()
+		for _, q := range qs {
+			_, st, err := ix.SOIContext(context.Background(), q, strat, nil)
+			if err != nil {
+				t.Fatalf("%v %+v: %v", strat, q, err)
+			}
+			st.Record(rec)
+		}
+		got := rec.Snapshot().Core
+		got.BuildListsNanos, got.FilterNanos, got.RefineNanos = 0, 0, 0
+		// The recorder derives these from the cache counters of a run.
+		got.MassCacheHits, got.MassCacheMisses = 0, 0
+		return got
+	}
+	var prefixes []Query
+	for n := 1; n <= len(progression); n++ {
+		prefixes = append(prefixes, Query{Keywords: progression[:n], K: 10, Epsilon: epsilon})
+	}
+	sl2 := Query{Keywords: []string{"shop"}, K: 10, Epsilon: epsilon / 2}
+	wantCostAware := stats.CoreSnapshot{
+		Evaluations:       5,
+		SL1CellsPopped:    1921,
+		SL2SegmentsPopped: 1,
+		SL3SegmentsPopped: 10,
+		FilterIterations:  1926,
+		CellVisits:        6520,
+		SegmentsSeen:      2595,
+		SegmentsFinal:     137,
+		RefineDrained:     69,
+	}
+	if got := uncached(CostAware, append(prefixes, sl2)); got != wantCostAware {
+		t.Fatalf("uncached cost-aware pruning counters drifted:\n got %+v\nwant %+v", got, wantCostAware)
+	}
+	wantUncachedDrain := stats.CoreSnapshot{
+		Evaluations:    4,
+		SL1CellsPopped: 1450,
+		CellVisits:     1731,
+		SegmentsSeen:   2254,
+		SegmentsFinal:  142,
+		RefineDrained:  142,
+	}
+	if got := uncached(Drain, prefixes); got != wantUncachedDrain {
+		t.Fatalf("uncached drain pruning counters drifted:\n got %+v\nwant %+v", got, wantUncachedDrain)
+	}
 }
