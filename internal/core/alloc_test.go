@@ -41,7 +41,7 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 	for _, strat := range []Strategy{CostAware, Drain} {
 		// Prime the pool so arena growth happens outside the measured runs.
 		for i := 0; i < 3; i++ {
-			if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, strat, nil, out[:0]); err != nil {
+			if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, strat, out[:0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -49,7 +49,7 @@ func TestSlabQueryZeroAllocs(t *testing.T) {
 			t.Fatal("query returned no results; world too sparse for the gate to mean anything")
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, strat, nil, out[:0])
+			out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, strat, out[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func BenchmarkSOISlab(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, nil, out[:0]); err != nil {
+		if out, _, err = ix.soiResolved(ctx, resolved, q.K, q.Epsilon, CostAware, out[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,14 @@ import "repro/internal/grid"
 // rewrites the driver to call Index directly and deletes this file; no
 // other non-test code may use what is declared here.
 
+// MassCache is what is left of the cross-query segment-mass cache: an
+// empty type bench/layers.go builds per pass and hands to SOIContext's
+// ignored fourth parameter (ROADMAP 1(c)).
+type MassCache struct{}
+
+// NewMassCache returns an empty MassCache; the size is ignored.
+func NewMassCache(int) *MassCache { return &MassCache{} }
+
 // SlabIndex returns the index itself: Index and the evaluator it used to
 // point to are one type.
 func (ix *Index) SlabIndex() *Index { return ix }

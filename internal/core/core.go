@@ -81,9 +81,6 @@ type Stats struct {
 	FilterIterations int
 	// CellVisits counts UpdateInterest invocations that did work.
 	CellVisits int
-	// SegmentCacheHits counts segments whose exact mass was answered from
-	// a shared MassCache, skipping every cell visit.
-	SegmentCacheHits int
 	// SegmentsSeen counts segments that left the unseen state.
 	SegmentsSeen int
 	// SegmentsFinal counts segments whose exact interest was computed.
@@ -113,8 +110,6 @@ func (s Stats) Record(rec *stats.Recorder) {
 	c.CellVisits.Add(int64(s.CellVisits))
 	c.SegmentsSeen.Add(int64(s.SegmentsSeen))
 	c.SegmentsFinal.Add(int64(s.SegmentsFinal))
-	c.MassCacheHits.Add(int64(s.SegmentCacheHits))
-	c.MassCacheMisses.Add(int64(s.SegmentsFinal - s.SegmentCacheHits))
 	c.RefineDrained.Add(int64(s.RefineDrained))
 	c.BuildListsNanos.Add(s.BuildListsTime.Nanoseconds())
 	c.FilterNanos.Add(s.FilterTime.Nanoseconds())

@@ -487,17 +487,17 @@ func TestStrategyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := ix.SOIWithStrategy(q, RoundRobin)
+		b, _, err := ix.SOIWithStrategy(q, Drain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareResults(t, "cost-aware vs round-robin", a, b)
-		compareResults(t, "round-robin vs oracle", b, exhaustiveTopK(t, ix, q))
+		compareResults(t, "cost-aware vs drain", a, b)
+		compareResults(t, "drain vs oracle", b, exhaustiveTopK(t, ix, q))
 	}
 }
 
 func TestStrategyString(t *testing.T) {
-	if CostAware.String() == "" || RoundRobin.String() == "" || Strategy(9).String() == "" {
+	if CostAware.String() == "" || Drain.String() == "" || Strategy(9).String() == "" {
 		t.Fatal("empty strategy name")
 	}
 }

@@ -107,9 +107,9 @@ func TestPlanConcurrentFirstTouch(t *testing.T) {
 								t.Errorf("%s Baseline %v: %v (%v) != oracle %v", cfg.Label(), q, got, err, want[qi])
 							}
 						case 1:
-							got, _, err := cold.SOIWithStrategy(q, core.RoundRobin)
+							got, _, err := cold.SOIWithStrategy(q, core.Drain)
 							if err != nil || !core.BitEqualResults(got, want[qi]) {
-								t.Errorf("%s RoundRobin %v: %v (%v) != oracle %v", cfg.Label(), q, got, err, want[qi])
+								t.Errorf("%s Drain %v: %v (%v) != oracle %v", cfg.Label(), q, got, err, want[qi])
 							}
 						case 2:
 							if !reflect.DeepEqual(cold.SegmentCells(q.Epsilon), built.SegmentCells(q.Epsilon)) {

@@ -25,89 +25,13 @@ func TestGoldenPruningCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The paper's keyword progression, one query per prefix, evaluated
-	// twice over one shared mass cache: the first pass computes every
-	// exact mass (all misses), the second answers them from the cache, so
-	// the hit/miss split is part of the golden contract too.
+	// The paper's keyword progression, one query per prefix, under each
+	// schedule. The cost-aware run adds "shop" at ε/2, where a segment with
+	// an outlier cell count heads SL2, so the SL2 access path is pinned
+	// too. Drain's SL1CellsPopped is the relevant cells it walked; it pops
+	// no list and compares no bound, so its other filter counters are 0.
 	progression := []string{"religion", "education", "food", "services"}
-	rec := stats.NewRecorder()
-	mc := NewMassCache(0)
-	for pass := 0; pass < 2; pass++ {
-		for n := 1; n <= len(progression); n++ {
-			q := Query{Keywords: progression[:n], K: 10, Epsilon: epsilon}
-			_, st, err := ix.SOIContext(context.Background(), q, CostAware, mc)
-			if err != nil {
-				t.Fatalf("pass %d, query ψ=%d: %v", pass, n, err)
-			}
-			st.Record(rec)
-		}
-	}
-	// One literal Algorithm 1 schedule on a cold mass cache, so the SL2
-	// counter (zero under the cost-aware schedule on this workload) is
-	// exercised too.
-	q := Query{Keywords: progression, K: 10, Epsilon: epsilon}
-	_, st, err := ix.SOIContext(context.Background(), q, RoundRobin, NewMassCache(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Record(rec)
-
-	got := rec.Snapshot().Core
-	want := stats.CoreSnapshot{
-		Evaluations:       9,
-		SL1CellsPopped:    3065,
-		SL2SegmentsPopped: 164,
-		SL3SegmentsPopped: 180,
-		FilterIterations:  3402,
-		CellVisits:        13723,
-		SegmentsSeen:      4976,
-		SegmentsFinal:     463,
-		MassCacheHits:     62,
-		MassCacheMisses:   401,
-		RefineDrained:     59,
-	}
-	// Wall-clock fields vary run to run; compare only the counters.
-	got.BuildListsNanos, got.FilterNanos, got.RefineNanos = 0, 0, 0
-	if got != want {
-		t.Fatalf("pruning counters drifted:\n got %+v\nwant %+v", got, want)
-	}
-
-	// The same two passes under Drain, on a recorder and a mass cache of
-	// their own. SL1CellsPopped is the relevant cells it walked; it pops
-	// no list and compares no bound, so the other filter counters are 0.
-	recDrain := stats.NewRecorder()
-	mcDrain := NewMassCache(0)
-	for pass := 0; pass < 2; pass++ {
-		for n := 1; n <= len(progression); n++ {
-			q := Query{Keywords: progression[:n], K: 10, Epsilon: epsilon}
-			_, st, err := ix.SOIContext(context.Background(), q, Drain, mcDrain)
-			if err != nil {
-				t.Fatalf("drain pass %d, query ψ=%d: %v", pass, n, err)
-			}
-			st.Record(recDrain)
-		}
-	}
-	gotDrain := recDrain.Snapshot().Core
-	wantDrain := stats.CoreSnapshot{
-		Evaluations:     8,
-		SL1CellsPopped:  2900,
-		CellVisits:      1731,
-		SegmentsSeen:    4508,
-		SegmentsFinal:   284,
-		MassCacheHits:   142,
-		MassCacheMisses: 142,
-		RefineDrained:   142,
-	}
-	gotDrain.BuildListsNanos, gotDrain.FilterNanos, gotDrain.RefineNanos = 0, 0, 0
-	if gotDrain != wantDrain {
-		t.Fatalf("drain pruning counters drifted:\n got %+v\nwant %+v", gotDrain, wantDrain)
-	}
-
-	// Without a mass cache, as every executor evaluates: the progression
-	// once under each serving schedule. The cost-aware run adds "shop" at
-	// ε/2, where a segment with an outlier cell count heads SL2, so the
-	// SL2 access path is pinned too.
-	uncached := func(strat Strategy, qs []Query) stats.CoreSnapshot {
+	counters := func(strat Strategy, qs []Query) stats.CoreSnapshot {
 		rec := stats.NewRecorder()
 		for _, q := range qs {
 			_, st, err := ix.SOIContext(context.Background(), q, strat, nil)
@@ -117,9 +41,8 @@ func TestGoldenPruningCounts(t *testing.T) {
 			st.Record(rec)
 		}
 		got := rec.Snapshot().Core
+		// Wall-clock fields vary run to run; compare only the counters.
 		got.BuildListsNanos, got.FilterNanos, got.RefineNanos = 0, 0, 0
-		// The recorder derives these from the cache counters of a run.
-		got.MassCacheHits, got.MassCacheMisses = 0, 0
 		return got
 	}
 	var prefixes []Query
@@ -138,10 +61,10 @@ func TestGoldenPruningCounts(t *testing.T) {
 		SegmentsFinal:     137,
 		RefineDrained:     69,
 	}
-	if got := uncached(CostAware, append(prefixes, sl2)); got != wantCostAware {
-		t.Fatalf("uncached cost-aware pruning counters drifted:\n got %+v\nwant %+v", got, wantCostAware)
+	if got := counters(CostAware, append(prefixes, sl2)); got != wantCostAware {
+		t.Fatalf("cost-aware pruning counters drifted:\n got %+v\nwant %+v", got, wantCostAware)
 	}
-	wantUncachedDrain := stats.CoreSnapshot{
+	wantDrain := stats.CoreSnapshot{
 		Evaluations:    4,
 		SL1CellsPopped: 1450,
 		CellVisits:     1731,
@@ -149,7 +72,7 @@ func TestGoldenPruningCounts(t *testing.T) {
 		SegmentsFinal:  142,
 		RefineDrained:  142,
 	}
-	if got := uncached(Drain, prefixes); got != wantUncachedDrain {
-		t.Fatalf("uncached drain pruning counters drifted:\n got %+v\nwant %+v", got, wantUncachedDrain)
+	if got := counters(Drain, prefixes); got != wantDrain {
+		t.Fatalf("drain pruning counters drifted:\n got %+v\nwant %+v", got, wantDrain)
 	}
 }

@@ -42,7 +42,7 @@ type IndexConfig struct {
 // path performs zero heap allocations. Every float is folded in a fixed
 // order (POIs by ascending id within a cell, cells in canonical Cε(ℓ)
 // order), so an answer is a pure function of the query, whichever access
-// schedule or MassCache state the run had.
+// schedule the run had.
 //
 // Read-only contract: an Index is immutable and safe for any number of
 // concurrent readers (SOI, Baseline and the accessor methods; the ε-plan

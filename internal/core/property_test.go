@@ -30,8 +30,8 @@ func propertyQueries(rng *rand.Rand, ix *Index) []Query {
 }
 
 // TestPropertyStrategiesMatchBaseline is the property-based equivalence
-// test: on random scenarios, every access schedule, on one index, must
-// agree bit-exactly with the others and with the exact baseline, and
+// test: on random scenarios, both access schedules, on one index, must
+// agree bit-exactly with each other and with the exact baseline, and
 // behave sensibly on the edge-case queries. A single-keyword SL1 aliases
 // the slab's inverted index, which no schedule may write to — Drain least
 // of all, since it is the one that leaves SL1 unsorted.
@@ -46,17 +46,12 @@ func TestPropertyStrategiesMatchBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rr, _, err := ix.SOIWithStrategy(q, RoundRobin)
+			dr, _, err := ix.SOIWithStrategy(q, Drain)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The two schedules traverse differently but fold masses
 			// canonically, so their answers are identical to the bit.
-			requireSameResults(t, "cost-aware vs round-robin", ca, rr)
-			dr, _, err := ix.SOIWithStrategy(q, Drain)
-			if err != nil {
-				t.Fatal(err)
-			}
 			requireSameResults(t, "cost-aware vs drain", ca, dr)
 			if !slices.Equal(ix.slab.InvCell, invCell) || !slices.Equal(ix.slab.InvWeight, invWeight) {
 				t.Fatalf("query %+v wrote to the slab's inverted index", q)
@@ -100,13 +95,13 @@ func TestPropertyInvalidQueriesAgree(t *testing.T) {
 		if errCA == nil || res != nil {
 			t.Fatalf("cost-aware accepted %+v", q)
 		}
-		_, _, errRR := ix.SOIWithStrategy(q, RoundRobin)
+		_, _, errDR := ix.SOIWithStrategy(q, Drain)
 		_, _, errBL := ix.Baseline(q)
-		if errRR == nil || errBL == nil {
-			t.Fatalf("schedules disagree on %+v: rr=%v bl=%v", q, errRR, errBL)
+		if errDR == nil || errBL == nil {
+			t.Fatalf("schedules disagree on %+v: drain=%v bl=%v", q, errDR, errBL)
 		}
-		if errCA.Error() != errRR.Error() || errCA.Error() != errBL.Error() {
-			t.Fatalf("error text differs: %q / %q / %q", errCA, errRR, errBL)
+		if errCA.Error() != errDR.Error() || errCA.Error() != errBL.Error() {
+			t.Fatalf("error text differs: %q / %q / %q", errCA, errDR, errBL)
 		}
 		if _, err := ix.UnseenBound(q); err == nil {
 			t.Fatalf("UnseenBound accepted %+v", q)
@@ -114,7 +109,7 @@ func TestPropertyInvalidQueriesAgree(t *testing.T) {
 		// soiResolved is reachable without Validate; k and ε are its own
 		// to check.
 		if len(q.Keywords) > 0 {
-			if _, _, err := ix.soiResolved(context.Background(), nil, q.K, q.Epsilon, CostAware, nil, nil); err == nil {
+			if _, _, err := ix.soiResolved(context.Background(), nil, q.K, q.Epsilon, CostAware, nil); err == nil {
 				t.Fatalf("soiResolved accepted %+v", q)
 			}
 		}
@@ -152,9 +147,9 @@ func TestPropertyRankPrefix(t *testing.T) {
 }
 
 // TestConcurrentSharedIndex is the core-level concurrency test: many
-// goroutines evaluate a mixed workload (every schedule, shared ε-memos,
-// a shared MassCache) against one Index, and every answer must equal the
-// sequential one bit-for-bit. Run under -race this also proves the index
+// goroutines evaluate a mixed workload (both schedules, shared ε-memos)
+// against one Index, and every answer must equal the sequential one
+// bit-for-bit. Run under -race this also proves the index
 // read paths are race-free.
 func TestConcurrentSharedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
@@ -167,7 +162,7 @@ func TestConcurrentSharedIndex(t *testing.T) {
 			Epsilon:  []float64{0.1, 0.25, 0.4}[i%3],
 		})
 	}
-	strategies := []Strategy{CostAware, RoundRobin, Drain}
+	strategies := []Strategy{CostAware, Drain}
 	want := make([][]StreetResult, len(queries)*len(strategies))
 	for qi, q := range queries {
 		for si, strat := range strategies {
@@ -180,7 +175,6 @@ func TestConcurrentSharedIndex(t *testing.T) {
 	}
 
 	const goroutines = 16
-	mc := NewMassCache(0)
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -190,13 +184,7 @@ func TestConcurrentSharedIndex(t *testing.T) {
 			for rep := 0; rep < 5; rep++ {
 				for qi, q := range queries {
 					for si, strat := range strategies {
-						// Half the goroutines share a MassCache, half
-						// run standalone; both must agree.
-						cache := mc
-						if g%2 == 0 {
-							cache = nil
-						}
-						res, _, err := ix.SOIContext(context.Background(), q, strat, cache)
+						res, _, err := ix.SOIWithStrategy(q, strat)
 						if err != nil {
 							errs <- err
 							return
@@ -274,7 +262,7 @@ func TestGoldenTieBreak(t *testing.T) {
 	q := Query{Keywords: []string{"shop"}, K: 3, Epsilon: 0.2}
 	golden := []network.StreetID{0, 1, 2}
 	for rep := 0; rep < 25; rep++ {
-		for _, strat := range []Strategy{CostAware, RoundRobin, Drain} {
+		for _, strat := range []Strategy{CostAware, Drain} {
 			res, _, err := ix.SOIWithStrategy(q, strat)
 			if err != nil {
 				t.Fatal(err)

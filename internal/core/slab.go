@@ -135,11 +135,11 @@ func (ix *Index) resolve(q Query) (vocab.Set, error) {
 
 // soiResolved is the steady-state entry point: it evaluates a
 // pre-resolved query under the given access schedule, appending the k
-// results into out's capacity. With a nil MassCache and a warmed ε it
-// performs zero heap allocations once the internal scratch pool has seen
-// the world size. k must be positive and eps positive and finite; query
-// must come from resolve (sorted, deduplicated, known keywords only).
-func (ix *Index) soiResolved(ctx context.Context, query vocab.Set, k int, eps float64, strat Strategy, mc *MassCache, out []StreetResult) ([]StreetResult, Stats, error) {
+// results into out's capacity. With a warmed ε it performs zero heap
+// allocations once the internal scratch pool has seen the world size. k
+// must be positive and eps positive and finite; query must come from
+// resolve (sorted, deduplicated, known keywords only).
+func (ix *Index) soiResolved(ctx context.Context, query vocab.Set, k int, eps float64, strat Strategy, out []StreetResult) ([]StreetResult, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -153,12 +153,6 @@ func (ix *Index) soiResolved(ctx context.Context, query vocab.Set, k int, eps fl
 	r.k = k
 	r.eps = eps
 	r.strat = strat
-	r.mc = nil
-	if mc != nil {
-		if psi, ok := mc.psiID(query); ok {
-			r.mc, r.psi = mc, psi
-		}
-	}
 
 	start := time.Now()
 	r.begin(ix.plan(eps))

@@ -28,11 +28,11 @@ func TestSlabMatchesMapPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResults(t, "slab vs baseline", got, want)
-			rr, _, err := ix.SOIWithStrategy(q, RoundRobin)
+			dr, _, err := ix.SOIWithStrategy(q, Drain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResults(t, "round-robin vs baseline", rr, want)
+			requireSameResults(t, "drain vs baseline", dr, want)
 		}
 	}
 }
@@ -72,39 +72,6 @@ func weightedScenario(rng *rand.Rand) *Index {
 	return wix
 }
 
-// TestSlabWithMassCache verifies the slab evaluator with a shared
-// MassCache: the cache must warm across repeated queries, and results
-// must stay bit-identical to the exact baseline throughout.
-func TestSlabWithMassCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := randomScenario(rng)
-	mc := NewMassCache(0)
-	queries := propertyQueries(rng, ix)
-	for round := 0; round < 3; round++ {
-		for _, q := range queries {
-			want, _, err := ix.Baseline(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gs, err := ix.SOIContext(context.Background(), q, CostAware, mc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResults(t, "cached slab vs baseline", got, want)
-			if round > 0 && gs.SegmentsFinal > 0 && gs.SegmentCacheHits == 0 && gs.CellVisits > 0 {
-				// Warmed rounds should serve at least some masses from the
-				// cache when any were stored.
-				if mc.Len() > 0 {
-					t.Logf("round %d: no cache hits (%d entries); query %+v", round, mc.Len(), q)
-				}
-			}
-		}
-	}
-	if mc.Len() == 0 {
-		t.Fatal("mass cache never admitted an entry")
-	}
-}
-
 // TestCompactIndexRouting: every Index entry point routes to the index's
 // evaluator — same answer and, counter for counter, the same work as
 // soiResolved on it, under either schedule.
@@ -117,8 +84,8 @@ func TestCompactIndexRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{CostAware, RoundRobin} {
-		want, ws, err := ix.soiResolved(ctx, query, q.K, q.Epsilon, strat, nil, nil)
+	for _, strat := range []Strategy{CostAware, Drain} {
+		want, ws, err := ix.soiResolved(ctx, query, q.K, q.Epsilon, strat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,11 +135,11 @@ func TestIndexFromSlabRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResults(t, "from-slab cost-aware", got, want)
-		gotRR, _, err := rix.SOIWithStrategy(q, RoundRobin)
+		gotDrain, _, err := rix.SOIWithStrategy(q, Drain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, "from-slab round-robin", gotRR, want)
+		requireSameResults(t, "from-slab drain", gotDrain, want)
 	}
 }
 
@@ -189,7 +156,7 @@ func TestSlabContext(t *testing.T) {
 	if _, _, err := ix.SOI(Query{Keywords: []string{"shop"}, K: 0, Epsilon: 0.2}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := ix.soiResolved(context.Background(), nil, 1, -1, CostAware, nil, nil); err == nil {
+	if _, _, err := ix.soiResolved(context.Background(), nil, 1, -1, CostAware, nil); err == nil {
 		t.Fatal("negative epsilon accepted")
 	}
 }
@@ -212,43 +179,5 @@ func TestSlabRunReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResults(t, "reuse", got, want)
-	}
-}
-
-// TestMassCacheInternsWithinBudget: a static index's cache lives as long
-// as the process, so the keyword sets it interns are charged against the
-// entry budget like the masses they key. A sweep over more distinct sets
-// than the budget must leave the intern table bounded, and the sets it
-// refused evaluate uncached — same answers, bit for bit, both times round.
-func TestMassCacheInternsWithinBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ix := randomScenario(rng)
-	words := []string{"shop", "food", "museum", "park", "school"}
-	const budget = 8
-	mc := NewMassCache(budget)
-	for round := 0; round < 2; round++ {
-		for set := 1; set < 1<<len(words); set++ {
-			q := Query{K: 3, Epsilon: 0.4}
-			for i, w := range words {
-				if set&(1<<i) != 0 {
-					q.Keywords = append(q.Keywords, w)
-				}
-			}
-			want, _, err := ix.SOIContext(context.Background(), q, CostAware, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := ix.SOIContext(context.Background(), q, CostAware, mc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResults(t, "cached vs uncached", got, want)
-		}
-	}
-	if n := len(mc.psis); n == 0 || n > budget {
-		t.Fatalf("%d keyword sets interned under a budget of %d entries", n, budget)
-	}
-	if n := len(mc.psis) + mc.Len(); n > budget {
-		t.Fatalf("%d sets and masses held under a budget of %d entries", n, budget)
 	}
 }

@@ -35,10 +35,6 @@ type slabRun struct {
 	strat Strategy
 	// tick strides the cooperative cancellation checkpoints.
 	tick int
-	// mc, when non-nil, shares exact segment masses with other runs over
-	// the same index; psi is the query's interned id in the cache.
-	mc  *MassCache
-	psi uint32
 
 	// SL1: parallel cell-ordinal and weight arrays. For single-keyword
 	// queries they alias the slab's inverted index directly.
@@ -188,7 +184,6 @@ func (r *slabRun) nextEpoch() {
 func (r *slabRun) release() {
 	r.ctx = nil
 	r.query = nil
-	r.mc = nil
 	r.plan = nil
 	r.sl1Cell = nil
 	r.sl1W = nil
@@ -430,9 +425,7 @@ func findKw(kws []uint32, kw vocab.ID) int {
 	return -1
 }
 
-// ensureSeen initializes a segment's state on first touch. When a shared
-// cache already holds the segment's exact mass for this ⟨Ψ, ε⟩, the
-// segment starts out final and its cell visits are skipped entirely.
+// ensureSeen initializes a segment's state on first touch.
 func (r *slabRun) ensureSeen(sid uint32) {
 	if r.segSeen[sid] == r.epoch {
 		return
@@ -446,18 +439,6 @@ func (r *slabRun) ensureSeen(sid uint32) {
 		r.segFinal[sid] = r.epoch
 		r.stats.SegmentsFinal++
 		return
-	}
-	if r.mc != nil {
-		if m, ok := r.mc.getFinal(finalKey{sid: network.SegmentID(sid), psi: r.psi, eps: r.eps}); ok {
-			r.segMass[sid] = m
-			r.segFinal[sid] = r.epoch
-			r.stats.SegmentsFinal++
-			r.stats.SegmentCacheHits++
-			if m > 0 {
-				r.topk.update(r.ix.segStreet[sid], Interest(m, r.ix.segLen[sid], r.eps), r.epoch)
-			}
-			return
-		}
 	}
 	r.segMass[sid] = 0
 	r.segFinal[sid] = 0
@@ -512,9 +493,9 @@ func (r *slabRun) applyVisit(sid uint32, pair uint32, ord int32) {
 
 // finalizeMass recomputes the now-exact segment mass as the fold of its
 // per-cell contributions in canonical Cε(ℓ) order. That makes the final
-// mass independent of the visit order this run happened to use — a pure
-// function of ⟨segment, Ψ, ε⟩ — so it can be shared bit-exactly across
-// runs through the MassCache.
+// mass independent of the visit order the schedule happened to use — a
+// pure function of ⟨segment, Ψ, ε⟩ — so every schedule reports the same
+// bits.
 func (r *slabRun) finalizeMass(sid uint32) {
 	var m float64
 	for _, c := range r.contrib[r.plan.segCellOff[sid]:r.plan.segCellOff[sid+1]] {
@@ -523,9 +504,6 @@ func (r *slabRun) finalizeMass(sid uint32) {
 	r.segMass[sid] = m
 	r.segFinal[sid] = r.epoch
 	r.stats.SegmentsFinal++
-	if r.mc != nil {
-		r.mc.putFinal(finalKey{sid: network.SegmentID(sid), psi: r.psi, eps: r.eps}, m)
-	}
 }
 
 // skipFinal advances a segment-list pointer past segments that are
@@ -598,11 +576,8 @@ func (r *slabRun) drainSegment(sid uint32) {
 // its next segment is cheap to finalize (few ε-near cells); SL2 is
 // consumed only while its next segment has an outlier cell count.
 func (r *slabRun) filter() error {
-	if r.strat != CostAware {
-		if r.strat == Drain {
-			return r.filterDrain()
-		}
-		return r.filterRoundRobin()
+	if r.strat == Drain {
+		return r.filterDrain()
 	}
 	// avgCells calibrates the SL2 outlier threshold.
 	totalPairs := len(r.plan.segCell)
@@ -620,8 +595,7 @@ func (r *slabRun) filter() error {
 		// Stop only when every unseen segment is STRICTLY below the seen
 		// lower bound (or provably massless). The strict comparison keeps
 		// exact ties at the k-th rank inside the seen set, so the result
-		// is a pure function of the query even when a shared MassCache
-		// changes how fast LBk rises.
+		// is a pure function of the query however fast LBk rises.
 		r.stats.FilterIterations++
 		if err := r.checkpoint(SiteFilter); err != nil {
 			return err
@@ -669,45 +643,6 @@ func (r *slabRun) popSL1() {
 	r.stats.CellAccesses++
 	for _, sid := range r.plan.cellSeg[r.plan.cellSegOff[ord]:r.plan.cellSegOff[ord+1]] {
 		r.updateInterest(sid, ord)
-	}
-}
-
-// filterRoundRobin is the literal Algorithm 1 schedule: SL1 → SL2 → SL3,
-// one access each, cyclically, until LBk ≥ UB. Kept as an ablation of the
-// access strategy; it yields the same result set but typically finalizes
-// far more segments than the cost-aware schedule.
-func (r *slabRun) filterRoundRobin() error {
-	sl2, sl3 := r.plan.sl2, r.ix.segsByLen
-	for src := 0; ; src = (src + 1) % 3 {
-		// Strict stop, as in the cost-aware schedule: ties at the k-th
-		// rank must be seen before the filter may stop.
-		r.stats.FilterIterations++
-		if err := r.checkpoint(SiteFilter); err != nil {
-			return err
-		}
-		if ub := r.unseenUpperBound(); ub == 0 || ub < r.topk.bound(r.epoch) {
-			return nil
-		}
-		switch src {
-		case 0:
-			if r.p1 < len(r.sl1Cell) {
-				r.popSL1()
-			} else if r.p2 >= len(sl2) && r.p3 >= len(sl3) {
-				return nil // every list exhausted; UB is zero
-			}
-		case 1:
-			if r.p2 = r.skipFinal(sl2, r.p2); r.p2 < len(sl2) {
-				r.stats.SL2Accesses++
-				r.finalizeSegment(sl2[r.p2])
-				r.p2++
-			}
-		default:
-			if r.p3 = r.skipFinal(sl3, r.p3); r.p3 < len(sl3) {
-				r.stats.SL3Accesses++
-				r.finalizeSegment(sl3[r.p3])
-				r.p3++
-			}
-		}
 	}
 }
 
@@ -781,8 +716,7 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 		// neither enter nor tie into the top-k. The comparison must be
 		// strict so that exact ties at the boundary are always drained —
 		// that keeps the reported set a pure function of the query, no
-		// matter how much of the search earlier runs short-circuited
-		// through a shared MassCache.
+		// matter which segments the schedule had already finalised.
 		if bound := r.exact.bound(r.epoch); bound > 0 && h.ubs[0] < bound {
 			break
 		}

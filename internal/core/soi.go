@@ -3,156 +3,7 @@ package core
 import (
 	"context"
 	"sort"
-	"strings"
-	"sync"
-
-	"repro/internal/network"
-	"repro/internal/vocab"
 )
-
-// MassCache shares exact segment masses across query evaluations over
-// one index. Once every ε-near cell of a segment has been visited, the
-// segment's exact mass depends only on ⟨segment, Ψ, ε⟩ — not on k or on
-// the algorithm's traversal state — so later runs over the same keyword
-// set skip the segment's cell visits entirely. Cached values are the
-// bit-exact floats the uncached path computes (final masses fold
-// per-cell contributions in canonical Cε(ℓ) order; each contribution
-// streams POIs in id order), so results are identical with and without
-// the cache. MassCache is safe for concurrent use; it is sharded to keep
-// lock contention off the hot path.
-//
-// The cache grows up to a configured entry budget — cached masses and
-// interned keyword sets alike — and then stops admitting new entries
-// (existing ones keep serving hits; a query over a keyword set it could
-// not intern evaluates uncached). It belongs to one index: an ingest
-// epoch gets a fresh one.
-type MassCache struct {
-	psiMu sync.Mutex
-	psis  map[string]uint32 // canonical resolved keyword set → dense id
-
-	limit  int64
-	size   int64 // masses plus interned sets; guarded by psiMu
-	finals [massCacheShards]finalShard
-}
-
-const massCacheShards = 64
-
-// DefaultMassCacheEntries bounds a MassCache built with size 0: at ~50
-// bytes per entry this is on the order of 100 MB, far below the index
-// itself for city-scale datasets.
-const DefaultMassCacheEntries = 1 << 21
-
-type finalShard struct {
-	mu sync.RWMutex
-	m  map[finalKey]float64
-}
-
-type finalKey struct {
-	sid network.SegmentID
-	psi uint32
-	eps float64
-}
-
-// NewMassCache returns a cache bounded to maxEntries contributions (0
-// means DefaultMassCacheEntries).
-func NewMassCache(maxEntries int) *MassCache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMassCacheEntries
-	}
-	mc := &MassCache{psis: make(map[string]uint32), limit: int64(maxEntries)}
-	for i := range mc.finals {
-		mc.finals[i].m = make(map[finalKey]float64)
-	}
-	return mc
-}
-
-// Clear drops every cached mass and keyword-set id.
-func (mc *MassCache) Clear() {
-	for i := range mc.finals {
-		s := &mc.finals[i]
-		s.mu.Lock()
-		s.m = make(map[finalKey]float64)
-		s.mu.Unlock()
-	}
-	mc.psiMu.Lock()
-	mc.psis = make(map[string]uint32)
-	mc.size = 0
-	mc.psiMu.Unlock()
-}
-
-// Len returns the number of cached segment masses.
-func (mc *MassCache) Len() int {
-	var n int
-	for i := range mc.finals {
-		s := &mc.finals[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// psiID interns a resolved keyword set into a dense id, so that mass keys
-// stay small and hash quickly. A new set is charged one entry against the
-// budget; once that is spent it is refused, and the caller evaluates
-// without the cache.
-func (mc *MassCache) psiID(query vocab.Set) (uint32, bool) {
-	var b strings.Builder
-	for _, id := range query {
-		b.WriteByte(byte(id))
-		b.WriteByte(byte(id >> 8))
-		b.WriteByte(byte(id >> 16))
-		b.WriteByte(byte(id >> 24))
-	}
-	key := b.String()
-	mc.psiMu.Lock()
-	defer mc.psiMu.Unlock()
-	if id, ok := mc.psis[key]; ok {
-		return id, true
-	}
-	if mc.size >= mc.limit {
-		return 0, false
-	}
-	mc.size++
-	id := uint32(len(mc.psis))
-	mc.psis[key] = id
-	return id, true
-}
-
-func (mc *MassCache) finalShardFor(k finalKey) *finalShard {
-	h := uint64(uint32(k.sid))*0x9e3779b1 ^ uint64(k.psi)<<21
-	return &mc.finals[h%massCacheShards]
-}
-
-func (mc *MassCache) getFinal(k finalKey) (float64, bool) {
-	s := mc.finalShardFor(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-func (mc *MassCache) putFinal(k finalKey, v float64) {
-	if !mc.admit() {
-		return
-	}
-	s := mc.finalShardFor(k)
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// admit charges one entry against the budget, reporting whether the
-// cache may still grow.
-func (mc *MassCache) admit() bool {
-	mc.psiMu.Lock()
-	defer mc.psiMu.Unlock()
-	if mc.size >= mc.limit {
-		return false
-	}
-	mc.size++
-	return true
-}
 
 // Fault-injection site names of the evaluation path (see internal/faults).
 // Unarmed sites cost one atomic load; the chaos test suite arms them to
@@ -173,18 +24,16 @@ const cancelCheckEvery = 32
 // Strategy selects the source-list access schedule of the filtering
 // phase. The paper states that "the correctness of our method is not
 // affected by the access strategy" and describes alternating between SL1
-// and SL3 with occasional SL2 accesses; every schedule below terminates
+// and SL3 with occasional SL2 accesses; both schedules below terminate
 // with the same result set, to the bit.
 type Strategy int
 
 const (
-	// CostAware is Index.SOI's schedule and a live executor's: SL1 drives
-	// the search, SL3 is consumed while its head is cheap to finalize, SL2
-	// only while its head is an outlier in neighboring-cell count.
+	// CostAware is Index.SOI's schedule, a live executor's and Figure 4's
+	// ablation of the access strategy: SL1 drives the search, SL3 is
+	// consumed while its head is cheap to finalize, SL2 only while its
+	// head is an outlier in neighboring-cell count.
 	CostAware Strategy = iota
-	// RoundRobin is the literal Algorithm 1 schedule: one access from
-	// SL1, then SL2, then SL3, cyclically.
-	RoundRobin
 	// Drain has no filter loop: it marks every segment within ε of a
 	// query-relevant cell as seen — SL1 unsorted, no SL2/SL3 accesses, no
 	// LBk — and leaves all pruning to refine's bound-ordered drain. Every
@@ -198,8 +47,6 @@ func (s Strategy) String() string {
 	switch s {
 	case CostAware:
 		return "cost-aware"
-	case RoundRobin:
-		return "round-robin"
 	case Drain:
 		return "drain"
 	default:
@@ -223,17 +70,16 @@ func (ix *Index) SOIWithStrategy(q Query, strat Strategy) ([]StreetResult, Stats
 }
 
 // SOIContext is the full evaluation entry point: SOIWithStrategy under a
-// context, with an optional shared MassCache. A nil cache evaluates the
-// query standalone; because cached contributions are the bit-exact values
-// the standalone path computes, the results are identical either way and
-// only the work to obtain them is shared. An already-expired context
-// returns its error without touching the index; a context cancelled
-// mid-evaluation is observed at a cooperative checkpoint inside the
-// filter and refine loops (every cancelCheckEvery iterations) and
-// surfaces as the context's error with the partial Stats accumulated so
-// far. On the non-cancelled path the checkpoints read state only, so
-// results remain bit-identical to an uncancellable evaluation.
-func (ix *Index) SOIContext(ctx context.Context, q Query, strat Strategy, mc *MassCache) ([]StreetResult, Stats, error) {
+// context. The fourth parameter is ignored, and every caller but the
+// frozen bench/layers.go passes nil (benchcompat.go, ROADMAP 1(c)). An
+// already-expired context returns its error without touching the index;
+// a context cancelled mid-evaluation is observed at a cooperative
+// checkpoint inside the filter and refine loops (every cancelCheckEvery
+// iterations) and surfaces as the context's error with the partial Stats
+// accumulated so far. On the non-cancelled path the checkpoints read
+// state only, so results remain bit-identical to an uncancellable
+// evaluation.
+func (ix *Index) SOIContext(ctx context.Context, q Query, strat Strategy, _ any) ([]StreetResult, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -241,7 +87,7 @@ func (ix *Index) SOIContext(ctx context.Context, q Query, strat Strategy, mc *Ma
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ix.soiResolved(ctx, query, q.K, q.Epsilon, strat, mc, nil)
+	return ix.soiResolved(ctx, query, q.K, q.Epsilon, strat, nil)
 }
 
 // SortResults orders street results canonically: by decreasing interest,

@@ -58,7 +58,7 @@ func sweepWorld(tb testing.TB, scale float64) (*Index, []Query) {
 }
 
 // goldenSweepStride samples every 11th query of the 6,120-query sweep, so
-// the three schedules together stay within a few seconds; 11 is coprime
+// the schedules together stay within a few seconds; 11 is coprime
 // to the 24 (k, ε) pairs, so every pair meets many keyword subsets.
 const goldenSweepStride = 11
 
@@ -66,7 +66,7 @@ const goldenSweepStride = 11
 // of the serving sweep on Berlin 0.1, under each schedule: one FNV-64a
 // over every returned row (street, best segment and the bits of its
 // interest and mass, with each answer's row count), which must be the
-// same for all three schedules, plus the summed RefineDrained and
+// same for both schedules, plus the summed RefineDrained and
 // SegmentsFinal counters of each. A change to how refine ranks or
 // selects must pass with the literals as they are.
 func TestGoldenSweep(t *testing.T) {
@@ -76,11 +76,10 @@ func TestGoldenSweep(t *testing.T) {
 	ix, queries := sweepWorld(t, 0.1)
 	const wantHash uint64 = 0x537abb2a6bf8048a
 	want := map[Strategy][2]int{
-		Drain:      {115477, 115477},
-		CostAware:  {35774, 41467},
-		RoundRobin: {3878, 1665744},
+		Drain:     {115477, 115477},
+		CostAware: {35774, 41467},
 	}
-	for _, strat := range []Strategy{Drain, CostAware, RoundRobin} {
+	for _, strat := range []Strategy{Drain, CostAware} {
 		h := fnv.New64a()
 		var buf [8]byte
 		put := func(v uint64) {

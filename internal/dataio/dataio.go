@@ -127,6 +127,9 @@ func ReadPOIs(r io.Reader, dict *vocab.Dictionary) (*poi.Corpus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataio: pois line %d: bad weight: %w", line, err)
 		}
+		if err := poi.CheckWeight(wt); err != nil {
+			return nil, fmt.Errorf("dataio: pois line %d: %w", line, err)
+		}
 		b.AddWeighted(geo.Pt(x, y), splitKeywords(rec[3]), wt)
 	}
 	return b.Build(), nil

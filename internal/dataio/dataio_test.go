@@ -164,6 +164,9 @@ func TestReadPOIErrors(t *testing.T) {
 		{"bad x", "a,2,1,k\n"},
 		{"bad y", "1,b,1,k\n"},
 		{"bad weight", "1,2,w,k\n"},
+		{"overflowing weight", "1,2,1e308,k\n"},
+		{"negative weight", "1,2,-1,k\n"},
+		{"NaN weight", "1,2,NaN,k\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

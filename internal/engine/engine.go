@@ -61,16 +61,16 @@ const SiteEvaluate = "engine.evaluate"
 // EpochSource resolves the index generation a query evaluates against.
 // It is implemented by internal/ingest's Ingestor: AcquireEpoch pins the
 // current immutable epoch (an atomic load plus a refcount increment —
-// readers never lock) and returns its dense sequence number, its index,
-// its private mass cache (may be nil) and a release function the
-// executor calls when the evaluation ends. The sequence number prefixes
-// every result-cache and in-flight key, so entries cached under one
-// epoch can never serve queries after a publish installs the next.
+// readers never lock) and returns its dense sequence number, its index
+// and a release function the executor calls when the evaluation ends.
+// The sequence number prefixes every result-cache and in-flight key, so
+// entries cached under one epoch can never serve queries after a publish
+// installs the next.
 //
 // The interface is defined here — in terms of core types only — so the
 // ingest package can implement it without an import cycle.
 type EpochSource interface {
-	AcquireEpoch() (seq uint64, ix *core.Index, mass *core.MassCache, release func())
+	AcquireEpoch() (seq uint64, ix *core.Index, release func())
 }
 
 // Config controls executor construction.
@@ -82,10 +82,9 @@ type Config struct {
 	// CacheSize is the maximum number of query results kept in the LRU
 	// cache. 0 means DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// MassCacheEntries is ignored. A fixed-index executor runs core.Drain
-	// with no segment-mass cache, and a live executor uses each epoch's
-	// cache (ingest.Config.MassCacheEntries). The field stays only because
-	// bench/ still sets it; it goes with core.MassCache.
+	// MassCacheEntries is ignored: no executor keeps a segment-mass cache.
+	// The field stays only because bench/layers.go still sets it (ROADMAP
+	// 1(c)).
 	MassCacheEntries int
 	// QueueDepth bounds how many queries may wait for a worker slot at
 	// once; excess load is shed immediately with ErrOverloaded instead of
@@ -108,10 +107,10 @@ type Config struct {
 	// Source, when non-nil, makes the executor resolve the serving index
 	// per query through the epoch source instead of the fixed index
 	// passed to New (which may then be nil): each evaluation pins the
-	// current epoch for its duration, runs core.CostAware over the epoch's
-	// mass cache, and its results are cached under the epoch's sequence
-	// number. When nil, the executor serves the fixed index as implicit
-	// epoch 0 and evaluates with core.Drain.
+	// current epoch for its duration, runs core.CostAware, and its results
+	// are cached under the epoch's sequence number. When nil, the executor
+	// serves the fixed index as implicit epoch 0 and evaluates with
+	// core.Drain.
 	Source EpochSource
 }
 
@@ -192,10 +191,8 @@ type flight struct {
 }
 
 // New builds an executor over the index. Its schedule follows from what
-// it serves (DESIGN §11). A fixed index runs core.Drain with no mass
-// cache, whose 0.7 % hit ratio on distinct queries does not pay for the
-// locking of the segments Drain finalises. An epoch source runs
-// core.CostAware over each epoch's mass cache.
+// it serves (DESIGN §11): a fixed index runs core.Drain, an epoch source
+// core.CostAware.
 func New(ix *core.Index, cfg Config) *Executor {
 	e := &Executor{
 		ix:           ix,
@@ -223,11 +220,10 @@ func New(ix *core.Index, cfg Config) *Executor {
 }
 
 // acquireEpoch resolves the epoch one evaluation runs against: the
-// pinned current epoch of the source, or the fixed index as epoch 0 with
-// no mass cache.
-func (e *Executor) acquireEpoch() (uint64, *core.Index, *core.MassCache, func()) {
+// pinned current epoch of the source, or the fixed index as epoch 0.
+func (e *Executor) acquireEpoch() (uint64, *core.Index, func()) {
 	if e.source == nil {
-		return 0, e.ix, nil, func() {}
+		return 0, e.ix, func() {}
 	}
 	return e.source.AcquireEpoch()
 }
@@ -339,7 +335,7 @@ func isContextErr(err error) bool {
 // joiner's) retries the evaluation itself instead of inheriting an error
 // it did not cause.
 func (e *Executor) eval(ctx context.Context, q core.Query) Result {
-	seq, ix, mass, release := e.acquireEpoch()
+	seq, ix, release := e.acquireEpoch()
 	defer release()
 	key := queryKey(q, seq)
 	for {
@@ -380,7 +376,7 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 		e.flight[key] = f
 		e.flightMu.Unlock()
 
-		streets, st, err := e.evaluate(ctx, q, ix, mass)
+		streets, st, err := e.evaluate(ctx, q, ix)
 		f.res = Result{Streets: streets, Stats: st, Err: err, Epoch: seq}
 		if err == nil && e.cache != nil {
 			e.cache.Put(key, &cacheEntry{res: f.res}, 1)
@@ -400,7 +396,7 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 // here: a query that cannot get a slot in time returns without
 // evaluating. The recorder observes queue depth, queue wait, in-flight
 // count, evaluation wall time and the run's pruning counters.
-func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, mass *core.MassCache) ([]core.StreetResult, core.Stats, error) {
+func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index) ([]core.StreetResult, core.Stats, error) {
 	rec := e.rec
 	depth := rec.Engine.QueueDepth.Add(1)
 	rec.Engine.PeakQueueDepth.SetMax(depth)
@@ -416,7 +412,7 @@ func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, m
 	rec.Engine.PeakInFlight.SetMax(inFlight)
 	defer rec.Engine.InFlight.Add(-1)
 	start := time.Now()
-	streets, st, err := e.run(ctx, q, ix, mass)
+	streets, st, err := e.run(ctx, q, ix)
 	elapsed := time.Since(start)
 	rec.Engine.Evaluations.Add(1)
 	rec.Engine.BusyNanos.Add(elapsed.Nanoseconds())
@@ -427,12 +423,12 @@ func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index, m
 
 // run executes one evaluation with panic isolation (recovered): a
 // panic anywhere in the algorithm leaves no results, only the error.
-func (e *Executor) run(ctx context.Context, q core.Query, ix *core.Index, mass *core.MassCache) (streets []core.StreetResult, st core.Stats, err error) {
+func (e *Executor) run(ctx context.Context, q core.Query, ix *core.Index) (streets []core.StreetResult, st core.Stats, err error) {
 	defer recovered(&e.rec.Engine.Outcomes, &err)
 	if ferr := faults.InjectCtx(ctx, SiteEvaluate); ferr != nil {
 		return nil, core.Stats{}, ferr
 	}
-	return ix.SOIContext(ctx, q, e.strat, mass)
+	return ix.SOIContext(ctx, q, e.strat, nil)
 }
 
 // Batch evaluates the queries concurrently over the shared index with at

@@ -23,7 +23,6 @@ type fakeSource struct {
 	mu       sync.Mutex
 	seq      uint64
 	ix       *core.Index
-	mass     *core.MassCache
 	acquires atomic.Int64
 	releases atomic.Int64
 }
@@ -31,14 +30,14 @@ type fakeSource struct {
 func (s *fakeSource) swap(seq uint64, ix *core.Index) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq, s.ix, s.mass = seq, ix, core.NewMassCache(0)
+	s.seq, s.ix = seq, ix
 }
 
-func (s *fakeSource) AcquireEpoch() (uint64, *core.Index, *core.MassCache, func()) {
+func (s *fakeSource) AcquireEpoch() (uint64, *core.Index, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.acquires.Add(1)
-	return s.seq, s.ix, s.mass, func() { s.releases.Add(1) }
+	return s.seq, s.ix, func() { s.releases.Add(1) }
 }
 
 // buildIndexWith builds an index over n seeded POIs (different n ⇒

@@ -18,12 +18,12 @@ import (
 // query setting, then Drain against the cost-aware schedule over the
 // sweep strategySweepQueries(Psi).
 type StrategyAblationRow struct {
-	City                         string
-	Psi                          int
-	CostAware, RoundRobin, Drain time.Duration
+	City             string
+	Psi              int
+	CostAware, Drain time.Duration
 	// Seen* are the fractions of segments each strategy took out of the
 	// unseen state.
-	SeenCostAware, SeenRoundRobin, SeenDrain float64
+	SeenCostAware, SeenDrain float64
 
 	// Sweep* sum the sweep's per-query medians; a loss is a query slower
 	// under Drain than cost-aware, Worst* the loss with the largest ratio.
@@ -50,9 +50,9 @@ func strategySweepQueries(n int) []core.Query {
 	return qs
 }
 
-// AblationStrategy times the cost-aware schedule against the literal
-// round-robin of Algorithm 1 and against Drain across the keyword
-// progression, and sizes where Drain loses to the cost-aware schedule.
+// AblationStrategy times the cost-aware schedule against Drain across the
+// keyword progression, and sizes where Drain loses to the cost-aware
+// schedule.
 func AblationStrategy(c *City, trials int) ([]StrategyAblationRow, error) {
 	var lastErr error
 	// timed returns the median time and the fraction of segments seen.
@@ -73,7 +73,6 @@ func AblationStrategy(c *City, trials int) ([]StrategyAblationRow, error) {
 		q := core.Query{Keywords: KeywordProgression[:n], K: Figure4DefaultK, Epsilon: Epsilon}
 		row := StrategyAblationRow{City: c.Name(), Psi: n}
 		row.CostAware, row.SeenCostAware = timed(q, core.CostAware)
-		row.RoundRobin, row.SeenRoundRobin = timed(q, core.RoundRobin)
 		row.Drain, row.SeenDrain = timed(q, core.Drain)
 		for _, sq := range strategySweepQueries(n) {
 			ca, _ := timed(sq, core.CostAware)
@@ -103,11 +102,10 @@ func PrintAblationStrategy(w io.Writer, rows []StrategyAblationRow) {
 		return
 	}
 	line(w, "Ablation: SOI access strategy — %s (times in ms; every schedule returns identical results)", rows[0].City)
-	line(w, "%6s %12s %12s %12s %10s %10s %10s", "|Psi|", "cost-aware", "round-robin", "drain", "seen(ca)", "seen(rr)", "seen(dr)")
+	line(w, "%6s %12s %12s %10s %10s", "|Psi|", "cost-aware", "drain", "seen(ca)", "seen(dr)")
 	for _, r := range rows {
-		line(w, "%6d %12s %12s %12s %9.0f%% %9.0f%% %9.0f%%",
-			r.Psi, ms(r.CostAware), ms(r.RoundRobin), ms(r.Drain),
-			r.SeenCostAware*100, r.SeenRoundRobin*100, r.SeenDrain*100)
+		line(w, "%6d %12s %12s %9.0f%% %9.0f%%",
+			r.Psi, ms(r.CostAware), ms(r.Drain), r.SeenCostAware*100, r.SeenDrain*100)
 	}
 	line(w, "Drain against cost-aware over the sweep — %s (per |Psi|: the progression and its \"shop\" variant × 8 k × 3 eps; a loss is a query slower under drain)", rows[0].City)
 	line(w, "%6s %8s %12s %12s %7s %8s %10s %10s  %s", "|Psi|", "queries", "sum(ca)", "sum(drain)", "losses", "worst", "ca", "drain", "worst query")

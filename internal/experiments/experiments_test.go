@@ -272,11 +272,11 @@ func TestAblationStrategy(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.CostAware <= 0 || r.RoundRobin <= 0 || r.Drain <= 0 {
+		if r.CostAware <= 0 || r.Drain <= 0 {
 			t.Errorf("|Psi|=%d: zero times", r.Psi)
 		}
-		if r.SeenCostAware <= 0 || r.SeenCostAware > 1 || r.SeenRoundRobin <= 0 || r.SeenRoundRobin > 1 {
-			t.Errorf("|Psi|=%d: seen fractions %v %v", r.Psi, r.SeenCostAware, r.SeenRoundRobin)
+		if r.SeenCostAware <= 0 || r.SeenCostAware > 1 {
+			t.Errorf("|Psi|=%d: cost-aware saw %v of the segments", r.Psi, r.SeenCostAware)
 		}
 		if r.SeenDrain <= 0 || r.SeenDrain > 1 {
 			t.Errorf("|Psi|=%d: drain saw %v of the segments", r.Psi, r.SeenDrain)
@@ -293,7 +293,7 @@ func TestAblationStrategy(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintAblationStrategy(&buf, rows)
-	for _, want := range []string{"round-robin", "drain", "losses"} {
+	for _, want := range []string{"cost-aware", "drain", "losses"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("printout lacks %q", want)
 		}

@@ -23,6 +23,7 @@
 package httperr
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -116,18 +117,28 @@ func DecodePost(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) b
 	return true
 }
 
-// WriteJSON writes v as the JSON body of a response with the given status.
+// WriteJSON writes v as the JSON body of a response with the given
+// status. v is encoded before the header is written, so a value that does
+// not encode — a NaN or infinite float — answers 500 with the uniform
+// error body, never an empty body under status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(errorBody{"encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding errors past the header cannot be reported to the client;
-	// the payloads are plain structs that always encode.
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // past the header nothing can be reported
+}
+
+// errorBody is the uniform JSON error payload.
+type errorBody struct {
+	Error string `json:"error"`
 }
 
 // WriteError writes the uniform JSON error payload, {"error": msg}.
 func WriteError(w http.ResponseWriter, status int, msg string) {
-	WriteJSON(w, status, struct {
-		Error string `json:"error"`
-	}{msg})
+	WriteJSON(w, status, errorBody{msg})
 }

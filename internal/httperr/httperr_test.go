@@ -2,13 +2,32 @@ package httperr
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/engine"
 )
+
+// TestWriteJSONRefusesUnencodable: a value that does not encode is a 500
+// with the uniform error body, not an empty body under the asked status.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, struct{ Interest float64 }{math.Inf(1)})
+	var body struct{ Error string }
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("status %d body %q, want 500 with an error body", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	WriteJSON(rec, http.StatusCreated, struct{ N int }{7})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"N\":7}\n" {
+		t.Fatalf("status %d body %q", rec.Code, rec.Body.String())
+	}
+}
 
 // statusErr is a minimal Statuser carrier, standing in for error types
 // like the remote coordinator's shards-unavailable error.

@@ -32,7 +32,7 @@ func newChaosIngestor(t *testing.T, seed int64) (*ingest.Ingestor, *rand.Rand) {
 // snapshotAnswers evaluates every test query on the current epoch.
 func snapshotAnswers(t *testing.T, ing *ingest.Ingestor) (uint64, [][]core.StreetResult) {
 	t.Helper()
-	seq, ix, _, release := ing.AcquireEpoch()
+	seq, ix, release := ing.AcquireEpoch()
 	defer release()
 	var out [][]core.StreetResult
 	for _, q := range testQueries {
@@ -201,7 +201,7 @@ func TestNoHalfPublishedEpochObservable(t *testing.T) {
 					return
 				default:
 				}
-				seq, ix, _, release := ing.AcquireEpoch()
+				seq, ix, release := ing.AcquireEpoch()
 				if ix == nil {
 					t.Error("acquired epoch with nil index")
 					release()

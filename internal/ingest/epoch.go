@@ -7,17 +7,16 @@ import (
 )
 
 // Epoch is one immutable generation of the serving index: a fully built
-// core.Index over a fixed POI corpus, the epoch's private MassCache, and
-// a dense sequence number that keys every result-cache entry derived
-// from it. A publish builds the epoch a new index; a compaction, which
-// changes no POI, wraps its predecessor's. Epochs are reference-counted:
+// core.Index over a fixed POI corpus and a dense sequence number that
+// keys every result-cache entry derived from it. A publish builds the
+// epoch a new index; a compaction, which changes no POI, wraps its
+// predecessor's. Epochs are reference-counted:
 // installation holds one reference, and every in-flight query pins one
 // more for the duration of its evaluation, so a retired epoch's memory
-// (and its mass cache) is released only after the last reader drains.
+// is released only after the last reader drains.
 type Epoch struct {
-	seq  uint64
-	ix   *core.Index
-	mass *core.MassCache
+	seq uint64
+	ix  *core.Index
 
 	// refs counts the install reference plus in-flight readers. It is
 	// created at 1 (the install reference); retire releases that
@@ -29,8 +28,8 @@ type Epoch struct {
 }
 
 // newEpoch returns an epoch holding its install reference.
-func newEpoch(seq uint64, ix *core.Index, mass *core.MassCache, onRelease func(*Epoch)) *Epoch {
-	ep := &Epoch{seq: seq, ix: ix, mass: mass, onRelease: onRelease}
+func newEpoch(seq uint64, ix *core.Index, onRelease func(*Epoch)) *Epoch {
+	ep := &Epoch{seq: seq, ix: ix, onRelease: onRelease}
 	ep.refs.Add(1)
 	return ep
 }

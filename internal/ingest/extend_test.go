@@ -7,7 +7,6 @@ package ingest_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -41,7 +40,7 @@ func mustAdd(t testing.TB, ing *ingest.Ingestor, ds []ingest.Delta) {
 func mustMatchFromScratch(t *testing.T, label string, net *network.Network, ing *ingest.Ingestor, corpus []ingest.Delta) {
 	t.Helper()
 	want := coldIndex(t, net, corpus)
-	_, got, _, release := ing.AcquireEpoch()
+	_, got, release := ing.AcquireEpoch()
 	defer release()
 
 	gd, wd := got.POIs().Dict(), want.POIs().Dict()
@@ -122,9 +121,9 @@ func TestExtendedEpochMatchesFromScratch(t *testing.T) {
 
 // TestCompactReinstallsTheServingIndex: a compaction changes nothing a
 // reader can see, so it must build nothing — the new epoch wraps the very
-// index the old one served, under the next sequence number and a mass
-// cache of its own that the old epoch's retirement leaves alone, with the
-// ε-plans the old epoch warmed. With a snapshot path the file is written
+// index the old one served, under the next sequence number, with the
+// ε-plans the old epoch warmed, and the old epoch's retirement leaves it
+// serving. With a snapshot path the file is written
 // from that index without touching its dictionary, under readers.
 func TestCompactReinstallsTheServingIndex(t *testing.T) {
 	net := testNet(t)
@@ -144,10 +143,10 @@ func TestCompactReinstallsTheServingIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	preSeq, preIx, preMass, preRelease := ing.AcquireEpoch()
+	preSeq, preIx, preRelease := ing.AcquireEpoch()
 	var pre [][]core.StreetResult
 	for _, q := range testQueries {
-		res, _, err := preIx.SOIContext(context.Background(), q, core.CostAware, preMass)
+		res, _, err := preIx.SOIWithStrategy(q, core.CostAware)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +167,8 @@ func TestCompactReinstallsTheServingIndex(t *testing.T) {
 					return
 				default:
 				}
-				_, ix, mc, release := ing.AcquireEpoch()
-				if _, _, err := ix.SOIContext(context.Background(), testQueries[i%len(testQueries)], core.CostAware, mc); err != nil {
+				_, ix, release := ing.AcquireEpoch()
+				if _, _, err := ix.SOIWithStrategy(testQueries[i%len(testQueries)], core.CostAware); err != nil {
 					t.Error(err)
 				}
 				release()
@@ -183,32 +182,29 @@ func TestCompactReinstallsTheServingIndex(t *testing.T) {
 		t.Fatalf("Compact = (%d, %d, %v), want (%d, 20, nil)", seq, folded, err, preSeq+1)
 	}
 
-	postSeq, postIx, postMass, postRelease := ing.AcquireEpoch()
+	postSeq, postIx, postRelease := ing.AcquireEpoch()
 	defer postRelease()
 	if postSeq != preSeq+1 || postIx != preIx {
 		t.Fatalf("compacted epoch %d serves index %p, want epoch %d around the pre-compaction index %p", postSeq, postIx, preSeq+1, preIx)
-	}
-	if postMass == nil || postMass == preMass {
-		t.Fatal("compacted epoch shares the retiring epoch's mass cache")
 	}
 	if got := postIx.POIs().Dict().Len(); got != dictLen {
 		t.Fatalf("writing the snapshot grew the serving dictionary %d → %d", dictLen, got)
 	}
 	for i, q := range testQueries {
-		res, _, err := postIx.SOIContext(context.Background(), q, core.CostAware, postMass)
+		res, _, err := postIx.SOIWithStrategy(q, core.CostAware)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustEqualResults(t, fmt.Sprintf("compacted epoch, query %v", q.Keywords), res, pre[i])
 	}
-	// Retire the old epoch for good: its release clears its own mass cache
-	// and nothing the new epoch reads.
+	// Retire the old epoch for good: its release frees nothing the new
+	// epoch reads.
 	preRelease()
 	if live := ing.LiveEpochs(); live != 1 {
 		t.Fatalf("live epochs = %d, want 1", live)
 	}
 	for i, q := range testQueries {
-		res, _, err := postIx.SOIContext(context.Background(), q, core.CostAware, postMass)
+		res, _, err := postIx.SOIWithStrategy(q, core.CostAware)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +240,7 @@ func TestFarPOIIsRefused(t *testing.T) {
 	defer ing.Close()
 	q := core.Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.0005}
 	answer := func() []core.StreetResult {
-		_, ix, _, release := ing.AcquireEpoch()
+		_, ix, release := ing.AcquireEpoch()
 		defer release()
 		return runSOI(t, ix, q)
 	}
@@ -288,6 +284,31 @@ func TestFarPOIIsRefused(t *testing.T) {
 	// A base corpus the lattice cannot hold fails New with the same error.
 	if _, err := ingest.New(net, append(base, ingest.Delta{Loc: geo.Pt(1e9, 1e9), Keywords: []string{"shop"}}), ingest.Config{CellSize: testCell}); !errors.Is(err, grid.ErrLattice) {
 		t.Fatalf("New over a far-away base POI: err = %v, want ErrLattice", err)
+	}
+}
+
+// TestBadWeightIsRefused: a batch holding a weight poi.CheckWeight
+// refuses — two of 1e308 sum to +Inf — is refused whole, like a far-away
+// POI, and a base corpus holding one fails New.
+func TestBadWeightIsRefused(t *testing.T) {
+	net := testNet(t)
+	ing, err := ingest.New(net, randDeltas(rand.New(rand.NewSource(5)), 20), ingest.Config{CellSize: testCell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	ok := ingest.Delta{Loc: geo.Pt(0.001, 0.0001), Keywords: []string{"shop"}, Weight: poi.MaxWeight}
+	for _, w := range []float64{1e308, poi.MaxWeight * 1.5, -1, math.Inf(1), math.NaN()} {
+		bad := ingest.Delta{Loc: geo.Pt(0.001, 0.0001), Keywords: []string{"shop"}, Weight: w}
+		if n, err := ing.AddBatch([]ingest.Delta{ok, bad, ok}); !errors.Is(err, poi.ErrBadWeight) || n != 0 {
+			t.Fatalf("AddBatch with weight %v = (%d, %v), want (0, ErrBadWeight)", w, n, err)
+		}
+		if _, err := ingest.New(net, []ingest.Delta{bad}, ingest.Config{CellSize: testCell}); !errors.Is(err, poi.ErrBadWeight) {
+			t.Fatalf("New over a base POI of weight %v: err = %v, want ErrBadWeight", w, err)
+		}
+	}
+	if n, err := ing.AddBatch([]ingest.Delta{ok, ok}); err != nil || n != 2 {
+		t.Fatalf("AddBatch at the weight ceiling = (%d, %v), want (2, nil)", n, err)
 	}
 }
 

@@ -6,8 +6,8 @@
 // a mutex-guarded slice append, never blocked by index builds). A
 // publisher (Publish, or the background goroutine when Config.BatchSize
 // is set) extends the serving epoch's corpus by the logged deltas, builds
-// a fresh immutable core.Index over it, wraps it in an Epoch with a
-// private MassCache, and installs it with one atomic pointer swap.
+// a fresh immutable core.Index over it, wraps it in an Epoch, and
+// installs it with one atomic pointer swap.
 // Queries resolve the current epoch per evaluation through AcquireEpoch
 // (the engine.EpochSource contract): one atomic load plus a refcount
 // increment, no locks, and results are keyed by the epoch's sequence
@@ -18,9 +18,9 @@
 // The serving index already covers exactly that corpus, so compaction
 // builds nothing: it installs a new epoch around the same index and
 // optionally persists it as a .soi snapshot (internal/snapshot). The
-// previous epoch is retired by releasing its install reference; its mass
-// cache — and, unless a successor shares it, its index — is freed when
-// the last in-flight reader drains.
+// previous epoch is retired by releasing its install reference; its
+// index, unless a successor shares it, is freed when the last in-flight
+// reader drains.
 //
 // Determinism: every epoch's corpus is the base specs followed by the
 // published deltas in append order. Epoch n+1 copies epoch n's POIs,
@@ -94,10 +94,6 @@ type Config struct {
 	// core's caller-facing default is NOT applied here — the Ingestor
 	// requires a positive cell size and New rejects 0.
 	CellSize float64
-	// MassCacheEntries bounds each epoch's private MassCache; 0 means
-	// core.DefaultMassCacheEntries, negative disables per-epoch mass
-	// caching.
-	MassCacheEntries int
 	// BatchSize, when positive, auto-publishes once the pending delta
 	// log reaches this many entries (the publish runs on the background
 	// goroutine; writers never build indexes inline).
@@ -160,6 +156,9 @@ func New(net *network.Network, base []Delta, cfg Config) (*Ingestor, error) {
 	if cfg.CellSize <= 0 {
 		return nil, fmt.Errorf("ingest: non-positive cell size %v", cfg.CellSize)
 	}
+	if err := checkWeights(base); err != nil {
+		return nil, fmt.Errorf("ingest: base POIs: %w", err)
+	}
 	ing := &Ingestor{
 		net:       net,
 		cfg:       cfg,
@@ -187,6 +186,17 @@ func New(net *network.Network, base []Delta, cfg Config) (*Ingestor, error) {
 		go ing.background()
 	}
 	return ing, nil
+}
+
+// checkWeights refuses deltas carrying a weight no POI may carry
+// (poi.CheckWeight), naming the first.
+func checkWeights(ds []Delta) error {
+	for i, d := range ds {
+		if err := poi.CheckWeight(d.Weight); err != nil {
+			return fmt.Errorf("POI %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // grow returns extent grown over the deltas' locations.
@@ -235,16 +245,7 @@ func (ing *Ingestor) buildEpoch(seq uint64, prev *poi.Corpus, delta []Delta) (*E
 		return nil, bt, fmt.Errorf("ingest: building epoch %d: %w", seq, err)
 	}
 	bt.open = time.Since(start)
-	return ing.newEpoch(seq, ix), bt, nil
-}
-
-// newEpoch wraps an index in an epoch with its own mass cache.
-func (ing *Ingestor) newEpoch(seq uint64, ix *core.Index) *Epoch {
-	var mass *core.MassCache
-	if ing.cfg.MassCacheEntries >= 0 {
-		mass = core.NewMassCache(ing.cfg.MassCacheEntries)
-	}
-	return newEpoch(seq, ix, mass, ing.epochReleased)
+	return newEpoch(seq, ix, ing.epochReleased), bt, nil
 }
 
 // install makes ep the serving epoch and retires the previous one by
@@ -261,13 +262,9 @@ func (ing *Ingestor) install(ep *Epoch) {
 	}
 }
 
-// epochReleased is the onRelease hook of every epoch: it clears the
-// epoch's mass cache (releasing its memory promptly) and folds the
+// epochReleased is the onRelease hook of every epoch: it folds the
 // retirement into the gauges.
-func (ing *Ingestor) epochReleased(ep *Epoch) {
-	if ep.mass != nil {
-		ep.mass.Clear()
-	}
+func (ing *Ingestor) epochReleased(*Epoch) {
 	ing.retired.Add(1)
 	live := ing.live.Add(-1)
 	if rec := ing.cfg.Recorder; rec != nil {
@@ -277,15 +274,15 @@ func (ing *Ingestor) epochReleased(ep *Epoch) {
 }
 
 // AcquireEpoch pins the current epoch for one query evaluation and
-// returns its sequence number, index, mass cache and release function.
+// returns its sequence number, index and release function.
 // It implements engine.EpochSource: the fast path is one atomic pointer
 // load plus one refcount CAS. The rare retry loop covers a reader that
 // loaded an epoch pointer just as the epoch's last reference drained.
-func (ing *Ingestor) AcquireEpoch() (uint64, *core.Index, *core.MassCache, func()) {
+func (ing *Ingestor) AcquireEpoch() (uint64, *core.Index, func()) {
 	for {
 		ep := ing.cur.Load()
 		if ep.tryAcquire() {
-			return ep.seq, ep.ix, ep.mass, ep.release
+			return ep.seq, ep.ix, ep.release
 		}
 	}
 }
@@ -304,17 +301,21 @@ func (ing *Ingestor) Add(d Delta) (int, error) { return ing.AddBatch([]Delta{d})
 // A batch holding a location the index could not cover — so far away
 // that the cell lattice over the grown extent no longer fits int32 cell
 // ids, or not finite — is refused whole with an error wrapping
-// grid.ErrLattice: nothing is appended, because a logged delta no epoch
-// can be built over would fail every later publish.
+// grid.ErrLattice, and one holding a weight poi.CheckWeight refuses with
+// an error wrapping poi.ErrBadWeight: nothing is appended, because a
+// logged delta no epoch can be built over, or whose mass overflows,
+// would spoil every later epoch.
 func (ing *Ingestor) AddBatch(ds []Delta) (int, error) {
 	ing.mu.Lock()
 	extent := grow(ing.extent, ds)
-	if len(ds) > 0 {
-		if _, _, err := grid.Dims(extent, ing.cfg.CellSize); err != nil {
-			n := len(ing.pending)
-			ing.mu.Unlock()
-			return n, fmt.Errorf("ingest: batch of %d POIs refused: %w", len(ds), err)
-		}
+	err := checkWeights(ds)
+	if err == nil && len(ds) > 0 {
+		_, _, err = grid.Dims(extent, ing.cfg.CellSize)
+	}
+	if err != nil {
+		n := len(ing.pending)
+		ing.mu.Unlock()
+		return n, fmt.Errorf("ingest: batch of %d POIs refused: %w", len(ds), err)
 	}
 	ing.extent = extent
 	ing.pending = append(ing.pending, ds...)
@@ -413,10 +414,10 @@ func (ing *Ingestor) Publish() (seq uint64, folded int, err error) {
 
 // Compact folds the published deltas into the base. The serving index
 // already covers exactly the folded corpus, so nothing is rebuilt: a new
-// epoch (next sequence number, fresh MassCache) is installed around the
-// same index — answers are the same bits, the warmed ε-plans stay — the
-// old epoch is retired, and (when configured) the index is persisted as
-// a snapshot first. With nothing published it is a no-op. Pending deltas
+// epoch (next sequence number) is installed around the same index —
+// answers are the same bits, the warmed ε-plans stay — the old epoch is
+// retired, and (when configured) the index is persisted as a snapshot
+// first. With nothing published it is a no-op. Pending deltas
 // are untouched: they belong to a future publish.
 func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 	ing.pubMu.Lock()
@@ -443,12 +444,11 @@ func (ing *Ingestor) Compact() (seq uint64, folded int, err error) {
 			return cur.seq, 0, err
 		}
 	}
-	ep := ing.newEpoch(cur.seq+1, cur.ix)
+	ep := newEpoch(cur.seq+1, cur.ix, ing.epochReleased)
 	faults.Inject(SiteSwap)
 
 	// Commit block: fold the log, swap, retire. The retiring epoch's
-	// release clears its own mass cache only; the index is the new
-	// epoch's too.
+	// release frees nothing the new one reads: the index is its too.
 	ing.mu.Lock()
 	ing.nBase += nPub
 	ing.nPublished = 0

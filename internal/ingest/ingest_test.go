@@ -143,7 +143,7 @@ func TestPublishInstallsEquivalentEpoch(t *testing.T) {
 	// The published epoch must answer bit-identically to a cold rebuild
 	// over base ++ delta in append order.
 	want := coldIndex(t, net, append(append([]ingest.Delta(nil), base...), delta...))
-	gotSeq, ix, _, release := ing.AcquireEpoch()
+	gotSeq, ix, release := ing.AcquireEpoch()
 	defer release()
 	if gotSeq != 2 {
 		t.Fatalf("AcquireEpoch seq = %d, want 2", gotSeq)
@@ -177,7 +177,7 @@ func TestCompactFoldsLogAndPreservesAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, preIx, _, preRelease := ing.AcquireEpoch()
+	_, preIx, preRelease := ing.AcquireEpoch()
 	var pre [][]core.StreetResult
 	for _, q := range testQueries {
 		pre = append(pre, runSOI(t, preIx, q))
@@ -195,7 +195,7 @@ func TestCompactFoldsLogAndPreservesAnswers(t *testing.T) {
 	if b != 60 || p != 0 || pend != 0 {
 		t.Fatalf("Counts after compact = (%d, %d, %d), want (60, 0, 0)", b, p, pend)
 	}
-	_, postIx, _, postRelease := ing.AcquireEpoch()
+	_, postIx, postRelease := ing.AcquireEpoch()
 	defer postRelease()
 	for i, q := range testQueries {
 		mustEqualResults(t, fmt.Sprintf("compacted vs pre-compaction, query %v", q.Keywords),
@@ -221,7 +221,7 @@ func TestEpochRefcountLifecycle(t *testing.T) {
 
 	// Pin epoch 1, then publish twice: epoch 1 must survive until its
 	// reader releases, epoch 2 must retire as soon as epoch 3 installs.
-	seq1, ix1, _, release1 := ing.AcquireEpoch()
+	seq1, ix1, release1 := ing.AcquireEpoch()
 	if seq1 != 1 {
 		t.Fatalf("pinned seq = %d, want 1", seq1)
 	}
@@ -279,7 +279,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				default:
 				}
-				seq, ix, _, release := ing.AcquireEpoch()
+				seq, ix, release := ing.AcquireEpoch()
 				res := runSOI(t, ix, testQueries[i%len(testQueries)])
 				release()
 				if seq == 0 || (len(res) == 0 && seq > 1) {
@@ -387,7 +387,7 @@ func TestCompactionSnapshotRoundTrip(t *testing.T) {
 	if snap.Photos.Len() != 2 {
 		t.Fatalf("snapshot photos = %d, want 2", snap.Photos.Len())
 	}
-	_, ix, _, release := ing.AcquireEpoch()
+	_, ix, release := ing.AcquireEpoch()
 	defer release()
 	for _, q := range testQueries {
 		mustEqualResults(t, fmt.Sprintf("snapshot reload, query %v", q.Keywords),

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -165,10 +164,8 @@ func EqualRanked(got, want []core.StreetResult, relTol float64) string {
 
 // DiffWorld runs the differential matrix over one world: for every query,
 // the brute-force oracle answer is compared against the exact baseline
-// BL, Algorithm 1 under every access strategy (Drain included), the
-// cost-aware and drain schedules over a shared MassCache (two passes, so
-// both the miss and hit paths are exercised),
-// the index after a snapshot serialize/reload round trip, the spatially
+// BL, Algorithm 1 under both access strategies, the index after a
+// snapshot serialize/reload round trip, the spatially
 // sharded scatter-gather coordinator (2/4/9 tiles, halo sized to the
 // largest query ε), and the parallel batch engine — each under every
 // swept index cell size. The world build error,
@@ -199,30 +196,14 @@ func DiffWorld(w World, queries []core.Query, opt Options) ([]Divergence, error)
 		}
 
 		// Every static executor serves with Drain and the live path with
-		// CostAware over a mass cache: the choice must be performance only.
-		for _, c := range []struct {
-			label string
-			strat core.Strategy
-		}{{"soi/cached", core.CostAware}, {"soi/drain-cached", core.Drain}} {
-			mc := core.NewMassCache(0)
-			for _, pass := range []string{"-cold", "-warm"} {
-				for i, q := range queries {
-					res, _, err := ix.SOIContext(context.Background(), q, c.strat, mc)
-					if err != nil {
-						report(c.label+pass, q, "error: "+err.Error())
-					} else if d := Equal(res, want[i]); d != "" {
-						report(c.label+pass, q, d)
-					}
-				}
-			}
-		}
+		// CostAware: the choice must be performance only.
 		for i, q := range queries {
 			if res, _, err := ix.Baseline(q); err != nil {
 				report("baseline", q, "error: "+err.Error())
 			} else if d := Equal(res, want[i]); d != "" {
 				report("baseline", q, d)
 			}
-			for _, strat := range []core.Strategy{core.CostAware, core.RoundRobin, core.Drain} {
+			for _, strat := range []core.Strategy{core.CostAware, core.Drain} {
 				impl := "soi/" + strat.String()
 				if res, _, err := ix.SOIWithStrategy(q, strat); err != nil {
 					report(impl, q, "error: "+err.Error())

@@ -251,9 +251,11 @@ func BruteAdjacency(net *network.Network, snap float64) [][]traj.Edge {
 	return adj
 }
 
-// bruteDistances is a heap-free O(V²) Dijkstra over an oracle adjacency,
-// used only for the provable budget-infeasibility prune.
-func bruteDistances(adj [][]traj.Edge, src network.VertexID) []float64 {
+// Distances is a heap-free O(V²) Dijkstra over an adjacency: the
+// shortest-path length from src to every vertex, +Inf where unreachable.
+// RouteTopK uses it for the provable budget-infeasibility prune, and the
+// traj tests hold the production searches to it.
+func Distances(adj [][]traj.Edge, src network.VertexID) []float64 {
 	n := len(adj)
 	dist := make([]float64, n)
 	done := make([]bool, n)
@@ -291,7 +293,7 @@ func RouteTopK(adj [][]traj.Edge, interests []float64, q traj.RouteQuery) ([]tra
 	if int(q.Src) >= len(adj) || int(q.Dst) >= len(adj) {
 		return nil, fmt.Errorf("oracle: route vertex out of range")
 	}
-	distToDst := bruteDistances(adj, q.Dst)
+	distToDst := Distances(adj, q.Dst)
 	if math.IsInf(distToDst[q.Src], 1) {
 		return []traj.Route{}, nil
 	}

@@ -3,8 +3,8 @@
 // implementation of the paper's definitions (Def. 1–3 / Eq. 1 for the
 // k-SOI query, Eq. 2–5 for the MaxSum diversification objective), a
 // differential driver that cross-checks every production evaluator —
-// baseline BL, Algorithm 1 under both access strategies, the shared
-// MassCache path, a snapshot-reloaded index and the parallel engine —
+// baseline BL, Algorithm 1 under both access strategies, a
+// snapshot-reloaded index and the parallel engine —
 // against the oracle over seeded deterministic worlds, a metamorphic
 // suite encoding invariants the oracle cannot check alone, and a shrinker
 // that reduces a failing world to a minimal GeoJSON repro.

@@ -5,6 +5,7 @@
 package poi
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/geo"
@@ -20,6 +21,26 @@ type POI struct {
 	Loc      geo.Point
 	Keywords vocab.Set
 	Weight   float64 // importance weight; 1 for the unweighted setting
+}
+
+// MaxWeight is the largest importance weight a POI may carry. POI ids are
+// uint32, so no corpus holds more than 2³² POIs, and no sum of their
+// weights — a cell's total, a segment's mass, the bounds Algorithm 1
+// builds from them — can pass 2³² × 1e9 ≈ 4.3e18, far inside float64's
+// range (DESIGN §9).
+const MaxWeight = 1e9
+
+// ErrBadWeight is wrapped by the error CheckWeight returns.
+var ErrBadWeight = errors.New("poi: weight is negative, not finite or above 1e9")
+
+// CheckWeight refuses a weight no POI may carry: negative, NaN, infinite
+// or above MaxWeight. Zero is allowed; it means the default weight 1.
+func CheckWeight(w float64) error {
+	// The test is positive so that NaN fails it.
+	if w >= 0 && w <= MaxWeight {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrBadWeight, w)
 }
 
 // Corpus is an immutable collection of POIs sharing one dictionary.

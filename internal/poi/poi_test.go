@@ -1,11 +1,26 @@
 package poi
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/vocab"
 )
+
+func TestCheckWeight(t *testing.T) {
+	for _, w := range []float64{0, 1, 2.5, MaxWeight} {
+		if err := CheckWeight(w); err != nil {
+			t.Errorf("CheckWeight(%v) = %v, want nil", w, err)
+		}
+	}
+	for _, w := range []float64{-1, math.Nextafter(MaxWeight, math.Inf(1)), 1e308, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := CheckWeight(w); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("CheckWeight(%v) = %v, want ErrBadWeight", w, err)
+		}
+	}
+}
 
 func TestBuilderAndCorpus(t *testing.T) {
 	b := NewBuilder(nil)

@@ -21,7 +21,7 @@ type ServerConfig struct {
 	// shedding, per-query deadline, result cache, recorder. The zero
 	// value serves with defaults (GOMAXPROCS workers, unbounded queue).
 	// The shard's index is fixed, so its executor evaluates with
-	// core.Drain and no segment-mass cache, like every static executor.
+	// core.Drain, like every static executor.
 	Engine engine.Config
 	// MaxBodyBytes caps the request body; 0 means DefaultMaxBodyBytes,
 	// negative disables the cap.

@@ -137,14 +137,11 @@ func TestServerQueryMatchesLocal(t *testing.T) {
 }
 
 // TestServerDecidesItsEvaluator: a shard server's index is fixed, so it
-// evaluates with Drain and without a segment-mass cache — even when the
-// engine config asks for one — and its /metrics says so.
+// evaluates with Drain, and its /metrics says so.
 func TestServerDecidesItsEvaluator(t *testing.T) {
 	w := testWorld(t, 2, 1)
-	servers, _ := startShards(t, w, remote.ServerConfig{Engine: engine.Config{MassCacheEntries: 1 << 10}})
+	servers, _ := startShards(t, w, remote.ServerConfig{})
 	q := testQuery()
-	// The same ⟨Ψ, ε⟩ at two k: the second evaluation would find the
-	// first one's finalised segments in a mass cache.
 	for _, k := range []int{q.K, q.K + 3} {
 		resp, body := postQuery(t, servers[0].URL, remote.QueryRequest{Keywords: q.Keywords, K: k, Epsilon: q.Epsilon})
 		if resp.StatusCode != http.StatusOK {
@@ -155,8 +152,8 @@ func TestServerDecidesItsEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := out.Stats
-		if st.SegmentsSeen == 0 || st.FilterIterations != 0 || st.SegmentAccesses != 0 || st.SegmentCacheHits != 0 {
-			t.Fatalf("k=%d: stats %+v, want a Drain evaluation with no mass cache", k, st)
+		if st.SegmentsSeen == 0 || st.FilterIterations != 0 || st.SegmentAccesses != 0 {
+			t.Fatalf("k=%d: stats %+v, want a Drain evaluation", k, st)
 		}
 	}
 	resp, err := http.Get(servers[0].URL + "/metrics")

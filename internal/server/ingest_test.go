@@ -119,6 +119,8 @@ func TestPOIsValidation(t *testing.T) {
 		{"bad json", `{"pois":`, http.StatusBadRequest},
 		{"missing keywords", `{"pois":[{"x":1,"y":1}]}`, http.StatusBadRequest},
 		{"beyond the cell lattice", `{"x":1e9,"y":1e9,"keywords":["shop"]}`, http.StatusBadRequest},
+		{"weight above the ceiling", `{"x":0,"y":0,"keywords":["shop"],"weight":1e308}`, http.StatusBadRequest},
+		{"negative weight", `{"x":0,"y":0,"keywords":["shop"],"weight":-0.5}`, http.StatusBadRequest},
 		{"out of bounds", `{"x":9,"y":9,"keywords":["shop"]}`, http.StatusOK},
 	}
 	for _, c := range cases {

@@ -57,7 +57,7 @@ func TestStatsSchema(t *testing.T) {
 	for _, key := range []string{
 		"evaluations", "sl1_cells_popped", "sl2_segments_popped", "sl3_segments_popped",
 		"filter_iterations", "cell_visits", "segments_seen", "segments_final",
-		"mass_cache_hits", "mass_cache_misses", "refine_drained",
+		"refine_drained",
 		"build_lists_ns", "filter_ns", "refine_ns",
 	} {
 		if _, ok := core[key]; !ok {
@@ -129,8 +129,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestScheduleFollowsServing: a -live server keeps the paper's filter
-// over each epoch's mass cache, and says so on both surfaces.
+// TestScheduleFollowsServing: a -live server keeps the paper's filter,
+// and says so on both surfaces.
 func TestScheduleFollowsServing(t *testing.T) {
 	s := testLiveServer(t, soi.LiveConfig{})
 	if rec, _ := get(t, s, "/api/streets?keywords=shop&k=5"); rec.Code != http.StatusOK {
@@ -290,7 +290,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		"cached", "build_lists_us", "filter_us", "refine_us",
 		"sl1_cells_popped", "sl2_segments_popped", "sl3_segments_popped",
 		"filter_iterations", "cell_visits", "segments_seen", "segments_final",
-		"refine_drained", "mass_cache_hits", "total_segments", "total_cells",
+		"refine_drained", "total_segments", "total_cells",
 	} {
 		if _, ok := trace[key]; !ok {
 			t.Errorf("trace missing key %q", key)

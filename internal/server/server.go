@@ -217,13 +217,17 @@ func traceWanted(vals url.Values) bool {
 
 // encodeStreets renders the untraced /api/streets body of an answer: the
 // bytes httperr.WriteJSON would send for it, kept with the result-cache
-// entry so that a repeated query is answered without encoding.
+// entry so that a repeated query is answered without encoding. An answer
+// that does not encode yields nil, and the handler's WriteJSON answers it
+// with a 500.
 func encodeStreets(streets []soi.Street) []byte {
 	if streets == nil {
 		streets = []soi.Street{}
 	}
 	var buf bytes.Buffer
-	_ = json.NewEncoder(&buf).Encode(streetsResponse{Streets: streets}) // a plain struct always encodes
+	if err := json.NewEncoder(&buf).Encode(streetsResponse{Streets: streets}); err != nil {
+		return nil
+	}
 	return buf.Bytes()
 }
 

@@ -134,7 +134,6 @@ func foldStats(dst *core.Stats, s core.Stats) {
 	dst.SL3Accesses += s.SL3Accesses
 	dst.FilterIterations += s.FilterIterations
 	dst.CellVisits += s.CellVisits
-	dst.SegmentCacheHits += s.SegmentCacheHits
 	dst.SegmentsSeen += s.SegmentsSeen
 	dst.SegmentsFinal += s.SegmentsFinal
 	dst.RefineDrained += s.RefineDrained

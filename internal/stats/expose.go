@@ -24,8 +24,6 @@ func (s Snapshot) counterRows() []counterRow {
 		{"core_cell_visits", s.Core.CellVisits, false},
 		{"core_segments_seen", s.Core.SegmentsSeen, false},
 		{"core_segments_final", s.Core.SegmentsFinal, false},
-		{"core_mass_cache_hits", s.Core.MassCacheHits, false},
-		{"core_mass_cache_misses", s.Core.MassCacheMisses, false},
 		{"core_refine_drained", s.Core.RefineDrained, false},
 		{"core_build_lists_ns", s.Core.BuildListsNanos, false},
 		{"core_filter_ns", s.Core.FilterNanos, false},

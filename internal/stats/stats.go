@@ -9,7 +9,7 @@
 // counters so a served system can be tuned by the same signals the paper
 // reports. It is organized in three groups matching the layers that feed
 // it: Core (Algorithm 1 source-list pops, cell visits, refinements),
-// Engine (result-cache and mass-cache traffic, in-flight dedup joins,
+// Engine (result-cache traffic, in-flight dedup joins,
 // worker-pool pressure, query latency) and Diversify (Algorithm 2 greedy
 // iterations and pruning).
 //
@@ -71,10 +71,6 @@ type CoreStats struct {
 	// state and segments whose exact interest was computed.
 	SegmentsSeen  Counter
 	SegmentsFinal Counter
-	// MassCacheHits counts segments answered from a shared MassCache;
-	// MassCacheMisses counts segments finalized by actual cell visits.
-	MassCacheHits   Counter
-	MassCacheMisses Counter
 	// RefineDrained counts segments drained to exact mass during the
 	// refinement phase (the paper's "as necessary" finalizations).
 	RefineDrained Counter
@@ -308,12 +304,15 @@ type CoreSnapshot struct {
 	CellVisits        int64 `json:"cell_visits"`
 	SegmentsSeen      int64 `json:"segments_seen"`
 	SegmentsFinal     int64 `json:"segments_final"`
-	MassCacheHits     int64 `json:"mass_cache_hits"`
-	MassCacheMisses   int64 `json:"mass_cache_misses"`
 	RefineDrained     int64 `json:"refine_drained"`
 	BuildListsNanos   int64 `json:"build_lists_ns"`
 	FilterNanos       int64 `json:"filter_ns"`
 	RefineNanos       int64 `json:"refine_ns"`
+	// MassCacheHits and MassCacheMisses are always 0 and never encoded:
+	// there is no segment-mass cache. They stay only because
+	// bench/layers.go still reads them (ROADMAP 1(c)).
+	MassCacheHits   int64 `json:"-"`
+	MassCacheMisses int64 `json:"-"`
 }
 
 // EngineSnapshot is the JSON form of EngineStats.
@@ -438,8 +437,6 @@ func (r *Recorder) Snapshot() Snapshot {
 			CellVisits:        r.Core.CellVisits.Load(),
 			SegmentsSeen:      r.Core.SegmentsSeen.Load(),
 			SegmentsFinal:     r.Core.SegmentsFinal.Load(),
-			MassCacheHits:     r.Core.MassCacheHits.Load(),
-			MassCacheMisses:   r.Core.MassCacheMisses.Load(),
 			RefineDrained:     r.Core.RefineDrained.Load(),
 			BuildListsNanos:   r.Core.BuildListsNanos.Load(),
 			FilterNanos:       r.Core.FilterNanos.Load(),

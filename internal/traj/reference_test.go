@@ -18,55 +18,19 @@ import (
 )
 
 // This file keeps the route search as it stood before it was bounded by
-// the budget — two whole-graph Dijkstra runs, per-segment tables sized to
-// the network, boxed partials that copy their sequences, container/heap
-// and the reflective stable sort — written against the package's exported
-// surface only, and holds the production search to it: same routes, same
-// floats, same work counters.
+// the budget — two whole-graph shortest-path runs (the oracle's),
+// per-segment tables sized to the network, boxed partials that copy their
+// sequences, container/heap and the reflective stable sort — written
+// against the package's exported surface only, and holds the production
+// search to it: same routes, same floats, same work counters.
 
+// referenceDistances is oracle.Distances over the graph's adjacency.
 func referenceDistances(g *traj.Graph, src network.VertexID) []float64 {
-	dist := make([]float64, g.NumVertices())
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	adj := make([][]traj.Edge, g.NumVertices())
+	for v := range adj {
+		adj[v] = g.Adjacent(network.VertexID(v))
 	}
-	dist[src] = 0
-	h := &refDistHeap{{v: src}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(refDistItem)
-		if it.d > dist[it.v] {
-			continue
-		}
-		for _, e := range g.Adjacent(it.v) {
-			if nd := it.d + e.Len; nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(h, refDistItem{v: e.To, d: nd})
-			}
-		}
-	}
-	return dist
-}
-
-type refDistItem struct {
-	v network.VertexID
-	d float64
-}
-
-type refDistHeap []refDistItem
-
-func (h refDistHeap) Len() int { return len(h) }
-func (h refDistHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].v < h[j].v
-}
-func (h refDistHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refDistHeap) Push(x interface{}) { *h = append(*h, x.(refDistItem)) }
-func (h *refDistHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
+	return oracle.Distances(adj, src)
 }
 
 type refPartial struct {

@@ -119,6 +119,23 @@ func TestLiveEngineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEnginesRefuseBadWeights: NewEngine, NewLiveEngine and AddPOIs all
+// refuse a POI weight whose sums could overflow, with ErrBadWeight.
+func TestEnginesRefuseBadWeights(t *testing.T) {
+	streets := []StreetInput{{Name: "High St", Polyline: []Point{{0, 0}, {0.002, 0}}}}
+	bad := []POIInput{{X: 0.001, Y: 0.0001, Keywords: []string{"shop"}, Weight: 1e308}}
+	if _, err := NewEngine(streets, bad, nil, Config{}); !errors.Is(err, ErrBadWeight) {
+		t.Fatalf("NewEngine: err = %v, want ErrBadWeight", err)
+	}
+	if _, err := NewLiveEngine(streets, bad, nil, LiveConfig{}); !errors.Is(err, ErrBadWeight) {
+		t.Fatalf("NewLiveEngine: err = %v, want ErrBadWeight", err)
+	}
+	eng := liveFixture(t, LiveConfig{})
+	if _, err := eng.AddPOIs(bad); !errors.Is(err, ErrBadWeight) {
+		t.Fatalf("AddPOIs: err = %v, want ErrBadWeight", err)
+	}
+}
+
 func TestWritePathRequiresLiveEngine(t *testing.T) {
 	eng := fixtureEngine(t)
 	if eng.Live() {

@@ -244,6 +244,11 @@ var ErrBadSummaryParams = errors.New("soi: invalid summary parameters")
 // it to 400.
 var ErrBadTourBudget = traj.ErrBadBudget
 
+// ErrBadWeight is wrapped by the error NewEngine, NewLiveEngine and
+// AddPOIs return for a POI weight that is negative, not finite or above
+// poi.MaxWeight (1e9). Servers map it to 400.
+var ErrBadWeight = poi.ErrBadWeight
+
 // ErrOverloaded is returned when the engine's admission control sheds a
 // query instead of queueing it (the bounded wait queue was full or the
 // maximum queue wait elapsed). It signals retryable backpressure.
@@ -262,9 +267,12 @@ func NewEngine(streets []StreetInput, pois []POIInput, photos []PhotoInput, cfg 
 		return nil, err
 	}
 	dict := vocab.NewDictionary()
-	pb := poiBuilderFromInputs(pois, dict)
+	pc, err := poiCorpusFromInputs(pois, dict)
+	if err != nil {
+		return nil, err
+	}
 	rb := photoBuilderFromInputs(photos, dict)
-	return newEngine(net, pb, rb, dict, cfg)
+	return newEngine(net, pc, rb, dict, cfg)
 }
 
 func networkFromInputs(streets []StreetInput) (*network.Network, error) {
@@ -283,12 +291,17 @@ func networkFromInputs(streets []StreetInput) (*network.Network, error) {
 	return net, nil
 }
 
-func poiBuilderFromInputs(in []POIInput, dict *vocab.Dictionary) *poi.Corpus {
+// poiCorpusFromInputs builds the POI corpus, refusing a weight
+// poi.CheckWeight refuses.
+func poiCorpusFromInputs(in []POIInput, dict *vocab.Dictionary) (*poi.Corpus, error) {
 	pb := poi.NewBuilder(dict)
-	for _, p := range in {
+	for i, p := range in {
+		if err := poi.CheckWeight(p.Weight); err != nil {
+			return nil, fmt.Errorf("soi: POI %d: %w", i, err)
+		}
 		pb.AddWeighted(geo.Pt(p.X, p.Y), p.Keywords, p.Weight)
 	}
-	return pb.Build()
+	return pb.Build(), nil
 }
 
 func photoBuilderFromInputs(in []PhotoInput, dict *vocab.Dictionary) *photo.Corpus {
@@ -428,9 +441,6 @@ type QueryTrace struct {
 	SegmentsSeen  int `json:"segments_seen"`
 	SegmentsFinal int `json:"segments_final"`
 	RefineDrained int `json:"refine_drained"`
-	// MassCacheHits counts segments answered from the shared mass cache
-	// without any cell visit.
-	MassCacheHits int `json:"mass_cache_hits"`
 	// TotalSegments and TotalCells size the search space the pruning is
 	// measured against.
 	TotalSegments int `json:"total_segments"`
@@ -455,7 +465,6 @@ func traceOf(res engine.Result) QueryTrace {
 		SegmentsSeen:      s.SegmentsSeen,
 		SegmentsFinal:     s.SegmentsFinal,
 		RefineDrained:     s.RefineDrained,
-		MassCacheHits:     s.SegmentCacheHits,
 		TotalSegments:     s.TotalSegments,
 		TotalCells:        s.TotalCells,
 	}
