@@ -13,9 +13,13 @@ import (
 	"repro/internal/vocab"
 )
 
-// BuildSlab builds the slab over the objects directly: the same geometry,
-// cell assignment and float folds as NewSlab over Build (so the two encode
-// to the same bytes), without the map-of-cells Grid in between. Object ids
+// parallelBuildThreshold is the object count below which BuildSlab's
+// parallel passes are not worth the goroutines.
+const parallelBuildThreshold = 4096
+
+// BuildSlab builds the slab over objects given by parallel slices of
+// locations, keyword sets (nil: no keywords) and weights. Objects outside
+// cfg.Bounds are clamped into the border cells, so none is lost. Object ids
 // are bucketed by cell with a stable radix sort, which yields CellIDs,
 // MemberOff and Members at once; the per-cell keyword CSR and the
 // vocab-major inverted index are then filled over disjoint cell and
@@ -227,8 +231,8 @@ type cellKwPart struct {
 // weight, the keyword count (left in KwOff[ord+1] for the caller's prefix
 // sum) and the postings, written into the cell's range of s.Postings. A
 // cell's (keyword, member) pairs are sorted as packed integers, which
-// groups them by ascending keyword with ascending members inside — the
-// order the reference builder reaches by appending members in id order.
+// groups them by ascending keyword with ascending members inside, the
+// order the Slab contract asks of postings and of their weight sums.
 func (s *Slab) fillCells(lo, hi int, keys []vocab.Set, postBase []uint32) cellKwPart {
 	var part cellKwPart
 	var pairs []uint64

@@ -1,23 +1,27 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/vocab"
 )
 
-func buildSmall(t *testing.T) (*Grid, *vocab.Dictionary) {
+// smallLocs are buildSmall's objects.
+var smallLocs = []geo.Point{
+	geo.Pt(0.1, 0.1), geo.Pt(0.15, 0.12), // cell (0,0)
+	geo.Pt(1.5, 0.1),                     // cell (1,0) with size 1
+	geo.Pt(0.2, 2.7), geo.Pt(0.25, 2.75), // cell (0,2)
+}
+
+// buildSmall builds the slab of five tagged objects in three cells of a
+// 3×3 lattice (4×4 cells with the closing row and column).
+func buildSmall(t *testing.T) (*Slab, *vocab.Dictionary) {
 	t.Helper()
 	d := vocab.NewDictionary()
-	locs := []geo.Point{
-		geo.Pt(0.1, 0.1), geo.Pt(0.15, 0.12), // cell (0,0)
-		geo.Pt(1.5, 0.1),                     // cell (1,0) with size 1
-		geo.Pt(0.2, 2.7), geo.Pt(0.25, 2.75), // cell (0,2)
-	}
 	keys := []vocab.Set{
 		d.InternAll([]string{"shop"}),
 		d.InternAll([]string{"shop", "food"}),
@@ -25,128 +29,139 @@ func buildSmall(t *testing.T) (*Grid, *vocab.Dictionary) {
 		d.InternAll([]string{"shop"}),
 		d.InternAll([]string{"park", "shop", "food"}),
 	}
-	g, err := Build(Config{CellSize: 1, Bounds: geo.R(0, 0, 3, 3)}, locs, keys)
+	s, err := BuildSlab(Config{CellSize: 1, Bounds: geo.R(0, 0, 3, 3)}, smallLocs, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, d
+	return s, d
+}
+
+// members returns the object ids of cell ord.
+func (s *Slab) members(ord int) []uint32 { return s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]] }
+
+// cellOf returns the ordinal of the cell holding p; it fails the test
+// when that cell is empty.
+func cellOf(t *testing.T, s *Slab, p geo.Point) int {
+	t.Helper()
+	ord := s.OrdinalOf(s.Lattice().CellIndex(p))
+	if ord < 0 {
+		t.Fatalf("the cell of %v is empty", p)
+	}
+	return ord
 }
 
 func TestBuildBasics(t *testing.T) {
-	g, _ := buildSmall(t)
-	if g.Len() != 5 {
-		t.Fatalf("Len = %d", g.Len())
+	s, _ := buildSmall(t)
+	if s.NumObjects != 5 {
+		t.Fatalf("NumObjects = %d", s.NumObjects)
 	}
-	if n := len(g.NonEmptyCells()); n != 3 {
+	if n := s.NumCells(); n != 3 {
 		t.Fatalf("%d non-empty cells, want 3", n)
 	}
-	nx, ny := g.Dims()
-	if nx < 3 || ny < 3 {
-		t.Fatalf("Dims = %d,%d", nx, ny)
+	if s.NX != 4 || s.NY != 4 {
+		t.Fatalf("dims = %d,%d, want 4,4", s.NX, s.NY)
 	}
-	if g.CellSize() != 1 {
-		t.Fatalf("CellSize = %v", g.CellSize())
+	if s.CellSize != 1 || s.Bounds != geo.R(0, 0, 3, 3) {
+		t.Fatalf("cell size %v over %v", s.CellSize, s.Bounds)
 	}
 }
 
+// TestBuildErrors: a cell size that is NaN or negative, and bounds that
+// are NaN, are refused before any cell is numbered.
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(Config{CellSize: 0}, nil, nil); err == nil {
-		t.Error("expected error for zero cell size")
+	locs := []geo.Point{geo.Pt(0, 0)}
+	for _, cell := range []float64{math.NaN(), -1} {
+		if _, err := BuildSlab(Config{CellSize: cell}, locs, nil, nil); err == nil {
+			t.Errorf("cell size %v accepted", cell)
+		}
 	}
-	if _, err := Build(Config{CellSize: 1}, []geo.Point{geo.Pt(0, 0)}, []vocab.Set{nil, nil}); err == nil {
-		t.Error("expected error for slice length mismatch")
-	}
-	if _, err := Build(Config{CellSize: 1, Bounds: geo.R(2, 0, 1, 1)}, nil, nil); err == nil {
-		t.Error("expected error for invalid bounds")
+	if _, err := BuildSlab(Config{CellSize: 1, Bounds: geo.R(0, 0, math.NaN(), 1)}, locs, nil, nil); err == nil {
+		t.Error("NaN bounds accepted")
 	}
 }
 
+// TestBuildAutoBounds: without configured bounds the lattice covers the
+// objects' bounding rectangle, and every object is a member of its cell.
 func TestBuildAutoBounds(t *testing.T) {
-	locs := []geo.Point{geo.Pt(1, 1), geo.Pt(4, 5)}
-	g, err := Build(Config{CellSize: 1}, locs, nil)
+	locs := []geo.Point{geo.Pt(1, 1), geo.Pt(4, 5), geo.Pt(2.5, 1.5)}
+	s, err := BuildSlab(Config{CellSize: 1}, locs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.Bounds != geo.R(1, 1, 4, 5) {
+		t.Fatalf("bounds %v, want the objects' rectangle", s.Bounds)
+	}
 	for i, p := range locs {
-		c := g.CellAt(g.CellIndex(p))
-		if c == nil {
-			t.Fatalf("object %d not in any cell", i)
-		}
-		found := false
-		for _, m := range c.Members {
-			if m == uint32(i) {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(s.members(cellOf(t, s, p)), uint32(i)) {
 			t.Fatalf("object %d missing from its cell", i)
 		}
 	}
 }
 
+// TestCellRectContainsMembers: every object lies in the rectangle of the
+// cell it is a member of, and each object is a member exactly once.
 func TestCellRectContainsMembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	locs := make([]geo.Point, 500)
 	for i := range locs {
 		locs[i] = geo.Pt(rng.Float64()*10, rng.Float64()*10)
 	}
-	g, err := Build(Config{CellSize: 0.7}, locs, nil)
+	s, err := BuildSlab(Config{CellSize: 0.7}, locs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, id := range g.NonEmptyCells() {
-		c, r := g.CellAt(id), g.lat.CellRect(id)
-		for _, m := range c.Members {
+	seen := make([]bool, len(locs))
+	for ord, id := range s.CellIDs {
+		r := s.CellRect(CellID(id))
+		for _, m := range s.members(ord) {
 			if !r.Expand(1e-9).Contains(locs[m]) {
 				t.Errorf("object %d at %v outside its cell rect %v", m, locs[m], r)
 			}
+			if seen[m] {
+				t.Fatalf("object %d is a member twice", m)
+			}
+			seen[m] = true
 		}
-		total += len(c.Members)
 	}
-	if total != len(locs) {
-		t.Fatalf("cells hold %d objects, want %d", total, len(locs))
+	if len(s.Members) != len(locs) {
+		t.Fatalf("cells hold %d objects, want %d", len(s.Members), len(locs))
 	}
 }
 
+// TestCellInvertedIndex reads one cell's local inverted index c.I[ψ] and
+// its bounds off the slab.
 func TestCellInvertedIndex(t *testing.T) {
-	g, d := buildSmall(t)
+	s, d := buildSmall(t)
 	shop, _ := d.Lookup("shop")
 	food, _ := d.Lookup("food")
-	c := g.CellAt(g.CellIndex(geo.Pt(0.1, 0.1)))
-	if c == nil {
-		t.Fatal("cell (0,0) empty")
+	ord := cellOf(t, s, geo.Pt(0.1, 0.1))
+	postings := map[vocab.ID][]uint32{}
+	for j := s.KwOff[ord]; j < s.KwOff[ord+1]; j++ {
+		postings[vocab.ID(s.CellKw[j])] = s.Postings[s.PostOff[j]:s.PostOff[j+1]]
 	}
-	if got := len(c.Inv[shop]); got != 2 {
-		t.Errorf("shop postings = %d, want 2", got)
+	if got := postings[shop]; !slices.Equal(got, []uint32{0, 1}) {
+		t.Errorf("shop postings = %v, want [0 1]", got)
 	}
-	if got := len(c.Inv[food]); got != 1 {
-		t.Errorf("food postings = %d, want 1", got)
+	if got := postings[food]; !slices.Equal(got, []uint32{1}) {
+		t.Errorf("food postings = %v, want [1]", got)
 	}
-	if c.PsiMin != 1 || c.PsiMax != 2 {
-		t.Errorf("psi bounds = %d,%d", c.PsiMin, c.PsiMax)
+	if len(postings) != 2 {
+		t.Errorf("cell keywords = %v, want shop and food", s.CellKw[s.KwOff[ord]:s.KwOff[ord+1]])
 	}
-	if !c.Keywords.Contains(shop) || !c.Keywords.Contains(food) {
-		t.Errorf("cell keywords = %v", c.Keywords)
-	}
-	// Postings must be sorted ascending.
-	for kw, ps := range c.Inv {
-		if !sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i] < ps[j] }) {
-			t.Errorf("postings for kw %d not sorted: %v", kw, ps)
-		}
+	if s.PsiMin[ord] != 1 || s.PsiMax[ord] != 2 {
+		t.Errorf("psi bounds = %d,%d", s.PsiMin[ord], s.PsiMax[ord])
 	}
 }
 
 func TestPsiMinZeroForUntagged(t *testing.T) {
 	d := vocab.NewDictionary()
-	g, err := Build(Config{CellSize: 1}, []geo.Point{geo.Pt(0, 0), geo.Pt(0.1, 0.1)},
-		[]vocab.Set{nil, d.InternAll([]string{"a", "b"})})
+	s, err := BuildSlab(Config{CellSize: 1}, []geo.Point{geo.Pt(0, 0), geo.Pt(0.1, 0.1)},
+		[]vocab.Set{nil, d.InternAll([]string{"a", "b"})}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.CellAt(g.CellIndex(geo.Pt(0, 0)))
-	if c.PsiMin != 0 || c.PsiMax != 2 {
-		t.Fatalf("psi bounds = %d,%d", c.PsiMin, c.PsiMax)
+	if ord := cellOf(t, s, geo.Pt(0, 0)); s.PsiMin[ord] != 0 || s.PsiMax[ord] != 2 {
+		t.Fatalf("psi bounds = %d,%d", s.PsiMin[ord], s.PsiMax[ord])
 	}
 }
 
@@ -269,30 +284,34 @@ func TestNeighborhoodMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNonEmptyCellsSorted: CellIDs are strictly ascending and are
+// exactly the cells the objects fall into.
 func TestNonEmptyCellsSorted(t *testing.T) {
-	g, _ := buildSmall(t)
-	ids := g.NonEmptyCells()
-	if len(ids) != len(g.cells) {
-		t.Fatalf("NonEmptyCells len = %d", len(ids))
+	s, _ := buildSmall(t)
+	var want []int32
+	for _, p := range smallLocs {
+		want = append(want, int32(s.Lattice().CellIndex(p)))
 	}
-	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-		t.Fatalf("ids not sorted: %v", ids)
+	slices.Sort(want)
+	if want = slices.Compact(want); !slices.Equal(s.CellIDs, want) {
+		t.Fatalf("CellIDs = %v, want %v", s.CellIDs, want)
 	}
 }
 
+// TestClampedOutOfBoundsInsert: objects outside the configured bounds are
+// clamped into the border cells, not lost.
 func TestClampedOutOfBoundsInsert(t *testing.T) {
-	// Objects outside the configured bounds are clamped into border cells.
-	locs := []geo.Point{geo.Pt(-5, -5), geo.Pt(100, 100)}
-	g, err := Build(Config{CellSize: 1, Bounds: geo.R(0, 0, 10, 10)}, locs, nil)
+	locs := []geo.Point{geo.Pt(-5, -5), geo.Pt(100, 100), geo.Pt(5, -3)}
+	s, err := BuildSlab(Config{CellSize: 1, Bounds: geo.R(0, 0, 10, 10)}, locs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, id := range g.NonEmptyCells() {
-		total += len(g.CellAt(id).Members)
+	last := int32(s.NX*s.NY - 1)
+	if want := []int32{0, 5, last}; !slices.Equal(s.CellIDs, want) {
+		t.Fatalf("CellIDs = %v, want the corner cells and a bottom-row cell %v", s.CellIDs, want)
 	}
-	if total != 2 {
-		t.Fatalf("clamped objects lost: %d indexed", total)
+	if len(s.Members) != len(locs) {
+		t.Fatalf("clamped objects lost: %d indexed", len(s.Members))
 	}
 }
 
@@ -300,92 +319,17 @@ func TestClampedOutOfBoundsInsert(t *testing.T) {
 // through the lattice — a cell's rectangle sits at column ix, row iy, and
 // a point inside it is assigned that id again.
 func TestCoordsRoundTrip(t *testing.T) {
-	g, _ := buildSmall(t)
-	nx, ny := g.Dims()
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			id := CellID(ix + iy*nx)
-			r := g.lat.CellRect(id)
-			if r.MinX != float64(ix)*g.CellSize() || r.MinY != float64(iy)*g.CellSize() {
+	s, _ := buildSmall(t)
+	lat := s.Lattice()
+	for iy := 0; iy < lat.NY; iy++ {
+		for ix := 0; ix < lat.NX; ix++ {
+			id := CellID(ix + iy*lat.NX)
+			r := lat.CellRect(id)
+			if r.MinX != float64(ix)*lat.CellSize || r.MinY != float64(iy)*lat.CellSize {
 				t.Fatalf("CellRect(%d) = %v, want column %d row %d", id, r, ix, iy)
 			}
-			if got := g.CellIndex(r.Center()); got != id {
+			if got := lat.CellIndex(r.Center()); got != id {
 				t.Fatalf("CellIndex(center of cell %d) = %d", id, got)
-			}
-		}
-	}
-}
-
-// TestParallelBuildMatchesSequential checks that the sharded parallel
-// ingestion produces a grid bit-identical to the sequential build. Build
-// only takes the parallel path above parallelBuildThreshold objects and
-// with GOMAXPROCS ≥ 2, so the test drives buildCellsParallel directly
-// with forced worker counts — including ones that don't divide the cell
-// count evenly.
-func TestParallelBuildMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	d := vocab.NewDictionary()
-	n := parallelBuildThreshold + 513
-	locs := make([]geo.Point, n)
-	keys := make([]vocab.Set, n)
-	words := []string{"shop", "food", "park", "museum", "cafe"}
-	for i := range locs {
-		locs[i] = geo.Pt(rng.Float64()*9, rng.Float64()*9)
-		var tags []string
-		for _, w := range words {
-			if rng.Float64() < 0.3 {
-				tags = append(tags, w)
-			}
-		}
-		keys[i] = d.InternAll(tags)
-	}
-	cfg := Config{CellSize: 0.4, Bounds: geo.R(0, 0, 9, 9)}
-	seq, err := Build(cfg, locs, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 7, 16} {
-		par, err := Build(cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.n = n
-		par.buildCellsParallel(locs, keys, workers)
-		if len(par.cells) != len(seq.cells) {
-			t.Fatalf("workers=%d: %d cells, want %d", workers, len(par.cells), len(seq.cells))
-		}
-		for _, id := range seq.NonEmptyCells() {
-			want, got := seq.CellAt(id), par.CellAt(id)
-			if got == nil {
-				t.Fatalf("workers=%d: cell %d missing", workers, id)
-			}
-			if len(got.Members) != len(want.Members) {
-				t.Fatalf("workers=%d cell %d: %d members, want %d", workers, id, len(got.Members), len(want.Members))
-			}
-			for i := range want.Members {
-				if got.Members[i] != want.Members[i] {
-					t.Fatalf("workers=%d cell %d member %d differs", workers, id, i)
-				}
-			}
-			if got.PsiMin != want.PsiMin || got.PsiMax != want.PsiMax {
-				t.Fatalf("workers=%d cell %d psi bounds differ", workers, id)
-			}
-			if !got.Keywords.Equal(want.Keywords) {
-				t.Fatalf("workers=%d cell %d keywords differ", workers, id)
-			}
-			if len(got.Inv) != len(want.Inv) {
-				t.Fatalf("workers=%d cell %d inverted index size differs", workers, id)
-			}
-			for kw, ps := range want.Inv {
-				gps := got.Inv[kw]
-				if len(gps) != len(ps) {
-					t.Fatalf("workers=%d cell %d kw %d postings differ", workers, id, kw)
-				}
-				for i := range ps {
-					if gps[i] != ps[i] {
-						t.Fatalf("workers=%d cell %d kw %d posting %d differs", workers, id, kw, i)
-					}
-				}
 			}
 		}
 	}

@@ -8,17 +8,17 @@ import (
 )
 
 // Lattice is the geometry of a uniform cell grid without its contents:
-// the covered bounds, the cell side and the dimensions. Grid and Slab do
-// all their cell arithmetic through it — which cell holds a point, which
-// rectangle a cell covers, which cells lie near a segment — so two
-// structures over equal lattices agree on every one of those bit for bit.
+// the covered bounds, the cell side and the dimensions. Slab and every
+// caller that places points on a slab's cells do their cell arithmetic
+// through it — which cell holds a point, which rectangle a cell covers,
+// which cells lie near a segment — so they agree bit for bit.
 type Lattice struct {
 	Bounds   geo.Rect
 	CellSize float64
 	NX, NY   int
 }
 
-// NewLattice returns the lattice Build and BuildSlab lay over bounds at
+// NewLattice returns the lattice BuildSlab lays over bounds at
 // the given cell size. It refuses a cell size that is not positive and,
 // with an error wrapping ErrLattice, a lattice whose cells cannot be
 // numbered by a CellID.

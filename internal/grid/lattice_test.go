@@ -36,12 +36,7 @@ func TestAxisIndexSaturates(t *testing.T) {
 // TestCellsNearHugeEpsilon: at an ε past the int range every non-empty
 // cell is near every segment.
 func TestCellsNearHugeEpsilon(t *testing.T) {
-	g, _ := buildSmall(t)
-	locs := []geo.Point{geo.Pt(0.1, 0.1), geo.Pt(0.15, 0.12), geo.Pt(1.5, 0.1), geo.Pt(0.2, 2.7), geo.Pt(0.25, 2.75)}
-	s, err := NewSlab(g, locs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := buildSmall(t)
 	seg := geo.Segment{A: geo.Pt(0.3, 0.3), B: geo.Pt(0.6, 0.4)}
 	for _, eps := range []float64{1e17, 1e20, 1e100, 1e300} {
 		if got := len(s.CellsNearSegmentInto(seg, eps, nil)); got != s.NumCells() {

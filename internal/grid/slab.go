@@ -16,17 +16,18 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/geo"
-	"repro/internal/vocab"
 )
 
 // Slab is the flattened grid index. Cells appear in ascending CellID
 // order; the index of a cell in CellIDs is its ordinal, and every other
 // per-cell array is indexed by ordinal.
 type Slab struct {
-	// Bounds, CellSize, NX and NY mirror the source grid geometry.
+	// Bounds, CellSize, NX and NY are the lattice the objects were placed
+	// on: the configured bounds, or the objects' bounding rectangle when
+	// none were given. Each object lies in the cell Lattice.CellIndex
+	// assigns it.
 	Bounds   geo.Rect
 	CellSize float64
 	NX, NY   int
@@ -40,10 +41,11 @@ type Slab struct {
 	// CellIDs lists the non-empty cells, sorted ascending.
 	CellIDs []int32
 	// PsiMin and PsiMax carry the per-cell keyword-set cardinality bounds
-	// (c.ψmin, c.ψmax).
+	// (c.ψmin, c.ψmax): the fewest and most keywords any member carries,
+	// 0 for a member without keywords.
 	PsiMin, PsiMax []int32
 	// CellWeight is the total object weight per cell (|Pc| generalized to
-	// weights).
+	// weights), summed from 0 over the members in ascending id.
 	CellWeight []float64
 
 	// MemberOff[i] .. MemberOff[i+1] delimits cell i's members (object
@@ -62,117 +64,17 @@ type Slab struct {
 
 	// InvOff[kw] .. InvOff[kw+1] delimits keyword kw's entries in InvCell
 	// and InvWeight: the cells (as ordinals) containing the keyword with
-	// their relevant weights, sorted decreasingly by weight, ties broken
-	// by ascending cell. len(InvOff) == VocabN+1.
+	// their relevant weights — the weights of the keyword's postings in
+	// the cell, summed from 0 in ascending id — sorted decreasingly by
+	// weight, ties broken by ascending cell. len(InvOff) == VocabN+1.
 	InvOff    []uint32
 	InvCell   []int32
 	InvWeight []float64
 
-	// ObjX, ObjY and ObjW are the object coordinates and weights, indexed
-	// by object id (struct-of-arrays so distance kernels stream them).
+	// ObjX, ObjY and ObjW are the object coordinates and weights (1 when
+	// the build was given none), indexed by object id (struct-of-arrays so
+	// distance kernels stream them).
 	ObjX, ObjY, ObjW []float64
-}
-
-// NewSlab flattens the reference grid into slab form — what BuildSlab
-// must produce byte for byte. locs must be the object
-// locations the grid was built over (indexed by object id); weights
-// optionally carries per-object weights (nil means weight 1 everywhere).
-// The construction is deterministic: it depends only on the grid contents,
-// never on map iteration order, so slabs built from grids ingested with
-// different worker counts are byte-identical.
-func NewSlab(g *Grid, locs []geo.Point, weights []float64) (*Slab, error) {
-	if g.Len() != len(locs) {
-		return nil, fmt.Errorf("grid: slab over %d locations but grid indexes %d objects", len(locs), g.Len())
-	}
-	if weights != nil && len(weights) != len(locs) {
-		return nil, fmt.Errorf("grid: %d locations but %d weights", len(locs), len(weights))
-	}
-	w := func(id uint32) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[id]
-	}
-
-	cells := g.NonEmptyCells()
-	s := &Slab{
-		Bounds:     g.Bounds(),
-		CellSize:   g.CellSize(),
-		NX:         g.lat.NX,
-		NY:         g.lat.NY,
-		NumObjects: g.Len(),
-		CellIDs:    make([]int32, len(cells)),
-		PsiMin:     make([]int32, len(cells)),
-		PsiMax:     make([]int32, len(cells)),
-		CellWeight: make([]float64, len(cells)),
-		MemberOff:  make([]uint32, len(cells)+1),
-		KwOff:      make([]uint32, len(cells)+1),
-		ObjX:       make([]float64, len(locs)),
-		ObjY:       make([]float64, len(locs)),
-		ObjW:       make([]float64, len(locs)),
-	}
-	for i, p := range locs {
-		s.ObjX[i] = p.X
-		s.ObjY[i] = p.Y
-		s.ObjW[i] = w(uint32(i))
-	}
-
-	// kwEntry accumulates the vocab-major inverted index; entries are
-	// appended in ascending cell-ordinal order and later sorted by weight.
-	type kwEntry struct {
-		ord    int32
-		weight float64
-	}
-	perKw := make(map[vocab.ID][]kwEntry)
-
-	for ord, cid := range cells {
-		c := g.CellAt(cid)
-		s.CellIDs[ord] = int32(cid)
-		s.PsiMin[ord] = int32(c.PsiMin)
-		s.PsiMax[ord] = int32(c.PsiMax)
-		var total float64
-		for _, m := range c.Members {
-			total += s.ObjW[m]
-		}
-		s.CellWeight[ord] = total
-		s.Members = append(s.Members, c.Members...)
-		s.MemberOff[ord+1] = uint32(len(s.Members))
-		// Keywords are already sorted (vocab.Set invariant).
-		for _, kw := range c.Keywords {
-			postings := c.Inv[kw]
-			s.CellKw = append(s.CellKw, uint32(kw))
-			s.Postings = append(s.Postings, postings...)
-			s.PostOff = append(s.PostOff, uint32(len(s.Postings)))
-			var kwWeight float64
-			for _, m := range postings {
-				kwWeight += s.ObjW[m]
-			}
-			perKw[kw] = append(perKw[kw], kwEntry{ord: int32(ord), weight: kwWeight})
-			if int(kw) >= s.VocabN {
-				s.VocabN = int(kw) + 1
-			}
-		}
-		s.KwOff[ord+1] = uint32(len(s.CellKw))
-	}
-	// PostOff needs the leading 0 that the append loop above skipped.
-	s.PostOff = append([]uint32{0}, s.PostOff...)
-
-	s.InvOff = make([]uint32, s.VocabN+1)
-	for kw := 0; kw < s.VocabN; kw++ {
-		es := perKw[vocab.ID(kw)]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].weight != es[j].weight {
-				return es[i].weight > es[j].weight
-			}
-			return es[i].ord < es[j].ord
-		})
-		for _, e := range es {
-			s.InvCell = append(s.InvCell, e.ord)
-			s.InvWeight = append(s.InvWeight, e.weight)
-		}
-		s.InvOff[kw+1] = uint32(len(s.InvCell))
-	}
-	return s, nil
 }
 
 // NumCells returns the number of non-empty cells.
