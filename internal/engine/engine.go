@@ -270,12 +270,13 @@ func (e *Executor) DoCtx(ctx context.Context, q core.Query) Result {
 
 // Run admits one query of a family that does not go through Do — a
 // route, trajectory, describe or tour plan — through the gate k-SOI
-// evaluations queue behind, under the same per-query deadline, and runs
-// fn with the query's context once a slot is held. A refused query never
-// runs fn. A panic in fn is isolated into a *PanicError, and the query's
-// terminal error is folded into o, exactly as Do folds a k-SOI query's
-// into the engine group.
-func (e *Executor) Run(ctx context.Context, o *stats.Outcomes, fn func(context.Context) error) (err error) {
+// evaluations queue behind, under the same per-query deadline. Once a
+// slot is held it pins the serving epoch, as eval does, and runs fn with
+// the query's context and the epoch's index; the epoch is released only
+// after fn returns. A refused query never runs fn. A panic in fn is
+// isolated into a *PanicError, and the query's terminal error is folded
+// into o, exactly as Do folds a k-SOI query's into the engine group.
+func (e *Executor) Run(ctx context.Context, o *stats.Outcomes, fn func(context.Context, *core.Index) error) (err error) {
 	defer func() { countOutcome(o, err) }()
 	ctx, cancel := e.withTimeout(ctx)
 	defer cancel()
@@ -283,8 +284,10 @@ func (e *Executor) Run(ctx context.Context, o *stats.Outcomes, fn func(context.C
 		return err
 	}
 	defer e.gate.Release()
+	_, ix, release := e.acquireEpoch()
+	defer release()
 	defer recovered(o, &err)
-	return fn(ctx)
+	return fn(ctx, ix)
 }
 
 // withTimeout layers the engine's per-query deadline onto the caller's

@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/datagen"
-	"repro/internal/geo"
-	"repro/internal/grid"
-	"repro/internal/vocab"
+	"repro/internal/faults"
 )
 
 // liveFixture builds a small live engine through the public API.
@@ -212,57 +209,54 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	}
 }
 
-// TestLiveEngineHoldsOneLayout is the residency gate of live serving:
-// after a publish the engine holds the new epoch's slab and no second
-// layout of it, so building the reference map-of-cells grid over the same
-// corpus must grow the live heap by at least 40 %. If an epoch build ever
-// goes back to constructing that grid and keeping it, the slab-only
-// figure already contains it and this fails.
-func TestLiveEngineHoldsOneLayout(t *testing.T) {
-	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.02))
-	if err != nil {
-		t.Fatal(err)
+// TestLiveRoutesAndTrajectoriesPinTheirEpoch: a route or trajectory query
+// on a live engine holds the epoch it reads until it returns, as a k-SOI
+// evaluation does. Parked at its fault site while a publish installs the
+// next epoch, it keeps the old one live — two epochs — and the old one
+// retires as soon as the query ends.
+func TestLiveRoutesAndTrajectoriesPinTheirEpoch(t *testing.T) {
+	defer faults.Reset()
+	eng := liveFixture(t, LiveConfig{})
+	queries := []struct {
+		site string
+		run  func() error
+	}{
+		{"traj.search", func() error {
+			_, err := eng.TopRoutes(RouteQuery{Src: Point{0, 0}, Dst: Point{0.002, 0}, Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.004})
+			return err
+		}},
+		{"traj.match", func() error {
+			_, err := eng.TrajectorySOI(TrajectoryQuery{Traces: [][]Point{{{0, 0}, {0.001, 0}, {0.002, 0}}}, Keywords: []string{"shop"}, K: 2, Epsilon: 0.0005})
+			return err
+		}},
 	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+	live := func() int64 { return eng.StatsSnapshot().Ingest.EpochsLive }
+	for i, q := range queries {
+		block := make(chan struct{})
+		faults.Activate(q.site, faults.Fault{Block: block, Times: 1})
+		done := make(chan error, 1)
+		go func() { done <- q.run() }()
+		for deadline := time.Now().Add(5 * time.Second); faults.Fired(q.site) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the query never reached its fault site", q.site)
+			}
+		}
+		if _, err := eng.AddPOIs([]POIInput{{X: 0.0001 * float64(i), Y: 0.0001, Keywords: []string{"cafe"}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := live(); got != 2 {
+			t.Errorf("%s: %d epochs live while the query reads the retired one, want 2", q.site, got)
+		}
+		close(block)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", q.site, err)
+		}
+		if got := live(); got != 1 {
+			t.Errorf("%s: %d epochs live after the query returned, want 1", q.site, got)
+		}
+		faults.Deactivate(q.site)
 	}
-	base := liveHeap()
-	eng, err := NewLiveEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, LiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.AddPOIs([]POIInput{{X: ds.POIs.Get(0).Loc.X, Y: ds.POIs.Get(0).Loc.Y, Keywords: []string{"zeppelin"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := eng.TopStreets(Query{Keywords: []string{"shop", "zeppelin"}, K: 5, Epsilon: DefaultCellSize}); err != nil || len(res) == 0 {
-		t.Fatalf("query on the published epoch: %d streets, err %v", len(res), err)
-	}
-	slabOnly := liveHeap() - base
-	all := eng.ing.Current().Index().POIs().All()
-	locs := make([]geo.Point, len(all))
-	keys := make([]vocab.Set, len(all))
-	for i := range all {
-		locs[i], keys[i] = all[i].Loc, all[i].Keywords
-	}
-	ref, err := grid.Build(grid.Config{CellSize: DefaultCellSize}, locs, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	locs, keys = nil, nil
-	both := liveHeap() - base
-	t.Logf("live heap of the live engine: slab only %d KB, with a map-of-cells grid %d KB (×%.2f)", slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
-	if float64(both) < 1.4*float64(slabOnly) {
-		t.Errorf("building the reference grid grew the live heap %d → %d KB (×%.2f), want ≥ ×1.40: the live engine already holds a second layout's worth of memory",
-			slabOnly>>10, both>>10, float64(both)/float64(slabOnly))
-	}
-	runtime.KeepAlive(ref)
-	runtime.KeepAlive(ds)
 }

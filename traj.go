@@ -113,15 +113,6 @@ func (e *Engine) trajMatcherLazy(radius float64) *traj.Matcher {
 	return m
 }
 
-// servingIndex resolves the index queries should run against: the
-// currently published epoch for live engines, the static index otherwise.
-func (e *Engine) servingIndex() *core.Index {
-	if e.ing != nil {
-		return e.ing.Current().Index()
-	}
-	return e.index
-}
-
 // TopRoutes evaluates the k most interesting routes query.
 func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 	return e.TopRoutesCtx(context.Background(), q)
@@ -133,7 +124,7 @@ func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult, error) {
 	e.rec.Traj.RouteQueries.Add(1)
 	var routes []traj.Route
-	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context) (err error) {
+	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context, ix *core.Index) (err error) {
 		start := time.Now()
 		defer func() { e.rec.Traj.SearchNanos.Add(time.Since(start).Nanoseconds()) }()
 		g := e.trajGraphLazy()
@@ -142,7 +133,6 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult,
 			return errors.New("soi: empty network")
 		}
 		dst, _ := g.SnapVertex(geo.Pt(q.Dst.X, q.Dst.Y))
-		ix := e.servingIndex()
 		set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
 		tq := traj.RouteQuery{Src: src, Dst: dst, K: q.K, Budget: q.Budget, Alpha: q.Alpha}
 		var st traj.SearchStats
@@ -192,7 +182,7 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]Cor
 		return nil, ErrNoTraces
 	}
 	var res []traj.CorridorResult
-	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context) (err error) {
+	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context, ix *core.Index) (err error) {
 		start := time.Now()
 		defer func() { e.rec.Traj.MatchNanos.Add(time.Since(start).Nanoseconds()) }()
 		radius := q.Radius
@@ -210,7 +200,6 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]Cor
 			}
 			traces[i] = pts
 		}
-		ix := e.servingIndex()
 		set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
 		var st traj.MatchStats
 		res, st, err = traj.TrajectorySOI(ctx, e.trajMatcherLazy(radius), func(sid network.SegmentID) float64 {
