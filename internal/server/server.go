@@ -129,6 +129,17 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	httperr.WriteError(w, status, err.Error())
 }
 
+// writeQueryError answers a query that has nothing to answer
+// (soi.ErrNoMatch: no street, no photos) with 404, and any other query
+// error with the status httperr maps it to.
+func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, soi.ErrNoMatch) {
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	httperr.WriteQueryError(w, r, err)
+}
+
 // The query* helpers read one parameter of a request's parsed query
 // string. A handler calls r.URL.Query() — a full parse of the raw query —
 // once and hands the values down.
@@ -493,12 +504,8 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	sum, err := s.engine.DescribeStreetCtx(r.Context(), street, soi.SummaryParams{
 		K: k, Lambda: lambda, W: wWeight, Rho: rho, Epsilon: eps,
 	})
-	switch {
-	case errors.Is(err, soi.ErrUnknownStreet), errors.Is(err, soi.ErrNoPhotos):
-		writeError(w, http.StatusNotFound, err)
-		return
-	case err != nil:
-		httperr.WriteQueryError(w, r, err)
+	if err != nil {
+		writeQueryError(w, r, err)
 		return
 	}
 	httperr.WriteJSON(w, http.StatusOK, sum)
@@ -522,7 +529,7 @@ func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
 	}
 	tour, err := s.engine.RecommendTourCtx(r.Context(), q, budget)
 	if err != nil {
-		httperr.WriteQueryError(w, r, err)
+		writeQueryError(w, r, err)
 		return
 	}
 	httperr.WriteJSON(w, http.StatusOK, tour)

@@ -117,10 +117,10 @@ func TestDescribeStreet(t *testing.T) {
 
 func TestDescribeStreetErrors(t *testing.T) {
 	eng := fixtureEngine(t)
-	if _, err := eng.DescribeStreet("Nope St", SummaryParams{K: 3}); !errors.Is(err, ErrUnknownStreet) {
+	if _, err := eng.DescribeStreet("Nope St", SummaryParams{K: 3}); !errors.Is(err, ErrUnknownStreet) || !errors.Is(err, ErrNoMatch) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := eng.DescribeStreet("Quiet St", SummaryParams{K: 3, Epsilon: 0.0001}); !errors.Is(err, ErrNoPhotos) {
+	if _, err := eng.DescribeStreet("Quiet St", SummaryParams{K: 3, Epsilon: 0.0001}); !errors.Is(err, ErrNoPhotos) || !errors.Is(err, ErrNoMatch) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := eng.DescribeStreet("High St", SummaryParams{K: -1}); err == nil {
@@ -231,8 +231,8 @@ func TestRecommendTourErrors(t *testing.T) {
 	if _, err := eng.RecommendTour(Query{}, 1); err == nil {
 		t.Fatal("expected validation error")
 	}
-	if _, err := eng.RecommendTour(Query{Keywords: []string{"unicorn"}, K: 2, Epsilon: 0.0005}, 1); err == nil {
-		t.Fatal("expected no-match error")
+	if _, err := eng.RecommendTour(Query{Keywords: []string{"unicorn"}, K: 2, Epsilon: 0.0005}, 1); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("err = %v, want ErrNoMatch", err)
 	}
 	if _, err := eng.RecommendTour(Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.0005}, 0); err == nil {
 		t.Fatal("expected budget error")
