@@ -19,49 +19,81 @@ const (
 	fuzzSlack        = time.Second
 )
 
+// serveFuzz serves one fuzzed request and holds the answer to the
+// boundary's contract: a 200, or a typed 4xx, 503 or 504 with a JSON
+// error — never a 500, never past the query timeout. It returns the body
+// of a 200 for the caller's own checks, nil for any other status. input
+// is the fuzzed text, for the failure message.
+func serveFuzz(t *testing.T, s *Server, req *http.Request, input string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	s.ServeHTTP(rec, req)
+	if took := time.Since(start); took > fuzzQueryTimeout+fuzzSlack {
+		t.Fatalf("%s took %v, query timeout %v\ninput: %q", req.URL.Path, took, fuzzQueryTimeout, input)
+	}
+	switch code := rec.Code; {
+	case code == http.StatusOK:
+		return rec.Body.Bytes()
+	case code >= 400 && code < 500, code == http.StatusServiceUnavailable, code == http.StatusGatewayTimeout:
+		var e struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%d without a JSON error (%v): %s\ninput: %q", code, err, rec.Body.String(), input)
+		}
+	default:
+		t.Fatalf("status %d: %s\ninput: %q", code, rec.Body.String(), input)
+	}
+	return nil
+}
+
 // fuzzEndpoint drives arbitrary bodies at one POST endpoint of a small
-// world and holds every answer to the boundary's contract: a 200 whose
-// body decodes to at most k rows under key (k as the handler reads it,
-// defK when omitted), or a typed 4xx, 503 or 504 with a JSON error —
-// never a 500, never past the query timeout.
+// world under serveFuzz's contract; a 200's body must decode to at most k
+// rows under key (k as the handler reads it, defK when omitted).
 func fuzzEndpoint(f *testing.F, path, key string, defK int, seeds []string) {
 	s := testServerConfigured(f, soi.Config{QueryTimeout: fuzzQueryTimeout}, Config{})
 	for _, body := range seeds {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		start := time.Now()
-		s.ServeHTTP(rec, req)
-		if took := time.Since(start); took > fuzzQueryTimeout+fuzzSlack {
-			t.Fatalf("%s took %v, query timeout %v\nbody: %q", path, took, fuzzQueryTimeout, body)
+		out := serveFuzz(t, s, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)), body)
+		if out == nil {
+			return
 		}
-		switch code := rec.Code; {
-		case code == http.StatusOK:
-			var resp map[string][]json.RawMessage
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("200 with an undecodable body: %v\n%s\nrequest: %q", err, rec.Body.String(), body)
+		var resp map[string][]json.RawMessage
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("200 with an undecodable body: %v\n%s\nrequest: %q", err, out, body)
+		}
+		// The handler decoded the request with a json.Decoder, so the
+		// same decoder reads the same k.
+		var q struct{ K int }
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&q); err != nil {
+			t.Fatalf("200 for a request the decoder refuses: %v\nrequest: %q", err, body)
+		}
+		if q.K == 0 {
+			q.K = defK
+		}
+		if rows, ok := resp[key]; !ok || len(rows) > q.K {
+			t.Fatalf("200 with %d %s rows (present %v) for k = %d\nrequest: %q", len(rows), key, ok, q.K, body)
+		}
+	})
+}
+
+// fuzzGet drives arbitrary query strings at one GET endpoint of
+// testServer's world (photos included) under serveFuzz's contract; a
+// 200's body must be a JSON object.
+func fuzzGet(f *testing.F, path string, seeds []string) {
+	s := testServerWith(f, soi.Config{QueryTimeout: fuzzQueryTimeout})
+	for _, query := range seeds {
+		f.Add(query)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.URL.RawQuery = query
+		if out := serveFuzz(t, s, req, query); out != nil {
+			var resp map[string]json.RawMessage
+			if err := json.Unmarshal(out, &resp); err != nil {
+				t.Fatalf("200 with an undecodable body: %v\n%s\nquery: %q", err, out, query)
 			}
-			// The handler decoded the request with a json.Decoder, so the
-			// same decoder reads the same k.
-			var q struct{ K int }
-			if err := json.NewDecoder(strings.NewReader(body)).Decode(&q); err != nil {
-				t.Fatalf("200 for a request the decoder refuses: %v\nrequest: %q", err, body)
-			}
-			if q.K == 0 {
-				q.K = defK
-			}
-			if rows, ok := resp[key]; !ok || len(rows) > q.K {
-				t.Fatalf("200 with %d %s rows (present %v) for k = %d\nrequest: %q", len(rows), key, ok, q.K, body)
-			}
-		case code >= 400 && code < 500, code == http.StatusServiceUnavailable, code == http.StatusGatewayTimeout:
-			var e struct{ Error string }
-			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("%d without a JSON error (%v): %s\nrequest: %q", code, err, rec.Body.String(), body)
-			}
-		default:
-			t.Fatalf("status %d: %s\nrequest: %q", code, rec.Body.String(), body)
 		}
 	})
 }
@@ -89,4 +121,31 @@ func FuzzRoutesTopK(f *testing.F) {
 		`{"src":[-1e300,1e300],"dst":[1e300,0],"keywords":["food"],"k":1099511627776,"budget":1e-300}`,
 		`{"src":[0.002,0],"dst":[0.002,0],"keywords":["nosuchword"],"budget":1,"eps":1e300}`,
 	}, badRoutesBodies...))
+}
+
+// FuzzDescribe starts from TestDescribeErrors' requests and the numbers a
+// request controls at their edges: a huge k, λ and w outside [0,1], ρ at
+// 1e-300 and 1e300, ε NaN.
+func FuzzDescribe(f *testing.F) {
+	fuzzGet(f, "/api/describe", []string{
+		"", "street=Ghost+Road&k=2", "street=High+St&k=zzz", "street=High+St&lambda=nope", "street=Side+St&eps=0.00001",
+		"street=High+St&k=2",
+		"street=High+St&k=1099511627776",
+		"street=High+St&lambda=-1&w=2", "street=High+St&lambda=1.5&w=-0.5",
+		"street=High+St&rho=1e-300", "street=High+St&rho=1e300",
+		"street=High+St&eps=NaN",
+	})
+}
+
+// FuzzTour starts from TestTourErrors' requests and the numbers a request
+// controls at their edges: a huge k, a budget of 1e300, ε NaN.
+func FuzzTour(f *testing.F) {
+	fuzzGet(f, "/api/tour", []string{
+		"keywords=shop", "budget=1", "keywords=unicorns&budget=1",
+		"keywords=shop&budget=1&eps=NaN", "keywords=shop&budget=1&eps=Inf", "keywords=shop&budget=1&eps=-Inf",
+		"keywords=shop&budget=NaN", "keywords=shop&budget=Inf", "keywords=shop&budget=-Inf", "keywords=shop&budget=0",
+		"keywords=shop&k=5&budget=1",
+		"keywords=shop&k=1099511627776&budget=1",
+		"keywords=shop&budget=1e300",
+	})
 }
