@@ -44,6 +44,19 @@ func (q Query) Validate() error {
 	return nil
 }
 
+// ErrBadEpsilon is returned, wrapped with the value, for an ε that is not
+// positive and finite.
+var ErrBadEpsilon = errors.New("core: epsilon is not positive and finite")
+
+// CheckEpsilon returns ErrBadEpsilon unless eps is a usable distance
+// threshold, so a caller can refuse a query before it is admitted.
+func CheckEpsilon(eps float64) error {
+	if validEpsilon(eps) {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrBadEpsilon, eps)
+}
+
 // validEpsilon reports whether eps is a usable distance threshold. The
 // test is in the positive form because NaN fails every comparison; a
 // non-finite ε would also leave a plan memo entry no later query can hit.

@@ -16,3 +16,12 @@ func BruteBound(ix *Index, q Query) float64 {
 	b, _ := bruteBound(ix, q)
 	return b
 }
+
+// InterestLimit is the interest memo's cap in entries.
+func (ix *Index) InterestLimit() int { return int(ix.interestLimit()) }
+
+// ResetInterestMemo drops the interest memo as a full one is dropped.
+func (ix *Index) ResetInterestMemo() { ix.resetInterests(ix.interestGen()) }
+
+// RaceEnabled is raceEnabled for tests outside the package.
+const RaceEnabled = raceEnabled

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
@@ -46,9 +47,9 @@ type IndexConfig struct {
 //
 // Read-only contract: an Index is immutable and safe for any number of
 // concurrent readers (SOI, Baseline and the accessor methods; the ε-plan
-// memo guards itself). All per-run mutable state lives in a pooled
-// slabRun, checked out per evaluation. Writes go through internal/ingest,
-// which publishes fresh indexes.
+// and interest memos guard themselves). All per-run mutable state lives
+// in a pooled slabRun, checked out per evaluation. Writes go through
+// internal/ingest, which publishes fresh indexes.
 type Index struct {
 	net  *network.Network
 	pois *poi.Corpus
@@ -70,6 +71,10 @@ type Index struct {
 	plans map[float64]*slabPlan
 
 	pool sync.Pool // *slabRun
+
+	// interests is the memo of exact segment interest that routes and
+	// trajectory SOI read (interestmemo.go); Algorithm 1 never reads it.
+	interests atomic.Pointer[interestGen]
 }
 
 // NewIndex builds the offline index over a network and POI corpus: one

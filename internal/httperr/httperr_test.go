@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -57,6 +58,7 @@ func TestStatusMapping(t *testing.T) {
 		{"panic", &engine.PanicError{Value: "boom"}, false, http.StatusInternalServerError, false},
 		{"wrapped panic", fmt.Errorf("worker: %w", &engine.PanicError{Value: "boom"}), false, http.StatusInternalServerError, false},
 		{"bad query", errors.New("k must be positive"), false, http.StatusBadRequest, false},
+		{"bad epsilon", fmt.Errorf("%w: NaN", core.ErrBadEpsilon), false, http.StatusBadRequest, false},
 		{"statuser 503 retries", &statusErr{http.StatusServiceUnavailable}, false, http.StatusServiceUnavailable, true},
 		{"statuser 400 no retry", &statusErr{http.StatusBadRequest}, false, http.StatusBadRequest, false},
 		{"statuser 504 no retry", &statusErr{http.StatusGatewayTimeout}, false, http.StatusGatewayTimeout, false},

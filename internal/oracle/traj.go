@@ -565,9 +565,11 @@ func DiffTraj(w World, seed int64, opt Options) ([]Divergence, error) {
 				if diverged {
 					continue
 				}
-				got, _, err := traj.TopKRoutes(ctx, g, func(sid network.SegmentID) float64 {
-					return ix.SegmentInterest(sid, set, c.Epsilon)
-				}, tq, traj.SearchOptions{})
+				memo, err := ix.InterestOf(set, c.Epsilon)
+				if err != nil {
+					return nil, err
+				}
+				got, _, err := traj.TopKRoutes(ctx, g, memo.Interest, tq, traj.SearchOptions{})
 				if err != nil {
 					report("routes/topk", rq, fmt.Sprintf("%s: error: %v", c.Label(), err))
 					continue
@@ -585,9 +587,11 @@ func DiffTraj(w World, seed int64, opt Options) ([]Divergence, error) {
 				tq := traj.TrajQuery{Traces: w.Traces, K: c.K, Radius: c.Radius}
 				m := traj.NewMatcher(net, c.Radius)
 				want := TrajTopK(net, pois, w.Traces, tq, set, c.Epsilon)
-				got, _, err := traj.TrajectorySOI(ctx, m, func(sid network.SegmentID) float64 {
-					return ix.SegmentInterest(sid, set, c.Epsilon)
-				}, tq)
+				memo, err := ix.InterestOf(set, c.Epsilon)
+				if err != nil {
+					return nil, err
+				}
+				got, _, err := traj.TrajectorySOI(ctx, m, memo.Interest, tq)
 				if err != nil {
 					report("traj/soi", rq, fmt.Sprintf("r=%g: error: %v", c.Radius, err))
 					continue

@@ -248,6 +248,39 @@ func TestCorridorSegmentsExposed(t *testing.T) {
 	}
 }
 
+// TestInterestMemoExposed: the same trajectory query twice folds its
+// corridor's interests once. traj.interest_memo_misses counts the folds
+// of the first, interest_memo_hits the second's reads, and
+// corridor_segments — interests requested — both; /metrics carries the
+// same numbers and the entries gauge.
+func TestInterestMemoExposed(t *testing.T) {
+	s := testServer(t)
+	const body = `{"traces":[[[0.0002,0.00005],[0.001,-0.00005],[0.0018,0.00005]],[[0.0021,0.001]]],"keywords":["shop"],"k":5,"radius":0.0003}`
+	for i := 0; i < 2; i++ {
+		if rec, resp := post(t, s, "/api/trajectories/soi", body); rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %v", rec.Code, resp)
+		}
+	}
+	_, stats := get(t, s, "/api/stats")
+	section := stats["stats"].(map[string]interface{})["traj"].(map[string]interface{})
+	if c, h, m, r, n := section["corridor_segments"], section["interest_memo_hits"], section["interest_memo_misses"], section["interest_memo_resets"], section["interest_memo_entries"]; c != 4.0 || h != 2.0 || m != 2.0 || r != 0.0 || !(n.(float64) > 0) {
+		t.Fatalf("corridor_segments=%v interest_memo hits=%v misses=%v resets=%v entries=%v, want 4/2/2/0/>0", c, h, m, r, n)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	for _, want := range []string{
+		"# TYPE soi_traj_interest_memo_hits_total counter\nsoi_traj_interest_memo_hits_total 2\n",
+		"# TYPE soi_traj_interest_memo_misses_total counter\nsoi_traj_interest_memo_misses_total 2\n",
+		"# TYPE soi_traj_interest_memo_resets_total counter\nsoi_traj_interest_memo_resets_total 0\n",
+		"# TYPE soi_traj_interest_memo_entries gauge\n",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 // TestRoutePrologueObservesRequestContext: a whole-network budget makes
 // the work before the first expansion the expensive part, and it must
 // answer to the request's context like the rest — a client that is gone

@@ -81,6 +81,10 @@ func (s Snapshot) counterRows() []counterRow {
 		{"traj_vertices_settled", s.Traj.VerticesSettled, false},
 		{"traj_segments_folded", s.Traj.SegmentsFolded, false},
 		{"traj_corridor_segments", s.Traj.CorridorSegments, false},
+		{"traj_interest_memo_hits", s.Traj.InterestMemoHits, false},
+		{"traj_interest_memo_misses", s.Traj.InterestMemoMisses, false},
+		{"traj_interest_memo_resets", s.Traj.InterestMemoResets, false},
+		{"traj_interest_memo_entries", s.Traj.InterestMemoEntries, true},
 		{"traj_trace_points", s.Traj.TracePoints, false},
 		{"traj_matched_points", s.Traj.MatchedPoints, false},
 		{"traj_shed", s.Traj.Shed, false},

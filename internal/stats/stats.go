@@ -238,14 +238,24 @@ type TrajStats struct {
 	// VerticesSettled and SegmentsFolded accumulate the route searches'
 	// work before the first expansion: vertices settled by the two
 	// budget-bounded Dijkstra runs, and budget-feasible segments whose
-	// interest was evaluated. Per query they track the budget ball, not
+	// interest was requested. Per query they track the budget ball, not
 	// the network.
 	VerticesSettled Counter
 	SegmentsFolded  Counter
 	// CorridorSegments accumulates the trajectory-SOI corridors: the
-	// distinct segments each query's traces matched, one interest fold
-	// each. Per query it tracks the trace, not the network.
+	// distinct segments each query's traces matched, one interest
+	// requested each. Per query it tracks the trace, not the network.
 	CorridorSegments Counter
+	// InterestMemoHits and InterestMemoMisses split the interests
+	// requested (SegmentsFolded plus CorridorSegments) between the
+	// epoch's interest memo and actual folds: misses count the folds.
+	// InterestMemoResets counts the times the memo filled and was
+	// dropped; InterestMemoEntries is the entries held by the memo of the
+	// epoch that served the latest route or trajectory request.
+	InterestMemoHits    Counter
+	InterestMemoMisses  Counter
+	InterestMemoResets  Counter
+	InterestMemoEntries Counter
 	// TracePoints and MatchedPoints count trace points examined and
 	// those that snapped to a segment.
 	TracePoints   Counter
@@ -406,6 +416,11 @@ type TrajSnapshot struct {
 	PanicsRecovered  int64 `json:"panics_recovered"`
 	SearchNanos      int64 `json:"search_ns"`
 	MatchNanos       int64 `json:"match_ns"`
+
+	InterestMemoHits    int64 `json:"interest_memo_hits"`
+	InterestMemoMisses  int64 `json:"interest_memo_misses"`
+	InterestMemoResets  int64 `json:"interest_memo_resets"`
+	InterestMemoEntries int64 `json:"interest_memo_entries"`
 }
 
 // Snapshot is a point-in-time copy of every recorder value, safe to
@@ -524,6 +539,11 @@ func (r *Recorder) Snapshot() Snapshot {
 			PanicsRecovered:  r.Traj.PanicsRecovered.Load(),
 			SearchNanos:      r.Traj.SearchNanos.Load(),
 			MatchNanos:       r.Traj.MatchNanos.Load(),
+
+			InterestMemoHits:    r.Traj.InterestMemoHits.Load(),
+			InterestMemoMisses:  r.Traj.InterestMemoMisses.Load(),
+			InterestMemoResets:  r.Traj.InterestMemoResets.Load(),
+			InterestMemoEntries: r.Traj.InterestMemoEntries.Load(),
 		},
 	}
 }

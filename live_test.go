@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -258,5 +259,82 @@ func TestLiveRoutesAndTrajectoriesPinTheirEpoch(t *testing.T) {
 			t.Errorf("%s: %d epochs live after the query returned, want 1", q.site, got)
 		}
 		faults.Deactivate(q.site)
+	}
+}
+
+// TestLiveRoutesAndTrajectoriesFollowPublishes: each epoch starts an
+// empty interest memo, so a live engine answers routes and trajectory
+// SOI as an engine built fresh over its published POIs does — before a
+// publish, with a warm memo, and after it, not from interests the
+// previous epoch memoized.
+func TestLiveRoutesAndTrajectoriesFollowPublishes(t *testing.T) {
+	streets := []StreetInput{
+		{Name: "High St", Polyline: []Point{{0, 0}, {0.001, 0}, {0.002, 0}}},
+		{Name: "Cross St", Polyline: []Point{{0.001, 0}, {0.001, 0.001}, {0.001, 0.002}}},
+		{Name: "Low St", Polyline: []Point{{0, 0.002}, {0.001, 0.002}, {0.002, 0.002}}},
+	}
+	var pois []POIInput
+	for i := 0; i < 6; i++ {
+		pois = append(pois, POIInput{X: 0.0002 * float64(i), Y: 0.0001, Keywords: []string{"shop"}})
+	}
+	added := []POIInput{
+		{X: 0.0015, Y: 0.0001, Keywords: []string{"cafe"}},
+		{X: 0.0011, Y: 0.0012, Keywords: []string{"shop"}},
+		{X: 0.0016, Y: 0.0019, Keywords: []string{"shop", "cafe"}},
+	}
+	rq := RouteQuery{Src: Point{0, 0}, Dst: Point{0.002, 0.002}, Keywords: []string{"shop", "cafe"}, K: 3, Epsilon: 0.0005, Budget: 0.006}
+	tq := TrajectoryQuery{
+		Traces:   [][]Point{{{0, 0}, {0.001, 0}, {0.001, 0.001}, {0.001, 0.002}, {0.002, 0.002}}},
+		Keywords: []string{"shop", "cafe"}, K: 3, Epsilon: 0.0005,
+	}
+	type answer struct {
+		Routes  []RouteResult
+		Streets []CorridorStreet
+	}
+	ask := func(e *Engine) answer {
+		t.Helper()
+		routes, err := e.TopRoutes(rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streets, err := e.TrajectorySOI(tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{routes, streets}
+	}
+	fresh := func(pois []POIInput) answer {
+		t.Helper()
+		e, err := NewEngine(streets, pois, nil, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ask(e)
+	}
+	wantBefore, wantAfter := fresh(pois), fresh(append(append([]POIInput(nil), pois...), added...))
+	if reflect.DeepEqual(wantBefore, wantAfter) {
+		t.Fatal("the added POIs change neither answer; the test cannot tell a stale memo from a fresh one")
+	}
+	eng, err := NewLiveEngine(streets, pois, nil, LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 2; i++ {
+		if got := ask(eng); !reflect.DeepEqual(got, wantBefore) {
+			t.Fatalf("before the publish, pass %d: %+v, fresh engine %+v", i, got, wantBefore)
+		}
+	}
+	if s := eng.StatsSnapshot().Traj; s.InterestMemoHits == 0 || s.InterestMemoMisses == 0 {
+		t.Fatalf("a repeated query was not served from the memo: %+v", s)
+	}
+	if _, err := eng.AddPOIs(added); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ask(eng); !reflect.DeepEqual(got, wantAfter) {
+		t.Fatalf("after the publish: %+v, fresh engine %+v", got, wantAfter)
 	}
 }

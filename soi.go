@@ -260,6 +260,11 @@ var ErrBadSummaryParams = errors.New("soi: invalid summary parameters")
 // it to 400.
 var ErrBadTourBudget = traj.ErrBadBudget
 
+// ErrBadEpsilon is wrapped by the error TopRoutes and TrajectorySOI
+// return for an ε that is not positive and finite, before the query is
+// admitted. Servers map it to 400.
+var ErrBadEpsilon = core.ErrBadEpsilon
+
 // ErrBadWeight is wrapped by the error NewEngine, NewLiveEngine and
 // AddPOIs return for a POI weight that is negative, not finite or above
 // poi.MaxWeight (1e9). Servers map it to 400.

@@ -19,7 +19,9 @@ import (
 // through the gate k-SOI queries queue behind (engine.Executor.Run), so
 // they shed, time out and isolate panics the way k-SOI queries do, and
 // both resolve the serving index per query so live engines answer
-// against the currently published epoch.
+// against the currently published epoch. Both read segment interest
+// through the serving index's interest memo (core.Index.InterestOf), so
+// a segment's interest is folded once per epoch, keyword set and ε.
 
 // RouteQuery asks for the k most interesting walking routes between two
 // free points, which are snapped to their nearest network vertices.
@@ -29,7 +31,8 @@ type RouteQuery struct {
 	Keywords []string
 	// K is the number of routes to return.
 	K int
-	// Epsilon is the segment-interest distance threshold ε.
+	// Epsilon is the segment-interest distance threshold ε; one that is not
+	// positive and finite is refused with ErrBadEpsilon.
 	Epsilon float64
 	// Budget caps the route's total walking length (coordinate units).
 	Budget float64
@@ -60,7 +63,8 @@ type TrajectoryQuery struct {
 	Keywords []string
 	// K is the number of streets to return.
 	K int
-	// Epsilon is the segment-interest distance threshold ε.
+	// Epsilon is the segment-interest distance threshold ε; one that is not
+	// positive and finite is refused with ErrBadEpsilon.
 	Epsilon float64
 	// Radius is the map-matching snap radius; 0 means a default derived
 	// from the network's mean segment length.
@@ -123,6 +127,9 @@ func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 // bounds it, and an overloaded engine sheds with ErrOverloaded.
 func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult, error) {
 	e.rec.Traj.RouteQueries.Add(1)
+	if err := core.CheckEpsilon(q.Epsilon); err != nil {
+		return nil, err
+	}
 	var routes []traj.Route
 	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context, ix *core.Index) (err error) {
 		start := time.Now()
@@ -134,11 +141,14 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult,
 		}
 		dst, _ := g.SnapVertex(geo.Pt(q.Dst.X, q.Dst.Y))
 		set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
+		interests, err := ix.InterestOf(set, q.Epsilon)
+		if err != nil {
+			return err
+		}
 		tq := traj.RouteQuery{Src: src, Dst: dst, K: q.K, Budget: q.Budget, Alpha: q.Alpha}
 		var st traj.SearchStats
-		routes, st, err = traj.TopKRoutes(ctx, g, func(sid network.SegmentID) float64 {
-			return ix.SegmentInterest(sid, set, q.Epsilon)
-		}, tq, traj.SearchOptions{})
+		routes, st, err = traj.TopKRoutes(ctx, g, interests.Interest, tq, traj.SearchOptions{})
+		e.recordInterests(interests)
 		e.rec.Traj.Expansions.Add(int64(st.Expansions))
 		e.rec.Traj.VerticesSettled.Add(int64(st.Settled))
 		e.rec.Traj.SegmentsFolded.Add(int64(st.SegmentsFolded))
@@ -152,6 +162,17 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult,
 		out[i] = toRouteResult(e.net, r)
 	}
 	return out, nil
+}
+
+// recordInterests folds what one request's interest memo reader did into
+// the engine's counters.
+func (e *Engine) recordInterests(m *core.InterestMemo) {
+	c := m.Counts()
+	t := &e.rec.Traj
+	t.InterestMemoHits.Add(int64(c.Hits))
+	t.InterestMemoMisses.Add(int64(c.Misses))
+	t.InterestMemoResets.Add(int64(c.Resets))
+	t.InterestMemoEntries.Store(int64(c.Entries))
 }
 
 func toRouteResult(net *network.Network, r traj.Route) RouteResult {
@@ -181,6 +202,9 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]Cor
 	if len(q.Traces) == 0 {
 		return nil, ErrNoTraces
 	}
+	if err := core.CheckEpsilon(q.Epsilon); err != nil {
+		return nil, err
+	}
 	var res []traj.CorridorResult
 	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context, ix *core.Index) (err error) {
 		start := time.Now()
@@ -201,10 +225,13 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]Cor
 			traces[i] = pts
 		}
 		set, _ := ix.POIs().Dict().LookupAll(q.Keywords)
+		interests, err := ix.InterestOf(set, q.Epsilon)
+		if err != nil {
+			return err
+		}
 		var st traj.MatchStats
-		res, st, err = traj.TrajectorySOI(ctx, e.trajMatcherLazy(radius), func(sid network.SegmentID) float64 {
-			return ix.SegmentInterest(sid, set, q.Epsilon)
-		}, traj.TrajQuery{Traces: traces, K: q.K, Radius: radius})
+		res, st, err = traj.TrajectorySOI(ctx, e.trajMatcherLazy(radius), interests.Interest, traj.TrajQuery{Traces: traces, K: q.K, Radius: radius})
+		e.recordInterests(interests)
 		e.rec.Traj.TracePoints.Add(int64(st.TracePoints))
 		e.rec.Traj.MatchedPoints.Add(int64(st.Matched))
 		e.rec.Traj.CorridorSegments.Add(int64(st.CoveredSegments))

@@ -405,6 +405,38 @@ func TestEngineTourRefusesBadBudget(t *testing.T) {
 	}
 }
 
+// TestEngineTrajRefusesBadEpsilon: routes and trajectory SOI refuse an ε
+// that is not positive and finite with ErrBadEpsilon before they are
+// admitted, so no interest is requested or folded — ε = 0 would rank by
+// NaN interests and a NaN ε would build an ε-plan per fold. A good ε
+// after them is evaluated as usual.
+func TestEngineTrajRefusesBadEpsilon(t *testing.T) {
+	e := trajEngine(t, soi.Config{})
+	rq := soi.RouteQuery{Src: soi.Point{X: 0, Y: 0.001}, Dst: soi.Point{X: 0.002, Y: 0.001}, Keywords: []string{"shop"}, K: 2, Budget: 0.004}
+	tq := soi.TrajectoryQuery{Traces: [][]soi.Point{{{X: 0, Y: 0.001}, {X: 0.002, Y: 0.001}}}, Keywords: []string{"shop"}, K: 3}
+	before := e.StatsSnapshot().Traj
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.0005} {
+		rq.Epsilon, tq.Epsilon = eps, eps
+		if _, err := e.TopRoutes(rq); !errors.Is(err, soi.ErrBadEpsilon) {
+			t.Errorf("routes ε=%v: err = %v, want ErrBadEpsilon", eps, err)
+		}
+		if _, err := e.TrajectorySOI(tq); !errors.Is(err, soi.ErrBadEpsilon) {
+			t.Errorf("trajectory ε=%v: err = %v, want ErrBadEpsilon", eps, err)
+		}
+	}
+	after := e.StatsSnapshot().Traj
+	if after.SegmentsFolded != before.SegmentsFolded || after.CorridorSegments != before.CorridorSegments || after.InterestMemoMisses != before.InterestMemoMisses {
+		t.Fatalf("refused ε requested interests:\nbefore %+v\n after %+v", before, after)
+	}
+	rq.Epsilon, tq.Epsilon = 0.0005, 0.0005
+	if routes, err := e.TopRoutes(rq); err != nil || len(routes) == 0 {
+		t.Fatalf("routes = %v, %v", routes, err)
+	}
+	if streets, err := e.TrajectorySOI(tq); err != nil || len(streets) == 0 {
+		t.Fatalf("trajectory = %v, %v", streets, err)
+	}
+}
+
 // TestEngineOneGateForEveryFamily: routes and k-SOI queries share one
 // admission gate. With one worker and one queue slot, a route parked on
 // its search makes an uncached k-SOI query wait for the slot, a third
