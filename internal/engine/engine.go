@@ -270,20 +270,21 @@ func (e *Executor) DoCtx(ctx context.Context, q core.Query) Result {
 
 // Run admits one query of a family that does not go through Do — a
 // route, trajectory, describe or tour plan — through the gate k-SOI
-// evaluations queue behind, under the same per-query deadline. Once a
+// evaluations queue behind (admit, so it shows in the engine's queue and
+// in-flight gauges), under the same per-query deadline. Once a
 // slot is held it pins the serving epoch, as eval does, and runs fn with
 // the query's context and the epoch's index; the epoch is released only
 // after fn returns. A refused query never runs fn. A panic in fn is
 // isolated into a *PanicError, and the query's terminal error is folded
 // into o, exactly as Do folds a k-SOI query's into the engine group.
-func (e *Executor) Run(ctx context.Context, o *stats.Outcomes, fn func(context.Context, *core.Index) error) (err error) {
+func (e *Executor) Run(ctx context.Context, o *stats.Outcomes[stats.Counter], fn func(context.Context, *core.Index) error) (err error) {
 	defer func() { countOutcome(o, err) }()
 	ctx, cancel := e.withTimeout(ctx)
 	defer cancel()
-	if err := e.gate.Acquire(ctx); err != nil {
+	if err := e.admit(ctx); err != nil {
 		return err
 	}
-	defer e.gate.Release()
+	defer e.leave()
 	_, ix, release := e.acquireEpoch()
 	defer release()
 	defer recovered(o, &err)
@@ -303,7 +304,7 @@ func (e *Executor) withTimeout(ctx context.Context) (context.Context, context.Ca
 // robustness counters: shed (ErrOverloaded), cancelled (context.Canceled)
 // and deadline-exceeded (context.DeadlineExceeded). Called exactly once
 // per query, so the counters account queries, not evaluations.
-func countOutcome(o *stats.Outcomes, err error) {
+func countOutcome(o *stats.Outcomes[stats.Counter], err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrOverloaded):
@@ -319,7 +320,7 @@ func countOutcome(o *stats.Outcomes, err error) {
 // *PanicError counted in o: a crashed query releases its slot (the
 // caller's defer), wakes its dedup joiners with the error, and leaves the
 // process serving.
-func recovered(o *stats.Outcomes, err *error) {
+func recovered(o *stats.Outcomes[stats.Counter], err *error) {
 	if v := recover(); v != nil {
 		o.PanicsRecovered.Add(1)
 		*err = &PanicError{Value: v}
@@ -392,28 +393,41 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 	}
 }
 
-// evaluate runs one SOI evaluation behind the executor's gate, which
-// bounds concurrent evaluations engine-wide, covering Batch workers,
-// direct Do callers (e.g. HTTP handlers) and every query admitted through
-// Run. Admission control happens
-// here: a query that cannot get a slot in time returns without
-// evaluating. The recorder observes queue depth, queue wait, in-flight
-// count, evaluation wall time and the run's pruning counters.
-func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index) ([]core.StreetResult, core.Stats, error) {
-	rec := e.rec
-	depth := rec.Engine.QueueDepth.Add(1)
-	rec.Engine.PeakQueueDepth.SetMax(depth)
+// admit takes a slot in the executor's gate, which bounds concurrent
+// queries engine-wide: Batch workers, direct Do callers (e.g. HTTP
+// handlers) and every query admitted through Run. A query that cannot
+// get a slot in time returns the gate's error and must not run. The
+// recorder observes queue depth, queue wait and in-flight count for
+// queries of every family. A nil error must be paired with leave.
+func (e *Executor) admit(ctx context.Context) error {
+	rec := &e.rec.Engine
+	rec.PeakQueueDepth.SetMax(rec.QueueDepth.Add(1))
 	waitStart := time.Now()
 	err := e.gate.Acquire(ctx)
-	rec.Engine.QueueDepth.Add(-1)
-	rec.Engine.QueueWait.Observe(time.Since(waitStart))
+	rec.QueueDepth.Add(-1)
+	rec.QueueWait.Observe(time.Since(waitStart))
 	if err != nil {
+		return err
+	}
+	rec.PeakInFlight.SetMax(rec.InFlight.Add(1))
+	return nil
+}
+
+// leave gives back the slot admit took.
+func (e *Executor) leave() {
+	e.rec.Engine.InFlight.Add(-1)
+	e.gate.Release()
+}
+
+// evaluate runs one SOI evaluation behind the executor's gate (admit).
+// The recorder observes evaluation wall time and the run's pruning
+// counters.
+func (e *Executor) evaluate(ctx context.Context, q core.Query, ix *core.Index) ([]core.StreetResult, core.Stats, error) {
+	if err := e.admit(ctx); err != nil {
 		return nil, core.Stats{}, err
 	}
-	defer e.gate.Release()
-	inFlight := rec.Engine.InFlight.Add(1)
-	rec.Engine.PeakInFlight.SetMax(inFlight)
-	defer rec.Engine.InFlight.Add(-1)
+	defer e.leave()
+	rec := e.rec
 	start := time.Now()
 	streets, st, err := e.run(ctx, q, ix)
 	elapsed := time.Since(start)

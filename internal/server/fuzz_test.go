@@ -149,3 +149,64 @@ func FuzzTour(f *testing.F) {
 		"keywords=shop&budget=1e300",
 	})
 }
+
+// FuzzStreets starts from the /api/streets requests the error tests and
+// the traced tests send, and the numbers a request controls at their
+// edges: a huge or non-numeric k, ε negative, NaN, past the halo.
+func FuzzStreets(f *testing.F) {
+	fuzzGet(f, "/api/streets", []string{
+		"", "keywords=shop&k=5", "keywords=shop,food&k=5&eps=0.0005&trace=1",
+		"keywords=shop&k=0", "keywords=shop&k=abc", "keywords=unicorns",
+		"keywords=shop&k=5&eps=0.5", "keywords=shop&k=5&eps=-0.1",
+		"keywords=shop&k=1099511627776", "keywords=shop&eps=NaN", "keywords=shop&eps=1e-300",
+		"keywords=shop,food&k=5&eps=0.0005&partial=1",
+	})
+}
+
+// FuzzStreetsBatch drives arbitrary bodies at /api/streets/batch under
+// serveFuzz's contract. A 200 carries one results entry per query the
+// decoder reads, each either an error or at most k streets (k as the
+// handler defaults it).
+func FuzzStreetsBatch(f *testing.F) {
+	s := testServerConfigured(f, soi.Config{QueryTimeout: fuzzQueryTimeout}, Config{})
+	for _, body := range []string{
+		`{"queries":[{"keywords":["shop"],"k":2,"eps":0.0005},{"keywords":["shop"],"k":7,"eps":0.0005}]}`,
+		`{"queries":[{"keywords":["shop"],"k":5},{"keywords":["unicorns"],"k":5},{"k":5}]}`,
+		`{"queries":[{"keywords":["shop","food"],"k":1099511627776,"eps":1e-300}]}`,
+		`{"queries":[{"keywords":["food"],"k":-1,"eps":1e300},{"keywords":["shop"],"eps":-0.1}]}`,
+		`{"queries":[`, `hello`, `{}`, `{"queries":[]}`, `{"queries":null}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		out := serveFuzz(t, s, httptest.NewRequest(http.MethodPost, "/api/streets/batch", strings.NewReader(body)), body)
+		if out == nil {
+			return
+		}
+		var resp struct {
+			Results []struct {
+				Streets []json.RawMessage
+				Error   string
+			}
+		}
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("200 with an undecodable body: %v\n%s\nrequest: %q", err, out, body)
+		}
+		var req struct{ Queries []struct{ K int } }
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a request the decoder refuses: %v\nrequest: %q", err, body)
+		}
+		if len(resp.Results) != len(req.Queries) {
+			t.Fatalf("200 with %d results for %d queries\nrequest: %q", len(resp.Results), len(req.Queries), body)
+		}
+		for i, r := range resp.Results {
+			k := req.Queries[i].K
+			if k == 0 {
+				k = 10
+			}
+			if r.Error == "" && (r.Streets == nil || len(r.Streets) > k) {
+				t.Fatalf("result %d: %d streets (null %v) for k = %d\nrequest: %q", i, len(r.Streets), r.Streets == nil, k, body)
+			}
+		}
+	})
+}

@@ -216,6 +216,65 @@ func TestEngineTrajShedsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestEngineTrajGateGauges: routes and trajectories wait in and hold the
+// one gate the k-SOI queries do, so the engine's queue and in-flight
+// gauges describe them too. A route parked behind a trajectory query
+// holding the only worker is queue depth 1; admitted, it is in flight 1.
+func TestEngineTrajGateGauges(t *testing.T) {
+	defer faults.Reset()
+	e := trajEngine(t, soi.Config{Workers: 1, QueueDepth: 1})
+	gauges := func() (depth, inFlight int64) {
+		s := e.StatsSnapshot().Engine
+		return s.QueueDepth, s.InFlight
+	}
+	matchBlock, searchBlock := make(chan struct{}), make(chan struct{})
+	faults.Activate("traj.match", faults.Fault{Block: matchBlock, Times: 1})
+	faults.Activate("traj.search", faults.Fault{Block: searchBlock, Times: 1})
+
+	trajDone := make(chan error, 1)
+	go func() {
+		_, err := e.TrajectorySOI(soi.TrajectoryQuery{
+			Traces:   [][]soi.Point{{{X: 0.0001, Y: 0.00101}, {X: 0.001, Y: 0.00099}}},
+			Keywords: []string{"shop"}, K: 5, Epsilon: 0.0005, Radius: 0.0003,
+		})
+		trajDone <- err
+	}()
+	waitFor(t, func() bool { return faults.Visits("traj.match") >= 1 })
+	if d, f := gauges(); d != 0 || f != 1 {
+		t.Fatalf("trajectory holding the slot: queue_depth %d in_flight %d, want 0 1", d, f)
+	}
+
+	routeDone := make(chan error, 1)
+	go func() {
+		_, err := e.TopRoutes(soi.RouteQuery{
+			Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
+			Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
+		})
+		routeDone <- err
+	}()
+	waitFor(t, func() bool { d, _ := gauges(); return d == 1 })
+
+	close(matchBlock)
+	if err := <-trajDone; err != nil {
+		t.Fatalf("trajectory: %v", err)
+	}
+	waitFor(t, func() bool { return faults.Visits("traj.search") >= 1 })
+	if d, f := gauges(); d != 0 || f != 1 {
+		t.Fatalf("route admitted: queue_depth %d in_flight %d, want 0 1", d, f)
+	}
+	close(searchBlock)
+	if err := <-routeDone; err != nil {
+		t.Fatalf("route: %v", err)
+	}
+	s := e.StatsSnapshot().Engine
+	if s.QueueDepth != 0 || s.InFlight != 0 || s.PeakQueueDepth != 1 || s.PeakInFlight != 1 || s.QueueWait.Count != 2 {
+		t.Fatalf("after both queries: %+v", s)
+	}
+	if s.Evaluations != 0 || s.QueryLatency.Count != 0 {
+		t.Fatalf("routes counted as k-SOI evaluations: evaluations %d, query_latency count %d", s.Evaluations, s.QueryLatency.Count)
+	}
+}
+
 // TestEngineTrajCancelledNeverRuns: a query whose context is already
 // cancelled is refused at the gate every time, free slots or not.
 func TestEngineTrajCancelledNeverRuns(t *testing.T) {
