@@ -302,18 +302,16 @@ func BenchmarkDescribeVisual(b *testing.B) {
 	}
 }
 
-// BenchmarkDescribeWarm times a describe the engine answers from its
-// context memo: the photo street of Berlin at scale 0.1 through
-// Engine.DescribeStreet with (k, λ, w) cycling over the benchmark's grid
-// at fixed ε and ρ, so every iteration after the first touch runs
-// Algorithm 2's greedy loop and nothing else. CI runs it for one
-// iteration to print allocations per describe.
+// BenchmarkDescribeWarm times describes of the photo street of Berlin at
+// scale 0.1 through Engine.DescribeStreet at fixed ε and ρ, after the
+// street's first touch built its context. /answer cycles (k, λ, w) over
+// the benchmark's 45-point grid, so every iteration after the first round
+// is answered from the summary memo. /context moves λ by a hair on every
+// iteration, so each is a (k, λ, w) the engine has never seen: Algorithm
+// 2's greedy loop runs over the memoised context and nothing else. CI
+// runs both for one iteration to print allocations per describe.
 func BenchmarkDescribeWarm(b *testing.B) {
 	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := NewEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,14 +324,37 @@ func BenchmarkDescribeWarm(b *testing.B) {
 		}
 	}
 	street := ds.Truth.PhotoStreet
-	if _, err := eng.DescribeStreet(street, grid[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.DescribeStreet(street, grid[i%len(grid)]); err != nil {
+	warm := func(b *testing.B) *Engine {
+		eng, err := NewEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := eng.DescribeStreet(street, grid[0]); err != nil {
+			b.Fatal(err)
+		}
+		return eng
 	}
+	run := func(b *testing.B, eng *Engine, params func(i int) SummaryParams) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.DescribeStreet(street, params(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("answer", func(b *testing.B) {
+		run(b, warm(b), func(i int) SummaryParams { return grid[i%len(grid)] })
+	})
+	// One engine and one count across every b.N the harness tries, so no
+	// key ever repeats.
+	eng, n := warm(b), 0
+	b.Run("context", func(b *testing.B) {
+		run(b, eng, func(int) SummaryParams {
+			n++
+			p := grid[n%len(grid)]
+			p.Lambda += 1e-9 * float64(n)
+			return p
+		})
+	})
 }

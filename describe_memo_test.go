@@ -1,12 +1,15 @@
 package soi
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/oracle"
 )
 
@@ -47,9 +50,10 @@ func sameSummary(a Summary, aErr error, b Summary, bErr error) bool {
 // the oracle matrix worlds of seeds 0..3, under the whole 90-point (k, λ,
 // w, ρ) grid, an engine that has served the street before — so answers
 // from its memoised context — returns what an engine that has never seen
-// the street returns. The fresh side is a new engine per grid point, so
-// every one of its describes is a first touch; the counters check that
-// each side really took the path it stands for.
+// the street returns, and so does its second describe of the same grid
+// point, answered from its summary memo. The fresh side is a new engine
+// per grid point, so every one of its describes is a first touch; the
+// counters check that each side really took the path it stands for.
 func TestDescribeMemoMatchesFreshEngine(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, cfg := range oracle.MatrixConfigs(seed, false) {
@@ -74,6 +78,7 @@ func TestDescribeMemoMatchesFreshEngine(t *testing.T) {
 				for _, st := range net.Streets() {
 					got, gotErr := warm.DescribeStreet(st.Name, p)
 					want, wantErr := fresh.DescribeStreet(st.Name, p)
+					hit, hitErr := warm.DescribeStreet(st.Name, p)
 					if gotErr == nil {
 						described++
 					}
@@ -81,12 +86,24 @@ func TestDescribeMemoMatchesFreshEngine(t *testing.T) {
 						t.Fatalf("%s street %q %+v:\n warm %+v, %v\nfresh %+v, %v",
 							cfg.Label(), st.Name, p, got, gotErr, want, wantErr)
 					}
+					if !sameSummary(hit, hitErr, want, wantErr) {
+						t.Fatalf("%s street %q %+v:\n  hit %+v, %v\nfresh %+v, %v",
+							cfg.Label(), st.Name, p, hit, hitErr, want, wantErr)
+					}
 				}
-				if d := fresh.StatsSnapshot().Diversify; d.ContextMemoHits != 0 {
-					t.Fatalf("%s: the fresh engine answered %d describes from its memo", cfg.Label(), d.ContextMemoHits)
+				if d := fresh.StatsSnapshot().Diversify; d.ContextMemoHits != 0 || d.SummaryMemoHits != 0 {
+					t.Fatalf("%s: the fresh engine answered %d describes from its context memo, %d from its summary memo",
+						cfg.Label(), d.ContextMemoHits, d.SummaryMemoHits)
 				}
 			})
 			d := warm.StatsSnapshot().Diversify
+			if d.SummaryMemoHits != int64(described) || d.SummaryMemoMisses != int64(described) {
+				t.Errorf("%s: summary memo hits = %d, misses = %d, want %d each", cfg.Label(),
+					d.SummaryMemoHits, d.SummaryMemoMisses, described)
+			}
+			if d.SummaryMemoPhotos != warm.summaries.Weight() {
+				t.Errorf("%s: summary photos gauge = %d, memo holds %d", cfg.Label(), d.SummaryMemoPhotos, warm.summaries.Weight())
+			}
 			// A street's first describe per ρ builds, every later one hits.
 			if wantHits := int64(described - described/len(memoGridK)/len(memoGridLambda)/len(memoGridW)); d.ContextMemoHits != wantHits {
 				t.Errorf("%s: warm engine memo hits = %d, want %d of %d describes", cfg.Label(), d.ContextMemoHits, wantHits, described)
@@ -103,10 +120,13 @@ func TestDescribeMemoMatchesFreshEngine(t *testing.T) {
 // describing one street under varying (k, λ, w) — all sharing one
 // memoised context — while a ninth walks distinct (ε, ρ) pairs until their
 // pools exceed the memo's budget several times over, evicting the shared
-// context again and again. Every answer must equal the single-threaded
-// one, and the memo must end within its budget with the gauge agreeing.
+// context again and again. The summary memo gets no budget, so every
+// describe reaches the context. Every answer must equal the
+// single-threaded one, and the memo must end within its budget with the
+// gauge agreeing.
 func TestDescribeMemoConcurrentEviction(t *testing.T) {
 	eng := fixtureEngine(t)
+	eng.summaries = engine.NewLRU[summaryKey, Summary](0)
 	var grid []SummaryParams
 	for _, k := range []int{2, 3, 5} {
 		for _, l := range []float64{0.2, 0.5, 0.8} {
@@ -180,7 +200,8 @@ func TestDescribeMemoIsPerEngine(t *testing.T) {
 	a, b := fixtureEngine(t), fixtureEngine(t)
 	p := SummaryParams{K: 3}
 	for i := 0; i < 3; i++ {
-		if _, err := a.DescribeStreet("High St", p); err != nil {
+		// k varies, so the summary memo answers none of the three.
+		if _, err := a.DescribeStreet("High St", SummaryParams{K: 3 + i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,11 +231,155 @@ func TestDescribeMemoIsPerEngine(t *testing.T) {
 	}
 }
 
+// TestSummaryMemoAnswerIsOwned: the caller owns the Summary it gets. A
+// miss and two hits are each mutated every way a caller can — a field,
+// a tag in place, an append to one tag list, a row removed — and the
+// next describe still equals an untouched engine's answer.
+func TestSummaryMemoAnswerIsOwned(t *testing.T) {
+	p := SummaryParams{K: 4}
+	want, err := fixtureEngine(t).DescribeStreet("High St", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Photos) < 3 || len(want.Photos[0].Tags) == 0 {
+		t.Fatalf("the fixture's answer is too small to mutate: %+v", want)
+	}
+	eng := fixtureEngine(t)
+	for i := 0; i < 3; i++ {
+		got, err := eng.DescribeStreet("High St", p)
+		if !sameSummary(got, err, want, nil) {
+			t.Fatalf("describe %d: got %+v, %v; want %+v", i, got, err, want)
+		}
+		second := slices.Clone(got.Photos[1].Tags)
+		got.Objective = -1
+		got.Photos[0].X = -1
+		got.Photos[0].Tags[0] = "mutated"
+		got.Photos[0].Tags = append(got.Photos[0].Tags, "appended")
+		if !reflect.DeepEqual(got.Photos[1].Tags, second) {
+			t.Fatalf("describe %d: appending to one photo's tags changed the next photo's to %q", i, got.Photos[1].Tags)
+		}
+		got.Photos = append(got.Photos[:1], got.Photos[2:]...)
+	}
+	if d := eng.StatsSnapshot().Diversify; d.SummaryMemoMisses != 1 || d.SummaryMemoHits != 2 {
+		t.Fatalf("%d misses, %d hits, want 1 and 2", d.SummaryMemoMisses, d.SummaryMemoHits)
+	}
+}
+
+// TestSummaryMemoRemembersNoRefusal: a describe that is refused — bad
+// parameters, an unknown street, a street without photos, a context that
+// ended before admission — leaves the summary memo and its counters as
+// they were, asked twice so that a remembered refusal would show as a
+// hit.
+func TestSummaryMemoRemembersNoRefusal(t *testing.T) {
+	eng := fixtureEngine(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	type refusal struct {
+		ctx    context.Context
+		street string
+		p      SummaryParams
+		want   error
+	}
+	bg := context.Background()
+	cases := []refusal{
+		{bg, "Ghost Road", SummaryParams{K: 3}, ErrUnknownStreet},
+		{bg, "Quiet St", SummaryParams{K: 3, Epsilon: 0.0001}, ErrNoPhotos},
+		{cancelled, "High St", SummaryParams{K: 3}, context.Canceled},
+	}
+	for _, p := range []SummaryParams{
+		{K: 0}, {K: -1},
+		{K: 3, Lambda: nan}, {K: 3, Lambda: inf}, {K: 3, Lambda: -inf}, {K: 3, Lambda: -0.1}, {K: 3, Lambda: 1.5},
+		{K: 3, W: nan}, {K: 3, W: -inf}, {K: 3, W: 2},
+		{K: 3, Rho: nan}, {K: 3, Rho: inf}, {K: 3, Rho: -0.0001},
+		{K: 3, Epsilon: nan}, {K: 3, Epsilon: inf}, {K: 3, Epsilon: -inf}, {K: 3, Epsilon: -1},
+	} {
+		cases = append(cases, refusal{bg, "High St", p, ErrBadSummaryParams})
+	}
+	for _, c := range cases {
+		for i := 0; i < 2; i++ {
+			if _, err := eng.DescribeStreetCtx(c.ctx, c.street, c.p); !errors.Is(err, c.want) {
+				t.Fatalf("%q %+v: err = %v, want %v", c.street, c.p, err, c.want)
+			}
+		}
+	}
+	d := eng.StatsSnapshot().Diversify
+	if n := eng.summaries.Len(); n != 0 || d.SummaryMemoHits != 0 || d.SummaryMemoMisses != 0 ||
+		d.SummaryMemoEvictions != 0 || d.SummaryMemoPhotos != 0 {
+		t.Fatalf("refusals reached the summary memo: %d answers held, counters %d/%d/%d/%d", n,
+			d.SummaryMemoHits, d.SummaryMemoMisses, d.SummaryMemoEvictions, d.SummaryMemoPhotos)
+	}
+}
+
+// TestSummaryMemoConcurrentEviction runs, under -race, eight goroutines
+// describing one street over eighteen (k, λ, w) whose answers hold 60
+// photos between them, on an engine whose summary memo keeps 24: hits,
+// misses and evictions interleave on every key. Every answer must equal
+// the single-threaded one, the memo must never hold more than its budget,
+// and the gauge must agree with it at the end.
+func TestSummaryMemoConcurrentEviction(t *testing.T) {
+	const budget = 24
+	var grid []SummaryParams
+	for _, k := range []int{2, 3, 5} {
+		for _, l := range []float64{0.2, 0.5, 0.8} {
+			for _, w := range []float64{0.3, 0.7} {
+				grid = append(grid, SummaryParams{K: k, Lambda: l, W: w})
+			}
+		}
+	}
+	want := make([]Summary, len(grid))
+	ref := fixtureEngine(t)
+	for i, p := range grid {
+		var err error
+		if want[i], err = ref.DescribeStreet("High St", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := fixtureEngine(t)
+	eng.summaries = engine.NewLRU[summaryKey, Summary](budget)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i := range grid {
+					j := (i*(g+1) + round) % len(grid)
+					for rep := 0; rep < 2; rep++ {
+						got, err := eng.DescribeStreet("High St", grid[j])
+						if !sameSummary(got, err, want[j], nil) {
+							t.Errorf("goroutine %d %+v: got %+v, %v; want %+v", g, grid[j], got, err, want[j])
+							return
+						}
+						if held := eng.summaries.Weight(); held > budget {
+							t.Errorf("goroutine %d: summary memo holds %d photos, budget %d", g, held, budget)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	d := eng.StatsSnapshot().Diversify
+	if d.SummaryMemoHits == 0 || d.SummaryMemoEvictions == 0 {
+		t.Errorf("hits = %d, evictions = %d: the memo was not exercised both ways", d.SummaryMemoHits, d.SummaryMemoEvictions)
+	}
+	if held := eng.summaries.Weight(); held > budget || d.SummaryMemoPhotos != held {
+		t.Errorf("summary memo holds %d photos (budget %d), gauge says %d", held, budget, d.SummaryMemoPhotos)
+	}
+}
+
 // TestWarmDescribeAllocations is the ceiling on what a describe served
-// from the memo allocates: the greedy loop's working arrays and the
-// summary it returns — nothing that grows with the number of greedy
-// iterations, and none of what building a context costs (≈ 280
-// allocations on a 73-photo pool).
+// from the context memo allocates: the greedy loop's working arrays, the
+// summary it returns and the copy the summary memo keeps — nothing that
+// grows with the number of greedy iterations, and none of what building a
+// context costs (≈ 280 allocations on a 73-photo pool). λ moves by a hair
+// on every describe, so the summary memo answers none of them. A second
+// ceiling holds a describe the summary memo answers to the copy it hands
+// out.
 func TestWarmDescribeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -225,19 +390,34 @@ func TestWarmDescribeAllocations(t *testing.T) {
 		if _, err := eng.DescribeStreet("High St", p); err != nil {
 			t.Fatal(err)
 		}
+		n := 0
 		allocs := testing.AllocsPerRun(50, func() {
+			n++
+			q := p
+			q.Lambda += 1e-9 * float64(n)
+			if _, err := eng.DescribeStreet("High St", q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Six working arrays, the gate's release, the summary's rows and
+		// its one tag array, then the summary memo's copy (the same two)
+		// and its list entry: 12 for either k today. One more per
+		// selected photo, or three per greedy iteration — a fresh bounds
+		// slice and sort.Slice's closure and swapper — do not fit.
+		if ceiling := 13.0; allocs > ceiling {
+			t.Errorf("k=%d: a warm describe makes %.0f allocations, ceiling %.0f", k, allocs, ceiling)
+		}
+		t.Logf("k=%d: %.0f allocations per warm describe", k, allocs)
+
+		hit := testing.AllocsPerRun(50, func() {
 			if _, err := eng.DescribeStreet("High St", p); err != nil {
 				t.Fatal(err)
 			}
 		})
-		// Six working arrays, the gate's release, the summary's photo slice
-		// as it doubles and one tag-name slice per selected photo: 9 + k
-		// and 11 + k today. Three more per greedy iteration — a fresh
-		// bounds slice and sort.Slice's closure and swapper, 16 and 40
-		// in all — do not fit.
-		if ceiling := float64(12 + k); allocs > ceiling {
-			t.Errorf("k=%d: a warm describe makes %.0f allocations, ceiling %.0f", k, allocs, ceiling)
+		// The copy handed out: its photos and one array of all their tags.
+		if ceiling := 2.0; hit > ceiling {
+			t.Errorf("k=%d: a describe the summary memo answers makes %.0f allocations, ceiling %.0f", k, hit, ceiling)
 		}
-		t.Logf("k=%d: %.0f allocations per warm describe", k, allocs)
+		t.Logf("k=%d: %.0f allocations per summary-memo hit", k, hit)
 	}
 }

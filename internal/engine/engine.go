@@ -94,9 +94,10 @@ type Config struct {
 	// MaxQueueWait bounds how long an admitted query may wait for a
 	// worker slot before being shed with ErrOverloaded. 0 means no bound.
 	MaxQueueWait time.Duration
-	// QueryTimeout is the per-query deadline applied to every Do, Batch
-	// and Run query on top of the caller's context. 0 means no engine-level
-	// deadline; a caller deadline that is earlier always wins.
+	// QueryTimeout is the per-query deadline applied on top of the
+	// caller's context to every Run query and to every Do and Batch query
+	// the result cache does not answer. 0 means no engine-level deadline;
+	// a caller deadline that is earlier always wins.
 	QueryTimeout time.Duration
 	// Recorder receives the cumulative observability counters and latency
 	// histograms: cache traffic, worker-pool pressure, admission outcomes,
@@ -251,9 +252,9 @@ func (e *Executor) Do(q core.Query) Result {
 
 // DoCtx is Do under a context: the query observes cancellation at the
 // engine's queue, at dedup joins and at the algorithm's cooperative
-// checkpoints, and the executor's QueryTimeout (if any) is applied on
-// top of the caller's deadline. The outcome is classified into the
-// shed/cancelled/deadline-exceeded counters.
+// checkpoints, and on a cache miss the executor's QueryTimeout (if any)
+// is applied on top of the caller's deadline. The outcome is classified
+// into the shed/cancelled/deadline-exceeded counters.
 func (e *Executor) DoCtx(ctx context.Context, q core.Query) Result {
 	e.rec.Engine.Queries.Add(1)
 	if err := q.Validate(); err != nil {
@@ -261,8 +262,6 @@ func (e *Executor) DoCtx(ctx context.Context, q core.Query) Result {
 		// recompute than a cache slot.
 		return Result{Err: err}
 	}
-	ctx, cancel := e.withTimeout(ctx)
-	defer cancel()
 	res := e.eval(ctx, q)
 	countOutcome(&e.rec.Engine.Outcomes, res.Err)
 	return res
@@ -333,7 +332,9 @@ func isContextErr(err error) bool {
 }
 
 // eval runs one validated query through the cache, the in-flight table
-// and the bounded evaluation pool. Dedup joins are context-aware: a
+// and the bounded evaluation pool. A cache hit answers at once; the first
+// miss arms the per-query deadline (withTimeout), which the dedup wait
+// and the evaluation then run under. Dedup joins are context-aware: a
 // joiner abandons the wait when its own context ends, and a joiner whose
 // leader was cancelled (a failure of the leader's context, not the
 // joiner's) retries the evaluation itself instead of inheriting an error
@@ -342,6 +343,12 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 	seq, ix, release := e.acquireEpoch()
 	defer release()
 	key := queryKey(q, seq)
+	var cancel context.CancelFunc
+	defer func() {
+		if cancel != nil {
+			cancel()
+		}
+	}()
 	for {
 		if e.cache != nil {
 			if ce, ok := e.cache.Get(key); ok {
@@ -351,6 +358,9 @@ func (e *Executor) eval(ctx context.Context, q core.Query) Result {
 				return res
 			}
 			e.rec.Engine.ResultCacheMisses.Add(1)
+		}
+		if cancel == nil {
+			ctx, cancel = e.withTimeout(ctx)
 		}
 		e.flightMu.Lock()
 		if f, ok := e.flight[key]; ok {
@@ -461,11 +471,11 @@ func (e *Executor) Batch(qs []core.Query) []Result {
 	return e.BatchCtx(context.Background(), qs)
 }
 
-// BatchCtx is Batch under a context: every group evaluation runs with
-// the engine's QueryTimeout layered onto the caller's context, and a
-// cancelled context fails the not-yet-evaluated remainder of the batch
-// promptly (each entry independently, mirroring Batch's per-query error
-// semantics).
+// BatchCtx is Batch under a context: every group the cache does not
+// answer runs with the engine's QueryTimeout layered onto the caller's
+// context, and a cancelled context fails the not-yet-evaluated remainder
+// of the batch promptly (each entry independently, mirroring Batch's
+// per-query error semantics).
 func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 	out := make([]Result, len(qs))
 	type group struct {
@@ -510,7 +520,7 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 					return
 				}
 				g := groups[order[gi]]
-				res := e.groupEval(ctx, g.rep)
+				res := e.eval(ctx, g.rep)
 				for _, i := range g.members {
 					out[i] = prefix(res, qs[i].K)
 					countOutcome(&e.rec.Engine.Outcomes, out[i].Err)
@@ -520,14 +530,6 @@ func (e *Executor) BatchCtx(ctx context.Context, qs []core.Query) []Result {
 	}
 	wg.Wait()
 	return out
-}
-
-// groupEval evaluates one coalesced batch group with the per-query
-// deadline applied per evaluation, not per batch.
-func (e *Executor) groupEval(ctx context.Context, q core.Query) Result {
-	ctx, cancel := e.withTimeout(ctx)
-	defer cancel()
-	return e.eval(ctx, q)
 }
 
 // prefix derives a smaller-k result from a shared evaluation at a larger

@@ -79,6 +79,56 @@ func TestQueryTimeoutCutsLongEvaluation(t *testing.T) {
 	}
 }
 
+// TestCacheHitArmsNoDeadline: the per-query deadline is armed only after
+// the result cache misses. A hit under a QueryTimeout and a cancellable
+// parent context registers no timer context on the parent — four
+// allocations per hit — and a miss that joins an in-flight evaluation
+// still waits under the deadline.
+func TestCacheHitArmsNoDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	e := New(buildIndex(t), Config{QueryTimeout: timeout})
+	q := robustQuery(3)
+	if res := e.Do(q); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if !raceEnabled {
+		allocs := testing.AllocsPerRun(100, func() {
+			if res := e.DoCtx(parent, q); res.Err != nil || !res.Cached {
+				t.Fatalf("hit: cached %v, err %v", res.Cached, res.Err)
+			}
+		})
+		// Building the cache key: the keyword slice, ε's text and the
+		// builder as it grows. The timer context does not fit.
+		if ceiling := 5.0; allocs > ceiling {
+			t.Errorf("a cache hit makes %.0f allocations, ceiling %.0f", allocs, ceiling)
+		}
+		t.Logf("%.0f allocations per cache hit", allocs)
+	}
+
+	// A leader that never finishes: the joiner must give up at its own
+	// deadline, not wait for the leader.
+	jq := robustQuery(4)
+	e.flightMu.Lock()
+	e.flight[queryKey(jq, 0)] = &flight{done: make(chan struct{})}
+	e.flightMu.Unlock()
+	start := time.Now()
+	done := make(chan Result, 1)
+	go func() { done <- e.DoCtx(parent, jq) }()
+	select {
+	case res := <-done:
+		if !errors.Is(res.Err, context.DeadlineExceeded) {
+			t.Fatalf("joined miss: err = %v, want context.DeadlineExceeded", res.Err)
+		}
+		if took := time.Since(start); took < timeout {
+			t.Fatalf("joined miss gave up after %v, before its %v deadline", took, timeout)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a joined miss waited past its deadline for a wedged leader")
+	}
+}
+
 // TestCancellationObservedAtCheckpoint: cancelling the caller's context
 // while the evaluation is parked inside the filter loop must return
 // context.Canceled with bounded latency and bump the cancelled counter.

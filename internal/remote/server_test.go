@@ -23,7 +23,7 @@ import (
 )
 
 // testWorld builds a deterministic partitioned world for remote tests.
-func testWorld(t *testing.T, tiles int, seed int64) *shard.World {
+func testWorld(t testing.TB, tiles int, seed int64) *shard.World {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Tiny(seed))
 	if err != nil {

@@ -210,3 +210,57 @@ func FuzzStreetsBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPOIs drives arbitrary bodies at POST /api/pois under serveFuzz's
+// contract, each on a fresh -live server so that accepted writes cannot
+// pile up across inputs. A refused body appends nothing and leaves the
+// serving epoch where it was; a 200 reports as many POIs as the decoder
+// reads and an epoch that moved exactly when the body asked to publish.
+func FuzzPOIs(f *testing.F) {
+	for _, body := range []string{
+		`{"x":0.0004,"y":0.0051,"keywords":["museum"]}`,
+		`{"pois":[{"x":0.0004,"y":0.0051,"keywords":["museum"]},{"x":0.0008,"y":0.0049,"keywords":["museum","shop"],"weight":2}],"publish":true}`,
+		`{"x":0.0012,"y":0.005,"keywords":["museum"],"publish":true}`,
+		`{}`, `{"pois":[]}`, `{"pois":`, `{"pois":[{"x":1,"y":1}]}`, `{"pois":null,"keywords":["shop"]}`,
+		`{"x":1e9,"y":1e9,"keywords":["shop"]}`, `{"x":-1e300,"y":1e300,"keywords":["shop"],"publish":true}`,
+		`{"x":20,"y":-20,"keywords":["shop"],"publish":true}`,
+		`{"x":0,"y":0,"keywords":["shop"],"weight":1e308}`, `{"x":0,"y":0,"keywords":["shop"],"weight":-0.5}`,
+		`{"x":0,"y":0,"keywords":[""," ","SHOP"],"weight":1e9,"publish":true}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		s := testLiveServer(t, soi.LiveConfig{Config: soi.Config{QueryTimeout: fuzzQueryTimeout}})
+		before := s.engine.Epoch()
+		out := serveFuzz(t, s, httptest.NewRequest(http.MethodPost, "/api/pois", strings.NewReader(body)), body)
+		_, published, pending := s.engine.IngestCounts()
+		if out == nil {
+			if epoch := s.engine.Epoch(); epoch != before || published != 0 || pending != 0 {
+				t.Fatalf("a refused body moved the epoch %d → %d with %d published and %d pending deltas\nrequest: %q",
+					before, epoch, published, pending, body)
+			}
+			return
+		}
+		var resp poisResponse
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("200 with an undecodable body: %v\n%s\nrequest: %q", err, out, body)
+		}
+		var req poisRequest
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a request the decoder refuses: %v\nrequest: %q", err, body)
+		}
+		added := len(req.POIs)
+		if added == 0 {
+			added = 1 // the inline POI
+		}
+		epoch := before
+		if req.Publish {
+			epoch++
+		}
+		if resp.Added != added || resp.Published != req.Publish || resp.Epoch != epoch || s.engine.Epoch() != epoch ||
+			resp.Pending != pending || published+pending != added {
+			t.Fatalf("200 %+v with %d published and %d pending, epoch %d; want %d added, epoch %d\nrequest: %q",
+				resp, published, pending, s.engine.Epoch(), added, epoch, body)
+		}
+	})
+}

@@ -193,6 +193,15 @@ type DiversifyGroup[C any] struct {
 	ContextMemoMisses    C `json:"context_memo_misses"`
 	ContextMemoEvictions C `json:"context_memo_evictions"`
 	ContextMemoPhotos    C `json:"context_memo_photos" metric:"gauge"`
+	// SummaryMemoHits counts describe requests answered from the engine's
+	// memo of finished answers, keyed by (street, ε, ρ, k, λ, w), and
+	// SummaryMemoMisses those whose answer Algorithm 2 built and offered
+	// to it; SummaryMemoEvictions counts answers its photo budget pushed
+	// out. SummaryMemoPhotos is a gauge: the selected photos it holds.
+	SummaryMemoHits      C `json:"summary_memo_hits"`
+	SummaryMemoMisses    C `json:"summary_memo_misses"`
+	SummaryMemoEvictions C `json:"summary_memo_evictions"`
+	SummaryMemoPhotos    C `json:"summary_memo_photos" metric:"gauge"`
 }
 
 // IngestGroup aggregates the epoch-based write path: delta-log traffic,

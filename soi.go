@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -215,8 +216,11 @@ type Engine struct {
 	photoIdxErr  error
 
 	// contexts memoises what Algorithm 2 prepares before its greedy loop
-	// (describeContext), weighted by the photos each context holds.
-	contexts *engine.LRU[contextKey, *diversify.Context]
+	// (describeContext), weighted by the photos each context holds;
+	// summaries memoises each finished describe answer, weighted by the
+	// photos it selected.
+	contexts  *engine.LRU[contextKey, *diversify.Context]
+	summaries *engine.LRU[summaryKey, Summary]
 
 	// Trajectory query family (traj.go): the default snap radius of the
 	// (immutable) network, the lazily built search graph and the matchers
@@ -375,7 +379,9 @@ func (e *Engine) serving(ix *core.Index, src engine.EpochSource, cfg Config) *En
 		Recorder:     e.rec,
 		Source:       src,
 	})
-	e.contexts = engine.NewLRU[contextKey, *diversify.Context](max(minContextMemoPhotos, int64(e.photos.Len())))
+	memoPhotos := max(minContextMemoPhotos, int64(e.photos.Len()))
+	e.contexts = engine.NewLRU[contextKey, *diversify.Context](memoPhotos)
+	e.summaries = engine.NewLRU[summaryKey, Summary](memoPhotos)
 	e.defaultSnap = traj.DefaultSnap(e.net)
 	e.matchers = engine.NewLRU[float64, *traj.Matcher](trajMatcherCacheSize)
 	return e
@@ -686,12 +692,15 @@ func (e *Engine) DescribeStreet(name string, p SummaryParams) (Summary, error) {
 	return e.DescribeStreetCtx(context.Background(), name, p)
 }
 
-// DescribeStreetCtx is DescribeStreet under a context, admitted through
-// the gate every query family queues behind: an overloaded engine
-// sheds the query with ErrOverloaded, a context that ends while it waits
-// (or ended before it arrived) refuses it, and a panic in the algorithm
-// is isolated into a *PanicError. Parameters that are not finite or out
-// of range are refused with ErrBadSummaryParams.
+// DescribeStreetCtx is DescribeStreet under a context. An answer the
+// engine has built before for the same street and parameters is served
+// from its summary memo at once, as a cached k-SOI answer is. Any other
+// describe is admitted through the gate every query family queues
+// behind: an overloaded engine sheds the query with ErrOverloaded, a
+// context that ends while it waits (or ended before it arrived) refuses
+// it, and a panic in the algorithm is isolated into a *PanicError.
+// Parameters that are not finite or out of range are refused with
+// ErrBadSummaryParams. The caller owns the returned Summary.
 func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryParams) (Summary, error) {
 	p = p.withDefaults()
 	st := e.net.StreetByName(name)
@@ -700,6 +709,12 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 	}
 	if err := p.validate(); err != nil {
 		return Summary{}, err
+	}
+	key := summaryKey{contextKey{st.ID, p.Epsilon, p.Rho}, p.K, p.Lambda, p.W}
+	d := &e.rec.Diversify
+	if sum, ok := e.summaries.Get(key); ok {
+		d.SummaryMemoHits.Add(1)
+		return sum.clone(), nil
 	}
 	var (
 		dctx *diversify.Context
@@ -719,18 +734,58 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 	res.Stats.Record(e.rec, len(rs))
 	sum := Summary{
 		Street:         name,
+		Photos:         make([]SummaryPhoto, len(res.Selected)), // min(k, |Rs|) ≥ 1
 		Objective:      res.Objective,
 		CandidateCount: len(rs),
 	}
+	// One array holds every row's tags, laid out as clone lays them.
+	n := 0
 	for _, i := range res.Selected {
-		ph := rs[i]
-		sum.Photos = append(sum.Photos, SummaryPhoto{
-			X:    ph.Loc.X,
-			Y:    ph.Loc.Y,
-			Tags: e.dict.Names(ph.Tags),
-		})
+		n += len(rs[i].Tags)
 	}
+	tags := make([]string, 0, n)
+	for j, i := range res.Selected {
+		ph, from := rs[i], len(tags)
+		for _, id := range ph.Tags {
+			tags = append(tags, e.dict.Name(id))
+		}
+		sum.Photos[j] = SummaryPhoto{X: ph.Loc.X, Y: ph.Loc.Y, Tags: tags[from:len(tags):len(tags)]}
+	}
+	d.SummaryMemoMisses.Add(1)
+	evicted, delta := e.summaries.Put(key, sum.clone(), int64(len(sum.Photos)))
+	d.SummaryMemoEvictions.Add(int64(evicted))
+	d.SummaryMemoPhotos.Add(delta)
 	return sum, nil
+}
+
+// summaryKey identifies a describe answer: the context's (street, ε, ρ)
+// and the greedy loop's k, λ and w, all of Algorithm 2's input over
+// photos and a network that never change. The floats have passed
+// SummaryParams.validate, so none is NaN.
+type summaryKey struct {
+	contextKey
+	k         int
+	lambda, w float64
+}
+
+// clone returns a copy of s that shares no slice with it, in two
+// allocations: the photos and one array holding every tag list, each
+// capped so that an append reallocates. Nil slices stay nil.
+func (s Summary) clone() Summary {
+	n := 0
+	for _, ph := range s.Photos {
+		n += len(ph.Tags)
+	}
+	tags := make([]string, 0, n)
+	s.Photos = slices.Clone(s.Photos)
+	for i, ph := range s.Photos {
+		if ph.Tags != nil {
+			from := len(tags)
+			tags = append(tags, ph.Tags...)
+			s.Photos[i].Tags = tags[from:len(tags):len(tags)]
+		}
+	}
+	return s
 }
 
 // contextKey identifies everything Algorithm 2 prepares before its greedy
@@ -743,10 +798,11 @@ type contextKey struct {
 	eps, rho float64
 }
 
-// minContextMemoPhotos is the floor of the describe-context memo's budget.
-// The budget is Σ|Rs| ≤ max(this, corpus size): sized in photos because a
-// context's memory follows its pool, and by the corpus because a full memo
-// then holds about as many photos as the engine already does.
+// minContextMemoPhotos is the floor of the budget of each describe memo.
+// The context memo holds Σ|Rs| ≤ max(this, corpus size) photos and the
+// summary memo as many selected photos: sized in photos because an
+// entry's memory follows its photos, and by the corpus because a full
+// memo then holds about as many photos as the engine already does.
 const minContextMemoPhotos = 4096
 
 // describeContext returns the street's evaluation context for (ε, ρ) from
