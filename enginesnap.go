@@ -11,14 +11,17 @@ import (
 // (a .soi file written by soibuild or WriteSnapshot).
 // The file is memory-mapped where the platform allows and the engine
 // serves from the slab alone: the slab arrays come straight from the page
-// cache, and startup decodes the network and the corpora, flattens the
-// network and sorts the segment-length list — no grid, inverted index or
-// cell↔segment map is built; the slab is the one grid layout every
-// reader, the exact baseline included, is served from.
+// cache, and startup decodes the network and the photos, validates the
+// POI section in place, flattens the network and sorts the segment-length
+// list — no grid, inverted index or cell↔segment map is built, and no
+// POI is decoded; the slab is the one grid layout every reader is served
+// from. The POI corpus decodes from the mapping only if something reads
+// its records (the exact baseline, WriteSnapshot).
 // Config.GridCellSize is ignored — the snapshot's slab fixes the cell size.
 //
 // The returned engine holds the mapping open; call Close when done with
-// it. Engines built by the other constructors need no Close.
+// it, and not before its last query: the slab and the undecoded corpus
+// read the mapping. Engines built by the other constructors need no Close.
 func NewEngineFromSnapshot(path string, cfg Config) (*Engine, error) {
 	snap, m, err := snapshot.Open(path)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -134,6 +135,46 @@ func TestPlanConcurrentFirstTouch(t *testing.T) {
 				t.Fatalf("%s: %d ε-plans memoized for %d ε values", cfg.Label(), n, len(epsilons))
 			}
 		}
+	}
+}
+
+// TestSnapshotOpenRetainsNoCorpus bounds the heap a snapshot-opened
+// index keeps alive, per POI: the network, the photos, the dictionary
+// and the index's segment arrays. The slab and the POI section stay in
+// the mapping; a corpus decoded at open (≈ 85 B per POI on Berlin 0.25,
+// two keyword slices per POI) does not fit under the ceiling.
+func TestSnapshotOpenRetainsNoCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates Berlin 0.05")
+	}
+	if core.RaceEnabled {
+		t.Skip("heap figures are measured without the race detector")
+	}
+	snapPath := writeBerlinSnapshot(t, 0.05)
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	snap, mapping, err := snapshot.Open(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapping.Close()
+	ix, err := core.NewIndexFromSlab(snap.Net, snap.POIs, snap.Slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := float64(live()-before) / float64(snap.POIs.Len())
+	runtime.KeepAlive(snap)
+	runtime.KeepAlive(ix)
+	t.Logf("open retains %.1f B per POI (%d POIs)", retained, snap.POIs.Len())
+	const ceiling = 40
+	if retained > ceiling {
+		t.Fatalf("open retains %.1f B per POI, want ≤ %d", retained, ceiling)
 	}
 }
 

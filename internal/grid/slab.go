@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/poi"
 )
 
 // Slab is the flattened grid index. Cells appear in ascending CellID
@@ -142,10 +143,20 @@ func (s *Slab) NeighborhoodInto(ord, delta int, buf []int32) []int32 {
 
 // Validate checks the slab's structural invariants: monotone offset
 // arrays that end at their target array's length, sorted cell ids within
-// the grid dimensions, in-range ordinals, object ids and keyword ids, and
-// finite geometry. Decoded slabs are validated before use so a corrupt
-// snapshot surfaces as an error instead of an out-of-range panic.
+// the grid dimensions, in-range ordinals, object ids and keyword ids,
+// finite geometry, object weights poi.CheckWeight accepts, and cell and
+// inverted weights that are finite and not negative. Decoded slabs are
+// validated before use so a corrupt snapshot surfaces as an error
+// wrapping ErrSlabMalformed instead of an out-of-range panic or a wrong
+// answer.
 func (s *Slab) Validate() error {
+	if err := s.validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrSlabMalformed, err)
+	}
+	return nil
+}
+
+func (s *Slab) validate() error {
 	if s.NX <= 0 || s.NY <= 0 {
 		return fmt.Errorf("grid: slab dims %dx%d", s.NX, s.NY)
 	}
@@ -209,8 +220,26 @@ func (s *Slab) Validate() error {
 			return fmt.Errorf("grid: slab inverted ordinal %d outside %d cells", ord, c)
 		}
 	}
+	for i := range s.ObjX {
+		if !finite(s.ObjX[i]) || !finite(s.ObjY[i]) {
+			return fmt.Errorf("grid: slab object %d at (%v, %v)", i, s.ObjX[i], s.ObjY[i])
+		}
+		if err := poi.CheckWeight(s.ObjW[i]); err != nil {
+			return fmt.Errorf("grid: slab object %d: %v", i, err)
+		}
+	}
+	for _, ws := range [][]float64{s.CellWeight, s.InvWeight} {
+		for i, w := range ws {
+			// The test is positive so that NaN fails it.
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("grid: slab cell or inverted weight %v at %d", w, i)
+			}
+		}
+	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // checkCSR validates one offset array: len n+1, starting at zero,
 // non-decreasing, ending at the target length.

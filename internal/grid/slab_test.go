@@ -196,12 +196,17 @@ func TestSlabValidateRejects(t *testing.T) {
 		{"inv-ordinal", func(s *grid.Slab) { s.InvCell[0] = int32(s.NumCells()) }},
 		{"inv-weight-len", func(s *grid.Slab) { s.InvWeight = s.InvWeight[:len(s.InvWeight)-1] }},
 		{"obj-len", func(s *grid.Slab) { s.ObjX = s.ObjX[:len(s.ObjX)-1] }},
+		{"obj-x", func(s *grid.Slab) { s.ObjX[0] = math.Inf(-1) }},
+		{"obj-y", func(s *grid.Slab) { s.ObjY[0] = math.NaN() }},
+		{"obj-weight", func(s *grid.Slab) { s.ObjW[0] = -1 }},
+		{"cell-weight", func(s *grid.Slab) { s.CellWeight[0] = math.NaN() }},
+		{"inv-weight", func(s *grid.Slab) { s.InvWeight[0] = math.Inf(1) }},
 	}
 	for _, b := range breaks {
 		s := fresh()
 		b.mut(s)
-		if err := s.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted broken slab", b.name)
+		if err := s.Validate(); !errors.Is(err, grid.ErrSlabMalformed) {
+			t.Errorf("%s: Validate = %v, want ErrSlabMalformed", b.name, err)
 		}
 	}
 }

@@ -173,7 +173,7 @@ func DecodeSlab(data []byte) (*Slab, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSlabMalformed, len(data)-d.off)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSlabMalformed, err)
+		return nil, err
 	}
 	return s, nil
 }

@@ -7,6 +7,7 @@ package poi
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/vocab"
@@ -44,10 +45,21 @@ func CheckWeight(w float64) error {
 }
 
 // Corpus is an immutable collection of POIs sharing one dictionary.
+//
+// A lazy corpus (NewLazyCorpus) knows its size and dictionary from the
+// start and decodes its records on the first call of All, Get or
+// CountRelevant; Len and Dict never decode.
 type Corpus struct {
 	pois []POI
 	dict *vocab.Dictionary
+	n    int
+
+	once   sync.Once
+	decode func() []POI // nil for a corpus built in memory
 }
+
+// decodeHook, when a test sets it, sees every lazy corpus that decodes.
+var decodeHook func(*Corpus)
 
 // NewCorpus wraps the POIs and their dictionary into a corpus. POI ids
 // must equal their slice index; this is verified and reported as an error
@@ -61,17 +73,38 @@ func NewCorpus(pois []POI, dict *vocab.Dictionary) (*Corpus, error) {
 			pois[i].Weight = 1
 		}
 	}
-	return &Corpus{pois: pois, dict: dict}, nil
+	return &Corpus{pois: pois, dict: dict, n: len(pois)}, nil
+}
+
+// NewLazyCorpus returns a corpus of n POIs whose records decode produces,
+// once, on first use. decode must return exactly n POIs with dense ids
+// and non-zero weights; it runs at most once, however many goroutines
+// touch the corpus first.
+func NewLazyCorpus(n int, dict *vocab.Dictionary, decode func() []POI) *Corpus {
+	return &Corpus{dict: dict, n: n, decode: decode}
+}
+
+// records returns the POIs, decoding a lazy corpus on first use.
+func (c *Corpus) records() []POI {
+	if c.decode != nil {
+		c.once.Do(func() {
+			c.pois = c.decode()
+			if decodeHook != nil {
+				decodeHook(c)
+			}
+		})
+	}
+	return c.pois
 }
 
 // Len returns the number of POIs.
-func (c *Corpus) Len() int { return len(c.pois) }
+func (c *Corpus) Len() int { return c.n }
 
 // Get returns the POI with the given id.
-func (c *Corpus) Get(id ID) *POI { return &c.pois[id] }
+func (c *Corpus) Get(id ID) *POI { return &c.records()[id] }
 
 // All returns the underlying slice; callers must not modify it.
-func (c *Corpus) All() []POI { return c.pois }
+func (c *Corpus) All() []POI { return c.records() }
 
 // Dict returns the keyword dictionary shared by the corpus.
 func (c *Corpus) Dict() *vocab.Dictionary { return c.dict }
@@ -80,8 +113,9 @@ func (c *Corpus) Dict() *vocab.Dictionary { return c.dict }
 // query (the paper's Table 4 statistic).
 func (c *Corpus) CountRelevant(query vocab.Set) int {
 	n := 0
-	for i := range c.pois {
-		if c.pois[i].Keywords.Intersects(query) {
+	pois := c.records()
+	for i := range pois {
+		if pois[i].Keywords.Intersects(query) {
 			n++
 		}
 	}
@@ -137,5 +171,5 @@ func (b *Builder) AddSet(loc geo.Point, keywords vocab.Set, weight float64) ID {
 
 // Build finalizes the corpus.
 func (b *Builder) Build() *Corpus {
-	return &Corpus{pois: b.pois, dict: b.dict}
+	return &Corpus{pois: b.pois, dict: b.dict, n: len(b.pois)}
 }

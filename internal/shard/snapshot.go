@@ -112,7 +112,9 @@ func LoadManifest(manifestPath string) (*Manifest, error) {
 // LoadShard mmaps exactly one shard of a partitioned world — the
 // cross-process serving path, where each soishard process owns a single
 // tile. It returns the shard, the parsed manifest (for the
-// partition-level constants) and a closer releasing the mapping.
+// partition-level constants) and a closer releasing the mapping. The
+// shard's index and its POI corpus, which stays undecoded unless its
+// records are read, both read the mapping: close it after their last use.
 func LoadShard(manifestPath string, id int) (*Shard, *Manifest, io.Closer, error) {
 	m, err := LoadManifest(manifestPath)
 	if err != nil {

@@ -39,6 +39,10 @@ func FuzzSnapshot(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/3] ^= 0xff
 	f.Add(mut)
+	// Valid checksums around values the decoder must refuse.
+	for _, c := range tamperedSnapshots(f) {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := snapshot.Decode(data)

@@ -144,8 +144,10 @@ func Encode(s *Snapshot) ([]byte, error) {
 
 // Decode parses and validates a snapshot. The returned Snapshot's slab
 // aliases data where alignment permits (it does for Encode output and
-// mmap'd files), so data must stay valid and unmodified for the life of
-// the snapshot; everything else is copied out.
+// mmap'd files), and its POI corpus is validated in place and decodes
+// data's POI section on its first All, Get or CountRelevant, so data
+// must stay valid and unmodified for the life of the snapshot;
+// everything else is copied out.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, want at least %d header bytes", ErrTruncated, len(data), headerSize)
@@ -205,7 +207,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	slab, err := grid.DecodeSlab(payloads[secSlab])
 	if err != nil {
-		return nil, fmt.Errorf("%w: slab section: %v", ErrMalformed, err)
+		return nil, fmt.Errorf("%w: slab section: %w", ErrMalformed, err)
 	}
 	s := &Snapshot{Net: net, POIs: pois, Photos: photos, Slab: slab}
 	if err := checkMeta(payloads[secMeta], s, dict); err != nil {
@@ -455,45 +457,33 @@ func encodePOIs(c *poi.Corpus) []byte {
 	return b
 }
 
+// decodePOIs validates the POI section in place and returns a corpus
+// that decodes it on first use: opening a snapshot allocates nothing per
+// POI, and a serving process that reads only the slab never decodes it.
 func decodePOIs(p []byte, dict *vocab.Dictionary) (*poi.Corpus, error) {
-	r := &reader{data: p, section: "pois"}
-	n, err := r.count(28)
+	sec, err := parseKeyed(p, "poi", 3)
 	if err != nil {
 		return nil, err
 	}
-	kwEnds, err := r.u32s(n)
-	if err != nil {
+	check := func(rec []byte) error { return poi.CheckWeight(field(rec, 2)) }
+	if err := sec.walk(dict.Len(), check, nil); err != nil {
 		return nil, err
 	}
-	type rec struct {
-		x, y, w float64
-	}
-	recs := make([]rec, n)
-	for i := range recs {
-		if recs[i].x, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if recs[i].y, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if recs[i].w, err = r.f64(); err != nil {
-			return nil, err
-		}
-	}
-	pb := poi.NewBuilder(dict)
-	prev := uint32(0)
-	for i, end := range kwEnds {
-		if end < prev {
-			return nil, fmt.Errorf("%w: poi keyword offsets not monotone at %d", ErrMalformed, i)
-		}
-		set, err := r.kwSet(int(end-prev), dict, "poi", i)
+	return poi.NewLazyCorpus(sec.n, dict, func() []poi.POI {
+		pois := make([]poi.POI, sec.n)
+		err := sec.walk(dict.Len(), check, func(i int, rec []byte, set vocab.Set) {
+			w := field(rec, 2)
+			if w == 0 {
+				w = 1
+			}
+			pois[i] = poi.POI{ID: poi.ID(i), Loc: geo.Point{X: field(rec, 0), Y: field(rec, 1)}, Keywords: set, Weight: w}
+		})
 		if err != nil {
-			return nil, err
+			// The same walk accepted these bytes when the snapshot opened.
+			panic(fmt.Sprintf("snapshot: POI section changed after it was validated: %v", err))
 		}
-		pb.AddSet(geo.Point{X: recs[i].x, Y: recs[i].y}, set, recs[i].w)
-		prev = end
-	}
-	return pb.Build(), r.done()
+		return pois
+	}), nil
 }
 
 func encodePhotos(c *photo.Corpus) []byte {
@@ -518,38 +508,110 @@ func encodePhotos(c *photo.Corpus) []byte {
 }
 
 func decodePhotos(p []byte, dict *vocab.Dictionary) (*photo.Corpus, error) {
-	r := &reader{data: p, section: "photos"}
-	n, err := r.count(20)
+	sec, err := parseKeyed(p, "photo", 2)
 	if err != nil {
 		return nil, err
 	}
-	tagEnds, err := r.u32s(n)
+	photos := make([]photo.Photo, sec.n)
+	err = sec.walk(dict.Len(), nil, func(i int, rec []byte, set vocab.Set) {
+		photos[i] = photo.Photo{ID: photo.ID(i), Loc: geo.Point{X: field(rec, 0), Y: field(rec, 1)}, Tags: set}
+	})
 	if err != nil {
 		return nil, err
 	}
-	locs := make([]geo.Point, n)
-	for i := range locs {
-		if locs[i].X, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if locs[i].Y, err = r.f64(); err != nil {
-			return nil, err
-		}
+	return photo.NewCorpus(photos, dict)
+}
+
+// keyedSection is a parsed POI or photo section: n records of width
+// float64 fields each, then one keyword set per record as a CSR over
+// dictionary ids. Its slices alias the section payload.
+type keyedSection struct {
+	what  string // "poi" or "photo", for errors
+	n     int
+	width int    // bytes per record
+	ends  []byte // n running u32 ends of the sets in ids
+	recs  []byte // n records
+	ids   []byte // u32 keyword ids
+}
+
+// parseKeyed checks a section's framing: its count, and that the end
+// array and the records fit. The id array is the rest of the payload.
+func parseKeyed(p []byte, what string, fields int) (keyedSection, error) {
+	r := &reader{data: p, section: what + "s"}
+	sec := keyedSection{what: what, width: 8 * fields}
+	var err error
+	if sec.n, err = r.count(4 + sec.width); err != nil {
+		return sec, err
 	}
-	rb := photo.NewBuilder(dict)
-	prev := uint32(0)
-	for i, end := range tagEnds {
+	if sec.ends, err = r.bytes(4 * sec.n); err != nil {
+		return sec, err
+	}
+	if sec.recs, err = r.bytes(sec.width * sec.n); err != nil {
+		return sec, err
+	}
+	sec.ids = p[r.off:]
+	return sec, nil
+}
+
+// walk is the one per-record walk of a keyed section, for validating it
+// and for decoding it. It checks that the set ends are monotone and end
+// exactly at the id array's end, that every id is below dictLen and
+// every set strictly ascending (vocab.Set's invariant), and each
+// record's fields with check when check is not nil. When visit is not
+// nil it decodes every id into one array of exactly the section's size
+// and hands visit each record with its set, which sub-slices that array
+// with capped capacity (nil when empty), so an append by a caller
+// reallocates. Without visit it allocates nothing.
+func (sec keyedSection) walk(dictLen int, check func(rec []byte) error, visit func(i int, rec []byte, set vocab.Set)) error {
+	var all []vocab.ID
+	if visit != nil {
+		all = make([]vocab.ID, 0, len(sec.ids)/4)
+	}
+	prev := 0
+	for i := 0; i < sec.n; i++ {
+		end := int(binary.LittleEndian.Uint32(sec.ends[4*i:]))
 		if end < prev {
-			return nil, fmt.Errorf("%w: photo tag offsets not monotone at %d", ErrMalformed, i)
+			return fmt.Errorf("%w: %s keyword offsets not monotone at %d", ErrMalformed, sec.what, i)
 		}
-		set, err := r.kwSet(int(end-prev), dict, "photo", i)
-		if err != nil {
-			return nil, err
+		if end > len(sec.ids)/4 {
+			return fmt.Errorf("%w: %s %d keywords end at %d, the section holds %d", ErrMalformed, sec.what, i, end, len(sec.ids)/4)
 		}
-		rb.AddSet(locs[i], set)
+		rec := sec.recs[i*sec.width : (i+1)*sec.width]
+		if check != nil {
+			if err := check(rec); err != nil {
+				return fmt.Errorf("%w: %s %d: %w", ErrMalformed, sec.what, i, err)
+			}
+		}
+		for j := prev; j < end; j++ {
+			id := binary.LittleEndian.Uint32(sec.ids[4*j:])
+			if int(id) >= dictLen {
+				return fmt.Errorf("%w: %s %d references keyword %d of %d", ErrMalformed, sec.what, i, id, dictLen)
+			}
+			if j > prev && id <= binary.LittleEndian.Uint32(sec.ids[4*j-4:]) {
+				return fmt.Errorf("%w: %s %d keywords not strictly ascending", ErrMalformed, sec.what, i)
+			}
+			if visit != nil {
+				all = append(all, id)
+			}
+		}
+		if visit != nil {
+			var set vocab.Set
+			if end > prev {
+				set = all[prev:end:end]
+			}
+			visit(i, rec, set)
+		}
 		prev = end
 	}
-	return rb.Build(), r.done()
+	if 4*prev != len(sec.ids) {
+		return fmt.Errorf("%w: %ss section has %d trailing bytes", ErrMalformed, sec.what, len(sec.ids)-4*prev)
+	}
+	return nil
+}
+
+// field reads the j-th float64 of a record.
+func field(rec []byte, j int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[8*j:]))
 }
 
 // --- section payload reader -------------------------------------------
@@ -612,24 +674,6 @@ func (r *reader) u32s(n int) ([]uint32, error) {
 		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return out, nil
-}
-
-func (r *reader) kwSet(n int, dict *vocab.Dictionary, what string, idx int) (vocab.Set, error) {
-	ids, err := r.u32s(n)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	set := make(vocab.Set, n)
-	for j, id := range ids {
-		if int(id) >= dict.Len() {
-			return nil, fmt.Errorf("%w: %s %d references keyword %d of %d", ErrMalformed, what, idx, id, dict.Len())
-		}
-		set[j] = vocab.ID(id)
-	}
-	return set, nil
 }
 
 func (r *reader) done() error {
