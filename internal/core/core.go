@@ -30,23 +30,42 @@ type Query struct {
 	Epsilon float64
 }
 
-// Validate reports whether the query is well formed.
+// Validate reports whether the query is well formed; a refusal matches
+// ErrBadRequest.
 func (q Query) Validate() error {
 	if len(q.Keywords) == 0 {
-		return errors.New("core: query needs at least one keyword")
+		return BadRequest(errors.New("core: query needs at least one keyword"))
 	}
 	if q.K <= 0 {
-		return fmt.Errorf("core: non-positive k %d", q.K)
+		return BadRequest(fmt.Errorf("core: non-positive k %d", q.K))
 	}
-	if !validEpsilon(q.Epsilon) {
-		return fmt.Errorf("core: epsilon %v is not positive and finite", q.Epsilon)
-	}
-	return nil
+	return CheckEpsilon(q.Epsilon)
 }
 
+// ErrBadRequest is matched (errors.Is) by every refusal of a request the
+// caller got wrong. Servers map it to 400, and an error nobody typed to
+// 500.
+var ErrBadRequest = errors.New("bad request")
+
+// BadRequest marks err, unless nil, as such a refusal: the result reads
+// and unwraps as err and also matches ErrBadRequest.
+func BadRequest(err error) error {
+	if err == nil {
+		return nil
+	}
+	return badRequest{err}
+}
+
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// Is reports whether target is ErrBadRequest.
+func (badRequest) Is(target error) bool { return target == ErrBadRequest }
+
 // ErrBadEpsilon is returned, wrapped with the value, for an ε that is not
-// positive and finite.
-var ErrBadEpsilon = errors.New("core: epsilon is not positive and finite")
+// positive and finite. It matches ErrBadRequest.
+var ErrBadEpsilon = BadRequest(errors.New("core: epsilon is not positive and finite"))
 
 // CheckEpsilon returns ErrBadEpsilon unless eps is a usable distance
 // threshold, so a caller can refuse a query before it is admitted.

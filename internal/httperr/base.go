@@ -75,8 +75,7 @@ func (b *Base) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Base) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
+	if !Allowed(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,25 +1,23 @@
 // Package httperr holds what every serving surface shares at the HTTP
-// boundary: the handler skeleton every server is built on (Base: health,
-// readiness, draining, metrics and profiles), the preamble of a POST
-// endpoint (DecodePost) and the single source of truth for mapping
-// query-path errors to HTTP statuses. Every
-// serving surface — /api/streets, the batch endpoint, the multi-tenant
-// router (which forwards into the same handlers), the per-shard soishard
-// endpoint and the remote scatter-gather path — routes its errors
-// through Status, so the same failure always wears the same status code:
+// boundary: the base every server is built on (Base: health, readiness,
+// draining, metrics and profiles), the reading of a request's method and
+// JSON body (Allowed, DecodeBody) and the single source of truth for
+// mapping query-path errors to HTTP statuses. Every serving surface —
+// the server's routes, the multi-tenant router (which forwards into the
+// same handlers), the per-shard soishard endpoint and the remote
+// scatter-gather path — routes its errors through Status, so the same
+// failure always wears the same status code:
 //
-//	overload / shed / shards exhausted  → 503 (+ Retry-After)
-//	client went away                    → 499 (accounting only)
-//	deadline expired                    → 504
-//	recovered panic, internal cancel    → 500
-//	bad query                           → 400
+//	overload / shed / shards exhausted      → 503 (+ Retry-After)
+//	client went away                        → 499 (accounting only)
+//	deadline expired                        → 504
+//	refused request (core.ErrBadRequest)    → 400
+//	panic, internal cancel, anything else   → 500
 //
-// The distinction between 499 and 500 for context.Canceled is the
-// subtle one this mapper exists to pin down: cancellation is only the
-// client's fault when the *request's* context is the one that died.
-// An evaluation cancelled for any other reason (an internal component
-// gave up) is a server fault and must read as one in the access logs,
-// not as a 400 "bad request".
+// A request is the client's fault only when the code that refused it
+// marked the refusal so; an error nobody typed is a server fault and must
+// read as one in the access logs. Likewise cancellation is the client's
+// fault only when the *request's* context is the one that died.
 package httperr
 
 import (
@@ -30,6 +28,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -53,7 +52,6 @@ type Statuser interface {
 // should carry a Retry-After hint (overload-class statuses).
 func Status(err error, clientGone bool) (status int, retryAfter bool) {
 	var st Statuser
-	var pe *engine.PanicError
 	switch {
 	case errors.As(err, &st):
 		s := st.HTTPStatus()
@@ -69,18 +67,19 @@ func Status(err error, clientGone bool) (status int, retryAfter bool) {
 		return http.StatusInternalServerError, false
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, false
-	case errors.As(err, &pe):
-		return http.StatusInternalServerError, false
-	default:
+	case errors.Is(err, core.ErrBadRequest):
 		return http.StatusBadRequest, false
+	default:
+		return http.StatusInternalServerError, false
 	}
 }
 
 // WriteQueryError writes a query-path error with the status Status maps
 // it to, and a Retry-After hint on overload-class statuses: shed load →
 // 503, an expired per-query deadline → 504, a client that went away →
-// 499 (accounting only; the connection is gone), a recovered panic or an
-// internal cancellation → 500, anything else → 400.
+// 499 (accounting only; the connection is gone), a refused request → 400,
+// and a recovered panic, an internal cancellation or any error nobody
+// typed → 500.
 func WriteQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	status, retry := Status(err, r.Context().Err() != nil)
 	if retry {
@@ -89,33 +88,49 @@ func WriteQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	WriteError(w, status, err.Error())
 }
 
-// DecodePost is the preamble of every POST endpoint, on soiserve and
-// soishard alike: refuse other methods with 405 and an Allow header, cap
-// the body at maxBytes (not positive: no cap), decode it as JSON into v,
-// and answer an over-long body with 413 and anything else undecodable
-// with 400. It reports whether v is ready; when it is not, the uniform
-// {"error": …} body has been written and the handler just returns.
-func DecodePost(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
+// Allowed reports whether r uses method. When it does not, Allowed has
+// answered 405 with the Allow header RFC 9110 requires, naming method.
+func Allowed(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
 	}
+	w.Header().Set("Allow", method)
+	WriteError(w, http.StatusMethodNotAllowed, method+" only")
+	return false
+}
+
+// DecodeBody decodes r's JSON body into v, reading at most maxBytes of it
+// (not positive: no cap). An over-long body is refused with an error that
+// carries 413, anything else undecodable with one that matches
+// core.ErrBadRequest.
+func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
 	if maxBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return false
-		}
-		WriteError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return false
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return WithStatus(http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
 	}
-	return true
+	if err != nil {
+		return core.BadRequest(fmt.Errorf("decoding request: %w", err))
+	}
+	return nil
 }
+
+// WithStatus makes err carry status (a Statuser), for an answer that is
+// neither a refused request nor a fault of the server.
+func WithStatus(status int, err error) error { return statusError{status, err} }
+
+type statusError struct {
+	status int
+	error
+}
+
+func (e statusError) HTTPStatus() int { return e.status }
+
+func (e statusError) Unwrap() error { return e.error }
 
 // WriteJSON writes v as the JSON body of a response with the given
 // status. v is encoded before the header is written, so a value that does

@@ -57,7 +57,9 @@ func TestStatusMapping(t *testing.T) {
 		{"deadline with client gone", context.DeadlineExceeded, true, http.StatusGatewayTimeout, false},
 		{"panic", &engine.PanicError{Value: "boom"}, false, http.StatusInternalServerError, false},
 		{"wrapped panic", fmt.Errorf("worker: %w", &engine.PanicError{Value: "boom"}), false, http.StatusInternalServerError, false},
-		{"bad query", errors.New("k must be positive"), false, http.StatusBadRequest, false},
+		{"bad query", errors.New("k must be positive"), false, http.StatusInternalServerError, false},
+		{"refused request", core.BadRequest(errors.New("k must be positive")), false, http.StatusBadRequest, false},
+		{"wrapped refused request", fmt.Errorf("batch: %w", core.BadRequest(errors.New("k must be positive"))), false, http.StatusBadRequest, false},
 		{"bad epsilon", fmt.Errorf("%w: NaN", core.ErrBadEpsilon), false, http.StatusBadRequest, false},
 		{"statuser 503 retries", &statusErr{http.StatusServiceUnavailable}, false, http.StatusServiceUnavailable, true},
 		{"statuser 400 no retry", &statusErr{http.StatusBadRequest}, false, http.StatusBadRequest, false},

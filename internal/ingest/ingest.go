@@ -304,7 +304,8 @@ func (ing *Ingestor) Add(d Delta) (int, error) { return ing.AddBatch([]Delta{d})
 // grid.ErrLattice, and one holding a weight poi.CheckWeight refuses with
 // an error wrapping poi.ErrBadWeight: nothing is appended, because a
 // logged delta no epoch can be built over, or whose mass overflows,
-// would spoil every later epoch.
+// would spoil every later epoch. Either refusal matches
+// core.ErrBadRequest.
 func (ing *Ingestor) AddBatch(ds []Delta) (int, error) {
 	ing.mu.Lock()
 	extent := grow(ing.extent, ds)
@@ -315,7 +316,7 @@ func (ing *Ingestor) AddBatch(ds []Delta) (int, error) {
 	if err != nil {
 		n := len(ing.pending)
 		ing.mu.Unlock()
-		return n, fmt.Errorf("ingest: batch of %d POIs refused: %w", len(ds), err)
+		return n, core.BadRequest(fmt.Errorf("ingest: batch of %d POIs refused: %w", len(ds), err))
 	}
 	ing.extent = extent
 	ing.pending = append(ing.pending, ds...)

@@ -93,8 +93,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httperr.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	if !httperr.Allowed(w, r, http.MethodPost) {
+		return
+	}
 	var req QueryRequest
-	if !httperr.DecodePost(w, r, s.maxBody, &req) {
+	if err := httperr.DecodeBody(w, r, s.maxBody, &req); err != nil {
+		httperr.WriteQueryError(w, r, err)
 		return
 	}
 	q := req.Query()

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 
 	soi "repro"
 	"repro/internal/core"
@@ -57,8 +55,8 @@ func NewRemoteServer(cfg RemoteConfig) *RemoteServer {
 	s.Base = httperr.NewBase("", cfg.Recorder, func(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE soi_remote_shards gauge\nsoi_remote_shards %d\n", s.coord.ShardCount())
 	})
-	s.HandleFunc("/api/streets", s.handleStreets)
-	s.HandleFunc("/api/stats", s.handleStats)
+	s.HandleFunc("/api/streets", endpoint[streetsRequest, remoteStreetsResponse]{method: http.MethodGet, params: parseStreets, call: s.streets}.serve)
+	s.HandleFunc("/api/stats", endpoint[struct{}, remoteStatsResponse]{method: http.MethodGet, params: noParams, call: s.stats}.serve)
 	return s
 }
 
@@ -72,31 +70,10 @@ type remoteStreetsResponse struct {
 	MissingShards []int        `json:"missing_shards,omitempty"`
 }
 
-// partialWanted reports whether the request opted into degraded
-// answers.
-func partialWanted(vals url.Values) bool {
-	switch vals.Get("partial") {
-	case "", "0", "false":
-		return false
-	}
-	return true
-}
-
-func (s *RemoteServer) handleStreets(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	vals := r.URL.Query()
-	q, err := parseQuery(vals)
+func (s *RemoteServer) streets(r *http.Request, req streetsRequest) (remoteStreetsResponse, error) {
+	res, gather, err := s.coord.TopK(r.Context(), core.Query(req.Query), req.partial)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, gather, err := s.coord.TopK(r.Context(), core.Query(q), partialWanted(vals))
-	if err != nil {
-		httperr.WriteQueryError(w, r, err)
-		return
+		return remoteStreetsResponse{}, err
 	}
 	if s.rec != nil {
 		s.rec.Remote.ShardsEvaluated.Add(int64(gather.ShardsEvaluated))
@@ -114,7 +91,7 @@ func (s *RemoteServer) handleStreets(w http.ResponseWriter, r *http.Request) {
 	for i, sr := range res {
 		resp.Streets[i] = soi.Street{Name: sr.Name, Interest: sr.Interest, Mass: sr.Mass}
 	}
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // remoteStatsResponse is the coordinator's /api/stats payload: the
@@ -128,11 +105,7 @@ type remoteStatsResponse struct {
 	Runtime  httperr.Runtime `json:"runtime"`
 }
 
-func (s *RemoteServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
+func (s *RemoteServer) stats(*http.Request, struct{}) (remoteStatsResponse, error) {
 	resp := remoteStatsResponse{
 		Shards:  s.coord.ShardCount(),
 		Halo:    s.coord.Halo(),
@@ -145,5 +118,5 @@ func (s *RemoteServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap := s.rec.Snapshot()
 		resp.Stats = &snap
 	}
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }

@@ -1,58 +1,42 @@
 // Package server exposes the SOI engine over HTTP for online exploration
 // — the usage mode the paper motivates ("allowing for online discovery
-// and exploration of interesting parts of the road network").
+// and exploration of interesting parts of the road network"):
 //
-// Endpoints (all GET, all JSON):
-//
-//	/api/stats                         dataset summary + engine/runtime observability counters
-//	/api/streets?keywords=a,b&k=10&eps=0.0005[&trace=1]
-//	/api/describe?street=NAME&k=4&lambda=0.5&w=0.5&rho=0.0001&eps=0.0005
-//	/api/tour?keywords=a,b&k=10&eps=0.0005&budget=0.05
-//
-// plus two POST endpoints — one evaluating many k-SOI queries
-// concurrently over the shared index, one appending POIs to a live
-// engine's ingest log:
-//
-//	/api/streets/batch[?trace=1]       {"queries":[{"keywords":["a"],"k":10,"eps":0.0005}, ...]}
-//	/api/pois                          {"x":..,"y":..,"keywords":["a"]} or {"pois":[...],"publish":true}
-//
-// and the trajectory query family (POST, JSON):
-//
-//	/api/routes/topk                   {"src":[x,y],"dst":[x,y],"keywords":["a"],"k":3,"budget":0.05,"alpha":0}
-//	/api/trajectories/soi              {"traces":[[[x,y],...],...],"keywords":["a"],"k":10,"radius":0.0003}
+//	GET  /api/stats                    dataset summary + engine/runtime observability counters
+//	GET  /api/streets?keywords=a,b&k=10&eps=0.0005[&trace=1]
+//	GET  /api/describe?street=NAME&k=4&lambda=0.5&w=0.5&rho=0.0001&eps=0.0005
+//	GET  /api/tour?keywords=a,b&k=10&eps=0.0005&budget=0.05
+//	POST /api/streets/batch[?trace=1]  {"queries":[{"keywords":["a"],"k":10,"eps":0.0005}, ...]}
+//	POST /api/pois                     {"x":..,"y":..,"keywords":["a"]} or {"pois":[...],"publish":true}
+//	POST /api/routes/topk              {"src":[x,y],"dst":[x,y],"keywords":["a"],"k":3,"budget":0.05,"alpha":0}
+//	POST /api/trajectories/soi         {"traces":[[[x,y],...],...],"keywords":["a"],"k":10,"radius":0.0003}
 //
 // With trace=1 every k-SOI answer carries a per-stage trace: the phase
 // timings of the paper's Figure 4 and the accessed-cell/segment counts
 // of its Section 6 measurements.
 //
+// Every route, and the coordinator's /api/streets and /api/stats, is one
+// row of one handler skeleton (endpoint.serve): the method check (405
+// with an Allow header), the request read into a typed value — a GET's
+// query string with the defaults of omitted parameters, or a POST's JSON
+// body capped at Config.MaxBatchBytes (413 past it) —, the engine call
+// with the request's context, and the JSON answer. A route adds only its
+// wire limits (1,024 batch queries or POIs, 65,536 trace points), the
+// defaults of a body's omitted k or ε and the 501 of /api/pois on an
+// engine without a write path. Every query quantity is checked once, by
+// the engine family's Validate before admission, so Go and HTTP callers
+// are refused by the same code; errors map through httperr.Status: a
+// refusal (soi.ErrBadRequest) is 400, nothing to answer (soi.ErrNoMatch)
+// 404, shed load 503 with Retry-After, an expired deadline 504, a client
+// gone 499, and an error nobody typed 500.
+//
 // Every server of this package — Server, TenantServer (the -tenants
-// router) and RemoteServer (the -shard-addrs coordinator) — is built on
-// httperr.Base, as is the shard server of internal/remote, and so answers
-// the same operational endpoints:
-//
-//	/healthz                           liveness: 200 while the process serves
-//	/readyz                            readiness: 503 "draining" once SetDraining(true), else 200
-//	/metrics                           Prometheus text exposition (soi_* namespace + runtime gauges)
-//	/debug/pprof/                      net/http/pprof profiles
-//
-// The tenant router's /metrics carries the runtime gauges only; each
-// tenant's counters are under /api/{city}/metrics. The coordinator's adds
-// soi_remote_shards.
-//
-// Handlers run concurrently (one goroutine per request, per net/http)
-// against one shared engine; the engine's one admission gate bounds how
-// many queries of every family are evaluated at once, and its executor
-// caches repeated k-SOI queries.
-//
-// The query path is robust under load and failure: every k-SOI handler
-// threads the request context into the engine, so a client that goes
-// away cancels its evaluation at the next cooperative checkpoint (499
-// accounting), an expired per-query deadline maps to 504, and load shed
-// by the engine's admission control maps to 503 with a Retry-After
-// hint. The POST endpoints reject non-POST methods with 405 and cap
-// their request bodies with Config.MaxBatchBytes (413 on overflow).
-// /api/pois against an engine built without live ingest answers 501,
-// since the deployment simply lacks a write path.
+// router, which forwards into a Server per city) and RemoteServer (the
+// -shard-addrs coordinator) — is built on httperr.Base, as is the shard
+// server of internal/remote, and so answers /healthz, /readyz (503 while
+// draining), /metrics and /debug/pprof/. The tenant router's /metrics
+// carries the runtime gauges only; each tenant's counters are under
+// /api/{city}/metrics. The coordinator's adds soi_remote_shards.
 package server
 
 import (
@@ -62,10 +46,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
-	"strings"
 
 	soi "repro"
+	"repro/internal/core"
 	"repro/internal/httperr"
 	"repro/internal/stats"
 )
@@ -114,75 +97,17 @@ func NewWithConfig(engine *soi.Engine, cfg Config) *Server {
 		notLoaded, rec = "", engine.StatsRecorder()
 	}
 	s := &Server{Base: httperr.NewBase(notLoaded, rec, nil), engine: engine, maxBatchBytes: maxBatch}
-	s.HandleFunc("/api/stats", s.handleStats)
-	s.HandleFunc("/api/streets", s.handleStreets)
-	s.HandleFunc("/api/streets/batch", s.handleStreetsBatch)
-	s.HandleFunc("/api/pois", s.handlePOIs)
-	s.HandleFunc("/api/describe", s.handleDescribe)
-	s.HandleFunc("/api/tour", s.handleTour)
-	s.HandleFunc("/api/routes/topk", s.handleRoutesTopK)
-	s.HandleFunc("/api/trajectories/soi", s.handleTrajectorySOI)
+	const get, post = http.MethodGet, http.MethodPost
+	body := &s.maxBatchBytes
+	s.HandleFunc("/api/stats", endpoint[struct{}, statsResponse]{method: get, params: noParams, call: s.stats}.serve)
+	s.HandleFunc("/api/streets", endpoint[streetsRequest, streetsResponse]{method: get, params: parseStreets, call: s.streets, write: writeStreets}.serve)
+	s.HandleFunc("/api/streets/batch", endpoint[batchRequest, batchResponse]{method: post, maxBody: body, call: s.batch, write: writeBatch}.serve)
+	s.HandleFunc("/api/pois", endpoint[poisRequest, poisResponse]{method: post, maxBody: body, call: s.pois}.serve)
+	s.HandleFunc("/api/describe", endpoint[describeRequest, soi.Summary]{method: get, params: parseDescribe, call: s.describe}.serve)
+	s.HandleFunc("/api/tour", endpoint[tourRequest, soi.Tour]{method: get, params: parseTour, call: s.tour}.serve)
+	s.HandleFunc("/api/routes/topk", endpoint[routesRequest, routesResponse]{method: post, maxBody: body, call: s.routes}.serve)
+	s.HandleFunc("/api/trajectories/soi", endpoint[trajRequest, trajResponse]{method: post, maxBody: body, call: s.trajectories}.serve)
 	return s
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	httperr.WriteError(w, status, err.Error())
-}
-
-// writeQueryError answers a query that has nothing to answer
-// (soi.ErrNoMatch: no street, no photos) with 404, and any other query
-// error with the status httperr maps it to.
-func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, soi.ErrNoMatch) {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	httperr.WriteQueryError(w, r, err)
-}
-
-// The query* helpers read one parameter of a request's parsed query
-// string. A handler calls r.URL.Query() — a full parse of the raw query —
-// once and hands the values down.
-
-// queryFloat parses an optional float parameter with a default.
-func queryFloat(vals url.Values, name string, def float64) (float64, error) {
-	raw := vals.Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %w", name, err)
-	}
-	return v, nil
-}
-
-// queryInt parses an optional integer parameter with a default.
-func queryInt(vals url.Values, name string, def int) (int, error) {
-	raw := vals.Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %w", name, err)
-	}
-	return v, nil
-}
-
-func queryKeywords(vals url.Values) []string {
-	raw := vals.Get("keywords")
-	if raw == "" {
-		return nil
-	}
-	parts := strings.Split(raw, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if t := strings.TrimSpace(p); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // statsResponse is the /api/stats payload. The top-level dataset keys
@@ -196,91 +121,83 @@ type statsResponse struct {
 	Runtime httperr.Runtime `json:"runtime"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	httperr.WriteJSON(w, http.StatusOK, statsResponse{
+// noParams is the query string reader of a route that takes none.
+func noParams(url.Values) (struct{}, error) { return struct{}{}, nil }
+
+func (s *Server) stats(*http.Request, struct{}) (statsResponse, error) {
+	return statsResponse{
 		Streets: s.engine.NumStreets(),
 		POIs:    s.engine.NumPOIs(),
 		Photos:  s.engine.NumPhotos(),
 		Stats:   s.engine.StatsSnapshot(),
 		Runtime: httperr.ReadRuntime(),
-	})
+	}, nil
+}
+
+// streetsRequest is a GET k-SOI request: the query and its opt-in flags,
+// trace=1 (a per-stage trace with the answer) and, on the coordinator,
+// partial=1 (a degraded answer over the shards that answered).
+type streetsRequest struct {
+	soi.Query
+	trace, partial bool
+}
+
+func parseStreets(vals url.Values) (streetsRequest, error) {
+	p := params{Values: vals}
+	req := streetsRequest{Query: p.query(10), trace: p.flag("trace"), partial: p.flag("partial")}
+	return req, p.err
 }
 
 // streetsResponse is the /api/streets payload; Trace is present only
-// when the request asked for it with trace=1.
+// when the request asked for it with trace=1. body, when set, is the
+// result-cache entry's encoding of the answer.
 type streetsResponse struct {
 	Streets []soi.Street    `json:"streets"`
 	Trace   *soi.QueryTrace `json:"trace,omitempty"`
-}
-
-// traceWanted reports whether the request opted into per-query traces.
-func traceWanted(vals url.Values) bool {
-	switch vals.Get("trace") {
-	case "", "0", "false":
-		return false
-	}
-	return true
+	body    []byte
 }
 
 // encodeStreets renders the untraced /api/streets body of an answer: the
 // bytes httperr.WriteJSON would send for it, kept with the result-cache
 // entry so that a repeated query is answered without encoding. An answer
-// that does not encode yields nil, and the handler's WriteJSON answers it
+// that does not encode yields nil, and writeStreets' WriteJSON answers it
 // with a 500.
 func encodeStreets(streets []soi.Street) []byte {
-	if streets == nil {
-		streets = []soi.Street{}
-	}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(streetsResponse{Streets: streets}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(streetsResponse{Streets: nonNil(streets)}); err != nil {
 		return nil
 	}
 	return buf.Bytes()
 }
 
-func (s *Server) handleStreets(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+// nonNil makes an empty answer encode as [], not null.
+func nonNil(streets []soi.Street) []soi.Street {
+	if streets == nil {
+		return []soi.Street{}
+	}
+	return streets
+}
+
+func (s *Server) streets(r *http.Request, req streetsRequest) (streetsResponse, error) {
+	if req.trace {
+		res, trace, err := s.engine.TopStreetsTracedCtx(r.Context(), req.Query)
+		return streetsResponse{Streets: nonNil(res), Trace: &trace}, err
+	}
+	res, body, err := s.engine.TopStreetsEncodedCtx(r.Context(), req.Query, encodeStreets)
+	return streetsResponse{Streets: nonNil(res), body: body}, err
+}
+
+// writeStreets sends a result-cache hit's encoded body as it is — the
+// bytes WriteJSON sends for the same answer — and any other answer
+// through WriteJSON.
+func writeStreets(w http.ResponseWriter, resp streetsResponse) {
+	if resp.body == nil {
+		httperr.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	vals := r.URL.Query()
-	q, err := parseQuery(vals)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp := streetsResponse{}
-	if traceWanted(vals) {
-		res, trace, err := s.engine.TopStreetsTracedCtx(r.Context(), q)
-		if err != nil {
-			httperr.WriteQueryError(w, r, err)
-			return
-		}
-		resp.Streets, resp.Trace = res, &trace
-	} else {
-		res, body, err := s.engine.TopStreetsEncodedCtx(r.Context(), q, encodeStreets)
-		if err != nil {
-			httperr.WriteQueryError(w, r, err)
-			return
-		}
-		if body != nil {
-			// A result-cache hit: body is what WriteJSON sends below for
-			// the same answer, encoded once for the cache entry.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body) // past the header nothing can be reported
-			return
-		}
-		resp.Streets = res
-	}
-	if resp.Streets == nil {
-		resp.Streets = []soi.Street{}
-	}
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(resp.body) // past the header nothing can be reported
 }
 
 // batchRequest is the /api/streets/batch request payload.
@@ -297,9 +214,11 @@ type batchQuery struct {
 }
 
 // batchResponse is the /api/streets/batch payload: one entry per query,
-// in request order, each succeeding or failing independently.
+// in request order, each succeeding or failing independently. shed
+// reports that every query was shed.
 type batchResponse struct {
 	Results []batchEntry `json:"results"`
+	shed    bool
 }
 
 type batchEntry struct {
@@ -317,18 +236,12 @@ type batchEntry struct {
 // split so that a single request cannot monopolize the worker pool.
 const maxBatchQueries = 1024
 
-func (s *Server) handleStreetsBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
-		return
-	}
+func (s *Server) batch(r *http.Request, req batchRequest) (batchResponse, error) {
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no queries"))
-		return
+		return batchResponse{}, core.BadRequest(errors.New("no queries"))
 	}
 	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%d queries exceed the batch limit %d", len(req.Queries), maxBatchQueries))
-		return
+		return batchResponse{}, core.BadRequest(fmt.Errorf("%d queries exceed the batch limit %d", len(req.Queries), maxBatchQueries))
 	}
 	qs := make([]soi.Query, len(req.Queries))
 	for i, q := range req.Queries {
@@ -336,36 +249,36 @@ func (s *Server) handleStreetsBatch(w http.ResponseWriter, r *http.Request) {
 		k, eps := kEpsDefaults(q.K, 10, q.Eps)
 		qs[i] = soi.Query{Keywords: q.Keywords, K: k, Epsilon: eps}
 	}
-	withTrace := traceWanted(r.URL.Query())
+	withTrace := (&params{Values: r.URL.Query()}).flag("trace")
 	results := s.engine.TopStreetsBatchCtx(r.Context(), qs)
-	resp := batchResponse{Results: make([]batchEntry, len(results))}
-	allShed := len(results) > 0
+	resp := batchResponse{Results: make([]batchEntry, len(results)), shed: len(results) > 0}
 	for i, res := range results {
-		if res.Err == nil || !errors.Is(res.Err, soi.ErrOverloaded) {
-			allShed = false
+		if !errors.Is(res.Err, soi.ErrOverloaded) {
+			resp.shed = false
 		}
 		if res.Err != nil {
 			resp.Results[i] = batchEntry{Error: res.Err.Error()}
 			continue
 		}
-		streets := res.Streets
-		if streets == nil {
-			streets = []soi.Street{}
-		}
-		resp.Results[i] = batchEntry{Streets: streets}
+		resp.Results[i] = batchEntry{Streets: nonNil(res.Streets)}
 		if withTrace {
 			trace := res.Trace
 			resp.Results[i].Trace = &trace
 		}
 	}
-	if allShed {
-		// Every query in the batch was shed: surface the overload as a
-		// retryable 503 (the per-entry errors still describe each query).
+	return resp, nil
+}
+
+// writeBatch answers a batch whose every query was shed with a retryable
+// 503 (the per-entry errors still describe each query), any other with
+// 200.
+func writeBatch(w http.ResponseWriter, resp batchResponse) {
+	status := http.StatusOK
+	if resp.shed {
 		w.Header().Set("Retry-After", "1")
-		httperr.WriteJSON(w, http.StatusServiceUnavailable, resp)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	httperr.WriteJSON(w, status, resp)
 }
 
 // poiBody is one POI of a write request.
@@ -401,136 +314,78 @@ type poisResponse struct {
 // maxPOIBatch caps one write request, mirroring maxBatchQueries.
 const maxPOIBatch = 1024
 
-func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && !s.engine.Live() {
+func (s *Server) pois(_ *http.Request, req poisRequest) (poisResponse, error) {
+	if !s.engine.Live() {
 		// Not a client error and not a fault: this deployment was built
 		// without a write path.
-		writeError(w, http.StatusNotImplemented, soi.ErrNotLive)
-		return
-	}
-	var req poisRequest
-	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
-		return
+		return poisResponse{}, httperr.WithStatus(http.StatusNotImplemented, soi.ErrNotLive)
 	}
 	bodies := req.POIs
 	if len(bodies) == 0 && len(req.Keywords) > 0 {
 		bodies = []poiBody{req.poiBody}
 	}
 	if len(bodies) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no POIs: give one inline or a non-empty \"pois\" array"))
-		return
+		return poisResponse{}, core.BadRequest(errors.New("no POIs: give one inline or a non-empty \"pois\" array"))
 	}
 	if len(bodies) > maxPOIBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%d POIs exceed the batch limit %d", len(bodies), maxPOIBatch))
-		return
+		return poisResponse{}, core.BadRequest(fmt.Errorf("%d POIs exceed the batch limit %d", len(bodies), maxPOIBatch))
 	}
 	pois := make([]soi.POIInput, len(bodies))
 	for i, b := range bodies {
-		if len(b.Keywords) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("poi %d: keywords required", i))
-			return
-		}
 		pois[i] = soi.POIInput{X: b.X, Y: b.Y, Keywords: b.Keywords, Weight: b.Weight}
 	}
 	pending, err := s.engine.AddPOIs(pois)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return poisResponse{}, err
 	}
 	resp := poisResponse{Added: len(pois), Pending: pending}
 	if req.Publish {
 		if _, _, err := s.engine.Publish(); err != nil {
 			// The appends landed; the publish failing is a server fault.
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("publish after append: %w", err))
-			return
+			return poisResponse{}, fmt.Errorf("publish after append: %w", err)
 		}
 		resp.Published = true
 		_, _, resp.Pending = s.engine.IngestCounts()
 	}
 	resp.Epoch = s.engine.Epoch()
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// parseQuery reads the k-SOI parameters every GET query endpoint shares:
-// keywords, k (default 10) and eps (default the cell size).
-func parseQuery(vals url.Values) (soi.Query, error) {
-	k, err := queryInt(vals, "k", 10)
-	if err != nil {
-		return soi.Query{}, err
-	}
-	eps, err := queryFloat(vals, "eps", soi.DefaultCellSize)
-	if err != nil {
-		return soi.Query{}, err
-	}
-	return soi.Query{Keywords: queryKeywords(vals), K: k, Epsilon: eps}, nil
+// describeRequest is a GET /api/describe request. Omitted λ, w, ρ and ε
+// stay zero, which the engine reads as the paper's defaults.
+type describeRequest struct {
+	street string
+	params soi.SummaryParams
 }
 
-func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
+func parseDescribe(vals url.Values) (describeRequest, error) {
+	p := params{Values: vals}
+	req := describeRequest{street: vals.Get("street"), params: soi.SummaryParams{
+		K: p.int("k", 4), Lambda: p.float("lambda", 0), W: p.float("w", 0), Rho: p.float("rho", 0), Epsilon: p.float("eps", 0),
+	}}
+	if req.street == "" {
+		return req, core.BadRequest(errors.New("parameter \"street\" required"))
 	}
-	vals := r.URL.Query()
-	street := vals.Get("street")
-	if street == "" {
-		writeError(w, http.StatusBadRequest, errors.New("parameter \"street\" required"))
-		return
-	}
-	k, err := queryInt(vals, "k", 4)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	lambda, err := queryFloat(vals, "lambda", 0.5)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	wWeight, err := queryFloat(vals, "w", 0.5)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rho, err := queryFloat(vals, "rho", 0.0001)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	eps, err := queryFloat(vals, "eps", soi.DefaultCellSize)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sum, err := s.engine.DescribeStreetCtx(r.Context(), street, soi.SummaryParams{
-		K: k, Lambda: lambda, W: wWeight, Rho: rho, Epsilon: eps,
-	})
-	if err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	httperr.WriteJSON(w, http.StatusOK, sum)
+	return req, p.err
 }
 
-func (s *Server) handleTour(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	vals := r.URL.Query()
-	q, err := parseQuery(vals)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	budget, err := queryFloat(vals, "budget", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tour, err := s.engine.RecommendTourCtx(r.Context(), q, budget)
-	if err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	httperr.WriteJSON(w, http.StatusOK, tour)
+func (s *Server) describe(r *http.Request, req describeRequest) (soi.Summary, error) {
+	return s.engine.DescribeStreetCtx(r.Context(), req.street, req.params)
+}
+
+// tourRequest is a GET /api/tour request: the k-SOI query and the walking
+// budget (omitted: 0, which the engine refuses).
+type tourRequest struct {
+	soi.Query
+	budget float64
+}
+
+func parseTour(vals url.Values) (tourRequest, error) {
+	p := params{Values: vals}
+	req := tourRequest{Query: p.query(10), budget: p.float("budget", 0)}
+	return req, p.err
+}
+
+func (s *Server) tour(r *http.Request, req tourRequest) (soi.Tour, error) {
+	return s.engine.RecommendTourCtx(r.Context(), req.Query, req.budget)
 }

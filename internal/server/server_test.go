@@ -191,14 +191,26 @@ func TestTourErrors(t *testing.T) {
 	}
 }
 
+// TestMethodNotAllowed: a GET route of the server and of the coordinator
+// refuses POST with 405 and, as RFC 9110 requires, an Allow header.
 func TestMethodNotAllowed(t *testing.T) {
 	s := testServer(t)
-	for _, url := range []string{"/api/stats", "/api/streets", "/api/describe", "/api/tour"} {
-		req := httptest.NewRequest(http.MethodPost, url, strings.NewReader("{}"))
+	coord, _ := newTestRemoteServer(t, nil)
+	for _, c := range []struct {
+		s   http.Handler
+		url string
+	}{
+		{s, "/api/stats"}, {s, "/api/streets"}, {s, "/api/describe"}, {s, "/api/tour"},
+		{coord, "/api/streets"}, {coord, "/api/stats"},
+	} {
+		req := httptest.NewRequest(http.MethodPost, c.url, strings.NewReader("{}"))
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
+		c.s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s: status = %d", url, rec.Code)
+			t.Errorf("POST %s: status = %d", c.url, rec.Code)
+		}
+		if allow := rec.Header().Get("Allow"); allow != http.MethodGet {
+			t.Errorf("POST %s: Allow = %q, want GET", c.url, allow)
 		}
 	}
 }

@@ -164,12 +164,12 @@ func (ts *TenantServer) handleTenants(w http.ResponseWriter, r *http.Request) {
 func (ts *TenantServer) handleTenant(w http.ResponseWriter, r *http.Request) {
 	city := r.PathValue("city")
 	if _, ok := ts.known[city]; !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("server: unknown tenant %q", city))
+		httperr.WriteError(w, http.StatusNotFound, fmt.Sprintf("server: unknown tenant %q", city))
 		return
 	}
 	t, err := ts.acquire(city)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httperr.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	defer ts.release(t)
@@ -178,8 +178,8 @@ func (ts *TenantServer) handleTenant(w http.ResponseWriter, r *http.Request) {
 	// shedder: over-quota requests never enter the tenant's queue.
 	if !t.quota.TryAcquire() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("server: tenant %q over admission quota", city))
+		httperr.WriteError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("server: tenant %q over admission quota", city))
 		return
 	}
 	defer t.quota.Release()
@@ -197,14 +197,10 @@ func (ts *TenantServer) handleTenant(w http.ResponseWriter, r *http.Request) {
 	t.srv.ServeHTTP(w, r2)
 }
 
-// acquire resolves a tenant, loading its engine on first use and
+// acquire resolves a known tenant, loading its engine on first use and
 // evicting the least recently used idle engine when the resident set is
 // full. The returned tenant holds a reference; callers must release it.
 func (ts *TenantServer) acquire(city string) (*tenant, error) {
-	path, ok := ts.known[city]
-	if !ok {
-		return nil, fmt.Errorf("server: unknown tenant %q", city)
-	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.clock++
@@ -224,7 +220,7 @@ func (ts *TenantServer) acquire(city string) (*tenant, error) {
 			lru.eng.Close()
 		}
 	}
-	eng, err := soi.NewEngineFromSnapshot(path, ts.cfg.Engine)
+	eng, err := soi.NewEngineFromSnapshot(ts.known[city], ts.cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading tenant %q: %w", city, err)
 	}

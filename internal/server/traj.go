@@ -1,53 +1,20 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 
 	"repro"
-	"repro/internal/httperr"
+	"repro/internal/core"
 )
 
 // This file serves the trajectory query family: POST /api/routes/topk
 // (k most interesting routes) and POST /api/trajectories/soi
-// (trajectory-aware SOI). Both follow the batch endpoint's conventions:
-// POST-only with an Allow header on 405, a bounded request body (413 on
-// overrun), 400 on malformed or invalid queries, and query-path errors
-// mapped through the shared httperr table (503+Retry-After on shed, 504
-// on deadline, 500 on recovered panics).
+// (trajectory-aware SOI). The engine validates each query; the handlers
+// add only the trace-point cap and the HTTP defaults of an omitted k or ε.
 
 // maxTracePoints caps the summed trace points of one trajectory request.
 const maxTracePoints = 65536
-
-// finite rejects the NaN/±Inf request numerics that would otherwise
-// slip through sign checks (NaN compares false against everything) into
-// the query layer.
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// kEpsDefaults fills an omitted (zero) k with the endpoint's default and
-// an omitted ε with the /api/streets default.
-func kEpsDefaults(k, defK int, eps float64) (int, float64) {
-	if k == 0 {
-		k = defK
-	}
-	if eps == 0 {
-		eps = soi.DefaultCellSize
-	}
-	return k, eps
-}
-
-// checkKEps refuses a negative k and an ε that is negative or not finite.
-func checkKEps(k int, eps float64) error {
-	if k < 0 {
-		return fmt.Errorf("negative k %d", k)
-	}
-	if eps < 0 || !finite(eps) {
-		return fmt.Errorf("eps %v is not a non-negative finite number", eps)
-	}
-	return nil
-}
 
 type routesRequest struct {
 	Src      [2]float64 `json:"src"`
@@ -71,34 +38,8 @@ type routesResponse struct {
 	Routes []routeEntry `json:"routes"`
 }
 
-func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
-	var req routesRequest
-	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
-		return
-	}
-	if len(req.Keywords) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no keywords"))
-		return
-	}
-	for _, c := range [...]float64{req.Src[0], req.Src[1], req.Dst[0], req.Dst[1]} {
-		if !finite(c) {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("non-finite coordinate %v", c))
-			return
-		}
-	}
-	if req.Budget <= 0 || !finite(req.Budget) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("budget %v is not a positive finite number", req.Budget))
-		return
-	}
-	if req.Alpha < 0 || !finite(req.Alpha) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("alpha %v is not a non-negative finite number", req.Alpha))
-		return
-	}
+func (s *Server) routes(r *http.Request, req routesRequest) (routesResponse, error) {
 	k, eps := kEpsDefaults(req.K, 3, req.Eps)
-	if err := checkKEps(k, eps); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	routes, err := s.engine.TopRoutesCtx(r.Context(), soi.RouteQuery{
 		Src:      soi.Point{X: req.Src[0], Y: req.Src[1]},
 		Dst:      soi.Point{X: req.Dst[0], Y: req.Dst[1]},
@@ -108,10 +49,6 @@ func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
 		Budget:   req.Budget,
 		Alpha:    req.Alpha,
 	})
-	if err != nil {
-		httperr.WriteQueryError(w, r, err)
-		return
-	}
 	resp := routesResponse{Routes: make([]routeEntry, len(routes))}
 	for i, rt := range routes {
 		entry := routeEntry{
@@ -126,7 +63,7 @@ func (s *Server) handleRoutesTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Routes[i] = entry
 	}
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	return resp, err
 }
 
 type trajRequest struct {
@@ -137,46 +74,17 @@ type trajRequest struct {
 	Radius   float64        `json:"radius"`
 }
 
-type corridorEntry struct {
-	Name     string  `json:"name"`
-	Coverage float64 `json:"coverage"`
-	Interest float64 `json:"interest"`
-	Score    float64 `json:"score"`
-}
-
 type trajResponse struct {
-	Streets []corridorEntry `json:"streets"`
+	Streets []soi.CorridorStreet `json:"streets"`
 }
 
-func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
-	var req trajRequest
-	if !httperr.DecodePost(w, r, s.maxBatchBytes, &req) {
-		return
-	}
-	if len(req.Traces) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no traces"))
-		return
-	}
+func (s *Server) trajectories(r *http.Request, req trajRequest) (trajResponse, error) {
 	total := 0
 	for _, tr := range req.Traces {
 		total += len(tr)
 	}
 	if total > maxTracePoints {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%d trace points exceed the limit %d", total, maxTracePoints))
-		return
-	}
-	if len(req.Keywords) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no keywords"))
-		return
-	}
-	if req.Radius < 0 || !finite(req.Radius) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("radius %v is not a non-negative finite number", req.Radius))
-		return
-	}
-	k, eps := kEpsDefaults(req.K, 10, req.Eps)
-	if err := checkKEps(k, eps); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return trajResponse{}, core.BadRequest(fmt.Errorf("%d trace points exceed the limit %d", total, maxTracePoints))
 	}
 	traces := make([][]soi.Point, len(req.Traces))
 	for i, tr := range req.Traces {
@@ -186,6 +94,7 @@ func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
 		}
 		traces[i] = pts
 	}
+	k, eps := kEpsDefaults(req.K, 10, req.Eps)
 	res, err := s.engine.TrajectorySOICtx(r.Context(), soi.TrajectoryQuery{
 		Traces:   traces,
 		Keywords: req.Keywords,
@@ -193,13 +102,5 @@ func (s *Server) handleTrajectorySOI(w http.ResponseWriter, r *http.Request) {
 		Epsilon:  eps,
 		Radius:   req.Radius,
 	})
-	if err != nil {
-		httperr.WriteQueryError(w, r, err)
-		return
-	}
-	resp := trajResponse{Streets: make([]corridorEntry, len(res))}
-	for i, c := range res {
-		resp.Streets[i] = corridorEntry{Name: c.Name, Coverage: c.Coverage, Interest: c.Interest, Score: c.Score}
-	}
-	httperr.WriteJSON(w, http.StatusOK, resp)
+	return trajResponse{Streets: res}, err
 }

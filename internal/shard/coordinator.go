@@ -23,8 +23,9 @@ const (
 // ErrEpsilonExceedsHalo rejects queries whose radius is larger than the
 // world's POI replication halo: border streets could miss mass from
 // points replicated into neighbouring shards only, so exactness would
-// be silently lost. Rebuild the partition with a larger halo instead.
-var ErrEpsilonExceedsHalo = errors.New("shard: query epsilon exceeds partition halo")
+// be silently lost. Rebuild the partition with a larger halo instead. It
+// matches core.ErrBadRequest.
+var ErrEpsilonExceedsHalo = core.BadRequest(errors.New("shard: query epsilon exceeds partition halo"))
 
 // ShardError wraps a failure of one shard's evaluation with the shard id.
 type ShardError struct {

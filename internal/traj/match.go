@@ -24,7 +24,8 @@ type TrajQuery struct {
 	Radius float64
 }
 
-// Validate reports whether the query is well formed.
+// Validate reports whether k and the radius are well formed;
+// TrajectorySOI also refuses a query without traces.
 func (q TrajQuery) Validate() error {
 	if q.K <= 0 {
 		return fmt.Errorf("traj: non-positive k %d", q.K)
@@ -34,9 +35,6 @@ func (q TrajQuery) Validate() error {
 	}
 	if q.Radius <= 0 {
 		return fmt.Errorf("traj: non-positive radius %v", q.Radius)
-	}
-	if len(q.Traces) == 0 {
-		return fmt.Errorf("traj: no traces")
 	}
 	return nil
 }
@@ -250,6 +248,9 @@ func TrajectorySOI(ctx context.Context, m *Matcher, interest InterestFunc, q Tra
 	var st MatchStats
 	if err := q.Validate(); err != nil {
 		return nil, st, err
+	}
+	if len(q.Traces) == 0 {
+		return nil, st, fmt.Errorf("traj: no traces")
 	}
 	if q.Radius != m.radius {
 		return nil, st, fmt.Errorf("traj: query radius %v does not match matcher radius %v", q.Radius, m.radius)

@@ -30,8 +30,9 @@ type RouteQuery struct {
 	Alpha float64
 }
 
-// Validate reports whether the query is well formed for the graph.
-func (q RouteQuery) Validate(g *Graph) error {
+// Validate reports whether k, the budget and α are well formed;
+// TopKRoutes also refuses vertices outside the graph.
+func (q RouteQuery) Validate() error {
 	if q.K <= 0 {
 		return fmt.Errorf("traj: non-positive k %d", q.K)
 	}
@@ -46,9 +47,6 @@ func (q RouteQuery) Validate(g *Graph) error {
 	}
 	if q.Alpha < 0 {
 		return fmt.Errorf("traj: negative alpha %v", q.Alpha)
-	}
-	if int(q.Src) >= g.NumVertices() || int(q.Dst) >= g.NumVertices() {
-		return fmt.Errorf("traj: vertex out of range (src=%d dst=%d of %d)", q.Src, q.Dst, g.NumVertices())
 	}
 	return nil
 }
@@ -200,8 +198,11 @@ func sortRoutesBy(rs []Route, less func(a, b Route) bool) {
 // ctx at a cooperative polling interval, from the first settled vertex
 // on.
 func TopKRoutes(ctx context.Context, g *Graph, interest InterestFunc, q RouteQuery, opt SearchOptions) ([]Route, SearchStats, error) {
-	if err := q.Validate(g); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, err
+	}
+	if int(q.Src) >= g.NumVertices() || int(q.Dst) >= g.NumVertices() {
+		return nil, SearchStats{}, fmt.Errorf("traj: vertex out of range (src=%d dst=%d of %d)", q.Src, q.Dst, g.NumVertices())
 	}
 	sc := g.pool.Get().(*searchScratch)
 	defer g.pool.Put(sc)

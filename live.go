@@ -2,7 +2,9 @@ package soi
 
 import (
 	"errors"
+	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/network"
@@ -121,13 +123,28 @@ func (e *Engine) Live() bool { return e.ing != nil }
 // AddPOIs appends POIs to the live engine's delta log and returns the
 // pending (not yet published) count. The call is a slice append under a
 // mutex — it never builds an index and is never blocked by one. A batch
-// with a location too far away (or not finite) for the index's cell
-// lattice is refused whole: nothing is appended and the error says why.
+// with a POI POIInput.Validate refuses, or a location too far away (or
+// not finite) for the index's cell lattice, is refused whole with an error
+// matching ErrBadRequest: nothing is appended and the error says why.
 func (e *Engine) AddPOIs(pois []POIInput) (pending int, err error) {
 	if e.ing == nil {
 		return 0, ErrNotLive
 	}
+	for i, p := range pois {
+		if err := p.Validate(); err != nil {
+			return 0, fmt.Errorf("soi: POI %d: %w", i, err)
+		}
+	}
 	return e.ing.AddBatch(deltasFromInputs(pois))
+}
+
+// Validate refuses, with an error matching ErrBadRequest, a POI without
+// keywords or with a weight poi.CheckWeight refuses (ErrBadWeight).
+func (p POIInput) Validate() error {
+	if len(p.Keywords) == 0 {
+		return core.BadRequest(errors.New("keywords required"))
+	}
+	return core.BadRequest(poi.CheckWeight(p.Weight))
 }
 
 // Publish folds the pending deltas into a fresh index epoch and installs

@@ -34,6 +34,7 @@ import (
 	"repro/internal/diversify"
 	"repro/internal/engine"
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/ingest"
 	"repro/internal/network"
 	"repro/internal/photo"
@@ -106,6 +107,12 @@ type Query struct {
 	Epsilon float64
 }
 
+// Validate refuses, with an error matching ErrBadRequest, a k-SOI query
+// without keywords, with k < 1 or with a bad ε (ErrBadEpsilon). The
+// executor runs it on every TopStreets query, batch member and tour
+// before admission.
+func (q Query) Validate() error { return core.Query(q).Validate() }
+
 // Street is one ranked street of a TopStreets answer.
 type Street struct {
 	Name string
@@ -152,11 +159,11 @@ func (p SummaryParams) diversify() diversify.Params {
 	return diversify.Params{K: p.K, Lambda: p.Lambda, W: p.W, Rho: p.Rho}
 }
 
-// validate refuses what Algorithm 2 cannot run on, defaults already
-// filled: k < 1, λ or w outside [0,1], ρ or ε not positive and finite.
-// NaN fails every comparison, so each test is written to be true only
-// for a good value.
-func (p SummaryParams) validate() error {
+// Validate refuses what Algorithm 2 cannot run on, defaults already
+// filled (DescribeStreet runs it so, before admission): k < 1, λ or w
+// outside [0,1], ρ or ε not positive and finite. NaN fails every
+// comparison, so each test is written to be true only for a good value.
+func (p SummaryParams) Validate() error {
 	if err := p.diversify().Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSummaryParams, err)
 	}
@@ -255,24 +262,33 @@ var ErrUnknownStreet = errors.New("soi: unknown street")
 // associated photos within ε. It matches ErrNoMatch.
 var ErrNoPhotos = diversify.ErrNoPhotos
 
-// ErrBadSummaryParams is returned by DescribeStreet for parameters that
-// are not finite or lie outside their range. Servers map it to 400.
-var ErrBadSummaryParams = errors.New("soi: invalid summary parameters")
+// ErrBadRequest is matched by every refusal of a request the caller got
+// wrong: each family's Validate, run before admission, a describe whose ρ
+// is too fine to grid the street's photos, and ErrSearchBudget. Servers
+// map it to 400.
+var ErrBadRequest = core.ErrBadRequest
 
-// ErrBadTourBudget is returned by RecommendTour for a budget that is not
-// positive and finite, before the k-SOI query is evaluated. Servers map
-// it to 400.
+// ErrBadSummaryParams is returned by DescribeStreet for parameters that
+// are not finite or lie outside their range. It matches ErrBadRequest.
+var ErrBadSummaryParams = core.BadRequest(errors.New("soi: invalid summary parameters"))
+
+// ErrBadTourBudget is wrapped by the error RecommendTour returns for a
+// budget that is not positive and finite, before the k-SOI query is
+// evaluated.
 var ErrBadTourBudget = traj.ErrBadBudget
 
-// ErrBadEpsilon is wrapped by the error TopRoutes and TrajectorySOI
-// return for an ε that is not positive and finite, before the query is
-// admitted. Servers map it to 400.
+// ErrBadEpsilon is wrapped by the error every query family returns for an
+// ε that is not positive and finite, before the query is admitted.
 var ErrBadEpsilon = core.ErrBadEpsilon
 
 // ErrBadWeight is wrapped by the error NewEngine, NewLiveEngine and
 // AddPOIs return for a POI weight that is negative, not finite or above
-// poi.MaxWeight (1e9). Servers map it to 400.
+// poi.MaxWeight (1e9).
 var ErrBadWeight = poi.ErrBadWeight
+
+// ErrSearchBudget is wrapped by the error TopRoutes returns when the route
+// search exceeds its expansion guard: a budget far too wide for its trip.
+var ErrSearchBudget = traj.ErrSearchBudget
 
 // ErrOverloaded is returned when the engine's admission control sheds a
 // query instead of queueing it (the bounded wait queue was full or the
@@ -634,11 +650,11 @@ func (e *Engine) RecommendTour(q Query, budget float64) (Tour, error) {
 // QueryTimeout and observes cancellation in every search, so an
 // overloaded engine sheds it with ErrOverloaded and a panic in it is
 // isolated into a *PanicError. The two halves run one after the other,
-// never nested, so one gate cannot deadlock a tour. A budget the planner
-// would refuse is refused first, with ErrBadTourBudget, so it costs no
-// evaluation.
+// never nested, so one gate cannot deadlock a tour. A query Query.Validate
+// refuses, or a budget the planner would (ErrBadTourBudget), is refused
+// first, so it costs no evaluation.
 func (e *Engine) RecommendTourCtx(ctx context.Context, q Query, budget float64) (Tour, error) {
-	if err := traj.CheckBudget(budget); err != nil {
+	if err := firstErr(q.Validate(), core.BadRequest(traj.CheckBudget(budget))); err != nil {
 		return Tour{}, err
 	}
 	er := e.exec.DoCtx(ctx, core.Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon})
@@ -699,15 +715,15 @@ func (e *Engine) DescribeStreet(name string, p SummaryParams) (Summary, error) {
 // behind: an overloaded engine sheds the query with ErrOverloaded, a
 // context that ends while it waits (or ended before it arrived) refuses
 // it, and a panic in the algorithm is isolated into a *PanicError.
-// Parameters that are not finite or out of range are refused with
-// ErrBadSummaryParams. The caller owns the returned Summary.
+// Parameters SummaryParams.Validate refuses are refused with its error.
+// The caller owns the returned Summary.
 func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryParams) (Summary, error) {
 	p = p.withDefaults()
 	st := e.net.StreetByName(name)
 	if st == nil {
 		return Summary{}, noMatch{fmt.Errorf("%w: %q", ErrUnknownStreet, name)}
 	}
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return Summary{}, err
 	}
 	key := summaryKey{contextKey{st.ID, p.Epsilon, p.Rho}, p.K, p.Lambda, p.W}
@@ -761,7 +777,7 @@ func (e *Engine) DescribeStreetCtx(ctx context.Context, name string, p SummaryPa
 // summaryKey identifies a describe answer: the context's (street, ε, ρ)
 // and the greedy loop's k, λ and w, all of Algorithm 2's input over
 // photos and a network that never change. The floats have passed
-// SummaryParams.validate, so none is NaN.
+// SummaryParams.Validate, so none is NaN.
 type summaryKey struct {
 	contextKey
 	k         int
@@ -792,7 +808,7 @@ func (s Summary) clone() Summary {
 // loop: Rs and maxD(s) follow from (street, ε); Φs from Rs; Def. 4 spatial
 // relevance, the ρ/2 grid and the Eq. 11–14 per-cell bounds from (Rs, ρ).
 // k, λ and w enter only the loop. Both floats have passed
-// SummaryParams.validate — a NaN key would never be found again.
+// SummaryParams.Validate — a NaN key would never be found again.
 type contextKey struct {
 	street   network.StreetID
 	eps, rho float64
@@ -830,6 +846,9 @@ func (e *Engine) describeContext(st *network.Street, eps, rho float64) (*diversi
 		return nil, noMatch{fmt.Errorf("%w: street %q", ErrNoPhotos, st.Name)}
 	}
 	dctx, err := diversify.NewContext(rs, diversify.FreqFromPhotos(e.dict, rs), maxD, rho)
+	if errors.Is(err, grid.ErrLattice) { // ρ/2 cells too fine to number
+		err = core.BadRequest(err)
+	}
 	if err != nil {
 		return nil, err
 	}

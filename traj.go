@@ -40,6 +40,20 @@ type RouteQuery struct {
 	Alpha float64
 }
 
+// Validate refuses, with an error matching ErrBadRequest, a route query
+// with an endpoint that is not finite, keywords, k or ε Query.Validate
+// refuses, a budget that is not positive and finite or an α that is
+// negative or not finite. TopRoutes runs it before admission.
+func (q RouteQuery) Validate() error {
+	for _, v := range [...]float64{q.Src.X, q.Src.Y, q.Dst.X, q.Dst.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return core.BadRequest(fmt.Errorf("soi: route endpoint coordinate %v is not finite", v))
+		}
+	}
+	return firstErr(Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon}.Validate(),
+		core.BadRequest(traj.RouteQuery{K: q.K, Budget: q.Budget, Alpha: q.Alpha}.Validate()))
+}
+
 // RouteResult is one ranked route of a TopRoutes answer.
 type RouteResult struct {
 	// Polyline is the walked vertex sequence as coordinates.
@@ -71,19 +85,47 @@ type TrajectoryQuery struct {
 	Radius float64
 }
 
-// CorridorStreet is one ranked street of a TrajectorySOI answer.
-type CorridorStreet struct {
-	Name string
-	// Coverage is the traveled fraction of the street in (0, 1].
-	Coverage float64
-	// Interest is the maximum segment interest among traveled segments.
-	Interest float64
-	// Score = Coverage × Interest.
-	Score float64
+// Validate refuses, with an error matching ErrBadRequest, a trajectory
+// query without traces (ErrNoTraces), with keywords, k or ε Query.Validate
+// refuses, or with a radius that is negative or not finite (0 stands for
+// the default). TrajectorySOI runs it, the default filled in, before
+// admission.
+func (q TrajectoryQuery) Validate() error {
+	if len(q.Traces) == 0 {
+		return ErrNoTraces
+	}
+	radius := q.Radius
+	if radius == 0 {
+		radius = 1 // any positive finite stand-in for the default
+	}
+	return firstErr(Query{Keywords: q.Keywords, K: q.K, Epsilon: q.Epsilon}.Validate(),
+		core.BadRequest(traj.TrajQuery{K: q.K, Radius: radius}.Validate()))
 }
 
-// ErrNoTraces is returned by TrajectorySOI when the query has no traces.
-var ErrNoTraces = errors.New("soi: trajectory query has no traces")
+// firstErr returns the first of errs that is not nil.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CorridorStreet is one ranked street of a TrajectorySOI answer.
+type CorridorStreet struct {
+	Name string `json:"name"`
+	// Coverage is the traveled fraction of the street in (0, 1].
+	Coverage float64 `json:"coverage"`
+	// Interest is the maximum segment interest among traveled segments.
+	Interest float64 `json:"interest"`
+	// Score = Coverage × Interest.
+	Score float64 `json:"score"`
+}
+
+// ErrNoTraces is returned by TrajectorySOI for a query without traces. It
+// matches ErrBadRequest.
+var ErrNoTraces = core.BadRequest(errors.New("soi: trajectory query has no traces"))
 
 // trajGraph lazily builds the shared trajectory search graph.
 func (e *Engine) trajGraphLazy() *traj.Graph {
@@ -122,12 +164,13 @@ func (e *Engine) TopRoutes(q RouteQuery) ([]RouteResult, error) {
 	return e.TopRoutesCtx(context.Background(), q)
 }
 
-// TopRoutesCtx is TopRoutes under a context: the search observes
-// cancellation at cooperative checkpoints, the engine's QueryTimeout
-// bounds it, and an overloaded engine sheds with ErrOverloaded.
+// TopRoutesCtx is TopRoutes under a context: a query RouteQuery.Validate
+// refuses is refused before admission, the search observes cancellation
+// at cooperative checkpoints, the engine's QueryTimeout bounds it, and an
+// overloaded engine sheds with ErrOverloaded.
 func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult, error) {
 	e.rec.Traj.RouteQueries.Add(1)
-	if err := core.CheckEpsilon(q.Epsilon); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	var routes []traj.Route
@@ -154,6 +197,9 @@ func (e *Engine) TopRoutesCtx(ctx context.Context, q RouteQuery) ([]RouteResult,
 		e.rec.Traj.SegmentsFolded.Add(int64(st.SegmentsFolded))
 		return err
 	})
+	if errors.Is(err, ErrSearchBudget) {
+		return nil, core.BadRequest(err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -196,26 +242,20 @@ func (e *Engine) TrajectorySOI(q TrajectoryQuery) ([]CorridorStreet, error) {
 }
 
 // TrajectorySOICtx is TrajectorySOI under a context, with the same
-// admission, timeout and panic-isolation contract as TopRoutesCtx.
+// validation, admission, timeout and panic-isolation contract as
+// TopRoutesCtx.
 func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]CorridorStreet, error) {
 	e.rec.Traj.TrajQueries.Add(1)
-	if len(q.Traces) == 0 {
-		return nil, ErrNoTraces
+	if q.Radius == 0 {
+		q.Radius = e.defaultSnap
 	}
-	if err := core.CheckEpsilon(q.Epsilon); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	var res []traj.CorridorResult
 	err := e.exec.Run(ctx, &e.rec.Traj.Outcomes, func(ctx context.Context, ix *core.Index) (err error) {
 		start := time.Now()
 		defer func() { e.rec.Traj.MatchNanos.Add(time.Since(start).Nanoseconds()) }()
-		radius := q.Radius
-		if radius == 0 {
-			radius = e.defaultSnap
-		}
-		if !(radius > 0) || math.IsInf(radius, 1) {
-			return fmt.Errorf("soi: match radius %v is not a positive finite number", radius)
-		}
 		traces := make([][]geo.Point, len(q.Traces))
 		for i, tr := range q.Traces {
 			pts := make([]geo.Point, len(tr))
@@ -230,7 +270,7 @@ func (e *Engine) TrajectorySOICtx(ctx context.Context, q TrajectoryQuery) ([]Cor
 			return err
 		}
 		var st traj.MatchStats
-		res, st, err = traj.TrajectorySOI(ctx, e.trajMatcherLazy(radius), interests.Interest, traj.TrajQuery{Traces: traces, K: q.K, Radius: radius})
+		res, st, err = traj.TrajectorySOI(ctx, e.trajMatcherLazy(q.Radius), interests.Interest, traj.TrajQuery{Traces: traces, K: q.K, Radius: q.Radius})
 		e.recordInterests(interests)
 		e.rec.Traj.TracePoints.Add(int64(st.TracePoints))
 		e.rec.Traj.MatchedPoints.Add(int64(st.Matched))

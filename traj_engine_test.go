@@ -8,6 +8,7 @@ import (
 	"time"
 
 	soi "repro"
+	"repro/internal/datagen"
 	"repro/internal/faults"
 )
 
@@ -83,6 +84,25 @@ func TestEngineTopRoutes(t *testing.T) {
 	snap := e.StatsSnapshot()
 	if snap.Traj.RouteQueries == 0 || snap.Traj.Expansions == 0 {
 		t.Fatalf("route counters not recorded: %+v", snap.Traj)
+	}
+
+	// A budget ten times the trip outgrows the search's expansion guard on
+	// a city: the query asked for too wide a search, a refusal a Go caller
+	// can match (and a 400 over HTTP), not a fault.
+	ds, err := datagen.Generate(datagen.Small(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	city, err := soi.NewEngineFromCorpora(ds.Network, ds.POIs, ds.Photos, soi.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = city.TopRoutes(soi.RouteQuery{
+		Src: soi.Point{X: 0, Y: 0.0036}, Dst: soi.Point{X: 0.02, Y: 0.0036},
+		Keywords: []string{"shop"}, K: 3, Epsilon: 0.0005, Budget: 0.2,
+	})
+	if !errors.Is(err, soi.ErrSearchBudget) || !errors.Is(err, soi.ErrBadRequest) {
+		t.Fatalf("over-wide route search: err = %v, want ErrSearchBudget matching ErrBadRequest", err)
 	}
 }
 
