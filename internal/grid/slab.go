@@ -112,11 +112,12 @@ func (s *Slab) CellRect(id CellID) geo.Rect { return s.Lattice().CellRect(id) }
 // any object within eps of the segment lives in one of the returned cells.
 func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) []int32 {
 	lat := s.Lattice()
+	test := newNearTest(seg, eps)
 	ix0, ix1, iy0, iy1 := lat.span(seg.Bounds().Expand(eps))
 	for iy := iy0; iy <= iy1; iy++ {
 		lo, hi := lat.rowRange(s.CellIDs, iy, ix0, ix1)
 		for ord := lo; ord < hi; ord++ {
-			if lat.CellRect(CellID(s.CellIDs[ord])).DistToSegment(seg) <= eps {
+			if test.cell(lat.CellRect(CellID(s.CellIDs[ord]))) {
 				buf = append(buf, int32(ord))
 			}
 		}

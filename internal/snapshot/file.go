@@ -9,6 +9,8 @@ import (
 // WriteFile encodes the snapshot and writes it atomically: the bytes land
 // in a temporary file in the target directory which is fsynced and then
 // renamed over path, so readers never observe a half-written snapshot.
+// The directory is fsynced after the rename (on Unix), so a crash cannot
+// undo it once WriteFile has returned.
 func WriteFile(path string, s *Snapshot) error {
 	data, err := Encode(s)
 	if err != nil {
@@ -34,6 +36,9 @@ func WriteFile(path string, s *Snapshot) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("snapshot: syncing directory %s: %w", dir, err)
+	}
 	return nil
 }
 
@@ -44,15 +49,8 @@ func WriteFile(path string, s *Snapshot) error {
 // is the same misuse as querying the index.
 type Mapping struct {
 	data    []byte
-	mmapped bool
+	mmapped bool // a file mapping, not a heap copy read with os.ReadFile
 }
-
-// Data returns the raw snapshot bytes.
-func (m *Mapping) Data() []byte { return m.data }
-
-// Mmapped reports whether the bytes are a file mapping (true) or a heap
-// copy read with os.ReadFile (false, the non-Unix fallback).
-func (m *Mapping) Mmapped() bool { return m.mmapped }
 
 // Close releases the mapping. It is safe to call on a nil Mapping and to
 // call twice.

@@ -15,3 +15,6 @@ func openMapping(path string) (*Mapping, error) {
 }
 
 func munmap([]byte) error { return nil }
+
+// syncDir is a no-op where directories cannot be opened for fsync.
+func syncDir(string) error { return nil }

@@ -39,3 +39,16 @@ func openMapping(path string) (*Mapping, error) {
 func munmap(data []byte) error {
 	return syscall.Munmap(data)
 }
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

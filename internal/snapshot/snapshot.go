@@ -98,7 +98,10 @@ type Snapshot struct {
 	Slab   *grid.Slab
 }
 
-// Encode serializes the snapshot into a fresh byte slice.
+// Encode serializes the snapshot into one buffer sized up front: every
+// section's length is counted first (the slab's by Slab.EncodedSize), and
+// each section is then written in place behind the table, so no section
+// is built, grown or copied on its own.
 func Encode(s *Snapshot) ([]byte, error) {
 	if s.Net == nil || s.POIs == nil || s.Photos == nil || s.Slab == nil {
 		return nil, errors.New("snapshot: all of Net, POIs, Photos and Slab are required")
@@ -107,40 +110,48 @@ func Encode(s *Snapshot) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: slab indexes %d objects, corpus has %d", s.Slab.NumObjects, s.POIs.Len())
 	}
 	dict := s.POIs.Dict()
-	sections := []struct {
-		id      uint32
-		payload []byte
+	pois, photos := s.POIs.All(), s.Photos.All()
+	sections := [...]struct {
+		id     uint32
+		size   int
+		append func([]byte) []byte
 	}{
-		{secMeta, encodeMeta(s)},
-		{secVocab, encodeVocab(dict)},
-		{secNetwork, encodeNetwork(s.Net)},
-		{secPOIs, encodePOIs(s.POIs)},
-		{secPhotos, encodePhotos(s.Photos)},
-		{secSlab, s.Slab.AppendBinary(nil)},
+		{secMeta, metaSize, func(b []byte) []byte { return appendMeta(b, s) }},
+		{secVocab, vocabSize(dict), func(b []byte) []byte { return appendVocab(b, dict) }},
+		{secNetwork, networkSize(s.Net), func(b []byte) []byte { return appendNetwork(b, s.Net) }},
+		{secPOIs, poisSize(pois), func(b []byte) []byte { return appendPOIs(b, pois) }},
+		{secPhotos, photosSize(photos), func(b []byte) []byte { return appendPhotos(b, photos) }},
+		{secSlab, s.Slab.EncodedSize(), s.Slab.AppendBinary},
 	}
 
 	tableEnd := headerSize + entrySize*len(sections)
-	buf := make([]byte, 0, tableEnd)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sections)))
-
-	// Reserve the table; fill it in as payloads are appended.
-	buf = append(buf, make([]byte, entrySize*len(sections))...)
+	total := tableEnd
+	for _, sec := range sections {
+		total = pad8(total) + sec.size
+	}
+	// The table and the alignment padding are the buffer's zeroes.
+	buf := make([]byte, tableEnd, total)
+	copy(buf, Magic)
+	binary.LittleEndian.PutUint32(buf[8:], Version)
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(sections)))
 	for i, sec := range sections {
-		for len(buf)%8 != 0 {
-			buf = append(buf, 0)
+		off := pad8(len(buf))
+		buf = sec.append(buf[:off])
+		payload := buf[off:]
+		if len(payload) != sec.size {
+			return nil, fmt.Errorf("snapshot: section %d encoded %d bytes, %d counted", sec.id, len(payload), sec.size)
 		}
-		off := uint64(len(buf))
-		buf = append(buf, sec.payload...)
 		entry := buf[headerSize+i*entrySize:]
 		binary.LittleEndian.PutUint32(entry[0:], sec.id)
-		binary.LittleEndian.PutUint32(entry[4:], crc32.Checksum(sec.payload, castagnoli))
-		binary.LittleEndian.PutUint64(entry[8:], off)
-		binary.LittleEndian.PutUint64(entry[16:], uint64(len(sec.payload)))
+		binary.LittleEndian.PutUint32(entry[4:], crc32.Checksum(payload, castagnoli))
+		binary.LittleEndian.PutUint64(entry[8:], uint64(off))
+		binary.LittleEndian.PutUint64(entry[16:], uint64(len(payload)))
 	}
 	return buf, nil
 }
+
+// pad8 rounds n up to a multiple of 8, the alignment of every payload.
+func pad8(n int) int { return (n + 7) &^ 7 }
 
 // Decode parses and validates a snapshot. The returned Snapshot's slab
 // aliases data where alignment permits (it does for Encode output and
@@ -222,8 +233,10 @@ func Decode(data []byte) (*Snapshot, error) {
 // consistency check: a snapshot assembled from mismatched pieces fails
 // here with a clear message instead of deep inside index construction.
 
-func encodeMeta(s *Snapshot) []byte {
-	var b []byte
+// metaSize is the meta section's length: seven u64 fields.
+const metaSize = 56
+
+func appendMeta(b []byte, s *Snapshot) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Net.NumVertices()))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Net.NumSegments()))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Net.NumStreets()))
@@ -235,8 +248,8 @@ func encodeMeta(s *Snapshot) []byte {
 }
 
 func checkMeta(p []byte, s *Snapshot, dict *vocab.Dictionary) error {
-	if len(p) != 56 {
-		return fmt.Errorf("%w: meta section is %d bytes, want 56", ErrMalformed, len(p))
+	if len(p) != metaSize {
+		return fmt.Errorf("%w: meta section is %d bytes, want %d", ErrMalformed, len(p), metaSize)
 	}
 	want := [6]uint64{
 		uint64(s.Net.NumVertices()), uint64(s.Net.NumSegments()), uint64(s.Net.NumStreets()),
@@ -259,8 +272,15 @@ func checkMeta(p []byte, s *Snapshot, dict *vocab.Dictionary) error {
 // Keyword names in dictionary-id order as a CSR of UTF-8 bytes; decoding
 // re-interns them in order, reproducing identical ids.
 
-func encodeVocab(d *vocab.Dictionary) []byte {
-	var b []byte
+func vocabSize(d *vocab.Dictionary) int {
+	n := 4 + 4*d.Len()
+	for i := 0; i < d.Len(); i++ {
+		n += len(d.Name(vocab.ID(i)))
+	}
+	return n
+}
+
+func appendVocab(b []byte, d *vocab.Dictionary) []byte {
 	n := d.Len()
 	b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	off := uint32(0)
@@ -315,8 +335,16 @@ func decodeVocab(p []byte) (*vocab.Dictionary, error) {
 // interning reproduces identical ids and segment geometry reuses the
 // exact stored coordinates.
 
-func encodeNetwork(n *network.Network) []byte {
-	var b []byte
+func networkSize(n *network.Network) int {
+	streets := n.Streets()
+	size := 4 + 16*n.NumVertices() + 4 + 8*len(streets)
+	for i := range streets {
+		size += len(streets[i].Name) + 4*(len(streets[i].Segments)+1)
+	}
+	return size
+}
+
+func appendNetwork(b []byte, n *network.Network) []byte {
 	nv := n.NumVertices()
 	b = binary.LittleEndian.AppendUint32(b, uint32(nv))
 	for i := 0; i < nv; i++ {
@@ -435,9 +463,15 @@ func decodeNetwork(p []byte) (*network.Network, error) {
 // Locations and weights as parallel float64 arrays, keyword sets as one
 // CSR over dictionary ids.
 
-func encodePOIs(c *poi.Corpus) []byte {
-	var b []byte
-	all := c.All()
+func poisSize(all []poi.POI) int {
+	n := 4 + (4+24)*len(all)
+	for i := range all {
+		n += 4 * len(all[i].Keywords)
+	}
+	return n
+}
+
+func appendPOIs(b []byte, all []poi.POI) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(all)))
 	kwEnd := uint32(0)
 	for i := range all {
@@ -486,9 +520,15 @@ func decodePOIs(p []byte, dict *vocab.Dictionary) (*poi.Corpus, error) {
 	}), nil
 }
 
-func encodePhotos(c *photo.Corpus) []byte {
-	var b []byte
-	all := c.All()
+func photosSize(all []photo.Photo) int {
+	n := 4 + (4+16)*len(all)
+	for i := range all {
+		n += 4 * len(all[i].Tags)
+	}
+	return n
+}
+
+func appendPhotos(b []byte, all []photo.Photo) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(all)))
 	tagEnd := uint32(0)
 	for i := range all {

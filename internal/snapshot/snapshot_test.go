@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/grid"
 	"repro/internal/snapshot"
 )
 
@@ -165,6 +166,60 @@ func TestWriteFileOpen(t *testing.T) {
 	}
 	if _, _, err := snapshot.Open(filepath.Join(t.TempDir(), "missing.soi")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestWriteFileReplacesAtomically: writing over an existing snapshot
+// leaves the new bytes at the path and no temporary file beside it, and
+// a snapshot Encode refuses leaves the old file as it was.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	s := testSnapshot(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "world.soi")
+	onlyTarget := func(when string, want []byte) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "world.soi" {
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			t.Fatalf("%s: directory holds %v, want only world.soi", when, names)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes on disk, want the %d encoded", when, len(got), len(want))
+		}
+	}
+	want, err := snapshot.Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("an older snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.WriteFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	onlyTarget("after a rewrite", want)
+	if err := snapshot.WriteFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	onlyTarget("after a second rewrite", want)
+	for _, bad := range []*snapshot.Snapshot{
+		{Net: s.Net, POIs: s.POIs, Photos: s.Photos},
+		{Net: s.Net, POIs: s.POIs, Photos: s.Photos, Slab: &grid.Slab{}}, // indexes no POI
+	} {
+		if err := snapshot.WriteFile(path, bad); err == nil {
+			t.Fatal("WriteFile accepted a snapshot Encode refuses")
+		}
+		onlyTarget("after a refused rewrite", want)
 	}
 }
 
