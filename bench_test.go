@@ -38,7 +38,11 @@ var benchState struct {
 func benchCities(b *testing.B) []*experiments.City {
 	b.Helper()
 	benchState.once.Do(func() {
-		benchState.cities, benchState.err = experiments.LoadCities(benchScale())
+		var names []string
+		for _, p := range datagen.Profiles() {
+			names = append(names, p.Name)
+		}
+		benchState.cities, benchState.err = experiments.LoadCitiesNamed(names, benchScale())
 	})
 	if benchState.err != nil {
 		b.Fatal(benchState.err)
@@ -217,10 +221,7 @@ func benchDescribe(b *testing.B, eval func(*diversify.Context, diversify.Params)
 	for _, c := range benchCities(b) {
 		c := c
 		b.Run(c.Name(), func(b *testing.B) {
-			ctx, err := experiments.DescriptionContext(c)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ctx := photoStreetContext(b, c)
 			p := diversify.Params{
 				K:      experiments.Figure6DefaultK,
 				Lambda: 0.5,
@@ -235,6 +236,22 @@ func benchDescribe(b *testing.B, eval func(*diversify.Context, diversify.Params)
 			}
 		})
 	}
+}
+
+// photoStreetContext builds the diversification context of the city's
+// photo street, the street Section 5's description experiments use.
+func photoStreetContext(b *testing.B, c *experiments.City) *diversify.Context {
+	b.Helper()
+	st := c.Dataset.Network.StreetByName(c.Dataset.Truth.PhotoStreet)
+	if st == nil {
+		b.Fatalf("photo street %q missing in %s", c.Dataset.Truth.PhotoStreet, c.Name())
+	}
+	rs, maxD := diversify.ExtractStreetPhotos(c.Dataset.Network, st.ID, c.Dataset.Photos, experiments.Epsilon)
+	ctx, err := diversify.NewContext(rs, diversify.FreqFromPhotos(c.Dataset.Dict, rs), maxD, experiments.Rho)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ctx
 }
 
 // BenchmarkAblationStrategy times the two SOI access strategies (the
@@ -273,32 +290,6 @@ func BenchmarkAblationAggregate(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkDescribeVisual times the visual-feature greedy extension
-// against the plain greedy on the same street.
-func BenchmarkDescribeVisual(b *testing.B) {
-	cities := benchCities(b)
-	ctx, err := experiments.DescriptionContext(cities[1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, err = ctx.WithFeatures(diversify.HashFeatures(ctx.Photos(), 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := diversify.VisualParams{
-		Params: diversify.Params{
-			K: experiments.Figure6DefaultK, Lambda: 0.5, W: 0.5, Rho: experiments.Rho,
-		},
-		VisualWeight: 0.3,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctx.GreedyVisual(p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

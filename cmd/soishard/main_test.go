@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/geo"
 	"repro/internal/remote"
 	"repro/internal/shard"
 )
@@ -36,7 +37,9 @@ func TestMain(m *testing.M) {
 
 // writeManifest partitions a deterministic dataset, persists the
 // per-shard snapshots + manifest into a temp dir, and returns the
-// manifest path with the reloaded world (the in-process oracle).
+// manifest path with the world reloaded from them shard by shard through
+// shard.LoadShard, the loader each soishard child runs (the in-process
+// oracle).
 func writeManifest(t *testing.T) (string, *shard.World) {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Tiny(7))
@@ -55,11 +58,25 @@ func writeManifest(t *testing.T) (string, *shard.World) {
 	if err := shard.WriteSnapshots(mf, w); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := shard.LoadWorld(mf)
+	m, err := shard.LoadManifest(mf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { loaded.Close() })
+	loaded := &shard.World{
+		Bounds:   geo.Rect{MinX: m.Bounds[0], MinY: m.Bounds[1], MaxX: m.Bounds[2], MaxY: m.Bounds[3]},
+		TilesX:   m.TilesX,
+		TilesY:   m.TilesY,
+		Halo:     m.Halo,
+		CellSize: m.CellSize,
+	}
+	for id := range m.Shards {
+		sh, _, mapping, err := shard.LoadShard(mf, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mapping.Close() })
+		loaded.Shards = append(loaded.Shards, sh)
+	}
 	return mf, loaded
 }
 

@@ -109,11 +109,11 @@ func BenchmarkTrajInterest(b *testing.B) {
 			if r := pick(i); i%2 == 0 {
 				q := routes[r%len(routes)]
 				q.Keywords, q.Epsilon = kws, eps
-				_, err = eng.TopRoutes(q)
+				_, err = eng.TopRoutesCtx(context.Background(), q)
 			} else {
 				q := trajs[r%len(trajs)]
 				q.Keywords, q.Epsilon = kws, eps
-				_, err = eng.TrajectorySOI(q)
+				_, err = eng.TrajectorySOICtx(context.Background(), q)
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -126,21 +126,3 @@ func aggregateStreets(net *network.Network, masses []float64, eps float64, agg A
 	SortResults(out)
 	return out
 }
-
-// AllSegmentInterests computes the exact interest of every segment; the
-// exhaustive oracle used by tests and effectiveness studies.
-func (ix *Index) AllSegmentInterests(q Query) ([]float64, error) {
-	query, err := ix.resolve(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, ix.net.NumSegments())
-	for sid := range out {
-		out[sid] = Interest(
-			ix.SegmentMass(network.SegmentID(sid), query, q.Epsilon),
-			ix.net.Segment(network.SegmentID(sid)).Length(),
-			q.Epsilon,
-		)
-	}
-	return out, nil
-}

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/network"
+
 // PlanCount reports how many ε-plans the index has memoized — the only
 // ε-dependent state it holds — for tests outside the package.
 func (ix *Index) PlanCount() int {
@@ -35,3 +37,21 @@ func (ix *Index) BuildPlan(eps float64, workers int) *SlabPlan { return ix.build
 
 // Cells is segment sid's Cε(ℓ) in the plan, as cell ordinals.
 func (p *SlabPlan) Cells(sid int) []int32 { return p.segCell[p.segCellOff[sid]:p.segCellOff[sid+1]] }
+
+// AllSegmentInterests computes the exact interest of every segment; the
+// exhaustive oracle of the tests.
+func (ix *Index) AllSegmentInterests(q Query) ([]float64, error) {
+	query, err := ix.resolve(q)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, ix.net.NumSegments())
+	for sid := range out {
+		out[sid] = Interest(
+			ix.SegmentMass(network.SegmentID(sid), query, q.Epsilon),
+			ix.net.Segment(network.SegmentID(sid)).Length(),
+			q.Epsilon,
+		)
+	}
+	return out, nil
+}

@@ -168,9 +168,3 @@ func (ix *Index) cellMassScan(ord int, query vocab.Set, sid network.SegmentID, e
 func (ix *Index) SegmentInterest(sid network.SegmentID, query vocab.Set, eps float64) float64 {
 	return Interest(ix.SegmentMass(sid, query, eps), ix.net.Segment(sid).Length(), eps)
 }
-
-// CountRelevantInCells returns the number of POIs matching the query, per
-// the weighted global inverted index (used by the Table 4 experiment).
-func (ix *Index) CountRelevant(query vocab.Set) int {
-	return ix.pois.CountRelevant(query)
-}

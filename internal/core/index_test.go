@@ -75,7 +75,7 @@ func bruteSL1(ix *Index, query vocab.Set) (weights map[grid.CellID]float64, capB
 		cid := lat.CellIndex(p.Loc)
 		cellWeight[cid] += p.Weight
 		for i, kw := range query {
-			if p.Keywords.Contains(kw) {
+			if slices.Contains(p.Keywords, kw) {
 				perKw[i][cid] += p.Weight
 			}
 		}

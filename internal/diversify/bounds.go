@@ -62,23 +62,3 @@ func (c *Context) cellDivBounds(ord, j int, w float64) (lo, hi float64) {
 	tLo, tHi := c.TextualDivBounds(ord, j)
 	return w*sLo + (1-w)*tLo, w*sHi + (1-w)*tHi
 }
-
-// MMRBounds computes the lower and upper bounds of the mmr objective
-// (Eq. 10) for any photo of cell ord given the selected set, by combining
-// the relevance bounds with per-selected-photo diversity bounds.
-func (c *Context) MMRBounds(ord int, selected []int, p Params) (lo, hi float64) {
-	relLo, relHi := c.cellRelBounds(ord, p.W)
-	lo = (1 - p.Lambda) * relLo
-	hi = (1 - p.Lambda) * relHi
-	if p.K > 1 && len(selected) > 0 {
-		var divLo, divHi float64
-		for _, j := range selected {
-			dl, dh := c.cellDivBounds(ord, j, p.W)
-			divLo += dl
-			divHi += dh
-		}
-		lo += p.Lambda / float64(p.K-1) * divLo
-		hi += p.Lambda / float64(p.K-1) * divHi
-	}
-	return lo, hi
-}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/photo"
-	"repro/internal/poi"
 	"repro/internal/vocab"
 )
 
@@ -76,11 +75,6 @@ type Context struct {
 	cellSpatialLo, cellSpatialHi []float64
 	// cellTextualLo/Hi cache Eq. 13–14 per cell ordinal (R-independent).
 	cellTextualLo, cellTextualHi []float64
-
-	// features holds optional per-photo visual feature vectors (the
-	// future-work extension); nil unless the context came from
-	// WithFeatures.
-	features [][]float64
 }
 
 // ErrNoPhotos is returned when a street has no associated photos.
@@ -109,43 +103,6 @@ func FreqFromPhotos(dict *vocab.Dictionary, rs []photo.Photo) vocab.Freq {
 		f.AddSet(rs[i].Tags, 1)
 	}
 	return f
-}
-
-// FreqFromPOIs derives Φs from the keywords of the street's ε-near POIs,
-// weighted by POI importance — the paper's alternative derivation ("from
-// the keywords of its neighboring POIs and/or photos").
-func FreqFromPOIs(dict *vocab.Dictionary, net *network.Network, street network.StreetID, corpus *poi.Corpus, eps float64) vocab.Freq {
-	f := vocab.NewFreq(dict)
-	for _, p := range corpus.All() {
-		if net.DistToStreet(p.Loc, street) <= eps {
-			f.AddSet(p.Keywords, p.Weight)
-		}
-	}
-	return f
-}
-
-// BlendFreq combines two frequency vectors with weight alpha on a:
-// alpha·â + (1−alpha)·b̂, each normalized to unit L1 mass first so the
-// blend weight is meaningful regardless of corpus sizes. Zero-mass inputs
-// contribute nothing.
-func BlendFreq(a, b vocab.Freq, alpha float64) vocab.Freq {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make(vocab.Freq, n)
-	la, lb := a.L1(), b.L1()
-	for i := range a {
-		if la > 0 {
-			out[i] += alpha * a[i] / la
-		}
-	}
-	for i := range b {
-		if lb > 0 {
-			out[i] += (1 - alpha) * b[i] / lb
-		}
-	}
-	return out
 }
 
 // NewContext builds the evaluation context for one street. The photos
@@ -188,9 +145,6 @@ func (c *Context) Photos() []photo.Photo { return c.photos }
 
 // Len returns |Rs|.
 func (c *Context) Len() int { return len(c.photos) }
-
-// MaxD returns the spatial diversity normalizer maxD(s).
-func (c *Context) MaxD() float64 { return c.maxD }
 
 // members returns the photos (local indices, ascending) of cell ord.
 func (c *Context) members(ord int) []uint32 {
@@ -273,9 +227,6 @@ func (c *Context) textualRelBounds(ord int, support vocab.Set) (lo, hi float64) 
 	}
 	return lo / c.freqL1, hi / c.freqL1
 }
-
-// SpatialRel returns the spatial relevance of photo i (Def. 4).
-func (c *Context) SpatialRel(i int) float64 { return c.spatialRel[i] }
 
 // TextualRel returns the textual relevance of photo i (Def. 6); zero when
 // the street has an empty keyword vector.

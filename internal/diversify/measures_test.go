@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/photo"
-	poipkg "repro/internal/poi"
 	"repro/internal/vocab"
 )
 
@@ -70,11 +69,11 @@ func TestSpatialRel(t *testing.T) {
 	tags := [][]string{{"a"}, {"a"}, {"a"}, {"a"}}
 	ctx, _ := buildCtx(t, locs, tags, 0.1, 10)
 	// Photo 0 has neighbors {0,1,2} within 0.1 → 3/4.
-	if got := ctx.SpatialRel(0); !almostEq(got, 0.75) {
+	if got := ctx.spatialRel[0]; !almostEq(got, 0.75) {
 		t.Errorf("SpatialRel(0) = %v, want 0.75", got)
 	}
 	// The far photo only covers itself → 1/4.
-	if got := ctx.SpatialRel(3); !almostEq(got, 0.25) {
+	if got := ctx.spatialRel[3]; !almostEq(got, 0.25) {
 		t.Errorf("SpatialRel(3) = %v, want 0.25", got)
 	}
 }
@@ -100,7 +99,7 @@ func TestSpatialRelBrute(t *testing.T) {
 				}
 			}
 			want := float64(cnt) / float64(n)
-			if got := ctx.SpatialRel(i); !almostEq(got, want) {
+			if got := ctx.spatialRel[i]; !almostEq(got, want) {
 				t.Fatalf("trial %d photo %d: SpatialRel = %v, want %v", trial, i, got, want)
 			}
 		}
@@ -159,7 +158,7 @@ func TestRelDivBlend(t *testing.T) {
 	tags := [][]string{{"a"}, {"b"}}
 	ctx, _ := buildCtx(t, locs, tags, 0.5, 10)
 	// w=1: only spatial; w=0: only textual.
-	if got := ctx.Rel(0, 1); !almostEq(got, ctx.SpatialRel(0)) {
+	if got := ctx.Rel(0, 1); !almostEq(got, ctx.spatialRel[0]) {
 		t.Errorf("Rel w=1 = %v", got)
 	}
 	if got := ctx.Rel(0, 0); !almostEq(got, ctx.TextualRel(0)) {
@@ -257,42 +256,5 @@ func TestExtractStreetPhotosAndFreq(t *testing.T) {
 	mainKw, _ := d.Lookup("main")
 	if freq[mainKw] != 2 {
 		t.Fatalf("freq[main] = %v", freq[mainKw])
-	}
-}
-
-func TestFreqFromPOIs(t *testing.T) {
-	net := newTestNetwork(t)
-	d := vocab.NewDictionary()
-	pb := poipkg.NewBuilder(d)
-	pb.AddWeighted(geo.Pt(0.5, 0.05), []string{"shop"}, 2)  // near Main
-	pb.AddWeighted(geo.Pt(1.5, -0.05), []string{"food"}, 1) // near Main
-	pb.AddWeighted(geo.Pt(0.5, 0.9), []string{"park"}, 5)   // near Side only
-	corpus := pb.Build()
-	main := net.StreetByName("Main St")
-	f := FreqFromPOIs(d, net, main.ID, corpus, 0.1)
-	shop, _ := d.Lookup("shop")
-	food, _ := d.Lookup("food")
-	park, _ := d.Lookup("park")
-	if f[shop] != 2 || f[food] != 1 || f[park] != 0 {
-		t.Fatalf("freq = shop:%v food:%v park:%v", f[shop], f[food], f[park])
-	}
-}
-
-func TestBlendFreq(t *testing.T) {
-	a := vocab.Freq{2, 2, 0} // L1 = 4
-	b := vocab.Freq{0, 1, 1} // L1 = 2
-	out := BlendFreq(a, b, 0.5)
-	if !almostEq(out[0], 0.25) || !almostEq(out[1], 0.5) || !almostEq(out[2], 0.25) {
-		t.Fatalf("blend = %v", out)
-	}
-	// Zero-mass input contributes nothing.
-	z := BlendFreq(vocab.Freq{0, 0}, b, 0.5)
-	if !almostEq(z[1], 0.25) || !almostEq(z[0], 0) {
-		t.Fatalf("zero blend = %v", z)
-	}
-	// Ragged lengths are handled.
-	r := BlendFreq(vocab.Freq{1}, vocab.Freq{0, 1}, 0.5)
-	if len(r) != 2 || !almostEq(r[0], 0.5) || !almostEq(r[1], 0.5) {
-		t.Fatalf("ragged blend = %v", r)
 	}
 }

@@ -54,7 +54,7 @@ func TestEncodedBodyOncePerEntry(t *testing.T) {
 }
 
 // TestEncodedBodyDiesWithTheEntry: whatever drops the cache entry drops
-// its bytes — Invalidate, LRU eviction, a new epoch — so the next hit on
+// its bytes — LRU eviction, a new epoch — so the next hit on
 // the re-cached answer encodes afresh.
 func TestEncodedBodyDiesWithTheEntry(t *testing.T) {
 	qs := testQueries()
@@ -69,16 +69,6 @@ func TestEncodedBodyDiesWithTheEntry(t *testing.T) {
 			}
 		}
 	}
-	t.Run("invalidate", func(t *testing.T) {
-		e := New(buildIndex(t), Config{})
-		var enc countingEncoder
-		hitTwice(t, e, &enc)
-		e.Invalidate()
-		hitTwice(t, e, &enc)
-		if n := enc.calls.Load(); n != 2 {
-			t.Fatalf("%d encodings over two lives of the entry, want 2", n)
-		}
-	})
 	t.Run("eviction", func(t *testing.T) {
 		e := New(buildIndex(t), Config{CacheSize: 1})
 		var enc countingEncoder

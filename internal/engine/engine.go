@@ -236,13 +236,6 @@ func (e *Executor) Workers() int { return e.gate.Slots() }
 // Config named, or the private one New installed in its place.
 func (e *Executor) Recorder() *stats.Recorder { return e.rec }
 
-// Invalidate drops every cached result.
-func (e *Executor) Invalidate() {
-	if e.cache != nil {
-		e.cache.Clear()
-	}
-}
-
 // Do evaluates one query, consulting the cache and joining an identical
 // in-flight evaluation when possible. Invalid queries yield a Result with
 // Err set, mirroring core.Index.SOI.

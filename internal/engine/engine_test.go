@@ -244,17 +244,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	ix := buildIndex(t)
-	e := New(ix, Config{})
-	q := testQueries()[0]
-	e.Do(q)
-	e.Invalidate()
-	if res := e.Do(q); res.Cached {
-		t.Fatal("cache not invalidated")
-	}
-}
-
 func TestInvalidQuery(t *testing.T) {
 	ix := buildIndex(t)
 	e := New(ix, Config{})

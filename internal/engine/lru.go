@@ -75,15 +75,6 @@ func (c *LRU[K, V]) Put(key K, val V, weight int64) (evicted int, delta int64) {
 	return evicted, c.weight - before
 }
 
-// Clear drops every entry.
-func (c *LRU[K, V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[K]*list.Element)
-	c.weight = 0
-}
-
 // Len returns the number of entries held.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

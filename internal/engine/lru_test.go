@@ -42,8 +42,4 @@ func TestLRUWeightBudget(t *testing.T) {
 			}
 		}
 	}
-	c.Clear()
-	if c.Len() != 0 || c.Weight() != 0 {
-		t.Fatalf("after Clear: %d entries, weight %d", c.Len(), c.Weight())
-	}
 }

@@ -52,19 +52,6 @@ func LoadCity(p datagen.Profile, scale float64) (*City, error) {
 	return &City{Dataset: ds, Index: ix}, nil
 }
 
-// LoadCities loads the three paper cities at the given scale.
-func LoadCities(scale float64) ([]*City, error) {
-	var out []*City
-	for _, p := range datagen.Profiles() {
-		c, err := LoadCity(p, scale)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: loading %s: %w", p.Name, err)
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
 // LoadCitiesNamed loads the named subset of the paper cities (case
 // insensitive, surrounding whitespace ignored) at the given scale.
 func LoadCitiesNamed(names []string, scale float64) ([]*City, error) {
@@ -112,13 +99,6 @@ func medianOf(trials int, f func()) time.Duration {
 // ms renders a duration in milliseconds with two decimals.
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
-}
-
-// DescriptionContext builds the diversification context for the city's
-// photo street; the benchmarks use it to time single summary queries.
-func DescriptionContext(c *City) (*diversify.Context, error) {
-	ctx, _, err := descriptionContext(c)
-	return ctx, err
 }
 
 // descriptionContext builds the diversification context for the city's

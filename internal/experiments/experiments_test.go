@@ -12,7 +12,11 @@ import (
 // smallCities loads all three profiles at a tiny scale once per test run.
 func smallCities(t *testing.T) []*City {
 	t.Helper()
-	cities, err := LoadCities(0.01)
+	var names []string
+	for _, p := range datagen.Profiles() {
+		names = append(names, p.Name)
+	}
+	cities, err := LoadCitiesNamed(names, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

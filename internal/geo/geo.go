@@ -38,11 +38,6 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns the translation of p by (dx, dy).
-func (p Point) Add(dx, dy float64) Point {
-	return Point{p.X + dx, p.Y + dy}
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%.6f, %.6f)", p.X, p.Y)
@@ -261,12 +256,6 @@ func (r Rect) Union(o Rect) Rect {
 		MaxX: math.Max(r.MaxX, o.MaxX),
 		MaxY: math.Max(r.MaxY, o.MaxY),
 	}
-}
-
-// Intersects reports whether r and o share at least one point.
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinX <= o.MaxX && o.MinX <= r.MaxX &&
-		r.MinY <= o.MaxY && o.MinY <= r.MaxY
 }
 
 // MinDistToPoint returns the minimum distance from p to any point of r;

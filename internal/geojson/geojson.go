@@ -2,8 +2,7 @@
 // they can be inspected on a map — the medium the paper's Figures 1 and 2
 // use to present Streets of Interest. Streets become LineString features
 // carrying their rank and interest; photo summaries become Point features
-// carrying their tags; tours become a MultiLineString walk plus stop
-// markers.
+// carrying their tags.
 package geojson
 
 import (
@@ -17,7 +16,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/photo"
 	"repro/internal/poi"
-	"repro/internal/traj"
 	"repro/internal/vocab"
 )
 
@@ -187,52 +185,6 @@ func (fc *FeatureCollection) AddSummary(street string, rs []photo.Photo, dict *v
 				"street": street,
 				"order":  order + 1,
 				"tags":   dict.Names(p.Tags),
-			},
-		})
-	}
-}
-
-// AddTour appends a recommended tour: a MultiLineString of the approach
-// walks plus one Point marker per stop.
-func (fc *FeatureCollection) AddTour(net *network.Network, tour traj.Tour) {
-	var walks [][][]float64
-	for _, stop := range tour.Stops {
-		if len(stop.Approach.Vertices) < 2 {
-			continue
-		}
-		var line [][]float64
-		for _, v := range stop.Approach.Vertices {
-			p := net.Vertex(v)
-			line = append(line, []float64{p.X, p.Y})
-		}
-		walks = append(walks, line)
-	}
-	if len(walks) > 0 {
-		fc.Features = append(fc.Features, Feature{
-			Type: "Feature",
-			Geometry: Geometry{
-				Type:        "MultiLineString",
-				Coordinates: walks,
-			},
-			Properties: map[string]interface{}{
-				"kind":   "tour-walk",
-				"length": tour.Length,
-			},
-		})
-	}
-	for i, stop := range tour.Stops {
-		line := streetLine(net, stop.Street)
-		fc.Features = append(fc.Features, Feature{
-			Type: "Feature",
-			Geometry: Geometry{
-				Type:        "LineString",
-				Coordinates: line,
-			},
-			Properties: map[string]interface{}{
-				"kind":     "tour-stop",
-				"order":    i + 1,
-				"name":     stop.Name,
-				"interest": stop.Interest,
 			},
 		})
 	}

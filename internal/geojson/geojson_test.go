@@ -2,7 +2,6 @@ package geojson
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"testing"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/photo"
-	"repro/internal/traj"
 	"repro/internal/vocab"
 )
 
@@ -100,35 +98,5 @@ func TestAddSummary(t *testing.T) {
 	tags := props["tags"].([]interface{})
 	if len(tags) != 1 || tags[0] != "c" {
 		t.Fatalf("tags = %v (selection order must be preserved)", tags)
-	}
-}
-
-func TestAddTour(t *testing.T) {
-	net := testNetwork(t)
-	g := traj.NewGraph(net, 0)
-	tour, err := traj.Recommend(context.Background(), g, []traj.Candidate{
-		{Street: 0, Interest: 5},
-		{Street: 1, Interest: 3},
-	}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := NewCollection()
-	fc.AddTour(net, tour)
-	out := decode(t, fc)
-	feats := out["features"].([]interface{})
-	// One walk MultiLineString (when any stop has an approach) plus one
-	// LineString per stop.
-	wantMin := len(tour.Stops)
-	if len(feats) < wantMin {
-		t.Fatalf("features = %d, want at least %d", len(feats), wantMin)
-	}
-	kinds := map[string]int{}
-	for _, f := range feats {
-		props := f.(map[string]interface{})["properties"].(map[string]interface{})
-		kinds[props["kind"].(string)]++
-	}
-	if kinds["tour-stop"] != len(tour.Stops) {
-		t.Fatalf("kinds = %v", kinds)
 	}
 }

@@ -94,7 +94,7 @@ func referenceSlab(cfg grid.Config, locs []geo.Point, keys []vocab.Set, weights 
 		for _, kw := range vocab.NewSet(kws) {
 			weight := 0.0
 			for _, m := range members {
-				if keysOf(m).Contains(kw) {
+				if slices.Contains(keysOf(m), kw) {
 					s.Postings = append(s.Postings, m)
 					weight += s.ObjW[m]
 				}

@@ -40,9 +40,6 @@ func (ep *Epoch) Seq() uint64 { return ep.seq }
 // Index returns the epoch's immutable index.
 func (ep *Epoch) Index() *core.Index { return ep.ix }
 
-// Refs returns the current reference count (for tests and gauges).
-func (ep *Epoch) Refs() int64 { return ep.refs.Load() }
-
 // tryAcquire pins the epoch for a reader. It refuses to resurrect an
 // epoch whose count has already drained to zero (the pointer the reader
 // loaded was stale and the epoch may be mid-release); the caller must

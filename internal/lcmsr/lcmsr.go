@@ -54,31 +54,13 @@ func (r *Region) Streets(net *network.Network) []network.StreetID {
 	return out
 }
 
-// VertexScores snaps every query-relevant POI to its nearest network
+// VertexScoresWith snaps every query-relevant POI to its nearest network
 // vertex (the modeling assumption of [7] that the paper criticizes as
-// unrealistic) and returns the per-vertex score vector. Nearest is
-// resolved by brute force over all segments; corpus-scale callers should
-// use VertexScoresWith and supply a spatial prefilter.
-func VertexScores(net *network.Network, corpus *poi.Corpus, query vocab.Set) []float64 {
-	all := allSegments(net)
-	return VertexScoresWith(net, corpus, query, func(geo.Point) []network.SegmentID {
-		return all
-	})
-}
-
-func allSegments(net *network.Network) []network.SegmentID {
-	out := make([]network.SegmentID, net.NumSegments())
-	for i := range out {
-		out[i] = network.SegmentID(i)
-	}
-	return out
-}
-
-// VertexScoresWith is VertexScores with a caller-supplied candidate
-// generator: for each relevant POI the generator returns the segments to
-// consider as its snap target (e.g. the segments near the POI's grid
-// cell). A POI with no candidates is skipped, mirroring [7]'s silent
-// restriction to POIs on the network.
+// unrealistic) and returns the per-vertex score vector. For each relevant
+// POI the candidates generator returns the segments to consider as its
+// snap target (e.g. the segments near the POI's grid cell). A POI with no
+// candidates is skipped, mirroring [7]'s silent restriction to POIs on
+// the network.
 func VertexScoresWith(net *network.Network, corpus *poi.Corpus, query vocab.Set, candidates func(geo.Point) []network.SegmentID) []float64 {
 	scores := make([]float64, net.NumVertices())
 	for _, p := range corpus.All() {
@@ -264,38 +246,4 @@ func expand(net *network.Network, adj *adjacency, scores []float64, seed network
 	sort.Slice(r.Segments, func(i, j int) bool { return r.Segments[i] < r.Segments[j] })
 	sort.Slice(r.Vertices, func(i, j int) bool { return r.Vertices[i] < r.Vertices[j] })
 	return r
-}
-
-// Connected reports whether the region's segments form one connected
-// component together with its vertices; used by tests and sanity checks.
-func (r *Region) Connected(net *network.Network) bool {
-	if len(r.Vertices) == 0 {
-		return false
-	}
-	if len(r.Segments) == 0 {
-		return len(r.Vertices) == 1
-	}
-	adjLocal := map[network.VertexID][]network.VertexID{}
-	for _, sid := range r.Segments {
-		seg := net.Segment(sid)
-		adjLocal[seg.From] = append(adjLocal[seg.From], seg.To)
-		adjLocal[seg.To] = append(adjLocal[seg.To], seg.From)
-	}
-	seen := map[network.VertexID]bool{}
-	stack := []network.VertexID{r.Vertices[0]}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		stack = append(stack, adjLocal[v]...)
-	}
-	for _, v := range r.Vertices {
-		if !seen[v] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/poi"
 	"repro/internal/vocab"
@@ -121,16 +120,4 @@ func motions(w World) []rigidMotion {
 		{"rotate(π/3)", func(w World) World { return w.Rotate(1.0471975511965976, c.X, c.Y) }},
 		{"rotate(-1.234)", func(w World) World { return w.Rotate(-1.234, c.X, c.Y) }},
 	}
-}
-
-// pointNear reports whether p lies within eps of any segment of the
-// network — a helper for choosing metamorphic insertion points.
-func pointNear(net *network.Network, p geo.Point, eps float64) bool {
-	epsSq := eps * eps
-	for i := 0; i < net.NumSegments(); i++ {
-		if net.Segment(network.SegmentID(i)).Geom.DistToPointSq(p) <= epsSq {
-			return true
-		}
-	}
-	return false
 }

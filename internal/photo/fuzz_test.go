@@ -2,6 +2,7 @@ package photo
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func FuzzBuilder(f *testing.F) {
 			t.Fatalf("location not preserved: got (%v, %v), want (%v, %v)", p.Loc.X, p.Loc.Y, x, y)
 		}
 		// Same input interned twice yields the same set.
-		if !p.Tags.Equal(c.Get(1).Tags) {
+		if !slices.Equal(p.Tags, c.Get(1).Tags) {
 			t.Fatalf("same tags interned differently: %v vs %v", p.Tags, c.Get(1).Tags)
 		}
 		// Interning is idempotent: decoding the names and re-interning them
@@ -55,7 +56,7 @@ func FuzzBuilder(f *testing.F) {
 			t.Fatalf("Names returned %d names for a %d-tag set", len(names), p.Tags.Len())
 		}
 		again := c.Dict().InternAll(names)
-		if !again.Equal(p.Tags) {
+		if !slices.Equal(again, p.Tags) {
 			t.Fatalf("re-interning decoded names changed the set: %v vs %v (names %q)", again, p.Tags, names)
 		}
 		// The set has no duplicates by construction.

@@ -1,6 +1,7 @@
 package photo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -29,7 +30,7 @@ func TestAddSetSharedDict(t *testing.T) {
 	b := NewBuilder(d)
 	id := b.AddSet(geo.Pt(0, 0), tags)
 	corpus := b.Build()
-	if !corpus.Get(id).Tags.Equal(tags) {
+	if !slices.Equal(corpus.Get(id).Tags, tags) {
 		t.Fatal("tags not preserved")
 	}
 	if corpus.Dict() != d {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -40,13 +41,13 @@ func TestRefusalsMatchAcrossDoors(t *testing.T) {
 	route := func(edit func(*soi.RouteQuery)) func(*soi.Engine) error {
 		q := soi.RouteQuery{Src: src, Dst: dst, Keywords: []string{"shop"}, K: 2, Epsilon: soi.DefaultCellSize, Budget: 0.02}
 		edit(&q)
-		return func(e *soi.Engine) error { _, err := e.TopRoutes(q); return err }
+		return func(e *soi.Engine) error { _, err := e.TopRoutesCtx(context.Background(), q); return err }
 	}
 	trace := [][]soi.Point{{{X: 0.0002, Y: 0.00005}, {X: 0.0018, Y: 0.00005}}}
 	trajectory := func(edit func(*soi.TrajectoryQuery)) func(*soi.Engine) error {
 		q := soi.TrajectoryQuery{Traces: trace, Keywords: []string{"shop"}, K: 5, Epsilon: soi.DefaultCellSize, Radius: 0.0003}
 		edit(&q)
-		return func(e *soi.Engine) error { _, err := e.TrajectorySOI(q); return err }
+		return func(e *soi.Engine) error { _, err := e.TrajectorySOICtx(context.Background(), q); return err }
 	}
 	streets := func(q soi.Query) func(*soi.Engine) error {
 		return func(e *soi.Engine) error { _, err := e.TopStreets(q); return err }

@@ -63,9 +63,6 @@ type Coordinator struct {
 // NewCoordinator wraps a partitioned world.
 func NewCoordinator(w *World) *Coordinator { return &Coordinator{world: w} }
 
-// World returns the underlying partitioned world.
-func (c *Coordinator) World() *World { return c.world }
-
 // TopK runs the scatter-gather (see gather) over the world's own shards
 // and merges the per-shard rankings into the global top-k. Nothing an
 // in-process shard reports is degradable — a shard that fails here is a

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/photo"
 	"repro/internal/snapshot"
@@ -148,61 +147,4 @@ func LoadShard(manifestPath string, id int) (*Shard, *Manifest, io.Closer, error
 		Streets:  ms.Streets,
 		Segments: ms.Segments,
 	}, m, mapping, nil
-}
-
-// LoadWorld mmaps every shard snapshot named by a manifest and rebuilds
-// a queryable World. Close the world when no queries are in flight to
-// release the mappings.
-func LoadWorld(manifestPath string) (*World, error) {
-	blob, err := os.ReadFile(manifestPath)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("shard: parsing manifest %s: %w", manifestPath, err)
-	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("shard: manifest version %d, want %d", m.Version, ManifestVersion)
-	}
-	if len(m.Shards) == 0 {
-		return nil, fmt.Errorf("shard: manifest %s lists no shards", manifestPath)
-	}
-	dir := filepath.Dir(manifestPath)
-	w := &World{
-		Bounds:   geo.Rect{MinX: m.Bounds[0], MinY: m.Bounds[1], MaxX: m.Bounds[2], MaxY: m.Bounds[3]},
-		TilesX:   m.TilesX,
-		TilesY:   m.TilesY,
-		Halo:     m.Halo,
-		CellSize: m.CellSize,
-	}
-	for i, ms := range m.Shards {
-		snap, mapping, err := snapshot.Open(filepath.Join(dir, ms.File))
-		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("shard: opening shard %d (%s): %w", i, ms.File, err)
-		}
-		w.mappings = append(w.mappings, mapping)
-		ix, err := core.NewIndexFromSlab(snap.Net, snap.POIs, snap.Slab)
-		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("shard: rebuilding shard %d index: %w", i, err)
-		}
-		if snap.Net.NumStreets() != len(ms.Streets) || snap.Net.NumSegments() != len(ms.Segments) {
-			w.Close()
-			return nil, fmt.Errorf("shard: shard %d manifest maps %d streets/%d segments, snapshot has %d/%d",
-				i, len(ms.Streets), len(ms.Segments), snap.Net.NumStreets(), snap.Net.NumSegments())
-		}
-		w.Shards = append(w.Shards, &Shard{
-			ID:       i,
-			TileX:    ms.TileX,
-			TileY:    ms.TileY,
-			Net:      snap.Net,
-			POIs:     snap.POIs,
-			Index:    ix,
-			Streets:  ms.Streets,
-			Segments: ms.Segments,
-		})
-	}
-	return w, nil
 }

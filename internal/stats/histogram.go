@@ -60,23 +60,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(n)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Merge folds another histogram's observations into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-}
-
 // Quantile returns an upper bound on the q-quantile (0 < q ≤ 1) of the
 // observed durations: the upper bound of the bucket containing the
 // ⌈q·count⌉-th smallest observation. Observations beyond the last
@@ -114,14 +97,6 @@ type HistogramSnapshot struct {
 	// Buckets holds the per-bucket counts in bound order; bucket i
 	// covers (bound[i-1], bound[i]], the last bucket is +Inf.
 	Buckets [NumBuckets]int64 `json:"buckets"`
-}
-
-// BucketBounds returns the finite bucket upper bounds in nanoseconds;
-// the final bucket of a snapshot is unbounded.
-func BucketBounds() []int64 {
-	out := make([]int64, len(bucketBoundsNanos))
-	copy(out, bucketBoundsNanos[:])
-	return out
 }
 
 // Snapshot copies the histogram counters.

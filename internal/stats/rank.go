@@ -2,7 +2,7 @@ package stats
 
 // This file holds the ranking-quality measures used by the effectiveness
 // experiments (absorbed from the former internal/metrics): set-based
-// recall/precision at a cutoff (the paper's Table 2 reports recall@10),
+// recall at a cutoff (the paper's Table 2 reports recall@10),
 // graded nDCG against a ground-truth ranking, and Kendall's tau between
 // two rankings.
 
@@ -25,28 +25,6 @@ func RecallAtK(ranked []string, relevant []string, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(len(relevant))
-}
-
-// PrecisionAtK returns |ranked[:k] ∩ relevant| / min(k, |ranked|); 0 when
-// no items were ranked.
-func PrecisionAtK(ranked []string, relevant []string, k int) float64 {
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k == 0 {
-		return 0
-	}
-	rel := make(map[string]bool, len(relevant))
-	for _, r := range relevant {
-		rel[r] = true
-	}
-	hits := 0
-	for _, s := range ranked[:k] {
-		if rel[s] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
 }
 
 // NDCGAtK computes normalized discounted cumulative gain at cutoff k

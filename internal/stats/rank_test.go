@@ -25,24 +25,6 @@ func TestRecallAtK(t *testing.T) {
 	}
 }
 
-func TestPrecisionAtK(t *testing.T) {
-	ranked := []string{"a", "b", "c"}
-	rel := []string{"a", "c"}
-	if got := PrecisionAtK(ranked, rel, 2); !almostEq(got, 0.5) {
-		t.Errorf("precision@2 = %v", got)
-	}
-	if got := PrecisionAtK(ranked, rel, 3); !almostEq(got, 2.0/3) {
-		t.Errorf("precision@3 = %v", got)
-	}
-	// k beyond the list clamps to the list length.
-	if got := PrecisionAtK(ranked, rel, 10); !almostEq(got, 2.0/3) {
-		t.Errorf("precision@10 = %v", got)
-	}
-	if got := PrecisionAtK(nil, rel, 5); got != 0 {
-		t.Errorf("precision of empty ranking = %v", got)
-	}
-}
-
 func TestNDCGPerfect(t *testing.T) {
 	grades := map[string]float64{"a": 3, "b": 2, "c": 1}
 	if got := NDCGAtK([]string{"a", "b", "c"}, grades, 3); !almostEq(got, 1) {

@@ -14,9 +14,9 @@ import (
 // that bound's bucket (le semantics), one nanosecond more in the next.
 
 func TestBucketIndexBoundaries(t *testing.T) {
-	bounds := BucketBounds()
+	bounds := bucketBoundsNanos[:]
 	if len(bounds) != NumBuckets-1 {
-		t.Fatalf("len(BucketBounds()) = %d, want %d", len(bounds), NumBuckets-1)
+		t.Fatalf("len(bucketBoundsNanos) = %d, want %d", len(bounds), NumBuckets-1)
 	}
 	for i, b := range bounds {
 		if got := bucketIndex(b); got != i {
@@ -35,28 +35,20 @@ func TestBucketIndexBoundaries(t *testing.T) {
 	}
 }
 
-func TestBucketBoundsIsACopy(t *testing.T) {
-	a := BucketBounds()
-	a[0] = -1
-	if b := BucketBounds(); b[0] == -1 {
-		t.Fatal("BucketBounds returned a view of the internal array")
-	}
-}
-
 func TestHistogramObserve(t *testing.T) {
 	var h Histogram
 	h.Observe(1 * time.Microsecond)   // bucket 0 (≤ 1µs)
 	h.Observe(1500 * time.Nanosecond) // bucket 1 (≤ 2µs)
 	h.Observe(-time.Second)           // clamped to 0, bucket 0
 	h.Observe(time.Hour)              // +Inf bucket
-	if got := h.Count(); got != 4 {
-		t.Fatalf("Count = %d, want 4", got)
-	}
-	wantSum := time.Duration(1_000 + 1_500 + 0 + time.Hour.Nanoseconds())
-	if got := h.Sum(); got != wantSum {
-		t.Fatalf("Sum = %v, want %v", got, wantSum)
-	}
 	s := h.Snapshot()
+	if s.Count != 4 {
+		t.Fatalf("Count = %d, want 4", s.Count)
+	}
+	wantSum := 1_000 + 1_500 + 0 + time.Hour.Nanoseconds()
+	if s.SumNano != wantSum {
+		t.Fatalf("Sum = %v, want %v", time.Duration(s.SumNano), time.Duration(wantSum))
+	}
 	if s.Buckets[0] != 2 || s.Buckets[1] != 1 || s.Buckets[NumBuckets-1] != 1 {
 		t.Fatalf("buckets = %v", s.Buckets)
 	}
@@ -102,33 +94,9 @@ func TestHistogramQuantileOverflowBucket(t *testing.T) {
 	// bound rather than inventing a number for the unbounded bucket.
 	var h Histogram
 	h.Observe(time.Hour)
-	last := time.Duration(BucketBounds()[NumBuckets-2])
+	last := time.Duration(bucketBoundsNanos[NumBuckets-2])
 	if got := h.Quantile(0.5); got != last {
 		t.Fatalf("Quantile(0.5) = %v, want last finite bound %v", got, last)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	a.Observe(time.Second)
-	b.Observe(time.Millisecond)
-	b.Observe(5 * time.Microsecond)
-	a.Merge(&b)
-	if got := a.Count(); got != 4 {
-		t.Fatalf("merged Count = %d, want 4", got)
-	}
-	wantSum := time.Millisecond + time.Second + time.Millisecond + 5*time.Microsecond
-	if got := a.Sum(); got != wantSum {
-		t.Fatalf("merged Sum = %v, want %v", got, wantSum)
-	}
-	s := a.Snapshot()
-	var total int64
-	for _, n := range s.Buckets {
-		total += n
-	}
-	if total != 4 {
-		t.Fatalf("bucket counts sum to %d, want 4", total)
 	}
 }
 
@@ -177,13 +145,13 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := peak.Load(); got != workers*perWorker-1 {
 		t.Errorf("peak = %d, want %d", got, workers*perWorker-1)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.Snapshot().Count; got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 	// Every worker observes the same duration multiset, so the sum is
 	// workers × Σ(i µs for i in [0, perWorker)).
 	wantSum := int64(workers) * int64(perWorker*(perWorker-1)/2) * 1_000
-	if got := h.Sum().Nanoseconds(); got != wantSum {
+	if got := h.Snapshot().SumNano; got != wantSum {
 		t.Errorf("histogram sum = %d ns, want %d", got, wantSum)
 	}
 }

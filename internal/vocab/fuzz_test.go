@@ -1,6 +1,7 @@
 package vocab
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,8 @@ func FuzzNormalize(f *testing.F) {
 	})
 }
 
-// FuzzSetOps checks the Set algebra laws on arbitrary id multisets.
+// FuzzSetOps checks NewSet and the intersection operations on arbitrary
+// id multisets.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{3, 4})
 	f.Add([]byte{}, []byte{0, 0, 0})
@@ -65,39 +67,25 @@ func FuzzSetOps(f *testing.F) {
 				}
 			}
 		}
-		inter, union, diff := a.Intersect(b), a.Union(b), a.Diff(b)
-		if len(union) != len(a)+len(b)-len(inter) {
-			t.Fatalf("|A∪B| = %d, want |A|+|B|-|A∩B| = %d", len(union), len(a)+len(b)-len(inter))
-		}
+		inter := a.Intersect(b)
 		if a.IntersectCount(b) != len(inter) {
 			t.Fatalf("IntersectCount = %d, Intersect len = %d", a.IntersectCount(b), len(inter))
-		}
-		if a.DiffCount(b) != len(diff) {
-			t.Fatalf("DiffCount = %d, Diff len = %d", a.DiffCount(b), len(diff))
 		}
 		if a.Intersects(b) != (len(inter) > 0) {
 			t.Fatal("Intersects disagrees with Intersect")
 		}
 		for _, id := range inter {
-			if !a.Contains(id) || !b.Contains(id) {
+			if !slices.Contains(a, id) || !slices.Contains(b, id) {
 				t.Fatalf("intersection member %d missing from an operand", id)
 			}
 		}
-		for _, id := range diff {
-			if !a.Contains(id) || b.Contains(id) {
-				t.Fatalf("difference member %d misplaced", id)
-			}
-		}
 		for _, id := range a {
-			if !union.Contains(id) {
-				t.Fatalf("union lost %d", id)
+			if slices.Contains(b, id) && !slices.Contains(inter, id) {
+				t.Fatalf("intersection lost %d", id)
 			}
 		}
 		if jd := a.JaccardDistance(b); jd < 0 || jd > 1 {
 			t.Fatalf("Jaccard distance %v outside [0,1]", jd)
-		}
-		if !a.Equal(a.Clone()) {
-			t.Fatal("clone not equal to original")
 		}
 	})
 }

@@ -8,7 +8,6 @@
 package vocab
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -132,12 +131,6 @@ func NewSet(ids []ID) Set {
 // Len returns the cardinality of the set.
 func (s Set) Len() int { return len(s) }
 
-// Contains reports whether id is a member of s.
-func (s Set) Contains(id ID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	return i < len(s) && s[i] == id
-}
-
 // IntersectCount returns |s ∩ t|.
 func (s Set) IntersectCount(t Set) int {
 	n, i, j := 0, 0, 0
@@ -175,54 +168,6 @@ func (s Set) Intersect(t Set) Set {
 	return out
 }
 
-// Union returns s ∪ t as a new Set.
-func (s Set) Union(t Set) Set {
-	out := make(Set, 0, len(s)+len(t))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			out = append(out, t[j])
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
-}
-
-// Diff returns s \ t as a new Set.
-func (s Set) Diff(t Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	return out
-}
-
-// DiffCount returns |s \ t|.
-func (s Set) DiffCount(t Set) int {
-	return len(s) - s.IntersectCount(t)
-}
-
 // Intersects reports whether s ∩ t is non-empty. This realizes the paper's
 // relevance predicate Ψp ∩ Ψ ≠ ∅ (Def. 1).
 func (s Set) Intersects(t Set) bool {
@@ -249,38 +194,6 @@ func (s Set) JaccardDistance(t Set) float64 {
 		return 0
 	}
 	return 1 - float64(inter)/float64(union)
-}
-
-// Equal reports whether s and t have identical members.
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	if s == nil {
-		return nil
-	}
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}
-
-// validate panics when s is not sorted and duplicate-free; used by tests.
-func (s Set) validate() {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			panic(fmt.Sprintf("vocab: set not strictly sorted at %d: %v", i, s))
-		}
-	}
 }
 
 // Freq is a keyword frequency vector over a dictionary, indexed by keyword

@@ -50,7 +50,7 @@ func trajEngine(t *testing.T, cfg soi.Config) *soi.Engine {
 
 func TestEngineTopRoutes(t *testing.T) {
 	e := trajEngine(t, soi.Config{})
-	routes, err := e.TopRoutes(soi.RouteQuery{
+	routes, err := e.TopRoutesCtx(context.Background(), soi.RouteQuery{
 		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 		Keywords: []string{"shop"}, K: 3, Epsilon: 0.0005, Budget: 0.02,
 	})
@@ -97,7 +97,7 @@ func TestEngineTopRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = city.TopRoutes(soi.RouteQuery{
+	_, err = city.TopRoutesCtx(context.Background(), soi.RouteQuery{
 		Src: soi.Point{X: 0, Y: 0.0036}, Dst: soi.Point{X: 0.02, Y: 0.0036},
 		Keywords: []string{"shop"}, K: 3, Epsilon: 0.0005, Budget: 0.2,
 	})
@@ -115,12 +115,12 @@ func TestEngineRoutesKeywordSupersetMonotonicity(t *testing.T) {
 		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
 	}
-	base, err := e.TopRoutes(q)
+	base, err := e.TopRoutesCtx(context.Background(), q)
 	if err != nil || len(base) == 0 {
 		t.Fatalf("base query: routes=%d err=%v", len(base), err)
 	}
 	q.Keywords = []string{"shop", "cafe"}
-	super, err := e.TopRoutes(q)
+	super, err := e.TopRoutesCtx(context.Background(), q)
 	if err != nil || len(super) == 0 {
 		t.Fatalf("superset query: routes=%d err=%v", len(super), err)
 	}
@@ -131,7 +131,7 @@ func TestEngineRoutesKeywordSupersetMonotonicity(t *testing.T) {
 
 func TestEngineTrajectorySOI(t *testing.T) {
 	e := trajEngine(t, soi.Config{})
-	res, err := e.TrajectorySOI(soi.TrajectoryQuery{
+	res, err := e.TrajectorySOICtx(context.Background(), soi.TrajectoryQuery{
 		Traces: [][]soi.Point{{
 			{X: 0.0001, Y: 0.00101}, {X: 0.001, Y: 0.00099}, {X: 0.0019, Y: 0.00101},
 		}},
@@ -151,7 +151,7 @@ func TestEngineTrajectorySOI(t *testing.T) {
 		t.Fatalf("trajectory counters not recorded: %+v", snap.Traj)
 	}
 
-	if _, err := e.TrajectorySOI(soi.TrajectoryQuery{Keywords: []string{"shop"}, K: 3}); !errors.Is(err, soi.ErrNoTraces) {
+	if _, err := e.TrajectorySOICtx(context.Background(), soi.TrajectoryQuery{Keywords: []string{"shop"}, K: 3}); !errors.Is(err, soi.ErrNoTraces) {
 		t.Fatalf("err = %v, want ErrNoTraces", err)
 	}
 }
@@ -170,21 +170,21 @@ func TestEngineTrajectorySOIRadiusEdgeCases(t *testing.T) {
 
 	tiny := q
 	tiny.Radius = 1e-15
-	if _, err := e.TrajectorySOI(tiny); err != nil {
+	if _, err := e.TrajectorySOICtx(context.Background(), tiny); err != nil {
 		t.Fatalf("tiny radius: %v", err)
 	}
 
 	nan := q
 	nan.Radius = math.NaN()
-	if _, err := e.TrajectorySOI(nan); err == nil {
+	if _, err := e.TrajectorySOICtx(context.Background(), nan); err == nil {
 		t.Fatal("NaN radius accepted")
 	}
 
-	first, err := e.TrajectorySOI(q)
+	first, err := e.TrajectorySOICtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.TrajectorySOI(q)
+	second, err := e.TrajectorySOICtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,16 +211,16 @@ func TestEngineTrajShedsUnderLoad(t *testing.T) {
 
 	// Query 1 takes the only worker slot and parks on the fault site.
 	done1 := make(chan error, 1)
-	go func() { _, err := e.TopRoutes(q); done1 <- err }()
+	go func() { _, err := e.TopRoutesCtx(context.Background(), q); done1 <- err }()
 	waitFor(t, func() bool { return faults.Visits("traj.search") >= 1 })
 
 	// Query 2 fills the one queue slot.
 	done2 := make(chan error, 1)
-	go func() { _, err := e.TopRoutes(q); done2 <- err }()
+	go func() { _, err := e.TopRoutesCtx(context.Background(), q); done2 <- err }()
 	time.Sleep(50 * time.Millisecond)
 
 	// Query 3 finds the queue full and is shed immediately.
-	if _, err := e.TopRoutes(q); !errors.Is(err, soi.ErrOverloaded) {
+	if _, err := e.TopRoutesCtx(context.Background(), q); !errors.Is(err, soi.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 
@@ -253,7 +253,7 @@ func TestEngineTrajGateGauges(t *testing.T) {
 
 	trajDone := make(chan error, 1)
 	go func() {
-		_, err := e.TrajectorySOI(soi.TrajectoryQuery{
+		_, err := e.TrajectorySOICtx(context.Background(), soi.TrajectoryQuery{
 			Traces:   [][]soi.Point{{{X: 0.0001, Y: 0.00101}, {X: 0.001, Y: 0.00099}}},
 			Keywords: []string{"shop"}, K: 5, Epsilon: 0.0005, Radius: 0.0003,
 		})
@@ -266,7 +266,7 @@ func TestEngineTrajGateGauges(t *testing.T) {
 
 	routeDone := make(chan error, 1)
 	go func() {
-		_, err := e.TopRoutes(soi.RouteQuery{
+		_, err := e.TopRoutesCtx(context.Background(), soi.RouteQuery{
 			Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 			Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
 		})
@@ -325,7 +325,7 @@ func TestEngineTrajFreeSlotsNeverShed(t *testing.T) {
 		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
 	}
-	if _, err := e.TopRoutes(q); err != nil { // build the search graph once
+	if _, err := e.TopRoutesCtx(context.Background(), q); err != nil { // build the search graph once
 		t.Fatal(err)
 	}
 	for round := 0; round < 50; round++ {
@@ -334,7 +334,7 @@ func TestEngineTrajFreeSlotsNeverShed(t *testing.T) {
 		for i := 0; i < workers; i++ {
 			go func() {
 				<-start
-				_, err := e.TopRoutes(q)
+				_, err := e.TopRoutesCtx(context.Background(), q)
 				errs <- err
 			}()
 		}
@@ -351,7 +351,7 @@ func TestEngineTrajQueryTimeout(t *testing.T) {
 	defer faults.Reset()
 	e := trajEngine(t, soi.Config{QueryTimeout: 20 * time.Millisecond})
 	faults.Activate("traj.search", faults.Fault{Delay: 30 * time.Millisecond})
-	_, err := e.TopRoutes(soi.RouteQuery{
+	_, err := e.TopRoutesCtx(context.Background(), soi.RouteQuery{
 		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
 	})
@@ -367,7 +367,7 @@ func TestEngineTrajPanicIsolation(t *testing.T) {
 	defer faults.Reset()
 	e := trajEngine(t, soi.Config{})
 	faults.Activate("traj.search", faults.Fault{Panic: true, PanicValue: "boom", Times: 1})
-	_, err := e.TopRoutes(soi.RouteQuery{
+	_, err := e.TopRoutesCtx(context.Background(), soi.RouteQuery{
 		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
 	})
@@ -380,7 +380,7 @@ func TestEngineTrajPanicIsolation(t *testing.T) {
 	}
 	// The engine still serves after recovering.
 	faults.Deactivate("traj.search")
-	if _, err := e.TopRoutes(soi.RouteQuery{
+	if _, err := e.TopRoutesCtx(context.Background(), soi.RouteQuery{
 		Src: soi.Point{X: 0, Y: 0}, Dst: soi.Point{X: 0.002, Y: 0.002},
 		Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005, Budget: 0.02,
 	}); err != nil {
@@ -496,10 +496,10 @@ func TestEngineTrajRefusesBadEpsilon(t *testing.T) {
 	before := e.StatsSnapshot().Traj
 	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.0005} {
 		rq.Epsilon, tq.Epsilon = eps, eps
-		if _, err := e.TopRoutes(rq); !errors.Is(err, soi.ErrBadEpsilon) {
+		if _, err := e.TopRoutesCtx(context.Background(), rq); !errors.Is(err, soi.ErrBadEpsilon) {
 			t.Errorf("routes ε=%v: err = %v, want ErrBadEpsilon", eps, err)
 		}
-		if _, err := e.TrajectorySOI(tq); !errors.Is(err, soi.ErrBadEpsilon) {
+		if _, err := e.TrajectorySOICtx(context.Background(), tq); !errors.Is(err, soi.ErrBadEpsilon) {
 			t.Errorf("trajectory ε=%v: err = %v, want ErrBadEpsilon", eps, err)
 		}
 	}
@@ -508,10 +508,10 @@ func TestEngineTrajRefusesBadEpsilon(t *testing.T) {
 		t.Fatalf("refused ε requested interests:\nbefore %+v\n after %+v", before, after)
 	}
 	rq.Epsilon, tq.Epsilon = 0.0005, 0.0005
-	if routes, err := e.TopRoutes(rq); err != nil || len(routes) == 0 {
+	if routes, err := e.TopRoutesCtx(context.Background(), rq); err != nil || len(routes) == 0 {
 		t.Fatalf("routes = %v, %v", routes, err)
 	}
-	if streets, err := e.TrajectorySOI(tq); err != nil || len(streets) == 0 {
+	if streets, err := e.TrajectorySOICtx(context.Background(), tq); err != nil || len(streets) == 0 {
 		t.Fatalf("trajectory = %v, %v", streets, err)
 	}
 }
@@ -531,7 +531,7 @@ func TestEngineOneGateForEveryFamily(t *testing.T) {
 	faults.Activate("traj.search", faults.Fault{Block: block})
 
 	routeDone := make(chan error, 1)
-	go func() { _, err := e.TopRoutes(route); routeDone <- err }()
+	go func() { _, err := e.TopRoutesCtx(context.Background(), route); routeDone <- err }()
 	waitFor(t, func() bool { return faults.Visits("traj.search") >= 1 })
 
 	ksoiDone := make(chan error, 1)

@@ -1,6 +1,7 @@
 package soi
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -23,12 +24,12 @@ func TestMatcherMemoKeepsRecentRadii(t *testing.T) {
 	first := e.trajMatcherLazy(radii[0])
 	for _, r := range radii[1:] {
 		q.Radius = r
-		want, err := e.TrajectorySOI(q)
+		want, err := e.TrajectorySOICtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		held := e.trajMatcherLazy(r)
-		got, err := e.TrajectorySOI(q)
+		got, err := e.TrajectorySOICtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
