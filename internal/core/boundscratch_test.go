@@ -106,15 +106,16 @@ func TestUnseenBoundZeroAllocs(t *testing.T) {
 	}
 }
 
-// runOn evaluates one query on a caller-held scratch run, the way
-// soiResolved does on a pooled one.
-func runOn(t *testing.T, r *slabRun, q Query) []StreetResult {
+// runOn evaluates one query under strat on a caller-held scratch run,
+// the way soiResolved does on a pooled one, and returns its results and
+// counters.
+func runOn(t *testing.T, r *slabRun, q Query, strat Strategy) ([]StreetResult, Stats) {
 	t.Helper()
 	query, err := r.ix.resolve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.ctx, r.query, r.k, r.eps = context.Background(), query, q.K, q.Epsilon
+	r.ctx, r.query, r.k, r.eps, r.strat = context.Background(), query, q.K, q.Epsilon, strat
 	r.begin(r.ix.plan(q.Epsilon))
 	if err := r.filter(); err != nil {
 		t.Fatal(err)
@@ -124,29 +125,23 @@ func runOn(t *testing.T, r *slabRun, q Query) []StreetResult {
 		t.Fatal(err)
 	}
 	r.release()
-	return out
+	return out, r.stats
 }
 
 // TestScratchEpochWrap drives one scratch run — shared by bound-only and
-// full evaluations — across the uint32 epoch wrap. Stamps written before
-// the wrap (including in storage a smaller-ε run does not cover) must
-// not be mistaken for current ones when the counter reuses their value.
+// full evaluations — across the uint32 epoch wrap, under each schedule.
+// Stamps written before the wrap (including in storage a smaller-ε run
+// does not cover), and the per-segment state they guard, must not be
+// mistaken for current ones when the counter reuses their value: every
+// run must return the results and the counters of a fresh evaluation. A
+// stale Drain refine bound is still an upper bound, so it shows in the
+// counters (refine drains more), not in the results.
 func TestScratchEpochWrap(t *testing.T) {
 	ix, _ := allocWorld(t)
 	wide := Query{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.6}
 	narrow := Query{Keywords: []string{"museum", "park"}, K: 5, Epsilon: 0.05}
 	several := Query{Keywords: []string{"food", "museum", "shop"}, K: 1, Epsilon: 0.6}
-	wantWide, _, err := ix.SOI(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNarrow, _, err := ix.SOI(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantWide) == 0 || len(wantNarrow) == 0 {
-		t.Fatal("world too sparse for the wrap test to mean anything")
-	}
+	absent := Query{Keywords: []string{"zeppelin"}, K: 5, Epsilon: 0.05}
 	top := func(r *slabRun, q Query) float64 {
 		r.query = r.ix.resolveInto(r.queryBuf[:0], q.Keywords)
 		return r.topSL1()
@@ -157,30 +152,67 @@ func TestScratchEpochWrap(t *testing.T) {
 		t.Fatal("no relevant cell for the multi-keyword bound")
 	}
 
-	r := &slabRun{ix: ix}
-	// Epochs 1..3 leave stamps 1, 2 and 3 behind, over the wide plan's
-	// full pair range and the bound's accumulators.
-	runOn(t, r, wide)
-	runOn(t, r, wide)
-	if got := top(r, several); got != wantTop {
-		t.Fatalf("bound before the wrap = %v, want %v", got, wantTop)
-	}
-	r.epoch = math.MaxUint32 - 1
-	// The last epoch before the wrap, on the narrow plan: the per-pair
-	// arrays shrink, so the wide plan's tail holds the old stamps.
-	requireSameResults(t, "narrow query at the last epoch", runOn(t, r, narrow), wantNarrow)
-	// The bound wraps the counter to 1; the wide runs then reuse 2 and 3.
-	if got := top(r, several); got != wantTop {
-		t.Fatalf("bound across the wrap = %v, want %v", got, wantTop)
-	}
-	if r.epoch != 1 {
-		t.Fatalf("epoch after the wrap = %d, want 1", r.epoch)
-	}
-	for i := 0; i < 2; i++ {
-		requireSameResults(t, "wide query after the wrap", runOn(t, r, wide), wantWide)
-		if got := top(r, several); got != wantTop {
-			t.Fatalf("bound after the wrap = %v, want %v", got, wantTop)
-		}
+	for _, strat := range []Strategy{CostAware, Drain} {
+		t.Run(strat.String(), func(t *testing.T) {
+			type answer struct {
+				rows  []StreetResult
+				stats Stats
+			}
+			want := map[*Query]answer{}
+			for _, q := range []*Query{&wide, &narrow, &several, &absent} {
+				rows, st, err := ix.SOIWithStrategy(*q, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) == 0 && q != &absent {
+					t.Fatal("world too sparse for the wrap test to mean anything")
+				}
+				st.BuildListsTime, st.FilterTime, st.RefineTime = 0, 0, 0
+				want[q] = answer{rows, st}
+			}
+			r := &slabRun{ix: ix}
+			check := func(label string, q *Query) {
+				t.Helper()
+				rows, st := runOn(t, r, *q, strat)
+				requireSameResults(t, label, rows, want[q].rows)
+				st.BuildListsTime, st.FilterTime, st.RefineTime = 0, 0, 0
+				if st != want[q].stats {
+					t.Fatalf("%s: counters %+v, want %+v", label, st, want[q].stats)
+				}
+			}
+			bound := func(label string) {
+				t.Helper()
+				if got := top(r, several); got != wantTop {
+					t.Fatalf("bound %s = %v, want %v", label, got, wantTop)
+				}
+			}
+			// Epochs 1..3 leave stamps 1 to 3 behind. The wide query
+			// covers the wide plan's pair range, and under Drain it sees
+			// every segment.
+			if st := want[&wide].stats; strat == Drain && st.SegmentsSeen != st.TotalSegments {
+				t.Fatalf("wide query saw %d of %d segments; it must see all", st.SegmentsSeen, st.TotalSegments)
+			}
+			check("narrow query", &narrow)
+			check("wide query", &wide)
+			bound("before the wrap")
+			r.epoch = math.MaxUint32 - 1
+			// The last epoch before the wrap, on the narrow plan with no
+			// relevant cell: the per-pair arrays shrink, so the wide
+			// plan's tail holds the old stamps, and no per-segment stamp
+			// is rewritten.
+			check("keyword the vocabulary lacks at the last epoch", &absent)
+			// The bound wraps the counter to 1; the wide run then reuses 2
+			// over its own stamps, the several-keyword run 3 over the
+			// bound's accumulators.
+			bound("across the wrap")
+			if r.epoch != 1 {
+				t.Fatalf("epoch after the wrap = %d, want 1", r.epoch)
+			}
+			check("wide query after the wrap", &wide)
+			check("several-keyword query after the wrap", &several)
+			check("narrow query after the wrap", &narrow)
+			bound("after the wrap")
+		})
 	}
 }
 

@@ -30,8 +30,9 @@ func TestSOIContextExpiredBeforeStart(t *testing.T) {
 // TestSOIContextCancelMidFilter: a cancellation that lands while the
 // filter phase is parked (a wedged source, modelled by a Block fault at the
 // filter checkpoint) must surface context.Canceled promptly instead of
-// hanging. Drain parks on its third relevant cell: its marking pass has no
-// bound loop, and must still poll the checkpoint per cell, not per query.
+// hanging. Drain parks on its third relevant cell: its marking pass runs
+// no UB/LBk iterations to poll at, so it polls the checkpoint once per
+// relevant cell it walks, not once per query.
 func TestSOIContextCancelMidFilter(t *testing.T) {
 	for _, tc := range []struct {
 		strat Strategy

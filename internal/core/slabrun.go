@@ -59,6 +59,10 @@ type slabRun struct {
 	segFinal     []uint32 // stamp: exact mass known
 	segMass      []float64
 	segRemaining []int32
+	// segBound is a Drain run's refine bound: the SL1 weights of the
+	// segment's relevant cells, summed by filterDrain in ascending cell
+	// ordinal. Valid where segSeen matches.
+	segBound []float64
 
 	// Per-(segment, cell) pair state (sized to len(plan.segCell)).
 	visited []uint32 // stamp: cell visited for its segment
@@ -132,6 +136,7 @@ func (r *slabRun) begin(plan *slabPlan) {
 	r.segFinal = growU32(r.segFinal, numSegs)
 	r.segMass = growF64(r.segMass, numSegs)
 	r.segRemaining = growI32(r.segRemaining, numSegs)
+	r.segBound = growF64(r.segBound, numSegs)
 	r.visited = growU32(r.visited, numPairs)
 	r.contrib = growF64(r.contrib, numPairs)
 	r.relStamp = growU32(r.relStamp, numCells)
@@ -195,8 +200,8 @@ func (r *slabRun) release() {
 // single-keyword list aliases the slab directly — it is already capped and
 // sorted, and no schedule writes to it; a multi-keyword list is the
 // accumulated cells (accumulate) with their capped weights (cappedAcc).
-// Drain never pops SL1 by rank, so its multi-keyword list stays in
-// accumulation order.
+// Drain reads SL1 only to file each weight under its cell ordinal
+// (filterDrain), so its multi-keyword list is left in accumulation order.
 func (r *slabRun) buildSL1() {
 	s := r.ix.slab
 	if len(r.query) == 1 {
@@ -647,19 +652,33 @@ func (r *slabRun) popSL1() {
 }
 
 // filterDrain is the whole filter phase of the Drain schedule: one pass
-// over the query's relevant cells, in whatever order buildSL1 left them,
-// that marks every segment within ε of one as seen and visits nothing.
-// A segment it does not reach has no relevant cell and so no mass; all
-// the pruning is refine's, which bounds each marked segment by the SL1
-// weights of its own cells and drains in that order.
+// over the query's relevant cells in ascending cell ordinal that marks
+// every segment within ε of one as seen and adds the cell's SL1 weight to
+// the segment's refine bound. It visits no cell's POIs. A segment it does
+// not reach has no relevant cell and so no mass; all the pruning is
+// refine's, which drains the marked segments in the order of these
+// bounds. Cε(ℓ) is ascending too, so each bound is the float sum refine's
+// own loop over Cε(ℓ) would fold, to the bit.
 func (r *slabRun) filterDrain() error {
-	for _, ord := range r.sl1Cell {
+	for i, ord := range r.sl1Cell {
+		r.cwVal[ord] = r.sl1W[i]
+		r.cwStamp[ord] = r.epoch
+	}
+	for ord, stamp := range r.cwStamp {
+		if stamp != r.epoch {
+			continue
+		}
 		if err := r.checkpoint(SiteFilter); err != nil {
 			return err
 		}
 		r.stats.CellAccesses++
+		w := r.cwVal[ord]
 		for _, sid := range r.plan.cellSeg[r.plan.cellSegOff[ord]:r.plan.cellSegOff[ord+1]] {
-			r.ensureSeen(sid)
+			if r.segSeen[sid] != r.epoch {
+				r.ensureSeen(sid)
+				r.segBound[sid] = 0
+			}
+			r.segBound[sid] += w
 		}
 	}
 	return nil
@@ -674,6 +693,10 @@ func (r *slabRun) filterDrain() error {
 // street interest. Streets with zero interest are not reported; ties are
 // broken by street id for determinism.
 //
+// Under CostAware refine sums each bound itself over the segment's
+// Cε(ℓ), skipping visited cells. Under Drain no cell has been visited,
+// and filterDrain has already summed every bound, in the same order.
+//
 // The candidates are ranked lazily: a heap built in linear time yields
 // them one at a time in candSorter's order, so a query pays for the few
 // hundred segments it drains, not for sorting the thousands it saw. The
@@ -681,28 +704,30 @@ func (r *slabRun) filterDrain() error {
 // only those become rows: out grows by at most k, into fresh storage of
 // exactly that size when its own capacity is short.
 func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
-	for i, ord := range r.sl1Cell {
-		r.cwVal[ord] = r.sl1W[i]
-		r.cwStamp[ord] = r.epoch
-	}
 	r.candSid = r.candSid[:0]
 	r.candUB = r.candUB[:0]
-	for _, sid := range r.seen {
-		pot := r.segMass[sid]
-		if r.segFinal[sid] != r.epoch {
-			for j := r.plan.segCellOff[sid]; j < r.plan.segCellOff[sid+1]; j++ {
-				if r.visited[j] != r.epoch {
-					if ord := r.plan.segCell[j]; r.cwStamp[ord] == r.epoch {
-						pot += r.cwVal[ord]
+	if r.strat == Drain {
+		for _, sid := range r.seen {
+			r.addCandidate(sid, r.segBound[sid])
+		}
+	} else {
+		for i, ord := range r.sl1Cell {
+			r.cwVal[ord] = r.sl1W[i]
+			r.cwStamp[ord] = r.epoch
+		}
+		for _, sid := range r.seen {
+			pot := r.segMass[sid]
+			if r.segFinal[sid] != r.epoch {
+				for j := r.plan.segCellOff[sid]; j < r.plan.segCellOff[sid+1]; j++ {
+					if r.visited[j] != r.epoch {
+						if ord := r.plan.segCell[j]; r.cwStamp[ord] == r.epoch {
+							pot += r.cwVal[ord]
+						}
 					}
 				}
 			}
+			r.addCandidate(sid, pot)
 		}
-		if pot <= 0 {
-			continue
-		}
-		r.candSid = append(r.candSid, sid)
-		r.candUB = append(r.candUB, Interest(pot, r.ix.segLen[sid], r.eps))
 	}
 	h := &r.candSorter
 	h.sids, h.ubs = r.candSid, r.candUB
@@ -768,6 +793,16 @@ func (r *slabRun) refine(out []StreetResult) ([]StreetResult, error) {
 		})
 	}
 	return out, nil
+}
+
+// addCandidate lists a seen segment for refine's drain under the interest
+// bound of its potential mass pot, unless pot shows it massless.
+func (r *slabRun) addCandidate(sid uint32, pot float64) {
+	if pot <= 0 {
+		return
+	}
+	r.candSid = append(r.candSid, sid)
+	r.candUB = append(r.candUB, Interest(pot, r.ix.segLen[sid], r.eps))
 }
 
 // candSorter orders parallel (id, value) slices decreasingly by value,

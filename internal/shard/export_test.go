@@ -1,11 +1,17 @@
 package shard
 
-import "repro/internal/geo"
+import (
+	"io"
+	"testing"
+
+	"repro/internal/geo"
+)
 
 // LoadWorld loads every shard a manifest names with LoadShard, the loader
-// each soishard process runs, into one queryable World. Close the world
-// when no queries are in flight to release the mappings.
-func LoadWorld(manifestPath string) (*World, error) {
+// each soishard process runs, into one queryable World. The snapshot
+// mappings backing its indexes are released when t and its subtests end,
+// so queries must not outlive the test.
+func LoadWorld(t testing.TB, manifestPath string) (*World, error) {
 	m, err := LoadManifest(manifestPath)
 	if err != nil {
 		return nil, err
@@ -17,13 +23,20 @@ func LoadWorld(manifestPath string) (*World, error) {
 		Halo:     m.Halo,
 		CellSize: m.CellSize,
 	}
+	var mappings []io.Closer
+	t.Cleanup(func() {
+		for _, c := range mappings {
+			if err := c.Close(); err != nil {
+				t.Errorf("closing a shard mapping: %v", err)
+			}
+		}
+	})
 	for id := range m.Shards {
 		sh, _, mapping, err := LoadShard(manifestPath, id)
 		if err != nil {
-			w.Close()
 			return nil, err
 		}
-		w.mappings = append(w.mappings, mapping)
+		mappings = append(mappings, mapping)
 		w.Shards = append(w.Shards, sh)
 	}
 	return w, nil

@@ -24,7 +24,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/core"
@@ -79,24 +78,6 @@ type World struct {
 	TilesY   int
 	Halo     float64
 	CellSize float64
-
-	// mappings holds snapshot mmaps backing shard indexes loaded from
-	// disk; empty for worlds built in memory by Partition.
-	mappings []io.Closer
-}
-
-// Close releases snapshot mappings backing a world loaded from disk. It
-// must not be called while queries are in flight. Worlds built by
-// Partition hold no mappings and Close is a no-op.
-func (w *World) Close() error {
-	var first error
-	for _, m := range w.mappings {
-		if err := m.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	w.mappings = nil
-	return first
 }
 
 // SplitTiles factors a requested tile count into a near-square grid:

@@ -25,15 +25,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := WriteSnapshots(manifest, w); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadWorld(manifest)
+	loaded, err := LoadWorld(t, manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := loaded.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
 	if len(loaded.Shards) != len(w.Shards) {
 		t.Fatalf("loaded %d shards, want %d", len(loaded.Shards), len(w.Shards))
 	}
@@ -104,11 +99,10 @@ func TestLoadWorldFromParentLayout(t *testing.T) {
 	if err := WriteSnapshots(manifest, w); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadWorld(manifest)
+	loaded, err := LoadWorld(t, manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 
 	single, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell})
 	if err != nil {
@@ -138,23 +132,23 @@ func TestLoadWorldFromParentLayout(t *testing.T) {
 func TestLoadWorldRejectsBadManifest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.json")
-	if _, err := LoadWorld(path); err == nil {
+	if _, err := LoadWorld(t, path); err == nil {
 		t.Error("missing manifest accepted")
 	}
 	os.WriteFile(path, []byte("{not json"), 0o644)
-	if _, err := LoadWorld(path); err == nil {
+	if _, err := LoadWorld(t, path); err == nil {
 		t.Error("malformed manifest accepted")
 	}
 	os.WriteFile(path, []byte(`{"version": 99, "shards": [{"file": "x.soi"}]}`), 0o644)
-	if _, err := LoadWorld(path); err == nil {
+	if _, err := LoadWorld(t, path); err == nil {
 		t.Error("wrong version accepted")
 	}
 	os.WriteFile(path, []byte(`{"version": 1, "shards": []}`), 0o644)
-	if _, err := LoadWorld(path); err == nil {
+	if _, err := LoadWorld(t, path); err == nil {
 		t.Error("empty shard list accepted")
 	}
 	os.WriteFile(path, []byte(`{"version": 1, "shards": [{"file": "absent.soi"}]}`), 0o644)
-	if _, err := LoadWorld(path); err == nil {
+	if _, err := LoadWorld(t, path); err == nil {
 		t.Error("missing shard file accepted")
 	}
 }
