@@ -16,8 +16,8 @@ import (
 // list — no grid, inverted index or cell↔segment map is built, and no
 // POI is decoded; the slab is the one grid layout every reader is served
 // from. The POI corpus decodes from the mapping only if something reads
-// its records (the exact baseline, WriteSnapshot).
-// Config.GridCellSize is ignored — the snapshot's slab fixes the cell size.
+// its records (the exact baseline, WriteSnapshot). The snapshot's slab
+// fixes the cell size.
 //
 // The returned engine holds the mapping open; call Close when done with
 // it, and not before its last query: the slab and the undecoded corpus

@@ -89,13 +89,9 @@ func NewLiveEngineFromCorpora(net *network.Network, pois *poi.Corpus, photos *ph
 // serving stack to it. phSpecs is the photo corpus in the form compaction
 // snapshots persist; it is only needed with cfg.SnapshotPath set.
 func newLiveEngine(net *network.Network, base []ingest.Delta, photos *photo.Corpus, phSpecs []ingest.PhotoSpec, cfg LiveConfig) (*Engine, error) {
-	cell := cfg.GridCellSize
-	if cell == 0 {
-		cell = DefaultCellSize
-	}
 	rec := stats.NewRecorder()
 	ing, err := ingest.New(net, base, ingest.Config{
-		CellSize:     cell,
+		CellSize:     DefaultCellSize,
 		BatchSize:    cfg.BatchSize,
 		CompactAfter: cfg.CompactAfter,
 		SnapshotPath: cfg.SnapshotPath,

@@ -72,9 +72,6 @@ type PhotoInput struct {
 
 // Config controls engine construction.
 type Config struct {
-	// GridCellSize is the spatial index cell side; defaults to 0.0005
-	// (≈55 m at European latitudes), the paper's ε.
-	GridCellSize float64
 	// Workers bounds the number of queries evaluated concurrently — k-SOI,
 	// routes, trajectories, describes and tour planning share one
 	// admission gate; 0 means GOMAXPROCS.
@@ -94,7 +91,9 @@ type Config struct {
 	QueryTimeout time.Duration
 }
 
-// DefaultCellSize is the grid cell side used when Config leaves it zero.
+// DefaultCellSize is the grid cell side of every index an engine builds:
+// 0.0005 (≈55 m at European latitudes), the paper's ε. A snapshot keeps
+// the cell size it was built with (soibuild -cell).
 const DefaultCellSize = 0.0005
 
 // Query is a k-SOI query ⟨Ψ, k, ε⟩.
@@ -362,11 +361,7 @@ func NewEngineFromCorpora(net *network.Network, pois *poi.Corpus, photos *photo.
 }
 
 func newEngine(net *network.Network, pois *poi.Corpus, photos *photo.Corpus, dict *vocab.Dictionary, cfg Config) (*Engine, error) {
-	cell := cfg.GridCellSize
-	if cell == 0 {
-		cell = DefaultCellSize
-	}
-	ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: cell})
+	ix, err := core.NewIndex(net, pois, core.IndexConfig{CellSize: DefaultCellSize})
 	if err != nil {
 		return nil, fmt.Errorf("soi: building index: %w", err)
 	}
