@@ -2,10 +2,16 @@ package shard
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/network"
 )
 
@@ -110,4 +116,59 @@ func TestGoldenBorderStraddle(t *testing.T) {
 			t.Errorf("tiles=%d: golden street 1 fits one tile column [%d,%d]; world no longer exercises the border", tiles, lo, hi)
 		}
 	}
+}
+
+// TestGoldenPartition pins the bytes soibuild -shards writes for Berlin
+// 0.1 at 4 and at 9 tiles: one FNV-64a for the manifest and one for each
+// shard file, in shard order. The street assignment, the replicated POI
+// subsets, each shard's slab and the numbering of shards are all in
+// these bytes, so a change to how Partition or WriteSnapshots builds
+// them must pass with the literals as they are.
+func TestGoldenPartition(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tiles    int
+		manifest uint64
+		shards   []uint64
+	}{
+		{4, 0x0e233286b3cf13cb, []uint64{0xf38cf9438afb4fdc, 0x99c45f06211b9f99, 0x63abfaa3de9fbcab, 0x17e471572cf5ede2}},
+		{9, 0x2bf182b31477368a, []uint64{
+			0xbf2f81a28027465d, 0x6dd3d5f2dab18876, 0x1d932d4f833b21e3, 0x56d8104d0bdee2ee, 0x27e27b273808415b,
+			0x387ab54f805a223c, 0xca718709508bc2fa, 0xd3afca1d31665f2b, 0xfbde179cf9af931e,
+		}},
+	} {
+		w, err := Partition(ds.Network, ds.POIs, Config{Tiles: c.tiles, Halo: 0.0012, CellSize: 0.0005})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		manifest := filepath.Join(dir, "berlin.manifest.json")
+		if err := WriteSnapshots(manifest, w); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileHash(t, manifest); got != c.manifest {
+			t.Errorf("tiles=%d: manifest hash %#x, want %#x", c.tiles, got, c.manifest)
+		}
+		got := make([]uint64, len(w.Shards))
+		for i := range w.Shards {
+			got[i] = fileHash(t, filepath.Join(dir, fmt.Sprintf("berlin.manifest.shard%d.soi", i)))
+		}
+		if !slices.Equal(got, c.shards) {
+			t.Errorf("tiles=%d: shard file hashes %#x, want %#x", c.tiles, got, c.shards)
+		}
+	}
+}
+
+func fileHash(t *testing.T, path string) uint64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
 }
