@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -125,21 +124,25 @@ func (ix *Index) buildPlan(eps float64, workers int) *slabPlan {
 			next[ord]++
 		}
 	}
-	// SL2: segments by decreasing ε-near cell count, ties by id.
+	// SL2: segments by decreasing ε-near cell count, ties by id — a
+	// counting sort over the counts, filled in ascending id.
+	var most uint32
+	for sid := 0; sid < numSegs; sid++ {
+		most = max(most, p.segCellOff[sid+1]-p.segCellOff[sid])
+	}
+	at := make([]uint32, most+2)
+	for sid := 0; sid < numSegs; sid++ {
+		at[most-(p.segCellOff[sid+1]-p.segCellOff[sid])+1]++
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
 	p.sl2 = make([]network.SegmentID, numSegs)
-	for i := range p.sl2 {
-		p.sl2[i] = network.SegmentID(i)
+	for sid := 0; sid < numSegs; sid++ {
+		c := most - (p.segCellOff[sid+1] - p.segCellOff[sid])
+		p.sl2[at[c]] = network.SegmentID(sid)
+		at[c]++
 	}
-	counts := func(sid network.SegmentID) uint32 {
-		return p.segCellOff[sid+1] - p.segCellOff[sid]
-	}
-	sort.Slice(p.sl2, func(i, j int) bool {
-		a, b := p.sl2[i], p.sl2[j]
-		if counts(a) != counts(b) {
-			return counts(a) > counts(b)
-		}
-		return a < b
-	})
 	return p
 }
 

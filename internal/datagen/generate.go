@@ -244,6 +244,10 @@ func buildNetwork(p Profile, rng *rand.Rand) (*network.Network, error) {
 type segmentPicker struct {
 	net *network.Network
 	cum []float64
+	// guide[j] is the first index whose cumulative length reaches
+	// j/len(guide) of the total, so a search starts next to its answer.
+	guide []int32
+	scale float64 // len(guide) / total; 0 when every segment is empty
 }
 
 func newSegmentPicker(net *network.Network) *segmentPicker {
@@ -253,28 +257,51 @@ func newSegmentPicker(net *network.Network) *segmentPicker {
 		total += net.Segment(network.SegmentID(i)).Length()
 		cum[i] = total
 	}
-	return &segmentPicker{net: net, cum: cum}
+	sp := &segmentPicker{net: net, cum: cum, guide: make([]int32, len(cum))}
+	if total > 0 {
+		sp.scale = float64(len(cum)) / total
+	}
+	i := 0
+	for j := range sp.guide {
+		t := float64(j) * total / float64(len(cum))
+		for i < len(cum) && cum[i] < t {
+			i++
+		}
+		sp.guide[j] = int32(i)
+	}
+	return sp
+}
+
+// search returns sort.SearchFloat64s(sp.cum, target), clamped to the
+// last segment: the first index whose cumulative length reaches target.
+// The guide entry is only a starting point; the two scans move it to
+// that index whatever rounding put it on the wrong side.
+func (sp *segmentPicker) search(target float64) int {
+	i := int(sp.guide[min(int(target*sp.scale), len(sp.guide)-1)])
+	for i > 0 && sp.cum[i-1] >= target {
+		i--
+	}
+	for i < len(sp.cum) && sp.cum[i] < target {
+		i++
+	}
+	return min(i, len(sp.cum)-1)
 }
 
 // pick returns a random point near a length-weighted random segment,
 // offset perpendicular to it by a N(0, sigma) distance.
 func (sp *segmentPicker) pick(rng *rand.Rand, sigma float64) geo.Point {
-	total := sp.cum[len(sp.cum)-1]
-	target := rng.Float64() * total
-	idx := sort.SearchFloat64s(sp.cum, target)
-	if idx >= len(sp.cum) {
-		idx = len(sp.cum) - 1
-	}
-	return pointNearSegment(sp.net.Segment(network.SegmentID(idx)).Geom, rng, sigma)
+	target := rng.Float64() * sp.cum[len(sp.cum)-1]
+	return pointNearSegment(sp.net.Segment(network.SegmentID(sp.search(target))), rng, sigma)
 }
 
 // pointNearSegment returns a point at a uniform position along the
 // segment, displaced perpendicular by N(0, sigma).
-func pointNearSegment(g geo.Segment, rng *rand.Rand, sigma float64) geo.Point {
+func pointNearSegment(seg *network.Segment, rng *rand.Rand, sigma float64) geo.Point {
+	g := seg.Geom
 	t := rng.Float64()
 	x := g.A.X + t*(g.B.X-g.A.X)
 	y := g.A.Y + t*(g.B.Y-g.A.Y)
-	l := g.Length()
+	l := seg.Length()
 	var nx, ny float64
 	if l > 0 {
 		nx = -(g.B.Y - g.A.Y) / l
@@ -286,6 +313,37 @@ func pointNearSegment(g geo.Segment, rng *rand.Rand, sigma float64) geo.Point {
 	return geo.Pt(x+nx*off, y+ny*off)
 }
 
+// keywordArena cuts keyword sets from shared chunks instead of giving
+// each POI or photo its own allocation. A set is collected at the end of
+// the current chunk, sorted and deduplicated in place by vocab.NewSet,
+// and capped at its length, so an append to it copies instead of
+// reaching the next set's ids.
+type keywordArena struct {
+	buf   []vocab.ID
+	start int
+}
+
+// arenaChunk is the number of ids one chunk holds.
+const arenaChunk = 1 << 14
+
+// begin starts a set of at most n ids.
+func (a *keywordArena) begin(n int) {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]vocab.ID, 0, max(arenaChunk, n))
+	}
+	a.start = len(a.buf)
+}
+
+// add appends an id to the set begun last.
+func (a *keywordArena) add(ids ...vocab.ID) { a.buf = append(a.buf, ids...) }
+
+// set returns the set begun last and gives its duplicates' slots back.
+func (a *keywordArena) set() vocab.Set {
+	s := vocab.NewSet(a.buf[a.start:])
+	a.buf = a.buf[:a.start+len(s)]
+	return s[:len(s):len(s)]
+}
+
 // buildPOIs places background POIs along every street and dense "shop"
 // POIs along the planted site streets. The returned prestige slice holds
 // the per-POI importance weight of the ratings/check-ins model; the
@@ -293,7 +351,6 @@ func pointNearSegment(g geo.Segment, rng *rand.Rand, sigma float64) geo.Point {
 func buildPOIs(p Profile, net *network.Network, dict *vocab.Dictionary, rng *rand.Rand) (*poi.Corpus, []float64) {
 	pb := poi.NewBuilder(dict)
 	picker := newSegmentPicker(net)
-	var prestige []float64
 
 	catIDs := make([]vocab.ID, len(p.Categories))
 	for i, c := range p.Categories {
@@ -305,29 +362,44 @@ func buildPOIs(p Profile, net *network.Network, dict *vocab.Dictionary, rng *ran
 		noiseIDs[i] = dict.Intern(wd)
 	}
 
-	// Background POIs.
-	for i := 0; i < p.NumPOIs; i++ {
-		loc := picker.pick(rng, p.POIOffsetSigma)
-		ids := make([]vocab.ID, 0, 3)
-		for ci, c := range p.Categories {
-			if rng.Float64() < c.Prob {
-				ids = append(ids, catIDs[ci])
-			}
-		}
-		if rng.Float64() < p.ShopBaseProb {
-			ids = append(ids, shopID)
-		}
-		// Every POI carries one long-tail word so cells always have text.
-		ids = append(ids, noiseIDs[rng.Intn(len(noiseIDs))])
-		pb.AddSet(loc, vocab.NewSet(ids), 1)
-		prestige = append(prestige, 1)
-	}
-
 	// Planted shop POIs: per site street, shops per unit length scaled by
 	// the site density. The base rate is chosen so the planted streets
 	// clearly dominate the background shop density.
 	const shopsPerKm = 160.0 // at density 1.0
 	kmPerDeg := 1 / (1000 * degPerMeter)
+	// Room for the background and a quarter more than the planted
+	// shops' expected count, so that the corpus is not copied as it grows.
+	var planted float64
+	for _, site := range p.ShopSites {
+		for _, name := range site.Streets {
+			if st := net.StreetByName(name); st != nil {
+				planted += shopsPerKm * site.Density * st.Length() * kmPerDeg
+			}
+		}
+	}
+	room := p.NumPOIs + int(1.25*planted) + 64
+	pb.Grow(room)
+	prestige := make([]float64, 0, room)
+	var arena keywordArena
+
+	// Background POIs.
+	for i := 0; i < p.NumPOIs; i++ {
+		loc := picker.pick(rng, p.POIOffsetSigma)
+		arena.begin(len(p.Categories) + 2)
+		for ci, c := range p.Categories {
+			if rng.Float64() < c.Prob {
+				arena.add(catIDs[ci])
+			}
+		}
+		if rng.Float64() < p.ShopBaseProb {
+			arena.add(shopID)
+		}
+		// Every POI carries one long-tail word so cells always have text.
+		arena.add(noiseIDs[rng.Intn(len(noiseIDs))])
+		pb.AddSet(loc, arena.set(), 1)
+		prestige = append(prestige, 1)
+	}
+
 	for _, site := range p.ShopSites {
 		weight := site.Prestige
 		if weight == 0 {
@@ -343,12 +415,13 @@ func buildPOIs(p Profile, net *network.Network, dict *vocab.Dictionary, rng *ran
 				mean := shopsPerKm * site.Density * seg.Length() * kmPerDeg
 				n := poissonish(rng, mean)
 				for j := 0; j < n; j++ {
-					loc := pointNearSegment(seg.Geom, rng, p.POIOffsetSigma*0.6)
-					ids := []vocab.ID{shopID, noiseIDs[rng.Intn(len(noiseIDs))]}
+					loc := pointNearSegment(seg, rng, p.POIOffsetSigma*0.6)
+					arena.begin(3)
+					arena.add(shopID, noiseIDs[rng.Intn(len(noiseIDs))])
 					if rng.Float64() < 0.3 {
-						ids = append(ids, catIDs[minIntDG(2, len(catIDs)-1)]) // often also "food"
+						arena.add(catIDs[minIntDG(2, len(catIDs)-1)]) // often also "food"
 					}
-					pb.AddSet(loc, vocab.NewSet(ids), 1)
+					pb.AddSet(loc, arena.set(), 1)
 					prestige = append(prestige, weight)
 				}
 			}
@@ -406,18 +479,21 @@ func buildPhotos(p Profile, net *network.Network, dict *vocab.Dictionary, rng *r
 		moodIDs[i] = dict.Intern(wd)
 	}
 
+	var arena keywordArena
+
 	// Background photos.
 	for i := 0; i < p.NumPhotos; i++ {
 		loc := picker.pick(rng, p.POIOffsetSigma*2)
-		ids := []vocab.ID{cityTag}
+		arena.begin(4)
+		arena.add(cityTag)
 		if rng.Float64() < 0.4 {
-			ids = append(ids, streetTag)
+			arena.add(streetTag)
 		}
 		nm := rng.Intn(3)
 		for j := 0; j < nm; j++ {
-			ids = append(ids, moodIDs[rng.Intn(len(moodIDs))])
+			arena.add(moodIDs[rng.Intn(len(moodIDs))])
 		}
-		pb.AddSet(loc, vocab.NewSet(ids))
+		pb.AddSet(loc, arena.set())
 	}
 
 	// Photo street workload.
@@ -448,32 +524,35 @@ func buildPhotos(p Profile, net *network.Network, dict *vocab.Dictionary, rng *r
 		g := net.Segment(spotSegs[spot]).Geom
 		c := g.Midpoint()
 		loc := geo.Pt(c.X+rng.NormFloat64()*2*degPerMeter, c.Y+rng.NormFloat64()*2*degPerMeter)
-		ids := append([]vocab.ID(nil), dupTags[spot]...)
-		pb.AddSet(loc, vocab.NewSet(ids))
+		arena.begin(len(dupTags[spot]))
+		arena.add(dupTags[spot]...)
+		pb.AddSet(loc, arena.set())
 	}
 	// Event burst spread along the street.
 	for i := 0; i < nEvent; i++ {
 		seg := net.Segment(segs[rng.Intn(len(segs))])
-		loc := pointNearSegment(seg.Geom, rng, 8*degPerMeter)
-		ids := append([]vocab.ID(nil), eventTags...)
+		loc := pointNearSegment(seg, rng, 8*degPerMeter)
+		arena.begin(len(eventTags) + 1)
+		arena.add(eventTags...)
 		if rng.Float64() < 0.5 {
-			ids = append(ids, moodIDs[rng.Intn(len(moodIDs))])
+			arena.add(moodIDs[rng.Intn(len(moodIDs))])
 		}
-		pb.AddSet(loc, vocab.NewSet(ids))
+		pb.AddSet(loc, arena.set())
 	}
 	// Long tail along the street.
 	for i := 0; i < nTail; i++ {
 		seg := net.Segment(segs[rng.Intn(len(segs))])
-		loc := pointNearSegment(seg.Geom, rng, 15*degPerMeter)
-		ids := []vocab.ID{nameTag, cityTag}
+		loc := pointNearSegment(seg, rng, 15*degPerMeter)
+		arena.begin(6)
+		arena.add(nameTag, cityTag)
 		nm := 1 + rng.Intn(3)
 		for j := 0; j < nm; j++ {
-			ids = append(ids, moodIDs[rng.Intn(len(moodIDs))])
+			arena.add(moodIDs[rng.Intn(len(moodIDs))])
 		}
 		if rng.Float64() < 0.2 {
-			ids = append(ids, dict.Intern("construction"))
+			arena.add(dict.Intern("construction"))
 		}
-		pb.AddSet(loc, vocab.NewSet(ids))
+		pb.AddSet(loc, arena.set())
 	}
 	return pb.Build()
 }

@@ -270,3 +270,16 @@ func TestSegmentLengthExtremes(t *testing.T) {
 		t.Errorf("max segment length %v deg too small", st.MaxSegmentLen)
 	}
 }
+
+// BenchmarkGenerate generates Berlin at the serving benchmark's scale:
+// what soibuild, soiserve -city and the benchmark driver each pay before
+// anything else.
+func BenchmarkGenerate(b *testing.B) {
+	p := Scale(Berlin(), 0.25)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package grid
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -138,16 +139,9 @@ func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64
 		}
 	}
 	forRanges(workers, s.VocabN, func(i int) uint64 { return uint64(s.InvOff[i]) }, func(_, lo, hi int) {
+		var sc invScratch
 		for k := lo; k < hi; k++ {
-			slices.SortFunc(inv[s.InvOff[k]:s.InvOff[k+1]], func(a, b invEntry) int {
-				if a.weight != b.weight {
-					if a.weight > b.weight {
-						return -1
-					}
-					return 1
-				}
-				return cmp.Compare(a.ord, b.ord)
-			})
+			sc.sort(inv[s.InvOff[k]:s.InvOff[k+1]])
 		}
 	})
 	s.InvCell = make([]int32, numKw)
@@ -234,8 +228,15 @@ type cellKwPart struct {
 // groups them by ascending keyword with ascending members inside, the
 // order the Slab contract asks of postings and of their weight sums.
 func (s *Slab) fillCells(lo, hi int, keys []vocab.Set, postBase []uint32) cellKwPart {
-	var part cellKwPart
-	var pairs []uint64
+	// Every (cell, keyword) entry holds at least one posting, so the
+	// range's postings bound its entries, and its widest cell the pairs.
+	n := postBase[hi] - postBase[lo]
+	part := cellKwPart{kw: make([]uint32, 0, n), postEnd: make([]uint32, 0, n), weight: make([]float64, 0, n)}
+	var widest uint32
+	for ord := lo; ord < hi; ord++ {
+		widest = max(widest, postBase[ord+1]-postBase[ord])
+	}
+	pairs := make([]uint64, 0, widest)
 	for ord := lo; ord < hi; ord++ {
 		members := s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]]
 		psiMin, psiMax := len(keys[members[0]]), 0
@@ -274,4 +275,82 @@ func (s *Slab) fillCells(lo, hi int, keys []vocab.Set, postBase []uint32) cellKw
 type invEntry struct {
 	ord    int32
 	weight float64
+}
+
+// invScratch is one worker's buffers for sorting inverted ranges.
+type invScratch struct {
+	keys, tmpKeys []uint64
+	tmp           []invEntry
+}
+
+// radixMin is the range length below which a comparison sort is faster
+// than eight byte histograms.
+const radixMin = 64
+
+// sort orders one keyword's entries, which arrive in ascending cell
+// order, by decreasing weight, ties by ascending cell. A weight that is
+// not negative orders as its IEEE-754 bits do (−0 taken as +0), so a
+// stable LSD radix sort of the complemented bits does it without
+// comparisons, and skips each byte all the keys share — most of them for
+// the small integer weights of an unweighted corpus. Short ranges, and
+// any holding a negative or NaN weight, take the comparison sort.
+func (sc *invScratch) sort(es []invEntry) {
+	n := len(es)
+	if n < radixMin {
+		sortInvCmp(es)
+		return
+	}
+	if cap(sc.keys) < n {
+		sc.keys, sc.tmpKeys, sc.tmp = make([]uint64, n), make([]uint64, n), make([]invEntry, n)
+	}
+	keys, tmpKeys, tmp := sc.keys[:n], sc.tmpKeys[:n], sc.tmp[:n]
+	var count [8][256]uint32
+	for i, e := range es {
+		if !(e.weight >= 0) {
+			sortInvCmp(es)
+			return
+		}
+		k := ^uint64(0)
+		if e.weight != 0 {
+			k = ^math.Float64bits(e.weight)
+		}
+		keys[i] = k
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	src, dst := es, tmp
+	for b := range count {
+		c := &count[b]
+		if c[byte(keys[0]>>(8*b))] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for d := range c {
+			c[d], sum = sum, sum+c[d]
+		}
+		for i, k := range keys {
+			d := byte(k >> (8 * b))
+			dst[c[d]], tmpKeys[c[d]] = src[i], k
+			c[d]++
+		}
+		src, dst = dst, src
+		keys, tmpKeys = tmpKeys, keys
+	}
+	if &src[0] != &es[0] {
+		copy(es, src)
+	}
+}
+
+// sortInvCmp is the comparison sort of invScratch.sort.
+func sortInvCmp(es []invEntry) {
+	slices.SortFunc(es, func(a, b invEntry) int {
+		if a.weight != b.weight {
+			if a.weight > b.weight {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
 }

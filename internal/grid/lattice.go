@@ -3,7 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geo"
 )
@@ -93,14 +93,31 @@ func (l Lattice) span(r geo.Rect) (ix0, ix1, iy0, iy1 int) {
 	return
 }
 
-// rowRange returns the index range [lo, hi) in cellIDs — cell ids sorted
-// ascending — of the cells in row iy between columns ix0 and ix1.
-func (l Lattice) rowRange(cellIDs []int32, iy, ix0, ix1 int) (lo, hi int) {
-	first, last := int32(iy*l.NX+ix0), int32(iy*l.NX+ix1)
-	lo = sort.Search(len(cellIDs), func(i int) bool { return cellIDs[i] >= first })
-	// At most ix1-ix0+1 ids can follow within the row.
-	row := cellIDs[lo:min(lo+ix1-ix0+1, len(cellIDs))]
-	return lo, lo + sort.Search(len(row), func(i int) bool { return row[i] > last })
+// rowStart returns the index in cellIDs — cell ids sorted ascending — of
+// the first id at or above first. Every id before from must lie below
+// first; from 0, for the first row a caller visits, is a plain binary
+// search. Otherwise from is where the caller left the row before, and
+// since the ids are distinct integers at most first-cellIDs[from] of
+// them precede the answer: that bounds it from above, and a galloping
+// search down from the bound finds it in one or two probes when the
+// cells in between are all non-empty, as they are in a dense city.
+func rowStart(cellIDs []int32, from int, first int32) int {
+	if from == 0 {
+		at, _ := slices.BinarySearch(cellIDs, first)
+		return at
+	}
+	if from >= len(cellIDs) {
+		return len(cellIDs)
+	}
+	hi := min(from+max(0, int(first-cellIDs[from])), len(cellIDs))
+	n := 1
+	for hi-n >= from && cellIDs[hi-n] >= first {
+		hi -= n
+		n *= 2
+	}
+	lo := max(from, hi-n+1)
+	at, _ := slices.BinarySearch(cellIDs[lo:hi], first)
+	return lo + at
 }
 
 // MarkNearSegment sets near[i] for every cell cellIDs[i] whose rectangle
@@ -112,9 +129,10 @@ func (l Lattice) rowRange(cellIDs []int32, iy, ix0, ix1 int) (lo, hi int) {
 func (l Lattice) MarkNearSegment(cellIDs []int32, seg geo.Segment, eps float64, near []bool) (added int) {
 	test := newNearTest(seg, eps)
 	ix0, ix1, iy0, iy1 := l.span(seg.Bounds().Expand(eps))
+	i := 0
 	for iy := iy0; iy <= iy1; iy++ {
-		lo, hi := l.rowRange(cellIDs, iy, ix0, ix1)
-		for i := lo; i < hi; i++ {
+		last := int32(iy*l.NX + ix1)
+		for i = rowStart(cellIDs, i, int32(iy*l.NX+ix0)); i < len(cellIDs) && cellIDs[i] <= last; i++ {
 			if !near[i] && test.cell(l.CellRect(CellID(cellIDs[i]))) {
 				near[i] = true
 				added++

@@ -114,9 +114,10 @@ func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) [
 	lat := s.Lattice()
 	test := newNearTest(seg, eps)
 	ix0, ix1, iy0, iy1 := lat.span(seg.Bounds().Expand(eps))
+	ord := 0
 	for iy := iy0; iy <= iy1; iy++ {
-		lo, hi := lat.rowRange(s.CellIDs, iy, ix0, ix1)
-		for ord := lo; ord < hi; ord++ {
+		last := int32(iy*s.NX + ix1)
+		for ord = rowStart(s.CellIDs, ord, int32(iy*s.NX+ix0)); ord < len(s.CellIDs) && s.CellIDs[ord] <= last; ord++ {
 			if test.cell(lat.CellRect(CellID(s.CellIDs[ord]))) {
 				buf = append(buf, int32(ord))
 			}
@@ -130,12 +131,12 @@ func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) [
 // cell itself included — to buf (ascending), reusing its capacity. Used by
 // the diversification spatial relevance bounds with delta = 2 (Eq. 12).
 func (s *Slab) NeighborhoodInto(ord, delta int, buf []int32) []int32 {
-	lat := s.Lattice()
 	ix, iy := int(s.CellIDs[ord])%s.NX, int(s.CellIDs[ord])/s.NX
 	ix0, ix1 := max(ix-delta, 0), min(ix+delta, s.NX-1)
+	o := 0
 	for y := max(iy-delta, 0); y <= min(iy+delta, s.NY-1); y++ {
-		lo, hi := lat.rowRange(s.CellIDs, y, ix0, ix1)
-		for o := lo; o < hi; o++ {
+		last := int32(y*s.NX + ix1)
+		for o = rowStart(s.CellIDs, o, int32(y*s.NX+ix0)); o < len(s.CellIDs) && s.CellIDs[o] <= last; o++ {
 			buf = append(buf, int32(o))
 		}
 	}

@@ -7,6 +7,7 @@ package poi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
@@ -135,6 +136,12 @@ func NewBuilder(dict *vocab.Dictionary) *Builder {
 		dict = vocab.NewDictionary()
 	}
 	return &Builder{dict: dict}
+}
+
+// Grow makes room for n more POIs, so that adding them does not copy
+// the records already added.
+func (b *Builder) Grow(n int) {
+	b.pois = slices.Grow(b.pois, n)
 }
 
 // Add appends a POI with the given location and keyword strings and

@@ -122,3 +122,20 @@ func checkShardCells(t *testing.T, label string, global *grid.Slab, net *network
 		}
 	}
 }
+
+// BenchmarkPartition cuts Berlin at the serving benchmark's scale into
+// the four tiles soibuild -shards 4 writes.
+func BenchmarkPartition(b *testing.B) {
+	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := shard.Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := shard.Partition(ds.Network, ds.POIs, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

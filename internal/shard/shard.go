@@ -25,6 +25,9 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -108,13 +111,15 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 		return nil, fmt.Errorf("shard: cannot partition an empty network")
 	}
 	bounds := net.Bounds()
-	for _, p := range pois.All() {
+	locs := make([]geo.Point, pois.Len())
+	for i, p := range pois.All() {
+		locs[i] = p.Loc
 		bounds = bounds.Union(geo.Rect{MinX: p.Loc.X, MinY: p.Loc.Y, MaxX: p.Loc.X, MaxY: p.Loc.Y})
 	}
 	if !bounds.IsValid() {
 		return nil, fmt.Errorf("shard: cannot derive bounds from network and corpus")
 	}
-	cells, err := newCellMap(bounds, cfg.CellSize, pois)
+	cells, err := newCellMap(bounds, cfg.CellSize, locs)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -159,13 +164,22 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 		Halo:     cfg.Halo,
 		CellSize: cfg.CellSize,
 	}
-	for t, streets := range streetsByTile {
-		if len(streets) == 0 {
-			continue // empty tiles produce no shard, deterministically
+	// Tiles are built concurrently, each into its own slot; shard ids
+	// are then assigned in tile order, so the result is the same however
+	// the builds interleave. Empty tiles produce no shard.
+	built := make([]*Shard, len(streetsByTile))
+	errs := make([]error, len(streetsByTile))
+	parallel(len(streetsByTile), func(t int) {
+		if len(streetsByTile[t]) > 0 {
+			built[t], errs[t] = buildShard(net, pois, cfg, cells, streetsByTile[t])
 		}
-		s, err := buildShard(net, pois, cfg, cells, streets)
-		if err != nil {
-			return nil, fmt.Errorf("shard: tile %d: %w", t, err)
+	})
+	for t, s := range built {
+		if errs[t] != nil {
+			return nil, fmt.Errorf("shard: tile %d: %w", t, errs[t])
+		}
+		if s == nil {
+			continue
 		}
 		s.ID = len(w.Shards)
 		s.TileX = t % gx
@@ -173,6 +187,23 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 		w.Shards = append(w.Shards, s)
 	}
 	return w, nil
+}
+
+// parallel runs fn(0) … fn(n-1) on up to GOMAXPROCS goroutines and
+// returns when all have returned.
+func parallel(n int, fn func(i int)) {
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // cellMap places the corpus on the global cell lattice once, for every
@@ -185,14 +216,10 @@ type cellMap struct {
 	ofPOI []int32
 }
 
-func newCellMap(bounds geo.Rect, cellSize float64, pois *poi.Corpus) (*cellMap, error) {
+func newCellMap(bounds geo.Rect, cellSize float64, locs []geo.Point) (*cellMap, error) {
 	lat, err := grid.NewLattice(bounds, cellSize)
 	if err != nil {
 		return nil, err
-	}
-	locs := make([]geo.Point, pois.Len())
-	for i, p := range pois.All() {
-		locs[i] = p.Loc
 	}
 	ids, ofPOI := lat.Cells(locs)
 	return &cellMap{lat: lat, ids: ids, ofPOI: ofPOI}, nil
@@ -238,7 +265,14 @@ func buildShard(net *network.Network, pois *poi.Corpus, cfg Config, cells *cellM
 	}
 
 	near := cells.near(snet.Segments(), cfg.Halo)
+	held := 0
+	for _, c := range cells.ofPOI {
+		if near[c] {
+			held++
+		}
+	}
 	pb := poi.NewBuilder(pois.Dict())
+	pb.Grow(held)
 	for i, p := range pois.All() {
 		if near[cells.ofPOI[i]] {
 			pb.AddSet(p.Loc, p.Keywords, p.Weight)

@@ -10,7 +10,6 @@ package vocab
 import (
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -118,7 +117,7 @@ func NewSet(ids []ID) Set {
 	if len(ids) == 0 {
 		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := ids[:1]
 	for _, id := range ids[1:] {
 		if id != out[len(out)-1] {
