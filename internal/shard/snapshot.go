@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -46,7 +47,10 @@ type Manifest struct {
 
 // WriteSnapshots persists a partitioned world: one snapshot file per
 // shard next to the manifest at manifestPath. Shard files are named
-// <base>.shard<N>.soi where <base> strips manifestPath's extension.
+// <base>.shard<N>.soi where <base> strips manifestPath's extension. The
+// shard files are encoded and written concurrently; the manifest is
+// written after all of them, and every file goes through
+// snapshot.WriteAtomic, so no reader sees a torn manifest or shard file.
 func WriteSnapshots(manifestPath string, w *World) error {
 	base := strings.TrimSuffix(filepath.Base(manifestPath), filepath.Ext(manifestPath))
 	dir := filepath.Dir(manifestPath)
@@ -57,8 +61,11 @@ func WriteSnapshots(manifestPath string, w *World) error {
 		Halo:     w.Halo,
 		CellSize: w.CellSize,
 		Bounds:   [4]float64{w.Bounds.MinX, w.Bounds.MinY, w.Bounds.MaxX, w.Bounds.MaxY},
+		Shards:   make([]ManifestShard, len(w.Shards)),
 	}
-	for _, s := range w.Shards {
+	errs := make([]error, len(w.Shards))
+	parallel(len(w.Shards), func(i int) {
+		s := w.Shards[i]
 		file := fmt.Sprintf("%s.shard%d.soi", base, s.ID)
 		snap := &snapshot.Snapshot{
 			Net:  s.Net,
@@ -69,41 +76,64 @@ func WriteSnapshots(manifestPath string, w *World) error {
 			Slab:   s.Index.Slab(),
 		}
 		if err := snapshot.WriteFile(filepath.Join(dir, file), snap); err != nil {
-			return fmt.Errorf("shard: writing shard %d: %w", s.ID, err)
+			errs[i] = fmt.Errorf("shard: writing shard %d: %w", s.ID, err)
+			return
 		}
-		m.Shards = append(m.Shards, ManifestShard{
+		m.Shards[i] = ManifestShard{
 			File:     file,
 			TileX:    s.TileX,
 			TileY:    s.TileY,
 			Streets:  s.Streets,
 			Segments: s.Segments,
-		})
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	blob, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(manifestPath, append(blob, '\n'), 0o644)
+	return snapshot.WriteAtomic(manifestPath, append(blob, '\n'))
 }
 
 // LoadManifest parses a manifest without opening any shard snapshots —
 // what a coordinator serving over remote shards needs (bounds, halo,
-// shard count) and what cmd/soishard reads before loading its one
-// shard.
+// shard count).
 func LoadManifest(manifestPath string) (*Manifest, error) {
+	return loadManifest(manifestPath, -1)
+}
+
+// loadManifest parses a manifest, decoding the entry of shard only, or
+// of every shard when only is -1; the other entries are left zero. A
+// shard process needs its own id maps, not its peers'.
+func loadManifest(manifestPath string, only int) (*Manifest, error) {
 	blob, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return nil, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
+	var f struct {
+		Manifest
+		Shards []json.RawMessage `json:"shards"`
+	}
+	if err := json.Unmarshal(blob, &f); err != nil {
 		return nil, fmt.Errorf("shard: parsing manifest %s: %w", manifestPath, err)
 	}
+	m := f.Manifest
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("shard: manifest version %d, want %d", m.Version, ManifestVersion)
 	}
-	if len(m.Shards) == 0 {
+	if len(f.Shards) == 0 {
 		return nil, fmt.Errorf("shard: manifest %s lists no shards", manifestPath)
+	}
+	m.Shards = make([]ManifestShard, len(f.Shards))
+	for i, raw := range f.Shards {
+		if only >= 0 && i != only {
+			continue
+		}
+		if err := json.Unmarshal(raw, &m.Shards[i]); err != nil {
+			return nil, fmt.Errorf("shard: parsing manifest %s shard %d: %w", manifestPath, i, err)
+		}
 	}
 	return &m, nil
 }
@@ -111,11 +141,12 @@ func LoadManifest(manifestPath string) (*Manifest, error) {
 // LoadShard mmaps exactly one shard of a partitioned world — the
 // cross-process serving path, where each soishard process owns a single
 // tile. It returns the shard, the parsed manifest (for the
-// partition-level constants) and a closer releasing the mapping. The
+// partition-level constants and the shard count; of its entries only
+// shard id's is decoded) and a closer releasing the mapping. The
 // shard's index and its POI corpus, which stays undecoded unless its
 // records are read, both read the mapping: close it after their last use.
 func LoadShard(manifestPath string, id int) (*Shard, *Manifest, io.Closer, error) {
-	m, err := LoadManifest(manifestPath)
+	m, err := loadManifest(manifestPath, max(id, 0))
 	if err != nil {
 		return nil, nil, nil, err
 	}

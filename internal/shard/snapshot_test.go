@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -150,5 +154,76 @@ func TestLoadWorldRejectsBadManifest(t *testing.T) {
 	os.WriteFile(path, []byte(`{"version": 1, "shards": [{"file": "absent.soi"}]}`), 0o644)
 	if _, err := LoadWorld(t, path); err == nil {
 		t.Error("missing shard file accepted")
+	}
+}
+
+// TestWriteSnapshotsReplacesAtomically: WriteSnapshots replaces an older
+// manifest and shard files whole, leaves no temporary file behind, and a
+// world whose shard file cannot be written leaves the manifest as it
+// was: the manifest goes through the same temp file, fsync and rename as
+// the shard files, after all of them.
+func TestWriteSnapshotsReplacesAtomically(t *testing.T) {
+	net, pois := tinyWorld(t, 42)
+	w, err := Partition(net, pois, Config{Tiles: 4, Halo: 0.0012, CellSize: 0.0005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "city.json")
+	want := []string{"city.json"}
+	for i := range w.Shards {
+		want = append(want, fmt.Sprintf("city.shard%d.soi", i))
+	}
+	onlyTargets := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, want) {
+			t.Fatalf("%s: directory holds %v, want %v", when, names, want)
+		}
+	}
+	for _, name := range want {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("an older file"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteSnapshots(manifest, w); err != nil {
+		t.Fatal(err)
+	}
+	onlyTargets("after a rewrite")
+	written, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadWorld(t, manifest); err != nil {
+		t.Fatalf("loading the rewritten world: %v", err)
+	}
+
+	// A directory where shard 1's file belongs makes its rename fail.
+	blocked := filepath.Join(dir, "blocked.shard1.soi")
+	if err := os.MkdirAll(filepath.Join(blocked, "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshots(filepath.Join(dir, "blocked.json"), w); err == nil {
+		t.Fatal("WriteSnapshots succeeded over a directory in a shard file's place")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "blocked.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a failed shard write still wrote its manifest: %v", err)
+	}
+	if err := os.RemoveAll(blocked); err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Shards {
+		os.Remove(filepath.Join(dir, fmt.Sprintf("blocked.shard%d.soi", i)))
+	}
+	onlyTargets("after a failed write")
+	if got, err := os.ReadFile(manifest); err != nil || !bytes.Equal(got, written) {
+		t.Errorf("the first manifest changed: %v", err)
 	}
 }

@@ -6,16 +6,23 @@ import (
 	"path/filepath"
 )
 
-// WriteFile encodes the snapshot and writes it atomically: the bytes land
-// in a temporary file in the target directory which is fsynced and then
-// renamed over path, so readers never observe a half-written snapshot.
-// The directory is fsynced after the rename (on Unix), so a crash cannot
-// undo it once WriteFile has returned.
+// WriteFile encodes the snapshot and writes it atomically with
+// WriteAtomic, so readers never observe a half-written snapshot.
 func WriteFile(path string, s *Snapshot) error {
 	data, err := Encode(s)
 	if err != nil {
 		return err
 	}
+	return WriteAtomic(path, data)
+}
+
+// WriteAtomic replaces the file at path with data: the bytes land in a
+// temporary file in the target directory which is fsynced and then
+// renamed over path, so a reader sees the old file or the new one, never
+// a torn one. The directory is fsynced after the rename (on Unix), so a
+// crash cannot undo it once WriteAtomic has returned. The file is
+// created with mode 0600.
+func WriteAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
