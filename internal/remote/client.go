@@ -142,17 +142,16 @@ func (ss *shardState) pick(now time.Time) (*replicaState, breakerVerdict) {
 	return nil, breakerDeny
 }
 
-// pickHedge returns a breaker-closed replica for a hedged attempt,
-// preferring one different from the primary. Hedges never take probe
-// duty: a half-open breaker's single slot belongs to deliberate probes.
+// pickHedge returns a breaker-closed replica other than the primary for
+// a hedged attempt, or nil: a second request to the replica already
+// answering would evaluate the same query twice in the same process.
+// Hedges never take probe duty: a half-open breaker's single slot
+// belongs to deliberate probes.
 func (ss *shardState) pickHedge(now time.Time, primary *replicaState) *replicaState {
 	for _, rep := range ss.replicas {
 		if rep != primary && rep.br.allowFast(now) {
 			return rep
 		}
-	}
-	if primary.br.allowFast(now) {
-		return primary // a second connection to the only healthy replica
 	}
 	return nil
 }

@@ -279,6 +279,43 @@ func TestClientHedging(t *testing.T) {
 	}
 }
 
+// TestClientNeverHedgesOntoTheOnlyReplica: with one replica per shard a
+// primary slower than the hedge delay is waited for, not raced by a
+// second request to itself, which would evaluate the query twice in the
+// same process.
+func TestClientNeverHedgesOntoTheOnlyReplica(t *testing.T) {
+	var calls atomic.Int32
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard/query" {
+			calls.Add(1)
+			time.Sleep(100 * time.Millisecond)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(remote.QueryResponse{Shard: 0, UB: 1})
+	})
+	hs := httptest.NewServer(slow)
+	defer hs.Close()
+
+	rec := stats.NewRecorder()
+	c, err := remote.NewClient(remote.Config{
+		Addrs:          [][]string{{hs.URL}},
+		AttemptTimeout: 2 * time.Second,
+		MaxAttempts:    1,
+		HedgeDelay:     5 * time.Millisecond,
+		Recorder:       rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query(context.Background(), 0, testQuery()); err != nil {
+		t.Fatal(err)
+	}
+	if h, n := rec.Remote.HedgesStarted.Load(), calls.Load(); h != 0 || n != 1 {
+		t.Errorf("one slow call to the only replica started %d hedges and reached it %d times, want 0 and 1", h, n)
+	}
+}
+
 // TestClientContextCancellation: cancelling the caller's context must
 // abort the call promptly with the context error, not an exhausted
 // retry loop, and not count a client-visible error.
