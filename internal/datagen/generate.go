@@ -1,9 +1,11 @@
 package datagen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -219,10 +221,9 @@ func buildNetwork(p Profile, rng *rand.Rand) (*network.Network, error) {
 			p.Extent.MinX+site.Center.X*w,
 			p.Extent.MinY+site.Center.Y*h,
 		)
-		order := make([]local, len(locals))
-		copy(order, locals)
-		sort.SliceStable(order, func(i, j int) bool {
-			return order[i].center.DistSq(c) < order[j].center.DistSq(c)
+		order := slices.Clone(locals)
+		slices.SortStableFunc(order, func(a, b local) int {
+			return cmp.Compare(a.center.DistSq(c), b.center.DistSq(c))
 		})
 		i := 0
 		for _, name := range site.Streets {

@@ -41,3 +41,35 @@ func TestInvSortMatchesComparison(t *testing.T) {
 		}
 	}
 }
+
+// TestRowStartMatchesBinarySearch: rowStart finds the first id at or
+// above the target exactly as a binary search over the whole list does,
+// from 0 and from every valid lower bound, on dense, sparse and clumped
+// id lists.
+func TestRowStartMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for round := 0; round < 300; round++ {
+		var ids []int32
+		id := int32(rng.Intn(50))
+		for n := rng.Intn(200); len(ids) < n; {
+			ids = append(ids, id)
+			switch round % 3 {
+			case 0:
+				id++ // dense
+			case 1:
+				id += 1 + int32(rng.Intn(40)) // sparse
+			default:
+				id += 1 + int32(rng.Intn(2))*int32(rng.Intn(500)) // clumped
+			}
+		}
+		for q := 0; q < 50; q++ {
+			first := int32(rng.Intn(int(id) + 60))
+			want, _ := slices.BinarySearch(ids, first)
+			for from := 0; from <= want; from++ {
+				if got := rowStart(ids, from, first); got != want {
+					t.Fatalf("round %d: rowStart(from=%d, first=%d) = %d, want %d (ids %v)", round, from, first, got, want, ids)
+				}
+			}
+		}
+	}
+}

@@ -77,7 +77,12 @@ func (l Lattice) Cells(locs []geo.Point) (cellIDs, cellOf []int32) {
 
 // CellRect returns the rectangle covered by cell id.
 func (l Lattice) CellRect(id CellID) geo.Rect {
-	ix, iy := int(id)%l.NX, int(id)/l.NX
+	return l.cellRect(int(id)%l.NX, int(id)/l.NX)
+}
+
+// cellRect returns the rectangle of the cell in column ix and row iy,
+// for callers that walk a row and so know both without a division.
+func (l Lattice) cellRect(ix, iy int) geo.Rect {
 	minX := l.Bounds.MinX + float64(ix)*l.CellSize
 	minY := l.Bounds.MinY + float64(iy)*l.CellSize
 	return geo.Rect{MinX: minX, MinY: minY, MaxX: minX + l.CellSize, MaxY: minY + l.CellSize}
@@ -95,21 +100,33 @@ func (l Lattice) span(r geo.Rect) (ix0, ix1, iy0, iy1 int) {
 
 // rowStart returns the index in cellIDs — cell ids sorted ascending — of
 // the first id at or above first. Every id before from must lie below
-// first; from 0, for the first row a caller visits, is a plain binary
-// search. Otherwise from is where the caller left the row before, and
-// since the ids are distinct integers at most first-cellIDs[from] of
-// them precede the answer: that bounds it from above, and a galloping
-// search down from the bound finds it in one or two probes when the
-// cells in between are all non-empty, as they are in a dense city.
+// first: from is 0, or where the caller left the row before. The ids are
+// distinct integers, so at most first-cellIDs[from] of them precede the
+// answer; that bounds it from above, and a galloping search down from
+// the bound finds it in one or two probes when the cells in between are
+// all non-empty, as they are in a dense city. From 0 the search starts
+// where the ids would put first were they spread evenly over their
+// range, which a city's cells nearly are.
 func rowStart(cellIDs []int32, from int, first int32) int {
-	if from == 0 {
-		at, _ := slices.BinarySearch(cellIDs, first)
-		return at
+	n := len(cellIDs)
+	if from == 0 && n > 0 {
+		g := int(int64(first-cellIDs[0]) * int64(n) / (int64(cellIDs[n-1]-cellIDs[0]) + 1))
+		g = min(max(g, 0), n-1)
+		if cellIDs[g] >= first {
+			return gallopDown(cellIDs, 0, g, first)
+		}
+		from = g + 1
 	}
-	if from >= len(cellIDs) {
-		return len(cellIDs)
+	if from >= n {
+		return n
 	}
-	hi := min(from+max(0, int(first-cellIDs[from])), len(cellIDs))
+	return gallopDown(cellIDs, from, min(from+max(0, int(first-cellIDs[from])), n), first)
+}
+
+// gallopDown returns the index of the first id at or above first in
+// cellIDs, known to lie in [from, hi]: it steps down from hi by doubling
+// strides, then binary-searches the last stride.
+func gallopDown(cellIDs []int32, from, hi int, first int32) int {
 	n := 1
 	for hi-n >= from && cellIDs[hi-n] >= first {
 		hi -= n
@@ -131,9 +148,9 @@ func (l Lattice) MarkNearSegment(cellIDs []int32, seg geo.Segment, eps float64, 
 	ix0, ix1, iy0, iy1 := l.span(seg.Bounds().Expand(eps))
 	i := 0
 	for iy := iy0; iy <= iy1; iy++ {
-		last := int32(iy*l.NX + ix1)
-		for i = rowStart(cellIDs, i, int32(iy*l.NX+ix0)); i < len(cellIDs) && cellIDs[i] <= last; i++ {
-			if !near[i] && test.cell(l.CellRect(CellID(cellIDs[i]))) {
+		row := iy * l.NX
+		for i = rowStart(cellIDs, i, int32(row+ix0)); i < len(cellIDs) && int(cellIDs[i]) <= row+ix1; i++ {
+			if !near[i] && test.cell(l.cellRect(int(cellIDs[i])-row, iy)) {
 				near[i] = true
 				added++
 			}

@@ -116,9 +116,9 @@ func (s *Slab) CellsNearSegmentInto(seg geo.Segment, eps float64, buf []int32) [
 	ix0, ix1, iy0, iy1 := lat.span(seg.Bounds().Expand(eps))
 	ord := 0
 	for iy := iy0; iy <= iy1; iy++ {
-		last := int32(iy*s.NX + ix1)
-		for ord = rowStart(s.CellIDs, ord, int32(iy*s.NX+ix0)); ord < len(s.CellIDs) && s.CellIDs[ord] <= last; ord++ {
-			if test.cell(lat.CellRect(CellID(s.CellIDs[ord]))) {
+		row := iy * s.NX
+		for ord = rowStart(s.CellIDs, ord, int32(row+ix0)); ord < len(s.CellIDs) && int(s.CellIDs[ord]) <= row+ix1; ord++ {
+			if test.cell(lat.cellRect(int(s.CellIDs[ord])-row, iy)) {
 				buf = append(buf, int32(ord))
 			}
 		}
@@ -135,8 +135,8 @@ func (s *Slab) NeighborhoodInto(ord, delta int, buf []int32) []int32 {
 	ix0, ix1 := max(ix-delta, 0), min(ix+delta, s.NX-1)
 	o := 0
 	for y := max(iy-delta, 0); y <= min(iy+delta, s.NY-1); y++ {
-		last := int32(y*s.NX + ix1)
-		for o = rowStart(s.CellIDs, o, int32(y*s.NX+ix0)); o < len(s.CellIDs) && s.CellIDs[o] <= last; o++ {
+		row := y * s.NX
+		for o = rowStart(s.CellIDs, o, int32(row+ix0)); o < len(s.CellIDs) && int(s.CellIDs[o]) <= row+ix1; o++ {
 			buf = append(buf, int32(o))
 		}
 	}
