@@ -98,15 +98,16 @@ func WriteSnapshots(manifestPath string, w *World) error {
 }
 
 // LoadManifest parses a manifest without opening any shard snapshots —
-// what a coordinator serving over remote shards needs (bounds, halo,
-// shard count).
+// what a coordinator serving over remote shards needs: the partition
+// constants (bounds, halo, cell size) and the shard count. Its shard
+// entries are left zero; LoadShard decodes the one it serves.
 func LoadManifest(manifestPath string) (*Manifest, error) {
 	return loadManifest(manifestPath, -1)
 }
 
-// loadManifest parses a manifest, decoding the entry of shard only, or
-// of every shard when only is -1; the other entries are left zero. A
-// shard process needs its own id maps, not its peers'.
+// loadManifest parses a manifest, decoding the entry of shard only (none
+// when only is negative) and leaving the others zero: each soishard
+// process reads its own id maps, never its peers'.
 func loadManifest(manifestPath string, only int) (*Manifest, error) {
 	blob, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -127,12 +128,9 @@ func loadManifest(manifestPath string, only int) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: manifest %s lists no shards", manifestPath)
 	}
 	m.Shards = make([]ManifestShard, len(f.Shards))
-	for i, raw := range f.Shards {
-		if only >= 0 && i != only {
-			continue
-		}
-		if err := json.Unmarshal(raw, &m.Shards[i]); err != nil {
-			return nil, fmt.Errorf("shard: parsing manifest %s shard %d: %w", manifestPath, i, err)
+	if only >= 0 && only < len(f.Shards) {
+		if err := json.Unmarshal(f.Shards[only], &m.Shards[only]); err != nil {
+			return nil, fmt.Errorf("shard: parsing manifest %s shard %d: %w", manifestPath, only, err)
 		}
 	}
 	return &m, nil
@@ -146,7 +144,7 @@ func loadManifest(manifestPath string, only int) (*Manifest, error) {
 // shard's index and its POI corpus, which stays undecoded unless its
 // records are read, both read the mapping: close it after their last use.
 func LoadShard(manifestPath string, id int) (*Shard, *Manifest, io.Closer, error) {
-	m, err := loadManifest(manifestPath, max(id, 0))
+	m, err := loadManifest(manifestPath, id)
 	if err != nil {
 		return nil, nil, nil, err
 	}
