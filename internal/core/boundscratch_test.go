@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/poi"
 )
@@ -26,11 +28,33 @@ func bruteBound(ix *Index, q Query) (bound float64, capBinds bool) {
 		return 0, capBinds
 	}
 	top2, top3 := 0, math.Inf(1)
-	for sid, cells := range bruteSegmentCells(ix, q.Epsilon) {
+	for sid, cells := range memoSegmentCells(ix, q.Epsilon) {
 		top2 = max(top2, len(cells))
 		top3 = math.Min(top3, ix.net.Segment(network.SegmentID(sid)).Length())
 	}
 	return Interest(top1*float64(top2), top3, q.Epsilon), capBinds
+}
+
+// lastSegmentCells holds the bruteSegmentCells of the last (index, ε)
+// bruteBound asked for: the reference depends on neither Ψ nor k, and the
+// bound tests ask for it once per keyword set of each (index, ε) in turn.
+var lastSegmentCells struct {
+	sync.Mutex
+	ix    *Index
+	eps   float64
+	cells [][]grid.CellID
+}
+
+// memoSegmentCells is bruteSegmentCells(ix, eps), computed once for a run
+// of calls with the same index and ε. Callers must not modify the result.
+func memoSegmentCells(ix *Index, eps float64) [][]grid.CellID {
+	m := &lastSegmentCells
+	m.Lock()
+	defer m.Unlock()
+	if m.ix != ix || m.eps != eps {
+		m.ix, m.eps, m.cells = ix, eps, bruteSegmentCells(ix, eps)
+	}
+	return m.cells
 }
 
 // TestUnseenBoundMatchesSortedLists: on random scenarios — unit weights
@@ -197,9 +221,9 @@ func TestScratchEpochWrap(t *testing.T) {
 			bound("before the wrap")
 			r.epoch = math.MaxUint32 - 1
 			// The last epoch before the wrap, on the narrow plan with no
-			// relevant cell: the per-pair arrays shrink, so the wide
-			// plan's tail holds the old stamps, and no per-segment stamp
-			// is rewritten.
+			// relevant cell: CostAware's per-pair arrays shrink, so the
+			// wide plan's tail holds the old stamps, and no per-segment
+			// stamp is rewritten.
 			check("keyword the vocabulary lacks at the last epoch", &absent)
 			// The bound wraps the counter to 1; the wide run then reuses 2
 			// over its own stamps, the several-keyword run 3 over the
@@ -213,6 +237,53 @@ func TestScratchEpochWrap(t *testing.T) {
 			check("narrow query after the wrap", &narrow)
 			bound("after the wrap")
 		})
+	}
+}
+
+// TestPooledRunAlternatesSchedules: one index, evaluated from one
+// goroutine, alternates CostAware → Drain → CostAware while ε grows and
+// shrinks, so each schedule starts on scratch the other left behind: a
+// Drain run sizes no per-(segment, cell) array, and the CostAware run
+// after it reuses or grows arrays last sized at another ε, with stamps
+// from epochs before the Drain run. Each answer and its full Stats equal
+// a fresh index's, through the index's pool and on one caller-held run.
+func TestPooledRunAlternatesSchedules(t *testing.T) {
+	ix, _ := allocWorld(t)
+	walk := []float64{0.05, 0.3, 2, 0.6, 0.05, 2, 0.3}
+	keywordSets := [][]string{{"shop"}, {"shop", "food"}, {"food", "museum", "shop"}, {"zeppelin"}}
+	held := &slabRun{ix: ix}
+	var answered int
+	for step := 0; step < len(walk)*len(keywordSets); step++ {
+		strat := []Strategy{CostAware, Drain}[step%2]
+		q := Query{Keywords: keywordSets[step%len(keywordSets)], K: 5, Epsilon: walk[step%len(walk)]}
+		fresh, err := NewIndexFromSlab(ix.Network(), ix.POIs(), ix.Slab())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ws, err := fresh.SOIWithStrategy(q, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, ps, err := ix.SOIWithStrategy(q, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, hs := runOn(t, held, q, strat)
+		label := fmt.Sprintf("step %d %v %v ε=%g", step, strat, q.Keywords, q.Epsilon)
+		requireSameResults(t, label+" pooled", pooled, want)
+		requireSameResults(t, label+" held", rows, want)
+		for _, st := range []*Stats{&ws, &ps, &hs} {
+			st.BuildListsTime, st.FilterTime, st.RefineTime = 0, 0, 0
+		}
+		if ps != ws || hs != ws {
+			t.Fatalf("%s: counters pooled %+v, held %+v, want %+v", label, ps, hs, ws)
+		}
+		if len(want) > 0 {
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no step returned a street; the world no longer exercises the schedules")
 	}
 }
 

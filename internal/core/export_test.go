@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"testing"
 
 	"repro/internal/network"
 )
@@ -65,8 +66,10 @@ func (ix *Index) AllSegmentInterests(q Query) ([]float64, error) {
 // and the one refine computed before the pass took the sum over: its own
 // loop, kept here as the reference, adding the SL1 weight of every
 // unvisited relevant cell of Cε(ℓ), in Cε(ℓ) order, to the segment's mass.
-// bySL1 is the same weights summed in SL1's order instead, so a test can
-// show that its worlds tell the two orders apart.
+// Under Drain no cell is visited before refine and every seen mass is 0,
+// so the reference adds every relevant cell to 0. bySL1 is the same
+// weights summed in SL1's order instead, so a test can show that its
+// worlds tell the two orders apart.
 func (ix *Index) DrainBounds(q Query) (fused, loop, bySL1 []float64, err error) {
 	query, err := ix.resolve(q)
 	if err != nil {
@@ -77,10 +80,6 @@ func (ix *Index) DrainBounds(q Query) (fused, loop, bySL1 []float64, err error) 
 	if err := r.filter(); err != nil {
 		return nil, nil, nil, err
 	}
-	for i, ord := range r.sl1Cell {
-		r.cwVal[ord] = r.sl1W[i]
-		r.cwStamp[ord] = r.epoch
-	}
 	sums := make([]float64, len(ix.segLen))
 	for i, ord := range r.sl1Cell {
 		for _, sid := range r.plan.cellSeg[r.plan.cellSegOff[ord]:r.plan.cellSegOff[ord+1]] {
@@ -88,14 +87,10 @@ func (ix *Index) DrainBounds(q Query) (fused, loop, bySL1 []float64, err error) 
 		}
 	}
 	for _, sid := range r.seen {
-		pot := r.segMass[sid]
-		if r.segFinal[sid] != r.epoch {
-			for j := r.plan.segCellOff[sid]; j < r.plan.segCellOff[sid+1]; j++ {
-				if r.visited[j] != r.epoch {
-					if ord := r.plan.segCell[j]; r.cwStamp[ord] == r.epoch {
-						pot += r.cwVal[ord]
-					}
-				}
+		var pot float64
+		for _, ord := range r.plan.segCell[r.plan.segCellOff[sid]:r.plan.segCellOff[sid+1]] {
+			if r.cwStamp[ord] == r.epoch {
+				pot += r.cwVal[ord]
 			}
 		}
 		fused = append(fused, r.segBound[sid])
@@ -104,3 +99,31 @@ func (ix *Index) DrainBounds(q Query) (fused, loop, bySL1 []float64, err error) 
 	}
 	return fused, loop, bySL1, nil
 }
+
+// DrainedMasses evaluates q under Drain on a fresh scratch run and
+// returns each segment refine drained, in first-touch order, with the
+// final mass the drain left it.
+func (ix *Index) DrainedMasses(q Query) (sids []network.SegmentID, masses []float64, err error) {
+	query, err := ix.resolve(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := &slabRun{ix: ix, ctx: context.Background(), query: query, k: q.K, eps: q.Epsilon, strat: Drain}
+	r.begin(ix.plan(q.Epsilon))
+	if err := r.filter(); err != nil {
+		return nil, nil, err
+	}
+	if _, err := r.refine(nil); err != nil {
+		return nil, nil, err
+	}
+	for _, sid := range r.seen {
+		if r.segFinal[sid] == r.epoch {
+			sids = append(sids, network.SegmentID(sid))
+			masses = append(masses, r.segMass[sid])
+		}
+	}
+	return sids, masses, nil
+}
+
+// SweepWorld is sweepWorld for tests outside the package.
+func SweepWorld(tb testing.TB, scale float64) (*Index, []Query) { return sweepWorld(tb, scale) }

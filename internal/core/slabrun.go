@@ -19,9 +19,10 @@ import (
 //
 // A segment is unseen until its first updateInterest, partial while
 // unvisited cells remain, and final once every ε-near cell has been
-// visited. Each (segment, cell) pair keeps its own contribution, so the
-// final mass is folded in canonical Cε(ℓ) order whatever order the run
-// visited the cells in.
+// visited. Under CostAware each (segment, cell) pair keeps its own
+// contribution, so the final mass is folded in canonical Cε(ℓ) order
+// whatever order the run visited the cells in; Drain folds it in that
+// order directly (drainSegment).
 type slabRun struct {
 	ix   *Index
 	plan *slabPlan
@@ -64,7 +65,9 @@ type slabRun struct {
 	// ordinal. Valid where segSeen matches.
 	segBound []float64
 
-	// Per-(segment, cell) pair state (sized to len(plan.segCell)).
+	// Per-(segment, cell) pair state (sized to len(plan.segCell)), kept by
+	// CostAware only: a Drain run visits no cell before refine and folds
+	// each drained segment's mass in one pass (drainSegment).
 	visited []uint32 // stamp: cell visited for its segment
 	contrib []float64
 
@@ -121,7 +124,8 @@ func growF64(s []float64, n int) []float64 {
 }
 
 // begin prepares the run for one evaluation over the given plan: bumps
-// the epoch, sizes every arena, resets the append buffers and builds SL1.
+// the epoch, sizes every arena the schedule uses, resets the append
+// buffers and builds SL1.
 func (r *slabRun) begin(plan *slabPlan) {
 	r.plan = plan
 	ix := r.ix
@@ -137,8 +141,10 @@ func (r *slabRun) begin(plan *slabPlan) {
 	r.segMass = growF64(r.segMass, numSegs)
 	r.segRemaining = growI32(r.segRemaining, numSegs)
 	r.segBound = growF64(r.segBound, numSegs)
-	r.visited = growU32(r.visited, numPairs)
-	r.contrib = growF64(r.contrib, numPairs)
+	if r.strat != Drain {
+		r.visited = growU32(r.visited, numPairs)
+		r.contrib = growF64(r.contrib, numPairs)
+	}
 	r.relStamp = growU32(r.relStamp, numCells)
 	r.relStart = growU32(r.relStart, numCells)
 	r.relEnd = growU32(r.relEnd, numCells)
@@ -557,8 +563,33 @@ func (r *slabRun) finalizeSegment(sid network.SegmentID) {
 
 // drainSegment visits the remaining cells of a seen segment in canonical
 // order.
+//
+// Under Drain no cell has been visited before refine, so the segment's
+// whole Cε(ℓ) is folded here in one pass, from +0 in canonical order as
+// finalizeMass folds it. A cell filterDrain did not file under cwStamp
+// holds no posting of a query keyword: its contribution is an empty sum,
+// +0, and x + (+0) = x for every x ≥ +0, so the pass opens only the filed
+// cells and the mass keeps its bits. CellVisits still counts all of
+// Cε(ℓ), as the visit-by-visit loop did.
 func (r *slabRun) drainSegment(sid uint32) {
 	lo, hi := r.plan.segCellOff[sid], r.plan.segCellOff[sid+1]
+	if r.strat == Drain {
+		seg := r.segGeom(sid)
+		epsSq := r.eps * r.eps
+		var m float64
+		for _, ord := range r.plan.segCell[lo:hi] {
+			if r.cwStamp[ord] != r.epoch {
+				continue
+			}
+			a, b := r.relRange(ord)
+			m += seg.AccumWeightsWithin(r.relX[a:b], r.relY[a:b], r.relW[a:b], epsSq)
+		}
+		r.stats.CellVisits += int(hi - lo)
+		r.segMass[sid] = m
+		r.segFinal[sid] = r.epoch
+		r.stats.SegmentsFinal++
+		return
+	}
 	for j := lo; j < hi; j++ {
 		if r.segFinal[sid] == r.epoch {
 			return

@@ -9,7 +9,9 @@ package network
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 )
@@ -256,6 +258,17 @@ type Builder struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
 	return &Builder{vertexIdx: make(map[geo.Point]VertexID)}
+}
+
+// Grow makes room for the given numbers of further vertices and
+// streets, so that adding them neither rehashes the vertex map nor
+// copies the records already added.
+func (b *Builder) Grow(vertices, streets int) {
+	b.vertices = slices.Grow(b.vertices, vertices)
+	b.streets = slices.Grow(b.streets, streets)
+	idx := make(map[geo.Point]VertexID, len(b.vertexIdx)+vertices)
+	maps.Copy(idx, b.vertexIdx)
+	b.vertexIdx = idx
 }
 
 // AddVertex interns a vertex at p, returning its id. Vertices at identical

@@ -420,6 +420,7 @@ func decodeNetwork(p []byte) (*network.Network, error) {
 		prev = end
 	}
 	nb := network.NewBuilder()
+	nb.Grow(nv, ns)
 	for _, v := range verts {
 		nb.AddVertex(v)
 	}
