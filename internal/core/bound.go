@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/network"
+	"repro/internal/poi"
 	"repro/internal/vocab"
 )
 
@@ -12,7 +13,7 @@ import (
 // IndexConfig.Bounds wins (spatial shards pass the global extent so the
 // cell lattice is shared), otherwise the union of the network bounds and
 // every POI location is used so no object is clamped away.
-func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.Rect, error) {
+func deriveBounds(net *network.Network, pois []poi.POI, cfg IndexConfig) (geo.Rect, error) {
 	if cfg.Bounds != (geo.Rect{}) {
 		if !cfg.Bounds.IsValid() {
 			return geo.Rect{}, fmt.Errorf("core: invalid index bounds %v", cfg.Bounds)
@@ -20,7 +21,8 @@ func deriveBounds(net *network.Network, pts []geo.Point, cfg IndexConfig) (geo.R
 		return cfg.Bounds, nil
 	}
 	bounds := net.Bounds()
-	for i, p := range pts {
+	for i := range pois {
+		p := pois[i].Loc
 		r := geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 		if i == 0 && net.NumVertices() == 0 {
 			bounds = r

@@ -33,27 +33,28 @@ type slabPlan struct {
 }
 
 // BuildSlab builds the slab every index over the corpus is opened from:
-// the POIs' locations, keyword sets and weights handed to grid.BuildSlab
-// over the bounds deriveBounds resolves.
+// grid.BuildSlabOf over the POIs' records as they stand, on the bounds
+// deriveBounds resolves.
 func BuildSlab(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*grid.Slab, error) {
 	if cfg.CellSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive cell size %v", cfg.CellSize)
 	}
 	all := pois.All()
-	pts := make([]geo.Point, len(all))
-	keys := make([]vocab.Set, len(all))
-	weights := make([]float64, len(all))
-	for i := range all {
-		pts[i] = all[i].Loc
-		keys[i] = all[i].Keywords
-		weights[i] = all[i].Weight
-	}
-	bounds, err := deriveBounds(net, pts, cfg)
+	bounds, err := deriveBounds(net, all, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return grid.BuildSlab(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, pts, keys, weights)
+	return grid.BuildSlabOf(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, poiObjects(all))
 }
+
+// poiObjects reads POIs as grid objects, in place.
+type poiObjects []poi.POI
+
+func (p poiObjects) Len() int { return len(p) }
+
+func (p poiObjects) Loc(i int) geo.Point  { return p[i].Loc }
+func (p poiObjects) Keys(i int) vocab.Set { return p[i].Keywords }
+func (p poiObjects) Weight(i int) float64 { return p[i].Weight }
 
 // plan returns the ε plan, building and memoizing it on first use.
 // Concurrent callers may race to build a fresh ε; each computes an

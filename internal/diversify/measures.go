@@ -105,6 +105,15 @@ func FreqFromPhotos(dict *vocab.Dictionary, rs []photo.Photo) vocab.Freq {
 	return f
 }
 
+// photoObjects reads photos as grid objects of weight 1, in place.
+type photoObjects []photo.Photo
+
+func (p photoObjects) Len() int { return len(p) }
+
+func (p photoObjects) Loc(i int) geo.Point  { return p[i].Loc }
+func (p photoObjects) Keys(i int) vocab.Set { return p[i].Tags }
+func (p photoObjects) Weight(int) float64   { return 1 }
+
 // NewContext builds the evaluation context for one street. The photos
 // slice is Rs; freq is Φs; maxD is the diversity normalizer. The grid uses
 // cells of side rho/2 as Section 4.2.1 prescribes.
@@ -118,13 +127,7 @@ func NewContext(rs []photo.Photo, freq vocab.Freq, maxD, rho float64) (*Context,
 	if maxD <= 0 {
 		return nil, fmt.Errorf("diversify: non-positive maxD %v", maxD)
 	}
-	locs := make([]geo.Point, len(rs))
-	keys := make([]vocab.Set, len(rs))
-	for i := range rs {
-		locs[i] = rs[i].Loc
-		keys[i] = rs[i].Tags
-	}
-	slab, err := grid.BuildSlab(grid.Config{CellSize: rho / 2}, locs, keys, nil)
+	slab, err := grid.BuildSlabOf(grid.Config{CellSize: rho / 2}, photoObjects(rs))
 	if err != nil {
 		return nil, err
 	}

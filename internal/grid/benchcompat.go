@@ -18,7 +18,11 @@ type Grid struct {
 
 // Build validates a build's inputs as BuildSlab does and keeps them.
 func Build(cfg Config, locs []geo.Point, keys []vocab.Set) (*Grid, error) {
-	if _, err := resolveLattice(cfg, locs, keys); err != nil {
+	objs, err := newSliceObjects(locs, keys, nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := resolveLattice(cfg, objs); err != nil {
 		return nil, err
 	}
 	return &Grid{cfg: cfg, keys: keys}, nil

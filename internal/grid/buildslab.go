@@ -18,45 +18,64 @@ import (
 // parallel passes are not worth the goroutines.
 const parallelBuildThreshold = 4096
 
-// BuildSlab builds the slab over objects given by parallel slices of
-// locations, keyword sets (nil: no keywords) and weights. Objects outside
-// cfg.Bounds are clamped into the border cells, so none is lost. Object ids
-// are bucketed by cell with a stable radix sort, which yields CellIDs,
-// MemberOff and Members at once; the per-cell keyword CSR and the
-// vocab-major inverted index are then filled over disjoint cell and
-// keyword ranges in parallel. Every weight is summed in ascending object
-// id within its cell, whichever worker does it, so the result does not
-// depend on the worker count. weights may be nil (weight 1 everywhere).
-func BuildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64) (*Slab, error) {
-	workers := 1
-	if len(locs) >= parallelBuildThreshold {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return buildSlab(cfg, locs, keys, weights, workers)
+// Objects is what BuildSlabOf indexes: Len objects with dense ids, object
+// i having location Loc(i), keyword set Keys(i) (nil: none) and weight
+// Weight(i). Each is read more than once and must answer the same each
+// time; callers adapt the records they already hold rather than copying
+// them into parallel slices. The build reads an object's keywords apart
+// from its location, so an adapter over parallel slices touches only the
+// slice each pass needs.
+type Objects interface {
+	Len() int
+	Loc(i int) geo.Point
+	Keys(i int) vocab.Set
+	Weight(i int) float64
 }
 
-// buildSlab is BuildSlab with an explicit worker count, which tests pin
-// to check that the result does not depend on it.
-func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64, workers int) (*Slab, error) {
-	lat, err := resolveLattice(cfg, locs, keys)
+// BuildSlab builds the slab over objects given by parallel slices of
+// locations, keyword sets (nil: no keywords) and weights (nil: weight 1
+// everywhere); it is BuildSlabOf over the slices.
+func BuildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64) (*Slab, error) {
+	objs, err := newSliceObjects(locs, keys, weights)
 	if err != nil {
 		return nil, err
 	}
-	if weights != nil && len(weights) != len(locs) {
-		return nil, fmt.Errorf("grid: %d locations but %d weights", len(locs), len(weights))
+	return BuildSlabOf(cfg, objs)
+}
+
+// BuildSlabOf builds the slab over objs. Objects outside cfg.Bounds are
+// clamped into the border cells, so none is lost. Object ids are bucketed
+// by cell with a stable radix sort, which yields CellIDs, MemberOff and
+// Members at once; the per-cell keyword CSR and the vocab-major inverted
+// index are then filled over disjoint cell and keyword ranges in
+// parallel. Every weight is summed in ascending object id within its
+// cell, whichever worker does it, so the result does not depend on the
+// worker count.
+func BuildSlabOf(cfg Config, objs Objects) (*Slab, error) {
+	workers := 1
+	if objs.Len() >= parallelBuildThreshold {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return buildSlab(cfg, objs, workers)
+}
+
+// buildSlab is BuildSlabOf with an explicit worker count, which tests pin
+// to check that the result does not depend on it.
+func buildSlab(cfg Config, objs Objects, workers int) (*Slab, error) {
+	lat, err := resolveLattice(cfg, objs)
+	if err != nil {
+		return nil, err
 	}
 	workers = max(workers, 1)
-	n := len(locs)
+	n := objs.Len()
 	s := &Slab{
 		Bounds: lat.Bounds, CellSize: lat.CellSize, NX: lat.NX, NY: lat.NY, NumObjects: n,
 		ObjX: make([]float64, n), ObjY: make([]float64, n), ObjW: make([]float64, n),
 	}
 	cids := make([]CellID, n)
-	for i, p := range locs {
-		s.ObjX[i], s.ObjY[i], s.ObjW[i] = p.X, p.Y, 1
-		if weights != nil {
-			s.ObjW[i] = weights[i]
-		}
+	for i := range n {
+		p := objs.Loc(i)
+		s.ObjX[i], s.ObjY[i], s.ObjW[i] = p.X, p.Y, objs.Weight(i)
 		cids[i] = lat.CellIndex(p)
 	}
 
@@ -78,15 +97,18 @@ func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64
 
 	// A cell's postings take exactly the summed keyword-set sizes of its
 	// members, so every cell's range in Postings is known up front and the
-	// workers write it in place.
-	if len(keys) == 0 {
-		keys = make([]vocab.Set, n)
+	// workers write it in place. The sizes are read in id order into the
+	// cell-id array, dead by now, so the walk by cell reads 4 bytes an
+	// object rather than calling Keys out of order.
+	keyCount := cids
+	for i := range keyCount {
+		keyCount[i] = CellID(len(objs.Keys(i)))
 	}
 	postBase := make([]uint32, numCells+1)
 	for ord := 0; ord < numCells; ord++ {
 		total := postBase[ord]
 		for _, m := range s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]] {
-			total += uint32(len(keys[m]))
+			total += uint32(keyCount[m])
 		}
 		postBase[ord+1] = total
 	}
@@ -97,7 +119,7 @@ func buildSlab(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64
 	// Postings ranges, and collects its (cell, keyword) entries locally.
 	parts := make([]cellKwPart, workers)
 	forRanges(workers, numCells, func(i int) uint64 { return uint64(postBase[i]) + uint64(s.MemberOff[i]) }, func(w, lo, hi int) {
-		parts[w] = s.fillCells(lo, hi, keys, postBase)
+		parts[w] = s.fillCells(lo, hi, objs, postBase)
 	})
 	var numKw int
 	for _, p := range parts {
@@ -227,7 +249,7 @@ type cellKwPart struct {
 // cell's (keyword, member) pairs are sorted as packed integers, which
 // groups them by ascending keyword with ascending members inside, the
 // order the Slab contract asks of postings and of their weight sums.
-func (s *Slab) fillCells(lo, hi int, keys []vocab.Set, postBase []uint32) cellKwPart {
+func (s *Slab) fillCells(lo, hi int, objs Objects, postBase []uint32) cellKwPart {
 	// Every (cell, keyword) entry holds at least one posting, so the
 	// range's postings bound its entries, and its widest cell the pairs.
 	n := postBase[hi] - postBase[lo]
@@ -239,11 +261,11 @@ func (s *Slab) fillCells(lo, hi int, keys []vocab.Set, postBase []uint32) cellKw
 	pairs := make([]uint64, 0, widest)
 	for ord := lo; ord < hi; ord++ {
 		members := s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]]
-		psiMin, psiMax := len(keys[members[0]]), 0
+		psiMin, psiMax := math.MaxInt, 0
 		var total float64
 		pairs = pairs[:0]
 		for _, m := range members {
-			ks := keys[m]
+			ks := objs.Keys(int(m))
 			psiMin, psiMax = min(psiMin, len(ks)), max(psiMax, len(ks))
 			total += s.ObjW[m]
 			for _, k := range ks {
@@ -353,4 +375,40 @@ func sortInvCmp(es []invEntry) {
 		}
 		return cmp.Compare(a.ord, b.ord)
 	})
+}
+
+// sliceObjects is Objects over parallel slices: no keywords when keys is
+// empty, weight 1 when weights is nil.
+type sliceObjects struct {
+	locs    []geo.Point
+	keys    []vocab.Set
+	weights []float64
+}
+
+func newSliceObjects(locs []geo.Point, keys []vocab.Set, weights []float64) (*sliceObjects, error) {
+	if len(keys) != 0 && len(keys) != len(locs) {
+		return nil, fmt.Errorf("grid: %d locations but %d keyword sets", len(locs), len(keys))
+	}
+	if weights != nil && len(weights) != len(locs) {
+		return nil, fmt.Errorf("grid: %d locations but %d weights", len(locs), len(weights))
+	}
+	return &sliceObjects{locs: locs, keys: keys, weights: weights}, nil
+}
+
+func (o *sliceObjects) Len() int { return len(o.locs) }
+
+func (o *sliceObjects) Loc(i int) geo.Point { return o.locs[i] }
+
+func (o *sliceObjects) Keys(i int) vocab.Set {
+	if len(o.keys) == 0 {
+		return nil
+	}
+	return o.keys[i]
+}
+
+func (o *sliceObjects) Weight(i int) float64 {
+	if o.weights == nil {
+		return 1
+	}
+	return o.weights[i]
 }

@@ -11,7 +11,11 @@ const ParallelBuildThreshold = parallelBuildThreshold
 // BuildSlabWithWorkers is BuildSlab at a pinned worker count; unlike
 // BuildSlab it goes parallel on inputs of any size.
 func BuildSlabWithWorkers(cfg Config, locs []geo.Point, keys []vocab.Set, weights []float64, workers int) (*Slab, error) {
-	return buildSlab(cfg, locs, keys, weights, workers)
+	objs, err := newSliceObjects(locs, keys, weights)
+	if err != nil {
+		return nil, err
+	}
+	return buildSlab(cfg, objs, workers)
 }
 
 // CellNear is the cell predicate CellsNearSegmentInto and

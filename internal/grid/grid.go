@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/geo"
-	"repro/internal/vocab"
 )
 
 // CellID is a linearized cell coordinate: id = ix + iy*nx.
@@ -54,16 +53,13 @@ func Dims(bounds geo.Rect, cellSize float64) (nx, ny int, err error) {
 	return int(fx), int(fy), nil
 }
 
-// resolveLattice validates a build's inputs and fixes its geometry: the
-// lattice over the configured bounds (the objects' bounding rectangle
-// when zero).
-func resolveLattice(cfg Config, locs []geo.Point, keys []vocab.Set) (Lattice, error) {
-	if len(keys) != 0 && len(keys) != len(locs) {
-		return Lattice{}, fmt.Errorf("grid: %d locations but %d keyword sets", len(locs), len(keys))
-	}
+// resolveLattice fixes a build's geometry: the lattice over the
+// configured bounds (the objects' bounding rectangle when zero).
+func resolveLattice(cfg Config, objs Objects) (Lattice, error) {
 	b := cfg.Bounds
 	if b == (geo.Rect{}) {
-		for i, p := range locs {
+		for i := range objs.Len() {
+			p := objs.Loc(i)
 			r := geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 			if i == 0 {
 				b = r
