@@ -1,9 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -107,7 +106,6 @@ func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (
 		segBY:     make([]float64, len(segs)),
 		segLen:    make([]float64, len(segs)),
 		segStreet: make([]uint32, len(segs)),
-		segsByLen: make([]network.SegmentID, len(segs)),
 		plans:     make(map[float64]*slabPlan),
 	}
 	for i := range segs {
@@ -116,19 +114,60 @@ func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (
 		ix.segBX[i], ix.segBY[i] = s.Geom.B.X, s.Geom.B.Y
 		ix.segLen[i] = s.Length()
 		ix.segStreet[i] = uint32(s.Street)
-		ix.segsByLen[i] = s.ID
 	}
-	slices.SortFunc(ix.segsByLen, func(a, b network.SegmentID) int {
-		if ix.segLen[a] != ix.segLen[b] {
-			if ix.segLen[a] < ix.segLen[b] {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
+	ix.segsByLen = sortByLength(ix.segLen)
 	ix.pool.New = func() interface{} { return &slabRun{ix: ix} }
 	return ix, nil
+}
+
+// sortByLength returns the segment ids ordered by increasing length, ties
+// by increasing id: SL3. A length is not negative, so it orders as its
+// IEEE-754 bits do (−0 taken as +0), and a stable LSD radix sort of the
+// bits over the ids in ascending order gives that order without a
+// comparison. Each pass reads the key of an id from lengths, so the sort
+// needs no key arrays, and skips a byte every key shares.
+func sortByLength(lengths []float64) []network.SegmentID {
+	key := func(l float64) uint64 {
+		if l == 0 {
+			return 0
+		}
+		return math.Float64bits(l)
+	}
+	n := len(lengths)
+	ids := make([]network.SegmentID, n)
+	var count [8][256]uint32
+	for i, l := range lengths {
+		ids[i] = network.SegmentID(i)
+		k := key(l)
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	if n == 0 {
+		return ids
+	}
+	var tmp []network.SegmentID
+	shared := key(lengths[0])
+	for b := range count {
+		c := &count[b]
+		if c[byte(shared>>(8*b))] == uint32(n) {
+			continue
+		}
+		if tmp == nil {
+			tmp = make([]network.SegmentID, n)
+		}
+		var sum uint32
+		for d := range c {
+			c[d], sum = sum, sum+c[d]
+		}
+		for _, id := range ids {
+			d := byte(key(lengths[id]) >> (8 * b))
+			tmp[c[d]] = id
+			c[d]++
+		}
+		ids, tmp = tmp, ids
+	}
+	return ids
 }
 
 // Network returns the indexed road network.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/network"
@@ -144,6 +146,62 @@ func TestSegsByLenSorted(t *testing.T) {
 			t.Fatalf("SL3 not sorted ascending: %v after %v", l, prev)
 		}
 		prev = l
+	}
+}
+
+// TestSortByLengthMatchesComparator: SL3's radix sort orders segments as
+// the comparison sort by (length, id) does, on Berlin 0.1 and on lengths
+// that tie in whole runs, zeros of both signs among them.
+func TestSortByLengthMatchesComparator(t *testing.T) {
+	byComparator := func(lengths []float64) []network.SegmentID {
+		ids := make([]network.SegmentID, len(lengths))
+		for i := range ids {
+			ids[i] = network.SegmentID(i)
+		}
+		slices.SortFunc(ids, func(a, b network.SegmentID) int {
+			if lengths[a] != lengths[b] {
+				if lengths[a] < lengths[b] {
+					return -1
+				}
+				return 1
+			}
+			return cmp.Compare(a, b)
+		})
+		return ids
+	}
+	ds, err := datagen.Generate(datagen.Scale(datagen.Berlin(), 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	berlin := make([]float64, ds.Network.NumSegments())
+	for i := range berlin {
+		berlin[i] = ds.Network.Segment(network.SegmentID(i)).Length()
+	}
+	rng := rand.New(rand.NewSource(7))
+	tied := make([]float64, 5000)
+	for i := range tied {
+		tied[i] = []float64{0, math.Copysign(0, -1), 0.25, 1, 1e-300, 3.5, math.Nextafter(1, 2)}[rng.Intn(7)]
+	}
+	for _, c := range []struct {
+		name    string
+		lengths []float64
+	}{
+		{"berlin 0.1", berlin},
+		{"tied", tied},
+		{"one length", []float64{2, 2, 2, 2}},
+		{"one segment", []float64{0.5}},
+		{"none", nil},
+	} {
+		if got, want := sortByLength(c.lengths), byComparator(c.lengths); !slices.Equal(got, want) {
+			t.Errorf("%s: radix order differs from the comparator's", c.name)
+		}
+	}
+	ix, err := NewIndex(ds.Network, ds.POIs, IndexConfig{CellSize: 0.0005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ix.segsByLen, byComparator(berlin)) {
+		t.Error("berlin 0.1: the index's SL3 differs from the comparator's order")
 	}
 }
 
