@@ -426,3 +426,32 @@ func TestStringers(t *testing.T) {
 		t.Error("empty Rect string")
 	}
 }
+
+// TestAccumWeightsWithinCountsTheBoundary pins Def. 1's boundary: a
+// point at distance exactly ε counts. The cases are dyadic, so every
+// distance is exact: ε = 1 from the interior of segment (0,0)–(4,0), and
+// from a segment that is a single point; a point one ulp farther out
+// does not count.
+func TestAccumWeightsWithinCountsTheBoundary(t *testing.T) {
+	const eps = 1
+	beyond := math.Nextafter(1, 2)
+	for _, c := range []struct {
+		name string
+		seg  Segment
+		at   Point
+		want float64
+	}{
+		{"interior at ε", Segment{A: Point{0, 0}, B: Point{4, 0}}, Point{2, 1}, 3},
+		{"point segment at ε", Segment{A: Point{1, 1}, B: Point{1, 1}}, Point{1, 2}, 3},
+		{"interior past ε", Segment{A: Point{0, 0}, B: Point{4, 0}}, Point{2, beyond}, 0},
+		{"point segment past ε", Segment{A: Point{1, 1}, B: Point{1, 1}}, Point{1, math.Nextafter(2, 3)}, 0},
+	} {
+		got := c.seg.AccumWeightsWithin([]float64{c.at.X}, []float64{c.at.Y}, []float64{3}, eps*eps)
+		if got != c.want {
+			t.Errorf("%s: weight %v within ε, want %v", c.name, got, c.want)
+		}
+		if within := c.seg.DistToPointSq(c.at) <= eps*eps; within != (c.want != 0) {
+			t.Errorf("%s: DistToPointSq says within ε = %v, AccumWeightsWithin %v", c.name, within, got)
+		}
+	}
+}
