@@ -140,8 +140,8 @@ func TestPlanConcurrentFirstTouch(t *testing.T) {
 
 // TestSnapshotOpenRetainsNoCorpus bounds the heap a snapshot-opened
 // index keeps alive, per POI: the network, the photos, the dictionary
-// and the index's segment arrays. The slab and the POI section stay in
-// the mapping; a corpus decoded at open (≈ 85 B per POI on Berlin 0.25,
+// and the index's segment arrays. The slab stays in the mapping and no
+// POI is derived from it; a corpus decoded at open (≈ 85 B per POI on Berlin 0.25,
 // two keyword slices per POI) does not fit under the ceiling.
 func TestSnapshotOpenRetainsNoCorpus(t *testing.T) {
 	if testing.Short() {

@@ -146,14 +146,17 @@ func (s *Slab) NeighborhoodInto(ord, delta int, buf []int32) []int32 {
 // Validate checks the slab's structural invariants: monotone offset
 // arrays that end at their target array's length, sorted cell ids within
 // the grid dimensions, in-range ordinals, object ids and keyword ids,
-// finite geometry, object weights poi.CheckWeight accepts, and cell and
-// inverted weights that are finite and not negative. Decoded slabs are
-// validated before use so a corrupt snapshot surfaces as an error
-// wrapping ErrSlabMalformed instead of an out-of-range panic or a wrong
-// answer.
+// finite geometry, object weights poi.CheckWeight accepts, cell and
+// inverted weights that are finite and not negative, and NumObjects
+// members in all. Decoded slabs are validated before use so a corrupt
+// snapshot surfaces as an error wrapping ErrSlabMalformed instead of an
+// out-of-range panic or a wrong answer. It allocates nothing; whether
+// the cells partition the objects, with their keywords and postings in
+// order, is left to callers that derive per-object data from the cells
+// (snapshot.Decode), since checking it fast takes a bitmap.
 func (s *Slab) Validate() error {
 	if err := s.validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrSlabMalformed, err)
+		return fmt.Errorf("%w: %w", ErrSlabMalformed, err)
 	}
 	return nil
 }
@@ -227,7 +230,7 @@ func (s *Slab) validate() error {
 			return fmt.Errorf("grid: slab object %d at (%v, %v)", i, s.ObjX[i], s.ObjY[i])
 		}
 		if err := poi.CheckWeight(s.ObjW[i]); err != nil {
-			return fmt.Errorf("grid: slab object %d: %v", i, err)
+			return fmt.Errorf("grid: slab object %d: %w", i, err)
 		}
 	}
 	for _, ws := range [][]float64{s.CellWeight, s.InvWeight} {
@@ -237,6 +240,9 @@ func (s *Slab) validate() error {
 				return fmt.Errorf("grid: slab cell or inverted weight %v at %d", w, i)
 			}
 		}
+	}
+	if len(s.Members) != s.NumObjects {
+		return fmt.Errorf("grid: slab lists %d members for %d objects", len(s.Members), s.NumObjects)
 	}
 	return nil
 }

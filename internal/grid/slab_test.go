@@ -201,6 +201,10 @@ func TestSlabValidateRejects(t *testing.T) {
 		{"obj-weight", func(s *grid.Slab) { s.ObjW[0] = -1 }},
 		{"cell-weight", func(s *grid.Slab) { s.CellWeight[0] = math.NaN() }},
 		{"inv-weight", func(s *grid.Slab) { s.InvWeight[0] = math.Inf(1) }},
+		{"member-count", func(s *grid.Slab) {
+			s.NumObjects++
+			s.ObjX, s.ObjY, s.ObjW = append(s.ObjX, 0), append(s.ObjY, 0), append(s.ObjW, 1)
+		}},
 	}
 	for _, b := range breaks {
 		s := fresh()

@@ -46,7 +46,7 @@ func TestLazyCorpusConcurrentFirstTouch(t *testing.T) {
 	}
 	lazy := snap.POIs
 	if lazy.Decoded() {
-		t.Fatal("Decode decoded the POI section")
+		t.Fatal("Decode derived the POI corpus")
 	}
 	if lazy.Len() != src.Len() || lazy.Dict().Len() != src.Dict().Len() || lazy.Decoded() {
 		t.Fatalf("Len %d, Dict %d (decoded %v); want %d and %d undecoded",
@@ -102,6 +102,79 @@ func TestLazyCorpusConcurrentFirstTouch(t *testing.T) {
 	}
 	if &lazy.All()[0] != lazy.Get(0) {
 		t.Fatal("All and Get read different arrays")
+	}
+}
+
+// TestDerivedCorpusConcurrentFirstTouch: the corpora of four shard files,
+// each memory-mapped by LoadShard and derived from its slab, are first
+// touched by eight goroutines at once through All, Get and CountRelevant.
+// Each equals the shard's corpus as Partition built it, every keyword
+// set's capacity ends at its length (an append reallocates rather than
+// writing into the next POI's set), and each corpus derives once.
+func TestDerivedCorpusConcurrentFirstTouch(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Small(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := shard.Partition(ds.Network, ds.POIs, shard.Config{Tiles: 4, Halo: 0.0012, CellSize: soi.DefaultCellSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(t.TempDir(), "small.json")
+	if err := shard.WriteSnapshots(manifest, w); err != nil {
+		t.Fatal(err)
+	}
+	derived := make([]*poi.Corpus, len(w.Shards))
+	for i := range derived {
+		sh, _, closer, err := shard.LoadShard(manifest, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { closer.Close() })
+		derived[i] = sh.POIs
+	}
+	var decodes atomic.Int32
+	poi.OnDecode(t, func(*poi.Corpus) { decodes.Add(1) })
+
+	shop := ds.POIs.Dict().InternAll([]string{"shop"})
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range derived {
+				i := (g + k) % len(derived)
+				lazy, want := derived[i], w.Shards[i].POIs
+				switch (g + k) % 3 {
+				case 0:
+					if got := lazy.CountRelevant(shop); got != want.CountRelevant(shop) {
+						errs <- "CountRelevant differs from the partitioned corpus"
+					}
+				case 1:
+					if !reflect.DeepEqual(*lazy.Get(poi.ID(lazy.Len() - 1)), *want.Get(poi.ID(want.Len() - 1))) {
+						errs <- "Get differs from the partitioned corpus"
+					}
+				}
+				if !reflect.DeepEqual(lazy.All(), want.All()) {
+					errs <- "All differs from the partitioned corpus"
+				}
+				for _, p := range lazy.All() {
+					if cap(p.Keywords) != len(p.Keywords) {
+						errs <- "a keyword set's capacity runs past its length"
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := decodes.Load(); n != int32(len(derived)) {
+		t.Fatalf("%d corpora derived %d times, want once each", len(derived), n)
 	}
 }
 

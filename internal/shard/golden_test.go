@@ -134,10 +134,10 @@ func TestGoldenPartition(t *testing.T) {
 		manifest uint64
 		shards   []uint64
 	}{
-		{4, 0x0e233286b3cf13cb, []uint64{0xf38cf9438afb4fdc, 0x99c45f06211b9f99, 0x63abfaa3de9fbcab, 0x17e471572cf5ede2}},
+		{4, 0x0e233286b3cf13cb, []uint64{0x343942699c1f216c, 0xc94577c37018978f, 0xd3ecbbed9a414b6a, 0x461299d5a5efc011}},
 		{9, 0x2bf182b31477368a, []uint64{
-			0xbf2f81a28027465d, 0x6dd3d5f2dab18876, 0x1d932d4f833b21e3, 0x56d8104d0bdee2ee, 0x27e27b273808415b,
-			0x387ab54f805a223c, 0xca718709508bc2fa, 0xd3afca1d31665f2b, 0xfbde179cf9af931e,
+			0xe655e5f5b3cd6a3e, 0x114b50ec7c37c343, 0xc226bd76c09d92b8, 0x0eca15cb80d45d4b, 0xa3ade849cbc6f865,
+			0x2304e647f3a2d3b6, 0x2ec84c15b39ed702, 0xab2303d913134a36, 0x44850282d9ef1634,
 		}},
 	} {
 		w, err := Partition(ds.Network, ds.POIs, Config{Tiles: c.tiles, Halo: 0.0012, CellSize: 0.0005})

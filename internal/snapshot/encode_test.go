@@ -27,8 +27,8 @@ func TestGoldenEncode(t *testing.T) {
 		snap *snapshot.Snapshot
 		want uint64
 	}{
-		{"small", testSnapshot(t), 0x3c260a47627c89ba},
-		{"berlin 0.1", &snapshot.Snapshot{Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: slab}, 0xe6ab42f7099c0d5c},
+		{"small", testSnapshot(t), 0x5bb5060e2b40c88c},
+		{"berlin 0.1", &snapshot.Snapshot{Net: ds.Network, POIs: ds.POIs, Photos: ds.Photos, Slab: slab}, 0x8c5b144df45b7695},
 	} {
 		data, err := snapshot.Encode(c.snap)
 		if err != nil {

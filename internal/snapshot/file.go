@@ -50,10 +50,10 @@ func WriteAtomic(path string, data []byte) error {
 }
 
 // Mapping owns the backing memory of an opened snapshot. The Snapshot's
-// slab aliases this memory, and its POI corpus decodes from it on first
-// use, so Close must not be called while the snapshot (or any index
-// built over its slab) is still in use: touching the corpus after Close
-// is the same misuse as querying the index.
+// slab aliases this memory, and its POI corpus is derived from the slab
+// on first use, so Close must not be called while the snapshot (or any
+// index built over its slab) is still in use: touching the corpus after
+// Close is the same misuse as querying the index.
 type Mapping struct {
 	data    []byte
 	mmapped bool // a file mapping, not a heap copy read with os.ReadFile
@@ -76,7 +76,7 @@ func (m *Mapping) Close() error {
 // Open memory-maps the snapshot file (falling back to a plain read where
 // mmap is unavailable), validates every section checksum and returns the
 // decoded snapshot together with the mapping that backs it. Opening
-// validates the POI section in place without decoding it (see Decode).
+// validates the slab in place and derives no POI (see Decode).
 // The caller must keep the mapping open for as long as the snapshot's
 // slab or POI corpus — or any index built from them — is in use, then
 // Close it.

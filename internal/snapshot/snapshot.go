@@ -1,11 +1,11 @@
 // Package snapshot defines the versioned on-disk index snapshot (.soi
 // file). A snapshot packages everything a serving process needs — the
-// road network, the POI and photo corpora, the shared keyword
-// dictionary, and the prebuilt compact slab index — into one
+// road network, the photo corpus, the shared keyword dictionary, and the
+// prebuilt compact slab index, which holds the POI corpus — into one
 // position-independent binary blob that can be memory-mapped and served
 // without any rebuild work.
 //
-// # File layout (version 1)
+// # File layout (version 2)
 //
 //	offset  size  field
 //	0       8     magic "SOISNAP1"
@@ -21,9 +21,16 @@
 // slab section reuses the grid.Slab binary codec verbatim and is
 // 8-byte aligned so a memory-mapped load can alias its arrays in place.
 //
-// Reconstruction is exact: vertices, polylines, weights and the slab
-// arrays round-trip bit-for-bit, so an index rebuilt from a snapshot
-// returns bit-identical query answers to the index that produced it.
+// The POI corpus has no section of its own: the slab's ObjX, ObjY and
+// ObjW hold every POI's location and weight and its cells' posting lists
+// every POI's keywords (Section 3.2.1's per-cell inverted index), so
+// Decode derives the corpus from the slab. Version 1 stored it a second
+// time, as section 4.
+//
+// Reconstruction is exact: vertices, polylines, POIs, weights and the
+// slab arrays round-trip bit-for-bit, so an index rebuilt from a
+// snapshot returns bit-identical query answers to the index that
+// produced it.
 package snapshot
 
 import (
@@ -32,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
@@ -49,14 +57,14 @@ const Magic = "SOISNAP1"
 // any other version: the format is a cache, so readers and writers are
 // expected to be upgraded together and no cross-version compatibility is
 // attempted.
-const Version = 1
+const Version = 2
 
-// Section identifiers of the version-1 layout.
+// Section identifiers of the version-2 layout; 4 was version 1's POI
+// section.
 const (
 	secMeta    = 1
 	secVocab   = 2
 	secNetwork = 3
-	secPOIs    = 4
 	secPhotos  = 5
 	secSlab    = 6
 )
@@ -84,13 +92,18 @@ var (
 	// ErrMalformed means the container framing was intact but a section
 	// payload failed structural validation.
 	ErrMalformed = errors.New("snapshot: malformed")
+	// ErrNotIndexed is Encode's refusal of a slab the POI corpus could not
+	// be derived from bit for bit: one that does not index exactly the
+	// corpus's locations, weights and keyword sets, or that Decode would
+	// refuse.
+	ErrNotIndexed = errors.New("snapshot: slab does not index the POI corpus")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot is the in-memory form of a snapshot file: the four corpora a
 // serving engine is built from. All corpora share one dictionary
-// (POIs.Dict() == Photos.Dict()).
+// (POIs.Dict() == Photos.Dict()), and Slab indexes POIs.
 type Snapshot struct {
 	Net    *network.Network
 	POIs   *poi.Corpus
@@ -101,16 +114,20 @@ type Snapshot struct {
 // Encode serializes the snapshot into one buffer sized up front: every
 // section's length is counted first (the slab's by Slab.EncodedSize), and
 // each section is then written in place behind the table, so no section
-// is built, grown or copied on its own.
+// is built, grown or copied on its own. The POI corpus is written as the
+// slab that indexes it: Encode first checks, without allocating, that
+// Decode would accept the slab and derive exactly s.POIs from it —
+// every POI's location and weight bits and keyword set — and refuses
+// with an error wrapping ErrNotIndexed otherwise.
 func Encode(s *Snapshot) ([]byte, error) {
 	if s.Net == nil || s.POIs == nil || s.Photos == nil || s.Slab == nil {
 		return nil, errors.New("snapshot: all of Net, POIs, Photos and Slab are required")
 	}
-	if s.Slab.NumObjects != s.POIs.Len() {
-		return nil, fmt.Errorf("snapshot: slab indexes %d objects, corpus has %d", s.Slab.NumObjects, s.POIs.Len())
-	}
 	dict := s.POIs.Dict()
-	pois, photos := s.POIs.All(), s.Photos.All()
+	if err := checkSlab(s.Slab, dict.Len()); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotIndexed, err)
+	}
+	photos := s.Photos.All()
 	sections := [...]struct {
 		id     uint32
 		size   int
@@ -119,7 +136,6 @@ func Encode(s *Snapshot) ([]byte, error) {
 		{secMeta, metaSize, func(b []byte) []byte { return appendMeta(b, s) }},
 		{secVocab, vocabSize(dict), func(b []byte) []byte { return appendVocab(b, dict) }},
 		{secNetwork, networkSize(s.Net), func(b []byte) []byte { return appendNetwork(b, s.Net) }},
-		{secPOIs, poisSize(pois), func(b []byte) []byte { return appendPOIs(b, pois) }},
 		{secPhotos, photosSize(photos), func(b []byte) []byte { return appendPhotos(b, photos) }},
 		{secSlab, s.Slab.EncodedSize(), s.Slab.AppendBinary},
 	}
@@ -131,6 +147,16 @@ func Encode(s *Snapshot) ([]byte, error) {
 	}
 	// The table and the alignment padding are the buffer's zeroes.
 	buf := make([]byte, tableEnd, total)
+	// checkCells borrows the buffer's unwritten tail as its bitmap: two
+	// bits an object, where the slab section alone takes 24 bytes, zero
+	// again when it succeeds.
+	err := checkCells(s.Slab, buf[tableEnd:total])
+	if err == nil {
+		err = checkIndexes(s.Slab, s.POIs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotIndexed, err)
+	}
 	copy(buf, Magic)
 	binary.LittleEndian.PutUint32(buf[8:], Version)
 	binary.LittleEndian.PutUint32(buf[12:], uint32(len(sections)))
@@ -155,10 +181,12 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 
 // Decode parses and validates a snapshot. The returned Snapshot's slab
 // aliases data where alignment permits (it does for Encode output and
-// mmap'd files), and its POI corpus is validated in place and decodes
-// data's POI section on its first All, Get or CountRelevant, so data
-// must stay valid and unmodified for the life of the snapshot;
-// everything else is copied out.
+// mmap'd files), and its POI corpus is derived from the slab on its first
+// All, Get or CountRelevant (derivePOIs), so data must stay valid and
+// unmodified for the life of the snapshot; everything else is copied
+// out. Every invariant the derivation relies on is validated here, in
+// place, so a slab it could not derive from is ErrMalformed now and
+// never a panic on first touch.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, want at least %d header bytes", ErrTruncated, len(data), headerSize)
@@ -194,7 +222,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		payloads[id] = payload
 	}
-	for _, id := range []uint32{secMeta, secVocab, secNetwork, secPOIs, secPhotos, secSlab} {
+	for _, id := range []uint32{secMeta, secVocab, secNetwork, secPhotos, secSlab} {
 		if _, ok := payloads[id]; !ok {
 			return nil, fmt.Errorf("%w: missing section %d", ErrMalformed, id)
 		}
@@ -208,10 +236,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	pois, err := decodePOIs(payloads[secPOIs], dict)
-	if err != nil {
-		return nil, err
-	}
 	photos, err := decodePhotos(payloads[secPhotos], dict)
 	if err != nil {
 		return nil, err
@@ -220,6 +244,13 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: slab section: %w", ErrMalformed, err)
 	}
+	if err := checkSlab(slab, dict.Len()); err != nil {
+		return nil, fmt.Errorf("%w: slab section: %w", ErrMalformed, err)
+	}
+	if err := checkCells(slab, nil); err != nil {
+		return nil, fmt.Errorf("%w: slab section: %w", ErrMalformed, err)
+	}
+	pois := poi.NewLazyCorpus(slab.NumObjects, dict, func() []poi.POI { return derivePOIs(slab) })
 	s := &Snapshot{Net: net, POIs: pois, Photos: photos, Slab: slab}
 	if err := checkMeta(payloads[secMeta], s, dict); err != nil {
 		return nil, err
@@ -459,67 +490,169 @@ func decodeNetwork(p []byte) (*network.Network, error) {
 	return net, nil
 }
 
-// --- poi and photo sections -------------------------------------------
-//
-// Locations and weights as parallel float64 arrays, keyword sets as one
-// CSR over dictionary ids.
+// --- the POI corpus, derived from the slab -------------------------------
 
-func poisSize(all []poi.POI) int {
-	n := 4 + (4+24)*len(all)
-	for i := range all {
-		n += 4 * len(all[i].Keywords)
+// checkSlab checks, with Slab.Validate, what deriving a corpus from the
+// slab needs beyond the cells' order (checkCells): every keyword id has a
+// dictionary entry, and no object weighs 0, which a corpus would read as
+// weight 1. It allocates nothing.
+func checkSlab(s *grid.Slab, dictLen int) error {
+	if err := s.Validate(); err != nil {
+		return err
 	}
-	return n
-}
-
-func appendPOIs(b []byte, all []poi.POI) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(all)))
-	kwEnd := uint32(0)
-	for i := range all {
-		kwEnd += uint32(len(all[i].Keywords))
-		b = binary.LittleEndian.AppendUint32(b, kwEnd)
+	if s.VocabN > dictLen {
+		return fmt.Errorf("slab posts keyword ids below %d, the dictionary holds %d", s.VocabN, dictLen)
 	}
-	for i := range all {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(all[i].Loc.X))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(all[i].Loc.Y))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(all[i].Weight))
-	}
-	for i := range all {
-		for _, kw := range all[i].Keywords {
-			b = binary.LittleEndian.AppendUint32(b, kw)
+	for i, w := range s.ObjW {
+		if w == 0 {
+			return fmt.Errorf("slab object %d has weight 0", i)
 		}
 	}
-	return b
+	return nil
 }
 
-// decodePOIs validates the POI section in place and returns a corpus
-// that decodes it on first use: opening a snapshot allocates nothing per
-// POI, and a serving process that reads only the slab never decodes it.
-func decodePOIs(p []byte, dict *vocab.Dictionary) (*poi.Corpus, error) {
-	sec, err := parseKeyed(p, "poi", 3)
-	if err != nil {
-		return nil, err
+// checkCells checks, in one pass over a validated slab's cells, that they
+// partition its objects as derivePOIs needs: each cell's members and
+// keywords strictly ascending, no object a member of two cells (with
+// Slab.Validate's count of NumObjects members in all, each is a member
+// of exactly one), and each (cell, keyword) posting list strictly
+// ascending and holding members of its cell only. It takes two bits an
+// object — one marks the objects seen in any cell, one the members of
+// the cell being checked — from scratch, which must be zero, allocating
+// them when scratch is too short, and leaves them zero when it succeeds.
+func checkCells(s *grid.Slab, scratch []byte) error {
+	n := (s.NumObjects + 7) / 8
+	if len(scratch) < 2*n {
+		scratch = make([]byte, 2*n)
 	}
-	check := func(rec []byte) error { return poi.CheckWeight(field(rec, 2)) }
-	if err := sec.walk(dict.Len(), check, nil); err != nil {
-		return nil, err
-	}
-	return poi.NewLazyCorpus(sec.n, dict, func() []poi.POI {
-		pois := make([]poi.POI, sec.n)
-		err := sec.walk(dict.Len(), check, func(i int, rec []byte, set vocab.Set) {
-			w := field(rec, 2)
-			if w == 0 {
-				w = 1
+	seen, inCell := scratch[:n], scratch[n:2*n]
+	for ord, id := range s.CellIDs {
+		members := s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]]
+		for i, m := range members {
+			w, b := m/8, byte(1)<<(m%8)
+			if i > 0 && m <= members[i-1] {
+				return fmt.Errorf("slab cell %d members not strictly ascending", id)
 			}
-			pois[i] = poi.POI{ID: poi.ID(i), Loc: geo.Point{X: field(rec, 0), Y: field(rec, 1)}, Keywords: set, Weight: w}
-		})
-		if err != nil {
-			// The same walk accepted these bytes when the snapshot opened.
-			panic(fmt.Sprintf("snapshot: POI section changed after it was validated: %v", err))
+			if seen[w]&b != 0 {
+				return fmt.Errorf("slab object %d is a member of two cells", m)
+			}
+			seen[w] |= b
+			inCell[w] |= b
 		}
-		return pois
-	}), nil
+		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
+		for j := kwLo; j < kwHi; j++ {
+			if j > kwLo && s.CellKw[j] <= s.CellKw[j-1] {
+				return fmt.Errorf("slab cell %d keywords not strictly ascending", id)
+			}
+			posts := s.Postings[s.PostOff[j]:s.PostOff[j+1]]
+			for i, m := range posts {
+				if i > 0 && m <= posts[i-1] || inCell[m/8]&(1<<(m%8)) == 0 {
+					return fmt.Errorf("slab cell %d keyword %d postings are not its members in ascending order", id, s.CellKw[j])
+				}
+			}
+		}
+		for _, m := range members {
+			inCell[m/8] &^= 1 << (m % 8)
+		}
+	}
+	clear(seen)
+	return nil
 }
+
+// checkIndexes reports, without allocating, whether derivePOIs returns
+// pois from a slab checkSlab and checkCells accept: the corpus's size,
+// each POI's location and weight bits, and each POI's keyword set, which
+// must be strictly ascending and hold exactly the keywords its cell posts
+// it under. Each (POI, keyword) pair is looked up in its cell, and with
+// the pairs counted against the cell's postings nothing the cell posts is
+// left over.
+func checkIndexes(s *grid.Slab, pois *poi.Corpus) error {
+	if s.NumObjects != pois.Len() {
+		return fmt.Errorf("slab indexes %d objects, corpus has %d", s.NumObjects, pois.Len())
+	}
+	all := pois.All()
+	for i := range all {
+		p := &all[i]
+		if math.Float64bits(s.ObjX[i]) != math.Float64bits(p.Loc.X) || math.Float64bits(s.ObjY[i]) != math.Float64bits(p.Loc.Y) ||
+			math.Float64bits(s.ObjW[i]) != math.Float64bits(p.Weight) {
+			return fmt.Errorf("POI %d at (%v, %v) weighs %v, the slab holds (%v, %v) weighing %v",
+				i, p.Loc.X, p.Loc.Y, p.Weight, s.ObjX[i], s.ObjY[i], s.ObjW[i])
+		}
+	}
+	for ord, id := range s.CellIDs {
+		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
+		pairs := 0
+		for _, m := range s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]] {
+			set := all[m].Keywords
+			pairs += len(set)
+			for i, kw := range set {
+				if i > 0 && kw <= set[i-1] {
+					return fmt.Errorf("POI %d keywords not strictly ascending", m)
+				}
+				j, ok := slices.BinarySearch(s.CellKw[kwLo:kwHi], kw)
+				if ok {
+					e := kwLo + uint32(j)
+					_, ok = slices.BinarySearch(s.Postings[s.PostOff[e]:s.PostOff[e+1]], m)
+				}
+				if !ok {
+					return fmt.Errorf("POI %d has keyword %d, which its cell does not post it under", m, kw)
+				}
+			}
+		}
+		if posted := int(s.PostOff[kwHi] - s.PostOff[kwLo]); posted != pairs {
+			return fmt.Errorf("cell %d posts %d (POI, keyword) pairs, its POIs hold %d", id, posted, pairs)
+		}
+	}
+	return nil
+}
+
+// derivePOIs reads the corpus out of a slab checkSlab and checkCells
+// accepted: POI i at
+// (ObjX[i], ObjY[i]) weighing ObjW[i], with the keywords under whose
+// posting lists its cell lists it. The cells are walked in order and
+// each cell's keywords ascending, and every POI is a member of one cell,
+// so each set comes out strictly ascending. The ids go into one array of
+// exactly the postings' size, and each POI's set sub-slices it with
+// capped capacity (nil when empty), so an append by a caller
+// reallocates.
+func derivePOIs(s *grid.Slab) []poi.POI {
+	n := s.NumObjects
+	// next[m] counts POI m's keywords, becomes where its set starts, and
+	// as the sets fill, where the next id goes; it ends as each set's end.
+	next := make([]uint32, n+1)
+	for _, m := range s.Postings {
+		next[m+1]++
+	}
+	for i := range n {
+		next[i+1] += next[i]
+	}
+	ids := make([]vocab.ID, len(s.Postings))
+	for ord := range s.CellIDs {
+		for j := s.KwOff[ord]; j < s.KwOff[ord+1]; j++ {
+			for _, m := range s.Postings[s.PostOff[j]:s.PostOff[j+1]] {
+				ids[next[m]] = s.CellKw[j]
+				next[m]++
+			}
+		}
+	}
+	pois := make([]poi.POI, n)
+	start := uint32(0)
+	for i := range pois {
+		end := next[i]
+		var set vocab.Set
+		if end > start {
+			set = ids[start:end:end]
+		}
+		pois[i] = poi.POI{ID: poi.ID(i), Loc: geo.Point{X: s.ObjX[i], Y: s.ObjY[i]}, Keywords: set, Weight: s.ObjW[i]}
+		start = end
+	}
+	return pois
+}
+
+// --- photo section ------------------------------------------------------
+//
+// Locations as parallel float64 arrays, tag sets as one CSR over
+// dictionary ids.
 
 func photosSize(all []photo.Photo) int {
 	n := 4 + (4+16)*len(all)
@@ -548,111 +681,61 @@ func appendPhotos(b []byte, all []photo.Photo) []byte {
 	return b
 }
 
+// decodePhotos checks the section's framing — its count, and set ends
+// that are monotone and end exactly at the id array's end — that every
+// tag has a dictionary entry and every set is strictly ascending
+// (vocab.Set's invariant). It decodes the ids into one array of exactly
+// the section's size, and each photo's set sub-slices that array with
+// capped capacity (nil when empty), so an append by a caller reallocates.
 func decodePhotos(p []byte, dict *vocab.Dictionary) (*photo.Corpus, error) {
-	sec, err := parseKeyed(p, "photo", 2)
+	r := &reader{data: p, section: "photos"}
+	n, err := r.count(4 + 16)
 	if err != nil {
 		return nil, err
 	}
-	photos := make([]photo.Photo, sec.n)
-	err = sec.walk(dict.Len(), nil, func(i int, rec []byte, set vocab.Set) {
-		photos[i] = photo.Photo{ID: photo.ID(i), Loc: geo.Point{X: field(rec, 0), Y: field(rec, 1)}, Tags: set}
-	})
+	ends, err := r.bytes(4 * n)
 	if err != nil {
 		return nil, err
 	}
-	return photo.NewCorpus(photos, dict)
-}
-
-// keyedSection is a parsed POI or photo section: n records of width
-// float64 fields each, then one keyword set per record as a CSR over
-// dictionary ids. Its slices alias the section payload.
-type keyedSection struct {
-	what  string // "poi" or "photo", for errors
-	n     int
-	width int    // bytes per record
-	ends  []byte // n running u32 ends of the sets in ids
-	recs  []byte // n records
-	ids   []byte // u32 keyword ids
-}
-
-// parseKeyed checks a section's framing: its count, and that the end
-// array and the records fit. The id array is the rest of the payload.
-func parseKeyed(p []byte, what string, fields int) (keyedSection, error) {
-	r := &reader{data: p, section: what + "s"}
-	sec := keyedSection{what: what, width: 8 * fields}
-	var err error
-	if sec.n, err = r.count(4 + sec.width); err != nil {
-		return sec, err
+	locs, err := r.bytes(16 * n)
+	if err != nil {
+		return nil, err
 	}
-	if sec.ends, err = r.bytes(4 * sec.n); err != nil {
-		return sec, err
-	}
-	if sec.recs, err = r.bytes(sec.width * sec.n); err != nil {
-		return sec, err
-	}
-	sec.ids = p[r.off:]
-	return sec, nil
-}
-
-// walk is the one per-record walk of a keyed section, for validating it
-// and for decoding it. It checks that the set ends are monotone and end
-// exactly at the id array's end, that every id is below dictLen and
-// every set strictly ascending (vocab.Set's invariant), and each
-// record's fields with check when check is not nil. When visit is not
-// nil it decodes every id into one array of exactly the section's size
-// and hands visit each record with its set, which sub-slices that array
-// with capped capacity (nil when empty), so an append by a caller
-// reallocates. Without visit it allocates nothing.
-func (sec keyedSection) walk(dictLen int, check func(rec []byte) error, visit func(i int, rec []byte, set vocab.Set)) error {
-	var all []vocab.ID
-	if visit != nil {
-		all = make([]vocab.ID, 0, len(sec.ids)/4)
-	}
+	ids := p[r.off:]
+	all := make([]vocab.ID, 0, len(ids)/4)
+	photos := make([]photo.Photo, n)
 	prev := 0
-	for i := 0; i < sec.n; i++ {
-		end := int(binary.LittleEndian.Uint32(sec.ends[4*i:]))
+	for i := range photos {
+		end := int(binary.LittleEndian.Uint32(ends[4*i:]))
 		if end < prev {
-			return fmt.Errorf("%w: %s keyword offsets not monotone at %d", ErrMalformed, sec.what, i)
+			return nil, fmt.Errorf("%w: photo tag offsets not monotone at %d", ErrMalformed, i)
 		}
-		if end > len(sec.ids)/4 {
-			return fmt.Errorf("%w: %s %d keywords end at %d, the section holds %d", ErrMalformed, sec.what, i, end, len(sec.ids)/4)
-		}
-		rec := sec.recs[i*sec.width : (i+1)*sec.width]
-		if check != nil {
-			if err := check(rec); err != nil {
-				return fmt.Errorf("%w: %s %d: %w", ErrMalformed, sec.what, i, err)
-			}
+		if end > len(ids)/4 {
+			return nil, fmt.Errorf("%w: photo %d tags end at %d, the section holds %d", ErrMalformed, i, end, len(ids)/4)
 		}
 		for j := prev; j < end; j++ {
-			id := binary.LittleEndian.Uint32(sec.ids[4*j:])
-			if int(id) >= dictLen {
-				return fmt.Errorf("%w: %s %d references keyword %d of %d", ErrMalformed, sec.what, i, id, dictLen)
+			id := binary.LittleEndian.Uint32(ids[4*j:])
+			if int(id) >= dict.Len() {
+				return nil, fmt.Errorf("%w: photo %d references keyword %d of %d", ErrMalformed, i, id, dict.Len())
 			}
-			if j > prev && id <= binary.LittleEndian.Uint32(sec.ids[4*j-4:]) {
-				return fmt.Errorf("%w: %s %d keywords not strictly ascending", ErrMalformed, sec.what, i)
+			if j > prev && id <= all[len(all)-1] {
+				return nil, fmt.Errorf("%w: photo %d tags not strictly ascending", ErrMalformed, i)
 			}
-			if visit != nil {
-				all = append(all, id)
-			}
+			all = append(all, id)
 		}
-		if visit != nil {
-			var set vocab.Set
-			if end > prev {
-				set = all[prev:end:end]
-			}
-			visit(i, rec, set)
+		var set vocab.Set
+		if end > prev {
+			set = all[prev:end:end]
 		}
+		x := math.Float64frombits(binary.LittleEndian.Uint64(locs[16*i:]))
+		y := math.Float64frombits(binary.LittleEndian.Uint64(locs[16*i+8:]))
+		photos[i] = photo.Photo{ID: photo.ID(i), Loc: geo.Point{X: x, Y: y}, Tags: set}
 		prev = end
 	}
-	if 4*prev != len(sec.ids) {
-		return fmt.Errorf("%w: %ss section has %d trailing bytes", ErrMalformed, sec.what, len(sec.ids)-4*prev)
+	if 4*prev != len(ids) {
+		return nil, fmt.Errorf("%w: photos section has %d trailing bytes", ErrMalformed, len(ids)-4*prev)
 	}
-	return nil
-}
-
-// field reads the j-th float64 of a record.
-func field(rec []byte, j int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(rec[8*j:]))
+	return photo.NewCorpus(photos, dict)
 }
 
 // --- section payload reader -------------------------------------------
