@@ -40,6 +40,7 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
@@ -147,12 +148,16 @@ func Encode(s *Snapshot) ([]byte, error) {
 	}
 	// The table and the alignment padding are the buffer's zeroes.
 	buf := make([]byte, tableEnd, total)
-	// checkCells borrows the buffer's unwritten tail as its bitmap: two
-	// bits an object, where the slab section alone takes 24 bytes, zero
-	// again when it succeeds.
-	err := checkCells(s.Slab, buf[tableEnd:total])
+	// The checks borrow the buffer's unwritten tail as scratch, which
+	// they leave zero: at most 4 bytes an object and 4 a posting, plus 4,
+	// where the slab section alone holds 28, 4 and its 120-byte header.
+	// make aligns the buffer to 8 bytes and tableEnd is a multiple of 8,
+	// so the tail can be read as ids.
+	scratch := buf[tableEnd:total]
+	err := checkCells(s.Slab, scratch)
 	if err == nil {
-		err = checkIndexes(s.Slab, s.POIs)
+		ids := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(scratch))), len(scratch)/4)
+		err = checkIndexes(s.Slab, s.POIs, ids)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNotIndexed, err)
@@ -559,92 +564,79 @@ func checkCells(s *grid.Slab, scratch []byte) error {
 	return nil
 }
 
-// checkIndexes reports, without allocating, whether derivePOIs returns
-// pois from a slab checkSlab and checkCells accept: the corpus's size,
-// each POI's location and weight bits, and each POI's keyword set, which
-// must be strictly ascending and hold exactly the keywords its cell posts
-// it under. Each (POI, keyword) pair is looked up in its cell, and with
-// the pairs counted against the cell's postings nothing the cell posts is
-// left over.
-func checkIndexes(s *grid.Slab, pois *poi.Corpus) error {
-	if s.NumObjects != pois.Len() {
-		return fmt.Errorf("slab indexes %d objects, corpus has %d", s.NumObjects, pois.Len())
+// checkIndexes reports whether derivePOIs returns pois from a slab
+// checkSlab and checkCells accept — the corpus's size, each POI's
+// location and weight bits, and each POI's keyword set — by deriving the
+// sets into scratch, which must be zero and hold NumObjects+1+len(Postings)
+// ids, and comparing them with the corpus in id order. It leaves scratch
+// zero.
+func checkIndexes(s *grid.Slab, pois *poi.Corpus, scratch []uint32) error {
+	n := s.NumObjects
+	if n != pois.Len() {
+		return fmt.Errorf("slab indexes %d objects, corpus has %d", n, pois.Len())
 	}
-	all := pois.All()
-	for i := range all {
-		p := &all[i]
+	ends, ids := scratch[:n+1], scratch[n+1:n+1+len(s.Postings)]
+	defer clear(scratch[:n+1+len(s.Postings)])
+	deriveSets(s, ends, ids)
+	start := uint32(0)
+	for i, p := range pois.All() {
 		if math.Float64bits(s.ObjX[i]) != math.Float64bits(p.Loc.X) || math.Float64bits(s.ObjY[i]) != math.Float64bits(p.Loc.Y) ||
 			math.Float64bits(s.ObjW[i]) != math.Float64bits(p.Weight) {
 			return fmt.Errorf("POI %d at (%v, %v) weighs %v, the slab holds (%v, %v) weighing %v",
 				i, p.Loc.X, p.Loc.Y, p.Weight, s.ObjX[i], s.ObjY[i], s.ObjW[i])
 		}
-	}
-	for ord, id := range s.CellIDs {
-		kwLo, kwHi := s.KwOff[ord], s.KwOff[ord+1]
-		pairs := 0
-		for _, m := range s.Members[s.MemberOff[ord]:s.MemberOff[ord+1]] {
-			set := all[m].Keywords
-			pairs += len(set)
-			for i, kw := range set {
-				if i > 0 && kw <= set[i-1] {
-					return fmt.Errorf("POI %d keywords not strictly ascending", m)
-				}
-				j, ok := slices.BinarySearch(s.CellKw[kwLo:kwHi], kw)
-				if ok {
-					e := kwLo + uint32(j)
-					_, ok = slices.BinarySearch(s.Postings[s.PostOff[e]:s.PostOff[e+1]], m)
-				}
-				if !ok {
-					return fmt.Errorf("POI %d has keyword %d, which its cell does not post it under", m, kw)
-				}
-			}
+		if set := ids[start:ends[i]]; !slices.Equal(p.Keywords, set) {
+			return fmt.Errorf("POI %d has keywords %v, the slab posts it under %v", i, p.Keywords, set)
 		}
-		if posted := int(s.PostOff[kwHi] - s.PostOff[kwLo]); posted != pairs {
-			return fmt.Errorf("cell %d posts %d (POI, keyword) pairs, its POIs hold %d", id, posted, pairs)
-		}
+		start = ends[i]
 	}
 	return nil
 }
 
-// derivePOIs reads the corpus out of a slab checkSlab and checkCells
-// accepted: POI i at
-// (ObjX[i], ObjY[i]) weighing ObjW[i], with the keywords under whose
-// posting lists its cell lists it. The cells are walked in order and
-// each cell's keywords ascending, and every POI is a member of one cell,
-// so each set comes out strictly ascending. The ids go into one array of
-// exactly the postings' size, and each POI's set sub-slices it with
-// capped capacity (nil when empty), so an append by a caller
-// reallocates.
-func derivePOIs(s *grid.Slab) []poi.POI {
-	n := s.NumObjects
-	// next[m] counts POI m's keywords, becomes where its set starts, and
-	// as the sets fill, where the next id goes; it ends as each set's end.
-	next := make([]uint32, n+1)
+// deriveSets writes the keyword sets a slab checkSlab and checkCells
+// accepted posts its objects under, as one CSR: object i's set is
+// ids[ends[i-1]:ends[i]], from 0 for i = 0. ends holds NumObjects+1
+// counters and ids len(Postings) ids, both zero. The cells are walked in
+// order and each cell's keywords ascending, and every object is a member
+// of one cell, so each set comes out strictly ascending.
+func deriveSets(s *grid.Slab, ends, ids []uint32) {
+	// ends[m+1] counts object m's keywords, then ends[m] becomes where
+	// its set starts; as the sets fill it is where the next id goes, and
+	// it ends as the set's end.
 	for _, m := range s.Postings {
-		next[m+1]++
+		ends[m+1]++
 	}
-	for i := range n {
-		next[i+1] += next[i]
+	for i := range s.NumObjects {
+		ends[i+1] += ends[i]
 	}
-	ids := make([]vocab.ID, len(s.Postings))
 	for ord := range s.CellIDs {
 		for j := s.KwOff[ord]; j < s.KwOff[ord+1]; j++ {
 			for _, m := range s.Postings[s.PostOff[j]:s.PostOff[j+1]] {
-				ids[next[m]] = s.CellKw[j]
-				next[m]++
+				ids[ends[m]] = s.CellKw[j]
+				ends[m]++
 			}
 		}
 	}
+}
+
+// derivePOIs reads the corpus out of a slab checkSlab and checkCells
+// accepted: POI i at (ObjX[i], ObjY[i]) weighing ObjW[i], with the
+// keyword set deriveSets gives it. The ids share one array of exactly
+// the postings' size, and each POI's set sub-slices it with capped
+// capacity (nil when empty), so an append by a caller reallocates.
+func derivePOIs(s *grid.Slab) []poi.POI {
+	n := s.NumObjects
+	ends, ids := make([]uint32, n+1), make([]vocab.ID, len(s.Postings))
+	deriveSets(s, ends, ids)
 	pois := make([]poi.POI, n)
 	start := uint32(0)
 	for i := range pois {
-		end := next[i]
 		var set vocab.Set
-		if end > start {
+		if end := ends[i]; end > start {
 			set = ids[start:end:end]
 		}
 		pois[i] = poi.POI{ID: poi.ID(i), Loc: geo.Point{X: s.ObjX[i], Y: s.ObjY[i]}, Keywords: set, Weight: s.ObjW[i]}
-		start = end
+		start = ends[i]
 	}
 	return pois
 }
