@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/network"
 	"repro/internal/photo"
@@ -24,12 +23,7 @@ type PhotoIndex struct {
 // close to the query ε keeps the candidate sets small). The index reads
 // cell membership only, so the grid carries no tags.
 func NewPhotoIndex(corpus *photo.Corpus, cellSize float64) (*PhotoIndex, error) {
-	all := corpus.All()
-	locs := make([]geo.Point, len(all))
-	for i := range all {
-		locs[i] = all[i].Loc
-	}
-	slab, err := grid.BuildSlab(grid.Config{CellSize: cellSize}, locs, nil, nil)
+	slab, err := grid.BuildSlabOf(grid.Config{CellSize: cellSize}, photoPoints{corpus.All()})
 	if err != nil {
 		return nil, fmt.Errorf("diversify: building photo index: %w", err)
 	}

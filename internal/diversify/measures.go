@@ -114,6 +114,11 @@ func (p photoObjects) Loc(i int) geo.Point  { return p[i].Loc }
 func (p photoObjects) Keys(i int) vocab.Set { return p[i].Tags }
 func (p photoObjects) Weight(int) float64   { return 1 }
 
+// photoPoints reads photos as grid objects of weight 1 without keywords.
+type photoPoints struct{ photoObjects }
+
+func (photoPoints) Keys(int) vocab.Set { return nil }
+
 // NewContext builds the evaluation context for one street. The photos
 // slice is Rs; freq is Φs; maxD is the diversity normalizer. The grid uses
 // cells of side rho/2 as Section 4.2.1 prescribes.

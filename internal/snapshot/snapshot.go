@@ -125,6 +125,9 @@ func Encode(s *Snapshot) ([]byte, error) {
 		return nil, errors.New("snapshot: all of Net, POIs, Photos and Slab are required")
 	}
 	dict := s.POIs.Dict()
+	if err := s.Slab.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotIndexed, err)
+	}
 	if err := checkSlab(s.Slab, dict.Len()); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNotIndexed, err)
 	}
@@ -245,6 +248,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	// DecodeSlab has run Slab.Validate.
 	slab, err := grid.DecodeSlab(payloads[secSlab])
 	if err != nil {
 		return nil, fmt.Errorf("%w: slab section: %w", ErrMalformed, err)
@@ -497,14 +501,11 @@ func decodeNetwork(p []byte) (*network.Network, error) {
 
 // --- the POI corpus, derived from the slab -------------------------------
 
-// checkSlab checks, with Slab.Validate, what deriving a corpus from the
-// slab needs beyond the cells' order (checkCells): every keyword id has a
-// dictionary entry, and no object weighs 0, which a corpus would read as
-// weight 1. It allocates nothing.
+// checkSlab checks what deriving a corpus from a slab Slab.Validate
+// accepts needs beyond the cells' order (checkCells): every keyword id
+// has a dictionary entry, and no object weighs 0, which a corpus would
+// read as weight 1. It allocates nothing.
 func checkSlab(s *grid.Slab, dictLen int) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
 	if s.VocabN > dictLen {
 		return fmt.Errorf("slab posts keyword ids below %d, the dictionary holds %d", s.VocabN, dictLen)
 	}
