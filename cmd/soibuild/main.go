@@ -11,9 +11,9 @@
 //	soibuild -city berlin -scale 0.25 -out berlin.soi
 //
 // The snapshot embeds the road network, the POI and photo corpora, the
-// keyword dictionary and the compact slab index at the chosen -cell
-// size. Serving from it is bit-identical to building the index from the
-// same data at the same cell size.
+// keyword dictionary and the compact slab index at soi.DefaultCellSize,
+// the cell size every soiserve engine builds at. Serving from it is
+// bit-identical to building the index from the same data.
 //
 // With -shards N the dataset is spatially partitioned instead: one .soi
 // snapshot per populated tile plus a JSON manifest at -out tying them
@@ -46,15 +46,11 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "volume scale factor for -city")
 		seed    = flag.Int64("seed", 0, "override the profile seed for -city (0 keeps the default)")
 		dataDir = flag.String("data", "", "load a CSV dataset directory instead of generating")
-		cell    = flag.Float64("cell", soi.DefaultCellSize, "grid cell size the slab index is built at")
 		out     = flag.String("out", "world.soi", "output snapshot path (manifest path with -shards)")
 		shards  = flag.Int("shards", 0, "partition into N spatial tiles and write per-shard snapshots + manifest")
 		halo    = flag.Float64("halo", 0.0012, "POI replication radius for -shards (largest exact query ε)")
 	)
 	flag.Parse()
-	if *cell <= 0 {
-		log.Fatalf("-cell must be positive, got %g", *cell)
-	}
 	if *shards < 0 {
 		log.Fatalf("-shards must be non-negative, got %d", *shards)
 	}
@@ -68,7 +64,7 @@ func main() {
 	}
 	if *shards > 0 {
 		w, err := shard.Partition(net, pois, shard.Config{
-			Tiles: *shards, Halo: *halo, CellSize: *cell,
+			Tiles: *shards, Halo: *halo, CellSize: soi.DefaultCellSize,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -83,10 +79,10 @@ func main() {
 		}
 		fmt.Printf("%s: %d streets, %d segments, %d POIs across %d shards (%d×%d tiles, halo %g, replication %.2f×), cell %g -> %s\n",
 			datasetName(*city, *dataDir), ns.NumStreets, ns.NumSegments, pois.Len(),
-			len(w.Shards), w.TilesX, w.TilesY, *halo, float64(held)/float64(max(pois.Len(), 1)), *cell, *out)
+			len(w.Shards), w.TilesX, w.TilesY, *halo, float64(held)/float64(max(pois.Len(), 1)), soi.DefaultCellSize, *out)
 		return
 	}
-	slab, err := core.BuildSlab(net, pois, core.IndexConfig{CellSize: *cell})
+	slab, err := core.BuildSlab(net, pois, core.IndexConfig{CellSize: soi.DefaultCellSize})
 	if err != nil {
 		log.Fatalf("building slab: %v", err)
 	}
@@ -102,7 +98,7 @@ func main() {
 	ns := net.Stats()
 	fmt.Printf("%s: %d streets, %d segments, %d POIs, %d photos, cell %g -> %s (%d bytes)\n",
 		datasetName(*city, *dataDir), ns.NumStreets, ns.NumSegments,
-		pois.Len(), photos.Len(), *cell, *out, st.Size())
+		pois.Len(), photos.Len(), soi.DefaultCellSize, *out, st.Size())
 }
 
 func datasetName(city, dataDir string) string {

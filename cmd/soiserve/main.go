@@ -83,14 +83,8 @@ func main() {
 		maxTenants     = flag.Int("max-tenants", server.DefaultMaxOpenTenants, "max snapshot engines resident at once with -tenants (LRU eviction)")
 		tenantInflight = flag.Int("tenant-inflight", server.DefaultTenantInflight, "per-tenant admission quota with -tenants (503 over quota)")
 
-		shardAddrs     = flag.String("shard-addrs", "", "serve by remote scatter-gather over soishard processes: per-shard replica address lists, shards separated by ';', replicas by ',' (e.g. \"host:9100,host:9200;host:9101\")")
-		shardManifest  = flag.String("shard-manifest", "", "with -shard-addrs, the partition manifest (pins the ε ceiling and shard count without network round trips)")
-		replicas       = flag.Int("replicas", 0, "with -shard-addrs, require exactly this many replica addresses per shard (0 = any)")
-		attemptTimeout = flag.Duration("shard-attempt-timeout", 0, "with -shard-addrs, per-attempt timeout against one replica (0 = default)")
-		shardRetries   = flag.Int("shard-retries", 0, "with -shard-addrs, retry rounds per shard call (0 = default)")
-		hedgeDelay     = flag.Duration("hedge-delay", 0, "with -shard-addrs, fixed hedged-request delay (0 = adaptive p95)")
-		breakerFails   = flag.Int("breaker-failures", 0, "with -shard-addrs, consecutive failures tripping a replica breaker (0 = default, negative disables)")
-		breakerOpen    = flag.Duration("breaker-open", 0, "with -shard-addrs, how long a tripped breaker rejects before a half-open probe (0 = default)")
+		shardAddrs    = flag.String("shard-addrs", "", "serve by remote scatter-gather over soishard processes: per-shard replica address lists, shards separated by ';', replicas by ',' (e.g. \"host:9100,host:9200;host:9101\")")
+		shardManifest = flag.String("shard-manifest", "", "with -shard-addrs, the partition manifest (pins the ε ceiling and shard count without network round trips)")
 	)
 	flag.Parse()
 
@@ -108,16 +102,7 @@ func main() {
 		if *city != "" || *dataDir != "" || *indexPath != "" || *tenants != "" || *live {
 			log.Fatal("-shard-addrs is mutually exclusive with -city, -data, -index, -tenants and -live")
 		}
-		handler, closeClient, err := buildRemoteHandler(ctx, remoteOptions{
-			addrs:          *shardAddrs,
-			manifest:       *shardManifest,
-			replicas:       *replicas,
-			attemptTimeout: *attemptTimeout,
-			retries:        *shardRetries,
-			hedgeDelay:     *hedgeDelay,
-			breakerFails:   *breakerFails,
-			breakerOpen:    *breakerOpen,
-		})
+		handler, closeClient, err := buildRemoteHandler(ctx, *shardAddrs, *shardManifest)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -243,39 +228,21 @@ func newHandler(eng *soi.Engine, maxBatchBytes int64) http.Handler {
 	return server.NewWithConfig(eng, server.Config{MaxBatchBytes: maxBatchBytes})
 }
 
-// remoteOptions groups the -shard-addrs mode's knobs.
-type remoteOptions struct {
-	addrs          string
-	manifest       string
-	replicas       int
-	attemptTimeout time.Duration
-	retries        int
-	hedgeDelay     time.Duration
-	breakerFails   int
-	breakerOpen    time.Duration
-}
-
 // buildRemoteHandler wires the remote scatter-gather serving mode: a
 // fault-tolerant shard client, a remote coordinator, and the HTTP
 // handler set. With a manifest the shard count and ε ceiling come from
 // disk; otherwise they are fetched from shard 0's /shard/meta. Either
 // way every shard's metadata is cross-checked against its address so a
-// swapped address list fails at startup, not at query time.
-func buildRemoteHandler(ctx context.Context, opt remoteOptions) (http.Handler, func(), error) {
-	addrs, err := remote.ParseAddrs(opt.addrs)
+// swapped address list fails at startup, not at query time. The client
+// runs internal/remote's one retry, hedge and breaker policy.
+func buildRemoteHandler(ctx context.Context, shardAddrs, manifest string) (http.Handler, func(), error) {
+	addrs, err := remote.ParseAddrs(shardAddrs)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.replicas > 0 {
-		for i, reps := range addrs {
-			if len(reps) != opt.replicas {
-				return nil, nil, fmt.Errorf("shard %d has %d replica addresses, -replicas requires %d", i, len(reps), opt.replicas)
-			}
-		}
-	}
 	var halo float64
-	if opt.manifest != "" {
-		m, err := shard.LoadManifest(opt.manifest)
+	if manifest != "" {
+		m, err := shard.LoadManifest(manifest)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -285,14 +252,7 @@ func buildRemoteHandler(ctx context.Context, opt remoteOptions) (http.Handler, f
 		halo = m.Halo
 	}
 	rec := stats.NewRecorder()
-	client, err := remote.NewClient(remote.Config{
-		Addrs:          addrs,
-		AttemptTimeout: opt.attemptTimeout,
-		MaxAttempts:    opt.retries,
-		HedgeDelay:     opt.hedgeDelay,
-		Breaker:        remote.BreakerConfig{Failures: opt.breakerFails, OpenFor: opt.breakerOpen},
-		Recorder:       rec,
-	})
+	client, err := remote.NewClient(remote.Config{Addrs: addrs, Recorder: rec})
 	if err != nil {
 		return nil, nil, err
 	}

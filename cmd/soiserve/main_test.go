@@ -164,7 +164,7 @@ func TestShutdownReportsDraining(t *testing.T) {
 	}
 	defer tenants.Close()
 	// A coordinator whose one shard is down still serves (and drains).
-	coord, closeClient, err := buildRemoteHandler(context.Background(), remoteOptions{addrs: "127.0.0.1:1"})
+	coord, closeClient, err := buildRemoteHandler(context.Background(), "127.0.0.1:1", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,6 @@ func TestE2ECrossProcessScatterGather(t *testing.T) {
 		MaxAttempts:    2,
 		BackoffBase:    time.Millisecond,
 		BackoffMax:     5 * time.Millisecond,
-		DisableHedge:   true, // loopback needs no hedges; keeps counters deterministic
 	})
 	if err != nil {
 		t.Fatal(err)

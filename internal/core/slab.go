@@ -44,17 +44,17 @@ func BuildSlab(net *network.Network, pois *poi.Corpus, cfg IndexConfig) (*grid.S
 	if err != nil {
 		return nil, err
 	}
-	return grid.BuildSlabOf(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, poiObjects(all))
+	return grid.BuildSlabOf(grid.Config{CellSize: cfg.CellSize, Bounds: bounds}, POIObjects(all))
 }
 
-// poiObjects reads POIs as grid objects, in place.
-type poiObjects []poi.POI
+// POIObjects reads POIs as grid objects, in place.
+type POIObjects []poi.POI
 
-func (p poiObjects) Len() int { return len(p) }
+func (p POIObjects) Len() int { return len(p) }
 
-func (p poiObjects) Loc(i int) geo.Point  { return p[i].Loc }
-func (p poiObjects) Keys(i int) vocab.Set { return p[i].Keywords }
-func (p poiObjects) Weight(i int) float64 { return p[i].Weight }
+func (p POIObjects) Loc(i int) geo.Point  { return p[i].Loc }
+func (p POIObjects) Keys(i int) vocab.Set { return p[i].Keywords }
+func (p POIObjects) Weight(i int) float64 { return p[i].Weight }
 
 // plan returns the ε plan, building and memoizing it on first use.
 // Concurrent callers may race to build a fresh ε; each computes an

@@ -176,7 +176,9 @@ func buildSlab(cfg Config, objs Objects, workers int) (*Slab, error) {
 
 // sortByCell returns the object ids 0..len(cids)-1 ordered by cell id,
 // ties by object id: an LSD radix sort, one stable counting pass per
-// 11-bit digit of the largest cell id present.
+// 11-bit digit of the largest cell id present. Below radixMin objects —
+// a describe's photo pool — a comparison sort beats clearing and
+// prefix-summing a 2,049-entry count per digit.
 func sortByCell(cids []CellID) []uint32 {
 	const digit = 11
 	order := make([]uint32, len(cids))
@@ -186,6 +188,15 @@ func sortByCell(cids []CellID) []uint32 {
 		if c > maxID {
 			maxID = c
 		}
+	}
+	if len(cids) < radixMin {
+		slices.SortFunc(order, func(a, b uint32) int {
+			if c := cmp.Compare(cids[a], cids[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return order
 	}
 	tmp := make([]uint32, len(cids))
 	for shift := 0; shift < bits.Len32(uint32(maxID)); shift += digit {

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -38,6 +39,29 @@ func TestInvSortMatchesComparison(t *testing.T) {
 			if es[i].ord != want[i].ord || math.Float64bits(es[i].weight) != math.Float64bits(want[i].weight) {
 				t.Fatalf("round %d (n=%d): entry %d is %+v, want %+v", round, n, i, es[i], want[i])
 			}
+		}
+	}
+}
+
+// TestSortByCellMatchesComparison: sortByCell orders object ids by cell
+// id, ties by object id, exactly as a comparison sort does, on both sides
+// of the radix cutoff, over cell ids of one, two and three 11-bit digits.
+func TestSortByCellMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 300; round++ {
+		n := radixMin - 8 + rng.Intn(17)
+		span := [...]int{1, 40, 1 << 11, 1 << 20, 1 << 30}[round%5]
+		cids := make([]CellID, n)
+		for i := range cids {
+			cids[i] = CellID(rng.Intn(span))
+		}
+		want := make([]uint32, n)
+		for i := range want {
+			want[i] = uint32(i)
+		}
+		slices.SortStableFunc(want, func(a, b uint32) int { return cmp.Compare(cids[a], cids[b]) })
+		if got := sortByCell(cids); !slices.Equal(got, want) {
+			t.Fatalf("round %d (n=%d, span %d): sortByCell = %v, want %v", round, n, span, got, want)
 		}
 	}
 }

@@ -58,14 +58,16 @@ func (l Lattice) CellIndex(p geo.Point) CellID {
 	return CellID(ix + iy*l.NX)
 }
 
-// Cells places locs on the lattice: it returns the non-empty cells,
-// ascending, and for each location the index of its cell among them.
-func (l Lattice) Cells(locs []geo.Point) (cellIDs, cellOf []int32) {
-	cids := make([]CellID, len(locs))
-	for i, p := range locs {
-		cids[i] = l.CellIndex(p)
+// Cells places objs on the lattice by their locations: it returns the
+// non-empty cells, ascending, and for each object the index of its cell
+// among them.
+func (l Lattice) Cells(objs Objects) (cellIDs, cellOf []int32) {
+	n := objs.Len()
+	cids := make([]CellID, n)
+	for i := range n {
+		cids[i] = l.CellIndex(objs.Loc(i))
 	}
-	cellOf = make([]int32, len(locs))
+	cellOf = make([]int32, n)
 	for i, m := range sortByCell(cids) {
 		if i == 0 || int32(cids[m]) != cellIDs[len(cellIDs)-1] {
 			cellIDs = append(cellIDs, int32(cids[m]))

@@ -60,7 +60,7 @@ func TestLatticeAgreesWithSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	lat := s.Lattice()
-	cellIDs, cellOf := lat.Cells(locs)
+	cellIDs, cellOf := lat.Cells(&sliceObjects{locs: locs})
 	if !slices.Equal(cellIDs, s.CellIDs) {
 		t.Fatalf("Cells lists %d cells, the slab %d, or in another order", len(cellIDs), len(s.CellIDs))
 	}

@@ -71,14 +71,13 @@ func diffRemoteTiles(net *network.Network, pois *poi.Corpus, queries []core.Quer
 		servers[i] = hs
 		addrs[i] = []string{hs.URL}
 	}
-	// The sweep runs over healthy loopback servers: hedging and breaking
-	// would only add noise, and a single retry absorbs transient listener
+	// The sweep runs over healthy loopback servers, one replica a shard,
+	// so no hedge can start; a single retry absorbs transient listener
 	// hiccups without masking a systematic failure.
 	client, err := remote.NewClient(remote.Config{
 		Addrs:          addrs,
 		AttemptTimeout: 30 * time.Second,
 		MaxAttempts:    2,
-		DisableHedge:   true,
 	})
 	if err != nil {
 		return fmt.Errorf("oracle: remote client for %d tiles (cell %g): %w", tiles, cell, err)

@@ -59,20 +59,8 @@ type Config struct {
 	// DefaultBackoffBase / DefaultBackoffMax.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeDelay, when positive, launches a hedged second attempt on
-	// another replica once the primary has been in flight this long.
-	// Zero selects the adaptive delay: the shard's recent p95 latency,
-	// once enough samples exist. Hedging only ever races idempotent
-	// reads, so a duplicate evaluation is wasted work, never a wrong
-	// answer.
-	HedgeDelay time.Duration
-	// DisableHedge turns hedging off entirely.
-	DisableHedge bool
 	// Breaker tunes the per-replica circuit breakers.
 	Breaker BreakerConfig
-	// Transport overrides the HTTP transport (tests inject
-	// fault-injecting round-trippers; production uses the default).
-	Transport http.RoundTripper
 	// Recorder, when non-nil, receives the soi_remote_* counters.
 	Recorder *stats.Recorder
 }
@@ -223,12 +211,8 @@ func NewClient(cfg Config) (*Client, error) {
 		}
 		shards[i] = ss
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = 16
-		transport = t
-	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = 16
 	return &Client{
 		cfg:    cfg,
 		httpc:  &http.Client{Transport: transport},
@@ -315,15 +299,11 @@ func (c *Client) url(addr string) string {
 	return "http://" + addr
 }
 
-// hedgeDelay resolves the hedge trigger for one shard: the configured
-// fixed delay, or the shard's recent p95 once the window has signal.
+// hedgeDelay resolves the hedge trigger for one shard: its recent p95
+// once the window has signal, else 0 (no hedge). Hedging only ever
+// races idempotent reads, so a duplicate evaluation is wasted work,
+// never a wrong answer.
 func (c *Client) hedgeDelay(ss *shardState) time.Duration {
-	if c.cfg.DisableHedge {
-		return 0
-	}
-	if c.cfg.HedgeDelay > 0 {
-		return c.cfg.HedgeDelay
-	}
 	p95, ok := ss.p95()
 	if !ok {
 		return 0

@@ -27,7 +27,6 @@ func fastConfig(addrs [][]string, rec *stats.Recorder) remote.Config {
 		MaxAttempts:    3,
 		BackoffBase:    time.Millisecond,
 		BackoffMax:     4 * time.Millisecond,
-		DisableHedge:   true,
 		Recorder:       rec,
 	}
 }
@@ -225,16 +224,41 @@ func TestClientBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestClientHedging: a primary stuck past the hedge delay must be
-// raced by a second replica, and the fast replica's answer wins.
-func TestClientHedging(t *testing.T) {
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/shard/query" {
+// stallableShard answers /shard/query at once until stalled, then
+// sleeps 400 ms before answering; it counts the queries it receives.
+type stallableShard struct {
+	stall atomic.Bool
+	calls atomic.Int32
+	ub    float64
+}
+
+func (s *stallableShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/shard/query" {
+		s.calls.Add(1)
+		if s.stall.Load() {
 			time.Sleep(400 * time.Millisecond)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(remote.QueryResponse{Shard: 0, UB: 1})
-	})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(remote.QueryResponse{Shard: 0, UB: s.ub})
+}
+
+// warmHedging makes enough fast calls for the shard's latency window to
+// arm the p95 hedge delay.
+func warmHedging(t *testing.T, c *remote.Client) {
+	t.Helper()
+	for i := 0; i < 20; i++ {
+		if _, err := c.Query(context.Background(), 0, testQuery()); err != nil {
+			t.Fatalf("warm-up call %d: %v", i, err)
+		}
+	}
+}
+
+// TestClientHedging: once the shard's p95 is measured, a primary stuck
+// past it must be raced by a second replica, and the fast replica's
+// answer wins.
+func TestClientHedging(t *testing.T) {
+	slow := &stallableShard{ub: 1}
 	fast := &flakyShard{resp: remote.QueryResponse{Shard: 0, UB: 9}}
 	hsSlow := httptest.NewServer(slow)
 	defer hsSlow.Close()
@@ -246,7 +270,6 @@ func TestClientHedging(t *testing.T) {
 		Addrs:          [][]string{{hsSlow.URL, hsFast.URL}},
 		AttemptTimeout: 2 * time.Second,
 		MaxAttempts:    1,
-		HedgeDelay:     20 * time.Millisecond,
 		Recorder:       rec,
 	}
 	c, err := remote.NewClient(cfg)
@@ -254,6 +277,8 @@ func TestClientHedging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	warmHedging(t, c)
+	slow.stall.Store(true)
 
 	// Whichever replica the rotation picks first, a slow primary hedges
 	// to the fast replica; a fast primary answers before the hedge
@@ -280,20 +305,12 @@ func TestClientHedging(t *testing.T) {
 }
 
 // TestClientNeverHedgesOntoTheOnlyReplica: with one replica per shard a
-// primary slower than the hedge delay is waited for, not raced by a
+// primary slower than the measured p95 is waited for, not raced by a
 // second request to itself, which would evaluate the query twice in the
 // same process.
 func TestClientNeverHedgesOntoTheOnlyReplica(t *testing.T) {
-	var calls atomic.Int32
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/shard/query" {
-			calls.Add(1)
-			time.Sleep(100 * time.Millisecond)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(remote.QueryResponse{Shard: 0, UB: 1})
-	})
-	hs := httptest.NewServer(slow)
+	only := &stallableShard{ub: 1}
+	hs := httptest.NewServer(only)
 	defer hs.Close()
 
 	rec := stats.NewRecorder()
@@ -301,17 +318,19 @@ func TestClientNeverHedgesOntoTheOnlyReplica(t *testing.T) {
 		Addrs:          [][]string{{hs.URL}},
 		AttemptTimeout: 2 * time.Second,
 		MaxAttempts:    1,
-		HedgeDelay:     5 * time.Millisecond,
 		Recorder:       rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	warmHedging(t, c)
+	only.stall.Store(true)
+	before := only.calls.Load()
 	if _, err := c.Query(context.Background(), 0, testQuery()); err != nil {
 		t.Fatal(err)
 	}
-	if h, n := rec.Remote.HedgesStarted.Load(), calls.Load(); h != 0 || n != 1 {
+	if h, n := rec.Remote.HedgesStarted.Load(), only.calls.Load()-before; h != 0 || n != 1 {
 		t.Errorf("one slow call to the only replica started %d hedges and reached it %d times, want 0 and 1", h, n)
 	}
 }

@@ -104,7 +104,6 @@ func fastRemote() remote.Config {
 		MaxAttempts:    2,
 		BackoffBase:    time.Millisecond,
 		BackoffMax:     4 * time.Millisecond,
-		DisableHedge:   true,
 		Breaker:        remote.BreakerConfig{Failures: -1},
 	}
 }

@@ -111,15 +111,13 @@ func Partition(net *network.Network, pois *poi.Corpus, cfg Config) (*World, erro
 		return nil, fmt.Errorf("shard: cannot partition an empty network")
 	}
 	bounds := net.Bounds()
-	locs := make([]geo.Point, pois.Len())
-	for i, p := range pois.All() {
-		locs[i] = p.Loc
+	for _, p := range pois.All() {
 		bounds = bounds.Union(geo.Rect{MinX: p.Loc.X, MinY: p.Loc.Y, MaxX: p.Loc.X, MaxY: p.Loc.Y})
 	}
 	if !bounds.IsValid() {
 		return nil, fmt.Errorf("shard: cannot derive bounds from network and corpus")
 	}
-	cells, err := newCellMap(bounds, cfg.CellSize, locs)
+	cells, err := newCellMap(bounds, cfg.CellSize, pois)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -216,12 +214,12 @@ type cellMap struct {
 	ofPOI []int32
 }
 
-func newCellMap(bounds geo.Rect, cellSize float64, locs []geo.Point) (*cellMap, error) {
+func newCellMap(bounds geo.Rect, cellSize float64, pois *poi.Corpus) (*cellMap, error) {
 	lat, err := grid.NewLattice(bounds, cellSize)
 	if err != nil {
 		return nil, err
 	}
-	ids, ofPOI := lat.Cells(locs)
+	ids, ofPOI := lat.Cells(core.POIObjects(pois.All()))
 	return &cellMap{lat: lat, ids: ids, ofPOI: ofPOI}, nil
 }
 

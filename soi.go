@@ -92,8 +92,9 @@ type Config struct {
 }
 
 // DefaultCellSize is the grid cell side of every index an engine builds:
-// 0.0005 (≈55 m at European latitudes), the paper's ε. A snapshot keeps
-// the cell size it was built with (soibuild -cell).
+// 0.0005 (≈55 m at European latitudes), the paper's ε. soibuild builds
+// its snapshots at it too, and a snapshot keeps the cell size it was
+// built with.
 const DefaultCellSize = 0.0005
 
 // Query is a k-SOI query ⟨Ψ, k, ε⟩.
