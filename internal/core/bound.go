@@ -63,12 +63,12 @@ func (ix *Index) UnseenBound(q Query) (float64, error) {
 	if len(ix.segsByLen) == 0 {
 		return 0, nil
 	}
-	r := ix.pool.Get().(*slabRun)
+	r := getRun(ix)
 	r.queryBuf = ix.resolveInto(r.queryBuf[:0], q.Keywords)
 	r.query = r.queryBuf
 	top1 := r.topSL1()
 	r.query = nil
-	ix.pool.Put(r)
+	putRun(r)
 	if top1 == 0 {
 		return 0, nil
 	}

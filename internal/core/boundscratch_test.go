@@ -246,7 +246,8 @@ func TestScratchEpochWrap(t *testing.T) {
 // Drain run sizes no per-(segment, cell) array, and the CostAware run
 // after it reuses or grows arrays last sized at another ε, with stamps
 // from epochs before the Drain run. Each answer and its full Stats equal
-// a fresh index's, through the index's pool and on one caller-held run.
+// a fresh index's, through the process-wide pool and on one caller-held
+// run.
 func TestPooledRunAlternatesSchedules(t *testing.T) {
 	ix, _ := allocWorld(t)
 	walk := []float64{0.05, 0.3, 2, 0.6, 0.05, 2, 0.3}
@@ -284,6 +285,74 @@ func TestPooledRunAlternatesSchedules(t *testing.T) {
 	}
 	if answered == 0 {
 		t.Fatal("no step returned a street; the world no longer exercises the schedules")
+	}
+}
+
+// TestOneRunServesIndexesOfDifferentSizes: the scratch pool is shared by
+// every index of the process (live epochs, tenants, shards), so one run
+// serves a larger world, a smaller one and the larger again. The smaller
+// world's arenas are prefixes of storage the larger one stamped, and the
+// epoch wraps on the first run after a smaller world, so the zeroing has
+// to reach past the lengths the last run used. Under both schedules every
+// answer and its counters, and the static bound's SL1 head, equal those
+// of a fresh run on a fresh index.
+func TestOneRunServesIndexesOfDifferentSizes(t *testing.T) {
+	large, _ := allocWorld(t)
+	rng := rand.New(rand.NewSource(61))
+	var small *Index
+	for small == nil {
+		ix := randomScenario(rng)
+		if ix.POIs().Len() >= 20 && ix.Network().NumSegments() < large.Network().NumSegments() &&
+			ix.Slab().NumCells() < large.Slab().NumCells() && ix.Network().NumStreets() < large.Network().NumStreets() {
+			small = ix
+		}
+	}
+	queries := []Query{
+		{Keywords: []string{"shop"}, K: 3, Epsilon: 0.6},
+		{Keywords: []string{"shop", "food"}, K: 5, Epsilon: 0.3},
+		{Keywords: []string{"food", "museum", "park"}, K: 2, Epsilon: 2},
+		{Keywords: []string{"zeppelin"}, K: 5, Epsilon: 0.05},
+	}
+	top := func(r *slabRun, q Query) float64 {
+		r.query = r.ix.resolveInto(r.queryBuf[:0], q.Keywords)
+		return r.topSL1()
+	}
+	held := &slabRun{}
+	var answered int
+	for step, ix := range []*Index{large, small, large, small, large} {
+		fresh, err := NewIndexFromSlab(ix.Network(), ix.POIs(), ix.Slab())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step == 2 {
+			held.epoch = math.MaxUint32
+		}
+		held.ix = ix
+		for i, q := range queries {
+			for _, strat := range []Strategy{CostAware, Drain} {
+				label := fmt.Sprintf("step %d %v %v ε=%g", step, strat, q.Keywords, q.Epsilon)
+				want, ws := runOn(t, &slabRun{ix: fresh}, q, strat)
+				rows, hs := runOn(t, held, q, strat)
+				if step == 2 && i == 0 && strat == CostAware && held.epoch != 1 {
+					t.Fatalf("%s: epoch %d, want 1 after the wrap", label, held.epoch)
+				}
+				requireSameResults(t, label, rows, want)
+				hs.BuildListsTime, hs.FilterTime, hs.RefineTime = 0, 0, 0
+				ws.BuildListsTime, ws.FilterTime, ws.RefineTime = 0, 0, 0
+				if hs != ws {
+					t.Fatalf("%s: counters %+v, want %+v", label, hs, ws)
+				}
+				if len(want) > 0 {
+					answered++
+				}
+			}
+			if got, want := top(held, q), top(&slabRun{ix: fresh}, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d %v: bound head %v, want %v", step, q.Keywords, got, want)
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no query returned a street; the worlds no longer exercise the run")
 	}
 }
 

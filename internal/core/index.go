@@ -69,8 +69,6 @@ type Index struct {
 	mu    sync.RWMutex
 	plans map[float64]*slabPlan
 
-	pool sync.Pool // *slabRun
-
 	// interests is the memo of exact segment interest that routes and
 	// trajectory SOI read (interestmemo.go); Algorithm 1 never reads it.
 	interests atomic.Pointer[interestGen]
@@ -116,7 +114,6 @@ func NewIndexFromSlab(net *network.Network, pois *poi.Corpus, slab *grid.Slab) (
 		ix.segStreet[i] = uint32(s.Street)
 	}
 	ix.segsByLen = sortByLength(ix.segLen)
-	ix.pool.New = func() interface{} { return &slabRun{ix: ix} }
 	return ix, nil
 }
 

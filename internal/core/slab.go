@@ -185,9 +185,9 @@ func (ix *Index) resolve(q Query) (vocab.Set, error) {
 // soiResolved is the steady-state entry point: it evaluates a
 // pre-resolved query under the given access schedule, appending the k
 // results into out's capacity. With a warmed ε it performs zero heap
-// allocations once the internal scratch pool has seen the world size. k
-// must be positive and eps positive and finite; query must come from
-// resolve (sorted, deduplicated, known keywords only).
+// allocations once the process-wide scratch pool (runPool) has seen the
+// world size. k must be positive and eps positive and finite; query must
+// come from resolve (sorted, deduplicated, known keywords only).
 func (ix *Index) soiResolved(ctx context.Context, query vocab.Set, k int, eps float64, strat Strategy, out []StreetResult) ([]StreetResult, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
@@ -195,8 +195,8 @@ func (ix *Index) soiResolved(ctx context.Context, query vocab.Set, k int, eps fl
 	if k <= 0 || !validEpsilon(eps) {
 		return nil, Stats{}, fmt.Errorf("core: k %d or epsilon %v is not positive and finite", k, eps)
 	}
-	r := ix.pool.Get().(*slabRun)
-	defer ix.pool.Put(r)
+	r := getRun(ix)
+	defer putRun(r)
 	r.ctx = ctx
 	r.query = query
 	r.k = k

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/geo"
@@ -97,6 +98,29 @@ type slabRun struct {
 	sbTouched  []uint32
 
 	stats Stats
+}
+
+// runPool is the process-wide pool of slabRun scratch, shared by every
+// Index: live epochs, -tenants engines and in-process shards. A run is
+// bound to an index only while it is checked out (getRun), and putRun
+// drops the binding, so no pooled run keeps an index reachable: a
+// retired epoch is garbage once its last reader lets go. Every arena is
+// sized per evaluation by the grow helpers and every stamp is compared
+// with the run's own epoch, so one run serves indexes of any size in
+// turn.
+var runPool = sync.Pool{New: func() any { return new(slabRun) }}
+
+// getRun checks a scratch run out of runPool for one evaluation on ix.
+func getRun(ix *Index) *slabRun {
+	r := runPool.Get().(*slabRun)
+	r.ix = ix
+	return r
+}
+
+// putRun unbinds r from its index and returns it to runPool.
+func putRun(r *slabRun) {
+	r.ix = nil
+	runPool.Put(r)
 }
 
 // grow returns a slice of length n, reusing s's storage when it is large

@@ -64,7 +64,7 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 	// by a request-controlled k.
 	k := min(p.K, len(c.photos))
 	selected := make([]int, 0, k)
-	isSelected := make([]bool, len(c.photos))
+	state := make([]mmrState, len(c.photos))
 	numCells := c.slab.NumCells()
 	// Per-cell count of still-selectable photos.
 	remaining := make([]int, numCells)
@@ -130,10 +130,10 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 			}
 			for _, m := range c.members(b.ord) {
 				i := int(m)
-				if isSelected[i] {
+				if state[i].selected {
 					continue
 				}
-				v := c.MMR(i, selected, p)
+				v := state[i].mmr(c, i, c.Rel(i, p.W), selected, p)
 				stats.PhotosEvaluated++
 				if v > bestVal || (v == bestVal && i < best) {
 					bestVal = v
@@ -145,7 +145,7 @@ func (c *Context) STRelDiv(p Params) (Result, error) {
 			break // no selectable photo remains
 		}
 		selected = append(selected, best)
-		isSelected[best] = true
+		state[best].selected = true
 		remaining[bestOrd]--
 		// Fold the newly selected photo into the per-cell diversity sums.
 		if p.K > 1 {
@@ -177,20 +177,42 @@ func (c *Context) spatialRelNaive(i int) float64 {
 	return float64(cnt) / float64(len(c.photos))
 }
 
-// mmrNaive evaluates Eq. 10 without any index assistance: the spatial
-// relevance neighborhood count is recomputed by a full scan. Identical in
-// value to MMR.
-func (c *Context) mmrNaive(i int, selected []int, p Params) float64 {
-	rel := p.W*c.spatialRelNaive(i) + (1-p.W)*c.TextualRel(i)
+// mmrState is one photo's part of a greedy MMR construction: whether it
+// is already selected, and its diversity sum against the selected set
+// carried across evaluations. acc is Div(i, selected[j]) summed over
+// j < upTo, left to right from +0 as a direct sum of Eq. 10 adds them,
+// so an evaluation adds only the photos selected since the previous one
+// and costs O(new selections), not O(|selected|). One slice of these is
+// a construction's only per-photo allocation.
+type mmrState struct {
+	acc      float64
+	upTo     int
+	selected bool
+}
+
+// mmr evaluates Eq. 10 for photo i, whose relevance is rel, against the
+// selected set, advancing st's diversity sum to cover all of it. The
+// result has the bits of Eq. 10 summed over the whole set in selection
+// order, whenever and however often the photo was evaluated before.
+func (st *mmrState) mmr(c *Context, i int, rel float64, selected []int, p Params) float64 {
 	v := (1 - p.Lambda) * rel
 	if p.K > 1 && len(selected) > 0 {
-		var div float64
-		for _, j := range selected {
-			div += c.Div(i, j, p.W)
+		for _, j := range selected[st.upTo:] {
+			st.acc += c.Div(i, j, p.W)
 		}
-		v += p.Lambda / float64(p.K-1) * div
+		st.upTo = len(selected)
+		v += p.Lambda / float64(p.K-1) * st.acc
 	}
 	return v
+}
+
+// mmrNaive evaluates Eq. 10 without any index assistance: the spatial
+// relevance neighborhood count is recomputed by a full scan. The
+// diversity sum is st's, as STRelDiv keeps it, so the value is the one
+// STRelDiv computes for photo i.
+func (c *Context) mmrNaive(i int, st *mmrState, selected []int, p Params) float64 {
+	rel := p.W*c.spatialRelNaive(i) + (1-p.W)*c.TextualRel(i)
+	return st.mmr(c, i, rel, selected, p)
 }
 
 // Baseline runs the paper's BL: the same greedy MMR construction but
@@ -206,16 +228,16 @@ func (c *Context) Baseline(p Params) (Result, error) {
 	var stats Stats
 	k := min(p.K, len(c.photos))
 	selected := make([]int, 0, k)
-	isSelected := make([]bool, len(c.photos))
+	state := make([]mmrState, len(c.photos))
 	for len(selected) < k {
 		stats.Iterations++
 		best := -1
 		bestVal := math.Inf(-1)
 		for i := range c.photos {
-			if isSelected[i] {
+			if state[i].selected {
 				continue
 			}
-			v := c.mmrNaive(i, selected, p)
+			v := c.mmrNaive(i, &state[i], selected, p)
 			stats.PhotosEvaluated++
 			if v > bestVal {
 				bestVal = v
@@ -226,7 +248,7 @@ func (c *Context) Baseline(p Params) (Result, error) {
 			break
 		}
 		selected = append(selected, best)
-		isSelected[best] = true
+		state[best].selected = true
 	}
 	stats.Elapsed = time.Since(start)
 	return Result{

@@ -1,6 +1,7 @@
 package diversify
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -110,6 +111,33 @@ func TestSpatialTextualDivBoundsBrute(t *testing.T) {
 						t.Fatalf("textual div %v outside [%v,%v] (probe tags %v, cell member tags %v, cΨ=%v min=%d max=%d)",
 							d, tLo, tHi, ctx.photos[probe].Tags, ctx.photos[i].Tags, ctx.cellKeywords(cid), ctx.slab.PsiMin[cid], ctx.slab.PsiMax[cid])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestLazyMMRMatchesDirectSum: a photo's carried diversity sum gives the
+// bits of Eq. 10 summed over the whole selected set, however many
+// selections happened between two of its evaluations, at every k and λ
+// (k = 1 and λ = 0 included, where the diversity term is absent).
+func TestLazyMMRMatchesDirectSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 20; trial++ {
+		c := randomContext(t, rng, 10+rng.Intn(40))
+		n := len(c.photos)
+		p := Params{K: 1 + rng.Intn(n), Lambda: []float64{0, 0.3, 0.5, 1}[rng.Intn(4)], W: rng.Float64(), Rho: c.rho}
+		order := rng.Perm(n)
+		state := make([]mmrState, n)
+		for step := 0; step <= n; step++ {
+			selected := order[:step]
+			for i := range state {
+				if rng.Intn(3) != 0 {
+					continue // evaluated only now and then, as pruning leaves it
+				}
+				got := state[i].mmr(c, i, c.Rel(i, p.W), selected, p)
+				if want := c.MMR(i, selected, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d photo %d %+v: lazy %v, direct %v", trial, step, i, p, got, want)
 				}
 			}
 		}

@@ -267,20 +267,6 @@ func (c *Context) Div(i, j int, w float64) float64 {
 	return w*c.SpatialDiv(i, j) + (1-w)*c.TextualDiv(i, j)
 }
 
-// MMR computes the maximal marginal relevance of candidate photo i given
-// the already-selected set (Eq. 10). k is the target summary size.
-func (c *Context) MMR(i int, selected []int, p Params) float64 {
-	v := (1 - p.Lambda) * c.Rel(i, p.W)
-	if p.K > 1 && len(selected) > 0 {
-		var div float64
-		for _, j := range selected {
-			div += c.Div(i, j, p.W)
-		}
-		v += p.Lambda / float64(p.K-1) * div
-	}
-	return v
-}
-
 // RelScore computes rel(Rk) of Eq. 4 for a selected set.
 func (c *Context) RelScore(selected []int, w float64) float64 {
 	if len(selected) == 0 {

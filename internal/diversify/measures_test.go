@@ -177,6 +177,22 @@ func TestRelDivBlend(t *testing.T) {
 	}
 }
 
+// MMR computes the maximal marginal relevance of candidate photo i given
+// the already-selected set (Eq. 10), summing the diversity term over the
+// whole set: the reference the greedy constructions' lazily carried sum
+// (mmrState) must equal bit for bit.
+func (c *Context) MMR(i int, selected []int, p Params) float64 {
+	v := (1 - p.Lambda) * c.Rel(i, p.W)
+	if p.K > 1 && len(selected) > 0 {
+		var div float64
+		for _, j := range selected {
+			div += c.Div(i, j, p.W)
+		}
+		v += p.Lambda / float64(p.K-1) * div
+	}
+	return v
+}
+
 func TestMMR(t *testing.T) {
 	locs := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0), geo.Pt(2, 0)}
 	tags := [][]string{{"a"}, {"b"}, {"c"}}

@@ -13,7 +13,8 @@ import (
 // predecessor's. Epochs are reference-counted:
 // installation holds one reference, and every in-flight query pins one
 // more for the duration of its evaluation, so a retired epoch's memory
-// is released only after the last reader drains.
+// is released only after the last reader drains, and then at the next
+// collection: nothing else holds its index.
 type Epoch struct {
 	seq uint64
 	ix  *core.Index

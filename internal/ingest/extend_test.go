@@ -7,14 +7,17 @@ package ingest_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -312,9 +315,10 @@ func TestBadWeightIsRefused(t *testing.T) {
 	}
 }
 
-// BenchmarkPublish times one 100-POI publish on the ingest_mixed world
-// (Vienna 0.1): every iteration extends the previous epoch.
-func BenchmarkPublish(b *testing.B) {
+// viennaIngestor opens an ingestor over the ingest_mixed world (Vienna
+// 0.1) and returns it with its base POIs, which publishBatch cycles
+// through.
+func viennaIngestor(b *testing.B) (*ingest.Ingestor, []ingest.Delta) {
 	ds, err := datagen.Generate(datagen.Scale(datagen.Vienna(), 0.1))
 	if err != nil {
 		b.Fatal(err)
@@ -329,18 +333,69 @@ func BenchmarkPublish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ing.Close()
+	b.Cleanup(func() { ing.Close() })
+	return ing, base
+}
+
+// publishBatch appends the i-th 100-POI batch of base and publishes it.
+func publishBatch(b *testing.B, ing *ingest.Ingestor, base []ingest.Delta, i int) {
+	batch := make([]ingest.Delta, 100)
+	for j := range batch {
+		batch[j] = base[(i*100+j)%len(base)]
+	}
+	mustAdd(b, ing, batch)
+	if _, _, err := ing.Publish(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkPublish times one 100-POI publish on the ingest_mixed world
+// (Vienna 0.1): every iteration extends the previous epoch.
+func BenchmarkPublish(b *testing.B) {
+	ing, base := viennaIngestor(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch := make([]ingest.Delta, 100)
-		for j := range batch {
-			batch[j] = base[(i*100+j)%len(base)]
-		}
-		mustAdd(b, ing, batch)
-		if _, _, err := ing.Publish(); err != nil {
-			b.Fatal(err)
-		}
+		publishBatch(b, ing, base, i)
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/publish")
+}
+
+// BenchmarkPublishServe is one soiserve -live publish with a reader in
+// flight across it: each cycle pins the serving epoch, publishes a
+// 100-POI batch onto Vienna 0.1, and then runs one CostAware "shop" query
+// at each ε of the serving sweep on the pinned epoch, now retired, which
+// builds its ε-plans and checks out scratch runs, before releasing it.
+// After the loop it runs one GC and reports the live heap (live-MB,
+// HeapAlloc in MiB) and how many retired epochs a weak pointer still
+// reaches (pinned-epochs): 0 means a retired epoch is garbage as soon as
+// its last reader lets go.
+func BenchmarkPublishServe(b *testing.B) {
+	ing, base := viennaIngestor(b)
+	var retired []weak.Pointer[core.Index]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ix, release := ing.AcquireEpoch()
+		publishBatch(b, ing, base, i)
+		for _, eps := range []float64{0.00025, 0.0005, 0.001} {
+			if _, _, err := ix.SOIContext(context.Background(), core.Query{Keywords: []string{"shop"}, K: 10, Epsilon: eps}, core.CostAware, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		release()
+		retired = append(retired, weak.Make(ix))
+	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	pinned := 0
+	for _, wp := range retired {
+		if wp.Value() != nil {
+			pinned++
+		}
+	}
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MB")
+	b.ReportMetric(float64(pinned), "pinned-epochs")
 }

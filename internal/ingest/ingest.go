@@ -19,8 +19,10 @@
 // builds nothing: it installs a new epoch around the same index and
 // optionally persists it as a .soi snapshot (internal/snapshot). The
 // previous epoch is retired by releasing its install reference; its
-// index, unless a successor shares it, is freed when the last in-flight
-// reader drains.
+// index, unless a successor shares it, is garbage when the last in-flight
+// reader drains and is freed by the next collection: core's scratch runs
+// come from one process-wide pool and give up their index when they go
+// back, so nothing the index served from keeps it reachable.
 //
 // Determinism: every epoch's corpus is the base specs followed by the
 // published deltas in append order. Epoch n+1 copies epoch n's POIs,

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -249,6 +251,42 @@ func TestEpochRefcountLifecycle(t *testing.T) {
 	}
 	if snap.Ingest.DeltasAppended != 10 || snap.Ingest.DeltasPending != 0 {
 		t.Fatalf("delta counters: %+v", snap.Ingest)
+	}
+}
+
+// TestRetiredEpochIsReclaimed pins the retirement contract of the
+// package comment: once an epoch is retired and its last reader has
+// released it, one garbage collection frees its index. Nothing the
+// index served from (its scratch pool included) may keep it reachable.
+func TestRetiredEpochIsReclaimed(t *testing.T) {
+	net := testNet(t)
+	r := rand.New(rand.NewSource(9))
+	ing, err := ingest.New(net, randDeltas(r, 30), ingest.Config{CellSize: testCell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+
+	// queryEpoch reads the serving epoch once and hands back only a weak
+	// pointer to its index, so no strong reference outlives the call.
+	queryEpoch := func() weak.Pointer[core.Index] {
+		seq, ix, release := ing.AcquireEpoch()
+		defer release()
+		if seq != 1 {
+			t.Fatalf("serving seq = %d, want 1", seq)
+		}
+		_ = runSOI(t, ix, testQueries[1])
+		return weak.Make(ix)
+	}
+	wp := queryEpoch()
+
+	mustAdd(t, ing, randDeltas(r, 5))
+	if _, _, err := ing.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("epoch 1's index survived a GC after its last reader released it")
 	}
 }
 

@@ -9,11 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
 
@@ -119,6 +122,67 @@ func TestLiveEngineEndToEnd(t *testing.T) {
 	snap := eng.StatsSnapshot()
 	if snap.Ingest.Publishes != 1 || snap.Ingest.Compactions != 1 || snap.Ingest.EpochSeq != 3 {
 		t.Fatalf("ingest stats: %+v", snap.Ingest)
+	}
+}
+
+// TestRetiredLiveEpochIsReclaimed: a live engine that has queried an
+// epoch and published past it holds nothing of it, so one garbage
+// collection frees the retired index. An engine-level cache that kept
+// an epoch's index reachable would fail here.
+func TestRetiredLiveEpochIsReclaimed(t *testing.T) {
+	eng := liveFixture(t, LiveConfig{})
+	wp := weak.Make(eng.ing.Current().Index())
+	if _, err := eng.TopStreets(Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.0005}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AddPOIs([]POIInput{{X: 0.0004, Y: 0.0051, Keywords: []string{"museum"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("epoch 1's index survived a GC after the engine published past it")
+	}
+}
+
+// TestClosedSnapshotEngineIsReclaimed is the -tenants eviction in
+// miniature: a snapshot engine that answered a query, was closed and
+// dropped leaves nothing behind, so one garbage collection frees its
+// index.
+func TestClosedSnapshotEngineIsReclaimed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "city.soi")
+	src, err := NewEngine([]StreetInput{
+		{Name: "High St", Polyline: []Point{{0, 0}, {0.002, 0}}},
+	}, []POIInput{
+		{X: 0.0003, Y: 0.0001, Keywords: []string{"shop"}},
+		{X: 0.0009, Y: 0.0001, Keywords: []string{"shop"}},
+	}, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	serveAndClose := func() weak.Pointer[core.Index] {
+		eng, err := NewEngineFromSnapshot(path, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.TopStreets(Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005}); err != nil {
+			t.Fatal(err)
+		}
+		wp := weak.Make(eng.index)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return wp
+	}
+	wp := serveAndClose()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a closed snapshot engine's index survived a GC")
 	}
 }
 
