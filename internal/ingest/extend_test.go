@@ -17,7 +17,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"weak"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -366,13 +366,14 @@ func BenchmarkPublish(b *testing.B) {
 // 100-POI batch onto Vienna 0.1, and then runs one CostAware "shop" query
 // at each ε of the serving sweep on the pinned epoch, now retired, which
 // builds its ε-plans and checks out scratch runs, before releasing it.
-// After the loop it runs one GC and reports the live heap (live-MB,
-// HeapAlloc in MiB) and how many retired epochs a weak pointer still
-// reaches (pinned-epochs): 0 means a retired epoch is garbage as soon as
-// its last reader lets go.
+// After the loop it runs one GC and reports how many retired epochs that
+// GC could not free (pinned-epochs, by a finalizer on each index): 0
+// means a retired epoch is garbage as soon as its last reader lets go.
+// It then runs a second GC, since a finalizer keeps its object for one
+// more cycle, and reports the live heap (live-MB, HeapAlloc in MiB).
 func BenchmarkPublishServe(b *testing.B) {
 	ing, base := viennaIngestor(b)
-	var retired []weak.Pointer[core.Index]
+	var retired []<-chan struct{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -384,18 +385,20 @@ func BenchmarkPublishServe(b *testing.B) {
 			}
 		}
 		release()
-		retired = append(retired, weak.Make(ix))
+		retired = append(retired, watchFree(ix))
 	}
 	b.StopTimer()
 	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	deadline := time.Now().Add(time.Second)
 	pinned := 0
-	for _, wp := range retired {
-		if wp.Value() != nil {
+	for _, freed := range retired {
+		if !freedWithin(freed, time.Until(deadline)) {
 			pinned++
 		}
 	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MB")
 	b.ReportMetric(float64(pinned), "pinned-epochs")
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -254,6 +253,32 @@ func TestEpochRefcountLifecycle(t *testing.T) {
 	}
 }
 
+// watchFree arms a finalizer on ix and returns a channel that closes
+// when it runs. A finalizer runs only after a garbage collection has
+// found its object unreachable, so a channel closed after one
+// runtime.GC means that GC freed ix.
+func watchFree(ix *core.Index) <-chan struct{} {
+	freed := make(chan struct{})
+	runtime.SetFinalizer(ix, func(*core.Index) { close(freed) })
+	return freed
+}
+
+// freedWithin reports whether freed closes within wait, which bounds how
+// long the finalizer goroutine may take to run after a collection.
+func freedWithin(freed <-chan struct{}, wait time.Duration) bool {
+	select {
+	case <-freed:
+		return true
+	default:
+	}
+	select {
+	case <-freed:
+		return true
+	case <-time.After(wait):
+		return false
+	}
+}
+
 // TestRetiredEpochIsReclaimed pins the retirement contract of the
 // package comment: once an epoch is retired and its last reader has
 // released it, one garbage collection frees its index. Nothing the
@@ -267,25 +292,26 @@ func TestRetiredEpochIsReclaimed(t *testing.T) {
 	}
 	defer ing.Close()
 
-	// queryEpoch reads the serving epoch once and hands back only a weak
-	// pointer to its index, so no strong reference outlives the call.
-	queryEpoch := func() weak.Pointer[core.Index] {
+	// queryEpoch reads the serving epoch once and hands back only the
+	// channel that reports its index freed, so no strong reference
+	// outlives the call.
+	queryEpoch := func() <-chan struct{} {
 		seq, ix, release := ing.AcquireEpoch()
 		defer release()
 		if seq != 1 {
 			t.Fatalf("serving seq = %d, want 1", seq)
 		}
 		_ = runSOI(t, ix, testQueries[1])
-		return weak.Make(ix)
+		return watchFree(ix)
 	}
-	wp := queryEpoch()
+	freed := queryEpoch()
 
 	mustAdd(t, ing, randDeltas(r, 5))
 	if _, _, err := ing.Publish(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	if wp.Value() != nil {
+	if !freedWithin(freed, 2*time.Second) {
 		t.Fatal("epoch 1's index survived a GC after its last reader released it")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -125,13 +124,35 @@ func TestLiveEngineEndToEnd(t *testing.T) {
 	}
 }
 
+// watchFree arms a finalizer on ix and returns a channel that closes
+// when it runs. A finalizer runs only after a garbage collection has
+// found its object unreachable, so a channel closed after one
+// runtime.GC means that GC freed ix.
+func watchFree(ix *core.Index) <-chan struct{} {
+	freed := make(chan struct{})
+	runtime.SetFinalizer(ix, func(*core.Index) { close(freed) })
+	return freed
+}
+
+// freedByOneGC runs one garbage collection and reports whether freed
+// closes within a bounded wait for the finalizer goroutine.
+func freedByOneGC(freed <-chan struct{}) bool {
+	runtime.GC()
+	select {
+	case <-freed:
+		return true
+	case <-time.After(2 * time.Second):
+		return false
+	}
+}
+
 // TestRetiredLiveEpochIsReclaimed: a live engine that has queried an
 // epoch and published past it holds nothing of it, so one garbage
 // collection frees the retired index. An engine-level cache that kept
 // an epoch's index reachable would fail here.
 func TestRetiredLiveEpochIsReclaimed(t *testing.T) {
 	eng := liveFixture(t, LiveConfig{})
-	wp := weak.Make(eng.ing.Current().Index())
+	freed := watchFree(eng.ing.Current().Index())
 	if _, err := eng.TopStreets(Query{Keywords: []string{"shop"}, K: 2, Epsilon: 0.0005}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +162,7 @@ func TestRetiredLiveEpochIsReclaimed(t *testing.T) {
 	if _, _, err := eng.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	if wp.Value() != nil {
+	if !freedByOneGC(freed) {
 		t.Fatal("epoch 1's index survived a GC after the engine published past it")
 	}
 }
@@ -165,7 +185,7 @@ func TestClosedSnapshotEngineIsReclaimed(t *testing.T) {
 	if err := src.WriteSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	serveAndClose := func() weak.Pointer[core.Index] {
+	serveAndClose := func() <-chan struct{} {
 		eng, err := NewEngineFromSnapshot(path, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -173,15 +193,13 @@ func TestClosedSnapshotEngineIsReclaimed(t *testing.T) {
 		if _, err := eng.TopStreets(Query{Keywords: []string{"shop"}, K: 1, Epsilon: 0.0005}); err != nil {
 			t.Fatal(err)
 		}
-		wp := weak.Make(eng.index)
+		freed := watchFree(eng.index)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return wp
+		return freed
 	}
-	wp := serveAndClose()
-	runtime.GC()
-	if wp.Value() != nil {
+	if !freedByOneGC(serveAndClose()) {
 		t.Fatal("a closed snapshot engine's index survived a GC")
 	}
 }
